@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ObserveError
+from repro.errors import ObserveError, TopologyError
 from repro.observe.detectors import CusumDetector, EwmaBaseline, SignalTracker
 from repro.observe.verdicts import (
     CONFIG_RECORD,
@@ -48,7 +48,7 @@ from repro.observe.verdicts import (
 )
 from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub
 from repro.telemetry.core import hub as telemetry_hub
-from repro.topology.graph import LogicalTopology, NodeId, NodeKind
+from repro.topology.graph import LogicalTopology, NodeId, parse_node
 
 
 @dataclass
@@ -99,10 +99,10 @@ class ObserveConfig:
 
 def _node_from_name(name: str) -> NodeId:
     """Parse ``"g3"`` / ``"n1"`` back into a :class:`NodeId`."""
-    if len(name) < 2 or name[0] not in ("g", "n") or not name[1:].isdigit():
+    try:
+        return parse_node(name)
+    except TopologyError:
         raise ObserveError(f"not a node name: {name!r}")
-    kind = NodeKind.GPU if name[0] == "g" else NodeKind.NIC
-    return NodeId(kind, int(name[1:]))
 
 
 class Watchdog(TelemetryConsumer):

@@ -304,13 +304,14 @@ class Simulator:
     def step(self) -> None:
         """Process the next event (and, batching, its same-instant run).
 
-        With ``batch_events`` the contiguous run of queue entries sharing
-        the head's (time, priority) is drained in one call, saving a heap
-        round-trip per event. A dispatched callback may schedule something
-        *more urgent* at the same instant (process resumptions are URGENT,
-        scheduled from NORMAL callbacks); the undispatched remainder is
-        then pushed back — original sequence numbers restore exact heap
-        order — so dispatch order stays identical to unbatched stepping.
+        With ``batch_events`` the step keeps dispatching while the queue's
+        head shares the first event's (time, priority), saving a call and
+        the caller's loop checks per event. Entries are popped one at a
+        time, only when they are next: a dispatched callback may schedule
+        something *more urgent* at the same instant (process resumptions
+        are URGENT, scheduled from NORMAL callbacks), which then heads the
+        queue and ends the step — so dispatch order is identical to
+        unbatched stepping and an exception leaves the rest queued.
         """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
@@ -320,23 +321,14 @@ class Simulator:
         if time < self.now - 1e-12:
             raise SimulationError("event scheduled in the past")
         self.now = max(self.now, time)
+        self._dispatch(entry[3])
         if not self.batch_events:
-            self._dispatch(entry[3])
             return
-        batch = [entry]
-        while queue and queue[0][0] == time and queue[0][1] == priority:
-            batch.append(heapq.heappop(queue))
-        for index, entry in enumerate(batch):
-            try:
-                self._dispatch(entry[3])
-            except BaseException:
-                for rest in batch[index + 1:]:
-                    heapq.heappush(queue, rest)
-                raise
-            if queue and (queue[0][0], queue[0][1]) < (time, priority):
-                for rest in batch[index + 1:]:
-                    heapq.heappush(queue, rest)
+        while queue:
+            head = queue[0]
+            if head[0] != time or head[1] != priority:
                 return
+            self._dispatch(heapq.heappop(queue)[3])
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue empties or the clock reaches ``until``.

@@ -26,26 +26,32 @@ def default_aggregation(tree: Tree, root: int) -> Dict[NodeId, bool]:
     return {gpu_node(rank): True for rank in tree_interior_ranks(tree, root)}
 
 
-def improve_aggregation(strategy: Strategy, evaluator) -> Strategy:
-    """One greedy pass of aggregation flips, in place.
+def improve_aggregation(scored, chunk: float) -> Strategy:
+    """One greedy pass of aggregation flips on ``scored.strategy``, in place.
 
-    For each sub-collective and each aggregating non-root node, try
-    disabling aggregation there; keep the flip when the evaluated
-    completion time improves. The root always aggregates (it must produce
-    the final tensor).
+    ``scored`` is the strategy's compiled objective (the synthesizer's
+    ``CompiledScore``), priced at chunk size ``chunk``. For each
+    sub-collective and each aggregating non-root node, try disabling
+    aggregation there; keep the flip when the evaluated completion time
+    improves. The root always aggregates (it must produce the final
+    tensor). A flip re-derives only its own sub-collective's structure and
+    the link rates it shares with the others.
     """
-    best = evaluator.objective(strategy)
-    for sc in strategy.subcollectives:
+    strategy = scored.strategy
+    best = scored.score(chunk)
+    for position, sc in enumerate(strategy.subcollectives):
         for node in list(sc.aggregation):
             if sc.root is not None and node == sc.root:
                 continue
             if not sc.aggregation[node]:
                 continue
             sc.aggregation[node] = False
-            candidate = evaluator.objective(strategy)
+            unflipped = scored.refresh_subcollective(position)
+            candidate = scored.score(chunk)
             if candidate < best:
                 best = candidate
             else:
                 sc.aggregation[node] = True
+                scored.restore(unflipped)
     strategy.predicted_time = best
     return strategy

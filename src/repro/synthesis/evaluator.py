@@ -21,15 +21,27 @@ crosses until it passes an aggregating node, after which all flows merged
 there continue as one shared unit. On reduce trees this reproduces the
 paper's recursive formula exactly (tested); on arbitrary DAGs it remains
 well-defined.
+
+Evaluation runs in two passes (DESIGN.md §3.1, "Synthesis evaluation
+pipeline"). The *structure* pass, building a :class:`CompiledStrategy`,
+does everything that does not depend on the chunk size: traffic units →
+loads → per-stream rates, each flow's ``(α, rate)`` list, the aggregation
+dependency order and who arrives where. The *timing* pass,
+:meth:`CompiledStrategy.objective`, is float arithmetic over those lists
+for one chunk size. :meth:`StrategyEvaluator.evaluate` is the two passes
+back to back and hands the structure back as ``result.compiled``; the
+synthesizer evaluates a routed candidate once and re-times that structure
+for every chunk size of its grid.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SynthesisError
-from repro.synthesis.strategy import Primitive, Strategy, SubCollective
+from repro.hardware.gpu import GpuSpec
+from repro.synthesis.strategy import Primitive, Strategy, SubCollective, chunk_count
 from repro.topology.graph import EdgeKind, LogicalTopology, NodeId, NodeKind
 
 EdgeKey = Tuple[NodeId, NodeId]
@@ -37,6 +49,18 @@ EdgeKey = Tuple[NodeId, NodeId]
 #: ("agg", node) downstream of an aggregation at that node, or
 #: ("bcast", src) for broadcast replicas.
 Unit = Tuple
+#: What the timing pass reads per edge crossing: (α, per-stream rate).
+EdgeCost = Tuple[float, float]
+#: One flow's run into an aggregating node: (flow, feeder stage, first edge,
+#: stop edge) — see :class:`_SubStructure`.
+Arrival = Tuple[int, int, int, int]
+
+
+def _aggregating_nodes(primitive: Primitive, sc: SubCollective) -> FrozenSet[NodeId]:
+    """Nodes with a_{m,node} = 1 (none for primitives that never sum)."""
+    if not primitive.needs_aggregation:
+        return frozenset()
+    return frozenset(node for node, flag in sc.aggregation.items() if flag)
 
 
 def edge_units(primitive: Primitive, sc: SubCollective) -> Dict[EdgeKey, set]:
@@ -51,23 +75,31 @@ def edge_units(primitive: Primitive, sc: SubCollective) -> Dict[EdgeKey, set]:
     :mod:`repro.analysis.verify_strategy` checks the same algebra the
     evaluator prices.
     """
+    return _edge_units(primitive, sc, [flow.edges for flow in sc.flows])
+
+
+def _edge_units(
+    primitive: Primitive, sc: SubCollective, flow_edges: Sequence[Sequence[EdgeKey]]
+) -> Dict[EdgeKey, set]:
+    """:func:`edge_units` over already-expanded per-flow edge lists."""
     units: Dict[EdgeKey, set] = defaultdict(set)
-    for flow_idx, flow in enumerate(sc.flows):
-        if primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER:
-            # Replicas of the same data group into one unit per source.
+    if primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER:
+        # Replicas of the same data group into one unit per source.
+        for flow, edges in zip(sc.flows, flow_edges):
             unit: Unit = ("bcast", flow.src)
-            for edge in flow.edges:
+            for edge in edges:
                 units[edge].add(unit)
-            continue
-        unit = ("flow", flow_idx)
-        if primitive.needs_aggregation and sc.aggregates_at(flow.path[0]):
-            # Data originating at an aggregating node leaves merged with
-            # the flows aggregated there — one shared unit, not two.
-            unit = ("agg", flow.path[0])
-        for i, j in flow.edges:
-            units[(i, j)].add(unit)
-            if primitive.needs_aggregation and sc.aggregates_at(j):
-                unit = ("agg", j)
+        return units
+    aggregating = _aggregating_nodes(primitive, sc)
+    for flow_idx, (flow, edges) in enumerate(zip(sc.flows, flow_edges)):
+        # Data originating at an aggregating node leaves merged with the
+        # flows aggregated there — one shared unit, not two.
+        origin = flow.path[0]
+        unit = ("agg", origin) if origin in aggregating else ("flow", flow_idx)
+        for edge in edges:
+            units[edge].add(unit)
+            if edge[1] in aggregating:
+                unit = ("agg", edge[1])
     return units
 
 
@@ -82,42 +114,104 @@ class EvaluationResult:
         self.edge_loads: Dict[Tuple[int, EdgeKey], int] = {}
         #: edge -> total load across sub-collectives (Σ_m N^m)
         self.total_loads: Dict[EdgeKey, int] = {}
+        #: The structure this result was timed from; re-time it with
+        #: ``compiled.objective(chunk)`` instead of evaluating again.
+        self.compiled: Optional["CompiledStrategy"] = None
 
 
-class StrategyEvaluator:
-    """Evaluates strategies against one logical topology's current estimates."""
+class _SubStructure:
+    """What one sub-collective contributes to the structure pass.
 
-    def __init__(self, topology: LogicalTopology, include_kernel_time: bool = True):
+    Everything here follows from the routed flows and the aggregation
+    flags alone — not from the chunk size, and not from link estimates.
+    """
+
+    __slots__ = ("sc", "edge_keys", "loads", "stages", "finals", "rises")
+
+    def __init__(self, sc: SubCollective, edge_keys: List[List[EdgeKey]]):
+        self.sc = sc
+        #: Per flow, the (src, dst) pairs along its path.
+        self.edge_keys = edge_keys
+        #: edge -> N^m_{i,j}, in first-crossing order.
+        self.loads: Dict[EdgeKey, int] = {}
+        #: Reduce-style only. One ``(kernel spec, arrivals)`` per aggregating
+        #: node, upstream first; an arrival ``(flow, feeder, first, stop)``
+        #: is the flow's run over edges ``first..stop-1`` into the node,
+        #: departing from stage ``feeder`` (``-1``: the flow's source at 0).
+        self.stages: Optional[List[Tuple[Optional[GpuSpec], List[Arrival]]]] = None
+        #: Reduce-style only. Per flow ``(feeder, first)``: its last run,
+        #: over edges ``first..`` to the destination.
+        self.finals: List[Tuple[int, int]] = []
+        #: Other primitives. Per flow and edge crossing, the two indices
+        #: into the flow's cumulative ready times whose difference is that
+        #: edge's eq.-6 rise. Ready times are keyed by *node*, so a node the
+        #: path visits twice (a NIC relayed through) reads its last visit.
+        self.rises: List[List[Tuple[int, int]]] = []
+
+
+class CompiledStrategy:
+    """The structure pass's output for one routed strategy, ready to time.
+
+    It snapshots the topology's estimates at compile time; time it before
+    they change. ``objective(chunk)`` prices the strategy as if every
+    sub-collective used chunk size ``chunk`` (its own ``chunk_size`` when
+    omitted) and is bit-for-bit what a fresh ``evaluate`` of that strategy
+    would return.
+    """
+
+    def __init__(self, topology: LogicalTopology, include_kernel_time: bool, strategy: Strategy):
         self.topology = topology
         self.include_kernel_time = include_kernel_time
+        self.strategy = strategy
+        self._subs = [
+            self._compile_sub(sc, [flow.edges for flow in sc.flows])
+            for sc in strategy.subcollectives
+        ]
+        self._bind()
 
-    # -- public API ------------------------------------------------------------
+    # -- the structure pass ----------------------------------------------------------
 
-    def evaluate(self, strategy: Strategy) -> EvaluationResult:
-        """Full evaluation of a strategy; also validates edge existence."""
-        result = EvaluationResult()
-        units_by_sc = []
-        for sc in strategy.subcollectives:
-            units = self._edge_units(strategy.primitive, sc)
-            units_by_sc.append(units)
-            for edge_key, unit_set in units.items():
-                result.edge_loads[(sc.index, edge_key)] = len(unit_set)
-                result.total_loads[edge_key] = result.total_loads.get(edge_key, 0) + len(
-                    unit_set
-                )
+    def _compile_sub(self, sc: SubCollective, edge_keys: List[List[EdgeKey]]) -> _SubStructure:
+        """Structure of one sub-collective over its expanded edge lists."""
+        primitive = self.strategy.primitive
+        sub = _SubStructure(sc, edge_keys)
+        for key, units in _edge_units(primitive, sc, edge_keys).items():
+            sub.loads[key] = len(units)
+        if not primitive.needs_aggregation:
+            for flow in sc.flows:
+                last_visit = {node: idx for idx, node in enumerate(flow.path)}
+                visits = [last_visit[node] for node in flow.path]
+                sub.rises.append(list(zip(visits[1:], visits)))
+            return sub
 
-        rates = self._edge_rates(result.total_loads)
-        worst = 0.0
-        for sc, units in zip(strategy.subcollectives, units_by_sc):
-            flow_times = self._subcollective_times(strategy.primitive, sc, rates)
-            for position, t in enumerate(flow_times):
-                result.flow_times[(sc.index, position)] = t
-                worst = max(worst, t)
-        result.objective = worst
-        return result
+        aggregating = _aggregating_nodes(primitive, sc)
+        # Per flow, positions (path indices) of aggregating nodes.
+        positions = [
+            [idx for idx, node in enumerate(flow.path) if node in aggregating]
+            for flow in sc.flows
+        ]
+        order = self._aggregation_order(sc, positions)
+        stage_of = {node: stage for stage, node in enumerate(order)}
+        arrivals: List[List[Arrival]] = [[] for _ in order]
+        for flow_idx, flow in enumerate(sc.flows):
+            # A flow *originating* at an aggregating node departs when that
+            # aggregation is done (its data merges with the children's
+            # chunks): position 0 feeds the next run but is no arrival.
+            feeder, first = -1, 0
+            for idx in positions[flow_idx]:
+                stage = stage_of[flow.path[idx]]
+                if idx > 0:
+                    arrivals[stage].append((flow_idx, feeder, first, idx))
+                feeder, first = stage, idx
+            sub.finals.append((feeder, first))
+        sub.stages = [
+            (self._kernel_spec(node) if arrived else None, arrived)
+            for node, arrived in zip(order, arrivals)
+        ]
+        return sub
 
-    def _edge_rates(self, total_loads: Dict[EdgeKey, int]) -> Dict[EdgeKey, float]:
-        """Per-stream rate on every loaded edge (refines eq. 3).
+    def _edge_costs(self, total_loads: Dict[EdgeKey, int]) -> Dict[EdgeKey, EdgeCost]:
+        """(α, per-stream rate) on every loaded edge (refines eq. 3).
 
         A stream's rate is bounded by three profiled quantities: the
         single-stream bandwidth b₁ (per-channel caps), and its fair share
@@ -126,235 +220,68 @@ class StrategyEvaluator:
         logical edges sharing a NIC contend even though they are distinct
         edges, which eq. 3's per-edge accounting misses.
         """
+        topology = self.topology
+        edges = {key: topology.edge(*key) for key in total_loads}
         egress: Dict[NodeId, int] = defaultdict(int)
         ingress: Dict[NodeId, int] = defaultdict(int)
         for (i, j), load in total_loads.items():
-            if self.topology.edge(i, j).kind is EdgeKind.NETWORK:
+            if edges[(i, j)].kind is EdgeKind.NETWORK:
                 egress[i] += load
                 ingress[j] += load
 
-        line_out: Dict[NodeId, float] = {}
-        line_in: Dict[NodeId, float] = {}
+        def line_rate(adjacent) -> float:
+            best = max(
+                (
+                    edge.effective_parallel.bandwidth
+                    for edge in adjacent
+                    if edge.kind is EdgeKind.NETWORK
+                ),
+                default=0.0,
+            )
+            return best if best > 0 else float("inf")
 
-        def node_line(node: NodeId, outgoing: bool) -> float:
-            cache = line_out if outgoing else line_in
-            if node not in cache:
-                best = 0.0
-                for (src, dst), edge in self.topology.edges.items():
-                    if edge.kind is not EdgeKind.NETWORK:
-                        continue
-                    if (outgoing and src == node) or (not outgoing and dst == node):
-                        best = max(best, edge.effective_parallel.bandwidth)
-                cache[node] = best if best > 0 else float("inf")
-            return cache[node]
+        line_out = {node: line_rate(topology.out_edges(node)) for node in egress}
+        line_in = {node: line_rate(topology.in_edges(node)) for node in ingress}
 
-        rates: Dict[EdgeKey, float] = {}
-        for (i, j), load in total_loads.items():
-            edge = self.topology.edge(i, j)
-            single = edge.effective.bandwidth
+        costs: Dict[EdgeKey, EdgeCost] = {}
+        for key, load in total_loads.items():
+            edge = edges[key]
+            effective = edge.effective
+            single = effective.bandwidth
             if edge.kind is EdgeKind.NETWORK:
+                i, j = key
                 rate = min(
                     single,
-                    node_line(i, outgoing=True) / max(1, egress[i]),
-                    node_line(j, outgoing=False) / max(1, ingress[j]),
+                    line_out[i] / max(1, egress[i]),
+                    line_in[j] / max(1, ingress[j]),
                 )
             else:
                 aggregate = edge.effective_parallel.bandwidth
                 rate = min(single, aggregate / max(1, load))
-            rates[(i, j)] = max(rate, 1e-9)
-        return rates
+            costs[key] = (effective.alpha, max(rate, 1e-9))
+        return costs
 
-    def objective(self, strategy: Strategy) -> float:
-        """Shortcut: just the predicted completion time (eq. 4)."""
-        return self.evaluate(strategy).objective
-
-    # -- traffic units / link loads (eq. 3 rules) ---------------------------------
-
-    def _edge_units(
-        self, primitive: Primitive, sc: SubCollective
-    ) -> Dict[EdgeKey, set]:
-        """Distinct traffic units per edge (delegates to :func:`edge_units`)."""
-        return edge_units(primitive, sc)
-
-    # -- timing (eqs. 2, 5, 6) ------------------------------------------------------
-
-    def _edge_chunk_time(
-        self, edge_key: EdgeKey, chunk: float, rates: Dict[EdgeKey, float]
-    ) -> float:
-        """t_{i,j} = α + C/rate, rate from the shared-bandwidth model.
-
-        This is eq. 2's per-chunk transfer time with eq. 3's equal-share
-        contention refined by :meth:`_edge_rates`.
-        """
-        edge = self.topology.edge(*edge_key)
-        ab = edge.effective
-        rate = rates.get(edge_key)
-        if rate is None:
-            rate = ab.bandwidth if ab.bandwidth != float("inf") else 1e30
-        return ab.alpha + chunk / rate
-
-    def _kernel_time(self, node: NodeId, chunk: float) -> float:
-        """Aggregation kernel cost on a GPU node (0 when disabled)."""
+    def _kernel_spec(self, node: NodeId) -> Optional[GpuSpec]:
+        """Whose aggregation kernel a node pays per chunk (None: free)."""
         if not self.include_kernel_time or node.kind is not NodeKind.GPU:
-            return 0.0
-        gpu = self.topology.cluster.gpu(node.index)
-        return gpu.spec.reduce_kernel_time(chunk)
-
-    def _subcollective_times(
-        self,
-        primitive: Primitive,
-        sc: SubCollective,
-        rates: Dict[EdgeKey, float],
-    ) -> List[float]:
-        """T_f for every flow of one sub-collective."""
-        if sc.size == 0 or not sc.flows:
-            return [0.0 for _ in sc.flows]
-        if primitive.needs_aggregation:
-            h, paces = self._ready_times_with_aggregation(sc, rates)
-            return [
-                h[(flow_idx, flow.dst)] + sc.num_chunks * paces[flow_idx]  # eq. 5
-                for flow_idx, flow in enumerate(sc.flows)
-            ]
-
-        h = self._ready_times_independent(sc, rates)
-        times: List[float] = []
-        for flow_idx, flow in enumerate(sc.flows):
-            bottleneck = 0.0
-            for i, j in flow.edges:
-                rise = h[(flow_idx, j)] - h[(flow_idx, i)]
-                bottleneck = max(bottleneck, rise)  # eq. 6
-            times.append(h[(flow_idx, flow.dst)] + sc.num_chunks * bottleneck)  # eq. 5
-        return times
-
-    def _ready_times_independent(
-        self, sc: SubCollective, rates: Dict[EdgeKey, float]
-    ) -> Dict[Tuple[int, NodeId], float]:
-        """h for primitives without aggregation: per-flow path walk."""
-        h: Dict[Tuple[int, NodeId], float] = {}
-        for flow_idx, flow in enumerate(sc.flows):
-            h[(flow_idx, flow.src)] = 0.0
-            current = 0.0
-            for i, j in flow.edges:
-                current += self._edge_chunk_time((i, j), sc.chunk_size, rates)
-                h[(flow_idx, j)] = current
-        return h
-
-    def _ready_times_with_aggregation(
-        self, sc: SubCollective, rates: Dict[EdgeKey, float]
-    ) -> Dict[Tuple[int, NodeId], float]:
-        """h and per-flow steady-state paces for reduce-style sub-collectives.
-
-        ``h`` follows eq. 2: an aggregating node's output time is the max
-        arrival over every flow traversing it (waiting for the slowest
-        chunk) plus the aggregation kernel. Aggregation nodes are resolved
-        in dependency order (upstream aggregations first); dependency comes
-        from path order — a flow visiting aggregation node v before u makes
-        u depend on v.
-
-        The returned per-flow *pace* refines eq. 6 for merged pipelines: a
-        pipeline through an aggregation point advances at the max of its
-        incoming flows' paces (and the kernel's per-chunk cost), rather
-        than at the raw h-difference across the merge edge, which would
-        double-count the one-time fill latency.
-        """
-        chunk = sc.chunk_size
-        # Per flow, positions (path indices) of aggregating nodes.
-        agg_positions: Dict[int, List[int]] = {}
-        agg_nodes: set = set()
-        for flow_idx, flow in enumerate(sc.flows):
-            positions = [
-                idx for idx, node in enumerate(flow.path) if sc.aggregates_at(node)
-            ]
-            agg_positions[flow_idx] = positions
-            agg_nodes.update(flow.path[idx] for idx in positions)
-
-        order = self._aggregation_order(sc, agg_positions)
-        agg_out: Dict[NodeId, float] = {}
-
-        def walk(flow_idx: int, stop_idx: int) -> float:
-            """Arrival time of flow's chunk at path[stop_idx].
-
-            Starts from the latest aggregation node before stop_idx (whose
-            output time must already be resolved), or from the source.
-            """
-            flow = sc.flows[flow_idx]
-            start_idx, t = 0, 0.0
-            for idx in agg_positions[flow_idx]:
-                # A flow *originating* at an aggregating node departs when
-                # that aggregation is done (its data merges with the
-                # children's chunks), hence idx == 0 counts too.
-                if idx < stop_idx:
-                    start_idx, t = idx, agg_out[flow.path[idx]]
-            for p in range(start_idx + 1, stop_idx + 1):
-                t += self._edge_chunk_time(
-                    (flow.path[p - 1], flow.path[p]), chunk, rates
-                )
-            return t
-
-        merged_pace: Dict[NodeId, float] = {}
-
-        def pace_walk(flow_idx: int, stop_idx: int) -> float:
-            """Steady-state per-chunk pace of a flow up to path[stop_idx]."""
-            flow = sc.flows[flow_idx]
-            start_idx, pace = 0, 0.0
-            for idx in agg_positions[flow_idx]:
-                if idx < stop_idx:
-                    start_idx, pace = idx, merged_pace[flow.path[idx]]
-            for p in range(start_idx + 1, stop_idx + 1):
-                pace = max(
-                    pace,
-                    self._edge_chunk_time((flow.path[p - 1], flow.path[p]), chunk, rates),
-                )
-            return pace
-
-        for node in order:
-            arrivals: List[float] = []
-            paces: List[float] = []
-            for flow_idx, flow in enumerate(sc.flows):
-                for idx in agg_positions[flow_idx]:
-                    if idx > 0 and flow.path[idx] == node:
-                        arrivals.append(walk(flow_idx, idx))
-                        paces.append(pace_walk(flow_idx, idx))
-            if arrivals:
-                kernel = self._kernel_time(node, chunk)
-                agg_out[node] = max(arrivals) + kernel
-                merged_pace[node] = max(max(paces), kernel)
-            else:
-                agg_out[node] = 0.0
-                merged_pace[node] = 0.0
-
-        # Final per-(flow, node) ready times: walk each path, resetting to
-        # the shared output time at every aggregation node (eq. 2's max).
-        h: Dict[Tuple[int, NodeId], float] = {}
-        flow_paces: Dict[int, float] = {}
-        for flow_idx, flow in enumerate(sc.flows):
-            t = agg_out[flow.path[0]] if sc.aggregates_at(flow.path[0]) else 0.0
-            h[(flow_idx, flow.src)] = t
-            for p in range(1, len(flow.path)):
-                i, j = flow.path[p - 1], flow.path[p]
-                if sc.aggregates_at(j):
-                    t = agg_out[j]
-                else:
-                    t += self._edge_chunk_time((i, j), chunk, rates)
-                h[(flow_idx, j)] = t
-            last = len(flow.path) - 1
-            if sc.aggregates_at(flow.path[last]):
-                flow_paces[flow_idx] = merged_pace[flow.path[last]]
-            else:
-                flow_paces[flow_idx] = pace_walk(flow_idx, last)
-        return h, flow_paces
+            return None
+        return self.topology.cluster.gpu(node.index).spec
 
     def _aggregation_order(
-        self, sc: SubCollective, agg_positions: Dict[int, List[int]]
+        self, sc: SubCollective, positions: List[List[int]]
     ) -> List[NodeId]:
-        """Dependency order over aggregation nodes (upstream first)."""
+        """Dependency order over aggregation nodes (upstream first).
+
+        Dependency comes from path order — a flow visiting aggregation
+        node v before u makes u depend on v.
+        """
         deps: Dict[NodeId, set] = defaultdict(set)
         nodes: set = set()
-        for flow_idx, positions in agg_positions.items():
-            path = sc.flows[flow_idx].path
-            for earlier, later in zip(positions, positions[1:]):
+        for flow, visited in zip(sc.flows, positions):
+            path = flow.path
+            for earlier, later in zip(visited, visited[1:]):
                 deps[path[later]].add(path[earlier])
-            nodes.update(path[idx] for idx in positions)
+            nodes.update(path[idx] for idx in visited)
         order: List[NodeId] = []
         resolved: set = set()
         pending = sorted(nodes)
@@ -374,3 +301,162 @@ class StrategyEvaluator:
                 )
             pending = remaining
         return order
+
+    def _bind(self) -> None:
+        """Loads → rates → each flow's flat ``(α, rate)`` list."""
+        total: Dict[EdgeKey, int] = {}
+        for sub in self._subs:
+            for key, load in sub.loads.items():
+                total[key] = total.get(key, 0) + load
+        #: edge -> Σ_m N^m
+        self.total_loads = total
+        costs = self._edge_costs(total)
+        self._costs = [
+            [[costs[key] for key in keys] for keys in sub.edge_keys] for sub in self._subs
+        ]
+
+    # -- aggregation flips ---------------------------------------------------------
+
+    def refresh_subcollective(self, position: int) -> Tuple:
+        """Re-derive after ``strategy.subcollectives[position]`` changed its
+        aggregation flags: that sub-collective's structure, then the shared
+        loads and rates. Returns the state to hand to :meth:`restore` if
+        the change is rolled back."""
+        previous = (self._subs, self.total_loads, self._costs)
+        stale = self._subs[position]
+        self._subs = list(self._subs)
+        self._subs[position] = self._compile_sub(stale.sc, stale.edge_keys)
+        self._bind()
+        return previous
+
+    def restore(self, state: Tuple) -> None:
+        """Return to a state :meth:`refresh_subcollective` replaced."""
+        self._subs, self.total_loads, self._costs = state
+
+    # -- the timing pass -------------------------------------------------------------
+
+    def _flow_times(
+        self, chunk: Optional[float]
+    ) -> Iterator[Tuple[SubCollective, List[float]]]:
+        """T_f of every flow, one list per sub-collective."""
+        for sub, costs in zip(self._subs, self._costs):
+            sc = sub.sc
+            chunk_size = chunk if chunk is not None else sc.chunk_size
+            if sc.size == 0 or not costs:
+                yield sc, [0.0 for _ in costs]
+                continue
+            time_flows = _independent_times if sub.stages is None else _aggregated_times
+            yield sc, time_flows(sub, costs, chunk_size, chunk_count(sc.size, chunk_size))
+
+    def objective(self, chunk: Optional[float] = None) -> float:
+        """Predicted completion time (eq. 4)."""
+        worst = 0.0
+        for _sc, times in self._flow_times(chunk):
+            for t in times:
+                if t > worst:
+                    worst = t
+        return worst
+
+    def evaluate(self, chunk: Optional[float] = None) -> EvaluationResult:
+        """The objective with its per-flow and per-edge detail."""
+        result = EvaluationResult()
+        result.compiled = self
+        for sub in self._subs:
+            for key, load in sub.loads.items():
+                result.edge_loads[(sub.sc.index, key)] = load
+        result.total_loads = dict(self.total_loads)
+        worst = 0.0
+        for sc, times in self._flow_times(chunk):
+            for position, t in enumerate(times):
+                result.flow_times[(sc.index, position)] = t
+                worst = max(worst, t)
+        result.objective = worst
+        return result
+
+
+def _aggregated_times(
+    sub: _SubStructure, costs: List[List[EdgeCost]], chunk: float, chunks: int
+) -> List[float]:
+    """T_f per flow of a reduce-style sub-collective (eqs. 2, 5, 6).
+
+    An aggregating node's output time is the max arrival over every flow
+    traversing it (waiting for the slowest chunk) plus the aggregation
+    kernel; stages come upstream first, so a run departing from an
+    aggregating node finds that node's output already resolved.
+
+    The per-flow *pace* refines eq. 6 for merged pipelines: a pipeline
+    through an aggregation point advances at the max of its incoming
+    flows' paces (and the kernel's per-chunk cost), rather than at the raw
+    ready-time difference across the merge edge, which would double-count
+    the one-time fill latency.
+    """
+    # t_{i,j} = α + C/rate per edge crossing (eq. 2 with eq. 3's shared rate).
+    edge_times = [[alpha + chunk / rate for alpha, rate in flow] for flow in costs]
+    ready: List[float] = []  # per stage: when the aggregated chunk leaves
+    paces: List[float] = []  # per stage: steady-state seconds per chunk
+    for spec, arrivals in sub.stages:
+        # A stage nothing arrives at (an aggregating source) is ready at 0.
+        latest = slowest = 0.0
+        for flow_idx, feeder, first, stop in arrivals:
+            t, pace = (ready[feeder], paces[feeder]) if feeder >= 0 else (0.0, 0.0)
+            for step in edge_times[flow_idx][first:stop]:
+                t += step
+                if step > pace:
+                    pace = step
+            if t > latest:
+                latest = t
+            if pace > slowest:
+                slowest = pace
+        kernel = spec.reduce_kernel_time(chunk) if spec is not None else 0.0
+        ready.append(latest + kernel)
+        paces.append(max(slowest, kernel))
+
+    times: List[float] = []
+    for (feeder, first), steps in zip(sub.finals, edge_times):
+        t, pace = (ready[feeder], paces[feeder]) if feeder >= 0 else (0.0, 0.0)
+        for step in steps[first:]:
+            t += step
+            if step > pace:
+                pace = step
+        times.append(t + chunks * pace)  # eq. 5
+    return times
+
+
+def _independent_times(
+    sub: _SubStructure, costs: List[List[EdgeCost]], chunk: float, chunks: int
+) -> List[float]:
+    """T_f per flow of a sub-collective without aggregation: a path walk."""
+    times: List[float] = []
+    for flow, rises in zip(costs, sub.rises):
+        current = 0.0
+        ready = [0.0]
+        for alpha, rate in flow:
+            current += alpha + chunk / rate
+            ready.append(current)
+        bottleneck = 0.0
+        for later, earlier in rises:
+            rise = ready[later] - ready[earlier]
+            if rise > bottleneck:
+                bottleneck = rise  # eq. 6
+        times.append(current + chunks * bottleneck)  # eq. 5
+    return times
+
+
+class StrategyEvaluator:
+    """Evaluates strategies against one logical topology's current estimates."""
+
+    def __init__(self, topology: LogicalTopology, include_kernel_time: bool = True):
+        self.topology = topology
+        self.include_kernel_time = include_kernel_time
+
+    # -- public API ------------------------------------------------------------
+
+    def evaluate(self, strategy: Strategy) -> EvaluationResult:
+        """Full evaluation of a strategy — the structure pass, then one
+        timing pass at the strategy's own chunk sizes; also validates edge
+        existence. ``result.compiled`` keeps the structure for re-timing."""
+        return CompiledStrategy(self.topology, self.include_kernel_time, strategy).evaluate()
+
+    def objective(self, strategy: Strategy) -> float:
+        """Shortcut: just the predicted completion time (eq. 4)."""
+        return self.evaluate(strategy).objective

@@ -24,11 +24,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import SynthesisError
 from repro.synthesis.aggregation import default_aggregation, improve_aggregation
 from repro.synthesis.chunking import chunk_candidates
-from repro.synthesis.evaluator import StrategyEvaluator
+from repro.synthesis.evaluator import CompiledStrategy, StrategyEvaluator
 from repro.synthesis.routing import (
     TREE_FAMILIES,
+    BandwidthTable,
     alltoall_flows,
     broadcast_flows,
+    instance_network_bandwidth,
     reduce_flows,
 )
 from repro.synthesis.strategy import Flow, Primitive, Strategy, SubCollective
@@ -72,6 +74,66 @@ class SynthesisReport:
     solve_seconds: float = 0.0
     candidates_evaluated: int = 0
     family_objectives: Dict[str, float] = field(default_factory=dict)
+
+
+class CompiledScore:
+    """The synthesizer's objective for one routed strategy, evaluated once.
+
+    Keeps the structure the evaluator compiled — for AllReduce of both
+    halves, the stored reduce flows and their reversal into the broadcast
+    stage. ``score(chunk)`` then prices any chunk size with arithmetic alone.
+    """
+
+    def __init__(self, evaluator: StrategyEvaluator, strategy: Strategy):
+        self.strategy = strategy
+        self.forward: CompiledStrategy = evaluator.evaluate(strategy).compiled
+        self.backward: Optional[CompiledStrategy] = None
+        if strategy.primitive is Primitive.ALLREDUCE:
+            reversed_strategy = Strategy(
+                primitive=Primitive.BROADCAST,
+                tensor_size=strategy.tensor_size,
+                participants=strategy.participants,
+                subcollectives=[
+                    SubCollective(
+                        index=sc.index,
+                        size=sc.size,
+                        chunk_size=sc.chunk_size,
+                        flows=[Flow(f.dst, f.src, list(reversed(f.path))) for f in sc.flows],
+                        root=sc.root,
+                    )
+                    for sc in strategy.subcollectives
+                ],
+            )
+            self.backward = evaluator.evaluate(reversed_strategy).compiled
+
+    def score(self, chunk: Optional[float] = None) -> float:
+        """Evaluator objective with every sub-collective at chunk size
+        ``chunk`` (default: each sub-collective's own current chunk size);
+        AllReduce adds the reversed broadcast half."""
+        reduce_time = self.forward.objective(chunk)
+        if self.backward is None:
+            return reduce_time
+        if chunk is None:
+            # The mirrored half follows the strategy's current chunk sizes.
+            for mirrored, sc in zip(
+                self.backward.strategy.subcollectives, self.strategy.subcollectives
+            ):
+                mirrored.chunk_size = sc.chunk_size
+        broadcast_time = self.backward.objective(chunk)
+        # The executor pipelines the two stages; the steady-state pace is
+        # set by the slower stage, with the faster stage's first-chunk
+        # latency as fill time.
+        return max(reduce_time, broadcast_time) + 0.25 * min(reduce_time, broadcast_time)
+
+    def refresh_subcollective(self, position: int) -> Tuple:
+        """Re-derive after sub-collective ``position`` changed aggregation
+        flags; returns the state :meth:`restore` rolls back to. Broadcast
+        replicas never aggregate, so AllReduce's reversed half stands."""
+        return self.forward.refresh_subcollective(position)
+
+    def restore(self, state: Tuple) -> None:
+        """Roll back one :meth:`refresh_subcollective`."""
+        self.forward.restore(state)
 
 
 class Synthesizer:
@@ -232,30 +294,31 @@ class Synthesizer:
         per_pair = tensor_size / world
         m = self.config.parallelism
         flows = alltoall_flows(self.topology, participants)
-        best: Optional[Strategy] = None
-        for chunk in self._chunks(per_pair / m):
-            subcollectives = [
+        chunks = self._chunks(per_pair / m)
+        strategy = Strategy(
+            primitive=Primitive.ALLTOALL,
+            tensor_size=tensor_size,
+            participants=participants,
+            subcollectives=[
                 SubCollective(
                     index=index,
                     size=per_pair / m,
-                    chunk_size=chunk,
+                    chunk_size=chunks[0],
                     flows=[Flow(f.src, f.dst, list(f.path)) for f in flows],
                 )
                 for index in range(m)
-            ]
-            candidate = Strategy(
-                primitive=Primitive.ALLTOALL,
-                tensor_size=tensor_size,
-                participants=participants,
-                subcollectives=subcollectives,
-                routing_family="direct",
-            )
-            candidate.predicted_time = self.evaluator.objective(candidate)
+            ],
+            routing_family="direct",
+        )
+        scored = CompiledScore(self.evaluator, strategy)
+        best: Optional[Tuple[float, float]] = None
+        for chunk in chunks:
+            predicted = scored.score(chunk)
             self.last_report.candidates_evaluated += 1
-            if best is None or candidate.predicted_time < best.predicted_time:
-                best = candidate
+            if best is None or predicted < best[0]:
+                best = (predicted, chunk)
         assert best is not None
-        return best
+        return self._settle(strategy, *best)
 
     # -- the search core ---------------------------------------------------------------
 
@@ -273,56 +336,61 @@ class Synthesizer:
         number of sub-collectives). ``partition_size`` overrides the
         per-sub-collective size (default: S / len(roots))."""
         size_each = partition_size if partition_size is not None else tensor_size / len(roots)
-        family_trees = {}
+        all_chunks = self._chunks(size_each)
+        # Route and compile each family once; every (family, chunk)
+        # candidate below is then one timing pass over that structure.
+        bandwidths = BandwidthTable(self.topology)
+        scored: Dict[str, CompiledScore] = {}
         for family_name in self.config.families:
             family = TREE_FAMILIES[family_name]
-            family_trees[family_name] = [
-                family(self.topology, participants, sc_root, rotation=index)
+            trees = [
+                family(
+                    self.topology, participants, sc_root, rotation=index, bandwidths=bandwidths
+                )
                 for index, sc_root in enumerate(roots)
             ]
+            scored[family_name] = CompiledScore(
+                self.evaluator,
+                self._routed(
+                    primitive, tensor_size, participants, roots, trees, all_chunks[0],
+                    size_each, family_name,
+                ),
+            )
 
-        all_chunks = self._chunks(size_each)
-        search_plan: List[Tuple[str, List[float]]]
+        report = self.last_report
+        finalists: Sequence[str] = self.config.families
         if self.config.screening and len(self.config.families) > self.config.finalists:
             # Stage 1: rank families at one representative chunk size.
-            screen_chunk = [all_chunks[len(all_chunks) // 2]]
+            screen_chunk = all_chunks[len(all_chunks) // 2]
             scores = []
             for family_name in self.config.families:
-                candidate = self._candidate(
-                    primitive, tensor_size, participants, roots,
-                    family_trees[family_name], screen_chunk[0], size_each, family_name,
-                )
-                scores.append((candidate.predicted_time, family_name))
-                self.last_report.candidates_evaluated += 1
-                self.last_report.family_objectives[family_name] = candidate.predicted_time
+                predicted = scored[family_name].score(screen_chunk)
+                scores.append((predicted, family_name))
+                report.candidates_evaluated += 1
+                report.family_objectives[family_name] = predicted
             scores.sort()
             # Stage 2: full chunk sweep on the finalists only.
-            search_plan = [
-                (name, all_chunks) for _score, name in scores[: self.config.finalists]
-            ]
-        else:
-            search_plan = [(name, all_chunks) for name in self.config.families]
+            finalists = [name for _score, name in scores[: self.config.finalists]]
 
-        best: Optional[Strategy] = None
-        for family_name, chunk_grid in search_plan:
-            trees = family_trees[family_name]
-            for chunk in chunk_grid:
-                candidate = self._candidate(
-                    primitive, tensor_size, participants, roots, trees, chunk,
-                    size_each, family_name,
-                )
-                self.last_report.candidates_evaluated += 1
-                current = self.last_report.family_objectives.get(family_name)
-                if current is None or candidate.predicted_time < current:
-                    self.last_report.family_objectives[family_name] = candidate.predicted_time
-                if best is None or candidate.predicted_time < best.predicted_time:
-                    best = candidate
+        best: Optional[Tuple[float, float, str]] = None
+        for family_name in finalists:
+            for chunk in all_chunks:
+                predicted = scored[family_name].score(chunk)
+                report.candidates_evaluated += 1
+                current = report.family_objectives.get(family_name)
+                if current is None or predicted < current:
+                    report.family_objectives[family_name] = predicted
+                if best is None or predicted < best[0]:
+                    best = (predicted, chunk, family_name)
         assert best is not None
+        predicted, chunk, family_name = best
+        winner = scored[family_name]
+        strategy = self._settle(winner.strategy, predicted, chunk)
         if self.config.aggregation_search and primitive.needs_aggregation:
-            best = improve_aggregation(best, self)
-        return best
+            improve_aggregation(winner, chunk)
+        return strategy
 
-    def _candidate(
+    def _routed(
         self,
         primitive: Primitive,
         tensor_size: float,
@@ -333,7 +401,7 @@ class Synthesizer:
         size_each: float,
         family_name: str,
     ) -> Strategy:
-        """Build and score one (family, chunk) candidate strategy."""
+        """Build one family's (unscored) strategy from its trees."""
         subcollectives = []
         for index, (sc_root, tree) in enumerate(zip(roots, trees)):
             if primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER:
@@ -352,18 +420,24 @@ class Synthesizer:
                     root=gpu_node(sc_root),
                 )
             )
-        candidate = Strategy(
+        return Strategy(
             primitive=primitive,
             tensor_size=tensor_size,
             participants=participants,
             subcollectives=subcollectives,
             routing_family=family_name,
         )
-        candidate.predicted_time = self._score(candidate)
-        return candidate
+
+    @staticmethod
+    def _settle(strategy: Strategy, predicted: float, chunk: float) -> Strategy:
+        """Fix the winning chunk size and its objective on a strategy."""
+        for sc in strategy.subcollectives:
+            sc.chunk_size = chunk
+        strategy.predicted_time = predicted
+        return strategy
 
     def objective(self, strategy: Strategy) -> float:
-        """Score a strategy (used by the aggregation local search)."""
+        """Score a strategy: eq. 4 under the current link estimates."""
         return self._score(strategy)
 
     def finish_time(self, strategy: Strategy) -> float:
@@ -380,31 +454,7 @@ class Synthesizer:
 
     def _score(self, strategy: Strategy) -> float:
         """Evaluator objective; AllReduce adds the reversed broadcast half."""
-        reduce_time = self.evaluator.objective(strategy)
-        if strategy.primitive is not Primitive.ALLREDUCE:
-            return reduce_time
-        reversed_strategy = Strategy(
-            primitive=Primitive.BROADCAST,
-            tensor_size=strategy.tensor_size,
-            participants=strategy.participants,
-            subcollectives=[
-                SubCollective(
-                    index=sc.index,
-                    size=sc.size,
-                    chunk_size=sc.chunk_size,
-                    flows=[
-                        Flow(f.dst, f.src, list(reversed(f.path))) for f in sc.flows
-                    ],
-                    root=sc.root,
-                )
-                for sc in strategy.subcollectives
-            ],
-        )
-        broadcast_time = self.evaluator.objective(reversed_strategy)
-        # The executor pipelines the two stages; the steady-state pace is
-        # set by the slower stage, with the faster stage's first-chunk
-        # latency as fill time.
-        return max(reduce_time, broadcast_time) + 0.25 * min(reduce_time, broadcast_time)
+        return CompiledScore(self.evaluator, strategy).score()
 
     def _spread_roots(self, participants: List[int], m: int) -> List[int]:
         """Spread sub-collective roots round-robin over well-connected
@@ -416,8 +466,6 @@ class Synthesizer:
         bandwidth is within 25 % of the best host roots; load then spreads
         round-robin among them (all instances, in a homogeneous cluster).
         """
-        from repro.synthesis.routing import instance_network_bandwidth
-
         by_instance: Dict[int, List[int]] = {}
         for rank in participants:
             by_instance.setdefault(self.topology.cluster.gpu(rank).instance_id, []).append(rank)

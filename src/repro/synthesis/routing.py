@@ -101,18 +101,42 @@ def gpu_pair_bandwidth(topology: LogicalTopology, a: int, b: int) -> float:
 def instance_network_bandwidth(topology: LogicalTopology, instance_id: int) -> float:
     """Representative network bandwidth of an instance (max over its
     outgoing NIC edges' effective estimates)."""
-    node = nic_node(instance_id)
     bandwidths = [
         edge.effective.bandwidth
-        for (src, _dst), edge in topology.edges.items()
-        if src == node and edge.kind is EdgeKind.NETWORK
+        for edge in topology.out_edges(nic_node(instance_id))
+        if edge.kind is EdgeKind.NETWORK
     ]
     if not bandwidths:
         return float("inf")  # single instance: no network constraint
     return max(bandwidths)
 
 
+class BandwidthTable:
+    """Memo of :func:`gpu_pair_bandwidth` reads.
+
+    Valid while the topology's estimates stay put — one synthesis search.
+    The synthesizer builds one per search and hands it to every family,
+    root and rotation, so ``widest_tree``'s all-pairs reads are paid once
+    rather than once per tree.
+    """
+
+    def __init__(self, topology: LogicalTopology):
+        self.topology = topology
+        self._pair: Dict[Tuple[int, int], float] = {}
+
+    def pair(self, a: int, b: int) -> float:
+        """Effective bandwidth of the one-hop route a→b."""
+        bandwidth = self._pair.get((a, b))
+        if bandwidth is None:
+            bandwidth = self._pair[(a, b)] = gpu_pair_bandwidth(self.topology, a, b)
+        return bandwidth
+
+
 # -- tree families -----------------------------------------------------------------
+#
+# Every family is called as ``family(topology, participants, root, rotation=…,
+# bandwidths=…)``; a family that reads GPU-pair bandwidths takes them from the
+# shared ``bandwidths`` table, the others ignore it.
 
 
 def _group_by_instance(
@@ -162,6 +186,7 @@ def hierarchical_tree(
     root: int,
     rotation: int = 0,
     fanout: int = 2,
+    bandwidths: Optional[BandwidthTable] = None,
 ) -> Tree:
     """Local leaders + bandwidth-sorted ``fanout``-ary tree over leaders."""
     groups = _group_by_instance(topology, participants)
@@ -184,7 +209,11 @@ def hierarchical_tree(
 
 
 def hierarchical_star(
-    topology: LogicalTopology, participants: Sequence[int], root: int, rotation: int = 0
+    topology: LogicalTopology,
+    participants: Sequence[int],
+    root: int,
+    rotation: int = 0,
+    bandwidths: Optional[BandwidthTable] = None,
 ) -> Tree:
     """Local leaders all sending directly to the root."""
     groups = _group_by_instance(topology, participants)
@@ -199,7 +228,11 @@ def hierarchical_star(
 
 
 def hierarchical_chain(
-    topology: LogicalTopology, participants: Sequence[int], root: int, rotation: int = 0
+    topology: LogicalTopology,
+    participants: Sequence[int],
+    root: int,
+    rotation: int = 0,
+    bandwidths: Optional[BandwidthTable] = None,
 ) -> Tree:
     """Local leaders chained in ascending bandwidth order toward the root.
 
@@ -221,7 +254,11 @@ def hierarchical_chain(
 
 
 def flat_star(
-    topology: LogicalTopology, participants: Sequence[int], root: int, rotation: int = 0
+    topology: LogicalTopology,
+    participants: Sequence[int],
+    root: int,
+    rotation: int = 0,
+    bandwidths: Optional[BandwidthTable] = None,
 ) -> Tree:
     """Every participant sends directly to the root."""
     tree: Tree = {root: root}
@@ -232,28 +269,33 @@ def flat_star(
 
 
 def widest_tree(
-    topology: LogicalTopology, participants: Sequence[int], root: int, rotation: int = 0
+    topology: LogicalTopology,
+    participants: Sequence[int],
+    root: int,
+    rotation: int = 0,
+    bandwidths: Optional[BandwidthTable] = None,
 ) -> Tree:
     """Prim-style maximum-bottleneck arborescence into the root.
 
     Repeatedly attach the unattached GPU whose best link into the attached
-    set has the highest effective bandwidth.
+    set has the highest effective bandwidth; ties go to the lowest rank,
+    then to the parent attached first.
     """
-    remaining = set(participants) - {root}
+    bandwidths = bandwidths or BandwidthTable(topology)
+    remaining = sorted(set(participants) - {root})
     tree: Tree = {root: root}
-    attached = [root]
+    # Per unattached rank, its widest link into the attached set so far.
+    widest: Dict[int, Tuple[float, int]] = {
+        rank: (bandwidths.pair(rank, root), root) for rank in remaining
+    }
     while remaining:
-        best: Optional[Tuple[float, int, int]] = None
-        for rank in sorted(remaining):
-            for candidate_parent in attached:
-                bandwidth = gpu_pair_bandwidth(topology, rank, candidate_parent)
-                if best is None or bandwidth > best[0]:
-                    best = (bandwidth, rank, candidate_parent)
-        assert best is not None
-        _bandwidth, rank, parent = best
-        tree[rank] = parent
-        attached.append(rank)
+        rank = max(remaining, key=lambda r: widest[r][0])  # first of equals: lowest rank
+        tree[rank] = widest[rank][1]
         remaining.remove(rank)
+        for other in remaining:
+            bandwidth = bandwidths.pair(other, rank)
+            if bandwidth > widest[other][0]:
+                widest[other] = (bandwidth, rank)
     return tree
 
 

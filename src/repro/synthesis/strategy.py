@@ -14,8 +14,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import StrategyFormatError, SynthesisError
-from repro.topology.graph import NodeId, NodeKind  # noqa: F401 (NodeKind used in checks)
+from repro.errors import StrategyFormatError, SynthesisError, TopologyError
+from repro.topology.graph import NodeId, NodeKind, gpu_node, parse_node
 
 
 class Primitive(enum.Enum):
@@ -87,6 +87,13 @@ class Flow:
         return list(zip(self.path, self.path[1:]))
 
 
+def chunk_count(size: float, chunk_size: float) -> int:
+    """ceil(S_m / C_m) — chunks per flow in the pipeline (0 for no data)."""
+    if size == 0:
+        return 0
+    return int(-(-size // chunk_size))
+
+
 @dataclass
 class SubCollective:
     """One of the M parallel sub-collectives (Fig. 8a).
@@ -116,9 +123,7 @@ class SubCollective:
     @property
     def num_chunks(self) -> int:
         """ceil(S_m / C_m) — chunks per flow in the pipeline."""
-        if self.size == 0:
-            return 0
-        return int(-(-self.size // self.chunk_size))
+        return chunk_count(self.size, self.chunk_size)
 
     def aggregates_at(self, node: NodeId) -> bool:
         """a_{m,node}, defaulting to 0."""
@@ -126,7 +131,7 @@ class SubCollective:
 
     def aggregates_at_rank(self, rank: int) -> bool:
         """a_{m,g} looked up by global rank."""
-        return self.aggregates_at(NodeId(NodeKind.GPU, rank))
+        return self.aggregates_at(gpu_node(rank))
 
     def nodes(self) -> List[NodeId]:
         """All nodes touched by this sub-collective's flows, deduplicated."""
@@ -193,13 +198,10 @@ def _node_to_str(node: NodeId) -> str:
 
 
 def _node_from_str(text: str) -> NodeId:
-    if not text or text[0] not in "gn":
-        raise StrategyFormatError(f"bad node id {text!r}")
     try:
-        index = int(text[1:])
-    except ValueError:
+        return parse_node(text)
+    except TopologyError:
         raise StrategyFormatError(f"bad node id {text!r}")
-    return NodeId(NodeKind.GPU if text[0] == "g" else NodeKind.NIC, index)
 
 
 def strategy_to_xml(strategy: Strategy) -> str:

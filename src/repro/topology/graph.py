@@ -20,6 +20,7 @@ exploits.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -38,25 +39,69 @@ class NodeKind(enum.Enum):
     NIC = "nic"
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class NodeId:
-    """A node in the logical topology.
+    """A node in the logical topology, interned: one object per ``(kind, index)``.
 
     ``index`` is the global rank for GPU nodes and the instance id for NIC
     nodes (the paper testbed has one NIC per server; multi-NIC instances
     get ``index = instance_id * 1000 + nic_idx``).
+
+    Nodes key nearly every dict and set in synthesis, the executor and the
+    evaluator, so ``NodeId(kind, index)`` always returns the same object:
+    equality is identity and hashing is the built-in object hash, both at
+    C speed. Instances are immutable; pickling and copying go back through
+    the constructor and therefore return the interned object too.
+    ``is_gpu`` says whether the node is a GPU (vs a NIC).
     """
 
-    kind: NodeKind
-    index: int
+    __slots__ = ("kind", "index", "is_gpu", "_name")
+
+    #: The intern tables, one per kind so a lookup hashes a plain int.
+    _gpus: Dict[int, "NodeId"] = {}
+    _nics: Dict[int, "NodeId"] = {}
+
+    def __new__(cls, kind: NodeKind, index: int) -> "NodeId":
+        if kind is NodeKind.GPU:
+            table = cls._gpus
+        elif kind is NodeKind.NIC:
+            table = cls._nics
+        else:
+            raise TypeError(f"NodeId kind must be a NodeKind, not {kind!r}")
+        node = table.get(index)
+        if node is None:
+            index = int(index)
+            node = object.__new__(cls)
+            set_field = object.__setattr__
+            set_field(node, "kind", kind)
+            set_field(node, "index", index)
+            set_field(node, "is_gpu", kind is NodeKind.GPU)
+            set_field(node, "_name", f"{'g' if kind is NodeKind.GPU else 'n'}{index}")
+            # setdefault keeps one winner if two threads race on a new key.
+            node = table.setdefault(index, node)
+        return node
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: NodeId is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: NodeId is immutable")
+
+    def __reduce__(self):
+        return NodeId, (self.kind, self.index)
+
+    def __repr__(self) -> str:
+        return f"NodeId(kind={self.kind!r}, index={self.index!r})"
 
     def __str__(self) -> str:
-        return f"{'g' if self.kind is NodeKind.GPU else 'n'}{self.index}"
+        return self._name
 
-    @property
-    def is_gpu(self) -> bool:
-        """Whether this node is a GPU (vs a NIC)."""
-        return self.kind is NodeKind.GPU
+    def __lt__(self, other: object) -> bool:
+        # The (kind, index) tuple ordering the frozen dataclass had: by index
+        # within a kind; across kinds it raises, NodeKind having no order.
+        if other.__class__ is NodeId:
+            return (self.kind, self.index) < (other.kind, other.index)
+        return NotImplemented
 
 
 def gpu_node(rank: int) -> NodeId:
@@ -315,6 +360,16 @@ class LogicalTopology:
     def predecessors(self, node: NodeId) -> List[NodeId]:
         """Nodes with an edge into ``node``."""
         return list(self._in[node])
+
+    def out_edges(self, node: NodeId) -> List[Edge]:
+        """Edges leaving ``node`` (none for a node the topology lacks)."""
+        edges = self.edges
+        return [edges[(node, dst)] for dst in self._out.get(node, ())]
+
+    def in_edges(self, node: NodeId) -> List[Edge]:
+        """Edges entering ``node`` (none for a node the topology lacks)."""
+        edges = self.edges
+        return [edges[(src, node)] for src in self._in.get(node, ())]
 
     def profiled_edges(self) -> List[Edge]:
         """Edges the profiler measures (NVLink + network)."""

@@ -1,9 +1,14 @@
 """Tests for the strategy evaluator (paper eqs. 2-6), incl. hand-computed cases."""
 
+import copy
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SynthesisError
-from repro.hardware import Cluster, make_homo_cluster
+from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
 from repro.simulation import Simulator
 from repro.synthesis.evaluator import StrategyEvaluator
 from repro.synthesis.strategy import Flow, Primitive, Strategy, SubCollective
@@ -277,3 +282,76 @@ class TestChunking:
         )
         after = evaluator.objective(strategy)
         assert after > before
+
+
+def _detail(result):
+    """Everything an EvaluationResult holds, floats as hex, dict order kept."""
+    return (
+        result.objective.hex(),
+        [(key, value.hex()) for key, value in result.flow_times.items()],
+        list(result.edge_loads.items()),
+        list(result.total_loads.items()),
+    )
+
+
+HETERO = LogicalTopology.from_cluster(Cluster(Simulator(), make_hetero_cluster()))
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestStructureTimingSplit:
+    """evaluate() = a chunk-independent structure pass + a timing pass:
+    re-timing ``result.compiled`` at any chunk size, in any order, is
+    bit-for-bit a fresh evaluate() of the strategy rebuilt at that size.
+    Strategies are seeded random trees with partial aggregation maps, from
+    the generator kept beside ``fixtures/synthesis_golden.json``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        chunks=st.lists(
+            st.floats(min_value=1e3, max_value=64e6, allow_nan=False), min_size=1, max_size=4
+        ),
+        kernel=st.booleans(),
+    )
+    def test_timing_a_compiled_structure_equals_a_fresh_evaluate(
+        self, synthesis_golden, seed, chunks, kernel
+    ):
+        strategy = synthesis_golden.random_strategy(np.random.default_rng(seed), HETERO)
+        evaluator = StrategyEvaluator(HETERO, include_kernel_time=kernel)
+        compiled = evaluator.evaluate(strategy).compiled
+        for chunk in chunks + chunks[:1]:  # revisit the first: timing keeps no state
+            rebuilt = copy.deepcopy(strategy)
+            for sc in rebuilt.subcollectives:
+                sc.chunk_size = chunk
+            fresh = evaluator.evaluate(rebuilt)
+            assert _detail(compiled.evaluate(chunk)) == _detail(fresh)
+            assert compiled.objective(chunk).hex() == fresh.objective.hex()
+        # Without an override the structure prices the strategy's own chunks.
+        assert _detail(compiled.evaluate()) == _detail(evaluator.evaluate(strategy))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, pick=st.integers(min_value=0, max_value=10_000), kernel=st.booleans())
+    def test_incremental_aggregation_flip_equals_a_from_scratch_compile(
+        self, synthesis_golden, seed, pick, kernel
+    ):
+        strategy = synthesis_golden.random_strategy(np.random.default_rng(seed), HETERO)
+        flippable = [
+            (position, node)
+            for position, sc in enumerate(strategy.subcollectives)
+            for node, flag in sc.aggregation.items()
+            if strategy.primitive.needs_aggregation and flag and node != sc.root
+        ]
+        assume(flippable)
+        position, node = flippable[pick % len(flippable)]
+        evaluator = StrategyEvaluator(HETERO, include_kernel_time=kernel)
+        compiled = evaluator.evaluate(strategy).compiled
+        before = _detail(compiled.evaluate())
+
+        strategy.subcollectives[position].aggregation[node] = False
+        unflipped = compiled.refresh_subcollective(position)
+        assert _detail(compiled.evaluate()) == _detail(evaluator.evaluate(strategy))
+
+        strategy.subcollectives[position].aggregation[node] = True
+        compiled.restore(unflipped)
+        assert _detail(compiled.evaluate()) == before
+        assert _detail(evaluator.evaluate(strategy)) == before

@@ -1,5 +1,7 @@
 """Tests for the synthesizer search (the Gurobi substitute)."""
 
+import json
+
 import pytest
 
 from repro.errors import SynthesisError
@@ -240,3 +242,35 @@ class TestXmlIntegration:
         for sc_a, sc_b in zip(strategy.subcollectives, parsed.subcollectives):
             assert [f.path for f in sc_a.flows] == [f.path for f in sc_b.flows]
             assert sc_a.aggregation == sc_b.aggregation
+
+
+class TestGoldenDecisions:
+    """The search did not move: every decision and every objective equals,
+    bit for bit, what the pre-split evaluator and un-interned ``NodeId``
+    produced (the fixture was generated at that commit)."""
+
+    @pytest.fixture(scope="class")
+    def golden(self, synthesis_golden):
+        return synthesis_golden, json.loads(synthesis_golden.GOLDEN_PATH.read_text())
+
+    @pytest.mark.parametrize("recipe", range(4))
+    def test_search_decisions_are_bit_identical(self, golden, recipe):
+        module, want = golden
+        got = module.golden_records(module.RECIPES[recipe : recipe + 1])
+        prefix = f"{module.RECIPES[recipe][0]}/"
+        expected = {k: v for k, v in want["search"].items() if k.startswith(prefix)}
+        assert len(got) == len(expected) == module.ROUNDS * len(Primitive)
+        for key in expected:
+            assert got[key] == expected[key], key
+
+    def test_random_evaluations_are_bit_identical(self, golden):
+        module, want = golden
+        got = module.evaluate_records()
+        assert len(got) == module.EVALUATE_CASES
+        assert got == want["evaluate"]
+
+    def test_fixture_covers_every_recipe_and_both_aggregation_shapes(self, golden):
+        module, want = golden
+        assert len(want["search"]) == len(module.RECIPES) * module.ROUNDS * len(Primitive)
+        reduce_style = {p.value for p in Primitive if p.needs_aggregation}
+        assert {record["primitive"] for record in want["evaluate"].values()} >= reduce_style

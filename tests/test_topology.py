@@ -1,5 +1,10 @@
 """Tests for the logical topology graph and the probe-based detector."""
 
+import copy
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
 import pytest
 
 from repro.errors import TopologyError
@@ -8,13 +13,94 @@ from repro.hardware.presets import fragmented_server
 from repro.network.cost_model import AlphaBeta
 from repro.simulation import Simulator
 from repro.topology import Detector, LogicalTopology
-from repro.topology.graph import EdgeKind, NodeKind, gpu_node, nic_node
+from repro.topology.graph import EdgeKind, NodeId, NodeKind, gpu_node, nic_node, parse_node
 
 
 def build(specs):
     sim = Simulator()
     cluster = Cluster(sim, specs)
     return sim, cluster, LogicalTopology.from_cluster(cluster)
+
+
+def _node_identity_in_worker(node):
+    """Runs in a spawned worker: the unpickled node is that process's interned one."""
+    return node is NodeId(node.kind, node.index), node
+
+
+class TestNodeIdInterning:
+    def test_one_object_per_kind_and_index(self):
+        assert NodeId(NodeKind.GPU, 3) is NodeId(NodeKind.GPU, 3)
+        assert gpu_node(3) is NodeId(NodeKind.GPU, 3)
+        assert nic_node(3) is NodeId(NodeKind.NIC, 3)
+        assert parse_node("g3") is gpu_node(3) and parse_node("n3") is nic_node(3)
+        assert gpu_node(3) is not nic_node(3)
+        assert gpu_node(3) != nic_node(3) and gpu_node(3) != gpu_node(4)
+        assert nic_node(2, nic_idx=1) is NodeId(NodeKind.NIC, 2001)
+
+    def test_equality_and_hash_follow_identity(self):
+        assert gpu_node(5) == gpu_node(5) and hash(gpu_node(5)) == hash(gpu_node(5))
+        assert gpu_node(5) != 5 and gpu_node(5) != "g5"
+        assert len({gpu_node(5), gpu_node(5), nic_node(5)}) == 2
+        assert {(gpu_node(1), nic_node(0)): "edge"}[(gpu_node(1), nic_node(0))] == "edge"
+
+    def test_immutable(self):
+        node = gpu_node(7)
+        with pytest.raises(AttributeError):
+            node.index = 8
+        with pytest.raises(AttributeError):
+            node.kind = NodeKind.NIC
+        with pytest.raises(AttributeError):
+            del node.index
+        with pytest.raises(AttributeError):
+            node.rank = 7  # no instance dict either
+        assert gpu_node(7).index == 7 and gpu_node(7).kind is NodeKind.GPU
+
+    def test_rejects_a_kind_that_is_not_a_node_kind(self):
+        with pytest.raises(TypeError):
+            NodeId("gpu", 0)
+
+    def test_str_and_repr_unchanged(self):
+        assert str(gpu_node(3)) == "g3" and str(nic_node(12)) == "n12"
+        assert repr(gpu_node(3)) == "NodeId(kind=<NodeKind.GPU: 'gpu'>, index=3)"
+        assert repr(nic_node(1)) == "NodeId(kind=<NodeKind.NIC: 'nic'>, index=1)"
+        assert gpu_node(3).is_gpu and not nic_node(3).is_gpu
+
+    def test_orders_by_index_within_a_kind(self):
+        assert sorted([gpu_node(9), gpu_node(2), gpu_node(4)]) == [
+            gpu_node(2), gpu_node(4), gpu_node(9)
+        ]
+        assert sorted([nic_node(3), nic_node(1)]) == [nic_node(1), nic_node(3)]
+        assert gpu_node(1) < gpu_node(2) and gpu_node(2) > gpu_node(1)
+        assert gpu_node(1) <= gpu_node(1) and gpu_node(1) >= gpu_node(1)
+        assert not gpu_node(1) < gpu_node(1)
+
+    def test_kinds_have_no_mutual_order(self):
+        # As with the frozen dataclass it replaced: (kind, index) tuples
+        # compare kinds first, and NodeKind members are unordered.
+        with pytest.raises(TypeError):
+            sorted([nic_node(0), gpu_node(1)])
+        with pytest.raises(TypeError):
+            gpu_node(1) < 3
+
+    def test_pickle_and_copy_return_the_interned_object(self):
+        node = nic_node(4)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(node, protocol)) is node
+        assert copy.copy(node) is node
+        path = [gpu_node(0), node, nic_node(5), gpu_node(9)]
+        cloned = copy.deepcopy({"path": path, "edge": (path[0], path[1])})
+        assert all(a is b for a, b in zip(cloned["path"], path))
+        assert cloned["edge"][1] is node
+
+    def test_round_trip_through_a_spawned_worker(self):
+        """``repro.bench.sweep`` ships work to ``spawn`` workers: a node
+        pickled there and back is the interned object on both sides."""
+        nodes = [gpu_node(11), nic_node(2)]
+        with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+            results = list(pool.map(_node_identity_in_worker, nodes))
+        for node, (interned_there, returned) in zip(nodes, results):
+            assert interned_there
+            assert returned is node
 
 
 class TestLogicalTopology:
