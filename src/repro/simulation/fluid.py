@@ -23,29 +23,31 @@ start/end/cancel or capacity change re-solves only the component it
 touches. Untouched components keep their frozen rates — which is safe
 bit-for-bit, not just mathematically, because the per-component solver is
 deterministic in its inputs, so a re-solve of an unchanged component
-would reproduce the frozen value exactly. ``incremental=False`` (or
-``REPRO_FLUID_INCREMENTAL=0``) re-solves every component from scratch at
-every recompute point; the differential suite runs both modes against
-each other and against :func:`solve_rates_reference`, the original
-joint progressive-filling solve over all active transfers.
+would reproduce the frozen value exactly. ``incremental=False`` re-solves
+every component from scratch at every recompute point; the differential
+suite runs both modes against each other and against
+:func:`solve_rates_reference`, the original joint progressive-filling
+solve over all active transfers.
+
+The per-component solver works on *path classes*, not transfers: chunk
+pipelining puts many transfers on few distinct paths, transfers sharing a
+path (and hence a per-stream cap) get the same max-min rate by symmetry,
+and because the per-link user sums are integer-valued the collapse is
+exact to the last bit and independent of member order (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-import os
 
 import numpy as np
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import URGENT, Event, Simulator
 
 _EPS = 1e-12
-#: C-level sort key for the canonical (activation-order) member walks.
-_BY_SEQ = operator.attrgetter("_seq")
 #: Remaining-bytes tolerance under which a transfer counts as complete.
 _DONE_EPS = 1e-6
 
@@ -85,14 +87,42 @@ class FluidLink:
         return f"<FluidLink {self.name} cap={self.capacity:.3g}B/s lat={self.latency:.3g}s>"
 
 
+class _PathClass:
+    """One distinct link sequence, interned per network.
+
+    Everything a transfer's path contributes to the solve that does not
+    change after construction — ``per_stream_cap`` and ``latency`` are
+    construction-time constants of a link; ``capacity`` is not, and is
+    read at solve time — computed once per path instead of once per
+    transfer. Immutable: every transfer on the path shares this object.
+    """
+
+    __slots__ = ("links", "multiplicity", "incidence", "stream_cap", "latency")
+
+    def __init__(self, links: Tuple[FluidLink, ...]):
+        self.links = links
+        #: Multiplicity of each link in the path (a path may cross a shared
+        #: bus twice; it then consumes that bus's capacity twice).
+        self.multiplicity: Dict[FluidLink, int] = {}
+        for link in links:
+            self.multiplicity[link] = self.multiplicity.get(link, 0) + 1
+        #: ``(link, multiplicity)`` rows, for the per-instant hot loops.
+        self.incidence = tuple(self.multiplicity.items())
+        #: The rate one transfer can reach on this path however idle it is.
+        self.stream_cap = min(
+            (link.per_stream_cap / mult for link, mult in self.incidence),
+            default=math.inf,
+        )
+        self.latency = sum(link.latency for link in self.multiplicity)
+
+
 class Transfer:
     """An in-flight data movement across a path of links."""
 
     _ids = itertools.count()
 
-    def __init__(self, links: Sequence[FluidLink], size: float, event: Event, tag: str = ""):
+    def __init__(self, path: _PathClass, size: float, event: Event, tag: str = ""):
         self.id = next(Transfer._ids)
-        self.links = list(links)
         self.size = float(size)
         self.remaining = float(size)
         self.rate = 0.0
@@ -100,21 +130,19 @@ class Transfer:
         self.tag = tag
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        #: Multiplicity of each link in the path (a path may cross a shared
-        #: bus twice; it then consumes that bus's capacity twice).
-        self.link_multiplicity: Dict[FluidLink, int] = {}
-        for link in self.links:
-            self.link_multiplicity[link] = self.link_multiplicity.get(link, 0) + 1
-        #: Activation sequence number (canonical intra-component solve
-        #: order) and owning component, managed by the network.
-        self._seq = -1
+        #: Interned path and owning component, managed by the network.
+        self._path = path
         self._comp: Optional[_Component] = None
-        cap = math.inf
-        for link, mult in self.link_multiplicity.items():
-            stream_cap = link.per_stream_cap / mult
-            if stream_cap < cap:
-                cap = stream_cap
-        self._min_stream_cap = cap
+
+    @property
+    def links(self) -> List[FluidLink]:
+        """The links crossed, in path order."""
+        return list(self._path.links)
+
+    @property
+    def link_multiplicity(self) -> Dict[FluidLink, int]:
+        """Times each distinct link is crossed (shared per path: read-only)."""
+        return self._path.multiplicity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -140,27 +168,110 @@ class _Component:
         self.needs_split = False
 
 
-def _progressive_fill(transfers: Sequence[Transfer]) -> np.ndarray:
-    """Progressive-filling max-min fair rates for ``transfers``.
+def _fill_classes(classes: Sequence[Tuple[_PathClass, int]]) -> List[float]:
+    """Progressive-filling max-min fair rate of each path class.
 
-    The vectorized kernel: the transfer/link incidence is flattened into
-    numpy arrays once, and each filling round is O(transfers + links +
-    incidences) in C. Pure in ``transfers`` — rates are returned, not
-    written back — and deterministic: identical inputs produce identical
-    bits, which is what lets the incremental solver freeze the rates of
-    untouched components.
+    ``classes`` pairs every distinct path of one component with its member
+    count. Members of a class start at rate 0, gain the same increment
+    while unfrozen and freeze on the same condition (a saturated link of
+    the shared path, or the shared per-stream cap), so one rate per class
+    *is* the per-transfer allocation. A link's users are
+    ``sum(count * multiplicity)`` over unfrozen classes — integer-valued,
+    hence exact in float64 in any order — and every other reduction is a
+    ``min``, so the result does not depend on the order of ``classes`` and
+    equals the per-transfer fill (:func:`solve_rates_reference`) bit for
+    bit. Components hold a handful of classes, where a scalar loop beats
+    the call overhead of array rounds.
+    """
+    slot_of: Dict[FluidLink, int] = {}
+    residual: List[float] = []
+    sat_floor: List[float] = []
+    users: List[int] = []
+    rows: List[List[Tuple[int, int]]] = []
+    for path, count in classes:
+        row = []
+        for link, mult in path.incidence:
+            slot = slot_of.get(link)
+            if slot is None:
+                slot = slot_of[link] = len(residual)
+                residual.append(link.capacity)
+                sat_floor.append(_EPS * max(1.0, link.capacity))
+                users.append(0)
+            users[slot] += count * mult
+            row.append((slot, count * mult))
+        rows.append(row)
+    caps = [path.stream_cap for path, _count in classes]
+    rates = [0.0] * len(rows)
+    unfrozen = list(range(len(rows)))
+    slots = range(len(residual))
+
+    while True:
+        delta = math.inf
+        for slot in slots:
+            if users[slot]:
+                share = residual[slot] / users[slot]
+                if share < delta:
+                    delta = share
+        for c in unfrozen:
+            headroom = caps[c] - rates[c]
+            if headroom < delta:
+                delta = headroom
+        if delta < 0:
+            delta = 0.0
+        if delta > _EPS:
+            for c in unfrozen:
+                rates[c] += delta
+            for slot in slots:
+                if users[slot]:
+                    residual[slot] -= delta * users[slot]
+
+        still = []
+        for c in unfrozen:
+            if rates[c] < caps[c] - _EPS:
+                for slot, _weight in rows[c]:
+                    if residual[slot] <= sat_floor[slot]:
+                        break  # crosses a saturated link
+                else:
+                    still.append(c)
+                    continue
+            for slot, weight in rows[c]:  # frozen: stops using its links
+                users[slot] -= weight
+        if len(still) == len(unfrozen):
+            if delta <= _EPS:
+                break  # nothing can move (e.g. zero-capacity link)
+            continue
+        unfrozen = still
+        if not unfrozen:
+            break
+    return rates
+
+
+def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
+    """From-scratch joint max-min solve over ``transfers`` (the oracle).
+
+    The original semantics, kept for the differential suite: one
+    progressive-filling run with a row per *transfer* (built from
+    ``Transfer.links`` alone, so it shares nothing with the path-class
+    table), vectorized over a flattened incidence. On one component it
+    equals the network's class-collapsed rates bit for bit; over *all*
+    active transfers jointly, components interleave and take different
+    float paths, so agreement there is 1e-9, not bitwise.
     """
     n = len(transfers)
     if n == 0:
-        return np.zeros(0)
-    caps = np.fromiter((t._min_stream_cap for t in transfers), dtype=float, count=n)
+        return []
+    caps = np.full(n, math.inf)
     links: List[FluidLink] = []
     link_index: Dict[int, int] = {}
     t_idx: List[int] = []
     l_idx: List[int] = []
     mults: List[float] = []
     for ti, t in enumerate(transfers):
-        for link, mult in t.link_multiplicity.items():
+        multiplicity: Dict[FluidLink, int] = {}
+        for link in t.links:
+            multiplicity[link] = multiplicity.get(link, 0) + 1
+        for link, mult in multiplicity.items():
+            caps[ti] = min(caps[ti], link.per_stream_cap / mult)
             li = link_index.get(link.id)
             if li is None:
                 li = link_index[link.id] = len(links)
@@ -207,19 +318,7 @@ def _progressive_fill(transfers: Sequence[Transfer]) -> np.ndarray:
         unfrozen &= ~newly
         if not unfrozen.any():
             break
-    return rates
-
-
-def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
-    """From-scratch joint max-min solve over ``transfers`` (reference).
-
-    The original (pre-incremental) semantics: one progressive-filling run
-    over *all* transfers jointly, components interleaved. The differential
-    suite compares every incremental recompute against this to 1e-9 —
-    per-component filling takes different float paths, so agreement is
-    near-exact rather than bitwise.
-    """
-    return [float(r) for r in _progressive_fill(list(transfers))]
+    return rates.tolist()
 
 
 class FluidNetwork:
@@ -232,23 +331,17 @@ class FluidNetwork:
 
     def __init__(self, sim: Simulator, incremental: Optional[bool] = None):
         self.sim = sim
-        self._active: List[Transfer] = []
+        #: In-flight transfers in activation order (dict used as ordered set).
+        self._active: Dict[Transfer, None] = {}
+        #: Link sequence (by content) -> its interned path class.
+        self._paths: Dict[Tuple[FluidLink, ...], _PathClass] = {}
         self._last_update = 0.0
         self._timer_generation = 0
         self._flush_scheduled = False
         self.completed_transfers = 0
-        if incremental is None:
-            incremental = os.environ.get("REPRO_FLUID_INCREMENTAL", "1") not in (
-                "0",
-                "false",
-                "off",
-            )
         #: Whether recomputes re-solve only dirty components (the default)
         #: or every component from scratch (the differential reference).
-        self.incremental = incremental
-        #: Monotonic activation counter: the canonical order of transfers
-        #: inside a component solve (== their order in ``_active``).
-        self._activation_count = 0
+        self.incremental = True if incremental is None else incremental
         #: link id -> active transfers crossing it, insertion-ordered.
         self._link_users: Dict[int, Dict[Transfer, None]] = {}
         #: link id -> owning component, exact at all times.
@@ -363,8 +456,12 @@ class FluidNetwork:
         if size < 0:
             raise SimulationError("transfer size must be non-negative")
         event = Event(self.sim)
-        t = Transfer(links, size, event, tag=tag)
-        if not t.links:
+        key = tuple(links)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = _PathClass(key)
+        t = Transfer(path, size, event, tag=tag)
+        if not key:
             # Pure-latency movement (e.g. an intra-GPU copy modelled as free):
             # complete after the latency with no fluid phase.
             def _complete(_evt: Event, transfer: Transfer = t) -> None:
@@ -375,7 +472,7 @@ class FluidNetwork:
 
             self.sim.timeout(max(0.0, extra_latency)).add_callback(_complete)
             return event
-        latency = sum(link.latency for link in t.link_multiplicity) + extra_latency
+        latency = path.latency + extra_latency
         if latency > 0:
 
             def _after_latency(_evt: Event, transfer: Transfer = t) -> None:
@@ -391,7 +488,7 @@ class FluidNetwork:
         if transfer not in self._active:
             raise SimulationError("cancel() of a transfer that is not active")
         self._settle_progress()
-        self._active.remove(transfer)
+        del self._active[transfer]
         self._component_remove(transfer)
         if self._recorders:
             self._emit(
@@ -423,7 +520,8 @@ class FluidNetwork:
     def link_load(self, link: FluidLink) -> float:
         """Aggregate current rate on ``link`` in bytes/second."""
         return sum(
-            t.rate * t.link_multiplicity[link] for t in self._active if link in t.link_multiplicity
+            t.rate * t._path.multiplicity[link]
+            for t in self._link_users.get(link.id, ())
         )
 
     # -- internals -----------------------------------------------------------
@@ -453,7 +551,7 @@ class FluidNetwork:
             transfer.event.succeed(transfer)
             self._recompute()
             return
-        self._active.append(transfer)
+        self._active[transfer] = None
         self._component_add(transfer)
         self._recompute()
 
@@ -463,8 +561,9 @@ class FluidNetwork:
         if dt > 0:
             for t in self._active:
                 moved = t.rate * dt
-                t.remaining = max(0.0, t.remaining - moved)
-                for link, mult in t.link_multiplicity.items():
+                left = t.remaining - moved
+                t.remaining = left if left > 0.0 else 0.0
+                for link, mult in t._path.incidence:
                     link.bytes_carried += moved * mult
             self._scan_pending = True
         self._last_update = self.sim.now
@@ -486,8 +585,6 @@ class FluidNetwork:
         flush_event._value = None
         flush_event._triggered = True
         flush_event.callbacks.append(self._flush)
-        from repro.simulation.engine import URGENT
-
         self.sim._schedule(flush_event, priority=URGENT)
 
     def _flush(self, _event: Event) -> None:
@@ -562,7 +659,7 @@ class FluidNetwork:
         flows = []
         for t in self._active:
             incidence = []
-            for link, mult in t.link_multiplicity.items():
+            for link, mult in t._path.incidence:
                 links[link.id] = link
                 incidence.append((link.id, mult))
             flows.append((t.id, t.tag, t.rate, t.remaining, tuple(sorted(incidence))))
@@ -584,7 +681,7 @@ class FluidNetwork:
         if not finished:
             return
         for t in finished:
-            self._active.remove(t)
+            del self._active[t]
             self._component_remove(t)
             t.finish_time = self.sim.now
             self.completed_transfers += 1
@@ -608,10 +705,8 @@ class FluidNetwork:
         into exactly one component (it touches all of them itself), so a
         merge here is always exact — only removals can split.
         """
-        self._activation_count += 1
-        t._seq = self._activation_count
         touched: Dict[int, _Component] = {}
-        for link in t.link_multiplicity:
+        for link in t._path.multiplicity:
             self._link_users.setdefault(link.id, {})[t] = None
             comp = self._link_comp.get(link.id)
             if comp is not None:
@@ -638,7 +733,7 @@ class FluidNetwork:
             target = _Component()
         target.members[t] = None
         t._comp = target
-        for link in t.link_multiplicity:
+        for link in t._path.multiplicity:
             target.links[link.id] = None
             self._link_comp[link.id] = target
         self._dirty[target] = None
@@ -651,7 +746,7 @@ class FluidNetwork:
         comp = t._comp
         t._comp = None
         del comp.members[t]
-        for link in t.link_multiplicity:
+        for link in t._path.multiplicity:
             users = self._link_users.get(link.id)
             if users is not None:
                 users.pop(t, None)
@@ -669,12 +764,13 @@ class FluidNetwork:
     def _split_component(self, comp: _Component) -> List[_Component]:
         """Re-partition a possibly-disconnected component exactly.
 
-        Walks the component's remaining transfer↔link adjacency from the
-        lowest-sequence member outward; each reachable set becomes a fresh
-        component. Deterministic: seeds are taken in activation order and
-        adjacency dicts are insertion-ordered.
+        Walks the component's remaining transfer↔link adjacency outward
+        from each not-yet-reached member; each reachable set becomes a
+        fresh component. Deterministic — ``members`` and the adjacency
+        dicts are insertion-ordered — though no solved rate depends on
+        the order (the class kernel is order-free).
         """
-        unvisited = dict.fromkeys(sorted(comp.members, key=_BY_SEQ))
+        unvisited = dict(comp.members)
         self._comp_finish.pop(comp, None)
         parts: List[_Component] = []
         while unvisited:
@@ -686,7 +782,7 @@ class FluidNetwork:
                 member = stack.pop()
                 part.members[member] = None
                 member._comp = part
-                for link in member.link_multiplicity:
+                for link in member._path.multiplicity:
                     if link.id in part.links:
                         continue
                     part.links[link.id] = None
@@ -739,17 +835,19 @@ class FluidNetwork:
             else:
                 parts = [comp]
             for part in parts:
-                self._solve_component(part, sorted(part.members, key=_BY_SEQ))
+                self._solve_component(part)
 
-    def _solve_component(
-        self, comp: _Component, transfers: List[Transfer]
-    ) -> None:
-        """Assign kernel rates to one component's transfers.
+    def _solve_component(self, comp: _Component) -> None:
+        """Assign max-min fair rates to one component's transfers.
 
-        Single-transfer components — the bulk of chunk-pipeline traffic —
-        skip the kernel: with one flow the filling loop collapses to a
-        single round whose delta is the minimum of the per-stream and
-        capacity bounds, reproduced here bit-for-bit without numpy.
+        Members are counted per path class and the classes are solved, not
+        the transfers. A single-class component — one flow, or a burst of
+        chunks down one path: the bulk of chunk-pipeline traffic — needs
+        no filling loop: round one's increment is the minimum of the
+        per-stream and capacity bounds and freezes every member, so the
+        rate is that minimum in closed form. Otherwise
+        :func:`_fill_classes` runs the rounds. Either way the bits equal a
+        per-transfer fill of the same members in any order.
 
         The component's cached finish prediction is rebuilt only when it
         was invalidated by a membership change or some member's rate
@@ -757,31 +855,41 @@ class FluidNetwork:
         and from-scratch modes, so the cache (and therefore every timer
         horizon) stays bit-equal across modes.
         """
-        changed = False
-        if len(transfers) == 1:
-            t = transfers[0]
-            rate = t._min_stream_cap
-            for link, mult in t.link_multiplicity.items():
-                link_share = link.capacity / mult
+        groups: Dict[_PathClass, List[Transfer]] = {}
+        for t in comp.members:
+            group = groups.get(t._path)
+            if group is None:
+                groups[t._path] = [t]
+            else:
+                group.append(t)
+        if len(groups) == 1:
+            ((path, group),) = groups.items()
+            rate = path.stream_cap
+            for link, mult in path.incidence:
+                link_share = link.capacity / (len(group) * mult)
                 if link_share < rate:
                     rate = link_share
-            if rate <= _EPS:
-                rate = 0.0
-            if rate != t.rate:
-                t.rate = rate
-                changed = True
+            rates = [rate if rate > _EPS else 0.0]
         else:
-            rates = _progressive_fill(transfers).tolist()
-            for t, rate in zip(transfers, rates):
-                if rate != t.rate:
+            rates = _fill_classes([(path, len(group)) for path, group in groups.items()])
+        # One pass writes rates back and predicts the earliest finish. A
+        # class shares one rate and ``now + remaining / rate`` is monotone
+        # in ``remaining``, so its earliest finish is that of its least
+        # remaining member, exactly.
+        changed = False
+        now = self.sim.now
+        finish = math.inf
+        for group, rate in zip(groups.values(), rates):
+            least = math.inf
+            for t in group:
+                if t.rate != rate:
                     t.rate = rate
                     changed = True
+                if t.remaining < least:
+                    least = t.remaining
+            if rate > _EPS:
+                predicted = now + least / rate
+                if predicted < finish:
+                    finish = predicted
         if changed or comp not in self._comp_finish:
-            now = self.sim.now
-            finish = math.inf
-            for t in transfers:
-                if t.rate > _EPS:
-                    predicted = now + t.remaining / t.rate
-                    if predicted < finish:
-                        finish = predicted
             self._comp_finish[comp] = finish

@@ -221,6 +221,77 @@ def test_transfer_records_start_and_finish():
     assert t.finish_time == pytest.approx(2.0)
 
 
+# -- path interning -----------------------------------------------------------
+
+
+def test_equal_paths_from_distinct_lists_share_one_class():
+    sim, net = make_net()
+    a, b = FluidLink("a", capacity=100.0), FluidLink("b", capacity=100.0)
+    net.transfer([a, b], size=1000.0)
+    net.transfer([a, b], size=1000.0)  # equal content, different list object
+    net.transfer([b, a], size=1000.0)  # another sequence: its own class
+    first, second, reverse = net.active_transfers
+    assert first._path is second._path
+    assert reverse._path is not first._path
+    assert len(net._paths) == 2
+
+
+def test_capacity_is_read_at_solve_time_not_cached_in_the_class():
+    sim, net = make_net()
+    link = FluidLink("l", capacity=100.0)
+    net.transfer([link], size=1e6)
+    sim.run(until=1.0)
+    (first,) = net.active_transfers
+    assert first.rate == 100.0
+    net.set_capacity(link, 40.0)
+    net.transfer([link], size=1e6)  # same path, interned before the change
+    sim.run(until=2.0)
+    assert [t.rate for t in net.active_transfers] == [20.0, 20.0]
+
+
+def test_transfer_path_stays_readable_for_recorders():
+    from repro.analysis.lint_trace import lint_trace
+    from repro.simulation.records import TraceRecorder
+
+    sim, net = make_net()
+    recorder = TraceRecorder()
+    net.attach_recorder(recorder)
+    bus = FluidLink("bus", capacity=100.0)
+    nic = FluidLink("nic", capacity=100.0, per_stream_cap=30.0)
+    done = net.transfer([bus, nic, bus], size=90.0)
+    (t,) = net.active_transfers
+    assert t.links == [bus, nic, bus]
+    assert t.link_multiplicity == {bus: 2, nic: 1}
+    sim.run_until_complete(done)
+    snapshots = [r for r in recorder.records if r.kind == "net-rates"]
+    flow = snapshots[0].payload["flows"][0]
+    assert flow[2] == 30.0  # the per-stream cap binds, not bus / 2
+    assert flow[4] == tuple(sorted([(bus.id, 2), (nic.id, 1)]))
+    assert lint_trace(recorder.records) == []
+
+
+def test_cancel_of_inactive_transfer_is_rejected():
+    sim, net = make_net()
+    link = FluidLink("l", capacity=100.0)
+    done = net.transfer([link], size=100.0)
+    (t,) = net.active_transfers
+    sim.run_until_complete(done)
+    with pytest.raises(SimulationError):
+        net.cancel(t)
+
+
+def test_link_load_counts_only_the_links_users_with_multiplicity():
+    sim, net = make_net()
+    bus = FluidLink("bus", capacity=100.0)
+    other = FluidLink("other", capacity=10.0)
+    net.transfer([bus, bus], size=1e6)
+    net.transfer([other], size=1e6)
+    sim.run(until=1.0)
+    assert net.link_load(bus) == 100.0  # one flow at 50 B/s, crossing twice
+    assert net.link_load(other) == 10.0
+    assert net.link_load(FluidLink("idle", capacity=1.0)) == 0
+
+
 # -- property-based invariants ------------------------------------------------
 
 

@@ -16,6 +16,14 @@ to its references:
   completion times and final clock, bit for bit. This is the property
   that makes it safe to ship the incremental solver as the default.
 
+* **class kernel vs. the per-transfer fill, bitwise** — on one connected
+  component (found here by union-find over ``Transfer.links``, not by the
+  network's own tracking) the rates the network assigned equal
+  :func:`solve_rates_reference` of the same members with ``==``, and do
+  not move under a shuffle of activation order. The reference keeps one
+  row per transfer and rebuilds the incidence from ``links``; the network
+  solves one row per interned path class.
+
 Event scripts are hypothesis-generated: interleaved transfer starts
 (random paths over a shared pool of links, so components merge), early
 cancels, and mid-flight ``set_capacity`` shaping (including to zero),
@@ -161,15 +169,131 @@ def test_from_scratch_mode_matches_joint_reference_too(capacities, script):
     )
 
 
+# -- class kernel vs. per-transfer reference, bitwise ------------------------------
+
+
+def _components(transfers):
+    """Connected components of the transfer↔link sharing graph, computed
+    from ``Transfer.links`` alone (independent of the network's tracking)."""
+    root = {}
+
+    def find(link):
+        while root.setdefault(link, link) is not link:
+            root[link] = root[root[link]]
+            link = root[link]
+        return link
+
+    for t in transfers:
+        first = find(t.links[0])
+        for link in t.links[1:]:
+            root[find(link)] = first
+    groups = {}
+    for t in transfers:
+        groups.setdefault(find(t.links[0]), []).append(t)
+    return list(groups.values())
+
+
+def _assert_bitwise_per_component(transfers):
+    for members in _components(transfers):
+        assert [t.rate for t in members] == solve_rates_reference(members)
+
+
+class BitwiseNetwork(FluidNetwork):
+    """A network that checks every recompute, component by component,
+    against the per-transfer reference with ``==``."""
+
+    def _assign_rates(self):
+        super()._assign_rates()
+        _assert_bitwise_per_component(self.active_transfers)
+
+
+_capacity = st.one_of(
+    st.floats(min_value=1.0, max_value=1000.0),
+    st.just(0.0),
+    st.just(math.inf),
+)
+_stream_cap = st.one_of(st.just(math.inf), st.floats(min_value=0.5, max_value=500.0))
+
+#: (link pool, distinct paths over it, one path index per transfer): few
+#: paths and many transfers, so classes have several members; a path may
+#: repeat a link (a bus crossed twice, multiplicity 2).
+_component_case = st.tuples(
+    st.lists(st.tuples(_capacity, _stream_cap), min_size=1, max_size=5),
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=24),
+).flatmap(
+    lambda case: st.tuples(st.just(case), st.permutations(range(len(case[2]))))
+)
+
+
+def _solve_at_once(link_specs, paths, members, order):
+    """Activate ``members`` (indices into ``paths``) at t=0 in ``order``;
+    returns the transfers in *member* order after the one solve."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    links = [
+        FluidLink(f"l{i}", capacity=capacity, per_stream_cap=cap)
+        for i, (capacity, cap) in enumerate(link_specs)
+    ]
+    transfers = [None] * len(members)
+    for position in order:
+        path = paths[members[position] % len(paths)]
+        # A fresh list per call: equal paths must still land in one class.
+        net.transfer([links[i % len(links)] for i in path], size=1000.0)
+        transfers[position] = net.active_transfers[-1]
+    sim.run(until=0.0)
+    return transfers
+
+
+# An all-``inf`` component makes the reference's array update compute
+# ``inf - inf`` on its way to the (equal) ``inf`` rates.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(case=_component_case)
+def test_class_kernel_equals_per_transfer_reference_bitwise(case):
+    """Shared and distinct paths, multiplicity-2 crossings, finite stream
+    caps, zero- and inf-capacity links: ``==`` to the reference, and the
+    same bits whatever order the members were activated in."""
+    (link_specs, paths, members), order = case
+    in_order = _solve_at_once(link_specs, paths, members, range(len(members)))
+    _assert_bitwise_per_component(in_order)
+    shuffled = _solve_at_once(link_specs, paths, members, order)
+    assert [t.rate for t in shuffled] == [t.rate for t in in_order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacities=_link_caps, script=_script)
+def test_every_recompute_is_bitwise_equal_per_component(capacities, script):
+    """Through merges, splits, cancels and shaping, every component's
+    rates equal the per-transfer fill of its members with ``==``."""
+    _run_script(capacities, script, network_cls=BitwiseNetwork)
+
+
+def test_inf_capacity_link_saturates_in_round_one():
+    """The quirk the collapse must keep: an ``inf``-capacity link counts as
+    saturated after the first filling round (``inf <= eps * inf``), so a
+    flow crossing only it freezes at the round-one increment set by
+    *other* flows' bottleneck instead of running unbounded."""
+    infinite = FluidLink("inf", capacity=math.inf)
+    narrow = FluidLink("narrow", capacity=100.0)
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    for _ in range(2):
+        net.transfer([infinite, narrow], size=1000.0)
+    net.transfer([infinite], size=1000.0)
+    sim.run(until=0.0)
+    active = net.active_transfers
+    assert [t.rate for t in active] == [50.0, 50.0, 50.0]
+    assert [t.rate for t in active] == solve_rates_reference(active)
+
+
 def test_incremental_is_the_default():
     sim = Simulator()
     assert FluidNetwork(sim).incremental is True
-
-
-def test_env_var_selects_from_scratch(monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID_INCREMENTAL", "0")
-    sim = Simulator()
-    assert FluidNetwork(sim).incremental is False
 
 
 def test_reference_solver_matches_trivial_closed_form():
