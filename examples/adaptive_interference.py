@@ -26,7 +26,7 @@ Run:  python examples/adaptive_interference.py
 from repro.chaos import ChaosRunner, FaultPlan
 from repro.hardware import make_homo_cluster
 from repro.observe import ObserveConfig, evaluate_detection
-from repro.telemetry import TelemetryHub, set_hub
+from repro.telemetry import TelemetryHub
 
 SEED = 11
 
@@ -41,9 +41,13 @@ def main() -> None:
         f"{fault.bandwidth_fraction:.0%} of nominal at t={fault.start_seconds}s\n"
     )
 
-    set_hub(TelemetryHub(enabled=True))  # the watchdog consumes this stream
     runner = ChaosRunner(
-        specs, plan, length=512, byte_scale=200_000.0, observe=ObserveConfig()
+        specs,
+        plan,
+        length=512,
+        byte_scale=200_000.0,
+        observe=ObserveConfig(),
+        hub=TelemetryHub(enabled=True),  # the watchdog consumes this stream
     )
     report = runner.run()
     watchdog = runner.watchdog

@@ -23,7 +23,7 @@ same-seed runs). Inspect either by hand:
 from repro.chaos import ChaosRunner, FaultPlan, StragglerFault
 from repro.critpath import analyze_run, render_report, report_to_json
 from repro.hardware import make_homo_cluster
-from repro.telemetry import TelemetryHub, set_hub, write_jsonl
+from repro.telemetry import TelemetryHub, write_jsonl
 from repro.telemetry.export import parse_jsonl, to_jsonl
 
 
@@ -44,11 +44,7 @@ def main() -> None:
     )
 
     hub = TelemetryHub(enabled=True)
-    previous = set_hub(hub)
-    try:
-        ChaosRunner(specs, plan, length=512, byte_scale=200_000.0).run()
-    finally:
-        set_hub(previous)
+    ChaosRunner(specs, plan, length=512, byte_scale=200_000.0, hub=hub).run()
 
     run = parse_jsonl(to_jsonl(hub))
     report = analyze_run(run)

@@ -46,7 +46,7 @@ from repro.runtime.context import ContextManager, TransmissionContext
 from repro.simulation.engine import Simulator
 from repro.synthesis.optimizer import Synthesizer, SynthesizerConfig
 from repro.synthesis.strategy import Primitive, Strategy
-from repro.telemetry.core import TelemetryHub, resolve_telemetry
+from repro.telemetry.core import TelemetryHub
 from repro.topology.detector import DetectionReport, Detector
 from repro.topology.graph import LogicalTopology
 
@@ -63,14 +63,17 @@ class AdapCCSession:
         telemetry: Union[None, bool, TelemetryHub] = None,
         observe: Union[None, bool, ObserveConfig] = None,
     ):
-        #: The process-wide telemetry hub this session records into.
-        #: ``None`` defers to ``REPRO_TELEMETRY``; ``True``/``False`` flip
-        #: the current hub; a :class:`TelemetryHub` is installed globally.
-        #: Resolved before the cluster exists so the fluid network attaches
-        #: its tracing bridge at construction.
-        self.telemetry = resolve_telemetry(telemetry)
+        if isinstance(telemetry, TelemetryHub):
+            telemetry.enable()
+        elif telemetry is not None:
+            telemetry = TelemetryHub(enabled=telemetry)
         self.sim = Simulator()
-        self.cluster = Cluster(self.sim, instance_specs)
+        self.cluster = Cluster(self.sim, instance_specs, hub=telemetry)
+        #: The hub this session's cluster records into: the process default
+        #: (``REPRO_TELEMETRY``) for ``None``, a fresh hub of the session's
+        #: own for ``True``/``False``, the given :class:`TelemetryHub`
+        #: (enabled) otherwise. Nothing is installed process-wide.
+        self.telemetry = self.cluster.hub
         self.config = config
         self.seed = seed
         #: Tri-state static-verification override: ``None`` defers to

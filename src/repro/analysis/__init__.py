@@ -2,11 +2,10 @@
 
 The passes run through a pluggable framework (DESIGN.md §10): each
 registers a :class:`~repro.analysis.registry.PassSpec` (name, finding
-codes with default severities, cache inputs, entry point) and emits
-structured :class:`~repro.analysis.findings.Finding` records, which the
-CLI renders as text, JSON, or SARIF 2.1.0 with content-addressed
-incremental caching and ``--jobs`` parallelism (see
-:mod:`repro.analysis.runner` and ``python -m repro.analysis --list``).
+codes with default severities, entry point) and emits structured
+:class:`~repro.analysis.findings.Finding` records, which the CLI renders
+as text, JSON, or SARIF 2.1.0 with content-addressed incremental caching
+(see :mod:`repro.analysis.runner` and ``python -m repro.analysis --list``).
 
 Eight passes guard the reproduction's correctness (see DESIGN.md §5 and
 ``python -m repro.analysis``):

@@ -10,11 +10,9 @@ render as a text report (default), a structured JSON report, or a SARIF
   baseline suppression,
 * ``2`` — a pass crashed (internal error) or the invocation was invalid.
 
-``--jobs N`` runs independent passes in parallel; passes that swap
-process-global state (the telemetry hub) are always serialized. Findings
-are cached content-addressed per pass (``--no-cache`` / ``--cache-dir``
-to control); reports come out in canonical registry order either way, so
-SARIF output is byte-identical across runs and job counts.
+Findings are cached content-addressed per pass (``--no-cache`` /
+``--cache-dir`` to control); reports come out in canonical registry order
+either way, so SARIF output is byte-identical across runs.
 
 The legacy per-pass entry points (``run_source_pass`` & co., returning
 bare ``Violation`` records) remain importable from this module.
@@ -96,12 +94,7 @@ def write_baseline(path: Path, results: List[PassResult]) -> int:
 
 def _list_passes() -> int:
     for spec in iter_passes():
-        flags = []
-        if spec.serial:
-            flags.append("serial")
-        if spec.accepts_target:
-            flags.append("accepts FILE")
-        suffix = f"  [{', '.join(flags)}]" if flags else ""
+        suffix = "  [accepts FILE]" if spec.accepts_target else ""
         print(f"{spec.name:<12} {spec.description}{suffix}")
         codes = ", ".join(f"{r.code}({r.severity[0]})" for r in spec.rules)
         print(f"{'':<12} codes: {codes}")
@@ -124,13 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--output", metavar="FILE", help="write the report to FILE instead of stdout"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N independent passes in parallel (default: 1)",
     )
     parser.add_argument(
         "--no-cache",
@@ -273,7 +259,6 @@ def main(argv=None) -> int:
 
     results = run_passes(
         names=_selection(args),
-        jobs=max(1, args.jobs),
         cache=cache,
         targets=targets,
     )

@@ -1,11 +1,10 @@
 """Content-addressed incremental cache for analysis passes (DESIGN.md §10).
 
-Every registered pass declares the source inputs it depends on; the runner
-hashes those inputs (path + content, sorted — a Merkle-style tree hash)
-together with the pass name and version into one fingerprint. A cache hit
-replays the stored findings without running the pass, so re-running the
-suite after editing one file only recomputes the passes whose declared
-inputs changed.
+The runner hashes the whole ``src/repro`` tree (path + content, sorted —
+a Merkle-style tree hash) together with each pass's name and version into
+one fingerprint per pass. A cache hit replays the stored findings without
+running the pass, so re-running the suite on an unchanged tree (CI's
+second invocation, a pre-commit hook) costs one hash.
 
 The same idiom fingerprints synthesized strategies
 (:func:`fingerprint_strategy` hashes the canonical XML serialization) —

@@ -17,6 +17,12 @@ deterministic and its units unambiguous:
   suffixes (``_ms``, ``_gbps``, ``_mib``, …) are rejected because mixed
   abbreviations caused exactly the silent 1000× bugs this repo's
   conventions exist to prevent.
+* **no ambient observers** — the process-default telemetry hub and
+  data-plane tap (``hub()``, ``set_hub()``, ``data_plane()``) may be read
+  only to fill the ``None`` default of a constructor argument
+  (``default() if arg is None else arg`` inside ``__init__``); everything
+  else reaches them through the ``Cluster`` it already holds (DESIGN.md
+  "State ownership"). ``set_hub()`` is never allowed under ``src/repro``.
 """
 
 from __future__ import annotations
@@ -52,6 +58,19 @@ _WALL_CLOCK_QUALIFIED = (
     | {f"datetime.datetime.{attr}" for attr in _WALL_CLOCK_DATETIME}
     | {f"datetime.date.{attr}" for attr in _WALL_CLOCK_DATETIME}
 )
+
+#: The process-default observers' accessors, by every importable spelling.
+#: Their defining modules never match: a local name resolves to itself.
+_AMBIENT_OBSERVERS = {
+    f"{module}.{name}"
+    for module, names in (
+        ("repro.telemetry.core", ("hub", "set_hub")),
+        ("repro.telemetry", ("hub", "set_hub")),
+        ("repro.integrity.channel", ("data_plane",)),
+        ("repro.integrity", ("data_plane",)),
+    )
+    for name in names
+}
 
 #: Banned abbreviated unit suffixes -> the SI spelling to use instead.
 BANNED_SUFFIXES = {
@@ -115,6 +134,11 @@ class _Checker(ast.NodeVisitor):
         #: statements (``{"t": "time", "now": "time.time"}``), so wall
         #: clock matching resolves aliased and ``from``-imported names.
         self._imports: dict = {}
+        #: Parameter names of the enclosing functions, innermost last
+        #: (``None`` for anything but an ``__init__``).
+        self._init_params: List[Optional[set]] = []
+        #: ``id`` of calls sitting in a constructor's None-default slot.
+        self._default_fills: set = set()
 
     def _add(self, check: str, node: ast.AST, detail: str) -> None:
         self.violations.append(
@@ -175,8 +199,18 @@ class _Checker(ast.NodeVisitor):
                     node,
                     "numpy.random.seed mutates global state; use np.random.default_rng",
                 )
+        resolved = self._resolve(func)
+        if resolved in _AMBIENT_OBSERVERS and (
+            id(node) not in self._default_fills or resolved.endswith(".set_hub")
+        ):
+            self._add(
+                "ambient-observer",
+                node,
+                f"`{resolved}` reaches for the process-default observer; read "
+                "`cluster.hub` / `cluster.data_plane`, or take it as a "
+                "constructor argument defaulting to None",
+            )
         if self.in_deterministic:
-            resolved = self._resolve(func)
             # ``from datetime import datetime; datetime.now()`` resolves to
             # ``datetime.datetime.now``; the bare ``datetime.now``/``date.now``
             # spellings cover direct module-style access.
@@ -190,6 +224,26 @@ class _Checker(ast.NodeVisitor):
                     f"`{resolved}` reads the host clock inside deterministic "
                     "code; use the simulator clock or perf_counter",
                 )
+        self.generic_visit(node)
+
+    # -- ambient observers ------------------------------------------------------
+
+    def visit_IfExp(self, node: ast.IfExp) -> None:
+        # ``default() if arg is None else arg`` (either orientation) on a
+        # parameter of the enclosing __init__: the one sanctioned read.
+        params = self._init_params[-1] if self._init_params else None
+        test = node.test
+        if (
+            params
+            and isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name)
+            and test.left.id in params
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
+        ):
+            self._default_fills.update(id(branch) for branch in (node.body, node.orelse))
         self.generic_visit(node)
 
     # -- unit suffixes ----------------------------------------------------------
@@ -207,13 +261,16 @@ class _Checker(ast.NodeVisitor):
             )
 
     def _check_function(self, node) -> None:
+        args = node.args
+        params = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
         if not node.name.startswith("_"):
-            args = node.args
-            for arg in (
-                list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-            ):
+            for arg in params:
                 self._check_name(arg.arg, arg, f"parameter of {node.name}()")
+        self._init_params.append(
+            {arg.arg for arg in params} if node.name == "__init__" else None
+        )
         self.generic_visit(node)
+        self._init_params.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_function(node)

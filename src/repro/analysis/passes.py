@@ -42,6 +42,25 @@ def run_source_pass(root=None, echo: Echo = _silent) -> List[Violation]:
     return lint_source(root=root)
 
 
+def _traced_allreduce():
+    """One 4-rank AdapCC AllReduce on a hub of its own: ``(strategy, run)``."""
+    import numpy as np
+
+    from repro.bench.harness import BenchEnvironment
+    from repro.hardware.presets import make_config
+    from repro.synthesis.strategy import Primitive
+    from repro.telemetry.core import TelemetryHub
+    from repro.telemetry.export import parse_jsonl, to_jsonl
+
+    fresh = TelemetryHub(enabled=True)
+    env = BenchEnvironment(make_config([2, 2]), "adapcc", hub=fresh)
+    env.backend.verify = False
+    inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
+    strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
+    env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
+    return strategy, parse_jsonl(to_jsonl(fresh))
+
+
 def run_race_pass(root=None, echo: Echo = _silent) -> List[Finding]:
     """Static determinism-hazard lint + dynamic happens-before check.
 
@@ -57,30 +76,10 @@ def run_race_pass(root=None, echo: Echo = _silent) -> List[Finding]:
     if root is not None:
         return findings
 
-    import numpy as np
-
     from repro.analysis.cache import fingerprint_strategy
     from repro.analysis.race import check_run_against_dag
-    from repro.bench.harness import BenchEnvironment
-    from repro.hardware.presets import make_config
-    from repro.synthesis.strategy import Primitive
-    from repro.telemetry.core import TelemetryHub, hub, set_hub
-    from repro.telemetry.export import parse_jsonl, to_jsonl
 
-    previous = hub()
-    fresh = TelemetryHub(enabled=True)
-    set_hub(fresh)
-    try:
-        env = BenchEnvironment(make_config([2, 2]), "adapcc")
-        env.backend.verify = False
-        inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
-        strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
-        env.backend.run(
-            strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0)
-        )
-        run = parse_jsonl(to_jsonl(fresh))
-    finally:
-        set_hub(previous)
+    strategy, run = _traced_allreduce()
     dynamic = check_run_against_dag(strategy, run)
     echo(
         f"races: {len(findings)} static hazard(s); checked "
@@ -261,9 +260,9 @@ def run_telemetry_pass(target=None, echo: Echo = _silent) -> List[Violation]:
 
     With ``target`` a path, lint that file (JSONL run or Chrome trace,
     detected by content). With ``target`` true-ish-but-not-a-path (the
-    bare ``--telemetry`` flag), install a fresh enabled hub, run one
-    adaptive AllReduce with a straggler so every layer emits, and lint
-    both export formats in memory; the previous hub is restored after.
+    bare ``--telemetry`` flag), run one adaptive AllReduce with a
+    straggler on a session with its own enabled hub, so every layer emits,
+    and lint both export formats in memory.
     """
     from repro.analysis.lint_telemetry import (
         lint_chrome_trace,
@@ -280,25 +279,17 @@ def run_telemetry_pass(target=None, echo: Echo = _silent) -> List[Violation]:
 
     from repro.adapcc import AdapCCSession
     from repro.hardware.presets import make_config
-    from repro.telemetry.core import TelemetryHub, hub, set_hub
     from repro.telemetry.export import parse_jsonl, to_chrome_trace, to_jsonl
 
-    previous = hub()
-    fresh = TelemetryHub(enabled=True)
-    set_hub(fresh)
-    try:
-        session = AdapCCSession(make_config([2, 2], [2, 2]))
-        session.init()
-        session.setup()
-        tensors = {rank: np.full(256, float(rank + 1)) for rank in range(4)}
-        ready = {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.5}
-        session.allreduce(tensors, ready_times=ready)
-        jsonl = to_jsonl(fresh)
-        chrome = to_chrome_trace(fresh)
-    finally:
-        set_hub(previous)
-    violations = lint_telemetry_run(parse_jsonl(jsonl))
-    violations.extend(lint_chrome_trace(chrome))
+    session = AdapCCSession(make_config([2, 2], [2, 2]), telemetry=True)
+    session.init()
+    session.setup()
+    tensors = {rank: np.full(256, float(rank + 1)) for rank in range(4)}
+    ready = {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.5}
+    session.allreduce(tensors, ready_times=ready)
+    fresh = session.telemetry
+    violations = lint_telemetry_run(parse_jsonl(to_jsonl(fresh)))
+    violations.extend(lint_chrome_trace(to_chrome_trace(fresh)))
     echo(
         f"telemetry: self-check exported {len(fresh.tracer.spans)} spans, "
         f"{len(fresh.tracer.events)} events; linted JSONL + Chrome forms"
@@ -312,9 +303,9 @@ def run_observe_pass(
     """Lint an observe log — a given file, or a fresh closed-loop run.
 
     With ``target`` a path, lint that exported observe JSONL file. With
-    the bare ``--observe`` flag, install a fresh enabled telemetry hub,
-    replay the canonical interference fault plan through the chaos runner
-    with the watchdog armed, and check both the log's causal chain and
+    the bare ``--observe`` flag, replay the canonical interference fault
+    plan through a chaos runner with its own enabled telemetry hub and the
+    watchdog armed, and check both the log's causal chain and
     its detection quality (the injected fault must be detected, and the
     loop must actually have re-probed and re-synthesized).
     """
@@ -328,19 +319,19 @@ def run_observe_pass(
     from repro.chaos import ChaosRunner, FaultPlan
     from repro.hardware.presets import make_homo_cluster
     from repro.observe import ObserveConfig, evaluate_detection
-    from repro.telemetry.core import TelemetryHub, hub, set_hub
+    from repro.telemetry.core import TelemetryHub
 
     specs = make_homo_cluster(num_servers=2, gpus_per_server=4)
     plan = FaultPlan.interference(seed=seed, iterations=24)
-    previous = hub()
-    set_hub(TelemetryHub(enabled=True))
-    try:
-        runner = ChaosRunner(
-            specs, plan, length=512, byte_scale=200_000.0, observe=ObserveConfig()
-        )
-        report = runner.run()
-    finally:
-        set_hub(previous)
+    runner = ChaosRunner(
+        specs,
+        plan,
+        length=512,
+        byte_scale=200_000.0,
+        observe=ObserveConfig(),
+        hub=TelemetryHub(enabled=True),
+    )
+    report = runner.run()
     watchdog = runner.watchdog
     quality = evaluate_detection(watchdog.log.verdicts, plan.ground_truth())
     echo(
@@ -411,40 +402,18 @@ def run_critpath_pass(
         echo(f"critpath: linted {target}")
         return violations
 
-    import numpy as np
-
-    from repro.bench.harness import BenchEnvironment
     from repro.chaos import ChaosRunner, FaultPlan
     from repro.chaos.plan import StragglerFault
     from repro.critpath import analyze_run, report_to_json
-    from repro.hardware.presets import make_config, make_homo_cluster
+    from repro.hardware.presets import make_homo_cluster
     from repro.observe import ObserveConfig
     from repro.observe.verdicts import link_endpoints
-    from repro.synthesis.strategy import Primitive
-    from repro.telemetry.core import TelemetryHub, hub, set_hub
+    from repro.telemetry.core import TelemetryHub
     from repro.telemetry.export import parse_jsonl, to_jsonl
 
     violations: List[Violation] = []
 
-    def _captured(drive):
-        previous = hub()
-        fresh = TelemetryHub(enabled=True)
-        set_hub(fresh)
-        try:
-            extra = drive()
-        finally:
-            set_hub(previous)
-        return parse_jsonl(to_jsonl(fresh)), extra
-
-    def _allreduce():
-        env = BenchEnvironment(make_config([2, 2]), "adapcc")
-        env.backend.verify = False
-        inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
-        strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
-        env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
-        return strategy
-
-    run, strategy = _captured(_allreduce)
+    strategy, run = _traced_allreduce()
     dag_report = analyze_run(run, strategy=strategy)
     inferred_report = analyze_run(run)
     violations.extend(lint_critpath_report(dag_report))
@@ -466,13 +435,20 @@ def run_critpath_pass(
     specs = make_homo_cluster(num_servers=2, gpus_per_server=4)
 
     def _chaos(plan):
+        fresh = TelemetryHub(enabled=True)
         ChaosRunner(
-            specs, plan, length=512, byte_scale=200_000.0, observe=ObserveConfig()
+            specs,
+            plan,
+            length=512,
+            byte_scale=200_000.0,
+            observe=ObserveConfig(),
+            hub=fresh,
         ).run()
+        return parse_jsonl(to_jsonl(fresh))
 
     interference = FaultPlan.interference(seed=seed, iterations=24)
     fault_node = f"n{interference.link_faults[0].instance_id}"
-    run, _ = _captured(lambda: _chaos(interference))
+    run = _chaos(interference)
     report = analyze_run(run)
     violations.extend(lint_critpath_report(report))
     top_link = (report["top_link"] or {}).get("name", "")
@@ -501,7 +477,7 @@ def run_critpath_pass(
             for i in range(3, 8)
         ),
     )
-    run, _ = _captured(lambda: _chaos(straggler))
+    run = _chaos(straggler)
     report = analyze_run(run)
     violations.extend(lint_critpath_report(report))
     top_rank = (report["top_rank"] or {}).get("name", "")
@@ -561,7 +537,7 @@ def run_integrity_pass(
     from repro.chaos import ChaosRunner, FaultPlan
     from repro.hardware.presets import make_homo_cluster
     from repro.integrity import IntegrityConfig
-    from repro.telemetry.core import TelemetryHub, hub, set_hub
+    from repro.telemetry.core import TelemetryHub
 
     # Three instances: the NIC mesh then offers a detour (n0→n2→n1) for
     # the quarantined link, so re-synthesis can actually heal the run.
@@ -569,14 +545,13 @@ def run_integrity_pass(
     violations: List[Violation] = []
 
     def _run(plan):
-        previous = hub()
-        set_hub(TelemetryHub(enabled=True))
-        try:
-            return ChaosRunner(
-                specs, plan, length=512, integrity=IntegrityConfig()
-            ).run()
-        finally:
-            set_hub(previous)
+        return ChaosRunner(
+            specs,
+            plan,
+            length=512,
+            integrity=IntegrityConfig(),
+            hub=TelemetryHub(enabled=True),
+        ).run()
 
     reference = ChaosRunner(
         specs, FaultPlan(seed=seed, iterations=5), length=512
@@ -740,13 +715,13 @@ register(
         rules=_err(
             ("syntax", "file does not parse"),
             ("ambient-random", "stdlib random / numpy global seed used"),
+            ("ambient-observer", "process-default hub/tap read outside a constructor default"),
             ("wall-clock", "host wall clock read inside deterministic code"),
             ("unit-suffix", "abbreviated unit suffix on a public name"),
         ),
         run=lambda ctx: from_violations(
             run_source_pass(root=ctx.root, echo=ctx.echo), "source"
         ),
-        inputs=(".",),
     )
 )
 
@@ -790,16 +765,6 @@ register(
             ("deadlock", "chunk dependency graph cannot reach a terminal slot"),
         ),
         run=lambda ctx: from_violations(run_strategy_pass(echo=ctx.echo), "strategies"),
-        inputs=(
-            "synthesis",
-            "baselines",
-            "hardware",
-            "topology",
-            "relay",
-            "bench/harness.py",
-            "analysis/verify_strategy.py",
-            "errors.py",
-        ),
     )
 )
 
@@ -817,17 +782,6 @@ register(
             ("max-min", "flow below cap with no saturated link"),
         ),
         run=lambda ctx: from_violations(run_trace_pass(echo=ctx.echo), "traces"),
-        inputs=(
-            "simulation",
-            "runtime",
-            "baselines",
-            "hardware",
-            "synthesis",
-            "topology",
-            "relay",
-            "bench/harness.py",
-            "analysis/lint_trace.py",
-        ),
     )
 )
 
@@ -848,16 +802,6 @@ register(
             ("chaos-exactness", "a chaos iteration was not bitwise exact"),
         ),
         run=lambda ctx: from_violations(run_chaos_pass(echo=ctx.echo), "chaos"),
-        inputs=(
-            "chaos",
-            "simulation",
-            "runtime",
-            "relay",
-            "recovery",
-            "hardware",
-            "analysis/lint_chaos.py",
-            "analysis/lint_trace.py",
-        ),
     )
 )
 
@@ -884,15 +828,6 @@ register(
             ("recovery-coverage", "scenario missed a failover phase"),
         ),
         run=lambda ctx: from_violations(run_recovery_pass(echo=ctx.echo), "recovery"),
-        inputs=(
-            "recovery",
-            "chaos",
-            "runtime",
-            "relay",
-            "hardware",
-            "simulation",
-            "analysis/lint_recovery.py",
-        ),
     )
 )
 
@@ -913,16 +848,6 @@ register(
         run=lambda ctx: from_violations(
             run_telemetry_pass(target=ctx.target, echo=ctx.echo), "telemetry"
         ),
-        inputs=(
-            "telemetry",
-            "adapcc.py",
-            "runtime",
-            "relay",
-            "hardware",
-            "simulation",
-            "analysis/lint_telemetry.py",
-        ),
-        serial=True,
         accepts_target=True,
     )
 )
@@ -952,17 +877,6 @@ register(
         run=lambda ctx: from_violations(
             run_observe_pass(target=ctx.target, echo=ctx.echo), "observe"
         ),
-        inputs=(
-            "observe",
-            "chaos",
-            "telemetry",
-            "runtime",
-            "relay",
-            "hardware",
-            "simulation",
-            "analysis/lint_observe.py",
-        ),
-        serial=True,
         accepts_target=True,
     )
 )
@@ -1004,21 +918,6 @@ register(
             RuleSpec("syntax", SEVERITY_ERROR, "file does not parse"),
         ),
         run=lambda ctx: run_race_pass(root=ctx.root, echo=ctx.echo),
-        inputs=(
-            "simulation",
-            "runtime",
-            "recovery",
-            "observe",
-            "synthesis",
-            "baselines",
-            "topology",
-            "telemetry",
-            "hardware",
-            "relay",
-            "bench/harness.py",
-            "analysis/race.py",
-        ),
-        serial=True,
     )
 )
 
@@ -1042,18 +941,6 @@ register(
         run=lambda ctx: from_violations(
             run_critpath_pass(target=ctx.target, echo=ctx.echo), "critpath"
         ),
-        inputs=(
-            "critpath",
-            "chaos",
-            "observe",
-            "telemetry",
-            "runtime",
-            "relay",
-            "hardware",
-            "simulation",
-            "analysis/lint_critpath.py",
-        ),
-        serial=True,
         accepts_target=True,
     )
 )
@@ -1082,19 +969,6 @@ register(
         run=lambda ctx: from_violations(
             run_integrity_pass(target=ctx.target, echo=ctx.echo), "integrity"
         ),
-        inputs=(
-            "integrity",
-            "chaos",
-            "topology",
-            "runtime",
-            "relay",
-            "recovery",
-            "hardware",
-            "simulation",
-            "telemetry",
-            "analysis/lint_integrity.py",
-        ),
-        serial=True,
         accepts_target=True,
     )
 )
@@ -1120,19 +994,6 @@ register(
         run=lambda ctx: from_violations(
             run_fleet_pass(target=ctx.target, echo=ctx.echo), "fleet"
         ),
-        inputs=(
-            "fleet",
-            "observe",
-            "telemetry",
-            "critpath",
-            "synthesis",
-            "runtime",
-            "relay",
-            "hardware",
-            "simulation",
-            "analysis/lint_fleet.py",
-        ),
-        serial=True,
         accepts_target=True,
     )
 )

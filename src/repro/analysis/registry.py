@@ -2,14 +2,11 @@
 
 Each analysis pass registers one :class:`PassSpec`: its name, a one-line
 description, the finding codes it can emit (with default severities, for
-SARIF rule metadata and ``--list``), the source inputs its result depends
-on (for the content-addressed incremental cache), and the entry point.
+SARIF rule metadata and ``--list``), and the entry point.
 
 Passes run through :mod:`repro.analysis.runner`; results export through
 :mod:`repro.analysis.sarif`. Registration order is the canonical pass
-order — reports and exit codes are computed in this order regardless of
-``--jobs`` parallelism, which is what makes SARIF output byte-identical
-across job counts.
+order — passes run, and reports and exit codes are computed, in it.
 """
 
 from __future__ import annotations
@@ -28,8 +25,7 @@ class PassContext:
     ``root`` overrides the source tree for file-based passes (tests point
     it at fixture trees); ``target`` is an optional input file for passes
     that can lint an exported artifact (``--telemetry run.jsonl``);
-    ``echo`` collects progress notes (the runner buffers them per pass so
-    parallel runs don't interleave output).
+    ``echo`` collects progress notes (the runner buffers them per pass).
     """
 
     root: Optional[Path] = None
@@ -58,14 +54,8 @@ class PassSpec:
     title: str
     rules: Tuple[RuleSpec, ...]
     run: Callable[[PassContext], List[Finding]]
-    #: Package-relative files/directories (under ``src/repro``) whose
-    #: content the pass result depends on — the incremental-cache inputs.
-    inputs: Tuple[str, ...]
     #: Bump when the pass logic changes, to invalidate cached findings.
     version: int = 1
-    #: Serial passes swap process-global state (the telemetry hub) and
-    #: must not run concurrently with any other pass.
-    serial: bool = False
     #: Whether the pass supports an optional ``target`` file argument.
     accepts_target: bool = False
 

@@ -4,9 +4,9 @@ SARIF output is **deterministic by construction**: rules and results are
 emitted in canonical registry order, the document carries no timestamps,
 durations, or cache markers, and serialization uses sorted keys with
 fixed separators — so ``python -m repro.analysis --format sarif`` is
-byte-identical across runs, cache states, and ``--jobs`` values. Rule
-identifiers are ``<pass>/<code>`` (codes like ``event-order`` are shared
-between passes, and SARIF requires unique rule ids per driver).
+byte-identical across runs and cache states. Rule identifiers are
+``<pass>/<code>`` (codes like ``event-order`` are shared between passes,
+and SARIF requires unique rule ids per driver).
 
 The text renderer preserves the legacy report shape (``ok   source
 lint`` / ``FAIL trace lint: N finding(s)``) that scripts and the CI log

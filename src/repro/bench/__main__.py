@@ -27,9 +27,6 @@ Modes:
   (default 10 %) exits non-zero, which is the CI perf-regression gate.
   Quick runs check against the quick baseline by default, and a
   quick/full mismatch between run and baseline is refused loudly;
-* ``--budgets [FILE]`` — gate per-cell wall-clock against the committed
-  ``bench-budgets.json`` (written by ``--write-budgets``), locking the
-  incremental-solver/sweep speedup into CI;
 * ``--quick`` — first configuration and two backends per figure only
   (fast smoke for local use);
 * ``--figures fig11,fig13`` — restrict to a subset of figures.
@@ -41,7 +38,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 # Grid definitions re-exported for compatibility: the grid itself lives in
 # repro.bench.grid so the sweep workers can import it without re-running
@@ -69,18 +66,6 @@ _CONFIG_RECIPES = CONFIG_RECIPES  # noqa: N816 - old private alias, kept for com
 #: clobber the committed full baseline.
 FULL_BASELINE = "BENCH_fig11_13.json"
 QUICK_BASELINE = "BENCH_fig11_13_quick.json"
-
-#: Default per-cell wall-clock budget file (``--budgets`` / ``--write-budgets``).
-BUDGET_FILE = "bench-budgets.json"
-
-#: Headroom multiplier applied by ``--write-budgets``: budgets lock in the
-#: order of magnitude, not this machine's exact timings, so CI runners
-#: with slower cores still pass while a solver regression still fails.
-BUDGET_HEADROOM = 4.0
-
-#: Floor for any single cell budget (seconds): tiny cells are dominated by
-#: process/interpreter noise, not solver work.
-BUDGET_FLOOR_SECONDS = 2.0
 
 #: argparse sentinel for "--check with no explicit baseline path".
 _DEFAULT_BASELINE = "__default__"
@@ -113,54 +98,6 @@ def render_timings(timings: Dict[str, float]) -> None:
         f"wall-clock: {total:.2f}s across {len(timings)} cells "
         f"(slowest: {slow_text})"
     )
-
-
-def check_budgets(
-    timings: Dict[str, float], budgets: Dict, quick: bool
-) -> List[str]:
-    """Budget violations of ``timings`` against a loaded budget file.
-
-    Each measured cell must finish within its per-cell budget; a full run
-    must additionally fit the total budget. Cells without a budget entry
-    are reported too — a new grid cell needs a budget before it can ride
-    through CI unmeasured.
-    """
-    problems: List[str] = []
-    cells = budgets.get("cells", {})
-    for key, wall_seconds in timings.items():
-        budget = cells.get(key)
-        if budget is None:
-            problems.append(f"{key}: no wall-clock budget (re-run --write-budgets)")
-        elif wall_seconds > budget:
-            problems.append(
-                f"{key}: took {wall_seconds:.2f}s, over its "
-                f"{budget:.2f}s budget"
-            )
-    total_budget = budgets.get("total_seconds")
-    if not quick and total_budget is not None:
-        total = sum(timings.values())
-        if total > total_budget:
-            problems.append(
-                f"total: {total:.2f}s exceeds the {total_budget:.2f}s budget"
-            )
-    return problems
-
-
-def build_budgets(timings: Dict[str, float]) -> Dict:
-    """A budget payload derived from measured timings plus headroom."""
-    cells = {
-        key: round(max(BUDGET_FLOOR_SECONDS, seconds * BUDGET_HEADROOM), 2)
-        for key, seconds in sorted(timings.items())
-    }
-    total = round(
-        max(BUDGET_FLOOR_SECONDS, sum(timings.values()) * BUDGET_HEADROOM), 2
-    )
-    return {
-        "kind": "bench_budgets",
-        "headroom": BUDGET_HEADROOM,
-        "cells": cells,
-        "total_seconds": total,
-    }
 
 
 def _load_json(path: Path) -> Optional[Dict]:
@@ -247,24 +184,6 @@ def main(argv=None) -> int:
         help="worker processes for the cell sweep (default 1 = serial; "
         "the aggregate is byte-identical either way)",
     )
-    parser.add_argument(
-        "--budgets",
-        nargs="?",
-        const=BUDGET_FILE,
-        default=False,
-        metavar="FILE",
-        help="gate per-cell wall-clock against a budget file "
-        f"(default: {BUDGET_FILE})",
-    )
-    parser.add_argument(
-        "--write-budgets",
-        nargs="?",
-        const=BUDGET_FILE,
-        default=False,
-        metavar="FILE",
-        help="write measured wall-clock budgets (with headroom) instead "
-        "of gating against them",
-    )
     args = parser.parse_args(argv)
 
     names = [n.strip() for n in args.figures.split(",") if n.strip()]
@@ -298,15 +217,6 @@ def main(argv=None) -> int:
             f"{accuracy['recall']:.2f}"
         )
 
-    problems: List[str] = []
-    if args.budgets is not False:
-        budget_path = Path(args.budgets)
-        budgets = _load_json(budget_path) if budget_path.exists() else None
-        if budgets is None:
-            print(f"FAIL bench: budget file {budget_path} missing or unreadable")
-            return 1
-        problems.extend(check_budgets(timings, budgets, quick=args.quick))
-
     if args.check is not False:
         # With an explicit --output, check mode also records what it
         # measured — CI uploads that aggregate as a debugging artifact.
@@ -331,9 +241,7 @@ def main(argv=None) -> int:
                 f"the {base_mode} baseline {baseline_path}"
             )
             return 1
-        problems.extend(
-            compare_payloads(payload, baseline, tolerance=args.tolerance)
-        )
+        problems = compare_payloads(payload, baseline, tolerance=args.tolerance)
         if problems:
             print(f"FAIL bench: {len(problems)} problem(s) vs {baseline_path}")
             for line in problems:
@@ -346,25 +254,7 @@ def main(argv=None) -> int:
             f"ok   bench: {cells} cells within {args.tolerance * 100:.0f}% "
             "of baseline"
         )
-        if args.budgets is not False:
-            print(f"ok   bench: {len(timings)} cells within wall-clock budgets")
         return 0
-
-    if problems:
-        print(f"FAIL bench: {len(problems)} budget violation(s)")
-        for line in problems:
-            print(f"  {line}")
-        return 1
-    if args.budgets is not False:
-        print(f"ok   bench: {len(timings)} cells within wall-clock budgets")
-
-    if args.write_budgets is not False:
-        budget_path = Path(args.write_budgets)
-        budget_path.write_text(
-            json.dumps(build_budgets(timings), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {budget_path}")
 
     output = args.output
     if output is None:

@@ -71,7 +71,7 @@ def cell_key(config: str, backend: str) -> str:
 
 
 def cell_id(figure: str, config: str, backend: str) -> str:
-    """Globally unique id of one cell (used by wall-clock budgets)."""
+    """Globally unique id of one cell (keys the sweep's timings)."""
     return f"{figure}|{config}|{backend}"
 
 
@@ -99,7 +99,7 @@ def iter_cells(
                 yield name, config, backend
 
 
-def measure_cell(figure: str, config: str, backend: str) -> float:
+def measure_cell(figure: str, config: str, backend: str, hub=None) -> float:
     """Measure one grid cell, returning its Algo.bw in bytes/second."""
     spec = FIGURES[figure]
     a100, v100 = CONFIG_RECIPES[config]
@@ -110,6 +110,7 @@ def measure_cell(figure: str, config: str, backend: str) -> float:
         spec["primitive"],
         TENSOR_BYTES,
         max_chunks=spec["max_chunks"],
+        hub=hub,
     )
 
 
@@ -118,7 +119,7 @@ def measure_cell_detail(
 ) -> Tuple[float, Optional[str]]:
     """Measure one cell with critical-path attribution.
 
-    Runs the cell under a fresh enabled telemetry hub and feeds the
+    Runs the cell on a fresh enabled telemetry hub of its own and feeds the
     exported spans through :func:`repro.critpath.analyze_run` (inferred
     mode). Returns ``(bandwidth_bps, top_bottleneck_link)``, the link
     ``None`` when the run exported no chunk spans. Telemetry never
@@ -128,15 +129,11 @@ def measure_cell_detail(
     # Local imports: repro.critpath pulls in the analysis machinery, which
     # itself imports the bench harness.
     from repro.critpath import analyze_run
-    from repro.telemetry.core import TelemetryHub, set_hub
+    from repro.telemetry.core import TelemetryHub
     from repro.telemetry.export import parse_jsonl, to_jsonl
 
     fresh = TelemetryHub(enabled=True)
-    previous = set_hub(fresh)
-    try:
-        bandwidth = measure_cell(figure, config, backend)
-    finally:
-        set_hub(previous)
+    bandwidth = measure_cell(figure, config, backend, hub=fresh)
     report = analyze_run(parse_jsonl(to_jsonl(fresh)))
     top = report["top_link"]
     return bandwidth, (top["name"] if top else None)

@@ -18,7 +18,7 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.instance import InstanceSpec
 from repro.simulation.engine import Simulator
 from repro.synthesis.strategy import Primitive
-from repro.telemetry.core import hub as telemetry_hub
+from repro.telemetry.core import TelemetryHub
 from repro.topology.graph import LogicalTopology
 from repro.training.models import ModelSpec
 from repro.training.trainer import Trainer, TrainerConfig, TrainingReport
@@ -31,10 +31,12 @@ class BenchEnvironment:
     specs: Sequence[InstanceSpec]
     backend_name: str
     backend_kwargs: Optional[dict] = None
+    #: Telemetry hub of this environment's cluster (``None`` = process default).
+    hub: Optional[TelemetryHub] = None
 
     def __post_init__(self) -> None:
         self.sim = Simulator()
-        self.cluster = Cluster(self.sim, list(self.specs))
+        self.cluster = Cluster(self.sim, list(self.specs), hub=self.hub)
         self.topology = LogicalTopology.from_cluster(self.cluster)
         self.backend: Backend = make_backend(
             self.backend_name, self.topology, **(self.backend_kwargs or {})
@@ -50,7 +52,7 @@ class BenchEnvironment:
 
         Collects the bench-payload facts the ISSUE's perf trajectory
         tracks: per-link traffic with the busiest link called out, the
-        fluid network's completed-transfer count, and — when the process
+        fluid network's completed-transfer count, and — when the cluster's
         hub is enabled — the full telemetry metrics snapshot (which is
         where relay-phase and chunk counters live).
         """
@@ -69,7 +71,7 @@ class BenchEnvironment:
             "busiest_link": busiest,
             "links": links,
         }
-        telemetry = telemetry_hub()
+        telemetry = self.cluster.hub
         if telemetry.enabled:
             snapshot["metrics"] = telemetry.metrics.snapshot()
         return snapshot
@@ -84,6 +86,7 @@ def measure_algorithm_bandwidth(
     backend_kwargs: Optional[dict] = None,
     repeats: int = 1,
     max_chunks: Optional[int] = None,
+    hub: Optional[TelemetryHub] = None,
 ) -> float:
     """Algo.bw of one primitive on one backend (paper Sec. VI-C).
 
@@ -93,7 +96,7 @@ def measure_algorithm_bandwidth(
     caps simulated chunks per sub-collective (used by AlltoAll benchmarks,
     where per-pair flows are single-hop and chunking is backend-neutral).
     """
-    env = BenchEnvironment(specs, backend_name, backend_kwargs)
+    env = BenchEnvironment(specs, backend_name, backend_kwargs, hub=hub)
     ranks = env.ranks
     world = len(ranks)
     if primitive is Primitive.ALLTOALL and payload_elements % world:

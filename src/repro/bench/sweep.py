@@ -89,8 +89,8 @@ def run_sweep(
     ``timings`` maps each :func:`cell_id` to the wall-clock seconds its
     measurement took (in the worker, excluding pool overhead). Timings are
     host-dependent by nature and are therefore kept **out** of the
-    aggregate payload, which stays byte-deterministic; the budget gate in
-    ``python -m repro.bench`` consumes them directly.
+    aggregate payload, which stays byte-deterministic; ``python -m
+    repro.bench`` prints them as the run's wall-clock summary.
 
     With ``jobs > 1``, cells run in ``spawn`` worker processes. If any
     cell raises, the sweep raises :class:`SweepError` after draining the

@@ -1,6 +1,6 @@
 """Seeded silent-data-corruption injection on the data plane.
 
-The :class:`PayloadCorruptor` is the chaos party of the process-global
+The :class:`PayloadCorruptor` is the chaos party of its runner's
 :class:`~repro.integrity.channel.DataPlane` tap: every chunk delivery
 (and every integrity probe — probes must experience the same schedule as
 the traffic they stand in for) passes through :meth:`PayloadCorruptor.

@@ -35,7 +35,6 @@ from repro.errors import ChaosError
 from repro.hardware.cluster import Cluster
 from repro.runtime.queues import WorkItem, WorkQueues
 from repro.simulation.records import TraceRecorder
-from repro.telemetry.core import hub as telemetry_hub
 
 
 class ChaosInjector:
@@ -70,7 +69,7 @@ class ChaosInjector:
         self.trace.append((self.sim.now, kind, subject, *details))
         if self.recorder is not None:
             self.recorder.record(self.sim.now, kind, subject, **payload)
-        telemetry = telemetry_hub()
+        telemetry = self.cluster.hub
         if telemetry.enabled:
             telemetry.instant(
                 kind, self.sim.now, category="chaos", track="chaos",

@@ -47,7 +47,7 @@ from repro.critpath.consumer import CritpathConsumer
 from repro.errors import ChaosError
 from repro.hardware.cluster import Cluster
 from repro.hardware.instance import InstanceSpec
-from repro.integrity.channel import data_plane
+from repro.integrity.channel import DataPlane
 from repro.integrity.checksums import payload_digest
 from repro.integrity.monitor import (
     IntegrityConfig,
@@ -62,6 +62,7 @@ from repro.simulation.engine import Simulator
 from repro.simulation.records import TraceRecorder
 from repro.synthesis.optimizer import Synthesizer
 from repro.synthesis.strategy import Primitive, Strategy
+from repro.telemetry.core import TelemetryHub
 from repro.topology.graph import LogicalTopology
 from repro.training.data import ShardedDataLoader
 
@@ -145,9 +146,12 @@ class ChaosRunner:
         dataset_size: int = 4096,
         observe: Optional[ObserveConfig] = None,
         integrity: Optional[IntegrityConfig] = None,
+        hub: Optional[TelemetryHub] = None,
     ):
         self.sim = Simulator()
-        self.cluster = Cluster(self.sim, specs)
+        # The runner's own tap: its corruptor and monitor (attached below)
+        # see this cluster's deliveries and nobody else's.
+        self.cluster = Cluster(self.sim, specs, hub=hub, data_plane=DataPlane())
         if recorder is not None:
             self.cluster.network.attach_recorder(recorder)
         self.topology = LogicalTopology.from_cluster(self.cluster)
@@ -182,11 +186,13 @@ class ChaosRunner:
             self.corruptor = PayloadCorruptor(
                 plan.corruptions, seed=plan.seed, on_corrupt=self._on_corrupt
             )
+            self.cluster.data_plane.corruptor = self.corruptor
         self.monitor: Optional[IntegrityMonitor] = None
         if integrity is not None and integrity.enabled:
             self.monitor = IntegrityMonitor(
-                integrity, seed=plan.seed, clock=lambda: self.sim.now
+                integrity, seed=plan.seed, clock=lambda: self.sim.now, hub=self.cluster.hub
             )
+            self.cluster.data_plane.monitor = self.monitor
         self.members: List[int] = sorted(ranks)
         self.loader = ShardedDataLoader(
             dataset_size=dataset_size, global_batch=len(ranks) * 8, workers=list(ranks)
@@ -217,8 +223,7 @@ class ChaosRunner:
                 synthesizer=self.synthesizer,
                 attribution=self.critpath.top_link,
             ).attach()
-            if self.watchdog._hub is not None:
-                self.watchdog._hub.subscribe(self.critpath)
+            self.cluster.hub.subscribe(self.critpath)
 
     # -- strategy management ---------------------------------------------------
 
@@ -331,7 +336,9 @@ class ChaosRunner:
         if not hop_links:
             # Digest-only detection: every link the strategy crossed is
             # implicated; binary-search probes narrow it down.
-            localization = monitor.run_localization(strategy_link_names(strategy))
+            localization = monitor.run_localization(
+                strategy_link_names(strategy), self.cluster.data_plane
+            )
             if localization.conclusive:
                 suspects.append((localization.link, "probe"))
         new_strategy: Optional[Strategy] = None
@@ -368,24 +375,6 @@ class ChaosRunner:
         rng = np.random.default_rng(self.plan.seed)
         report = ChaosRunReport(plan_signature=self.plan.signature())
         all_ranks = sorted(gpu.rank for gpu in self.cluster.gpus)
-
-        # Attach the data-plane parties for the duration of the run; the
-        # previous state is restored even when the plan aborts, so one
-        # run's corruptor can never leak into the next runner's pipelines.
-        plane = data_plane()
-        previous = (plane.corruptor, plane.monitor)
-        if self.corruptor is not None:
-            plane.corruptor = self.corruptor
-        if self.monitor is not None:
-            plane.monitor = self.monitor
-        try:
-            return self._run_iterations(report, rng, all_ranks)
-        finally:
-            plane.corruptor, plane.monitor = previous
-
-    def _run_iterations(
-        self, report: ChaosRunReport, rng: np.random.Generator, all_ranks: List[int]
-    ) -> ChaosRunReport:
         for iteration in range(self.plan.iterations):
             # Control-channel partitions: heal the windows ending here
             # before opening the ones starting here.
@@ -553,8 +542,7 @@ class ChaosRunner:
         self.sim.run()
 
         if self.watchdog is not None:
-            if self.critpath is not None and self.watchdog._hub is not None:
-                self.watchdog._hub.unsubscribe(self.critpath)
+            self.cluster.hub.unsubscribe(self.critpath)
             self.watchdog.detach()
 
         report.event_trace = list(self.injector.trace)

@@ -9,11 +9,11 @@ about cross-job slowdown is synthetic.
 
 Per job, the runner owns a full observe stack:
 
-* a **labeled telemetry hub** (``labels={"job": name}``) installed as the
-  process-global hub around every launch and every watchdog evaluation,
-  so each job's spans/instants/metrics land on its own stream (chunk
-  pipelines and collective runs capture the hub at construction, which
-  is what makes the swap sufficient);
+* a **labeled telemetry hub** (``labels={"job": name}``) that the shared
+  cluster's ``hub`` points at around every launch and every watchdog
+  evaluation, so each job's spans/instants/metrics land on its own stream
+  (chunk pipelines and collective runs read the hub at construction,
+  which is what makes the re-pointing sufficient);
 * a :class:`~repro.observe.watchdog.Watchdog` with the shared profiler /
   synthesizer, whose re-probes and re-syntheses stay per-job;
 * a :class:`~repro.critpath.consumer.CritpathConsumer` feeding the
@@ -39,6 +39,7 @@ them against the workload generator's planted ground truth.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,7 +67,7 @@ from repro.runtime.collectives import (
 )
 from repro.simulation.engine import Simulator
 from repro.synthesis import Primitive, Synthesizer
-from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub, set_hub
+from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub
 from repro.telemetry.export import SCHEMA_VERSION, _dumps, ordered_records
 from repro.topology.graph import LogicalTopology
 
@@ -192,18 +193,16 @@ class FleetRunner:
         self.length = length
         self.max_chunks = max_chunks
         self.observe = observe or fleet_observe_config()
-        # The shared substrate is built under a disabled global hub: the
-        # fluid network auto-attaches a telemetry recorder to whatever hub
-        # is global at construction, and fleet streams must be per-job
-        # (the per-job hubs get the chunk/collective spans; raw net-flow
-        # spans would all pile onto one arbitrary stream).
-        previous = set_hub(TelemetryHub(enabled=False))
-        try:
-            self.sim = Simulator()
-            self.cluster = Cluster(self.sim, specs or self._default_specs(workload))
-            self.topology = LogicalTopology.from_cluster(self.cluster)
-        finally:
-            set_hub(previous)
+        # Fleet streams are per-job, so the shared fabric itself is silent
+        # (no net-flow recorder piling every job's flows onto one stream);
+        # _serving() points cluster.hub at the job being launched/finalized.
+        self.sim = Simulator()
+        self.cluster = Cluster(
+            self.sim,
+            specs or self._default_specs(workload),
+            hub=TelemetryHub(enabled=False),
+        )
+        self.topology = LogicalTopology.from_cluster(self.cluster)
         self.synthesizer = Synthesizer(self.topology)
         self.profiler = Profiler(self.topology)
         cluster_ranks = {gpu.rank for gpu in self.cluster.gpus}
@@ -341,9 +340,19 @@ class FleetRunner:
                 self.sim.run(until=next_start)
         return self._assemble()
 
-    def _launch(self, job: _JobState, op: CollectiveOp) -> None:
-        previous = set_hub(job.hub)
+    @contextlib.contextmanager
+    def _serving(self, job: _JobState):
+        """Point the shared cluster's hub at ``job`` for one step, so what
+        the step emits (synthesis decisions, collective and chunk spans,
+        re-probe fits) lands on the stream of the job that caused it."""
+        silent, self.cluster.hub = self.cluster.hub, job.hub
         try:
+            yield
+        finally:
+            self.cluster.hub = silent
+
+    def _launch(self, job: _JobState, op: CollectiveOp) -> None:
+        with self._serving(job):
             key = (op.kind, op.size_bytes)
             strategy = job.strategies.get(key)
             if strategy is None:
@@ -372,8 +381,6 @@ class FleetRunner:
                     byte_scale=byte_scale,
                     max_chunks=self.max_chunks,
                 )
-        finally:
-            set_hub(previous)
         job.pending = pending
         job.pending_op = op
         job.pending_launched = self.sim.now
@@ -414,14 +421,10 @@ class FleetRunner:
         window = (job.pending_launched, finished)
         job.pending = None
         job.pending_op = None
-        # The watchdog evaluation runs under the job's hub: a verdict's
-        # targeted re-probe emits profiler spans/fit instants, and those
-        # belong to the job that triggered them.
-        previous = set_hub(job.hub)
-        try:
+        # A verdict's targeted re-probe emits profiler spans/fit instants,
+        # which belong to the job that triggered them.
+        with self._serving(job):
             verdicts = job.watchdog.end_iteration(job.iteration, duration)
-        finally:
-            set_hub(previous)
         job.verdicts.extend(verdicts)
         for verdict in verdicts:
             self._attribute(job, verdict, window)

@@ -26,8 +26,13 @@ from repro.errors import TopologyError
 from repro.hardware.gpu import GPU
 from repro.hardware.instance import Instance, InstanceSpec
 from repro.hardware.links import us
+from repro.integrity.channel import DataPlane
+from repro.integrity.channel import data_plane as default_data_plane
 from repro.simulation.engine import Simulator
 from repro.simulation.fluid import FluidLink, FluidNetwork
+from repro.telemetry.bridge import TelemetryRecorder
+from repro.telemetry.core import TelemetryHub
+from repro.telemetry.core import hub as default_hub
 
 #: Extra socket-loopback latency paid when the issuing process is bound to
 #: a NUMA node other than the NIC's (the signal the detector's affinity
@@ -36,13 +41,31 @@ CROSS_NUMA_LOOPBACK_PENALTY = us(18)
 
 
 class Cluster:
-    """Concrete simulated cluster built from instance specs."""
+    """Concrete simulated cluster built from instance specs.
 
-    def __init__(self, sim: Simulator, specs: Sequence[InstanceSpec]):
+    The cluster also owns the two observers of everything that runs on it
+    (DESIGN.md "State ownership"): ``hub``, the telemetry hub every layer
+    emits into, and ``data_plane``, the tap every chunk delivery crosses.
+    A ``None`` is filled from the process default here and never re-read.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        specs: Sequence[InstanceSpec],
+        hub: Optional[TelemetryHub] = None,
+        data_plane: Optional[DataPlane] = None,
+    ):
         if not specs:
             raise TopologyError("cluster needs at least one instance")
         self.sim = sim
+        self.hub = default_hub() if hub is None else hub
+        self.data_plane = default_data_plane() if data_plane is None else data_plane
         self.network = FluidNetwork(sim)
+        if self.hub.enabled:
+            # Telemetry reuses the recorder protocol rather than adding a
+            # second hook: flows become per-link spans (telemetry.bridge).
+            self.network.attach_recorder(TelemetryRecorder(self.hub))
         self.instances: List[Instance] = []
         self.gpus: List[GPU] = []
         rank = 0

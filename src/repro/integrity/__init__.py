@@ -4,8 +4,8 @@ The chaos layer can silently corrupt payloads in flight
 (:class:`~repro.chaos.plan.CorruptionFault`); this package is the defence:
 
 * **detect** — per-hop CRC32 traffic-unit checksums stamped at send and
-  verified at receive inside the chunk pipeline (via the process-global
-  :func:`~repro.integrity.channel.data_plane` tap), plus an
+  verified at receive inside the chunk pipeline (via its cluster's
+  :class:`~repro.integrity.channel.DataPlane` tap), plus an
   end-of-collective cross-rank *digest exchange* (a linear sum digest:
   every AllReduce output's digest must equal the sum of the contributors'
   input digests) that catches corruption the hop checksums cannot see,
@@ -36,7 +36,6 @@ from repro.integrity.channel import (
     SITE_WIRE,
     DataPlane,
     data_plane,
-    reset_data_plane,
 )
 from repro.integrity.checksums import payload_checksum, payload_digest
 from repro.integrity.localize import BinarySearchLocalizer, LocalizationResult
@@ -69,6 +68,5 @@ __all__ = [
     "data_plane",
     "payload_checksum",
     "payload_digest",
-    "reset_data_plane",
     "strategy_link_names",
 ]

@@ -1,8 +1,8 @@
-"""The process-global data-plane tap every chunk delivery flows through.
+"""The data-plane tap every chunk delivery of one cluster flows through.
 
-:class:`~repro.runtime.executor.ChunkPipeline` resolves the tap once per
-pipeline (the same zero-overhead idiom as the telemetry hub: a single
-``active`` check when nothing is installed) and routes every delivered
+:class:`~repro.runtime.executor.ChunkPipeline` resolves its cluster's tap
+once per pipeline (the same zero-overhead idiom as the telemetry hub: a
+single ``active`` check when nothing is installed) and routes every delivered
 chunk through :meth:`DataPlane.deliver`. Two optional parties plug in:
 
 * a **corruptor** (:class:`~repro.chaos.corruption.PayloadCorruptor`) —
@@ -41,7 +41,7 @@ PROBE_TAG = "integrity-probe"
 
 
 class DataPlane:
-    """One process-wide delivery tap: chaos corruptor + integrity monitor."""
+    """One cluster's delivery tap: chaos corruptor + integrity monitor."""
 
     def __init__(self) -> None:
         self.corruptor = None
@@ -82,17 +82,11 @@ class DataPlane:
         return wire
 
 
-#: The process-wide tap. Runners install parties for the duration of a
-#: run and restore the previous state in a ``finally`` block.
+#: The process-default tap: what a ``Cluster`` built without a
+#: ``data_plane=`` captures (DESIGN.md "State ownership").
 _PLANE = DataPlane()
 
 
 def data_plane() -> DataPlane:
-    """The process-wide data-plane tap."""
+    """The process-default data-plane tap."""
     return _PLANE
-
-
-def reset_data_plane() -> None:
-    """Detach both parties (test isolation helper)."""
-    _PLANE.corruptor = None
-    _PLANE.monitor = None

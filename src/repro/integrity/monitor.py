@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ReproError
-from repro.integrity.channel import PROBE_TAG, data_plane
+from repro.integrity.channel import PROBE_TAG, DataPlane
 from repro.integrity.checksums import (
     DIGEST_RTOL,
     digests_match,
@@ -42,7 +42,8 @@ from repro.integrity.checksums import (
     payload_digest,
 )
 from repro.integrity.localize import BinarySearchLocalizer, LocalizationResult
-from repro.telemetry.core import hub as telemetry_hub
+from repro.telemetry.core import TelemetryHub
+from repro.telemetry.core import hub as default_hub
 
 #: Integrity-log record types.
 CONFIG_RECORD = "integrity-config"
@@ -158,10 +159,12 @@ class IntegrityMonitor:
         config: Optional[IntegrityConfig] = None,
         seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
+        hub: Optional[TelemetryHub] = None,
     ):
         self.config = config or IntegrityConfig()
         self.seed = seed
         self.clock = clock or (lambda: 0.0)
+        self.hub = default_hub() if hub is None else hub
         self.log = IntegrityLog()
         self.log.append(self.config.header())
         self.iteration = 0
@@ -224,7 +227,7 @@ class IntegrityMonitor:
         }
         self.hop_failures.append(failure)
         self.log.append(dict(failure))
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.instant(
                 CHECKSUM_RECORD, now, category="integrity", track="integrity",
@@ -272,7 +275,7 @@ class IntegrityMonitor:
             mismatches.append(record)
             self.digest_failures.append(record)
             self.log.append(dict(record))
-            telemetry = telemetry_hub()
+            telemetry = self.hub
             if telemetry.enabled:
                 telemetry.instant(
                     DIGEST_RECORD, now, category="integrity", track="integrity",
@@ -292,16 +295,17 @@ class IntegrityMonitor:
         rng = np.random.default_rng((self.seed, 0x1F, self._probe_counter))
         return rng.integers(1, 64, self.config.probe_length).astype(np.float64)
 
-    def run_localization(self, candidates: Sequence[str]) -> LocalizationResult:
+    def run_localization(
+        self, candidates: Sequence[str], plane: DataPlane
+    ) -> LocalizationResult:
         """Binary-search the implicated ``candidates`` with live probes.
 
-        Probes are real deliveries through the data-plane tap (tagged
-        :data:`~repro.integrity.channel.PROBE_TAG`), so they are subject
-        to the same corruption schedule as the traffic they stand in for;
-        a probe is *dirty* when its payload comes back bitwise-changed.
+        Probes are real deliveries through ``plane``, the tap the suspect
+        traffic crossed (tagged :data:`~repro.integrity.channel.PROBE_TAG`),
+        so they are subject to the same corruption schedule as the traffic
+        they stand in for; a probe is *dirty* when its payload comes back
+        bitwise-changed.
         """
-        plane = data_plane()
-
         def probe(link: str, round_index: int, repeat: int) -> bool:
             sent = self._probe_payload()
             delivered = plane.deliver(
@@ -340,7 +344,7 @@ class IntegrityMonitor:
                 "within_bound": result.within_bound,
             }
         )
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.metrics.counter(
                 "integrity_probe_rounds_total",
@@ -371,7 +375,7 @@ class IntegrityMonitor:
                 "evidence": evidence,
             }
         )
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.metrics.gauge(
                 "integrity_suspicion", "repeat-offender suspicion per link"
@@ -410,7 +414,7 @@ class IntegrityMonitor:
                 "link": link,
             }
         )
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.instant(
                 QUARANTINE_RECORD, now, category="integrity", track="integrity",
@@ -441,7 +445,7 @@ class IntegrityMonitor:
                 "attempt": attempt,
             }
         )
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.metrics.counter(
                 "integrity_retries_total", "corrupted iterations re-executed"

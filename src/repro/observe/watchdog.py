@@ -47,7 +47,6 @@ from repro.observe.verdicts import (
     link_endpoints,
 )
 from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import LogicalTopology, NodeId, parse_node
 
 
@@ -188,7 +187,7 @@ class Watchdog(TelemetryConsumer):
         """
         if not self.config.enabled:
             return self
-        hub = hub or telemetry_hub()
+        hub = hub or self.topology.cluster.hub
         if not hub.enabled:
             raise ObserveError(
                 "the observe watchdog needs an enabled telemetry hub "
@@ -429,7 +428,7 @@ class Watchdog(TelemetryConsumer):
     def _emit(self, verdict: AnomalyVerdict) -> None:
         """Append to the observe log and mirror into telemetry."""
         self.log.append(verdict.to_record())
-        hub = self._hub or telemetry_hub()
+        hub = self._hub or self.topology.cluster.hub
         if hub.enabled:
             hub.instant(
                 "anomaly-verdict",
@@ -519,7 +518,7 @@ class Watchdog(TelemetryConsumer):
                 "iteration": self._iteration,
             }
         )
-        hub = self._hub or telemetry_hub()
+        hub = self._hub or self.topology.cluster.hub
         if hub.enabled:
             hub.instant(
                 "targeted-reprobe",
@@ -576,7 +575,7 @@ class Watchdog(TelemetryConsumer):
                 "iteration": self._iteration,
             }
         )
-        hub = self._hub or telemetry_hub()
+        hub = self._hub or self.topology.cluster.hub
         if hub.enabled:
             hub.instant(
                 "resynthesis-triggered",

@@ -22,7 +22,6 @@ from typing import Dict, List, Tuple
 from repro.network.cost_model import AlphaBeta, fit_alpha_beta
 from repro.profiling.probes import DEFAULT_PROBE_PLAN, ProbePlan
 from repro.profiling.rounds import inter_instance_rounds
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import Edge, EdgeKind, LogicalTopology, NodeId, nic_node
 
 
@@ -77,7 +76,7 @@ class Profiler:
         """Generator form, for embedding in a training-loop process."""
         sim = self.topology.cluster.sim
         result = ProfileResult(started_at=sim.now)
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         pass_span = None
         if telemetry.enabled:
             pass_span = telemetry.begin(
@@ -135,7 +134,7 @@ class Profiler:
         """Generator form of the targeted pass, for embedding in a process."""
         sim = self.topology.cluster.sim
         result = ProfileResult(started_at=sim.now)
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         pass_span = None
         if telemetry.enabled:
             pass_span = telemetry.begin(
@@ -196,7 +195,7 @@ class Profiler:
                 measurements.append((1, n * piece, sim.now - start))
             fitted = fit_alpha_beta(measurements)
             result.estimates[(edge.src, edge.dst)] = fitted
-            telemetry = telemetry_hub()
+            telemetry = self.topology.cluster.hub
             if telemetry.enabled:
                 telemetry.instant(
                     "alpha-beta-fit",

@@ -46,7 +46,6 @@ from repro.recovery.transitions import StrategyTransition
 from repro.relay.coordinator import Coordinator, Decision, default_rpc_latency
 from repro.relay.ski_rental import BreakEvenPolicy
 from repro.synthesis.strategy import Strategy
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import LogicalTopology
 
 
@@ -86,9 +85,11 @@ class RecoveringControlPlane(ControlPlane):
         self.lease = CoordinatorLease(
             self.members, rpc_latency, self.rng, lease_seconds=lease_seconds
         )
-        self.fence = EpochFence()
+        self.fence = EpochFence(hub=topology.cluster.hub)
         self.log = EventLog(checkpoint_interval=checkpoint_interval)
-        self.transition = StrategyTransition(self.log, self.fence)
+        self.transition = StrategyTransition(
+            self.log, self.fence, hub=topology.cluster.hub
+        )
         #: Last epoch each worker's control agent has been told about.
         self._worker_epochs: Dict[int, int] = {
             rank: self.lease.epoch for rank in self.members
@@ -148,7 +149,7 @@ class RecoveringControlPlane(ControlPlane):
         """
         victim = self.lease.holder
         self._crashed_roles.add(victim)
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         if telemetry.enabled:
             telemetry.instant(
                 "coordinator-crash",
@@ -175,7 +176,7 @@ class RecoveringControlPlane(ControlPlane):
             self.sim.now,
             ranks=tuple(isolated),
         )
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         if telemetry.enabled:
             telemetry.instant(
                 "partition",
@@ -213,7 +214,7 @@ class RecoveringControlPlane(ControlPlane):
             self.fence.admit(seen, self.epoch, now, site, sender=rank)
             self._worker_epochs[rank] = self.epoch
             self._stale_leaders.discard(rank)
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         if telemetry.enabled:
             telemetry.instant(
                 "heal",
@@ -239,7 +240,7 @@ class RecoveringControlPlane(ControlPlane):
     def _failover(self, reason: str) -> None:
         sim = self.sim
         old_holder = self.lease.holder
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         span = telemetry.begin(
             "election",
             sim.now,

@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from repro.errors import RecoveryError
-from repro.telemetry.core import hub as telemetry_hub
+from repro.telemetry.core import TelemetryHub
+from repro.telemetry.core import hub as default_hub
 
 #: Default lease duration (simulated seconds). An order of magnitude above
 #: the ~0.6 ms median negotiation RPC, so healthy renewals never lapse,
@@ -123,7 +124,8 @@ class EpochFence:
     for split-brain resolution.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hub: Optional[TelemetryHub] = None) -> None:
+        self.hub = default_hub() if hub is None else hub
         self.fenced = 0
 
     def admit(
@@ -143,7 +145,7 @@ class EpochFence:
         if message_epoch is None or message_epoch >= current_epoch:
             return True
         self.fenced += 1
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.instant(
                 "epoch-fenced",

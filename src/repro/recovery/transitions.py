@@ -33,7 +33,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 from repro.errors import RecoveryError
 from repro.recovery.lease import EpochFence
 from repro.recovery.log import EventLog
-from repro.telemetry.core import hub as telemetry_hub
+from repro.telemetry.core import TelemetryHub
+from repro.telemetry.core import hub as default_hub
 
 
 class TransitionState(Enum):
@@ -57,9 +58,12 @@ def quorum_size(members: Sequence[int]) -> int:
 class StrategyTransition:
     """Drives prepare/commit/rollback against one journal."""
 
-    def __init__(self, log: EventLog, fence: EpochFence):
+    def __init__(
+        self, log: EventLog, fence: EpochFence, hub: Optional[TelemetryHub] = None
+    ):
         self.log = log
         self.fence = fence
+        self.hub = default_hub() if hub is None else hub
         self.state = TransitionState.IDLE
         self._next_transition = 0
         self._prepared_id: Optional[int] = None
@@ -112,7 +116,7 @@ class StrategyTransition:
         self._prepared_id = transition
         self._prepared_members = proposed
         self._prepared_acks = tuple(sorted(acks))
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.instant(
                 "strategy-prepare",
@@ -148,7 +152,7 @@ class StrategyTransition:
         committed = self._prepared_members
         self.state = TransitionState.COMMITTED
         self.commits += 1
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.instant(
                 "strategy-commit",
@@ -197,7 +201,7 @@ class StrategyTransition:
         self._prepared_acks = ()
         # A rolled-back id is spent: replays must never reuse it.
         self._next_transition = max(self._next_transition, transition + 1)
-        telemetry = telemetry_hub()
+        telemetry = self.hub
         if telemetry.enabled:
             telemetry.instant(
                 "strategy-rollback",

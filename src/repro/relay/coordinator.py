@@ -30,7 +30,6 @@ from repro.relay.ski_rental import (
 )
 from repro.runtime.collectives import run_allreduce
 from repro.synthesis.strategy import Primitive, Strategy
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import LogicalTopology
 
 #: Default RPC latency model: lognormal with ~0.6 ms median, matching the
@@ -225,7 +224,7 @@ class AdaptiveAllReduce:
         self.iterations_run += 1
         for rank in decision.relays:
             self.relay_counts[rank] = self.relay_counts.get(rank, 0) + 1
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         if telemetry.enabled:
             self._record_decision(telemetry, strategy, decision, ready_delays, started)
 

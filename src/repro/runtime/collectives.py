@@ -38,7 +38,6 @@ from repro.runtime.partition import (
     partition_ranges,
 )
 from repro.synthesis.strategy import Flow, Primitive, Strategy
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import LogicalTopology
 
 
@@ -117,11 +116,7 @@ class _Run:
             for rank in strategy.participants
         }
         self._span = None
-        # Captured at construction so a deferred end_trace (fired from a
-        # completion callback) lands on the hub that opened the span even
-        # if the process-global hub has been swapped since — fleet replay
-        # swaps a per-job hub around each launch.
-        self._telemetry = telemetry_hub()
+        self._telemetry = topology.cluster.hub
 
     def begin_trace(self, name: str) -> "_Run":
         """Open one ``category="collective"`` span for this invocation."""

@@ -29,10 +29,8 @@ import numpy as np
 
 from repro.analysis.config import verification_enabled
 from repro.errors import CommunicatorError
-from repro.integrity.channel import data_plane
 from repro.simulation.engine import Event, Simulator
 from repro.synthesis.strategy import Flow
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind
 
 UnitKey = Tuple
@@ -85,8 +83,9 @@ class ChunkPipeline:
         if len(chunk_bytes) != num_chunks:
             raise CommunicatorError("chunk_bytes must have one entry per chunk")
         self.topology = topology
-        self.sim = topology.cluster.sim
-        self.network = topology.cluster.network
+        cluster = topology.cluster
+        self.sim = cluster.sim
+        self.network = cluster.network
         self.flows = list(flows)
         self.num_chunks = num_chunks
         self.chunk_bytes = list(chunk_bytes)
@@ -101,12 +100,10 @@ class ChunkPipeline:
         # Resolved once per pipeline: None when telemetry is off, so the
         # per-chunk hot paths below pay a single identity check and
         # allocate no spans.
-        _hub = telemetry_hub()
-        self._telemetry = _hub if _hub.enabled else None
+        self._telemetry = cluster.hub if cluster.hub.enabled else None
         # Same idiom for the data-plane integrity/chaos tap: resolved once
         # per pipeline, None when nobody is attached.
-        _plane = data_plane()
-        self._data_plane = _plane if _plane.active else None
+        self._data_plane = cluster.data_plane if cluster.data_plane.active else None
         #: Flow indices whose data joins *opportunistically*: a late-ready
         #: relay's chunk k is folded into the aggregation at its source
         #: node iff it is ready when chunk k's kernel runs (Sec. IV-C:

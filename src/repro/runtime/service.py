@@ -43,12 +43,10 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.errors import CommunicatorError, RetryBudgetExhausted
-from repro.integrity.channel import data_plane
 from repro.integrity.checksums import payload_digest
 from repro.runtime.collectives import launch_allreduce
 from repro.runtime.queues import WorkItem, WorkQueues
 from repro.synthesis.strategy import Primitive, Strategy
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import LogicalTopology
 
 #: Sequence number used when delivering a degraded (partial) result to a
@@ -231,7 +229,7 @@ class CollectiveService:
                 item_epoch = item.metadata.get("epoch")
                 if item_epoch is not None and item_epoch < self.epoch:
                     self.fenced_submissions += 1
-                    telemetry = telemetry_hub()
+                    telemetry = self.topology.cluster.hub
                     if telemetry.enabled:
                         telemetry.instant(
                             "epoch-fenced",
@@ -286,7 +284,7 @@ class CollectiveService:
                 self._harvest(items)
                 if timer.triggered and len(items) == collected:
                     attempts += 1
-                    telemetry = telemetry_hub()
+                    telemetry = self.topology.cluster.hub
                     if telemetry.enabled:
                         telemetry.instant(
                             "service-retry",
@@ -343,7 +341,7 @@ class CollectiveService:
         # digest and checks the shared output against the sum — catching
         # corruption the per-hop checksums cannot see (e.g. inside an
         # aggregation buffer) before the result reaches the framework.
-        monitor = data_plane().monitor
+        monitor = self.topology.cluster.data_plane.monitor
         if monitor is not None:
             input_digests = {
                 rank: payload_digest(tensors[rank]) for rank in active
@@ -355,7 +353,7 @@ class CollectiveService:
         for item in work:
             self._served.add(item.sequence)
             self.queues[item.rank].complete(item, result.outputs[item.rank])
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         if telemetry.enabled:
             telemetry.metrics.counter(
                 "service_rounds_total", "collective rounds dispatched"

@@ -376,14 +376,6 @@ class FluidNetwork:
         #: single-recorder compatibility view.
         self._recorders: List = []
         self._wants_rates = False
-        # Telemetry reuses the same protocol rather than adding a second
-        # hook: when the process-wide hub is enabled, every network traces
-        # its flows as per-link spans (see repro.telemetry.bridge).
-        from repro.telemetry.bridge import network_recorder
-
-        telemetry = network_recorder()
-        if telemetry is not None:
-            self.attach_recorder(telemetry)
 
     # -- recorder attachment -------------------------------------------------
 

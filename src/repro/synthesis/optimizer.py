@@ -34,7 +34,6 @@ from repro.synthesis.routing import (
     reduce_flows,
 )
 from repro.synthesis.strategy import Flow, Primitive, Strategy, SubCollective
-from repro.telemetry.core import hub as telemetry_hub
 from repro.topology.graph import LogicalTopology, gpu_node
 
 
@@ -192,7 +191,7 @@ class Synthesizer:
             raise SynthesisError(f"unsupported primitive {primitive}")
 
         self.last_report.solve_seconds = time.perf_counter() - started
-        telemetry = telemetry_hub()
+        telemetry = self.topology.cluster.hub
         if telemetry.enabled:
             # Recorded at the simulator's current instant: synthesis is
             # offline and does not advance simulated time, so the decision

@@ -4,7 +4,7 @@ Three pieces (see DESIGN.md §7):
 
 * a zero-dependency tracing core — :class:`Span`/:class:`Tracer` with
   explicit (simulator or wall) timestamps, hierarchical span ids, and a
-  process-wide :class:`TelemetryHub` that is a no-op unless enabled
+  per-cluster :class:`TelemetryHub` that is a no-op unless enabled
   (``REPRO_TELEMETRY=1`` or ``AdapCCSession(telemetry=True)``);
 * a metrics registry — :class:`Counter`, :class:`Gauge`, and
   :class:`Histogram` with fixed bucket edges, exportable as Prometheus
@@ -20,7 +20,7 @@ synthesizer, chunk pipeline, relay coordinator, collective service, chaos
 injector); ``python -m repro.analysis --telemetry`` lints exported traces.
 """
 
-from repro.telemetry.bridge import TelemetryRecorder, network_recorder
+from repro.telemetry.bridge import TelemetryRecorder
 from repro.telemetry.core import (
     ENV_TELEMETRY,
     Span,
@@ -28,7 +28,6 @@ from repro.telemetry.core import (
     TelemetryHub,
     Tracer,
     hub,
-    resolve_telemetry,
     set_hub,
     telemetry_enabled,
 )
@@ -65,10 +64,8 @@ __all__ = [
     "TelemetryRun",
     "Tracer",
     "hub",
-    "network_recorder",
     "parse_jsonl",
     "read_jsonl",
-    "resolve_telemetry",
     "set_hub",
     "telemetry_enabled",
     "to_chrome_trace",

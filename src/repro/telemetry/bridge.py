@@ -35,7 +35,7 @@ class TelemetryRecorder:
     wants_rates = False
 
     def __init__(self, target: Optional[TelemetryHub] = None):
-        self._hub = target or hub()
+        self._hub = hub() if target is None else target
         self._open_flows: Dict[int, Span] = {}
         self._flow_count = 0
 
@@ -75,16 +75,3 @@ class TelemetryRecorder:
         # net-rates and chaos-* kinds are intentionally ignored here: rates
         # snapshots are the lint's concern, chaos events are mirrored into
         # telemetry by the injector itself (with richer context).
-
-
-def network_recorder() -> Optional[TelemetryRecorder]:
-    """A fresh :class:`TelemetryRecorder`, or ``None`` when telemetry is off.
-
-    Called by :class:`~repro.simulation.fluid.FluidNetwork` at
-    construction so every network created under an enabled hub traces its
-    flows without the caller wiring anything.
-    """
-    current = hub()
-    if not current.enabled:
-        return None
-    return TelemetryRecorder(current)

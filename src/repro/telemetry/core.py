@@ -1,7 +1,7 @@
-"""Zero-dependency tracing core: spans, tracer, and the process-wide hub.
+"""Zero-dependency tracing core: spans, tracer, and the hub.
 
-Observability for the whole reproduction hangs off one
-:class:`TelemetryHub`: a :class:`Tracer` collecting :class:`Span` records
+Observability of one simulated world hangs off the :class:`TelemetryHub`
+its ``Cluster`` owns: a :class:`Tracer` collecting :class:`Span` records
 and instant events, plus a :class:`~repro.telemetry.metrics.MetricsRegistry`.
 The hub is a **no-op unless enabled** — every instrumentation site guards
 on ``hub.enabled`` (a single attribute read) before building spans or
@@ -17,14 +17,16 @@ a child's id extends its parent's, so exporters and the ``--telemetry``
 lint can check nesting without reconstructing a tree.
 
 Enable telemetry with the ``REPRO_TELEMETRY=1`` environment variable or
-``AdapCCSession(telemetry=True)``; capture programmatically by installing
-your own hub with :func:`set_hub`.
+``AdapCCSession(telemetry=True)``; capture programmatically by passing your
+own hub (``Cluster(..., hub=mine)``, ``AdapCCSession(telemetry=mine)``).
+:func:`hub` / :func:`set_hub` are the process default a ``Cluster`` built
+without one captures (DESIGN.md "State ownership").
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.errors import TelemetryError
 from repro.telemetry.metrics import MetricsRegistry
@@ -212,7 +214,7 @@ class TelemetryConsumer:
 
 
 class TelemetryHub:
-    """One process-wide bundle of tracer + metrics behind an enable flag.
+    """One bundle of tracer + metrics behind an enable flag.
 
     All recording entry points return early when disabled; call sites on
     hot paths additionally guard with ``if hub.enabled`` so they never
@@ -305,15 +307,16 @@ class TelemetryHub:
         return event
 
 
-#: The process-wide hub (created lazily so the env var is read on first use).
+#: The process-default hub (created lazily so the env var is read on first use).
 _HUB: Optional[TelemetryHub] = None
 
 
 def hub() -> TelemetryHub:
-    """The process-wide hub, created on first use.
+    """The process-default hub, created on first use.
 
-    The initial enabled state comes from ``REPRO_TELEMETRY``; sessions and
-    tests flip it with :meth:`TelemetryHub.enable` or replace the hub with
+    What a ``Cluster`` built without ``hub=`` captures. The initial enabled
+    state comes from ``REPRO_TELEMETRY``; callers that build their world
+    afterwards flip it with :meth:`TelemetryHub.enable` or replace it with
     :func:`set_hub`.
     """
     global _HUB
@@ -323,28 +326,10 @@ def hub() -> TelemetryHub:
 
 
 def set_hub(new_hub: TelemetryHub) -> TelemetryHub:
-    """Install ``new_hub`` as the process-wide hub; returns the previous one."""
+    """Install ``new_hub`` as the process default; returns the previous one."""
     global _HUB
     if not isinstance(new_hub, TelemetryHub):
         raise TelemetryError(f"set_hub() requires a TelemetryHub, got {type(new_hub).__name__}")
     previous = hub()
     _HUB = new_hub
     return previous
-
-
-def resolve_telemetry(setting: Union[None, bool, TelemetryHub]) -> TelemetryHub:
-    """Resolve a session's ``telemetry=`` argument against the global hub.
-
-    ``None`` leaves the hub as the environment configured it; ``True`` /
-    ``False`` enable or disable the current hub; a :class:`TelemetryHub`
-    instance is installed as the process-wide hub and enabled.
-    """
-    if isinstance(setting, TelemetryHub):
-        set_hub(setting)
-        return setting.enable()
-    current = hub()
-    if setting is True:
-        current.enable()
-    elif setting is False:
-        current.disable()
-    return current

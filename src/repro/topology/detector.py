@@ -29,7 +29,6 @@ from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.hardware.links import MB
-from repro.telemetry.core import hub as telemetry_hub
 
 #: Probe transfer size (the paper uses 20 MB).
 PROBE_BYTES = 20 * MB
@@ -93,7 +92,7 @@ class Detector:
     def _probe_instance(self, instance_id: int, report: DetectionReport):
         sim = self.cluster.sim
         start = sim.now
-        telemetry = telemetry_hub()
+        telemetry = self.cluster.hub
         span = None
         if telemetry.enabled:
             span = telemetry.begin(

@@ -22,14 +22,15 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.hardware.cluster import Cluster
 from repro.network.cost_model import AlphaBeta
 from repro.simulation.fluid import FluidLink
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class NodeKind(enum.Enum):
@@ -445,6 +446,10 @@ class LogicalTopology:
 
     def to_networkx(self, use_estimates: bool = True) -> "nx.DiGraph":
         """Export to networkx with ``alpha``/``beta``/``bandwidth`` attributes."""
+        # Imported here: nothing on the run path needs networkx, and loading
+        # it costs ~0.2 s / 20 MB of every process that imports repro.
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node in self.nodes:
             graph.add_node(node, kind=node.kind.value)

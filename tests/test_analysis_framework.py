@@ -1,6 +1,7 @@
 """Tests for the analysis pass framework (registry, cache, runner, exports)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.analysis.registry import (
     pass_names,
     register,
 )
-from repro.analysis.runner import run_passes
+from repro.analysis.runner import _package_root, run_passes
 from repro.analysis.sarif import to_sarif
 from repro.analysis.verify_strategy import Violation
 
@@ -57,17 +58,6 @@ class TestRegistry:
             assert spec.rules, spec.name
             for rule in spec.rules:
                 severity_rank(rule.severity)  # raises on junk
-
-    def test_serial_passes_marked(self):
-        serial = {spec.name for spec in iter_passes() if spec.serial}
-        assert serial == {
-            "telemetry",
-            "observe",
-            "races",
-            "critpath",
-            "integrity",
-            "fleet",
-        }
 
 
 class TestFindings:
@@ -133,7 +123,7 @@ class TestCacheStore:
 
 @pytest.fixture
 def fake_passes(tmp_path, monkeypatch):
-    """Two registered counting passes over disjoint inputs of a tmp tree."""
+    """Two registered counting passes keyed on a tmp package tree."""
     (tmp_path / "alpha").mkdir()
     (tmp_path / "alpha" / "mod.py").write_text("a = 1\n")
     (tmp_path / "beta").mkdir()
@@ -148,7 +138,7 @@ def fake_passes(tmp_path, monkeypatch):
 
         return run
 
-    for name, inputs in (("fake-alpha", ("alpha",)), ("fake-beta", ("beta",))):
+    for name in runs:
         register(
             PassSpec(
                 name=name,
@@ -156,7 +146,6 @@ def fake_passes(tmp_path, monkeypatch):
                 title=name,
                 rules=(RuleSpec("fake-code", "error", "test"),),
                 run=body(name),
-                inputs=inputs,
             )
         )
     yield tmp_path, runs
@@ -165,7 +154,7 @@ def fake_passes(tmp_path, monkeypatch):
 
 
 class TestIncrementalRunner:
-    def test_edit_reruns_only_dependent_passes(self, fake_passes, tmp_path):
+    def test_edit_anywhere_in_the_tree_reruns_every_pass(self, fake_passes, tmp_path):
         tree, runs = fake_passes
         cache = AnalysisCache(tmp_path / "cache")
         names = ["fake-alpha", "fake-beta"]
@@ -179,10 +168,29 @@ class TestIncrementalRunner:
         assert runs == {"fake-alpha": 1, "fake-beta": 1}
         assert warm[0].findings == cold[0].findings
 
+        # One tree fingerprint keys every pass: no per-pass dependency
+        # list exists to go stale.
         (tree / "alpha" / "mod.py").write_text("a = 2\n")
         after_edit = run_passes(names=names, cache=cache)
-        assert [r.cached for r in after_edit] == [False, True]
-        assert runs == {"fake-alpha": 2, "fake-beta": 1}
+        assert [r.cached for r in after_edit] == [False, False]
+        assert runs == {"fake-alpha": 2, "fake-beta": 2}
+
+    def test_profiler_edit_invalidates_the_strategies_entry(self, tmp_path, monkeypatch):
+        """`strategies` builds AdapCCBackend, which profiles on init; a
+        hand-kept input list that omitted profiling/ replayed a stale ok."""
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            _package_root(), tree, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        monkeypatch.setattr("repro.analysis.runner._package_root", lambda: tree)
+        cache = AnalysisCache(tmp_path / "cache")
+        (cold,) = run_passes(names=["strategies"], cache=cache)
+        (warm,) = run_passes(names=["strategies"], cache=cache)
+        assert (cold.cached, warm.cached) == (False, True)
+        with open(tree / "profiling" / "profiler.py", "a") as handle:
+            handle.write("# touched\n")
+        (after_edit,) = run_passes(names=["strategies"], cache=cache)
+        assert not after_edit.cached
 
     def test_no_cache_always_runs(self, fake_passes):
         _tree, runs = fake_passes
@@ -205,7 +213,6 @@ class TestIncrementalRunner:
                 title="fake-crash",
                 rules=(RuleSpec("fake-code", "error", "test"),),
                 run=boom,
-                inputs=(".",),
             )
         )
         try:
@@ -233,11 +240,11 @@ class TestSarifExport:
 
     def test_sarif_byte_identical_across_jobs_and_cache(self, tmp_path):
         cache = AnalysisCache(tmp_path / "cache")
-        names = ["source", "races"]  # one parallel-safe + one serial pass
-        cold = to_sarif(run_passes(names=names, jobs=4, cache=cache))
-        warm = to_sarif(run_passes(names=names, jobs=4, cache=cache))
-        serial = to_sarif(run_passes(names=names, jobs=1, cache=None))
-        assert cold == warm == serial
+        names = ["source", "races"]
+        cold = to_sarif(run_passes(names=names, cache=cache))
+        warm = to_sarif(run_passes(names=names, cache=cache))
+        uncached = to_sarif(run_passes(names=names, cache=None))
+        assert cold == warm == uncached
 
 
 class TestCliContract:

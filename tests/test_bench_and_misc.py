@@ -172,7 +172,7 @@ class TestRepeatsAveraging:
         import repro.bench.harness as harness
 
         class _StubEnv:
-            def __init__(self, specs, backend_name, backend_kwargs=None):
+            def __init__(self, specs, backend_name, backend_kwargs=None, hub=None):
                 self.specs = list(specs)
                 self.backend_name = backend_name
                 self.backend = backend

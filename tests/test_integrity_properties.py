@@ -122,16 +122,7 @@ class TestMonitorLocalizationProperties:
         )
         monitor = IntegrityMonitor(IntegrityConfig(), seed=seed)
         plane.monitor = monitor
-        # Route the monitor's probes through this local plane, not the
-        # process-global one.
-        import repro.integrity.monitor as monitor_module
-
-        original = monitor_module.data_plane
-        monitor_module.data_plane = lambda: plane
-        try:
-            result = monitor.run_localization(candidates)
-        finally:
-            monitor_module.data_plane = original
+        result = monitor.run_localization(candidates, plane)
         assert result.conclusive
         assert result.link == guilty
         assert result.rounds <= probe_round_bound(num_links)

@@ -13,6 +13,7 @@ from repro.analysis.race import (
     lint_determinism_hazards,
     unit_label,
 )
+from repro.analysis.runner import run_passes
 from repro.bench.harness import BenchEnvironment
 from repro.hardware.presets import make_config
 from repro.synthesis.strategy import Primitive
@@ -83,6 +84,26 @@ class TestAliasedWallClockFixtures:
     def test_perf_counter_not_flagged(self):
         subjects = {v.subject for v in lint_source(root=FIXTURES)}
         assert not any(s.endswith(":32") for s in subjects)
+
+
+class TestAmbientObserverFixtures:
+    def test_every_ambient_spelling_flagged_and_constructor_defaults_allowed(self):
+        flagged = [
+            v for v in lint_source(root=FIXTURES) if v.check == "ambient-observer"
+        ]
+        assert {v.subject.rsplit(":", 1)[0] for v in flagged} == {
+            "runtime/ambient_observer.py"
+        }
+        lines = {int(v.subject.rsplit(":", 1)[1]) for v in flagged}
+        # emit-time hub(), emit-time data_plane(), set_hub(), core.hub(),
+        # set_hub() in a constructor; lines 16-17 (None-default fills) pass.
+        assert lines == {20, 21, 25, 26, 31}
+
+    def test_source_pass_is_red_on_the_fixture_and_green_on_the_tree(self):
+        (red,) = run_passes(names=["source"], root=FIXTURES)
+        assert "ambient-observer" in {f.code for f in red.findings}
+        (green,) = run_passes(names=["source"])
+        assert green.ok
 
 
 @pytest.fixture(scope="module")

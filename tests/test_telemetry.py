@@ -36,7 +36,6 @@ from repro.telemetry import (
     Tracer,
     hub,
     parse_jsonl,
-    resolve_telemetry,
     set_hub,
     to_chrome_trace,
     to_jsonl,
@@ -109,21 +108,6 @@ class TestHub:
         assert quiet.instant("e", 0.0) is None
         quiet.end(None, 1.0)  # ignoring None is the disabled contract
         assert len(quiet.tracer) == 0
-
-    def test_resolve_telemetry_flips_current_hub(self, disabled_hub):
-        assert resolve_telemetry(True) is disabled_hub
-        assert disabled_hub.enabled
-        resolve_telemetry(False)
-        assert not disabled_hub.enabled
-        assert resolve_telemetry(None) is disabled_hub  # leaves state alone
-        assert not disabled_hub.enabled
-
-    def test_resolve_telemetry_installs_explicit_hub(self, disabled_hub):
-        mine = TelemetryHub()
-        assert resolve_telemetry(mine) is mine
-        assert mine.enabled
-        assert hub() is mine
-        set_hub(disabled_hub)
 
     def test_set_hub_rejects_non_hub(self):
         with pytest.raises(TelemetryError):
