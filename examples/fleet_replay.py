@@ -20,7 +20,7 @@ export with the ``--fleet`` analysis pass.
 Run:  python examples/fleet_replay.py
 """
 
-from repro.analysis.passes import run_fleet_pass
+from repro.analysis.lint_fleet import lint_fleet_file
 from repro.fleet import canonical_overlap_workload, replay
 
 SEED = 11
@@ -69,13 +69,13 @@ def main() -> int:
         handle.write(result.merged_jsonl)
     print(f"\nmerged fleet stream -> {path}")
 
-    violations = run_fleet_pass(target=path)
+    violations = lint_fleet_file(path)
     print(
         f"--fleet lint of {path}: "
         + ("clean" if not violations else f"{len(violations)} violation(s)")
     )
     for violation in violations:
-        print(f"  {violation.check} @ {violation.subject}: {violation.detail}")
+        print(f"  {violation.code} @ {violation.subject}: {violation.message}")
     print(f"re-lint it anytime:  python -m repro.analysis --fleet {path}")
     return 1 if violations else 0
 

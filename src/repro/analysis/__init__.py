@@ -1,14 +1,13 @@
 """Static analysis passes: strategy verification, trace/chaos lint, source lint.
 
 The passes run through a pluggable framework (DESIGN.md §10): each
-registers a :class:`~repro.analysis.registry.PassSpec` (name, finding
-codes with default severities, entry point) and emits structured
-:class:`~repro.analysis.findings.Finding` records, which the CLI renders
-as text, JSON, or SARIF 2.1.0 with content-addressed incremental caching
-(see :mod:`repro.analysis.runner` and ``python -m repro.analysis --list``).
+registers a :class:`~repro.analysis.registry.PassSpec` (name, rules, the
+scenario it runs and — optionally — a file lint) and every check returns
+structured :class:`~repro.analysis.findings.Finding` records, which the CLI
+renders as text, JSON, or SARIF 2.1.0 (see :mod:`repro.analysis.runner`
+and ``python -m repro.analysis --list``, which names all eleven passes).
 
-Eight passes guard the reproduction's correctness (see DESIGN.md §5 and
-``python -m repro.analysis``):
+The checks behind them guard the reproduction's correctness (DESIGN.md §5):
 
 * :func:`verify_strategy` / :func:`assert_valid` — static checks of a
   synthesized :class:`~repro.synthesis.strategy.Strategy` against a
@@ -33,16 +32,18 @@ Eight passes guard the reproduction's correctness (see DESIGN.md §5 and
 * :mod:`repro.analysis.race` — the sim-determinism race detector:
   static AST hazard checks over the order-sensitive packages plus a
   vector-clock happens-before replay of an executed telemetry run
-  against the strategy-derived chunk-dependency DAG.
+  against the strategy-derived chunk-dependency DAG;
+* ``lint_critpath_report`` / ``lint_integrity_records`` /
+  ``lint_fleet_run`` — structural checks over a critical-path report, an
+  integrity log and a merged fleet export.
 
 Only :mod:`repro.analysis.config` is imported eagerly: the runtime
 executor consults :func:`verification_enabled` at import time, and the
-verifier in turn imports the runtime — loading the heavy passes lazily
-(PEP 562) keeps that cycle open. The pass entry points share their
-module's name (``verify_strategy``, ``lint_trace``, ``lint_source``), so
-import those *functions* from their submodules —
-``from repro.analysis.verify_strategy import verify_strategy`` — while
-the collision-free helpers below are re-exported here lazily.
+verifier in turn imports the runtime, so everything else loads lazily
+(PEP 562). The pass entry points share their module's name
+(``verify_strategy``, ``lint_trace``, ``lint_source``), so import those
+*functions* from their submodules; the collision-free helpers below are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -53,21 +54,17 @@ from typing import Any
 from repro.analysis.config import ENV_VERIFY, verification_enabled
 
 _LAZY = {
-    "Violation": ("repro.analysis.verify_strategy", "Violation"),
     "assert_valid": ("repro.analysis.verify_strategy", "assert_valid"),
     "stage_unreachable": ("repro.analysis.verify_strategy", "stage_unreachable"),
     "Finding": ("repro.analysis.findings", "Finding"),
     "SEVERITIES": ("repro.analysis.findings", "SEVERITIES"),
     "severity_rank": ("repro.analysis.findings", "severity_rank"),
-    "from_violations": ("repro.analysis.findings", "from_violations"),
     "PassSpec": ("repro.analysis.registry", "PassSpec"),
     "PassResult": ("repro.analysis.registry", "PassResult"),
-    "RuleSpec": ("repro.analysis.registry", "RuleSpec"),
+    "RuleSpec": ("repro.analysis.findings", "RuleSpec"),
     "iter_passes": ("repro.analysis.registry", "iter_passes"),
     "get_pass": ("repro.analysis.registry", "get_pass"),
     "run_passes": ("repro.analysis.runner", "run_passes"),
-    "AnalysisCache": ("repro.analysis.cache", "AnalysisCache"),
-    "fingerprint_strategy": ("repro.analysis.cache", "fingerprint_strategy"),
     "to_sarif": ("repro.analysis.sarif", "to_sarif"),
 }
 

@@ -1,31 +1,30 @@
-"""Structured findings — the pass framework's result model (DESIGN.md §10).
+"""Structured findings — the one result type of every check (DESIGN.md §10).
 
-A :class:`Finding` replaces the bare :class:`~repro.analysis.verify_strategy.Violation`
-string triple as the unit of analysis output. It carries everything an
-exporter or CI annotator needs:
+A :class:`Finding` is what ``verify_strategy``, every ``lint_*`` module,
+the pass bodies and the executor pre-flight return, and a
+:class:`RuleSpec` is the declaration of one code a check can emit. A
+finding carries everything an exporter or CI annotator needs:
 
 * ``code`` — the stable kebab-case rule identifier (``wall-clock``,
   ``race-unordered-iteration``, …), the SARIF ``ruleId``;
+* ``subject`` / ``message`` — the locator and the human explanation;
 * ``severity`` — ``error`` (invariant broken, CI-gating), ``warning``
   (heuristic hazard, baseline-suppressible) or ``note`` (informational);
-* ``pass_name`` — which registered pass produced it;
-* ``message`` / ``subject`` — the human explanation and its locator;
+* ``pass_name`` — which registered pass produced it (stamped by the
+  runner; empty on a finding returned by a direct lint call);
 * ``file`` / ``line`` — a physical location when the finding anchors to
-  source (AST passes fill these; scenario passes leave them ``None``);
+  source (the AST walkers fill these; scenario checks leave them ``None``);
 * ``suppression_key`` — a stable key for baseline files: findings keep
   the same key across unrelated edits (no line numbers), so a committed
   baseline keeps suppressing exactly the findings it was written for.
 
-Findings serialize to/from plain dicts so the incremental cache can store
-them as JSON and replay them without re-running the pass.
+This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
-from repro.analysis.verify_strategy import Violation
+from typing import Any, Dict, Optional
 
 #: Severity levels, ordered least → most severe. The names match SARIF
 #: 2.1.0 ``level`` values so exporters need no mapping table.
@@ -45,19 +44,41 @@ def severity_rank(severity: str) -> int:
 
 
 @dataclass(frozen=True)
+class RuleSpec:
+    """One finding code a check can emit, declared beside that check."""
+
+    code: str
+    description: str
+    severity: str = SEVERITY_ERROR
+
+
+@dataclass(frozen=True)
 class Finding:
     """One structured analysis finding (see module docstring)."""
 
     code: str
+    subject: str
     message: str
-    pass_name: str = ""
     severity: str = SEVERITY_ERROR
-    subject: str = ""
+    pass_name: str = ""
     file: Optional[str] = None
     line: Optional[int] = None
 
     def __post_init__(self) -> None:
         severity_rank(self.severity)  # validate eagerly
+
+    @classmethod
+    def at(
+        cls,
+        code: str,
+        file: str,
+        line: Optional[int],
+        message: str,
+        severity: str = SEVERITY_ERROR,
+    ) -> "Finding":
+        """A finding anchored to ``file:line`` (``line`` may be unknown)."""
+        subject = file if line is None else f"{file}:{line}"
+        return cls(code, subject, message, severity, file=file, line=line)
 
     @property
     def suppression_key(self) -> str:
@@ -66,12 +87,7 @@ class Finding:
         return f"{self.pass_name}:{self.code}:{anchor}"
 
     def __str__(self) -> str:
-        where = self.subject
-        if self.file is not None:
-            where = self.file if self.line is None else f"{self.file}:{self.line}"
-        return f"[{self.code}] {where}: {self.message}"
-
-    # -- serialization (cache + JSON report) --------------------------------------
+        return f"[{self.code}] {self.subject}: {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -83,50 +99,3 @@ class Finding:
             "file": self.file,
             "line": self.line,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        return cls(
-            code=payload["code"],
-            message=payload["message"],
-            pass_name=payload.get("pass", ""),
-            severity=payload.get("severity", SEVERITY_ERROR),
-            subject=payload.get("subject", ""),
-            file=payload.get("file"),
-            line=payload.get("line"),
-        )
-
-
-def from_violation(
-    violation: Violation,
-    pass_name: str,
-    severity: str = SEVERITY_ERROR,
-) -> Finding:
-    """Lift a legacy :class:`Violation` into a :class:`Finding`.
-
-    Source-lint subjects are ``path:lineno`` locators; those split into a
-    physical location so SARIF consumers can annotate the file. Scenario
-    subjects (``sc0.flow2``, ``seed23``) stay opaque.
-    """
-    file: Optional[str] = None
-    line: Optional[int] = None
-    subject = violation.subject
-    head, sep, tail = subject.rpartition(":")
-    if sep and tail.isdigit() and ("/" in head or head.endswith(".py")):
-        file, line = head, int(tail)
-    return Finding(
-        code=violation.check,
-        message=violation.detail,
-        pass_name=pass_name,
-        severity=severity,
-        subject=subject,
-        file=file,
-        line=line,
-    )
-
-
-def from_violations(
-    violations: List[Violation], pass_name: str, severity: str = SEVERITY_ERROR
-) -> List[Finding]:
-    """Lift a list of legacy violations (see :func:`from_violation`)."""
-    return [from_violation(v, pass_name, severity) for v in violations]

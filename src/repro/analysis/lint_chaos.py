@@ -18,17 +18,15 @@ simulator's physics:
   (``chaos-crash``/``chaos-straggler``) for the same rank — an eviction
   without an injected cause means the detector fired spuriously;
 * chaos timestamps are non-decreasing (the replay-comparison order).
-
-Violations share the :class:`repro.analysis.verify_strategy.Violation`
-record type so ``python -m repro.analysis --chaos`` reports uniformly.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
+from repro.analysis.findings import Finding, RuleSpec
+from repro.analysis.lint_trace import RULES as TRACE_RULES
 from repro.analysis.lint_trace import lint_trace
-from repro.analysis.verify_strategy import Violation
 from repro.simulation.records import TraceRecord
 
 #: Chaos event kinds the injector and runner emit.
@@ -47,8 +45,19 @@ CHAOS_KINDS = (
 
 _MESSAGE_ACTIONS = ("drop", "duplicate")
 
+#: Everything :func:`lint_chaos` can emit: the trace lint's codes (it runs
+#: over the ``net-*`` subset; ``event-order`` is shared) plus its own.
+RULES = TRACE_RULES + (
+    RuleSpec("chaos-kind", "unknown chaos event kind"),
+    RuleSpec("chaos-link-fraction", "link fault fraction out of bounds"),
+    RuleSpec("chaos-link-restore", "faulted link capacity never restored"),
+    RuleSpec("chaos-straggler-delay", "straggler delay malformed"),
+    RuleSpec("chaos-msg-action", "queue fault action malformed"),
+    RuleSpec("chaos-evict-cause", "eviction without an injected cause"),
+)
 
-def lint_chaos(records: Iterable[TraceRecord]) -> List[Violation]:
+
+def lint_chaos(records: Iterable[TraceRecord]) -> List[Finding]:
     """Check one recorded chaos run; returns all violations (empty = clean)."""
     records = list(records)
     fluid = [r for r in records if r.kind.startswith("net-")]
@@ -62,11 +71,11 @@ def lint_chaos(records: Iterable[TraceRecord]) -> List[Violation]:
     for record in chaos:
         if record.kind not in CHAOS_KINDS:
             violations.append(
-                Violation("chaos-kind", record.subject, f"unknown kind {record.kind}")
+                Finding("chaos-kind", record.subject, f"unknown kind {record.kind}")
             )
         if record.time < last_time:
             violations.append(
-                Violation(
+                Finding(
                     "event-order",
                     record.subject,
                     f"{record.kind} at t={record.time} after t={last_time}",
@@ -79,7 +88,7 @@ def lint_chaos(records: Iterable[TraceRecord]) -> List[Violation]:
             instance = record.payload.get("instance")
             if fraction is None or not 0.0 <= fraction <= 1.0:
                 violations.append(
-                    Violation(
+                    Finding(
                         "chaos-link-fraction",
                         record.subject,
                         f"bandwidth fraction {fraction} outside [0, 1]",
@@ -91,7 +100,7 @@ def lint_chaos(records: Iterable[TraceRecord]) -> List[Violation]:
             delay = record.payload.get("delay_seconds", 0.0)
             if delay <= 0:
                 violations.append(
-                    Violation(
+                    Finding(
                         "chaos-straggler-delay",
                         record.subject,
                         f"non-positive delay {delay}",
@@ -104,7 +113,7 @@ def lint_chaos(records: Iterable[TraceRecord]) -> List[Violation]:
             action = record.payload.get("action")
             if action not in _MESSAGE_ACTIONS:
                 violations.append(
-                    Violation(
+                    Finding(
                         "chaos-msg-action", record.subject, f"unknown action {action!r}"
                     )
                 )
@@ -112,7 +121,7 @@ def lint_chaos(records: Iterable[TraceRecord]) -> List[Violation]:
             rank = record.payload.get("rank")
             if rank not in faulted_ranks:
                 violations.append(
-                    Violation(
+                    Finding(
                         "chaos-evict-cause",
                         record.subject,
                         f"rank {rank} evicted without a prior injected fault",
@@ -122,7 +131,7 @@ def lint_chaos(records: Iterable[TraceRecord]) -> List[Violation]:
     for instance, fraction in sorted(last_fraction.items()):
         if fraction != 1.0:
             violations.append(
-                Violation(
+                Finding(
                     "chaos-link-restore",
                     f"instance{instance}",
                     f"final bandwidth fraction {fraction} != 1.0 — nominal "

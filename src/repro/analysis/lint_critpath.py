@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
 from repro.critpath.engine import REPORT_KIND, REPORT_SCHEMA
 
 #: Absolute slop for summed durations: each path boundary may slip by the
@@ -45,21 +45,29 @@ _ENVELOPE = {
 
 _MODES = ("dag", "inferred")
 
+RULES = (
+    RuleSpec("critpath-io", "report file unreadable"),
+    RuleSpec("critpath-schema", "report envelope malformed"),
+    RuleSpec("critpath-path", "critical path not contiguous"),
+    RuleSpec("critpath-sums", "durations/shares do not sum"),
+    RuleSpec("critpath-attribution", "top culprit inconsistent with tables"),
+)
 
-def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
+
+def lint_critpath_report(report: Dict[str, Any]) -> List[Finding]:
     """Check one critpath report dict; returns all violations found."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
 
     for field, expected in _ENVELOPE.items():
         if field not in report:
             violations.append(
-                Violation("critpath-schema", field, "missing report field")
+                Finding("critpath-schema", field, "missing report field")
             )
         elif not isinstance(report[field], expected) or isinstance(
             report[field], bool
         ):
             violations.append(
-                Violation(
+                Finding(
                     "critpath-schema",
                     field,
                     f"wrong type {type(report[field]).__name__}",
@@ -70,11 +78,11 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
 
     if report["kind"] != REPORT_KIND:
         violations.append(
-            Violation("critpath-schema", "kind", f"unknown kind {report['kind']!r}")
+            Finding("critpath-schema", "kind", f"unknown kind {report['kind']!r}")
         )
     if report["schema"] != REPORT_SCHEMA:
         violations.append(
-            Violation(
+            Finding(
                 "critpath-schema",
                 "schema",
                 f"schema {report['schema']} != expected {REPORT_SCHEMA}",
@@ -82,7 +90,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
         )
     if report["mode"] not in _MODES:
         violations.append(
-            Violation("critpath-schema", "mode", f"unknown mode {report['mode']!r}")
+            Finding("critpath-schema", "mode", f"unknown mode {report['mode']!r}")
         )
 
     start = report["start_seconds"]
@@ -90,12 +98,12 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
     path = report["path"]
     if end < start:
         violations.append(
-            Violation("critpath-path", "window", f"end {end} precedes start {start}")
+            Finding("critpath-path", "window", f"end {end} precedes start {start}")
         )
     if not path:
         if report["span_count"] > 0:
             violations.append(
-                Violation(
+                Finding(
                     "critpath-path",
                     "path",
                     f"{report['span_count']} span(s) but an empty path",
@@ -110,7 +118,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
         kind = segment.get("kind")
         if kind not in ("wait", "span"):
             violations.append(
-                Violation(
+                Finding(
                     "critpath-path", f"segment{index}", f"unknown kind {kind!r}"
                 )
             )
@@ -119,14 +127,14 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
         seconds = segment.get("seconds")
         if s is None or e is None or seconds is None:
             violations.append(
-                Violation(
+                Finding(
                     "critpath-path", f"segment{index}", "segment missing timestamps"
                 )
             )
             continue
         if abs(s - cursor) > _SUM_TOL:
             violations.append(
-                Violation(
+                Finding(
                     "critpath-path",
                     f"segment{index}",
                     f"starts at {s}, previous segment ended at {cursor}",
@@ -134,7 +142,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
             )
         if e < s - _SUM_TOL or seconds < -_SUM_TOL:
             violations.append(
-                Violation(
+                Finding(
                     "critpath-path", f"segment{index}", "negative segment duration"
                 )
             )
@@ -145,7 +153,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
         cursor = e
     if abs(cursor - end) > _SUM_TOL:
         violations.append(
-            Violation(
+            Finding(
                 "critpath-path",
                 "path",
                 f"path ends at {cursor}, window ends at {end}",
@@ -161,7 +169,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
     ):
         if abs(computed - claimed) > _SUM_TOL * max(1, len(path)):
             violations.append(
-                Violation(
+                Finding(
                     "critpath-sums",
                     name,
                     f"path sums to {computed}, report claims {claimed}",
@@ -180,7 +188,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
             )
             if abs(entry.get("share", 0.0) - expected_share) > _SUM_TOL:
                 violations.append(
-                    Violation(
+                    Finding(
                         "critpath-sums",
                         f"{table_name}:{name}",
                         "share does not match critical + wait seconds",
@@ -191,7 +199,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
         if top is None:
             if report[table_name]:
                 violations.append(
-                    Violation(
+                    Finding(
                         "critpath-attribution",
                         top_name,
                         f"no top entry despite a non-empty {table_name} table",
@@ -200,7 +208,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
             continue
         if top.get("name") not in report[table_name]:
             violations.append(
-                Violation(
+                Finding(
                     "critpath-attribution",
                     top_name,
                     f"{top.get('name')!r} not present in {table_name}",
@@ -213,7 +221,7 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
         on_path = entry.get("critical_seconds", 0.0) + entry.get("wait_seconds", 0.0)
         if on_path > _SUM_TOL and (min_slack is None or min_slack > _SUM_TOL):
             violations.append(
-                Violation(
+                Finding(
                     "critpath-attribution",
                     "top_link",
                     f"{top_link['name']} claims the critical path but its "
@@ -223,15 +231,15 @@ def lint_critpath_report(report: Dict[str, Any]) -> List[Violation]:
     return violations
 
 
-def lint_critpath_file(path: str) -> List[Violation]:
+def lint_critpath_file(path: str) -> List[Finding]:
     """Lint an exported critpath JSON report file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             report = json.load(handle)
     except OSError as exc:
-        return [Violation("critpath-io", path, str(exc))]
+        return [Finding("critpath-io", path, str(exc))]
     except json.JSONDecodeError as exc:
-        return [Violation("critpath-schema", path, f"invalid JSON: {exc}")]
+        return [Finding("critpath-schema", path, f"invalid JSON: {exc}")]
     if not isinstance(report, dict):
-        return [Violation("critpath-schema", path, "expected a JSON object")]
+        return [Finding("critpath-schema", path, "expected a JSON object")]
     return lint_critpath_report(report)

@@ -31,11 +31,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Tuple
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
 from repro.telemetry.export import TelemetryRun, read_jsonl
 
 #: Window/occupancy overlap below this is numerical noise, not evidence.
 _TOL = 1e-9
+
+RULES = (
+    RuleSpec("fleet-io", "fleet export unreadable"),
+    RuleSpec("fleet-schema", "merged stream header/label schema malformed"),
+    RuleSpec("fleet-identity", "record ids collide within a job's stream"),
+    RuleSpec("fleet-conservation", "a job's chunk changed size across hops"),
+    RuleSpec("fleet-attribution", "attribution not backed by wire evidence"),
+)
 
 
 def _job_of(record: dict) -> str:
@@ -45,13 +53,13 @@ def _job_of(record: dict) -> str:
     return ""
 
 
-def lint_fleet_run(run: TelemetryRun) -> List[Violation]:
+def lint_fleet_run(run: TelemetryRun) -> List[Finding]:
     """Check one parsed merged fleet stream."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     meta = run.meta
     if not meta.get("fleet"):
         violations.append(
-            Violation(
+            Finding(
                 "fleet-schema",
                 "meta",
                 "meta header does not declare a fleet stream (fleet: true)",
@@ -60,14 +68,14 @@ def lint_fleet_run(run: TelemetryRun) -> List[Violation]:
     jobs = meta.get("jobs")
     if not isinstance(jobs, list) or not jobs:
         violations.append(
-            Violation("fleet-schema", "meta", "meta header lists no jobs")
+            Finding("fleet-schema", "meta", "meta header lists no jobs")
         )
         jobs = []
     job_set = {str(job) for job in jobs}
     spans_declared = meta.get("spans")
     if spans_declared is not None and spans_declared != len(run.spans):
         violations.append(
-            Violation(
+            Finding(
                 "fleet-schema",
                 "meta",
                 f"meta declares {spans_declared} span(s), stream has "
@@ -77,7 +85,7 @@ def lint_fleet_run(run: TelemetryRun) -> List[Violation]:
     events_declared = meta.get("events")
     if events_declared is not None and events_declared != len(run.events):
         violations.append(
-            Violation(
+            Finding(
                 "fleet-schema",
                 "meta",
                 f"meta declares {events_declared} event(s), stream has "
@@ -91,7 +99,7 @@ def lint_fleet_run(run: TelemetryRun) -> List[Violation]:
         job = _job_of(record)
         if not job:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-schema",
                     subject,
                     f"{record.get('type')} record carries no labels.job stamp",
@@ -100,7 +108,7 @@ def lint_fleet_run(run: TelemetryRun) -> List[Violation]:
             continue
         if job_set and job not in job_set:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-schema",
                     subject,
                     f"record labeled job {job!r} which the meta header "
@@ -110,7 +118,7 @@ def lint_fleet_run(run: TelemetryRun) -> List[Violation]:
         identity = (job, str(record.get("id")))
         if identity in seen:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-identity",
                     subject,
                     f"duplicate record id {identity[1]!r} within job "
@@ -175,7 +183,7 @@ def _enclosing(
     return ""
 
 
-def _lint_conservation(run: TelemetryRun) -> List[Violation]:
+def _lint_conservation(run: TelemetryRun) -> List[Finding]:
     """Per-job byte conservation of each chunk across its hops.
 
     A job replays many collectives and tags/unit keys repeat across
@@ -184,7 +192,7 @@ def _lint_conservation(run: TelemetryRun) -> List[Violation]:
     spans outside any collective window — e.g. watchdog probe traffic —
     key on their own id, i.e. are exempt.)
     """
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     windows = collective_windows(run)
     sizes: Dict[Tuple[str, str, str, str, int], float] = {}
     for job, tag, unit, chunk, link, start, _end, size in _chunk_sends(run):
@@ -195,7 +203,7 @@ def _lint_conservation(run: TelemetryRun) -> List[Violation]:
             sizes[key] = size
         elif size != known:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-conservation",
                     f"{job}:{tag}:{unit}:chunk{chunk}",
                     f"chunk changed size across hops: {known} vs {size} "
@@ -205,9 +213,9 @@ def _lint_conservation(run: TelemetryRun) -> List[Violation]:
     return violations
 
 
-def _lint_attributions(run: TelemetryRun) -> List[Violation]:
+def _lint_attributions(run: TelemetryRun) -> List[Finding]:
     """Every attribution's aggressor really occupied the named link."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     #: (job, link) -> [(start, end)] of that job's sends on the link.
     occupancy: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
     for job, _tag, _unit, _chunk, link, start, end, _size in _chunk_sends(run):
@@ -224,7 +232,7 @@ def _lint_attributions(run: TelemetryRun) -> List[Violation]:
         link = str(args.get("link", ""))
         if _job_of(event) != victim:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-attribution",
                     subject,
                     f"attribution stamped job {_job_of(event)!r} but claims "
@@ -233,14 +241,14 @@ def _lint_attributions(run: TelemetryRun) -> List[Violation]:
             )
         if aggressor == victim:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-attribution", subject, "job attributed to itself"
                 )
             )
             continue
         if aggressor not in jobs_in_stream:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-attribution",
                     subject,
                     f"aggressor {aggressor!r} has no records in the stream",
@@ -256,7 +264,7 @@ def _lint_attributions(run: TelemetryRun) -> List[Violation]:
         )
         if not backed:
             violations.append(
-                Violation(
+                Finding(
                     "fleet-attribution",
                     subject,
                     f"aggressor {aggressor!r} has no chunk send on link "
@@ -266,10 +274,10 @@ def _lint_attributions(run: TelemetryRun) -> List[Violation]:
     return violations
 
 
-def lint_fleet_file(path: str) -> List[Violation]:
+def lint_fleet_file(path: str) -> List[Finding]:
     """Load and lint a merged fleet JSONL export."""
     try:
         run = read_jsonl(path)
     except Exception as exc:  # TelemetryError or OSError
-        return [Violation("fleet-io", path, f"unreadable fleet export: {exc}")]
+        return [Finding("fleet-io", path, f"unreadable fleet export: {exc}")]
     return lint_fleet_run(run)

@@ -18,10 +18,10 @@ the narration is causally coherent:
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Sequence
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
+from repro.analysis.lint_observe import lint_jsonl_log
 from repro.integrity.localize import probe_round_bound
 from repro.integrity.monitor import (
     CHECKSUM_RECORD,
@@ -54,15 +54,27 @@ _SCHEMA: Dict[str, tuple] = {
     SUMMARY_RECORD: ("time", "units_seen", "units_verified", "convicted"),
 }
 
+RULES = (
+    RuleSpec("integrity-io", "integrity log unreadable"),
+    RuleSpec("integrity-header", "log does not open with its config record"),
+    RuleSpec("integrity-kind", "unknown integrity record kind"),
+    RuleSpec("integrity-record", "record schema malformed"),
+    RuleSpec("integrity-monotonic", "log timestamps regress"),
+    RuleSpec("integrity-coverage", "checksum coverage is partial"),
+    RuleSpec("integrity-probe-bound", "localization exceeded the log2 round bound"),
+    RuleSpec("integrity-conviction-evidence", "conviction without direct evidence"),
+    RuleSpec("integrity-quarantine", "quarantine without conviction or re-synthesis"),
+)
 
-def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
+
+def lint_integrity_records(records: Sequence[dict]) -> List[Finding]:
     """Check one integrity log's records for causal coherence."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     if not records:
-        return [Violation("integrity-header", "log", "log is empty")]
+        return [Finding("integrity-header", "log", "log is empty")]
     if records[0].get("type") != CONFIG_RECORD:
         violations.append(
-            Violation(
+            Finding(
                 "integrity-header",
                 "log",
                 f"log must open with {CONFIG_RECORD!r}, found "
@@ -89,13 +101,13 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
         subject = f"record{index}"
         if kind not in _SCHEMA:
             violations.append(
-                Violation("integrity-kind", subject, f"unknown record type {kind!r}")
+                Finding("integrity-kind", subject, f"unknown record type {kind!r}")
             )
             continue
         missing = [f for f in _SCHEMA[kind] if f not in record]
         if missing:
             violations.append(
-                Violation(
+                Finding(
                     "integrity-record",
                     subject,
                     f"{kind} record missing fields {missing}",
@@ -111,7 +123,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
         time = float(record["time"])
         if time < last_time:
             violations.append(
-                Violation(
+                Finding(
                     "integrity-monotonic",
                     subject,
                     f"{kind} at t={time} regresses behind t={last_time}",
@@ -122,7 +134,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
         if kind == CHECKSUM_RECORD:
             if not checksums_on:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-record", subject,
                         "checksum failure logged with checksums disabled",
                     )
@@ -131,7 +143,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
         elif kind == DIGEST_RECORD:
             if not digests_on:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-record", subject,
                         "digest mismatch logged with digests disabled",
                     )
@@ -142,7 +154,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
             bound = probe_round_bound(int(record["candidates"]))
             if int(record["rounds"]) > bound or not record["within_bound"]:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-probe-bound",
                         subject,
                         f"localization used {record['rounds']} round(s) over "
@@ -153,7 +165,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
             if link is not None:
                 if link not in window_dirty:
                     violations.append(
-                        Violation(
+                        Finding(
                             "integrity-conviction-evidence",
                             subject,
                             f"localization named {link} but no probe round "
@@ -172,7 +184,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
             )
             if not backed:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-conviction-evidence",
                         subject,
                         f"suspicion of {link} cites {evidence!r} evidence "
@@ -184,7 +196,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
             link = record["link"]
             if suspicions.get(link, 0) < threshold:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-conviction-evidence",
                         subject,
                         f"conviction of {link} with "
@@ -197,7 +209,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
             link = record["link"]
             if link not in convicted:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-quarantine",
                         subject,
                         f"quarantine of {link} without a conviction",
@@ -205,7 +217,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
                 )
             if not quarantine_on:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-quarantine", subject,
                         "quarantine logged with quarantine disabled",
                     )
@@ -215,7 +227,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
             link = record["link"]
             if link not in quarantined:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-quarantine",
                         subject,
                         f"integrity re-synthesis for {link} without its "
@@ -226,7 +238,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
         elif kind == SUMMARY_RECORD:
             if checksums_on and record["units_verified"] != record["units_seen"]:
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-coverage",
                         subject,
                         f"checksum coverage is partial: "
@@ -236,7 +248,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
                 )
             if sorted(record["convicted"]) != sorted(convicted):
                 violations.append(
-                    Violation(
+                    Finding(
                         "integrity-record",
                         subject,
                         "summary's convicted list disagrees with the "
@@ -248,7 +260,7 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
     for link in quarantined:
         if link not in resynthesized:
             violations.append(
-                Violation(
+                Finding(
                     "integrity-quarantine",
                     f"link:{link}",
                     "quarantined link never drove a re-synthesis",
@@ -257,12 +269,6 @@ def lint_integrity_records(records: Sequence[dict]) -> List[Violation]:
     return violations
 
 
-def lint_integrity_file(path: str) -> List[Violation]:
+def lint_integrity_file(path: str) -> List[Finding]:
     """Parse and lint an integrity log exported as JSONL."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-        records = [json.loads(line) for line in lines]
-    except (OSError, ValueError) as exc:
-        return [Violation("integrity-io", path, f"unreadable integrity log: {exc}")]
-    return lint_integrity_records(records)
+    return lint_jsonl_log(path, "integrity", lint_integrity_records)

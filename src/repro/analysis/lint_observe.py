@@ -21,9 +21,10 @@ export) and checks exactly that chain:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
+from repro.errors import ObserveError
 from repro.observe.verdicts import (
     CONFIG_RECORD,
     REPROBE_RECORD,
@@ -40,24 +41,38 @@ _KNOWN_KINDS = tuple(kind.value for kind in AnomalyKind)
 #: optimizer re-derived the same plan) but must not exceed it materially.
 _FINISH_SLACK = 1e-9
 
+RULES = (
+    RuleSpec("observe-io", "observe log unreadable"),
+    RuleSpec("observe-header", "log header malformed"),
+    RuleSpec("observe-kind", "unknown observe record kind"),
+    RuleSpec("observe-record", "record schema malformed"),
+    RuleSpec("observe-monotonic", "log timestamps regress"),
+    RuleSpec("observe-evidence", "verdict without an evidence window"),
+    RuleSpec("observe-causality", "re-probe/re-synthesis without a verdict"),
+    RuleSpec("observe-targeting", "re-probe not targeted at the verdict's scope"),
+    RuleSpec("observe-hysteresis", "re-synthesis violates hysteresis discipline"),
+    RuleSpec("observe-threshold", "detector fired below its threshold"),
+    RuleSpec("observe-disabled", "watchdog acted while disabled"),
+)
+
 
 def _record_time(record: Dict[str, Any]):
     return record.get("time", record.get("start"))
 
 
-def lint_observe_records(records: Sequence[Dict[str, Any]]) -> List[Violation]:
+def lint_observe_records(records: Sequence[Dict[str, Any]]) -> List[Finding]:
     """Check one observe log's records; returns all violations found."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     if not records:
         violations.append(
-            Violation("observe-header", "log", "empty log: missing config header")
+            Finding("observe-header", "log", "empty log: missing config header")
         )
         return violations
 
     header = records[0]
     if header.get("type") != CONFIG_RECORD:
         violations.append(
-            Violation(
+            Finding(
                 "observe-header",
                 "record0",
                 f"first record must be the config header, got {header.get('type')!r}",
@@ -67,7 +82,7 @@ def lint_observe_records(records: Sequence[Dict[str, Any]]) -> List[Violation]:
     for index, record in enumerate(records[1:], start=1):
         if record.get("type") == CONFIG_RECORD:
             violations.append(
-                Violation(
+                Finding(
                     "observe-header", f"record{index}", "duplicate config header"
                 )
             )
@@ -76,7 +91,7 @@ def lint_observe_records(records: Sequence[Dict[str, Any]]) -> List[Violation]:
     body = [r for r in records[1:] if r.get("type") != CONFIG_RECORD]
     if not enabled and body:
         violations.append(
-            Violation(
+            Finding(
                 "observe-disabled",
                 "log",
                 f"{len(body)} record(s) emitted while the watchdog was disabled",
@@ -94,7 +109,7 @@ def lint_observe_records(records: Sequence[Dict[str, Any]]) -> List[Violation]:
         subject = f"record{index}"
         if record_type not in _KNOWN_TYPES:
             violations.append(
-                Violation(
+                Finding(
                     "observe-record", subject, f"unknown record type {record_type!r}"
                 )
             )
@@ -103,12 +118,12 @@ def lint_observe_records(records: Sequence[Dict[str, Any]]) -> List[Violation]:
         time = _record_time(record)
         if time is None:
             violations.append(
-                Violation("observe-monotonic", subject, "record carries no timestamp")
+                Finding("observe-monotonic", subject, "record carries no timestamp")
             )
         else:
             if last_time is not None and time < last_time:
                 violations.append(
-                    Violation(
+                    Finding(
                         "observe-monotonic",
                         subject,
                         f"time {time} precedes previous record's {last_time}",
@@ -133,18 +148,18 @@ def lint_observe_records(records: Sequence[Dict[str, Any]]) -> List[Violation]:
 
 def _lint_verdict(
     record: Dict[str, Any], subject: str, threshold: float
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     name = str(record.get("id", subject))
     if record.get("kind") not in _KNOWN_KINDS:
         violations.append(
-            Violation(
+            Finding(
                 "observe-kind", name, f"unknown anomaly kind {record.get('kind')!r}"
             )
         )
     if record.get("direction") not in ("up", "down"):
         violations.append(
-            Violation(
+            Finding(
                 "observe-kind",
                 name,
                 f"verdict direction must be up/down, got {record.get('direction')!r}",
@@ -153,14 +168,14 @@ def _lint_verdict(
     evidence = record.get("evidence") or []
     if not evidence:
         violations.append(
-            Violation("observe-evidence", name, "verdict cites no evidence window")
+            Finding("observe-evidence", name, "verdict cites no evidence window")
         )
     else:
         times = []
         for sample in evidence:
             if not isinstance(sample, (list, tuple)) or len(sample) != 2:
                 violations.append(
-                    Violation(
+                    Finding(
                         "observe-evidence",
                         name,
                         f"evidence sample {sample!r} is not a (time, value) pair",
@@ -171,13 +186,13 @@ def _lint_verdict(
         else:
             if times != sorted(times):
                 violations.append(
-                    Violation(
+                    Finding(
                         "observe-evidence", name, "evidence window is not time-ordered"
                     )
                 )
             if "time" in record and times and times[-1] > float(record["time"]):
                 violations.append(
-                    Violation(
+                    Finding(
                         "observe-evidence",
                         name,
                         "evidence postdates the verdict it supports",
@@ -185,7 +200,7 @@ def _lint_verdict(
                 )
     if threshold > 0 and float(record.get("statistic", 0.0)) <= threshold:
         violations.append(
-            Violation(
+            Finding(
                 "observe-threshold",
                 name,
                 f"statistic {record.get('statistic')} did not exceed the "
@@ -194,27 +209,27 @@ def _lint_verdict(
         )
     if int(record.get("iteration", -1)) < 0:
         violations.append(
-            Violation("observe-kind", name, "verdict iteration must be non-negative")
+            Finding("observe-kind", name, "verdict iteration must be non-negative")
         )
     return violations
 
 
 def _lint_reprobe(
     record: Dict[str, Any], subject: str, verdicts: Dict[str, Dict[str, Any]]
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     name = str(record.get("id", subject))
     cited = [str(v) for v in record.get("verdicts") or []]
     if not cited:
         violations.append(
-            Violation(
+            Finding(
                 "observe-causality", name, "re-probe does not cite any verdict"
             )
         )
     unknown = [v for v in cited if v not in verdicts]
     if unknown:
         violations.append(
-            Violation(
+            Finding(
                 "observe-causality",
                 name,
                 f"re-probe cites verdict(s) not seen earlier in the log: {unknown}",
@@ -226,7 +241,7 @@ def _lint_reprobe(
     stray = sorted(set(record.get("probed_links") or []) - implicated)
     if stray:
         violations.append(
-            Violation(
+            Finding(
                 "observe-targeting",
                 name,
                 f"re-probe touched link(s) no cited verdict implicated: {stray}",
@@ -235,7 +250,7 @@ def _lint_reprobe(
     start, end = record.get("start"), record.get("end")
     if start is not None and end is not None and end < start:
         violations.append(
-            Violation("observe-causality", name, "re-probe ends before it starts")
+            Finding("observe-causality", name, "re-probe ends before it starts")
         )
     return violations
 
@@ -245,13 +260,13 @@ def _lint_resynthesis(
     subject: str,
     reprobes: Dict[str, Dict[str, Any]],
     hysteresis: float,
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     name = str(record.get("id", subject))
     reprobe_id = record.get("reprobe")
     if reprobe_id is None or str(reprobe_id) not in reprobes:
         violations.append(
-            Violation(
+            Finding(
                 "observe-causality",
                 name,
                 f"re-synthesis does not trace to an earlier re-probe "
@@ -263,13 +278,13 @@ def _lint_resynthesis(
     bound = float(record.get("hysteresis", hysteresis))
     if stale <= 0:
         violations.append(
-            Violation(
+            Finding(
                 "observe-hysteresis", name, f"stale finish time {stale} is not positive"
             )
         )
     elif abs(refreshed / stale - 1.0) <= bound:
         violations.append(
-            Violation(
+            Finding(
                 "observe-hysteresis",
                 name,
                 f"re-synthesis fired inside the hysteresis band: "
@@ -280,7 +295,7 @@ def _lint_resynthesis(
     if new_finish is not None and refreshed > 0:
         if float(new_finish) > refreshed * (1.0 + _FINISH_SLACK):
             violations.append(
-                Violation(
+                Finding(
                     "observe-hysteresis",
                     name,
                     f"re-synthesized finish {new_finish} is worse than the "
@@ -290,7 +305,22 @@ def _lint_resynthesis(
     return violations
 
 
-def lint_observe_file(path: str) -> List[Violation]:
+def lint_jsonl_log(
+    path: str, kind: str, lint_records: Callable[[List[dict]], List[Finding]]
+) -> List[Finding]:
+    """Lint a JSONL log of record objects (shared with the integrity lint).
+
+    A file that cannot be read, a line that is not JSON, or a line that is
+    not an object is one ``<kind>-io`` finding, not an exception.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            records = parse_observe_jsonl(handle.read())
+    except (OSError, ObserveError) as exc:
+        return [Finding(f"{kind}-io", path, f"unreadable {kind} log: {exc}")]
+    return lint_records(records)
+
+
+def lint_observe_file(path: str) -> List[Finding]:
     """Lint an exported observe JSONL log on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return lint_observe_records(parse_observe_jsonl(handle.read()))
+    return lint_jsonl_log(path, "observe", lint_observe_records)

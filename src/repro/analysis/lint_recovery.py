@@ -20,18 +20,30 @@ pass checks the safety contract of the recovery design on that record:
 * **rollback pairing** — every ``strategy-rollback`` names a transition
   that was prepared and never committed, and every prepare is eventually
   resolved (committed or rolled back) rather than left dangling.
-
-Violations share the :class:`repro.analysis.verify_strategy.Violation`
-record type so ``python -m repro.analysis --recovery`` reports uniformly.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
 from repro.recovery.log import EventLog, LogRecord
 from repro.recovery.transitions import quorum_size
+
+RULES = (
+    RuleSpec("record-index", "journal total order has a gap"),
+    RuleSpec("record-time", "journal timestamps regress"),
+    RuleSpec("epoch-regression", "epoch went backwards"),
+    RuleSpec("election-first", "decision before any election"),
+    RuleSpec("split-brain", "two coordinators in one epoch"),
+    RuleSpec("ack-nonmember", "ack from a non-member"),
+    RuleSpec("commit-quorum", "commit without a quorum"),
+    RuleSpec("commit-epoch", "commit from a stale epoch"),
+    RuleSpec("commit-unprepared", "commit without a prepare"),
+    RuleSpec("dangling-prepare", "prepare with no commit or rollback"),
+    RuleSpec("rollback-unprepared", "rollback without a prepare"),
+    RuleSpec("rollback-after-commit", "rollback after the commit"),
+)
 
 
 def _records(log: Union[EventLog, Iterable[LogRecord]]) -> List[LogRecord]:
@@ -40,23 +52,23 @@ def _records(log: Union[EventLog, Iterable[LogRecord]]) -> List[LogRecord]:
     return list(log)
 
 
-def lint_recovery(log: Union[EventLog, Iterable[LogRecord]]) -> List[Violation]:
+def lint_recovery(log: Union[EventLog, Iterable[LogRecord]]) -> List[Finding]:
     """Check one journal; returns all violations (empty = clean)."""
     records = _records(log)
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     violations.extend(_check_order(records))
     violations.extend(_check_epochs(records))
     violations.extend(_check_transitions(records))
     return violations
 
 
-def _check_order(records: Sequence[LogRecord]) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_order(records: Sequence[LogRecord]) -> List[Finding]:
+    violations: List[Finding] = []
     last_time = float("-inf")
     for position, record in enumerate(records):
         if record.index != position:
             violations.append(
-                Violation(
+                Finding(
                     "record-index",
                     f"record{position}",
                     f"index {record.index} breaks the gapless total order",
@@ -64,7 +76,7 @@ def _check_order(records: Sequence[LogRecord]) -> List[Violation]:
             )
         if record.time < last_time:
             violations.append(
-                Violation(
+                Finding(
                     "record-time",
                     f"record{record.index}",
                     f"{record.kind} at t={record.time} after t={last_time}",
@@ -74,8 +86,8 @@ def _check_order(records: Sequence[LogRecord]) -> List[Violation]:
     return violations
 
 
-def _check_epochs(records: Sequence[LogRecord]) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_epochs(records: Sequence[LogRecord]) -> List[Finding]:
+    violations: List[Finding] = []
     first_epoch: Optional[int] = None
     last_epoch: Optional[int] = None
     coordinator_of: Dict[int, int] = {}
@@ -84,7 +96,7 @@ def _check_epochs(records: Sequence[LogRecord]) -> List[Violation]:
             first_epoch = record.epoch
         if last_epoch is not None and record.epoch < last_epoch:
             violations.append(
-                Violation(
+                Finding(
                     "epoch-regression",
                     f"record{record.index}",
                     f"epoch {record.epoch} after epoch {last_epoch}",
@@ -95,7 +107,7 @@ def _check_epochs(records: Sequence[LogRecord]) -> List[Violation]:
             coordinator_of[record.epoch] = record.coordinator
             if record.epoch != first_epoch and record.kind != "election":
                 violations.append(
-                    Violation(
+                    Finding(
                         "election-first",
                         f"epoch{record.epoch}",
                         f"epoch opens with {record.kind!r}, not an election",
@@ -103,7 +115,7 @@ def _check_epochs(records: Sequence[LogRecord]) -> List[Violation]:
                 )
         elif record.coordinator != coordinator_of[record.epoch]:
             violations.append(
-                Violation(
+                Finding(
                     "split-brain",
                     f"epoch{record.epoch}",
                     f"coordinator {record.coordinator} acted in an epoch "
@@ -115,8 +127,8 @@ def _check_epochs(records: Sequence[LogRecord]) -> List[Violation]:
     return violations
 
 
-def _check_transitions(records: Sequence[LogRecord]) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_transitions(records: Sequence[LogRecord]) -> List[Finding]:
+    violations: List[Finding] = []
     #: transition id -> (epoch, prepared members) of its latest prepare.
     prepares: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     #: transition id -> set of (epoch, rank) acks.
@@ -141,7 +153,7 @@ def _check_transitions(records: Sequence[LogRecord]) -> List[Violation]:
             tid = int(transition)
             if tid not in prepares:
                 violations.append(
-                    Violation(
+                    Finding(
                         "rollback-unprepared",
                         f"transition{tid}",
                         f"rollback at record {record.index} names a "
@@ -150,7 +162,7 @@ def _check_transitions(records: Sequence[LogRecord]) -> List[Violation]:
                 )
             elif resolved.get(tid) == "commit":
                 violations.append(
-                    Violation(
+                    Finding(
                         "rollback-after-commit",
                         f"transition{tid}",
                         f"rollback at record {record.index} voids an "
@@ -161,7 +173,7 @@ def _check_transitions(records: Sequence[LogRecord]) -> List[Violation]:
     for tid in sorted(prepares):
         if tid not in resolved:
             violations.append(
-                Violation(
+                Finding(
                     "dangling-prepare",
                     f"transition{tid}",
                     "prepared but never committed or rolled back",
@@ -174,13 +186,13 @@ def _check_commit(
     record: LogRecord,
     prepares: Dict[int, Tuple[int, Tuple[int, ...]]],
     acks: Dict[int, set],
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     tid = int(record.get("transition", -1))
     prepared = prepares.get(tid)
     if prepared is None:
         return [
-            Violation(
+            Finding(
                 "commit-unprepared",
                 f"transition{tid}",
                 f"commit at record {record.index} was never prepared",
@@ -189,7 +201,7 @@ def _check_commit(
     prepare_epoch, members = prepared
     if prepare_epoch != record.epoch:
         violations.append(
-            Violation(
+            Finding(
                 "commit-epoch",
                 f"transition{tid}",
                 f"committed in epoch {record.epoch} but prepared in "
@@ -202,7 +214,7 @@ def _check_commit(
     stray = same_epoch_acks - set(members)
     if stray:
         violations.append(
-            Violation(
+            Finding(
                 "ack-nonmember",
                 f"transition{tid}",
                 f"acks from ranks outside the proposal: {sorted(stray)}",
@@ -211,7 +223,7 @@ def _check_commit(
     needed = quorum_size(members)
     if len(same_epoch_acks & set(members)) < needed:
         violations.append(
-            Violation(
+            Finding(
                 "commit-quorum",
                 f"transition{tid}",
                 f"{len(same_epoch_acks & set(members))} same-epoch acks "

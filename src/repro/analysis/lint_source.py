@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
 
 #: Sub-packages whose code runs under (or feeds) the simulator clock.
 #: ``telemetry`` is held to the same bar: it must never stamp records with
@@ -94,42 +94,59 @@ BANNED_SUFFIXES = {
 }
 
 
-def _default_root() -> Path:
-    return Path(__file__).resolve().parents[1]
+SYNTAX_RULE = RuleSpec("syntax", "file does not parse")
+
+RULES = (
+    SYNTAX_RULE,
+    RuleSpec("ambient-random", "stdlib random / numpy global seed used"),
+    RuleSpec("ambient-observer", "process-default hub/tap read outside a constructor default"),
+    RuleSpec("wall-clock", "host wall clock read inside deterministic code"),
+    RuleSpec("unit-suffix", "abbreviated unit suffix on a public name"),
+)
+
+#: The ``repro`` package directory — the default tree of both AST passes.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def visit_sources(paths: Iterable[Path], root: Path, checker: Callable) -> List[Finding]:
+    """Walk each file's AST with a fresh ``checker(rel)``; pool the findings.
+
+    ``rel`` is the file's posix path relative to ``root`` — the ``file`` of
+    every finding anchored in it. A file that does not parse yields one
+    ``syntax`` finding instead. Shared with the race detector's static half.
+    """
+    findings: List[Finding] = []
+    root = root.resolve()
+    for path in paths:
+        try:
+            rel = path.resolve().relative_to(root).as_posix()
+        except ValueError:
+            rel = path.as_posix()
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        except SyntaxError as exc:
+            findings.append(Finding.at("syntax", rel, exc.lineno, str(exc.msg)))
+            continue
+        visitor = checker(rel)
+        visitor.visit(tree)
+        findings.extend(visitor.findings)
+    return findings
 
 
 def lint_source(
     root: Optional[Path] = None, files: Optional[Sequence[Path]] = None
-) -> List[Violation]:
+) -> List[Finding]:
     """Lint every ``*.py`` file under ``root`` (default: the repro package)."""
-    root = Path(root) if root is not None else _default_root()
+    root = Path(root) if root is not None else PACKAGE_ROOT
     targets = [Path(f) for f in files] if files is not None else sorted(root.rglob("*.py"))
-    violations: List[Violation] = []
-    for path in targets:
-        violations.extend(_lint_file(path, root))
-    return violations
-
-
-def _lint_file(path: Path, root: Path) -> List[Violation]:
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-    except ValueError:
-        rel = path
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    except SyntaxError as exc:
-        return [Violation("syntax", f"{rel}:{exc.lineno}", str(exc.msg))]
-    in_deterministic = bool(rel.parts) and rel.parts[0] in DETERMINISTIC_DIRS
-    checker = _Checker(str(rel), in_deterministic)
-    checker.visit(tree)
-    return checker.violations
+    return visit_sources(targets, root, _Checker)
 
 
 class _Checker(ast.NodeVisitor):
-    def __init__(self, rel: str, in_deterministic: bool):
+    def __init__(self, rel: str):
         self.rel = rel
-        self.in_deterministic = in_deterministic
-        self.violations: List[Violation] = []
+        self.in_deterministic = rel.split("/", 1)[0] in DETERMINISTIC_DIRS
+        self.findings: List[Finding] = []
         #: Local alias -> fully-qualified origin, filled from import
         #: statements (``{"t": "time", "now": "time.time"}``), so wall
         #: clock matching resolves aliased and ``from``-imported names.
@@ -140,9 +157,9 @@ class _Checker(ast.NodeVisitor):
         #: ``id`` of calls sitting in a constructor's None-default slot.
         self._default_fills: set = set()
 
-    def _add(self, check: str, node: ast.AST, detail: str) -> None:
-        self.violations.append(
-            Violation(check, f"{self.rel}:{getattr(node, 'lineno', 0)}", detail)
+    def _add(self, code: str, node: ast.AST, message: str) -> None:
+        self.findings.append(
+            Finding.at(code, self.rel, getattr(node, "lineno", 0), message)
         )
 
     # -- ambient randomness ------------------------------------------------------

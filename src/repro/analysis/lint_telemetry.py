@@ -19,9 +19,6 @@ Checks on a JSONL run (:class:`repro.telemetry.export.TelemetryRun`):
 * **chrome** — a converted trace (the ``traceEvents`` object form) has
   one ``thread_name`` metadata event per tid, microsecond timestamps, and
   non-negative durations on complete events.
-
-Violations share :class:`repro.analysis.verify_strategy.Violation` so
-``python -m repro.analysis --telemetry`` reports uniformly.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
 from repro.errors import TelemetryError
 from repro.telemetry.export import SCHEMA_VERSION, TelemetryRun, parse_jsonl
 
@@ -39,19 +36,28 @@ _RECORD_TYPES = ("span", "event")
 #: Chrome trace phases the exporter emits (flow arrows are s/t/f).
 _CHROME_PHASES = ("X", "i", "B", "M", "s", "t", "f")
 
+RULES = (
+    RuleSpec("telemetry-io", "export file unreadable"),
+    RuleSpec("telemetry-schema", "record schema malformed"),
+    RuleSpec("telemetry-identity", "span ids duplicated or unparented"),
+    RuleSpec("telemetry-nesting", "child span escapes its parent interval"),
+    RuleSpec("telemetry-clock", "timestamps regress"),
+    RuleSpec("chrome-schema", "Chrome trace structure malformed"),
+)
+
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def lint_telemetry_run(run: TelemetryRun) -> List[Violation]:
+def lint_telemetry_run(run: TelemetryRun) -> List[Finding]:
     """Check one parsed JSONL run; returns all violations (empty = clean)."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
 
     schema = run.meta.get("schema")
     if schema != SCHEMA_VERSION:
         violations.append(
-            Violation(
+            Finding(
                 "telemetry-schema",
                 "meta",
                 f"schema {schema!r} != supported {SCHEMA_VERSION}",
@@ -61,7 +67,7 @@ def lint_telemetry_run(run: TelemetryRun) -> List[Violation]:
         declared = run.meta.get(field)
         if declared != actual:
             violations.append(
-                Violation(
+                Finding(
                     "telemetry-schema",
                     "meta",
                     f"header declares {declared!r} {field}, file has {actual}",
@@ -75,39 +81,39 @@ def lint_telemetry_run(run: TelemetryRun) -> List[Violation]:
         kind = record.get("type")
         if kind not in _RECORD_TYPES:
             violations.append(
-                Violation("telemetry-schema", subject, f"unknown record type {kind!r}")
+                Finding("telemetry-schema", subject, f"unknown record type {kind!r}")
             )
             continue
         span_id = record.get("id")
         if not isinstance(span_id, str) or not span_id:
             violations.append(
-                Violation("telemetry-schema", subject, f"bad span id {span_id!r}")
+                Finding("telemetry-schema", subject, f"bad span id {span_id!r}")
             )
             continue
         subject = f"{kind}:{span_id}"
         if span_id in by_id:
             violations.append(
-                Violation("telemetry-identity", subject, "duplicate span id")
+                Finding("telemetry-identity", subject, "duplicate span id")
             )
         by_id[span_id] = record
 
         if not isinstance(record.get("name"), str) or not record["name"]:
             violations.append(
-                Violation("telemetry-schema", subject, "missing or empty name")
+                Finding("telemetry-schema", subject, "missing or empty name")
             )
         if not isinstance(record.get("args", {}), dict):
-            violations.append(Violation("telemetry-schema", subject, "args is not an object"))
+            violations.append(Finding("telemetry-schema", subject, "args is not an object"))
 
         start = record.get("start")
         end = record.get("end")
         if not _is_number(start):
             violations.append(
-                Violation("telemetry-clock", subject, f"non-numeric start {start!r}")
+                Finding("telemetry-clock", subject, f"non-numeric start {start!r}")
             )
             continue
         if start < last_start:
             violations.append(
-                Violation(
+                Finding(
                     "telemetry-clock",
                     subject,
                     f"start {start} after previous record's {last_start} "
@@ -118,19 +124,19 @@ def lint_telemetry_run(run: TelemetryRun) -> List[Violation]:
         if end is None:
             if kind == "span":
                 violations.append(
-                    Violation("telemetry-clock", subject, "span was never closed")
+                    Finding("telemetry-clock", subject, "span was never closed")
                 )
         elif not _is_number(end):
             violations.append(
-                Violation("telemetry-clock", subject, f"non-numeric end {end!r}")
+                Finding("telemetry-clock", subject, f"non-numeric end {end!r}")
             )
         elif end < start:
             violations.append(
-                Violation("telemetry-clock", subject, f"end {end} before start {start}")
+                Finding("telemetry-clock", subject, f"end {end} before start {start}")
             )
         elif kind == "event" and end != start:
             violations.append(
-                Violation("telemetry-clock", subject, "instant event with end != start")
+                Finding("telemetry-clock", subject, "instant event with end != start")
             )
 
     for span_id, record in by_id.items():
@@ -140,7 +146,7 @@ def lint_telemetry_run(run: TelemetryRun) -> List[Violation]:
         subject = f"{record.get('type')}:{span_id}"
         if not span_id.startswith(f"{parent_id}."):
             violations.append(
-                Violation(
+                Finding(
                     "telemetry-identity",
                     subject,
                     f"id does not extend parent id {parent_id!r}",
@@ -149,14 +155,14 @@ def lint_telemetry_run(run: TelemetryRun) -> List[Violation]:
         parent = by_id.get(parent_id)
         if parent is None:
             violations.append(
-                Violation("telemetry-identity", subject, f"unknown parent {parent_id!r}")
+                Finding("telemetry-identity", subject, f"unknown parent {parent_id!r}")
             )
             continue
         if not _is_number(record.get("start")) or not _is_number(parent.get("start")):
             continue
         if record["start"] < parent["start"]:
             violations.append(
-                Violation("telemetry-nesting", subject, "starts before its parent")
+                Finding("telemetry-nesting", subject, "starts before its parent")
             )
         if (
             _is_number(record.get("end"))
@@ -164,17 +170,17 @@ def lint_telemetry_run(run: TelemetryRun) -> List[Violation]:
             and record["end"] > parent["end"]
         ):
             violations.append(
-                Violation("telemetry-nesting", subject, "ends after its parent")
+                Finding("telemetry-nesting", subject, "ends after its parent")
             )
     return violations
 
 
-def lint_chrome_trace(payload: Dict[str, Any]) -> List[Violation]:
+def lint_chrome_trace(payload: Dict[str, Any]) -> List[Finding]:
     """Check a Chrome trace-event object (the ``traceEvents`` form)."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     events = payload.get("traceEvents")
     if not isinstance(events, list):
-        return [Violation("chrome-schema", "trace", "no traceEvents list")]
+        return [Finding("chrome-schema", "trace", "no traceEvents list")]
 
     named_tids = set()
     for event in events:
@@ -186,20 +192,20 @@ def lint_chrome_trace(payload: Dict[str, Any]) -> List[Violation]:
         phase = event.get("ph")
         if phase not in _CHROME_PHASES:
             violations.append(
-                Violation("chrome-schema", subject, f"unexpected phase {phase!r}")
+                Finding("chrome-schema", subject, f"unexpected phase {phase!r}")
             )
             continue
         if "tid" not in event or "pid" not in event:
-            violations.append(Violation("chrome-schema", subject, "missing pid/tid"))
+            violations.append(Finding("chrome-schema", subject, "missing pid/tid"))
         if phase == "M":
             continue
         if not _is_number(event.get("ts")):
             violations.append(
-                Violation("chrome-schema", subject, f"non-numeric ts {event.get('ts')!r}")
+                Finding("chrome-schema", subject, f"non-numeric ts {event.get('ts')!r}")
             )
         if event.get("tid") not in named_tids:
             violations.append(
-                Violation(
+                Finding(
                     "chrome-schema",
                     subject,
                     f"tid {event.get('tid')!r} has no thread_name metadata",
@@ -209,19 +215,19 @@ def lint_chrome_trace(payload: Dict[str, Any]) -> List[Violation]:
             duration = event.get("dur")
             if not _is_number(duration) or duration < 0:
                 violations.append(
-                    Violation(
+                    Finding(
                         "chrome-schema", subject, f"complete event with dur {duration!r}"
                     )
                 )
         if phase == "i" and event.get("s") not in ("t", "p", "g"):
             violations.append(
-                Violation(
+                Finding(
                     "chrome-schema", subject, f"instant scope {event.get('s')!r}"
                 )
             )
         if phase in ("s", "t", "f") and "id" not in event:
             violations.append(
-                Violation("chrome-schema", subject, "flow event without an id")
+                Finding("chrome-schema", subject, "flow event without an id")
             )
 
     # Flow pairing: every flow id needs exactly one start and one finish
@@ -238,7 +244,7 @@ def lint_chrome_trace(payload: Dict[str, Any]) -> List[Violation]:
         starts, finishes = flows[flow_id]["s"], flows[flow_id]["f"]
         if len(starts) != 1 or len(finishes) != 1:
             violations.append(
-                Violation(
+                Finding(
                     "chrome-schema",
                     subject,
                     f"{len(starts)} start(s) and {len(finishes)} finish(es); "
@@ -247,14 +253,14 @@ def lint_chrome_trace(payload: Dict[str, Any]) -> List[Violation]:
             )
         elif finishes[0] < starts[0]:
             violations.append(
-                Violation(
+                Finding(
                     "chrome-schema", subject, "flow finishes before it starts"
                 )
             )
     return violations
 
 
-def lint_telemetry_file(path: str) -> List[Violation]:
+def lint_telemetry_file(path: str) -> List[Finding]:
     """Lint one exported file — JSONL run or Chrome trace, by content.
 
     A file whose first non-blank line parses as an object with a
@@ -267,7 +273,7 @@ def lint_telemetry_file(path: str) -> List[Violation]:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        return [Violation("telemetry-io", path, str(exc))]
+        return [Finding("telemetry-io", path, str(exc))]
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -279,5 +285,5 @@ def lint_telemetry_file(path: str) -> List[Violation]:
     try:
         run = parse_jsonl(text)
     except TelemetryError as exc:
-        return [Violation("telemetry-io", path, str(exc))]
+        return [Finding("telemetry-io", path, str(exc))]
     return lint_telemetry_run(run)

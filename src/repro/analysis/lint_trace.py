@@ -18,16 +18,13 @@ simulator's physical invariants:
 * **event ordering** — timestamps are non-decreasing, remaining bytes are
   non-increasing, flows end after they start and never appear in a
   snapshot outside their lifetime.
-
-Violations share the :class:`repro.analysis.verify_strategy.Violation`
-record type.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
 from repro.simulation.records import TraceRecord
 
 #: Relative tolerance for rate/capacity comparisons.
@@ -35,6 +32,15 @@ _REL_TOL = 1e-6
 #: Absolute slack (bytes) forgiven by byte conservation — covers the fluid
 #: model's force-completion of numerically-done transfers.
 _BYTE_ATOL = 0.01
+
+RULES = (
+    RuleSpec("event-order", "trace events out of order or outside a flow lifetime"),
+    RuleSpec("rate-sign", "negative allocated rate"),
+    RuleSpec("byte-conservation", "flow bytes not conserved"),
+    RuleSpec("link-capacity", "aggregate rate exceeds link capacity"),
+    RuleSpec("stream-cap", "flow rate exceeds its per-stream cap"),
+    RuleSpec("max-min", "flow below cap with no saturated link"),
+)
 
 
 class _FlowState:
@@ -50,9 +56,9 @@ class _FlowState:
         self.tag = tag
 
 
-def lint_trace(records: Iterable[TraceRecord]) -> List[Violation]:
+def lint_trace(records: Iterable[TraceRecord]) -> List[Finding]:
     """Check one recorded run; returns all violations found (empty = clean)."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     flows: Dict[int, _FlowState] = {}
     ended: Dict[int, float] = {}
     last_time = float("-inf")
@@ -60,7 +66,7 @@ def lint_trace(records: Iterable[TraceRecord]) -> List[Violation]:
     for record in records:
         if record.time < last_time:
             violations.append(
-                Violation(
+                Finding(
                     "event-order",
                     record.subject,
                     f"{record.kind} at t={record.time} after t={last_time}",
@@ -72,7 +78,7 @@ def lint_trace(records: Iterable[TraceRecord]) -> List[Violation]:
             fid = record.payload["flow"]
             if fid in flows or fid in ended:
                 violations.append(
-                    Violation("event-order", record.subject, "flow started twice")
+                    Finding("event-order", record.subject, "flow started twice")
                 )
             flows[fid] = _FlowState(
                 record.time, record.payload["size"], record.payload.get("tag", "")
@@ -82,7 +88,7 @@ def lint_trace(records: Iterable[TraceRecord]) -> List[Violation]:
             state = flows.pop(fid, None)
             if state is None:
                 violations.append(
-                    Violation(
+                    Finding(
                         "event-order", record.subject, f"{record.kind} without a start"
                     )
                 )
@@ -90,7 +96,7 @@ def lint_trace(records: Iterable[TraceRecord]) -> List[Violation]:
             ended[fid] = record.time
             if record.time < state.started:
                 violations.append(
-                    Violation(
+                    Finding(
                         "event-order",
                         record.subject,
                         f"flow ends at t={record.time} before its start t={state.started}",
@@ -101,7 +107,7 @@ def lint_trace(records: Iterable[TraceRecord]) -> List[Violation]:
                 slack = max(_BYTE_ATOL, _REL_TOL * state.size)
                 if abs(state.moved - state.size) > slack:
                     violations.append(
-                        Violation(
+                        Finding(
                             "byte-conservation",
                             record.subject,
                             f"flow {state.tag or fid} moved {state.moved:.6g} B of "
@@ -116,8 +122,8 @@ def lint_trace(records: Iterable[TraceRecord]) -> List[Violation]:
 
 def _check_snapshot(
     record: TraceRecord, flows: Dict[int, "_FlowState"], ended: Dict[int, float]
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     now = record.time
     links = {
         lid: (name, capacity, per_stream_cap)
@@ -131,7 +137,7 @@ def _check_snapshot(
         state = flows.get(fid)
         if state is None:
             violations.append(
-                Violation(
+                Finding(
                     "event-order",
                     label,
                     "flow appears in a rate snapshot outside its lifetime"
@@ -140,10 +146,10 @@ def _check_snapshot(
             )
             continue
         if rate < 0:
-            violations.append(Violation("rate-sign", label, f"negative rate {rate}"))
+            violations.append(Finding("rate-sign", label, f"negative rate {rate}"))
         if remaining > state.last_remaining + _BYTE_ATOL:
             violations.append(
-                Violation(
+                Finding(
                     "byte-conservation",
                     label,
                     f"remaining grew from {state.last_remaining:.6g} to {remaining:.6g} B",
@@ -167,7 +173,7 @@ def _check_snapshot(
         name, capacity, _cap = links[lid]
         if capacity != float("inf") and load > capacity * (1 + _REL_TOL) + 1e-9:
             violations.append(
-                Violation(
+                Finding(
                     "link-capacity",
                     name,
                     f"allocated {load:.6g} B/s exceeds capacity {capacity:.6g} B/s "
@@ -185,7 +191,7 @@ def _check_snapshot(
                 stream_cap = min(stream_cap, links[lid][2] / mult)
         if stream_cap != float("inf") and rate > stream_cap * (1 + _REL_TOL) + 1e-9:
             violations.append(
-                Violation(
+                Finding(
                     "stream-cap",
                     label,
                     f"rate {rate:.6g} B/s exceeds per-stream cap {stream_cap:.6g} B/s",
@@ -207,7 +213,7 @@ def _check_snapshot(
                     break
             if not blocked:
                 violations.append(
-                    Violation(
+                    Finding(
                         "max-min",
                         label,
                         f"rate {rate:.6g} B/s is below its cap with no saturated "

@@ -1,112 +1,89 @@
 """The built-in analysis passes, registered with the pass framework.
 
-The ten pass bodies live here (the scenario passes moved out of
-``__main__`` when the CLI became a thin shell over the framework). Each
-legacy entry point still returns bare :class:`Violation` records — tests
-and the executor pre-flight keep importing those — and a thin registered
-wrapper lifts them into structured :class:`Finding` records with the
-pass's default severity.
-
-Heavy imports happen inside each function: the CLI must stay importable
-(for ``--list``) without dragging in numpy, the simulator, or the whole
-runtime.
+One section per pass, in canonical report order: the scenario body, then
+its ``register()`` call — the lint module's ``RULES`` plus the codes only
+the scenario can raise (exactness, ground truth, determinism), declared
+right there. A pass that can also lint an exported artifact names that
+lint as ``lint_file``; nothing else in the package lists the passes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+import json
+from dataclasses import replace
+from typing import List
 
-from repro.analysis.findings import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Finding,
-    from_violations,
+import numpy as np
+
+from repro.adapcc import AdapCCSession
+from repro.analysis import (
+    lint_chaos,
+    lint_critpath,
+    lint_fleet,
+    lint_integrity,
+    lint_observe,
+    lint_recovery,
+    lint_source,
+    lint_telemetry,
+    lint_trace,
+    race,
+    verify_strategy,
 )
-from repro.analysis.registry import PassContext, PassSpec, RuleSpec, register
-from repro.analysis.verify_strategy import Violation
+from repro.analysis.findings import Finding, RuleSpec
+from repro.analysis.registry import PassContext, PassSpec, register
+from repro.baselines import available_backends
+from repro.bench.harness import BenchEnvironment
+from repro.chaos import (
+    ChaosRunner,
+    CoordinatorCrashFault,
+    FaultPlan,
+    PartitionFault,
+)
+from repro.chaos.plan import StragglerFault
+from repro.critpath import analyze_run, report_to_json
+from repro.errors import SynthesisError
+from repro.fleet.runner import FleetRunner
+from repro.fleet.workload import canonical_overlap_workload
+from repro.hardware.presets import make_config, make_homo_cluster
+from repro.integrity import IntegrityConfig
+from repro.observe import ObserveConfig, evaluate_detection
+from repro.observe.verdicts import link_endpoints
+from repro.simulation.records import TraceRecorder
+from repro.synthesis.strategy import Primitive, fingerprint_strategy
+from repro.telemetry.core import TelemetryHub
+from repro.telemetry.export import parse_jsonl, to_chrome_trace, to_jsonl
 
-Echo = Callable[[str], None]
+# -- source ---------------------------------------------------------------------------
 
 
-def _silent(message: str) -> None:
-    pass
-
-
-# -- legacy pass bodies (return bare Violations; importable directly) ------------------
-
-
-def run_source_pass(root=None, echo: Echo = _silent) -> List[Violation]:
+def run_source_pass(ctx: PassContext) -> List[Finding]:
     """Lint the repro source tree."""
-    from repro.analysis.lint_source import lint_source
-
-    return lint_source(root=root)
+    return lint_source.lint_source(root=ctx.root)
 
 
-def _traced_allreduce():
-    """One 4-rank AdapCC AllReduce on a hub of its own: ``(strategy, run)``."""
-    import numpy as np
-
-    from repro.bench.harness import BenchEnvironment
-    from repro.hardware.presets import make_config
-    from repro.synthesis.strategy import Primitive
-    from repro.telemetry.core import TelemetryHub
-    from repro.telemetry.export import parse_jsonl, to_jsonl
-
-    fresh = TelemetryHub(enabled=True)
-    env = BenchEnvironment(make_config([2, 2]), "adapcc", hub=fresh)
-    env.backend.verify = False
-    inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
-    strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
-    env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
-    return strategy, parse_jsonl(to_jsonl(fresh))
-
-
-def run_race_pass(root=None, echo: Echo = _silent) -> List[Finding]:
-    """Static determinism-hazard lint + dynamic happens-before check.
-
-    The static half walks the order-sensitive sub-packages (or ``root``
-    when given — tests point it at seeded hazard fixtures). The dynamic
-    half — only on the real tree — plans one AllReduce, executes it under
-    a fresh telemetry hub, and replays the exported run against the
-    strategy's chunk-dependency DAG with vector clocks.
-    """
-    from repro.analysis.race import lint_determinism_hazards
-
-    findings = list(lint_determinism_hazards(root=root))
-    if root is not None:
-        return findings
-
-    from repro.analysis.cache import fingerprint_strategy
-    from repro.analysis.race import check_run_against_dag
-
-    strategy, run = _traced_allreduce()
-    dynamic = check_run_against_dag(strategy, run)
-    echo(
-        f"races: {len(findings)} static hazard(s); checked "
-        f"{len(run.spans)} spans against the chunk DAG of strategy "
-        f"{fingerprint_strategy(strategy)[:12]} — {len(dynamic)} race(s)"
+register(
+    PassSpec(
+        name="source",
+        description="AST determinism/convention lint over src/repro",
+        title="source lint",
+        rules=lint_source.RULES,
+        run=run_source_pass,
     )
-    findings.extend(dynamic)
-    return findings
+)
+
+# -- strategies -----------------------------------------------------------------------
 
 
 def run_strategy_pass(
-    tensor_bytes: float = 8 * 1024 * 1024, echo: Echo = _silent
-) -> List[Violation]:
+    ctx: PassContext, tensor_bytes: float = 8 * 1024 * 1024
+) -> List[Finding]:
     """Plan and statically verify strategies across backends and topologies.
 
     Covers the Fig. 11–13 benchmark families: every registered backend on
     single- and multi-server, homogeneous and mixed-SKU clusters, for each
     primitive the backend supports (a backend declining a primitive with a
-    ``SynthesisError`` is skipped, not a violation).
+    ``SynthesisError`` is skipped, not a finding).
     """
-    from repro.analysis.verify_strategy import verify_strategy
-    from repro.baselines import available_backends
-    from repro.bench.harness import BenchEnvironment
-    from repro.errors import SynthesisError
-    from repro.hardware.presets import make_config
-    from repro.synthesis.strategy import Primitive
-
     configs = [
         ("A100:(4,4)", make_config([4, 4])),
         ("A100:(4,4) V100:(4,4)", make_config([4, 4], [4, 4])),
@@ -118,7 +95,7 @@ def run_strategy_pass(
         Primitive.BROADCAST,
         Primitive.ALLTOALL,
     ]
-    violations: List[Violation] = []
+    findings: List[Finding] = []
     planned = skipped = 0
     for label, specs in configs:
         for backend_name in available_backends():
@@ -133,31 +110,34 @@ def run_strategy_pass(
                     skipped += 1
                     continue
                 planned += 1
-                for v in verify_strategy(strategy, env.topology):
-                    violations.append(
-                        Violation(
-                            v.check,
-                            f"{backend_name}/{primitive.value}/{label}/{v.subject}",
-                            v.detail,
-                        )
-                    )
-    echo(
+                where = f"{backend_name}/{primitive.value}/{label}"
+                findings.extend(
+                    replace(f, subject=f"{where}/{f.subject}")
+                    for f in verify_strategy.verify_strategy(strategy, env.topology)
+                )
+    ctx.echo(
         f"strategies: verified {planned} planned strategies "
         f"({skipped} unsupported combinations skipped)"
     )
-    return violations
+    return findings
 
 
-def run_trace_pass(echo: Echo = _silent) -> List[Violation]:
+register(
+    PassSpec(
+        name="strategies",
+        description="plan every backend × primitive × benchmark topology "
+        "and statically verify the strategies",
+        title="strategy verifier",
+        rules=verify_strategy.RULES,
+        run=run_strategy_pass,
+    )
+)
+
+# -- traces ---------------------------------------------------------------------------
+
+
+def run_trace_pass(ctx: PassContext) -> List[Finding]:
     """Execute one recorded AllReduce and lint the network trace."""
-    import numpy as np
-
-    from repro.analysis.lint_trace import lint_trace
-    from repro.bench.harness import BenchEnvironment
-    from repro.hardware.presets import make_config
-    from repro.simulation.records import TraceRecorder
-    from repro.synthesis.strategy import Primitive
-
     env = BenchEnvironment(make_config([4, 4]), "adapcc")
     env.backend.verify = False
     recorder = TraceRecorder()
@@ -165,17 +145,25 @@ def run_trace_pass(echo: Echo = _silent) -> List[Violation]:
     inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
     strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
     env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
-    echo(f"traces: linted {len(recorder.records)} trace records")
-    return lint_trace(recorder.records)
+    ctx.echo(f"traces: linted {len(recorder.records)} trace records")
+    return lint_trace.lint_trace(recorder.records)
 
 
-def run_chaos_pass(seed: int = 23, echo: Echo = _silent) -> List[Violation]:
+register(
+    PassSpec(
+        name="traces",
+        description="run a recorded AllReduce and lint the fluid-network trace",
+        title="trace lint",
+        rules=lint_trace.RULES,
+        run=run_trace_pass,
+    )
+)
+
+# -- chaos ----------------------------------------------------------------------------
+
+
+def run_chaos_pass(ctx: PassContext, seed: int = 23) -> List[Finding]:
     """Replay one seeded fault plan with a recorder attached and lint it."""
-    from repro.analysis.lint_chaos import lint_chaos
-    from repro.chaos import ChaosRunner, FaultPlan
-    from repro.hardware.presets import make_homo_cluster
-    from repro.simulation.records import TraceRecorder
-
     specs = make_homo_cluster(num_servers=2, gpus_per_server=4)
     plan = FaultPlan.generate(
         seed=seed,
@@ -188,34 +176,40 @@ def run_chaos_pass(seed: int = 23, echo: Echo = _silent) -> List[Violation]:
     )
     recorder = TraceRecorder()
     report = ChaosRunner(specs, plan, length=512, recorder=recorder).run()
-    echo(
+    ctx.echo(
         f"chaos: replayed seed {seed} — {len(plan.stragglers)} stragglers, "
         f"{len(plan.crashes)} crashes, {len(plan.link_faults)} link faults; "
         f"linted {len(recorder.records)} trace records"
     )
-    violations = lint_chaos(recorder.records)
+    findings = lint_chaos.lint_chaos(recorder.records)
     if not report.all_exact:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "chaos-exactness",
                 f"seed{seed}",
                 "a chaos iteration's AllReduce was not bitwise exact",
             )
         )
-    return violations
+    return findings
 
 
-def run_recovery_pass(seed: int = 29, echo: Echo = _silent) -> List[Violation]:
-    """Crash the coordinator (both phases), partition, then lint the journal."""
-    from repro.analysis.lint_recovery import lint_recovery
-    from repro.chaos import (
-        ChaosRunner,
-        CoordinatorCrashFault,
-        FaultPlan,
-        PartitionFault,
+register(
+    PassSpec(
+        name="chaos",
+        description="replay a seeded fault plan and lint the trace through "
+        "the injected faults",
+        title="chaos lint",
+        rules=lint_chaos.RULES
+        + (RuleSpec("chaos-exactness", "a chaos iteration was not bitwise exact"),),
+        run=run_chaos_pass,
     )
-    from repro.hardware.presets import make_homo_cluster
+)
 
+# -- recovery -------------------------------------------------------------------------
+
+
+def run_recovery_pass(ctx: PassContext, seed: int = 29) -> List[Finding]:
+    """Crash the coordinator (both phases), partition, then lint the journal."""
     specs = make_homo_cluster(num_servers=2, gpus_per_server=4)
     plan = FaultPlan(
         seed=seed,
@@ -229,58 +223,57 @@ def run_recovery_pass(seed: int = 29, echo: Echo = _silent) -> List[Violation]:
     runner = ChaosRunner(specs, plan, length=512)
     report = runner.run()
     log = runner.control_plane.log
-    echo(
+    ctx.echo(
         f"recovery: seed {seed} — {report.elections} elections, "
         f"{report.fenced_messages} fenced messages, {report.rollbacks} "
         f"rollback(s), {report.replayed_records} replayed records; "
         f"linted {len(log)} journal records"
     )
-    violations = lint_recovery(log)
+    findings = lint_recovery.lint_recovery(log)
     if not report.all_exact:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "recovery-exactness",
                 f"seed{seed}",
                 "a coordinator-crash iteration's AllReduce was not bitwise exact",
             )
         )
     if report.elections < 2 or report.rollbacks < 1:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "recovery-coverage",
                 f"seed{seed}",
                 "the recovery scenario did not exercise both failover phases",
             )
         )
-    return violations
+    return findings
 
 
-def run_telemetry_pass(target=None, echo: Echo = _silent) -> List[Violation]:
-    """Lint exported telemetry — a given file, or a fresh self-check run.
-
-    With ``target`` a path, lint that file (JSONL run or Chrome trace,
-    detected by content). With ``target`` true-ish-but-not-a-path (the
-    bare ``--telemetry`` flag), run one adaptive AllReduce with a
-    straggler on a session with its own enabled hub, so every layer emits,
-    and lint both export formats in memory.
-    """
-    from repro.analysis.lint_telemetry import (
-        lint_chrome_trace,
-        lint_telemetry_file,
-        lint_telemetry_run,
+register(
+    PassSpec(
+        name="recovery",
+        description="crash the coordinator mid-decision and mid-transition, "
+        "then lint the control-plane journal",
+        title="recovery lint",
+        rules=lint_recovery.RULES
+        + (
+            RuleSpec("recovery-exactness", "a failover iteration was not bitwise exact"),
+            RuleSpec("recovery-coverage", "scenario missed a failover phase"),
+        ),
+        run=run_recovery_pass,
     )
+)
 
-    if isinstance(target, str):
-        violations = lint_telemetry_file(target)
-        echo(f"telemetry: linted {target}")
-        return violations
+# -- telemetry ------------------------------------------------------------------------
 
-    import numpy as np
 
-    from repro.adapcc import AdapCCSession
-    from repro.hardware.presets import make_config
-    from repro.telemetry.export import parse_jsonl, to_chrome_trace, to_jsonl
+def run_telemetry_pass(ctx: PassContext) -> List[Finding]:
+    """Lint the exports of a fresh self-check run.
 
+    Runs one adaptive AllReduce with a straggler on a session with its own
+    enabled hub, so every layer emits, and lints both export formats in
+    memory.
+    """
     session = AdapCCSession(make_config([2, 2], [2, 2]), telemetry=True)
     session.init()
     session.setup()
@@ -288,39 +281,39 @@ def run_telemetry_pass(target=None, echo: Echo = _silent) -> List[Violation]:
     ready = {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.5}
     session.allreduce(tensors, ready_times=ready)
     fresh = session.telemetry
-    violations = lint_telemetry_run(parse_jsonl(to_jsonl(fresh)))
-    violations.extend(lint_chrome_trace(to_chrome_trace(fresh)))
-    echo(
+    findings = lint_telemetry.lint_telemetry_run(parse_jsonl(to_jsonl(fresh)))
+    findings.extend(lint_telemetry.lint_chrome_trace(to_chrome_trace(fresh)))
+    ctx.echo(
         f"telemetry: self-check exported {len(fresh.tracer.spans)} spans, "
         f"{len(fresh.tracer.events)} events; linted JSONL + Chrome forms"
     )
-    return violations
+    return findings
 
 
-def run_observe_pass(
-    target=None, seed: int = 11, echo: Echo = _silent
-) -> List[Violation]:
-    """Lint an observe log — a given file, or a fresh closed-loop run.
+register(
+    PassSpec(
+        name="telemetry",
+        description="run an instrumented collective and lint the JSONL + "
+        "Chrome-trace exports (or lint a given export file)",
+        title="telemetry lint",
+        rules=lint_telemetry.RULES,
+        run=run_telemetry_pass,
+        lint_file=lint_telemetry.lint_telemetry_file,
+    )
+)
 
-    With ``target`` a path, lint that exported observe JSONL file. With
-    the bare ``--observe`` flag, replay the canonical interference fault
-    plan through a chaos runner with its own enabled telemetry hub and the
-    watchdog armed, and check both the log's causal chain and
-    its detection quality (the injected fault must be detected, and the
-    loop must actually have re-probed and re-synthesized).
+# -- observe --------------------------------------------------------------------------
+
+
+def run_observe_pass(ctx: PassContext, seed: int = 11) -> List[Finding]:
+    """Lint the verdict log of a fresh closed-loop run.
+
+    Replays the canonical interference fault plan through a chaos runner
+    with its own enabled telemetry hub and the watchdog armed, and checks
+    both the log's causal chain and its detection quality (the injected
+    fault must be detected, and the loop must actually have re-probed and
+    re-synthesized).
     """
-    from repro.analysis.lint_observe import lint_observe_file, lint_observe_records
-
-    if isinstance(target, str):
-        violations = lint_observe_file(target)
-        echo(f"observe: linted {target}")
-        return violations
-
-    from repro.chaos import ChaosRunner, FaultPlan
-    from repro.hardware.presets import make_homo_cluster
-    from repro.observe import ObserveConfig, evaluate_detection
-    from repro.telemetry.core import TelemetryHub
-
     specs = make_homo_cluster(num_servers=2, gpus_per_server=4)
     plan = FaultPlan.interference(seed=seed, iterations=24)
     runner = ChaosRunner(
@@ -334,33 +327,33 @@ def run_observe_pass(
     report = runner.run()
     watchdog = runner.watchdog
     quality = evaluate_detection(watchdog.log.verdicts, plan.ground_truth())
-    echo(
+    ctx.echo(
         f"observe: seed {seed} — {watchdog.verdicts_raised} verdict(s), "
         f"{watchdog.reprobes_run} targeted re-probe(s), "
         f"{watchdog.resyntheses_triggered} re-synthesis(es); recall "
         f"{quality.recall:.2f}, precision {quality.precision:.2f}; "
         f"linted {len(watchdog.log)} log records"
     )
-    violations = lint_observe_records(watchdog.log.records)
+    findings = lint_observe.lint_observe_records(watchdog.log.records)
     if quality.recall < 1.0:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "observe-detection",
                 f"seed{seed}",
                 "the watchdog missed the injected interference fault",
             )
         )
     if quality.precision < 1.0:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "observe-detection",
                 f"seed{seed}",
                 f"{len(quality.false_positives)} verdict(s) match no injected fault",
             )
         )
     if watchdog.reprobes_run < 1 or watchdog.resyntheses_triggered < 1:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "observe-loop",
                 f"seed{seed}",
                 "the scenario did not close the loop (no re-probe or no "
@@ -368,23 +361,87 @@ def run_observe_pass(
             )
         )
     if not report.all_exact:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "observe-exactness",
                 f"seed{seed}",
                 "an observed iteration's AllReduce was not bitwise exact",
             )
         )
-    return violations
+    return findings
 
 
-def run_critpath_pass(
-    target=None, seed: int = 11, echo: Echo = _silent
-) -> List[Violation]:
-    """Lint a critpath report — a given file, or fresh self-check runs.
+register(
+    PassSpec(
+        name="observe",
+        description="drive the canonical interference scenario with the "
+        "watchdog armed and lint the verdict log's causal chain "
+        "(or lint a given observe JSONL file)",
+        title="observe lint",
+        rules=lint_observe.RULES
+        + (
+            RuleSpec("observe-detection", "missed fault or false-positive verdict"),
+            RuleSpec("observe-loop", "loop did not close (no re-probe/re-synthesis)"),
+            RuleSpec("observe-exactness", "an observed iteration was not bitwise exact"),
+        ),
+        run=run_observe_pass,
+        lint_file=lint_observe.lint_observe_file,
+    )
+)
 
-    With ``target`` a path, lint that exported JSON report. With the bare
-    ``--critpath`` flag, run three scenarios end to end:
+# -- races ----------------------------------------------------------------------------
+
+
+def _traced_allreduce():
+    """One 4-rank AdapCC AllReduce on a hub of its own: ``(strategy, run)``."""
+    fresh = TelemetryHub(enabled=True)
+    env = BenchEnvironment(make_config([2, 2]), "adapcc", hub=fresh)
+    env.backend.verify = False
+    inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
+    strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
+    env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
+    return strategy, parse_jsonl(to_jsonl(fresh))
+
+
+def run_race_pass(ctx: PassContext) -> List[Finding]:
+    """Static determinism-hazard lint + dynamic happens-before check.
+
+    The static half walks the order-sensitive sub-packages (or
+    ``ctx.root`` when given — tests point it at seeded hazard fixtures).
+    The dynamic half — only on the real tree — plans one AllReduce,
+    executes it under a fresh telemetry hub, and replays the exported run
+    against the strategy's chunk-dependency DAG with vector clocks.
+    """
+    findings = race.lint_determinism_hazards(root=ctx.root)
+    if ctx.root is not None:
+        return findings
+    strategy, run = _traced_allreduce()
+    dynamic = race.check_run_against_dag(strategy, run)
+    ctx.echo(
+        f"races: {len(findings)} static hazard(s); checked "
+        f"{len(run.spans)} spans against the chunk DAG of strategy "
+        f"{fingerprint_strategy(strategy)[:12]} — {len(dynamic)} race(s)"
+    )
+    return findings + dynamic
+
+
+register(
+    PassSpec(
+        name="races",
+        description="sim-determinism race detector: static AST hazards over "
+        "order-sensitive packages + vector-clock happens-before "
+        "check of an executed run against its strategy's chunk DAG",
+        title="race detector",
+        rules=race.RULES,
+        run=run_race_pass,
+    )
+)
+
+# -- critpath -------------------------------------------------------------------------
+
+
+def run_critpath_pass(ctx: PassContext, seed: int = 11) -> List[Finding]:
+    """Lint the critpath reports of three fresh self-check scenarios:
 
     * one instrumented AllReduce (the race pass's scenario), analyzed in
       both dag and inferred modes — structural lint plus byte-identity
@@ -395,38 +452,23 @@ def run_critpath_pass(
     * a seeded straggler plan — the attribution must name the injected
       rank (top rank, or a top link touching its GPU).
     """
-    from repro.analysis.lint_critpath import lint_critpath_file, lint_critpath_report
-
-    if isinstance(target, str):
-        violations = lint_critpath_file(target)
-        echo(f"critpath: linted {target}")
-        return violations
-
-    from repro.chaos import ChaosRunner, FaultPlan
-    from repro.chaos.plan import StragglerFault
-    from repro.critpath import analyze_run, report_to_json
-    from repro.hardware.presets import make_homo_cluster
-    from repro.observe import ObserveConfig
-    from repro.observe.verdicts import link_endpoints
-    from repro.telemetry.core import TelemetryHub
-    from repro.telemetry.export import parse_jsonl, to_jsonl
-
-    violations: List[Violation] = []
+    lint_report = lint_critpath.lint_critpath_report
+    findings: List[Finding] = []
 
     strategy, run = _traced_allreduce()
     dag_report = analyze_run(run, strategy=strategy)
     inferred_report = analyze_run(run)
-    violations.extend(lint_critpath_report(dag_report))
-    violations.extend(lint_critpath_report(inferred_report))
+    findings.extend(lint_report(dag_report))
+    findings.extend(lint_report(inferred_report))
     if report_to_json(dag_report) != report_to_json(analyze_run(run, strategy=strategy)):
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "critpath-determinism",
                 "allreduce",
                 "re-analysis of the same run produced different report bytes",
             )
         )
-    echo(
+    ctx.echo(
         f"critpath: AllReduce — dag mode covered {dag_report['span_count']} "
         f"span(s), top link {dag_report['top_link']['name']}; inferred mode "
         f"stitched {inferred_report['inferred_edges']} edge(s)"
@@ -450,18 +492,18 @@ def run_critpath_pass(
     fault_node = f"n{interference.link_faults[0].instance_id}"
     run = _chaos(interference)
     report = analyze_run(run)
-    violations.extend(lint_critpath_report(report))
+    findings.extend(lint_report(report))
     top_link = (report["top_link"] or {}).get("name", "")
     if not top_link or fault_node not in link_endpoints(top_link):
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "critpath-groundtruth",
                 f"seed{seed}",
                 f"interference on {fault_node}: top link {top_link!r} does "
                 "not touch the faulted node",
             )
         )
-    echo(
+    ctx.echo(
         f"critpath: interference seed {seed} — top link {top_link} "
         f"(injected: {fault_node})"
     )
@@ -479,37 +521,54 @@ def run_critpath_pass(
     )
     run = _chaos(straggler)
     report = analyze_run(run)
-    violations.extend(lint_critpath_report(report))
+    findings.extend(lint_report(report))
     top_rank = (report["top_rank"] or {}).get("name", "")
     top_link = (report["top_link"] or {}).get("name", "")
     gpu = f"g{straggler_rank}"
     if top_rank != f"rank{straggler_rank}" and (
         not top_link or gpu not in link_endpoints(top_link)
     ):
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "critpath-groundtruth",
                 f"seed{seed}",
                 f"straggler on rank {straggler_rank}: attribution named "
                 f"{top_rank!r} / {top_link!r}",
             )
         )
-    echo(
+    ctx.echo(
         f"critpath: straggler rank {straggler_rank} — top rank {top_rank}, "
         f"readiness {report['readiness_seconds']:.3f}s"
     )
-    return violations
+    return findings
 
 
-def run_integrity_pass(
-    target=None, seed: int = 11, echo: Echo = _silent
-) -> List[Violation]:
-    """Lint an integrity log — a given file, or fresh seeded scenarios.
+register(
+    PassSpec(
+        name="critpath",
+        description="critical-path / bottleneck-attribution lint: analyze "
+        "an instrumented AllReduce plus seeded chaos plans and check the "
+        "reports' structure, determinism, and attribution against the "
+        "injected faults (or lint a given report JSON file)",
+        title="critpath lint",
+        rules=lint_critpath.RULES
+        + (
+            RuleSpec("critpath-groundtruth", "attribution missed an injected fault"),
+            RuleSpec("critpath-determinism", "same-run reports not byte-identical"),
+        ),
+        run=run_critpath_pass,
+        lint_file=lint_critpath.lint_critpath_file,
+    )
+)
 
-    With ``target`` a path, lint that exported integrity JSONL file. With
-    the bare ``--integrity`` flag, replay the canonical corruption plan at
-    both corruption sites through the chaos runner with the integrity
-    layer armed, and check:
+# -- integrity ------------------------------------------------------------------------
+
+
+def run_integrity_pass(ctx: PassContext, seed: int = 11) -> List[Finding]:
+    """Lint the integrity logs of fresh seeded corruption scenarios.
+
+    Replays the canonical corruption plan at both corruption sites through
+    the chaos runner with the integrity layer armed, and checks:
 
     * the log's causal chain (checksum coverage, conviction-has-evidence,
       quarantine-implies-resynthesis, the log2 probe-round bound);
@@ -520,29 +579,10 @@ def run_integrity_pass(
     * exactness — the healed run's final tensors are bitwise equal to the
       fault-free same-seed run's.
     """
-    import json
-
-    from repro.analysis.lint_integrity import (
-        lint_integrity_file,
-        lint_integrity_records,
-    )
-
-    if isinstance(target, str):
-        violations = lint_integrity_file(target)
-        echo(f"integrity: linted {target}")
-        return violations
-
-    import numpy as np
-
-    from repro.chaos import ChaosRunner, FaultPlan
-    from repro.hardware.presets import make_homo_cluster
-    from repro.integrity import IntegrityConfig
-    from repro.telemetry.core import TelemetryHub
-
     # Three instances: the NIC mesh then offers a detour (n0→n2→n1) for
     # the quarantined link, so re-synthesis can actually heal the run.
     specs = make_homo_cluster(num_servers=3, gpus_per_server=2)
-    violations: List[Violation] = []
+    findings: List[Finding] = []
 
     def _run(plan):
         return ChaosRunner(
@@ -566,8 +606,8 @@ def run_integrity_pass(
         replay = _run(plan)
         subject = f"seed{seed}:{site}"
         if report.integrity_log != replay.integrity_log:
-            violations.append(
-                Violation(
+            findings.append(
+                Finding(
                     "integrity-determinism",
                     subject,
                     "same-seed replay produced a different integrity log",
@@ -576,10 +616,10 @@ def run_integrity_pass(
         records = [
             json.loads(line) for line in report.integrity_log.splitlines()
         ]
-        violations.extend(lint_integrity_records(records))
+        findings.extend(lint_integrity.lint_integrity_records(records))
         if report.convictions != [fault.link]:
-            violations.append(
-                Violation(
+            findings.append(
+                Finding(
                     "integrity-detection",
                     subject,
                     f"injected {fault.link}, convicted {report.convictions}",
@@ -589,8 +629,8 @@ def run_integrity_pass(
             o.iteration for o in report.iterations if o.corruption_detections
         ]
         if not detected_at or detected_at[0] != fault.start_iteration:
-            violations.append(
-                Violation(
+            findings.append(
+                Finding(
                     "integrity-detection",
                     subject,
                     f"corruption window opens at iteration "
@@ -601,32 +641,49 @@ def run_integrity_pass(
         outputs = report.final_outputs()
         wanted = reference.final_outputs()
         if not all(np.array_equal(outputs[r], wanted[r]) for r in outputs):
-            violations.append(
-                Violation(
+            findings.append(
+                Finding(
                     "integrity-exactness",
                     subject,
                     "healed run's final tensors differ from the fault-free "
                     "same-seed run",
                 )
             )
-        echo(
+        ctx.echo(
             f"integrity: {site} site seed {seed} — "
             f"{sum(o.corruption_detections for o in report.iterations)} "
             f"detection(s), {report.probe_rounds} probe round(s), convicted "
             f"{report.convictions}, quarantined {report.quarantined_links}; "
             f"linted {len(records)} log records"
         )
-    return violations
+    return findings
 
 
-def run_fleet_pass(
-    target=None, seed: int = 11, echo: Echo = _silent
-) -> List[Violation]:
-    """Lint a merged fleet export — a given file, or a fresh replay.
+register(
+    PassSpec(
+        name="integrity",
+        description="replay seeded silent-corruption plans with the "
+        "integrity layer armed and lint the detect→localize→quarantine→"
+        "re-synthesize chain (or lint a given integrity JSONL file)",
+        title="integrity lint",
+        rules=lint_integrity.RULES
+        + (
+            RuleSpec("integrity-detection", "injected link missed or clean link convicted"),
+            RuleSpec("integrity-determinism", "same-seed logs not byte-identical"),
+            RuleSpec("integrity-exactness", "healed run differs from the fault-free run"),
+        ),
+        run=run_integrity_pass,
+        lint_file=lint_integrity.lint_integrity_file,
+    )
+)
 
-    With ``target`` a path, structurally lint that merged fleet JSONL
-    stream. With the bare ``--fleet`` flag, replay the canonical two-job
-    overlap workload twice on one seed and check:
+# -- fleet ----------------------------------------------------------------------------
+
+
+def run_fleet_pass(ctx: PassContext, seed: int = 11) -> List[Finding]:
+    """Lint a fresh replay of the canonical two-job overlap workload.
+
+    Replays it twice on one seed and checks:
 
     * replay determinism — the same-seed merged export and report are
       byte-identical;
@@ -637,18 +694,7 @@ def run_fleet_pass(
       and recall both exactly 1.0;
     * fairness sanity — the Jain index stays within [1/n, 1].
     """
-    from repro.analysis.lint_fleet import lint_fleet_file, lint_fleet_run
-
-    if isinstance(target, str):
-        violations = lint_fleet_file(target)
-        echo(f"fleet: linted {target}")
-        return violations
-
-    from repro.fleet.runner import FleetRunner
-    from repro.fleet.workload import canonical_overlap_workload
-    from repro.telemetry.export import parse_jsonl
-
-    violations: List[Violation] = []
+    findings: List[Finding] = []
     subject = f"seed{seed}"
     result = FleetRunner(canonical_overlap_workload(seed=seed)).run()
     replay = FleetRunner(canonical_overlap_workload(seed=seed)).run()
@@ -656,22 +702,22 @@ def run_fleet_pass(
         result.merged_jsonl != replay.merged_jsonl
         or result.report_json() != replay.report_json()
     ):
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "fleet-determinism",
                 subject,
                 "same-seed fleet replay produced different export/report bytes",
             )
         )
-    violations.extend(lint_fleet_run(parse_jsonl(result.merged_jsonl)))
+    findings.extend(lint_fleet.lint_fleet_run(parse_jsonl(result.merged_jsonl)))
     accuracy = result.report["accuracy"]
     if (
         accuracy is None
         or accuracy["precision"] != 1.0
         or accuracy["recall"] != 1.0
     ):
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "fleet-groundtruth",
                 subject,
                 f"attribution accuracy vs planted truth is {accuracy!r}; "
@@ -680,298 +726,21 @@ def run_fleet_pass(
         )
     fairness = result.report["fairness"]
     if not fairness["lower_bound"] - 1e-9 <= fairness["jain"] <= 1.0 + 1e-9:
-        violations.append(
-            Violation(
+        findings.append(
+            Finding(
                 "fleet-fairness",
                 subject,
                 f"Jain index {fairness['jain']} outside "
                 f"[{fairness['lower_bound']}, 1]",
             )
         )
-    echo(
+    ctx.echo(
         f"fleet: canonical overlap seed {seed} — "
         f"{len(result.attributions)} attribution(s), Jain "
         f"{fairness['jain']:.4f}, accuracy {accuracy}"
     )
-    return violations
+    return findings
 
-
-# -- registration ---------------------------------------------------------------------
-
-
-def _rules(severity: str, *codes: str) -> tuple:
-    return tuple(RuleSpec(code, severity, desc) for code, desc in codes)
-
-
-def _err(*codes) -> tuple:
-    return _rules(SEVERITY_ERROR, *codes)
-
-
-register(
-    PassSpec(
-        name="source",
-        description="AST determinism/convention lint over src/repro",
-        title="source lint",
-        rules=_err(
-            ("syntax", "file does not parse"),
-            ("ambient-random", "stdlib random / numpy global seed used"),
-            ("ambient-observer", "process-default hub/tap read outside a constructor default"),
-            ("wall-clock", "host wall clock read inside deterministic code"),
-            ("unit-suffix", "abbreviated unit suffix on a public name"),
-        ),
-        run=lambda ctx: from_violations(
-            run_source_pass(root=ctx.root, echo=ctx.echo), "source"
-        ),
-    )
-)
-
-register(
-    PassSpec(
-        name="strategies",
-        description="plan every backend × primitive × benchmark topology "
-        "and statically verify the strategies",
-        title="strategy verifier",
-        rules=_err(
-            ("participants", "participant set malformed"),
-            ("partition-sum", "sub-collective sizes do not sum to the primitive total"),
-            ("subcollective-index", "duplicate sub-collective indices"),
-            ("partition-size", "negative partition size"),
-            ("chunk-size", "non-positive chunk size"),
-            ("chunk-coverage", "chunk tiling does not cover the partition"),
-            ("path-length", "flow path has fewer than two nodes"),
-            ("path-endpoints", "path endpoints disagree with the flow"),
-            ("endpoint-kind", "flow endpoint is not a GPU"),
-            ("gpu-revisit", "path revisits a GPU"),
-            ("flow-conservation", "non-participant GPU on a flow path"),
-            ("unknown-node", "path node missing from the topology"),
-            ("self-loop", "consecutive path nodes repeat"),
-            ("path-contiguity", "path hop has no topology edge"),
-            ("participant-coverage", "participant appears on no flow path"),
-            ("root-missing", "rooted primitive lacks a root"),
-            ("root-kind", "root is not a GPU"),
-            ("root-participant", "root is not a participant"),
-            ("root-placement", "flow does not start/end at the root"),
-            ("root-aggregation", "reduce root does not aggregate"),
-            ("aggregation-primitive", "aggregation on a non-reducing primitive"),
-            ("aggregation-kind", "aggregation on a non-GPU node"),
-            ("aggregation-off-path", "aggregating node lies on no flow path"),
-            ("aggregation-cycle", "cyclic merge dependencies"),
-            ("aggregation-units", "traffic-unit walk rejected the strategy"),
-            ("aggregation-load", "aggregation increased an edge's unit load"),
-            ("behavior-cycle", "behaviour-tuple derivation found a cycle"),
-            ("root-sends", "root rank has hasSend set"),
-            ("behavior-kernel", "kernel launch without an aggregation flag"),
-            ("relay-kernel", "single-branch relay would launch a kernel"),
-            ("deadlock", "chunk dependency graph cannot reach a terminal slot"),
-        ),
-        run=lambda ctx: from_violations(run_strategy_pass(echo=ctx.echo), "strategies"),
-    )
-)
-
-register(
-    PassSpec(
-        name="traces",
-        description="run a recorded AllReduce and lint the fluid-network trace",
-        title="trace lint",
-        rules=_err(
-            ("event-order", "trace events out of order or outside a flow lifetime"),
-            ("rate-sign", "negative allocated rate"),
-            ("byte-conservation", "flow bytes not conserved"),
-            ("link-capacity", "aggregate rate exceeds link capacity"),
-            ("stream-cap", "flow rate exceeds its per-stream cap"),
-            ("max-min", "flow below cap with no saturated link"),
-        ),
-        run=lambda ctx: from_violations(run_trace_pass(echo=ctx.echo), "traces"),
-    )
-)
-
-register(
-    PassSpec(
-        name="chaos",
-        description="replay a seeded fault plan and lint the trace through "
-        "the injected faults",
-        title="chaos lint",
-        rules=_err(
-            ("event-order", "trace events out of order"),
-            ("chaos-kind", "unknown chaos event kind"),
-            ("chaos-link-fraction", "link fault fraction out of bounds"),
-            ("chaos-link-restore", "faulted link capacity never restored"),
-            ("chaos-straggler-delay", "straggler delay malformed"),
-            ("chaos-msg-action", "queue fault action malformed"),
-            ("chaos-evict-cause", "eviction without an injected cause"),
-            ("chaos-exactness", "a chaos iteration was not bitwise exact"),
-        ),
-        run=lambda ctx: from_violations(run_chaos_pass(echo=ctx.echo), "chaos"),
-    )
-)
-
-register(
-    PassSpec(
-        name="recovery",
-        description="crash the coordinator mid-decision and mid-transition, "
-        "then lint the control-plane journal",
-        title="recovery lint",
-        rules=_err(
-            ("record-index", "journal total order has a gap"),
-            ("record-time", "journal timestamps regress"),
-            ("epoch-regression", "epoch went backwards"),
-            ("election-first", "decision before any election"),
-            ("split-brain", "two coordinators in one epoch"),
-            ("ack-nonmember", "ack from a non-member"),
-            ("commit-quorum", "commit without a quorum"),
-            ("commit-epoch", "commit from a stale epoch"),
-            ("commit-unprepared", "commit without a prepare"),
-            ("dangling-prepare", "prepare with no commit or rollback"),
-            ("rollback-unprepared", "rollback without a prepare"),
-            ("rollback-after-commit", "rollback after the commit"),
-            ("recovery-exactness", "a failover iteration was not bitwise exact"),
-            ("recovery-coverage", "scenario missed a failover phase"),
-        ),
-        run=lambda ctx: from_violations(run_recovery_pass(echo=ctx.echo), "recovery"),
-    )
-)
-
-register(
-    PassSpec(
-        name="telemetry",
-        description="run an instrumented collective and lint the JSONL + "
-        "Chrome-trace exports (or lint a given export file)",
-        title="telemetry lint",
-        rules=_err(
-            ("telemetry-io", "export file unreadable"),
-            ("telemetry-schema", "record schema malformed"),
-            ("telemetry-identity", "span ids duplicated or unparented"),
-            ("telemetry-nesting", "child span escapes its parent interval"),
-            ("telemetry-clock", "timestamps regress"),
-            ("chrome-schema", "Chrome trace structure malformed"),
-        ),
-        run=lambda ctx: from_violations(
-            run_telemetry_pass(target=ctx.target, echo=ctx.echo), "telemetry"
-        ),
-        accepts_target=True,
-    )
-)
-
-register(
-    PassSpec(
-        name="observe",
-        description="drive the canonical interference scenario with the "
-        "watchdog armed and lint the verdict log's causal chain "
-        "(or lint a given observe JSONL file)",
-        title="observe lint",
-        rules=_err(
-            ("observe-header", "log header malformed"),
-            ("observe-kind", "unknown observe record kind"),
-            ("observe-record", "record schema malformed"),
-            ("observe-monotonic", "log timestamps regress"),
-            ("observe-evidence", "verdict without an evidence window"),
-            ("observe-causality", "re-probe/re-synthesis without a verdict"),
-            ("observe-targeting", "re-probe not targeted at the verdict's scope"),
-            ("observe-hysteresis", "re-synthesis violates hysteresis discipline"),
-            ("observe-threshold", "detector fired below its threshold"),
-            ("observe-disabled", "watchdog acted while disabled"),
-            ("observe-detection", "missed fault or false-positive verdict"),
-            ("observe-loop", "loop did not close (no re-probe/re-synthesis)"),
-            ("observe-exactness", "an observed iteration was not bitwise exact"),
-        ),
-        run=lambda ctx: from_violations(
-            run_observe_pass(target=ctx.target, echo=ctx.echo), "observe"
-        ),
-        accepts_target=True,
-    )
-)
-
-register(
-    PassSpec(
-        name="races",
-        description="sim-determinism race detector: static AST hazards over "
-        "order-sensitive packages + vector-clock happens-before "
-        "check of an executed run against its strategy's chunk DAG",
-        title="race detector",
-        rules=(
-            RuleSpec(
-                "race-unordered-iteration",
-                SEVERITY_WARNING,
-                "unordered set iteration reaches a scheduling sink",
-            ),
-            RuleSpec(
-                "race-unkeyed-timestamp",
-                SEVERITY_WARNING,
-                "heap entry lacks a monotonic tiebreak element",
-            ),
-            RuleSpec(
-                "race-float-accumulation",
-                SEVERITY_WARNING,
-                "float accumulation folds over an unordered set",
-            ),
-            RuleSpec(
-                "race-dag-coverage",
-                SEVERITY_ERROR,
-                "executed run missing spans the chunk DAG requires",
-            ),
-            RuleSpec(
-                "race-happens-before",
-                SEVERITY_ERROR,
-                "recorded interleaving violates the chunk DAG's "
-                "happens-before order",
-            ),
-            RuleSpec("syntax", SEVERITY_ERROR, "file does not parse"),
-        ),
-        run=lambda ctx: run_race_pass(root=ctx.root, echo=ctx.echo),
-    )
-)
-
-register(
-    PassSpec(
-        name="critpath",
-        description="critical-path / bottleneck-attribution lint: analyze "
-        "an instrumented AllReduce plus seeded chaos plans and check the "
-        "reports' structure, determinism, and attribution against the "
-        "injected faults (or lint a given report JSON file)",
-        title="critpath lint",
-        rules=_err(
-            ("critpath-io", "report file unreadable"),
-            ("critpath-schema", "report envelope malformed"),
-            ("critpath-path", "critical path not contiguous"),
-            ("critpath-sums", "durations/shares do not sum"),
-            ("critpath-attribution", "top culprit inconsistent with tables"),
-            ("critpath-groundtruth", "attribution missed an injected fault"),
-            ("critpath-determinism", "same-run reports not byte-identical"),
-        ),
-        run=lambda ctx: from_violations(
-            run_critpath_pass(target=ctx.target, echo=ctx.echo), "critpath"
-        ),
-        accepts_target=True,
-    )
-)
-
-register(
-    PassSpec(
-        name="integrity",
-        description="replay seeded silent-corruption plans with the "
-        "integrity layer armed and lint the detect→localize→quarantine→"
-        "re-synthesize chain (or lint a given integrity JSONL file)",
-        title="integrity lint",
-        rules=_err(
-            ("integrity-io", "integrity log unreadable"),
-            ("integrity-header", "log does not open with its config record"),
-            ("integrity-kind", "unknown integrity record kind"),
-            ("integrity-record", "record schema malformed"),
-            ("integrity-monotonic", "log timestamps regress"),
-            ("integrity-coverage", "checksum coverage is partial"),
-            ("integrity-probe-bound", "localization exceeded the log2 round bound"),
-            ("integrity-conviction-evidence", "conviction without direct evidence"),
-            ("integrity-quarantine", "quarantine without conviction or re-synthesis"),
-            ("integrity-detection", "injected link missed or clean link convicted"),
-            ("integrity-determinism", "same-seed logs not byte-identical"),
-            ("integrity-exactness", "healed run differs from the fault-free run"),
-        ),
-        run=lambda ctx: from_violations(
-            run_integrity_pass(target=ctx.target, echo=ctx.echo), "integrity"
-        ),
-        accepts_target=True,
-    )
-)
 
 register(
     PassSpec(
@@ -981,19 +750,13 @@ register(
         "determinism, and interference attribution against the planted "
         "ground truth (or lint a given fleet JSONL file)",
         title="fleet lint",
-        rules=_err(
-            ("fleet-io", "fleet export unreadable"),
-            ("fleet-schema", "merged stream header/label schema malformed"),
-            ("fleet-identity", "record ids collide within a job's stream"),
-            ("fleet-conservation", "a job's chunk changed size across hops"),
-            ("fleet-attribution", "attribution not backed by wire evidence"),
-            ("fleet-determinism", "same-seed replay not byte-identical"),
-            ("fleet-groundtruth", "attribution precision/recall below 1.0"),
-            ("fleet-fairness", "Jain index outside its bounds"),
+        rules=lint_fleet.RULES
+        + (
+            RuleSpec("fleet-determinism", "same-seed replay not byte-identical"),
+            RuleSpec("fleet-groundtruth", "attribution precision/recall below 1.0"),
+            RuleSpec("fleet-fairness", "Jain index outside its bounds"),
         ),
-        run=lambda ctx: from_violations(
-            run_fleet_pass(target=ctx.target, echo=ctx.echo), "fleet"
-        ),
-        accepts_target=True,
+        run=run_fleet_pass,
+        lint_file=lint_fleet.lint_fleet_file,
     )
 )

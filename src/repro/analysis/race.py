@@ -46,13 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.findings import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Finding,
-)
-
-PASS_NAME = "races"
+from repro.analysis.findings import SEVERITY_WARNING, Finding, RuleSpec
+from repro.analysis.lint_source import PACKAGE_ROOT, SYNTAX_RULE, visit_sources
 
 #: Sub-packages whose code feeds the simulator's event ordering.
 RACE_SENSITIVE_DIRS = ("simulation", "runtime", "recovery", "observe")
@@ -90,11 +85,32 @@ _ACCUMULATING_OPS = (ast.Add, ast.Sub, ast.Mult)
 _TIME_TOL = 1e-9
 
 
+RULES = (
+    RuleSpec(
+        "race-unordered-iteration",
+        "unordered set iteration reaches a scheduling sink",
+        SEVERITY_WARNING,
+    ),
+    RuleSpec(
+        "race-unkeyed-timestamp",
+        "heap entry lacks a monotonic tiebreak element",
+        SEVERITY_WARNING,
+    ),
+    RuleSpec(
+        "race-float-accumulation",
+        "float accumulation folds over an unordered set",
+        SEVERITY_WARNING,
+    ),
+    RuleSpec("race-dag-coverage", "executed run missing spans the chunk DAG requires"),
+    RuleSpec(
+        "race-happens-before",
+        "recorded interleaving violates the chunk DAG's happens-before order",
+    ),
+    SYNTAX_RULE,
+)
+
+
 # -- static half ----------------------------------------------------------------------
-
-
-def _default_root() -> Path:
-    return Path(__file__).resolve().parents[1]
 
 
 def lint_determinism_hazards(
@@ -102,39 +118,15 @@ def lint_determinism_hazards(
     dirs: Sequence[str] = RACE_SENSITIVE_DIRS,
 ) -> List[Finding]:
     """Run the static hazard checks over ``dirs`` under ``root``."""
-    root = Path(root) if root is not None else _default_root()
+    root = Path(root) if root is not None else PACKAGE_ROOT
     findings: List[Finding] = []
     for sub in dirs:
         base = root / sub
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*.py")):
-            findings.extend(_lint_file(path, root))
-    return findings
-
-
-def _lint_file(path: Path, root: Path) -> List[Finding]:
-    try:
-        rel = path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        rel = path.as_posix()
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    except SyntaxError as exc:
-        return [
-            Finding(
-                code="syntax",
-                message=str(exc.msg),
-                pass_name=PASS_NAME,
-                severity=SEVERITY_ERROR,
-                subject=f"{rel}:{exc.lineno}",
-                file=rel,
-                line=exc.lineno,
+        if base.is_dir():
+            findings.extend(
+                visit_sources(sorted(base.rglob("*.py")), root, _HazardChecker)
             )
-        ]
-    checker = _HazardChecker(rel)
-    checker.visit(tree)
-    return checker.findings
+    return findings
 
 
 class _HazardChecker(ast.NodeVisitor):
@@ -149,15 +141,7 @@ class _HazardChecker(ast.NodeVisitor):
     def _add(self, code: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
         self.findings.append(
-            Finding(
-                code=code,
-                message=message,
-                pass_name=PASS_NAME,
-                severity=SEVERITY_WARNING,
-                subject=f"{self.rel}:{line}",
-                file=self.rel,
-                line=line,
-            )
+            Finding.at(code, self.rel, line, message, SEVERITY_WARNING)
         )
 
     # -- scope + set-typed dataflow ------------------------------------------------
@@ -523,14 +507,10 @@ def check_run_against_dag(strategy, run, tol: float = _TIME_TOL) -> List[Finding
         if sender not in spans:
             findings.append(
                 Finding(
-                    code="race-dag-coverage",
-                    message=(
-                        f"the strategy's DAG expects sender {sender} but the "
-                        "run recorded no chunk spans for it"
-                    ),
-                    pass_name=PASS_NAME,
-                    severity=SEVERITY_ERROR,
-                    subject=str(sender),
+                    "race-dag-coverage",
+                    str(sender),
+                    f"the strategy's DAG expects sender {sender} but the "
+                    "run recorded no chunk spans for it",
                 )
             )
             continue
@@ -544,14 +524,10 @@ def check_run_against_dag(strategy, run, tol: float = _TIME_TOL) -> List[Finding
             if missing:
                 findings.append(
                     Finding(
-                        code="race-dag-coverage",
-                        message=(
-                            f"sender {sender} is missing chunk span(s) "
-                            f"{sorted(missing)} of {len(expected)}"
-                        ),
-                        pass_name=PASS_NAME,
-                        severity=SEVERITY_ERROR,
-                        subject=str(sender),
+                        "race-dag-coverage",
+                        str(sender),
+                        f"sender {sender} is missing chunk span(s) "
+                        f"{sorted(missing)} of {len(expected)}",
                     )
                 )
     if findings:
@@ -599,19 +575,15 @@ def check_run_against_dag(strategy, run, tol: float = _TIME_TOL) -> List[Finding
                 if pred_end > start + tol:
                     findings.append(
                         Finding(
-                            code="race-happens-before",
-                            message=(
-                                f"chunk {chunk} of {sender} starts at "
-                                f"t={start:.9g} before its DAG predecessor "
-                                f"(chunk {pred_chunk} of {pred}) ends at "
-                                f"t={pred_end:.9g}: the DAG orders them "
-                                f"(VC {clock(pred, pred_chunk)} ≤ "
-                                f"{clock(sender, chunk)}) but the recorded "
-                                "schedule ran them out of order"
-                            ),
-                            pass_name=PASS_NAME,
-                            severity=SEVERITY_ERROR,
-                            subject=f"{sender}#chunk{chunk}",
+                            "race-happens-before",
+                            f"{sender}#chunk{chunk}",
+                            f"chunk {chunk} of {sender} starts at "
+                            f"t={start:.9g} before its DAG predecessor "
+                            f"(chunk {pred_chunk} of {pred}) ends at "
+                            f"t={pred_end:.9g}: the DAG orders them "
+                            f"(VC {clock(pred, pred_chunk)} ≤ "
+                            f"{clock(sender, chunk)}) but the recorded "
+                            "schedule ran them out of order",
                         )
                     )
     return findings

@@ -1,8 +1,10 @@
 """The analysis pass registry (DESIGN.md §10).
 
 Each analysis pass registers one :class:`PassSpec`: its name, a one-line
-description, the finding codes it can emit (with default severities, for
-SARIF rule metadata and ``--list``), and the entry point.
+description, the rules it can emit (each declared beside the check that
+raises it), the scenario it runs, and — when it can also lint an exported
+artifact — the file lint. The CLI's flags, ``--list`` and the SARIF rule
+table are all derived from these records.
 
 Passes run through :mod:`repro.analysis.runner`; results export through
 :mod:`repro.analysis.sarif`. Registration order is the canonical pass
@@ -15,36 +17,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.findings import Finding
+from repro.analysis.findings import Finding, RuleSpec
 
 
 @dataclass
 class PassContext:
-    """Per-invocation inputs threaded into a pass entry point.
+    """Per-invocation inputs threaded into a pass body.
 
-    ``root`` overrides the source tree for file-based passes (tests point
-    it at fixture trees); ``target`` is an optional input file for passes
-    that can lint an exported artifact (``--telemetry run.jsonl``);
-    ``echo`` collects progress notes (the runner buffers them per pass).
+    ``root`` overrides the source tree for the AST passes (tests point it
+    at fixture trees); ``echo`` collects progress notes (the runner
+    buffers them per pass).
     """
 
     root: Optional[Path] = None
-    target: Optional[str] = None
     echo: Callable[[str], None] = lambda message: None
 
 
 @dataclass(frozen=True)
-class RuleSpec:
-    """One finding code a pass can emit, with its default severity."""
-
-    code: str
-    severity: str
-    description: str
-
-
-@dataclass(frozen=True)
 class PassSpec:
-    """Metadata + entry point of one registered analysis pass."""
+    """Metadata + entry points of one registered analysis pass."""
 
     name: str
     description: str
@@ -54,10 +45,9 @@ class PassSpec:
     title: str
     rules: Tuple[RuleSpec, ...]
     run: Callable[[PassContext], List[Finding]]
-    #: Bump when the pass logic changes, to invalidate cached findings.
-    version: int = 1
-    #: Whether the pass supports an optional ``target`` file argument.
-    accepts_target: bool = False
+    #: Lints one exported artifact instead of running the scenario
+    #: (``--<name> FILE``); ``None`` for a pass that takes no file.
+    lint_file: Optional[Callable[[str], List[Finding]]] = None
 
 
 _REGISTRY: Dict[str, PassSpec] = {}
@@ -101,12 +91,10 @@ def _ensure_loaded() -> None:
 
 @dataclass
 class PassResult:
-    """Outcome of one pass run (or cache replay)."""
+    """Outcome of one pass run."""
 
     spec: PassSpec
     findings: List[Finding] = field(default_factory=list)
-    cached: bool = False
-    duration_seconds: float = 0.0
     #: Non-``None`` when the pass crashed — an internal error, reported
     #: distinctly from findings (CLI exit code 2, not 1).
     error: Optional[str] = None

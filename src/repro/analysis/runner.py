@@ -1,21 +1,22 @@
-"""Incrementally-cached execution of registered analysis passes.
+"""Execution of registered analysis passes.
 
-The runner resolves a pass selection against the registry, consults the
-content-addressed cache (one fingerprint of the whole ``src/repro`` tree,
-hashed together with each pass's name and version), runs the misses, and
-returns :class:`~repro.analysis.registry.PassResult` records in canonical
-registry order. Passes run one after another: they are pure-Python and
-GIL-bound, so a thread pool bought nothing (0.65 s vs 0.68 s measured).
+The runner resolves a pass selection against the registry, runs each pass
+(its scenario, or its file lint when a FILE was given), stamps the pass
+name on every finding and holds the findings to the pass's declared rules,
+and returns :class:`~repro.analysis.registry.PassResult` records in
+canonical registry order. Passes run one after another: they are
+pure-Python and GIL-bound, so a thread pool bought nothing (0.65 s vs
+0.68 s measured).
 """
 
 from __future__ import annotations
 
-import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.cache import AnalysisCache, fingerprint_paths, pass_fingerprint
+from repro.analysis.findings import Finding
 from repro.analysis.registry import (
     PassContext,
     PassResult,
@@ -23,10 +24,6 @@ from repro.analysis.registry import (
     get_pass,
     iter_passes,
 )
-
-
-def _package_root() -> Path:
-    return Path(__file__).resolve().parents[1]
 
 
 def resolve_selection(names: Optional[Sequence[str]]) -> List[PassSpec]:
@@ -41,56 +38,49 @@ def resolve_selection(names: Optional[Sequence[str]]) -> List[PassSpec]:
     return [spec for spec in iter_passes() if spec.name in chosen]
 
 
+def _stamped(spec: PassSpec, findings: Sequence[Finding]) -> List[Finding]:
+    """``findings`` with the pass name set, checked against ``spec.rules``.
+
+    A code the pass did not declare, or a severity other than the declared
+    one, is a defect of the pass — it would export a SARIF result with no
+    rule descriptor — so it raises instead of reporting.
+    """
+    declared = {rule.code: rule.severity for rule in spec.rules}
+    for finding in findings:
+        if declared.get(finding.code) != finding.severity:
+            raise ValueError(
+                f"pass {spec.name!r} emitted [{finding.code}] at severity "
+                f"{finding.severity!r} but declares "
+                f"{declared.get(finding.code, 'no such rule')!r}: {finding}"
+            )
+    return [replace(finding, pass_name=spec.name) for finding in findings]
+
+
 def run_passes(
     names: Optional[Sequence[str]] = None,
-    cache: Optional[AnalysisCache] = None,
     root: Optional[Path] = None,
     targets: Optional[Dict[str, str]] = None,
 ) -> List[PassResult]:
     """Run the selected passes; return results in canonical order.
 
-    ``cache=None`` disables incremental caching entirely. ``root``
-    overrides the source tree for file-based passes (tests point it at
-    fixture trees) and bypasses the cache, as does a per-pass ``target``
-    file — both make the result depend on inputs the fingerprint does not
-    cover. Every pass is keyed on the whole package tree: hand-kept
-    per-pass dependency lists went stale (a profiler edit replayed a
-    cached ``strategies`` verdict), and a full suite is seconds.
+    ``root`` overrides the source tree for the AST passes (tests point it
+    at fixture trees). ``targets`` maps a pass name to an exported file:
+    that pass lints the file (``spec.lint_file``) instead of running its
+    scenario. A pass that raises becomes a result with ``error`` set.
     """
-    specs = resolve_selection(names)
     targets = targets or {}
-    tree = None
-    if cache is not None and root is None:
-        tree = fingerprint_paths(_package_root(), ["."])
-
-    def execute(spec: PassSpec) -> PassResult:
+    results = []
+    for spec in resolve_selection(names):
         target = targets.get(spec.name)
-        key = None
-        if tree is not None and target is None:
-            key = pass_fingerprint(spec.name, spec.version, tree)
-            hit = cache.load(key)
-            if hit is not None:
-                return PassResult(spec=spec, findings=hit, cached=True)
         notes: List[str] = []
-        ctx = PassContext(root=root, target=target, echo=notes.append)
-        started = time.perf_counter()
         try:
-            findings = spec.run(ctx)
+            if target is None:
+                findings = spec.run(PassContext(root=root, echo=notes.append))
+            else:
+                findings = spec.lint_file(target)
+                notes.append(f"{spec.name}: linted {target}")
+            result = PassResult(spec, _stamped(spec, findings), notes=notes)
         except Exception:
-            return PassResult(
-                spec=spec,
-                duration_seconds=time.perf_counter() - started,
-                error=traceback.format_exc(),
-                notes=notes,
-            )
-        result = PassResult(
-            spec=spec,
-            findings=list(findings),
-            duration_seconds=time.perf_counter() - started,
-            notes=notes,
-        )
-        if key is not None:
-            cache.store(key, spec.name, result.findings)
-        return result
-
-    return [execute(spec) for spec in specs]
+            result = PassResult(spec, error=traceback.format_exc(), notes=notes)
+        results.append(result)
+    return results

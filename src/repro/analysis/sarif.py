@@ -1,10 +1,11 @@
 """Report exporters: SARIF 2.1.0, structured JSON, and the text report.
 
 SARIF output is **deterministic by construction**: rules and results are
-emitted in canonical registry order, the document carries no timestamps,
-durations, or cache markers, and serialization uses sorted keys with
-fixed separators — so ``python -m repro.analysis --format sarif`` is
-byte-identical across runs and cache states. Rule identifiers are
+emitted in canonical registry order, the document carries no timestamps
+or durations, and serialization uses sorted keys with fixed separators —
+so ``python -m repro.analysis --format sarif`` is byte-identical across
+runs. Every result's rule has a descriptor: the runner rejects a finding
+whose code its pass did not declare. Rule identifiers are
 ``<pass>/<code>`` (codes like ``event-order`` are shared between passes,
 and SARIF requires unique rule ids per driver).
 
@@ -22,7 +23,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import PassResult
 
 #: Schema of the ``--format json`` report envelope.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 _SARIF_SCHEMA_URI = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -119,9 +120,7 @@ def to_sarif(results: Sequence[PassResult]) -> str:
 def to_json_report(results: Sequence[PassResult]) -> str:
     """Serialize pass results as the structured JSON report.
 
-    Unlike SARIF this envelope carries run metadata (``cached``,
-    internal-error text), so it is deterministic per cache state rather
-    than across them.
+    Unlike SARIF this envelope carries a crashed pass's full traceback.
     """
     payload = {
         "schema": REPORT_SCHEMA,
@@ -129,7 +128,6 @@ def to_json_report(results: Sequence[PassResult]) -> str:
             {
                 "name": result.spec.name,
                 "title": result.spec.title,
-                "cached": result.cached,
                 "ok": result.ok,
                 "error": result.error,
                 "findings": [f.to_dict() for f in result.findings],
@@ -171,16 +169,12 @@ def render_text(
             f for f in result.findings if f.suppression_key not in suppressed_keys
         ]
         muted = len(result.findings) - len(live)
-        cache_note = " (cached)" if result.cached else ""
         if not live:
             extra = f", {muted} suppressed" if muted else ""
-            lines.append(f"ok   {result.spec.title}{cache_note}{extra}")
+            lines.append(f"ok   {result.spec.title}{extra}")
             continue
         extra = f" ({muted} suppressed)" if muted else ""
-        lines.append(
-            f"FAIL {result.spec.title}{cache_note}: "
-            f"{len(live)} finding(s){extra}"
-        )
+        lines.append(f"FAIL {result.spec.title}: {len(live)} finding(s){extra}")
         for finding in live:
             lines.append(f"     {finding} [{finding.severity}]")
     return lines

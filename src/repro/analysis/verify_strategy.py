@@ -25,7 +25,8 @@ invariant it enforces:
   terminal slot from the sources; an unreachable terminal is a cycle the
   runtime would only discover as an empty event queue.
 
-:func:`verify_strategy` returns structured :class:`Violation` records;
+:func:`verify_strategy` returns :class:`~repro.analysis.findings.Finding`
+records, one per broken invariant (:data:`RULES` declares the codes);
 :func:`assert_valid` raises :class:`StrategyVerificationError` (which is
 also a :class:`SynthesisError`) when any are found.
 """
@@ -33,9 +34,9 @@ also a :class:`SynthesisError`) when any are found.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.findings import Finding, RuleSpec
 from repro.errors import CoordinationError, StrategyVerificationError
 from repro.relay.behavior import behavior_tuples
 from repro.synthesis.evaluator import edge_units
@@ -55,38 +56,57 @@ MODE_INDEPENDENT = "independent"
 _REDUCE_FAMILY = (Primitive.REDUCE, Primitive.ALLREDUCE, Primitive.REDUCE_SCATTER)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by a static analysis pass.
+#: Every code :func:`verify_strategy` can emit.
+RULES = (
+    RuleSpec("participants", "participant set malformed"),
+    RuleSpec("partition-sum", "sub-collective sizes do not sum to the primitive total"),
+    RuleSpec("subcollective-index", "duplicate sub-collective indices"),
+    RuleSpec("partition-size", "negative partition size"),
+    RuleSpec("chunk-size", "non-positive chunk size"),
+    RuleSpec("chunk-coverage", "chunk tiling does not cover the partition"),
+    RuleSpec("path-length", "flow path has fewer than two nodes"),
+    RuleSpec("path-endpoints", "path endpoints disagree with the flow"),
+    RuleSpec("endpoint-kind", "flow endpoint is not a GPU"),
+    RuleSpec("gpu-revisit", "path revisits a GPU"),
+    RuleSpec("flow-conservation", "non-participant GPU on a flow path"),
+    RuleSpec("unknown-node", "path node missing from the topology"),
+    RuleSpec("self-loop", "consecutive path nodes repeat"),
+    RuleSpec("path-contiguity", "path hop has no topology edge"),
+    RuleSpec("participant-coverage", "participant appears on no flow path"),
+    RuleSpec("root-missing", "rooted primitive lacks a root"),
+    RuleSpec("root-kind", "root is not a GPU"),
+    RuleSpec("root-participant", "root is not a participant"),
+    RuleSpec("root-placement", "flow does not start/end at the root"),
+    RuleSpec("root-aggregation", "reduce root does not aggregate"),
+    RuleSpec("aggregation-primitive", "aggregation on a non-reducing primitive"),
+    RuleSpec("aggregation-kind", "aggregation on a non-GPU node"),
+    RuleSpec("aggregation-off-path", "aggregating node lies on no flow path"),
+    RuleSpec("aggregation-cycle", "cyclic merge dependencies"),
+    RuleSpec("aggregation-units", "traffic-unit walk rejected the strategy"),
+    RuleSpec("aggregation-load", "aggregation increased an edge's unit load"),
+    RuleSpec("behavior-cycle", "behaviour-tuple derivation found a cycle"),
+    RuleSpec("root-sends", "root rank has hasSend set"),
+    RuleSpec("behavior-kernel", "kernel launch without an aggregation flag"),
+    RuleSpec("relay-kernel", "single-branch relay would launch a kernel"),
+    RuleSpec("deadlock", "chunk dependency graph cannot reach a terminal slot"),
+)
 
-    ``check`` is a stable kebab-case identifier of the violated invariant,
-    ``subject`` locates it (sub-collective / flow / node), ``detail``
-    explains it.
-    """
 
-    check: str
-    subject: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.check}] {self.subject}: {self.detail}"
-
-
-def verify_strategy(strategy: Strategy, topology: LogicalTopology) -> List[Violation]:
+def verify_strategy(strategy: Strategy, topology: LogicalTopology) -> List[Finding]:
     """Run every static check; returns all violations found (empty = valid)."""
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     known_nodes = set(topology.nodes)
     participants = list(strategy.participants)
     pset = set(participants)
 
     if len(pset) != len(participants):
         violations.append(
-            Violation("participants", "strategy", "duplicate participant ranks")
+            Finding("participants", "strategy", "duplicate participant ranks")
         )
     for rank in pset:
         if gpu_node(rank) not in known_nodes:
             violations.append(
-                Violation(
+                Finding(
                     "participants", "strategy", f"rank {rank} is not in the topology"
                 )
             )
@@ -97,7 +117,7 @@ def verify_strategy(strategy: Strategy, topology: LogicalTopology) -> List[Viola
     )
     if abs(total - expected) > _REL_TOL * max(1.0, abs(expected)):
         violations.append(
-            Violation(
+            Finding(
                 "partition-sum",
                 "strategy",
                 f"sub-collective sizes sum to {total}, expected {expected} "
@@ -108,7 +128,7 @@ def verify_strategy(strategy: Strategy, topology: LogicalTopology) -> List[Viola
     indices = [sc.index for sc in strategy.subcollectives]
     if len(set(indices)) != len(indices):
         violations.append(
-            Violation("subcollective-index", "strategy", "duplicate sub-collective indices")
+            Finding("subcollective-index", "strategy", "duplicate sub-collective indices")
         )
 
     for sc in strategy.subcollectives:
@@ -138,8 +158,8 @@ def _verify_subcollective(
     topology: LogicalTopology,
     known_nodes: Set[NodeId],
     pset: Set[int],
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     subject = f"sc{sc.index}"
 
     violations.extend(_check_chunking(sc, subject))
@@ -151,21 +171,21 @@ def _verify_subcollective(
     return violations
 
 
-def _check_chunking(sc: SubCollective, subject: str) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_chunking(sc: SubCollective, subject: str) -> List[Finding]:
+    violations: List[Finding] = []
     if sc.size < 0:
         violations.append(
-            Violation("partition-size", subject, f"negative partition size {sc.size}")
+            Finding("partition-size", subject, f"negative partition size {sc.size}")
         )
     if sc.chunk_size <= 0:
         violations.append(
-            Violation("chunk-size", subject, f"chunk size {sc.chunk_size} must be > 0")
+            Finding("chunk-size", subject, f"chunk size {sc.chunk_size} must be > 0")
         )
     elif sc.size > 0:
         covered = sc.num_chunks * sc.chunk_size
         if covered + _REL_TOL * sc.size < sc.size:
             violations.append(
-                Violation(
+                Finding(
                     "chunk-coverage",
                     subject,
                     f"{sc.num_chunks} chunks of {sc.chunk_size} B cover {covered} B "
@@ -182,8 +202,8 @@ def _check_flows(
     known_nodes: Set[NodeId],
     pset: Set[int],
     subject: str,
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     # AllReduce replays the reduce flows reversed for the broadcast stage,
     # so the reverse of every edge must exist too.
     check_reverse = primitive is Primitive.ALLREDUCE
@@ -192,11 +212,11 @@ def _check_flows(
         fsubject = f"{subject}.flow{flow_idx}"
         path = flow.path
         if len(path) < 2:
-            violations.append(Violation("path-length", fsubject, "path has < 2 nodes"))
+            violations.append(Finding("path-length", fsubject, "path has < 2 nodes"))
             continue
         if path[0] != flow.src or path[-1] != flow.dst:
             violations.append(
-                Violation(
+                Finding(
                     "path-endpoints",
                     fsubject,
                     f"path runs {path[0]}->{path[-1]}, flow declares {flow.src}->{flow.dst}",
@@ -205,18 +225,18 @@ def _check_flows(
         for endpoint in (flow.src, flow.dst):
             if endpoint.kind is not NodeKind.GPU:
                 violations.append(
-                    Violation(
+                    Finding(
                         "endpoint-kind", fsubject, f"flow endpoint {endpoint} is not a GPU"
                     )
                 )
         gpus = [n for n in path if n.kind is NodeKind.GPU]
         if len(set(gpus)) != len(gpus):
-            violations.append(Violation("gpu-revisit", fsubject, "path revisits a GPU"))
+            violations.append(Finding("gpu-revisit", fsubject, "path revisits a GPU"))
         for node in gpus:
             covered_ranks.add(node.index)
             if node.index not in pset:
                 violations.append(
-                    Violation(
+                    Finding(
                         "flow-conservation",
                         fsubject,
                         f"GPU {node} on the path is not a participant",
@@ -225,21 +245,21 @@ def _check_flows(
         for node in path:
             if node not in known_nodes:
                 violations.append(
-                    Violation("unknown-node", fsubject, f"node {node} is not in the topology")
+                    Finding("unknown-node", fsubject, f"node {node} is not in the topology")
                 )
         for a, b in zip(path, path[1:]):
             if a == b:
-                violations.append(Violation("self-loop", fsubject, f"self-loop at {a}"))
+                violations.append(Finding("self-loop", fsubject, f"self-loop at {a}"))
                 continue
             if not topology.has_edge(a, b):
                 violations.append(
-                    Violation(
+                    Finding(
                         "path-contiguity", fsubject, f"no topology edge {a}->{b}"
                     )
                 )
             if check_reverse and not topology.has_edge(b, a):
                 violations.append(
-                    Violation(
+                    Finding(
                         "path-contiguity",
                         fsubject,
                         f"no reverse edge {b}->{a} for the broadcast stage",
@@ -249,7 +269,7 @@ def _check_flows(
         missing = pset - covered_ranks
         if missing:
             violations.append(
-                Violation(
+                Finding(
                     "participant-coverage",
                     subject,
                     f"participants {sorted(missing)} appear on no flow path "
@@ -261,20 +281,20 @@ def _check_flows(
 
 def _check_root(
     primitive: Primitive, sc: SubCollective, pset: Set[int], subject: str
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     if primitive.has_root and sc.root is None:
         violations.append(
-            Violation("root-missing", subject, f"{primitive.value} needs a root")
+            Finding("root-missing", subject, f"{primitive.value} needs a root")
         )
     if sc.root is None:
         return violations
     if sc.root.kind is not NodeKind.GPU:
-        violations.append(Violation("root-kind", subject, f"root {sc.root} is not a GPU"))
+        violations.append(Finding("root-kind", subject, f"root {sc.root} is not a GPU"))
         return violations
     if sc.root.index not in pset:
         violations.append(
-            Violation("root-participant", subject, f"root {sc.root} is not a participant")
+            Finding("root-participant", subject, f"root {sc.root} is not a participant")
         )
     if not sc.flows:
         return violations
@@ -282,7 +302,7 @@ def _check_root(
         for flow_idx, flow in enumerate(sc.flows):
             if flow.dst != sc.root:
                 violations.append(
-                    Violation(
+                    Finding(
                         "root-placement",
                         f"{subject}.flow{flow_idx}",
                         f"reduce flow terminates at {flow.dst}, not the root {sc.root}",
@@ -292,7 +312,7 @@ def _check_root(
             # The executor gathers the ("agg", root) unit at the root; a
             # non-aggregating root never produces it.
             violations.append(
-                Violation(
+                Finding(
                     "root-aggregation",
                     subject,
                     f"root {sc.root} does not aggregate, but the executor gathers "
@@ -303,7 +323,7 @@ def _check_root(
         for flow_idx, flow in enumerate(sc.flows):
             if flow.src != sc.root:
                 violations.append(
-                    Violation(
+                    Finding(
                         "root-placement",
                         f"{subject}.flow{flow_idx}",
                         f"broadcast flow originates at {flow.src}, not the root {sc.root}",
@@ -314,12 +334,12 @@ def _check_root(
 
 def _check_aggregation(
     primitive: Primitive, sc: SubCollective, subject: str
-) -> List[Violation]:
-    violations: List[Violation] = []
+) -> List[Finding]:
+    violations: List[Finding] = []
     flagged = sorted(node for node, flag in sc.aggregation.items() if flag)
     if flagged and not primitive.needs_aggregation:
         violations.append(
-            Violation(
+            Finding(
                 "aggregation-primitive",
                 subject,
                 f"{primitive.value} does not aggregate, but nodes "
@@ -331,11 +351,11 @@ def _check_aggregation(
     for node in flagged:
         if node.kind is not NodeKind.GPU:
             violations.append(
-                Violation("aggregation-kind", subject, f"aggregation on non-GPU node {node}")
+                Finding("aggregation-kind", subject, f"aggregation on non-GPU node {node}")
             )
         elif node not in path_nodes:
             violations.append(
-                Violation(
+                Finding(
                     "aggregation-off-path",
                     subject,
                     f"aggregating node {node} lies on no flow path",
@@ -359,7 +379,7 @@ def _check_aggregation(
         remaining = [n for n in pending if not deps[n] <= resolved]
         if len(remaining) == len(pending):
             violations.append(
-                Violation(
+                Finding(
                     "aggregation-cycle",
                     subject,
                     f"cyclic merge dependencies among {[str(n) for n in remaining]}",
@@ -374,7 +394,7 @@ def _check_aggregation(
     try:
         units = edge_units(primitive, sc)
     except Exception as exc:  # the unit walk itself rejected the strategy
-        violations.append(Violation("aggregation-units", subject, str(exc)))
+        violations.append(Finding("aggregation-units", subject, str(exc)))
         return violations
     raw: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
     for flow in sc.flows:
@@ -383,7 +403,7 @@ def _check_aggregation(
     for edge, unit_set in units.items():
         if len(unit_set) > raw[edge]:
             violations.append(
-                Violation(
+                Finding(
                     "aggregation-load",
                     subject,
                     f"edge {edge[0]}->{edge[1]} carries {len(unit_set)} units but only "
@@ -395,21 +415,21 @@ def _check_aggregation(
 
 def _check_behavior(
     primitive: Primitive, sc: SubCollective, pset: Set[int], subject: str
-) -> List[Violation]:
+) -> List[Finding]:
     if not primitive.needs_aggregation or not sc.flows:
         return []
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     try:
         tuples = behavior_tuples(sc, primitive, pset)
     except CoordinationError as exc:
-        return [Violation("behavior-cycle", subject, str(exc))]
+        return [Finding("behavior-cycle", subject, str(exc))]
 
     root_rank = sc.root.index if sc.root is not None else None
     if root_rank is not None:
         root_tuple = tuples.get(root_rank)
         if root_tuple is not None and root_tuple.has_send:
             violations.append(
-                Violation(
+                Finding(
                     "root-sends",
                     subject,
                     f"root rank {root_rank} has hasSend set — it appears as an "
@@ -419,7 +439,7 @@ def _check_behavior(
     for rank, bt in sorted(tuples.items()):
         if bt.has_kernel and not sc.aggregates_at_rank(rank):
             violations.append(
-                Violation(
+                Finding(
                     "behavior-kernel",
                     subject,
                     f"rank {rank} launches a kernel without an aggregation flag",
@@ -443,7 +463,7 @@ def _check_behavior(
         relay_tuple = relayed.get(rank)
         if relay_tuple is not None and relay_tuple.has_kernel:
             violations.append(
-                Violation(
+                Finding(
                     "relay-kernel",
                     subject,
                     f"rank {rank} as a single-branch relay would still launch a kernel",
@@ -521,7 +541,7 @@ def stage_unreachable(
 
 def _check_deadlock(
     primitive: Primitive, sc: SubCollective, subject: str
-) -> List[Violation]:
+) -> List[Finding]:
     if sc.size == 0 or not sc.flows:
         return []
     stages: List[Tuple[str, List[Tuple[int, Sequence[NodeId]]], str, Optional[Callable]]]
@@ -541,14 +561,14 @@ def _check_deadlock(
     else:  # ALLTOALL
         stages = [("alltoall", forward, MODE_INDEPENDENT, None)]
 
-    violations: List[Violation] = []
+    violations: List[Finding] = []
     for stage_name, flow_paths, mode, aggregates_at in stages:
         unreachable = stage_unreachable(flow_paths, mode, aggregates_at)
         if unreachable:
             shown = ", ".join(f"{unit}@{node}" for unit, node in unreachable[:3])
             more = f" (+{len(unreachable) - 3} more)" if len(unreachable) > 3 else ""
             violations.append(
-                Violation(
+                Finding(
                     "deadlock",
                     subject,
                     f"{stage_name} stage cannot reach terminal slots {shown}{more}",

@@ -47,8 +47,9 @@ class StrategyFormatError(SynthesisError):
 class VerificationError(ReproError):
     """A static analysis pass found invariant violations.
 
-    The ``violations`` attribute carries the structured findings (a list of
-    :class:`repro.analysis.verify_strategy.Violation`).
+    The ``violations`` attribute carries them as a list of
+    :class:`repro.analysis.findings.Finding`; the message renders the
+    first few as ``[code] subject: message``.
     """
 
     def __init__(self, message: str = "", violations: object = None):

@@ -10,6 +10,7 @@ over the logical topology plus chunk size and per-node aggregation flags.
 from __future__ import annotations
 
 import enum
+import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -236,6 +237,17 @@ def strategy_to_xml(strategy: Strategy) -> str:
         if agg:
             ET.SubElement(sc_el, "aggregation", nodes=" ".join(_node_to_str(n) for n in agg))
     return ET.tostring(root, encoding="unicode")
+
+
+def fingerprint_strategy(strategy: Strategy) -> str:
+    """Content-addressed fingerprint of a synthesized strategy.
+
+    Hashes the canonical XML serialization, so two strategies with the
+    same routed flows, chunking, aggregation flags and participants share
+    a fingerprint regardless of how they were produced — the key shape a
+    strategy memo needs.
+    """
+    return hashlib.sha256(strategy_to_xml(strategy).encode("utf-8")).hexdigest()
 
 
 def strategy_from_xml(document: str) -> Strategy:

@@ -6,17 +6,6 @@ from pathlib import Path
 import pytest
 
 
-@pytest.fixture(autouse=True)
-def _isolated_analysis_cache(tmp_path, monkeypatch):
-    """Keep analysis-CLI invocations from writing a cache into the repo.
-
-    ``python -m repro.analysis`` caches findings under
-    ``.repro-analysis-cache/`` by default; tests that call ``main()``
-    directly would otherwise create that directory in the working tree.
-    """
-    monkeypatch.setenv("REPRO_ANALYSIS_CACHE", str(tmp_path / "analysis-cache"))
-
-
 @pytest.fixture(scope="session")
 def synthesis_golden():
     """The generator module kept beside ``fixtures/synthesis_golden.json``

@@ -47,7 +47,7 @@ def synthesize(topo, primitive=Primitive.REDUCE, ranks=8, root=None):
 
 
 def checks(violations):
-    return {v.check for v in violations}
+    return {v.code for v in violations}
 
 
 class TestVerifierAcceptsRealStrategies:
@@ -376,7 +376,7 @@ class TestSourceLinter:
             "def stamp():\n"
             "    return t.time() + now()\n"
         )
-        found = [v for v in lint_source(root=tmp_path) if v.check == "wall-clock"]
+        found = [v for v in lint_source(root=tmp_path) if v.code == "wall-clock"]
         assert len(found) == 2
 
     def test_wall_clock_aliased_outside_deterministic_dirs_allowed(self, tmp_path):
@@ -399,7 +399,7 @@ class TestSourceLinter:
     def test_unit_suffix_flagged(self, tmp_path):
         bad = tmp_path / "mod.py"
         bad.write_text("TIMEOUT_MS = 5\n\ndef wait(delay_ms, speed_gbps):\n    pass\n")
-        found = [v for v in lint_source(root=tmp_path) if v.check == "unit-suffix"]
+        found = [v for v in lint_source(root=tmp_path) if v.code == "unit-suffix"]
         assert len(found) == 3
 
     def test_private_names_exempt(self, tmp_path):

@@ -1,30 +1,26 @@
-"""Tests for the analysis pass framework (registry, cache, runner, exports)."""
+"""Tests for the analysis pass framework (registry, runner, exports, CLI)."""
 
+import ast
+import importlib
 import json
-import shutil
 
 import pytest
 
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.cache import (
-    AnalysisCache,
-    CACHE_SCHEMA,
-    fingerprint_paths,
-    pass_fingerprint,
-)
-from repro.analysis.findings import Finding, from_violation, severity_rank
+from repro.analysis.findings import Finding, RuleSpec, severity_rank
+from repro.analysis.lint_chaos import lint_chaos
+from repro.analysis.lint_source import lint_source
 from repro.analysis.registry import (
     PassSpec,
-    RuleSpec,
     _REGISTRY,
     get_pass,
     iter_passes,
     pass_names,
     register,
 )
-from repro.analysis.runner import _package_root, run_passes
+from repro.analysis.runner import run_passes
 from repro.analysis.sarif import to_sarif
-from repro.analysis.verify_strategy import Violation
+from repro.simulation.records import TraceRecord
 
 CANONICAL = [
     "source",
@@ -59,173 +55,166 @@ class TestRegistry:
             for rule in spec.rules:
                 severity_rank(rule.severity)  # raises on junk
 
+    @pytest.mark.parametrize(
+        "module",
+        ["verify_strategy", "race", "passes"]
+        + [f"lint_{n}" for n in ("source", "trace", "chaos", "recovery", "telemetry")]
+        + [f"lint_{n}" for n in ("observe", "critpath", "integrity", "fleet")],
+    )
+    def test_rules_are_declared_in_the_module_that_emits_them(self, module):
+        """Every literal code a module raises is a ``RuleSpec`` built there
+        (or, for the one shared code, in the ``RULES`` it extends)."""
+        loaded = importlib.import_module(f"repro.analysis.{module}")
+        tree = ast.parse(open(loaded.__file__, encoding="utf-8").read())
+
+        def literal_first_arg(call, names):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            first = call.args[0] if call.args else None
+            if name in names and isinstance(first, ast.Constant):
+                return first.value
+            return None
+
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        emitted = {literal_first_arg(c, ("Finding", "at", "_add")) for c in calls} - {None}
+        declared = {literal_first_arg(c, ("RuleSpec",)) for c in calls} - {None}
+        declared |= {rule.code for rule in getattr(loaded, "RULES", ())}
+        assert emitted and emitted <= declared, sorted(emitted - declared)
+
 
 class TestFindings:
     def test_suppression_key_ignores_line_numbers(self):
-        a = Finding("wall-clock", "m", pass_name="source", file="x.py", line=3)
-        b = Finding("wall-clock", "m", pass_name="source", file="x.py", line=99)
-        assert a.suppression_key == b.suppression_key == "source:wall-clock:x.py"
+        a = Finding.at("wall-clock", "x.py", 3, "m")
+        b = Finding.at("wall-clock", "x.py", 99, "m")
+        assert a.suppression_key == b.suppression_key == ":wall-clock:x.py"
 
-    def test_from_violation_splits_source_locators(self):
-        f = from_violation(
-            Violation("wall-clock", "runtime/mod.py:17", "detail"), "source"
-        )
-        assert (f.file, f.line) == ("runtime/mod.py", 17)
-        f = from_violation(Violation("deadlock", "sc0.flow2", "detail"), "strategies")
-        assert (f.file, f.line) == (None, None)
-        assert f.subject == "sc0.flow2"
+    def test_source_findings_carry_file_and_line_directly(self, tmp_path):
+        (tmp_path / "runtime").mkdir()
+        (tmp_path / "runtime" / "mod.py").write_text("import time\n\ntime.time()\n")
+        (finding,) = lint_source(root=tmp_path)
+        assert (finding.file, finding.line) == ("runtime/mod.py", 3)
+        assert finding.subject == "runtime/mod.py:3"
+        assert str(finding).startswith("[wall-clock] runtime/mod.py:3: ")
+
+    def test_syntax_error_without_a_line_still_anchors_to_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "x.py").write_text("x = 1\n")
+
+        def unparsable(source, filename):
+            raise SyntaxError("source code cannot contain null bytes")
+
+        monkeypatch.setattr("repro.analysis.lint_source.ast.parse", unparsable)
+        (finding,) = lint_source(root=tmp_path)
+        assert (finding.code, finding.file, finding.line) == ("syntax", "x.py", None)
+        assert finding.subject == "x.py"
 
     def test_invalid_severity_rejected_eagerly(self):
         with pytest.raises(ValueError, match="severity"):
-            Finding("x", "m", severity="fatal")
-
-    def test_dict_round_trip(self):
-        f = Finding("c", "m", pass_name="p", severity="warning", subject="s")
-        assert Finding.from_dict(f.to_dict()) == f
+            Finding("x", "s", "m", severity="fatal")
 
 
-class TestCacheStore:
-    def test_fingerprint_tracks_content_and_path_set(self, tmp_path):
-        (tmp_path / "sub").mkdir()
-        (tmp_path / "sub" / "a.py").write_text("x = 1\n")
-        base = fingerprint_paths(tmp_path, ["sub"])
-        assert fingerprint_paths(tmp_path, ["sub"]) == base
-        (tmp_path / "sub" / "a.py").write_text("x = 2\n")
-        edited = fingerprint_paths(tmp_path, ["sub"])
-        assert edited != base
-        (tmp_path / "sub" / "b.py").write_text("")
-        assert fingerprint_paths(tmp_path, ["sub"]) != edited
-
-    def test_missing_input_is_itself_a_change(self, tmp_path):
-        present = fingerprint_paths(tmp_path, ["gone.py"])
-        (tmp_path / "gone.py").write_text("x = 1\n")
-        assert fingerprint_paths(tmp_path, ["gone.py"]) != present
-
-    def test_pass_identity_and_version_key_the_cache(self):
-        base = pass_fingerprint("p", 1, "abc")
-        assert pass_fingerprint("p", 2, "abc") != base
-        assert pass_fingerprint("q", 1, "abc") != base
-
-    def test_store_round_trip_and_schema_guard(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "c")
-        findings = [Finding("c", "m", pass_name="p", severity="warning")]
-        assert cache.load("k") is None
-        cache.store("k", "p", findings)
-        assert cache.load("k") == findings
-        entry = tmp_path / "c" / "k.json"
-        payload = json.loads(entry.read_text())
-        payload["schema"] = CACHE_SCHEMA + 1
-        entry.write_text(json.dumps(payload))
-        assert cache.load("k") is None  # stale schema = miss
-        entry.write_text("{corrupt")
-        assert cache.load("k") is None
+def _fake_pass(name, run, **kwargs):
+    kwargs.setdefault("rules", (RuleSpec("fake-code", "test"),))
+    return PassSpec(name=name, description="test pass", title=name, run=run, **kwargs)
 
 
 @pytest.fixture
-def fake_passes(tmp_path, monkeypatch):
-    """Two registered counting passes keyed on a tmp package tree."""
-    (tmp_path / "alpha").mkdir()
-    (tmp_path / "alpha" / "mod.py").write_text("a = 1\n")
-    (tmp_path / "beta").mkdir()
-    (tmp_path / "beta" / "mod.py").write_text("b = 1\n")
-    monkeypatch.setattr("repro.analysis.runner._package_root", lambda: tmp_path)
-    runs = {"fake-alpha": 0, "fake-beta": 0}
+def registered():
+    """Register fake passes for one test; unregister them afterwards."""
+    names = []
 
-    def body(name):
-        def run(ctx):
-            runs[name] += 1
-            return [Finding("fake-code", "seen", pass_name=name)]
+    def add(name, run, **kwargs):
+        names.append(name)
+        return register(_fake_pass(name, run, **kwargs))
 
-        return run
-
-    for name in runs:
-        register(
-            PassSpec(
-                name=name,
-                description="test pass",
-                title=name,
-                rules=(RuleSpec("fake-code", "error", "test"),),
-                run=body(name),
-            )
-        )
-    yield tmp_path, runs
-    _REGISTRY.pop("fake-alpha")
-    _REGISTRY.pop("fake-beta")
+    yield add
+    for name in names:
+        _REGISTRY.pop(name)
 
 
-class TestIncrementalRunner:
-    def test_edit_anywhere_in_the_tree_reruns_every_pass(self, fake_passes, tmp_path):
-        tree, runs = fake_passes
-        cache = AnalysisCache(tmp_path / "cache")
-        names = ["fake-alpha", "fake-beta"]
+def _seen(ctx):
+    return [Finding("fake-code", "subject", "seen")]
 
-        cold = run_passes(names=names, cache=cache)
-        assert [r.cached for r in cold] == [False, False]
-        assert runs == {"fake-alpha": 1, "fake-beta": 1}
 
-        warm = run_passes(names=names, cache=cache)
-        assert [r.cached for r in warm] == [True, True]
-        assert runs == {"fake-alpha": 1, "fake-beta": 1}
-        assert warm[0].findings == cold[0].findings
+class TestIncrementalRunner:  # name kept from the cached runner's days
+    def test_findings_are_stamped_with_the_pass_name(self, registered):
+        registered("fake-alpha", _seen)
+        (result,) = run_passes(names=["fake-alpha"])
+        assert [f.pass_name for f in result.findings] == ["fake-alpha"]
+        assert result.findings[0].suppression_key == "fake-alpha:fake-code:subject"
 
-        # One tree fingerprint keys every pass: no per-pass dependency
-        # list exists to go stale.
-        (tree / "alpha" / "mod.py").write_text("a = 2\n")
-        after_edit = run_passes(names=names, cache=cache)
-        assert [r.cached for r in after_edit] == [False, False]
-        assert runs == {"fake-alpha": 2, "fake-beta": 2}
-
-    def test_profiler_edit_invalidates_the_strategies_entry(self, tmp_path, monkeypatch):
-        """`strategies` builds AdapCCBackend, which profiles on init; a
-        hand-kept input list that omitted profiling/ replayed a stale ok."""
-        tree = tmp_path / "repro"
-        shutil.copytree(
-            _package_root(), tree, ignore=shutil.ignore_patterns("__pycache__")
-        )
-        monkeypatch.setattr("repro.analysis.runner._package_root", lambda: tree)
-        cache = AnalysisCache(tmp_path / "cache")
-        (cold,) = run_passes(names=["strategies"], cache=cache)
-        (warm,) = run_passes(names=["strategies"], cache=cache)
-        assert (cold.cached, warm.cached) == (False, True)
-        with open(tree / "profiling" / "profiler.py", "a") as handle:
-            handle.write("# touched\n")
-        (after_edit,) = run_passes(names=["strategies"], cache=cache)
-        assert not after_edit.cached
-
-    def test_no_cache_always_runs(self, fake_passes):
-        _tree, runs = fake_passes
-        run_passes(names=["fake-alpha"], cache=None)
-        run_passes(names=["fake-alpha"], cache=None)
-        assert runs["fake-alpha"] == 2
-
-    def test_selection_keeps_canonical_order(self, fake_passes):
-        results = run_passes(names=["fake-beta", "fake-alpha"], cache=None)
+    def test_selection_keeps_canonical_order(self, registered):
+        registered("fake-alpha", _seen)
+        registered("fake-beta", _seen)
+        results = run_passes(names=["fake-beta", "fake-alpha"])
         assert [r.spec.name for r in results] == ["fake-alpha", "fake-beta"]
 
-    def test_crashing_pass_reports_error_not_exception(self):
+    def test_crashing_pass_reports_error_not_exception(self, registered):
         def boom(ctx):
             raise RuntimeError("kaput")
 
-        register(
-            PassSpec(
-                name="fake-crash",
-                description="test pass",
-                title="fake-crash",
-                rules=(RuleSpec("fake-code", "error", "test"),),
-                run=boom,
-            )
-        )
-        try:
-            (result,) = run_passes(names=["fake-crash"], cache=None)
-        finally:
-            _REGISTRY.pop("fake-crash")
+        registered("fake-crash", boom)
+        (result,) = run_passes(names=["fake-crash"])
         assert result.error is not None and "kaput" in result.error
         assert not result.ok
+
+    @pytest.mark.parametrize(
+        "finding",
+        [
+            Finding("undeclared-code", "s", "m"),
+            Finding("fake-code", "s", "m", severity="warning"),
+        ],
+    )
+    def test_undeclared_code_or_severity_is_a_pass_error(self, registered, capsys, finding):
+        registered("fake-open", lambda ctx: [finding])
+        (result,) = run_passes(names=["fake-open"])
+        assert result.findings == []
+        assert result.error is not None and finding.code in result.error
+        assert analysis_main(["--fake-open"]) == 2
+        assert "internal error" in capsys.readouterr().out
+
+    def test_a_target_runs_the_file_lint_instead_of_the_scenario(self, registered):
+        registered(
+            "fake-file",
+            _seen,
+            lint_file=lambda path: [Finding("fake-code", path, "from file")],
+        )
+        (result,) = run_passes(names=["fake-file"], targets={"fake-file": "x.json"})
+        assert [(f.subject, f.message) for f in result.findings] == [("x.json", "from file")]
+        assert result.notes == ["fake-file: linted x.json"]
+
+
+class TestChaosRuleClosure:
+    def test_over_capacity_snapshot_in_a_chaos_trace_has_a_declared_rule(self, registered):
+        """The chaos lint runs the trace lint over the fluid records, so the
+        pass must declare the trace lint's codes too (it declared only
+        ``event-order`` once, and SARIF carried rule-less results)."""
+        link = [0, "n0->n1", 100.0, 100.0]
+        records = [
+            TraceRecord(0.0, "net-flow-start", "f0", {"flow": 0, "size": 1e3, "tag": "f0"}),
+            TraceRecord(
+                0.0,
+                "net-rates",
+                "rates",
+                {"links": [link], "flows": [[0, "f0", 250.0, 1e3, [[0, 1.0]]]]},
+            ),
+        ]
+        chaos = get_pass("chaos")
+        codes = {f.code for f in lint_chaos(records)}
+        assert "link-capacity" in codes
+        assert codes <= {rule.code for rule in chaos.rules}
+
+        registered("fake-chaos", lambda ctx: lint_chaos(records), rules=chaos.rules)
+        (result,) = run_passes(names=["fake-chaos"])
+        assert result.error is None and result.findings
+        doc = json.loads(to_sarif([result]))["runs"][0]
+        declared = {rule["id"] for rule in doc["tool"]["driver"]["rules"]}
+        assert {r["ruleId"] for r in doc["results"]} <= declared
 
 
 class TestSarifExport:
     def _results(self):
-        return run_passes(names=["source"], cache=None)
+        return run_passes(names=["source"])
 
     def test_sarif_shape_and_rule_metadata(self):
         doc = json.loads(to_sarif(self._results()))
@@ -238,13 +227,10 @@ class TestSarifExport:
         for result in run["results"]:
             assert result["ruleId"] in rule_ids
 
-    def test_sarif_byte_identical_across_jobs_and_cache(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "cache")
+    def test_sarif_byte_identical_across_jobs_and_cache(self):
+        # (name kept; jobs and the cache are gone — two runs, same bytes)
         names = ["source", "races"]
-        cold = to_sarif(run_passes(names=names, cache=cache))
-        warm = to_sarif(run_passes(names=names, cache=cache))
-        uncached = to_sarif(run_passes(names=names, cache=None))
-        assert cold == warm == uncached
+        assert to_sarif(run_passes(names=names)) == to_sarif(run_passes(names=names))
 
 
 class TestCliContract:
@@ -255,27 +241,61 @@ class TestCliContract:
             assert name in out
 
     def test_clean_source_pass_exit_zero(self, capsys):
-        assert analysis_main(["--source", "--no-cache"]) == 0
+        assert analysis_main(["--source"]) == 0
         assert "ok   source lint" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bogus.jsonl"
         bad.write_text('{"type": "span", "start": "not-a-number"}\n')
-        assert analysis_main(["--telemetry", str(bad), "--no-cache"]) == 1
+        assert analysis_main(["--telemetry", str(bad)]) == 1
         assert "FAIL telemetry lint" in capsys.readouterr().out
 
     def test_internal_error_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "repro.analysis.passes.run_source_pass",
-            lambda root=None, echo=None: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        assert analysis_main(["--source", "--no-cache"]) == 2
+        def boom(root=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.analysis.lint_source.lint_source", boom)
+        assert analysis_main(["--source"]) == 2
         assert "internal error" in capsys.readouterr().out
+
+    def test_registered_pass_gets_its_flag_without_touching_main(
+        self, registered, tmp_path, capsys
+    ):
+        registered("fake-plain", _seen)
+        registered(
+            "fake-file",
+            _seen,
+            lint_file=lambda path: [Finding("fake-code", path, "from file")],
+        )
+        assert analysis_main(["--fake-plain"]) == 1
+        assert "FAIL fake-plain" in capsys.readouterr().out
+        assert analysis_main(["--fake-file", "artifact.json"]) == 1
+        out = capsys.readouterr().out
+        assert "fake-file: linted artifact.json" in out and "from file" in out
+        with pytest.raises(SystemExit) as usage:  # no lint_file, so no FILE
+            analysis_main(["--fake-plain", "artifact.json"])
+        assert usage.value.code == 2
+        assert analysis_main(["--list"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert any(l.startswith("fake-file") and "[accepts FILE]" in l for l in listed)
+        assert any(l.startswith("fake-plain") and "[accepts FILE]" not in l for l in listed)
+
+    @pytest.mark.parametrize("content", [None, "{not json\n", "3\n"])
+    def test_observe_and_integrity_io_errors_report_instead_of_crashing(
+        self, tmp_path, capsys, content
+    ):
+        bad = tmp_path / "log.jsonl"
+        if content is not None:
+            bad.write_text(content)
+        for name in ("observe", "integrity"):
+            assert analysis_main([f"--{name}", str(bad), "--format", "json"]) == 1
+            (entry,) = json.loads(capsys.readouterr().out)["passes"]
+            assert [f["code"] for f in entry["findings"]] == [f"{name}-io"]
 
     def test_fail_on_threshold_and_baseline_suppression(self, tmp_path, capsys):
         bad = tmp_path / "bogus.jsonl"
         bad.write_text('{"type": "span", "start": "not-a-number"}\n')
-        argv = ["--telemetry", str(bad), "--no-cache"]
+        argv = ["--telemetry", str(bad)]
         baseline = tmp_path / "baseline.json"
         assert analysis_main(argv + ["--write-baseline", str(baseline)]) == 0
         assert baseline.is_file()
@@ -287,20 +307,17 @@ class TestCliContract:
 
     def test_sarif_cli_output_is_parseable(self, tmp_path, capsys):
         out_file = tmp_path / "report.sarif"
-        assert (
-            analysis_main(
-                ["--source", "--no-cache", "--format", "sarif", "--output", str(out_file)]
-            )
-            == 0
-        )
+        argv = ["--source", "--format", "sarif", "--output", str(out_file)]
+        assert analysis_main(argv) == 0
         doc = json.loads(out_file.read_text())
         assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-analysis"
         assert capsys.readouterr().out == ""  # report went to the file
 
     def test_json_format_envelope(self, capsys):
-        assert analysis_main(["--source", "--no-cache", "--format", "json"]) == 0
+        assert analysis_main(["--source", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         (entry,) = doc["passes"]
+        assert "cached" not in entry
         assert entry["name"] == "source"
         assert entry["ok"] is True

@@ -15,7 +15,8 @@ every backend × primitive × paper cluster configuration plans clean.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.__main__ import run_strategy_pass
+from repro.analysis.passes import run_strategy_pass
+from repro.analysis.registry import PassContext
 from repro.analysis.verify_strategy import verify_strategy
 from repro.hardware import Cluster, make_hetero_cluster
 from repro.simulation import Simulator
@@ -173,4 +174,4 @@ class TestFig11To13Regression:
     def test_benchmark_strategies_all_verify(self):
         """Every backend × primitive × paper cluster configuration from the
         Fig. 11–13 benchmarks plans a strategy that verifies clean."""
-        assert run_strategy_pass(tensor_bytes=4 * 1024 * 1024) == []
+        assert run_strategy_pass(PassContext(), tensor_bytes=4 * 1024 * 1024) == []

@@ -443,19 +443,19 @@ class TestChaosLint:
         recorder = TraceRecorder()
         recorder.record(0.0, "chaos-link", "instance0", instance=0, bandwidth_fraction=0.3)
         violations = lint_chaos(recorder.records)
-        assert any(v.check == "chaos-link-restore" for v in violations)
+        assert any(v.code == "chaos-link-restore" for v in violations)
 
     def test_bad_fraction_flagged(self):
         recorder = TraceRecorder()
         recorder.record(0.0, "chaos-link", "instance0", instance=0, bandwidth_fraction=1.5)
         violations = lint_chaos(recorder.records)
-        assert any(v.check == "chaos-link-fraction" for v in violations)
+        assert any(v.code == "chaos-link-fraction" for v in violations)
 
     def test_uncaused_eviction_flagged(self):
         recorder = TraceRecorder()
         recorder.record(0.0, "chaos-evict", "rank3", iteration=0, rank=3)
         violations = lint_chaos(recorder.records)
-        assert any(v.check == "chaos-evict-cause" for v in violations)
+        assert any(v.code == "chaos-evict-cause" for v in violations)
 
     def test_caused_eviction_clean(self):
         recorder = TraceRecorder()

@@ -258,30 +258,30 @@ class TestLint:
         broken = dict(clean_report)
         del broken["path"]
         assert any(
-            v.check == "critpath-schema" for v in lint_critpath_report(broken)
+            v.code == "critpath-schema" for v in lint_critpath_report(broken)
         )
 
     def test_discontiguous_path_is_flagged(self, clean_report):
         broken = json.loads(report_to_json(clean_report))
         broken["path"][1]["start"] += 1.0
-        assert any(v.check == "critpath-path" for v in lint_critpath_report(broken))
+        assert any(v.code == "critpath-path" for v in lint_critpath_report(broken))
 
     def test_wrong_sums_are_flagged(self, clean_report):
         broken = json.loads(report_to_json(clean_report))
         broken["busy_seconds"] += 0.5
-        assert any(v.check == "critpath-sums" for v in lint_critpath_report(broken))
+        assert any(v.code == "critpath-sums" for v in lint_critpath_report(broken))
 
     def test_phantom_top_link_is_flagged(self, clean_report):
         broken = json.loads(report_to_json(clean_report))
         broken["top_link"] = {"name": "x0->x1", "seconds": 1.0, "share": 0.5}
         assert any(
-            v.check == "critpath-attribution"
+            v.code == "critpath-attribution"
             for v in lint_critpath_report(broken)
         )
 
     def test_unreadable_file_is_flagged(self, tmp_path):
         violations = lint_critpath_file(str(tmp_path / "absent.json"))
-        assert [v.check for v in violations] == ["critpath-io"]
+        assert [v.code for v in violations] == ["critpath-io"]
 
 
 # -- attribution vs chaos ground truth ---------------------------------------------

@@ -23,7 +23,6 @@ import os
 import pytest
 
 from repro.analysis.lint_fleet import lint_fleet_file, lint_fleet_run
-from repro.analysis.passes import run_fleet_pass
 from repro.errors import FleetError
 from repro.fleet import (
     ALLREDUCE,
@@ -348,7 +347,7 @@ def test_fleet_lint_clean_on_canonical_export(canonical_pair, tmp_path):
     assert lint_fleet_run(parse_jsonl(result.merged_jsonl)) == []
     path = tmp_path / "fleet.jsonl"
     path.write_text(result.merged_jsonl, encoding="utf-8")
-    assert run_fleet_pass(target=str(path)) == []
+    assert lint_fleet_file(str(path)) == []
 
 
 def test_fleet_lint_flags_tampering(canonical_pair):
@@ -394,21 +393,21 @@ def test_fleet_lint_flags_tampering(canonical_pair):
         span["args"]["bytes"] /= 2
 
     assert any(
-        v.check == "fleet-schema" for v in lint_fleet_run(tampered(drop_label))
+        v.code == "fleet-schema" for v in lint_fleet_run(tampered(drop_label))
     )
     assert any(
-        v.check == "fleet-attribution"
+        v.code == "fleet-attribution"
         for v in lint_fleet_run(tampered(fake_link))
     )
     assert any(
-        v.check == "fleet-conservation"
+        v.code == "fleet-conservation"
         for v in lint_fleet_run(tampered(shrink_chunk))
     )
 
 
 def test_fleet_lint_io_error(tmp_path):
     violations = lint_fleet_file(str(tmp_path / "missing.jsonl"))
-    assert [v.check for v in violations] == ["fleet-io"]
+    assert [v.code for v in violations] == ["fleet-io"]
 
 
 # -- three-job generated replay -------------------------------------------------------

@@ -508,7 +508,7 @@ class TestIntegrityLint:
     def test_missing_header_flagged(self):
         records = self.healed_records()[1:]
         assert any(
-            v.check == "integrity-header" for v in lint_integrity_records(records)
+            v.code == "integrity-header" for v in lint_integrity_records(records)
         )
 
     def test_conviction_without_suspicions_flagged(self):
@@ -518,7 +518,7 @@ class TestIntegrityLint:
             if r["type"] not in ("suspicion",)
         ]
         assert any(
-            v.check == "integrity-conviction-evidence"
+            v.code == "integrity-conviction-evidence"
             for v in lint_integrity_records(records)
         )
 
@@ -527,7 +527,7 @@ class TestIntegrityLint:
             r for r in self.healed_records() if r["type"] != CONVICTION_RECORD
         ]
         assert any(
-            v.check == "integrity-quarantine"
+            v.code == "integrity-quarantine"
             for v in lint_integrity_records(records)
         )
 
@@ -536,7 +536,7 @@ class TestIntegrityLint:
             r for r in self.healed_records() if r["type"] != RESYNTHESIS_RECORD
         ]
         assert any(
-            v.check == "integrity-quarantine"
+            v.code == "integrity-quarantine"
             for v in lint_integrity_records(records)
         )
 
@@ -545,7 +545,7 @@ class TestIntegrityLint:
         summary = dict(records[-1])
         summary["units_verified"] = summary["units_seen"] - 1
         assert any(
-            v.check == "integrity-coverage"
+            v.code == "integrity-coverage"
             for v in lint_integrity_records(records[:-1] + [summary])
         )
 
@@ -558,7 +558,7 @@ class TestIntegrityLint:
                 record["dirty_links"] = []
             doctored.append(record)
         assert any(
-            v.check == "integrity-conviction-evidence"
+            v.code == "integrity-conviction-evidence"
             for v in lint_integrity_records(doctored)
         )
 
@@ -569,7 +569,7 @@ class TestIntegrityLint:
                 record["time"] = -1.0
                 break
         assert any(
-            v.check == "integrity-monotonic" for v in lint_integrity_records(records)
+            v.code == "integrity-monotonic" for v in lint_integrity_records(records)
         )
 
 

@@ -548,44 +548,44 @@ def verdict_record(**overrides):
 class TestObserveLint:
     def test_missing_header_is_flagged(self):
         violations = lint_observe_records([verdict_record()])
-        assert any(v.check == "observe-header" for v in violations)
+        assert any(v.code == "observe-header" for v in violations)
 
     def test_duplicate_header_is_flagged(self):
         violations = lint_observe_records([header(), header()])
-        assert any(v.check == "observe-header" for v in violations)
+        assert any(v.code == "observe-header" for v in violations)
 
     def test_disabled_log_must_be_silent(self):
         violations = lint_observe_records(
             [header(enabled=False), verdict_record()]
         )
-        assert any(v.check == "observe-disabled" for v in violations)
+        assert any(v.code == "observe-disabled" for v in violations)
 
     def test_verdict_without_evidence_is_flagged(self):
         violations = lint_observe_records([header(), verdict_record(evidence=[])])
-        assert any(v.check == "observe-evidence" for v in violations)
+        assert any(v.code == "observe-evidence" for v in violations)
 
     def test_evidence_postdating_the_verdict_is_flagged(self):
         violations = lint_observe_records(
             [header(), verdict_record(evidence=[[9.0, 1.0]])]
         )
-        assert any(v.check == "observe-evidence" for v in violations)
+        assert any(v.code == "observe-evidence" for v in violations)
 
     def test_statistic_under_threshold_is_flagged(self):
         violations = lint_observe_records([header(), verdict_record(statistic=0.5)])
-        assert any(v.check == "observe-threshold" for v in violations)
+        assert any(v.code == "observe-threshold" for v in violations)
 
     def test_reprobe_must_cite_a_verdict(self):
         reprobe = {"type": "reprobe", "id": "p1", "verdicts": [],
                    "probed_links": [], "start": 6.0, "end": 6.5, "iteration": 4}
         violations = lint_observe_records([header(), reprobe])
-        assert any(v.check == "observe-causality" for v in violations)
+        assert any(v.code == "observe-causality" for v in violations)
 
     def test_stray_probe_is_flagged(self):
         reprobe = {"type": "reprobe", "id": "p1", "verdicts": ["v1"],
                    "probed_links": ["n0->n1", "g0->g1"], "start": 6.0,
                    "end": 6.5, "iteration": 4}
         violations = lint_observe_records([header(), verdict_record(), reprobe])
-        assert any(v.check == "observe-targeting" for v in violations)
+        assert any(v.code == "observe-targeting" for v in violations)
 
     def test_resynthesis_inside_hysteresis_is_flagged(self):
         reprobe = {"type": "reprobe", "id": "p1", "verdicts": ["v1"],
@@ -598,14 +598,14 @@ class TestObserveLint:
         violations = lint_observe_records(
             [header(), verdict_record(), reprobe, resynthesis]
         )
-        assert any(v.check == "observe-hysteresis" for v in violations)
+        assert any(v.code == "observe-hysteresis" for v in violations)
 
     def test_non_monotonic_times_are_flagged(self):
         violations = lint_observe_records(
             [header(), verdict_record(time=5.0),
              verdict_record(id="v2", time=4.0, evidence=[[3.0, 1.0]])]
         )
-        assert any(v.check == "observe-monotonic" for v in violations)
+        assert any(v.code == "observe-monotonic" for v in violations)
 
     def test_wellformed_chain_is_clean(self):
         reprobe = {"type": "reprobe", "id": "p1", "verdicts": ["v1"],

@@ -76,7 +76,7 @@ class TestStaticHazards:
 class TestAliasedWallClockFixtures:
     def test_all_aliased_forms_flagged(self):
         flagged = [
-            v for v in lint_source(root=FIXTURES) if v.check == "wall-clock"
+            v for v in lint_source(root=FIXTURES) if v.code == "wall-clock"
         ]
         lines = {int(v.subject.rsplit(":", 1)[1]) for v in flagged}
         assert lines == {17, 21, 25, 29}  # time(), now(), t.time(), dt.now()
@@ -89,7 +89,7 @@ class TestAliasedWallClockFixtures:
 class TestAmbientObserverFixtures:
     def test_every_ambient_spelling_flagged_and_constructor_defaults_allowed(self):
         flagged = [
-            v for v in lint_source(root=FIXTURES) if v.check == "ambient-observer"
+            v for v in lint_source(root=FIXTURES) if v.code == "ambient-observer"
         ]
         assert {v.subject.rsplit(":", 1)[0] for v in flagged} == {
             "runtime/ambient_observer.py"
@@ -224,5 +224,5 @@ class TestHappensBefore:
 
 class TestRacePassCli:
     def test_races_pass_exits_zero_on_clean_tree(self, capsys):
-        assert analysis_main(["--races", "--no-cache"]) == 0
+        assert analysis_main(["--races"]) == 0
         assert "ok   race detector" in capsys.readouterr().out

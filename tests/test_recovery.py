@@ -560,28 +560,28 @@ class TestLintRecovery:
             _record(0, 1, 0, "membership", 0.0, members=(0, 1)),
             _record(2, 1, 0, "heal", 0.1, ranks=(1,)),
         ]
-        assert any(v.check == "record-index" for v in lint_recovery(records))
+        assert any(v.code == "record-index" for v in lint_recovery(records))
 
     def test_flags_time_reversal(self):
         records = [
             _record(0, 1, 0, "membership", 1.0, members=(0, 1)),
             _record(1, 1, 0, "heal", 0.5, ranks=(1,)),
         ]
-        assert any(v.check == "record-time" for v in lint_recovery(records))
+        assert any(v.code == "record-time" for v in lint_recovery(records))
 
     def test_flags_epoch_without_election(self):
         records = [
             _record(0, 1, 0, "membership", 0.0, members=(0, 1)),
             _record(1, 2, 1, "membership", 0.1, members=(0, 1)),
         ]
-        assert any(v.check == "election-first" for v in lint_recovery(records))
+        assert any(v.code == "election-first" for v in lint_recovery(records))
 
     def test_flags_split_brain(self):
         records = [
             _record(0, 1, 0, "membership", 0.0, members=(0, 1)),
             _record(1, 1, 1, "decision", 0.1, iteration=0, proceed=True),
         ]
-        assert any(v.check == "split-brain" for v in lint_recovery(records))
+        assert any(v.code == "split-brain" for v in lint_recovery(records))
 
     def test_flags_commit_without_quorum(self):
         records = [
@@ -589,13 +589,13 @@ class TestLintRecovery:
             _record(1, 1, 0, "prepare-ack", 0.0, transition=0, rank=0),
             _record(2, 1, 0, "strategy-commit", 0.1, transition=0, members=(0, 1, 2, 3)),
         ]
-        assert any(v.check == "commit-quorum" for v in lint_recovery(records))
+        assert any(v.code == "commit-quorum" for v in lint_recovery(records))
 
     def test_flags_commit_never_prepared(self):
         records = [
             _record(0, 1, 0, "strategy-commit", 0.0, transition=7, members=(0, 1)),
         ]
-        assert any(v.check == "commit-unprepared" for v in lint_recovery(records))
+        assert any(v.code == "commit-unprepared" for v in lint_recovery(records))
 
     def test_flags_cross_epoch_commit(self):
         records = [
@@ -605,7 +605,7 @@ class TestLintRecovery:
             _record(3, 2, 1, "election", 0.1, previous=0, reason="role-crash"),
             _record(4, 2, 1, "strategy-commit", 0.2, transition=0, members=(0, 1)),
         ]
-        assert any(v.check == "commit-epoch" for v in lint_recovery(records))
+        assert any(v.code == "commit-epoch" for v in lint_recovery(records))
 
     def test_flags_rollback_after_commit_and_dangling_prepare(self):
         records = [
@@ -616,7 +616,7 @@ class TestLintRecovery:
             _record(4, 1, 0, "strategy-rollback", 0.2, transition=0, reason="x"),
             _record(5, 1, 0, "strategy-prepare", 0.3, transition=1, members=(0, 1)),
         ]
-        checks = {v.check for v in lint_recovery(records)}
+        checks = {v.code for v in lint_recovery(records)}
         assert "rollback-after-commit" in checks
         assert "dangling-prepare" in checks
 
@@ -628,4 +628,4 @@ class TestLintRecovery:
             _record(3, 1, 0, "prepare-ack", 0.0, transition=0, rank=9),
             _record(4, 1, 0, "strategy-commit", 0.1, transition=0, members=(0, 1)),
         ]
-        assert any(v.check == "ack-nonmember" for v in lint_recovery(records))
+        assert any(v.code == "ack-nonmember" for v in lint_recovery(records))

@@ -365,12 +365,12 @@ class TestExport:
         _run_session()
         run = parse_jsonl(to_jsonl(fresh_hub))
         run.records[1]["end"] = run.records[1]["start"] - 1.0
-        checks = {v.check for v in lint_telemetry_run(run)}
+        checks = {v.code for v in lint_telemetry_run(run)}
         assert "telemetry-clock" in checks
 
     def test_lint_chrome_flags_bad_phase(self):
         payload = {"traceEvents": [{"ph": "Q", "pid": 1, "tid": 1, "name": "x", "ts": 0}]}
-        assert any(v.check == "chrome-schema" for v in lint_chrome_trace(payload))
+        assert any(v.code == "chrome-schema" for v in lint_chrome_trace(payload))
 
 
 # -- determinism ----------------------------------------------------------------
