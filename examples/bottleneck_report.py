@@ -1,7 +1,7 @@
 """Where did the time go? Critical-path attribution of a straggling run.
 
 Replays a seeded straggler fault plan (rank 3 arrives 0.2 s late for five
-iterations) with telemetry enabled, then feeds the exported spans through
+iterations) with telemetry enabled, then feeds the hub's spans through
 :mod:`repro.critpath`: the chunk-level send spans are joined into an
 execution DAG, the critical path is walked on sim-clock timings, and the
 elapsed time is attributed to links, ranks, and pipeline stages — with the
@@ -21,10 +21,9 @@ same-seed runs). Inspect either by hand:
 """
 
 from repro.chaos import ChaosRunner, FaultPlan, StragglerFault
-from repro.critpath import analyze_run, render_report, report_to_json
+from repro.critpath import analyze_hub, render_report, report_to_json
 from repro.hardware import make_homo_cluster
 from repro.telemetry import TelemetryHub, write_jsonl
-from repro.telemetry.export import parse_jsonl, to_jsonl
 
 
 def main() -> None:
@@ -46,8 +45,7 @@ def main() -> None:
     hub = TelemetryHub(enabled=True)
     ChaosRunner(specs, plan, length=512, byte_scale=200_000.0, hub=hub).run()
 
-    run = parse_jsonl(to_jsonl(hub))
-    report = analyze_run(run)
+    report = analyze_hub(hub)
     print(render_report(report))
 
     write_jsonl(hub, "bottleneck_report.jsonl")

@@ -40,7 +40,7 @@ from repro.chaos import (
     PartitionFault,
 )
 from repro.chaos.plan import StragglerFault
-from repro.critpath import analyze_run, report_to_json
+from repro.critpath import analyze_hub, analyze_run, report_to_json
 from repro.errors import SynthesisError
 from repro.fleet.runner import FleetRunner
 from repro.fleet.workload import canonical_overlap_workload
@@ -486,12 +486,11 @@ def run_critpath_pass(ctx: PassContext, seed: int = 11) -> List[Finding]:
             observe=ObserveConfig(),
             hub=fresh,
         ).run()
-        return parse_jsonl(to_jsonl(fresh))
+        return analyze_hub(fresh)
 
     interference = FaultPlan.interference(seed=seed, iterations=24)
     fault_node = f"n{interference.link_faults[0].instance_id}"
-    run = _chaos(interference)
-    report = analyze_run(run)
+    report = _chaos(interference)
     findings.extend(lint_report(report))
     top_link = (report["top_link"] or {}).get("name", "")
     if not top_link or fault_node not in link_endpoints(top_link):
@@ -519,8 +518,7 @@ def run_critpath_pass(ctx: PassContext, seed: int = 11) -> List[Finding]:
             for i in range(3, 8)
         ),
     )
-    run = _chaos(straggler)
-    report = analyze_run(run)
+    report = _chaos(straggler)
     findings.extend(lint_report(report))
     top_rank = (report["top_rank"] or {}).get("name", "")
     top_link = (report["top_link"] or {}).get("name", "")

@@ -120,21 +120,20 @@ def measure_cell_detail(
     """Measure one cell with critical-path attribution.
 
     Runs the cell on a fresh enabled telemetry hub of its own and feeds the
-    exported spans through :func:`repro.critpath.analyze_run` (inferred
+    hub's spans through :func:`repro.critpath.analyze_hub` (inferred
     mode). Returns ``(bandwidth_bps, top_bottleneck_link)``, the link
-    ``None`` when the run exported no chunk spans. Telemetry never
+    ``None`` when the run recorded no chunk spans. Telemetry never
     advances the sim clock, so the bandwidth is identical to a bare
     :func:`measure_cell`.
     """
     # Local imports: repro.critpath pulls in the analysis machinery, which
     # itself imports the bench harness.
-    from repro.critpath import analyze_run
+    from repro.critpath import analyze_hub
     from repro.telemetry.core import TelemetryHub
-    from repro.telemetry.export import parse_jsonl, to_jsonl
 
     fresh = TelemetryHub(enabled=True)
     bandwidth = measure_cell(figure, config, backend, hub=fresh)
-    report = analyze_run(parse_jsonl(to_jsonl(fresh)))
+    report = analyze_hub(fresh)
     top = report["top_link"]
     return bandwidth, (top["name"] if top else None)
 

@@ -2,8 +2,9 @@
 
 Three surfaces:
 
-* :func:`analyze_run` / :func:`analyze_spans` — the engine: join exported
-  chunk spans into an execution DAG (strategy-derived when a
+* :func:`analyze_run` / :func:`analyze_hub` / :func:`analyze_spans` — the
+  engine: join chunk spans (of a parsed export, or of a live hub with no
+  text in between) into an execution DAG (strategy-derived when a
   :class:`~repro.synthesis.strategy.Strategy` is given, inferred
   otherwise), walk the critical path, attribute time to links, ranks,
   and stages with slack analysis;
@@ -19,6 +20,7 @@ from repro.critpath.engine import (
     REPORT_KIND,
     REPORT_SCHEMA,
     ChunkSpan,
+    analyze_hub,
     analyze_run,
     analyze_spans,
     extract_chunk_spans,
@@ -32,6 +34,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "ChunkSpan",
     "CritpathConsumer",
+    "analyze_hub",
     "analyze_run",
     "analyze_spans",
     "extract_chunk_spans",

@@ -50,11 +50,10 @@ def main(argv=None) -> int:
     from repro.critpath.engine import analyze_run, render_report, report_to_json
 
     try:
-        run = read_jsonl(args.run)
+        report = analyze_run(read_jsonl(args.run))
     except (TelemetryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = analyze_run(run)
     text = (
         report_to_json(report)
         if args.json

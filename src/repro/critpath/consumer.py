@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.critpath.engine import ChunkSpan, analyze_spans
+from repro.critpath.engine import ChunkSpan, analyze_spans, chunk_send, ready_delays
 from repro.telemetry.core import Span, TelemetryConsumer
 
 
@@ -29,36 +29,17 @@ class CritpathConsumer(TelemetryConsumer):
         self._readiness: List[Dict[int, float]] = []
 
     def on_span(self, span: Span) -> None:
-        """Keep closed chunk ``…:send`` spans on ``link:*`` tracks."""
-        if span.category != "chunk" or not span.name.endswith(":send"):
-            return
-        if not span.track.startswith("link:") or span.end is None:
-            return
-        chunk = int(span.args.get("chunk", -1))
-        if chunk < 0:
-            return
-        self._spans.append(
-            ChunkSpan(
-                tag=span.name[: -len(":send")],
-                track=span.track,
-                unit=str(span.args.get("unit", "")),
-                chunk=chunk,
-                start=span.start,
-                end=span.end,
-                order=len(self._spans),
-                bytes=float(span.args.get("bytes", 0.0)),
-            )
+        """Keep chunk sends (:func:`~repro.critpath.engine.chunk_send`)."""
+        node = chunk_send(
+            span.category, span.name, span.track, span.start, span.end,
+            span.args, len(self._spans), span.seq,
         )
+        if node is not None:
+            self._spans.append(node)
 
     def on_event(self, event: Span) -> None:
         """Keep ski-rental ready delays: pre-send straggler evidence."""
-        if event.name != "ski-rental-decision":
-            return
-        delays = {
-            int(rank): float(delay)
-            for rank, delay in (event.args.get("ready_delays") or {}).items()
-            if delay is not None
-        }
+        delays = ready_delays(event.name, event.args)
         if delays:
             self._readiness.append(delays)
 

@@ -37,8 +37,11 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.errors import TelemetryError
 
 #: Version stamp carried by every report; bump on breaking changes.
 REPORT_SCHEMA = 1
@@ -53,7 +56,11 @@ TIME_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ChunkSpan:
-    """One chunk-pipeline ``…:send`` span: a node of the execution DAG."""
+    """One chunk-pipeline ``…:send`` span: a node of the execution DAG.
+
+    The derived ``link`` / ``src`` / ``dst`` / ``stage`` are parsed once,
+    at construction: the join and the attribution read them per probe.
+    """
 
     tag: str
     track: str
@@ -65,64 +72,91 @@ class ChunkSpan:
     #: tiebreak for every choice the engine makes.
     order: int
     bytes: float = 0.0
+    #: The ``"g0->n1"``-style link name (track minus the prefix).
+    link: str = field(init=False, compare=False, repr=False)
+    #: Endpoint node names (``""`` for non-link tracks).
+    src: str = field(init=False, compare=False, repr=False)
+    dst: str = field(init=False, compare=False, repr=False)
+    #: Pipeline stage: the tag up to the sub-collective suffix.
+    stage: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def link(self) -> str:
-        """The ``"g0->n1"``-style link name (track minus the prefix)."""
-        if self.track.startswith("link:"):
-            return self.track[len("link:"):]
-        return self.track
-
-    @property
-    def src(self) -> str:
-        """Source endpoint node name (``""`` for non-link tracks)."""
-        link = self.link
-        return link.split("->", 1)[0] if "->" in link else ""
-
-    @property
-    def dst(self) -> str:
-        """Destination endpoint node name (``""`` for non-link tracks)."""
-        link = self.link
-        return link.split("->", 1)[1] if "->" in link else ""
-
-    @property
-    def stage(self) -> str:
-        """Pipeline stage: the tag up to the sub-collective suffix."""
-        return self.tag.split(":", 1)[0]
+    def __post_init__(self) -> None:
+        track = self.track
+        link = track[len("link:"):] if track.startswith("link:") else track
+        src, arrow, dst = link.partition("->")
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "link", link)
+        put(self, "src", src if arrow else "")
+        put(self, "dst", dst if arrow else "")
+        put(self, "stage", self.tag.split(":", 1)[0])
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
+def chunk_send(
+    category: Any,
+    name: Any,
+    track: Any,
+    start: Any,
+    end: Any,
+    args: Any,
+    order: int,
+    number: int,
+) -> Optional[ChunkSpan]:
+    """The one chunk-send predicate and :class:`ChunkSpan` constructor.
+
+    A chunk send is a closed ``cat == "chunk"`` span whose name ends
+    ``:send`` and whose ``chunk`` arg is ≥ 0; anything else gives
+    ``None``. The executor emits them on ``link:{i}->{j}`` tracks only,
+    so the track is parsed, never tested. The fields are a JSONL record's
+    or a live :class:`~repro.telemetry.core.Span`'s, passed as they come;
+    ``number`` is the record's 1-based position in its stream, named when
+    a chunk send is well-formed JSON but not a well-formed span.
+    """
+    if category != "chunk" or end is None:
+        return None
+    try:
+        if not name.endswith(":send"):
+            return None
+        chunk = int(args.get("chunk", -1))
+        if chunk < 0:
+            return None
+        return ChunkSpan(
+            name[: -len(":send")],
+            track,
+            str(args.get("unit", "")),
+            chunk,
+            float(start),
+            float(end),
+            order,
+            float(args.get("bytes", 0.0)),
+        )
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise TelemetryError(
+            f"record {number}: malformed chunk span: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def extract_chunk_spans(records: Sequence[Dict[str, Any]]) -> List[ChunkSpan]:
     """The chunk ``…:send`` spans of a record stream, in file order."""
     spans: List[ChunkSpan] = []
-    for record in records:
-        if record.get("type") != "span" or record.get("cat") != "chunk":
+    for number, record in enumerate(records, start=1):
+        if record.get("type") != "span":
             continue
-        name = record.get("name", "")
-        if not name.endswith(":send"):
-            continue
-        end = record.get("end")
-        if end is None:
-            continue
-        args = record.get("args", {})
-        chunk = int(args.get("chunk", -1))
-        if chunk < 0:
-            continue
-        spans.append(
-            ChunkSpan(
-                tag=name[: -len(":send")],
-                track=record.get("track", ""),
-                unit=str(args.get("unit", "")),
-                chunk=chunk,
-                start=float(record["start"]),
-                end=float(end),
-                order=len(spans),
-                bytes=float(args.get("bytes", 0.0)),
-            )
+        span = chunk_send(
+            record.get("cat"),
+            record.get("name", ""),
+            record.get("track", ""),
+            record.get("start"),
+            record.get("end"),
+            record.get("args", {}),
+            len(spans),
+            number,
         )
+        if span is not None:
+            spans.append(span)
     return spans
 
 
@@ -177,36 +211,68 @@ def _dag_predecessors(
     return preds
 
 
+def handoff_producers(
+    spans: Sequence[ChunkSpan], tol: float = TIME_TOL
+) -> List[Optional[int]]:
+    """Per span, its binding cross-link handoff (``None`` if it has none).
+
+    The producer of a send is the latest — by ``_end_key`` — *other* send
+    of the same ``(tag, unit, chunk)`` whose link destination is this
+    send's source endpoint and which ended by ``start + tol``. Producers
+    are bucketed by ``(tag, unit, chunk, dst)`` and each bucket sorted by
+    that key once, so the latest qualifying one is the entry just left of
+    ``bisect_right(ends, start + tol)`` — the same ``end <= start + tol``
+    comparison and the same tie-break as scanning the bucket, in
+    O(n log n). Also what draws the Chrome trace's flow arrows.
+    """
+    buckets: Dict[Tuple[str, str, int, str], List[int]] = {}
+    for index, span in enumerate(spans):
+        buckets.setdefault((span.tag, span.unit, span.chunk, span.dst), []).append(index)
+    # Per bucket: its members latest-last, and their ends to bisect.
+    sorted_buckets = {}
+    for key, members in buckets.items():
+        members.sort(key=lambda i: _end_key(spans, i))
+        sorted_buckets[key] = (members, [spans[i].end for i in members])
+
+    producers: List[Optional[int]] = [None] * len(spans)
+    for index, span in enumerate(spans):
+        bucket = sorted_buckets.get((span.tag, span.unit, span.chunk, span.src))
+        if bucket is None:
+            continue
+        members, ends = bucket
+        position = bisect.bisect_right(ends, span.start + tol) - 1
+        # A self-loop (or endpoint-less) send sits in its own bucket.
+        if position >= 0 and members[position] == index:
+            position -= 1
+        if position >= 0:
+            producers[index] = members[position]
+    return producers
+
+
 def _inferred_predecessors(
     spans: Sequence[ChunkSpan], tol: float
 ) -> List[List[int]]:
     """Edges inferred from the spans alone (no strategy available)."""
-    by_sender: Dict[Tuple[str, str, str], Dict[int, List[int]]] = {}
-    by_unit: Dict[Tuple[str, str, int], List[int]] = {}
+    # slots[(sender, chunk)] lists span indices in file order; a span's
+    # occurrence is its position there, counted as it is indexed.
+    slots: Dict[Tuple[str, str, str, int], List[int]] = {}
+    occurrences: List[int] = []
     for index, span in enumerate(spans):
-        by_sender.setdefault(
-            (span.tag, span.track, span.unit), {}
-        ).setdefault(span.chunk, []).append(index)
-        by_unit.setdefault((span.tag, span.unit, span.chunk), []).append(index)
+        slot = slots.setdefault((span.tag, span.track, span.unit, span.chunk), [])
+        occurrences.append(len(slot))
+        slot.append(index)
 
     preds: List[List[int]] = [[] for _ in spans]
+    producers = handoff_producers(spans, tol)
     for index, span in enumerate(spans):
-        chunks = by_sender[(span.tag, span.track, span.unit)]
-        occurrence = chunks[span.chunk].index(index)
-        prior = chunks.get(span.chunk - 1, [])
-        if occurrence < len(prior):
-            preds[index].append(prior[occurrence])
-        producers = [
-            j
-            for j in by_unit.get((span.tag, span.unit, span.chunk), [])
-            if j != index
-            and spans[j].dst == span.src
-            and spans[j].end <= span.start + tol
-        ]
-        if producers:
-            # The binding handoff: the latest producer that could have
-            # released this send.
-            preds[index].append(max(producers, key=lambda j: _end_key(spans, j)))
+        # The same sender's chunk k-1 -> k serializes, per occurrence.
+        prior = slots.get((span.tag, span.track, span.unit, span.chunk - 1), ())
+        if occurrences[index] < len(prior):
+            preds[index].append(prior[occurrences[index]])
+        # The binding handoff: the latest producer that could have
+        # released this send.
+        if producers[index] is not None:
+            preds[index].append(producers[index])
     return preds
 
 
@@ -305,6 +371,18 @@ def _rank_of(node_name: str) -> Optional[int]:
     return None
 
 
+def ready_delays(name: Any, args: Any) -> Dict[int, float]:
+    """One instant's ``{rank: delay_seconds}``; empty unless it is a
+    ``ski-rental-decision`` carrying at least one known ready delay."""
+    if name != "ski-rental-decision":
+        return {}
+    return {
+        int(rank): float(delay)
+        for rank, delay in (args.get("ready_delays") or {}).items()
+        if delay is not None
+    }
+
+
 def extract_readiness(records: Sequence[Dict[str, Any]]) -> List[Dict[int, float]]:
     """Per-decision ready delays from ``ski-rental-decision`` instants.
 
@@ -317,13 +395,7 @@ def extract_readiness(records: Sequence[Dict[str, Any]]) -> List[Dict[int, float
     for record in records:
         if record.get("type") != "event":
             continue
-        if record.get("name") != "ski-rental-decision":
-            continue
-        delays = {
-            int(rank): float(delay)
-            for rank, delay in (record.get("args", {}).get("ready_delays") or {}).items()
-            if delay is not None
-        }
+        delays = ready_delays(record.get("name"), record.get("args", {}))
         if delays:
             out.append(delays)
     return out
@@ -582,6 +654,30 @@ def analyze_run(run, strategy=None, tol: float = TIME_TOL) -> Dict[str, Any]:
         tol=tol,
         readiness=extract_readiness(run.records),
     )
+
+
+def analyze_hub(hub, strategy=None, tol: float = TIME_TOL) -> Dict[str, Any]:
+    """Analyze what a :class:`~repro.telemetry.core.TelemetryHub` holds,
+    in process: no JSONL text is rendered or parsed.
+
+    Spans and events are read in export order ``(start, seq)`` through
+    :func:`chunk_send` and :func:`ready_delays`, and JSON round-trips
+    floats exactly, so the report is byte-equal to :func:`analyze_run`
+    over the hub's parsed export.
+    """
+    export_order = attrgetter("start", "seq")
+    spans: List[ChunkSpan] = []
+    for number, span in enumerate(sorted(hub.tracer.spans, key=export_order), start=1):
+        node = chunk_send(
+            span.category, span.name, span.track, span.start, span.end,
+            span.args, len(spans), number,
+        )
+        if node is not None:
+            spans.append(node)
+    instants = sorted(hub.tracer.events, key=export_order)
+    decisions = (ready_delays(event.name, event.args) for event in instants)
+    readiness = [delays for delays in decisions if delays]
+    return analyze_spans(spans, strategy=strategy, tol=tol, readiness=readiness)
 
 
 def report_to_json(report: Dict[str, Any]) -> str:

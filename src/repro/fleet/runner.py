@@ -68,7 +68,7 @@ from repro.runtime.collectives import (
 from repro.simulation.engine import Simulator
 from repro.synthesis import Primitive, Synthesizer
 from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub
-from repro.telemetry.export import SCHEMA_VERSION, _dumps, ordered_records
+from repro.telemetry.export import SCHEMA_VERSION, canonical_json, render_lines
 from repro.topology.graph import LogicalTopology
 
 #: Slack when deciding an op has come due (floating-point schedule times).
@@ -173,7 +173,7 @@ class FleetResult:
 
     def report_json(self) -> str:
         """The report as canonical (sorted, compact) JSON text."""
-        return _dumps(self.report) + "\n"
+        return canonical_json(self.report) + "\n"
 
 
 class FleetRunner:
@@ -523,11 +523,10 @@ class FleetRunner:
         total_spans = 0
         total_events = 0
         for job in self._jobs:
-            records = ordered_records(job.hub)
             total_spans += len(job.hub.tracer.spans)
             total_events += len(job.hub.tracer.events)
-            for index, record in enumerate(records):
-                entries.append((record["start"], job.name, index, record))
+            for index, (start, line) in enumerate(render_lines(job.hub)):
+                entries.append((start, job.name, index, line))
         entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
         meta = {
             "type": "meta",
@@ -539,13 +538,13 @@ class FleetRunner:
             "spans": total_spans,
             "events": total_events,
         }
-        lines = [_dumps(meta)]
-        lines.extend(_dumps(record) for _, _, _, record in entries)
+        lines = [canonical_json(meta)]
+        lines.extend(line for _, _, _, line in entries)
         tail = {
             "type": "metrics",
             "metrics": {job.name: job.hub.metrics.snapshot() for job in self._jobs},
         }
-        lines.append(_dumps(tail))
+        lines.append(canonical_json(tail))
         return "\n".join(lines) + "\n"
 
     def _scoring_windows(self) -> List[ScoringWindow]:

@@ -40,6 +40,42 @@ DECISION_EVENTS = (
 )
 
 
+#: ``(field, JSON types, value when absent)`` of what the tables and the
+#: converter index on a span/event record; ``start`` has no usable default.
+_RECORD_FIELDS = (
+    ("start", (int, float), None),
+    ("end", (int, float, type(None)), None),
+    ("name", str, ""),
+    ("cat", str, ""),
+    ("track", str, ""),
+    ("args", dict, {}),
+    ("labels", dict, {}),
+)
+
+
+def _load(path: str) -> TelemetryRun:
+    """Read a run file and reject records the commands cannot tabulate.
+
+    ``parse_jsonl`` keeps any JSON object (schema content is the
+    ``--telemetry`` lint's job); the tables and the converter do
+    arithmetic on ``start``/``end`` and look into ``track``/``args``, so a
+    well-formed JSON record that is not a well-formed span is refused
+    here, by position, instead of surfacing as a traceback later.
+    """
+    run = read_jsonl(path)
+    for number, record in enumerate(run.records, start=1):
+        kind = record.get("type")
+        if kind not in ("span", "event"):
+            continue
+        for field, types, absent in _RECORD_FIELDS:
+            value = record.get(field, absent)
+            if not isinstance(value, types):
+                raise TelemetryError(
+                    f"record {number}: malformed {kind}: {field!r} is {value!r}"
+                )
+    return run
+
+
 def _collective_table(run: TelemetryRun) -> Optional[Table]:
     rows = summarize_collectives(run)
     if not rows:
@@ -168,7 +204,7 @@ def summarize(path: str, top: int = 0, group_by: Optional[str] = None) -> int:
     printed once per value of that record label — the fleet workflow is
     ``summarize merged.jsonl --group-by job``.
     """
-    run = read_jsonl(path)
+    run = _load(path)
     meta = run.meta
     print(
         f"run: {path} (schema {meta.get('schema', '?')}, {meta.get('clock', '?')} clock, "
@@ -202,7 +238,7 @@ def summarize(path: str, top: int = 0, group_by: Optional[str] = None) -> int:
 
 def chrome(path: str, output: Optional[str]) -> int:
     """Convert a JSONL run to a Chrome trace file."""
-    run = read_jsonl(path)
+    run = _load(path)
     target = output or (path.rsplit(".jsonl", 1)[0] + ".trace.json")
     write_chrome_trace(run, target, clock=run.meta.get("clock", "sim"))
     print(f"wrote {target} ({len(run.spans)} spans, {len(run.events)} events)")

@@ -16,8 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Union
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.critpath.engine import extract_chunk_spans, handoff_producers
 from repro.errors import TelemetryError
 from repro.telemetry.core import Span, TelemetryHub
 
@@ -27,9 +31,14 @@ SCHEMA_VERSION = 1
 #: Chrome trace pid used for every track (one simulated job = one process).
 TRACE_PID = 1
 
+#: The one encoder behind every line: sorted keys, compact separators.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: Canonical JSON text of any JSON-able value (header and tail lines,
+#: ``args``, labels, whatever the line renderer has no fast form for).
+canonical_json = _ENCODER.encode
+
+_float_repr = float.__repr__
 
 
 def _span_record(
@@ -51,27 +60,79 @@ def _span_record(
     return record
 
 
-def _ordered_records(hub: TelemetryHub) -> List[Dict[str, Any]]:
-    # Hub labels are stamped onto every record; an unlabeled hub emits
-    # byte-identical output to before labels existed (no empty key).
-    labels = getattr(hub, "labels", None) or None
-    entries = [(s.start, s.seq, _span_record(s, "span", labels)) for s in hub.tracer.spans]
-    entries.extend(
-        (e.start, e.seq, _span_record(e, "event", labels)) for e in hub.tracer.events
-    )
-    entries.sort(key=lambda item: (item[0], item[1]))
-    return [record for _start, _seq, record in entries]
+def _export_order(hub: TelemetryHub) -> Tuple[List[Span], Set[Span]]:
+    """Everything the hub holds in export order — by timestamp, emission
+    order breaking ties — and which of it is events rather than spans.
+
+    The spans themselves are sorted, not ``(key, span)`` entries: tens of
+    thousands of short-lived tuples that each hold a ``Span`` are what
+    tips the collector into full passes over the hub mid-export.
+    """
+    tracer = hub.tracer
+    return sorted(tracer.spans + tracer.events, key=attrgetter("start", "seq")), set(tracer.events)
 
 
 def ordered_records(hub: TelemetryHub) -> List[Dict[str, Any]]:
-    """One hub's label-stamped span/event records in export order.
+    """One hub's label-stamped span/event records, as dicts, in export order.
 
-    The fleet merger interleaves several per-job hubs into one stream; it
-    needs each hub's records exactly as :func:`to_jsonl` would emit them
-    (same ordering, same label stamping) without the per-hub meta/metrics
-    framing.
+    What the Chrome-trace converter reads, and the reference the tests
+    hold :func:`render_lines` to: :data:`canonical_json` of each record is
+    that record's JSONL line.
     """
-    return _ordered_records(hub)
+    # Hub labels are stamped onto every record; an unlabeled hub emits
+    # byte-identical output to before labels existed (no empty key).
+    labels = getattr(hub, "labels", None) or None
+    records, events = _export_order(hub)
+    return [
+        _span_record(span, "event" if span in events else "span", labels) for span in records
+    ]
+
+
+def render_lines(hub: TelemetryHub) -> List[Tuple[Any, str]]:
+    """``(start, JSONL line)`` of each span/event of ``hub``, in export order.
+
+    The line is written straight from the :class:`Span` into the fixed,
+    already-sorted key skeleton — no record dict, no encoder call for the
+    scalar fields: ``name``/``cat``/``track`` are quoted once per distinct
+    value, ids by the encoder's own string escaper, exact finite floats by
+    ``float.__repr__`` (what the encoder itself uses). ``args``, labels and
+    any field of another type (``int``, ``numpy.float64``, ``nan``,
+    ``None``, …) go through :data:`canonical_json`, so the text is the
+    encoder's by construction.
+    """
+    encode = canonical_json
+    labels = getattr(hub, "labels", None) or None
+    labels_part = f'"labels":{encode(labels)},' if labels else ""
+    quoted: Dict[str, str] = {}
+
+    def text(value: Any) -> str:
+        if type(value) is not str:
+            return encode(value)
+        found = quoted.get(value)
+        if found is None:
+            found = quoted[value] = _quote(value)
+        return found
+
+    def number(value: Any) -> str:
+        if type(value) is float and isfinite(value):
+            return _float_repr(value)
+        return encode(value)
+
+    def ident(value: Any) -> str:
+        return _quote(value) if type(value) is str else encode(value)
+
+    records, events = _export_order(hub)
+    return [
+        (
+            span.start,
+            f'{{"args":{encode(span.args)},"cat":{text(span.category)},'
+            f'"end":{number(span.end)},"id":{ident(span.span_id)},{labels_part}'
+            f'"name":{text(span.name)},"parent":{ident(span.parent_id)},'
+            f'"start":{number(span.start)},"track":{text(span.track)},'
+            f'"type":"{"event" if span in events else "span"}"}}',
+        )
+        for span in records
+    ]
 
 
 def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
@@ -86,12 +147,12 @@ def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
     labels = getattr(hub, "labels", None)
     if labels:
         meta["labels"] = labels
-    lines = [_dumps(meta)]
-    lines.extend(_dumps(record) for record in _ordered_records(hub))
+    lines = [canonical_json(meta)]
+    lines.extend(line for _, line in render_lines(hub))
     tail: Dict[str, Any] = {"type": "metrics", "metrics": hub.metrics.snapshot()}
     if labels:
         tail["labels"] = labels
-    lines.append(_dumps(tail))
+    lines.append(canonical_json(tail))
     return "\n".join(lines) + "\n"
 
 
@@ -114,42 +175,69 @@ class TelemetryRun:
     records: List[Dict[str, Any]] = field(default_factory=list)
 
 
+#: Non-blank lines decoded per ``json.loads`` call in :func:`parse_jsonl`.
+PARSE_BLOCK = 4096
+
+
+def _decode_line(line_no: int, line: str) -> Dict[str, Any]:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TelemetryError(f"line {line_no}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise TelemetryError(f"line {line_no}: expected an object, got {type(record)}")
+    return record
+
+
 def parse_jsonl(text: str) -> TelemetryRun:
     """Parse JSONL text into a :class:`TelemetryRun`.
 
     Raises :class:`~repro.errors.TelemetryError` on malformed JSON; schema
     *content* problems are the ``--telemetry`` lint's job, so unknown
     record types are kept (in ``records``) rather than rejected here.
+
+    Non-blank lines are decoded :data:`PARSE_BLOCK` at a time, as one JSON
+    array (joined on ``",\\n"``: a raw newline may not sit inside a JSON
+    string, so no string runs from one line into the next). A block is
+    taken only if it decodes to as many objects as it has lines; any
+    other block — a malformed line, a non-object, two values on one line —
+    is decoded again line by line, which names the offending line.
     """
+    lines = text.splitlines()
+    live = [index for index, line in enumerate(lines) if line.strip()]
     run = TelemetryRun()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for at in range(0, len(live), PARSE_BLOCK):
+        block = live[at : at + PARSE_BLOCK]
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TelemetryError(f"line {line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise TelemetryError(f"line {line_no}: expected an object, got {type(record)}")
-        kind = record.get("type")
-        if kind == "meta" and not run.meta:
-            run.meta = record
-            continue
-        if kind == "metrics":
-            run.metrics = record.get("metrics", {})
-            continue
-        run.records.append(record)
-        if kind == "span":
-            run.spans.append(record)
-        elif kind == "event":
-            run.events.append(record)
+            records = json.loads("[" + ",\n".join([lines[index] for index in block]) + "]")
+        except json.JSONDecodeError:
+            records = ()
+        if len(records) != len(block) or set(map(type, records)) != {dict}:
+            records = [_decode_line(index + 1, lines[index]) for index in block]
+        for record in records:
+            kind = record.get("type")
+            if kind == "meta" and not run.meta:
+                run.meta = record
+                continue
+            if kind == "metrics":
+                run.metrics = record.get("metrics", {})
+                continue
+            run.records.append(record)
+            if kind == "span":
+                run.spans.append(record)
+            elif kind == "event":
+                run.events.append(record)
     return run
 
 
 def read_jsonl(path: str) -> TelemetryRun:
     """Load and parse a JSONL run file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_jsonl(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise TelemetryError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_jsonl(text)
 
 
 # -- Chrome trace-event JSON ------------------------------------------------------
@@ -160,94 +248,42 @@ def _track_ids(tracks: Iterable[str]) -> Dict[str, int]:
     return {name: tid for tid, name in enumerate(sorted(set(tracks)))}
 
 
-#: Tolerance when matching a handoff's producer end to a consumer start.
-_FLOW_TOL = 1e-9
-
-
-def _link_parts(track: str) -> Optional[tuple]:
-    link = track[len("link:"):] if track.startswith("link:") else track
-    if "->" not in link:
-        return None
-    src, dst = link.split("->", 1)
-    return src, dst
-
-
 def _flow_events(
     records: List[Dict[str, Any]], tids: Dict[str, int]
 ) -> List[Dict[str, Any]]:
     """Flow (``ph: s``/``f``) pairs for cross-link chunk handoffs.
 
-    Mirrors the critpath engine's inferred handoff rule: a chunk ``:send``
-    span's producer is the latest-ending ``:send`` of the same (tag, unit,
-    chunk) whose link destination is the consumer's source endpoint and
-    which ended by the consumer's start. Each matched pair becomes one
-    flow — an arrow in Perfetto from the producer slice's end to the
-    consumer slice's start — with ids assigned in consumer record order,
-    so same-seed runs stay byte-identical.
+    The handoffs are the critpath engine's own
+    (:func:`repro.critpath.engine.handoff_producers` over the records'
+    chunk sends). Each becomes one flow — an arrow in Perfetto from the
+    producer slice's end to the consumer slice's start — with ids assigned
+    in consumer record order, so same-seed runs stay byte-identical.
     """
-    sends = []
-    for record in records:
-        if record.get("type") != "span" or record.get("cat") != "chunk":
-            continue
-        name = record.get("name", "")
-        if not name.endswith(":send") or record.get("end") is None:
-            continue
-        args = record.get("args", {})
-        chunk = int(args.get("chunk", -1))
-        if chunk < 0:
-            continue
-        parts = _link_parts(record.get("track", ""))
-        if parts is None:
-            continue
-        sends.append(
-            (record, name[: -len(":send")], str(args.get("unit", "")), chunk, parts)
-        )
-
-    by_key: Dict[tuple, List[int]] = {}
-    for index, (_record, tag, unit, chunk, _parts) in enumerate(sends):
-        by_key.setdefault((tag, unit, chunk), []).append(index)
-
+    sends = extract_chunk_spans(records)
     events: List[Dict[str, Any]] = []
     flow_id = 0
-    for index, (record, tag, unit, chunk, (src, _dst)) in enumerate(sends):
-        start = float(record["start"])
-        producers = [
-            j
-            for j in by_key[(tag, unit, chunk)]
-            if j != index
-            and sends[j][4][1] == src
-            and float(sends[j][0]["end"]) <= start + _FLOW_TOL
-        ]
-        if not producers:
+    for consumer, producer in zip(sends, handoff_producers(sends)):
+        if producer is None:
             continue
-        producer = max(
-            producers,
-            key=lambda j: (float(sends[j][0]["end"]), float(sends[j][0]["start"]), j),
-        )
-        source = sends[producer][0]
+        source = sends[producer]
         flow_id += 1
         common = {
             "name": "chunk-handoff",
             "cat": "flow",
             "pid": TRACE_PID,
             "id": flow_id,
-            "args": {"chunk": chunk, "unit": unit},
+            "args": {"chunk": consumer.chunk, "unit": consumer.unit},
         }
         events.append(
-            dict(
-                common,
-                ph="s",
-                tid=tids[source.get("track", "") or "main"],
-                ts=float(source["end"]) * 1e6,
-            )
+            dict(common, ph="s", tid=tids[source.track or "main"], ts=source.end * 1e6)
         )
         events.append(
             dict(
                 common,
                 ph="f",
                 bp="e",
-                tid=tids[record.get("track", "") or "main"],
-                ts=start * 1e6,
+                tid=tids[consumer.track or "main"],
+                ts=consumer.start * 1e6,
             )
         )
     return events
@@ -266,7 +302,7 @@ def to_chrome_trace(
     producing send to the consuming one (see :func:`_flow_events`).
     """
     if isinstance(source, TelemetryHub):
-        records = _ordered_records(source)
+        records = ordered_records(source)
     else:
         records = list(source.records)
 
