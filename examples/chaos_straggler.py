@@ -90,8 +90,8 @@ def main() -> None:
         write_jsonl(telemetry, "chaos_straggler.jsonl")
         print(
             f"\ntelemetry: wrote chaos_straggler.jsonl "
-            f"({len(telemetry.tracer.spans)} spans, "
-            f"{len(telemetry.tracer.events)} events)"
+            f"({telemetry.tracer.span_count} spans, "
+            f"{telemetry.tracer.event_count} events)"
         )
 
 

@@ -284,8 +284,8 @@ def run_telemetry_pass(ctx: PassContext) -> List[Finding]:
     findings = lint_telemetry.lint_telemetry_run(parse_jsonl(to_jsonl(fresh)))
     findings.extend(lint_telemetry.lint_chrome_trace(to_chrome_trace(fresh)))
     ctx.echo(
-        f"telemetry: self-check exported {len(fresh.tracer.spans)} spans, "
-        f"{len(fresh.tracer.events)} events; linted JSONL + Chrome forms"
+        f"telemetry: self-check exported {fresh.tracer.span_count} spans, "
+        f"{fresh.tracer.event_count} events; linted JSONL + Chrome forms"
     )
     return findings
 

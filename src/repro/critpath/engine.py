@@ -38,7 +38,6 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TelemetryError
@@ -660,23 +659,31 @@ def analyze_hub(hub, strategy=None, tol: float = TIME_TOL) -> Dict[str, Any]:
     """Analyze what a :class:`~repro.telemetry.core.TelemetryHub` holds,
     in process: no JSONL text is rendered or parsed.
 
-    Spans and events are read in export order ``(start, seq)`` through
-    :func:`chunk_send` and :func:`ready_delays`, and JSON round-trips
-    floats exactly, so the report is byte-equal to :func:`analyze_run`
-    over the hub's parsed export.
+    Spans and events are read in export order ``(start, seq)`` from the
+    tracer's export rows through :func:`chunk_send` and
+    :func:`ready_delays`, and JSON round-trips floats exactly, so the
+    report is byte-equal to :func:`analyze_run` over the hub's parsed
+    export.
     """
-    export_order = attrgetter("start", "seq")
     spans: List[ChunkSpan] = []
-    for number, span in enumerate(sorted(hub.tracer.spans, key=export_order), start=1):
-        node = chunk_send(
-            span.category, span.name, span.track, span.start, span.end,
-            span.args, len(spans), number,
-        )
-        if node is not None:
-            spans.append(node)
-    instants = sorted(hub.tracer.events, key=export_order)
-    decisions = (ready_delays(event.name, event.args) for event in instants)
-    readiness = [delays for delays in decisions if delays]
+    readiness: List[Dict[int, float]] = []
+    number = 0
+    for start, end, event, _, _, name, category, track, keys, values in (
+        hub.tracer.export_rows()
+    ):
+        if event:
+            delays = ready_delays(name, dict(zip(keys, values)))
+            if delays:
+                readiness.append(delays)
+            continue
+        number += 1
+        if category == "chunk":  # chunk_send's first test, before the dict
+            node = chunk_send(
+                category, name, track, start, end,
+                dict(zip(keys, values)), len(spans), number,
+            )
+            if node is not None:
+                spans.append(node)
     return analyze_spans(spans, strategy=strategy, tol=tol, readiness=readiness)
 
 

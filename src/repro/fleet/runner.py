@@ -523,8 +523,8 @@ class FleetRunner:
         total_spans = 0
         total_events = 0
         for job in self._jobs:
-            total_spans += len(job.hub.tracer.spans)
-            total_events += len(job.hub.tracer.events)
+            total_spans += job.hub.tracer.span_count
+            total_events += job.hub.tracer.event_count
             for index, (start, line) in enumerate(render_lines(job.hub)):
                 entries.append((start, job.name, index, line))
         entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))

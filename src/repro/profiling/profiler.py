@@ -110,8 +110,7 @@ class Profiler:
         self._apply(result)
         self.passes_completed += 1
         if pass_span is not None:
-            pass_span.args["edges_profiled"] = len(result.estimates)
-            telemetry.end(pass_span, sim.now)
+            telemetry.end(pass_span, sim.now, edges_profiled=len(result.estimates))
             telemetry.metrics.counter(
                 "profiler_passes_total", "completed profiling passes"
             ).inc()
@@ -149,8 +148,7 @@ class Profiler:
         self._apply(result)
         self.targeted_passes_completed += 1
         if pass_span is not None:
-            pass_span.args["edges_profiled"] = len(result.estimates)
-            telemetry.end(pass_span, sim.now)
+            telemetry.end(pass_span, sim.now, edges_profiled=len(result.estimates))
             telemetry.metrics.counter(
                 "profiler_targeted_passes_total", "targeted re-probe passes"
             ).inc()

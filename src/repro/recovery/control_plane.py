@@ -290,10 +290,13 @@ class RecoveringControlPlane(ControlPlane):
         state = self.log.replay()
         self.replayed_records_total += state.replayed_records
         if replay_span is not None:
-            replay_span.args["replayed_records"] = state.replayed_records
-            replay_span.args["from_checkpoint"] = state.from_checkpoint
-            replay_span.args["iteration"] = state.iteration
-            telemetry.end(replay_span, sim.now)
+            telemetry.end(
+                replay_span,
+                sim.now,
+                replayed_records=state.replayed_records,
+                from_checkpoint=state.from_checkpoint,
+                iteration=state.iteration,
+            )
             telemetry.metrics.counter(
                 "recovery_replayed_records_total",
                 "journal records replayed during takeovers",
@@ -309,9 +312,7 @@ class RecoveringControlPlane(ControlPlane):
                 reason="coordinator-crash",
             )
         if span is not None:
-            span.args["new_holder"] = lease.holder
-            span.args["new_epoch"] = lease.epoch
-            telemetry.end(span, sim.now)
+            telemetry.end(span, sim.now, new_holder=lease.holder, new_epoch=lease.epoch)
 
     # -- the coordinator's working loop ----------------------------------------
 

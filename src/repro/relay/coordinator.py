@@ -289,8 +289,9 @@ class AdaptiveAllReduce:
         )
         phase1_end = sim.now
         if phase1_span is not None:
-            phase1_span.args["late_joined"] = sorted(phase1.included_chunks)
-            telemetry.end(phase1_span, phase1_end)
+            telemetry.end(
+                phase1_span, phase1_end, late_joined=sorted(phase1.included_chunks)
+            )
             telemetry.metrics.counter(
                 "relay_phases_total", "phase-1/phase-2 relay executions"
             ).inc(phase="phase1")

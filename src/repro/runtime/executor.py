@@ -244,37 +244,45 @@ class ChunkPipeline:
         """Stream chunks of one unit across one edge, in order."""
         edge = self.topology.edge(i, j)
         telemetry = self._telemetry
+        # Loop invariants, formatted once per sender rather than per chunk.
+        link = f"{i}->{j}"
+        transfer_tag = f"{self.tag}:{link}"
+        if telemetry is not None:
+            name = f"{self.tag}:send"
+            track = f"link:{link}"
+            # Identifies the sender process for the race detector's
+            # happens-before replay; must match repro.analysis.race.unit_label.
+            unit_label = f"{unit[0]}:{unit[1]}"
+            stage = self.tag.split(":", 1)[0]
+            sent = None
         for k in range(self.num_chunks):
             slot_in = self.slot(unit, i, k)
             yield slot_in.event
             if telemetry is not None:
                 span = telemetry.begin(
-                    f"{self.tag}:send",
+                    name,
                     self.sim.now,
                     category="chunk",
-                    track=f"link:{i}->{j}",
+                    track=track,
                     chunk=k,
                     bytes=self.chunk_bytes[k],
-                    # Identifies the sender process for the race detector's
-                    # happens-before replay; must match
-                    # repro.analysis.race.unit_label.
-                    unit=f"{unit[0]}:{unit[1]}",
+                    unit=unit_label,
                 )
-            yield self.network.transfer(
-                edge.fluid_links, self.chunk_bytes[k], tag=f"{self.tag}:{i}->{j}"
-            )
+            yield self.network.transfer(edge.fluid_links, self.chunk_bytes[k], tag=transfer_tag)
             if telemetry is not None:
                 telemetry.end(span, self.sim.now)
-                telemetry.metrics.counter(
-                    "chunks_sent_total", "chunks streamed across logical edges"
-                ).inc(stage=self.tag.split(":", 1)[0])
+                if sent is None:  # registered on first use, as before
+                    sent = telemetry.metrics.counter(
+                        "chunks_sent_total", "chunks streamed across logical edges"
+                    )
+                sent.inc(stage=stage)
             out_slot = self.slot(unit, j, k)
             if not out_slot.event.triggered:
                 delivered = slot_in.payload
                 if self._data_plane is not None:
                     # Checksum stamp/verify and (under chaos) corruption.
                     delivered = self._data_plane.deliver(
-                        f"{i}->{j}", k, delivered, tag=self.tag, now=self.sim.now
+                        link, k, delivered, tag=self.tag, now=self.sim.now
                     )
                 out_slot.set(delivered)
 
@@ -297,6 +305,11 @@ class ChunkPipeline:
             if node.kind is NodeKind.GPU
             else None
         )
+        telemetry = self._telemetry
+        if telemetry is not None and gpu is not None:
+            name = f"{self.tag}:reduce"
+            track = f"gpu:{node.index}"
+            launched = None
         for k in range(self.num_chunks):
             events = [self.slot(unit, node, k).event for unit in units]
             getters: List[Callable[[], np.ndarray]] = []
@@ -317,13 +330,12 @@ class ChunkPipeline:
                 for part in parts[1:]:
                     total += part
                 if self.kernel_enabled and gpu is not None:
-                    telemetry = self._telemetry
                     if telemetry is not None:
                         span = telemetry.begin(
-                            f"{self.tag}:reduce",
+                            name,
                             self.sim.now,
                             category="reduce",
-                            track=f"gpu:{node.index}",
+                            track=track,
                             chunk=k,
                             bytes=self.chunk_bytes[k],
                             inputs=len(parts),
@@ -331,9 +343,11 @@ class ChunkPipeline:
                     yield self.sim.timeout(gpu.spec.reduce_kernel_time(self.chunk_bytes[k]))
                     if telemetry is not None:
                         telemetry.end(span, self.sim.now)
-                        telemetry.metrics.counter(
-                            "reduce_kernels_total", "aggregation kernels launched"
-                        ).inc()
+                        if launched is None:  # registered on first use, as before
+                            launched = telemetry.metrics.counter(
+                                "reduce_kernels_total", "aggregation kernels launched"
+                            )
+                        launched.inc()
             else:
                 total = parts[0]  # single unit: relay without a kernel
             self.slot(out_unit, node, k).set(total)

@@ -38,6 +38,9 @@ class TelemetryRecorder:
         self._hub = hub() if target is None else target
         self._open_flows: Dict[int, Span] = {}
         self._flow_count = 0
+        #: ``_flow_track`` per (non-empty) flow tag: every chunk of one
+        #: sender reuses its tag.
+        self._tracks: Dict[str, str] = {}
 
     def record(self, time: float, kind: str, subject: str, **payload) -> None:
         """Consume one fluid-network observation (recorder protocol)."""
@@ -50,11 +53,17 @@ class TelemetryRecorder:
             # them raw would make two same-seed replays differ byte-wise.
             # The span instead carries this recorder's own sequential index.
             self._flow_count += 1
+            tag = payload.get("tag", "")
+            track = self._tracks.get(tag)
+            if track is None:
+                track = _flow_track(tag, subject)
+                if tag:
+                    self._tracks[tag] = track
             span = telemetry.begin(
-                payload.get("tag") or subject,
+                tag or subject,
                 time,
                 category="net",
-                track=_flow_track(payload.get("tag", ""), subject),
+                track=track,
                 flow=self._flow_count,
                 bytes=payload.get("size", 0.0),
             )
@@ -65,9 +74,11 @@ class TelemetryRecorder:
             span = self._open_flows.pop(flow, None)
             if span is not None:
                 if kind == "net-flow-cancel":
-                    span.args["cancelled"] = True
-                    span.args["remaining_bytes"] = payload.get("remaining", 0.0)
-                telemetry.end(span, time)
+                    telemetry.end(
+                        span, time, cancelled=True, remaining_bytes=payload.get("remaining", 0.0)
+                    )
+                else:
+                    telemetry.end(span, time)
             metrics = telemetry.metrics
             metrics.counter(
                 "net_flows_total", "fluid-network transfers finished or cancelled"

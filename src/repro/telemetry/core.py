@@ -1,8 +1,8 @@
-"""Zero-dependency tracing core: spans, tracer, and the hub.
+"""Zero-dependency tracing core: the span store, its views, and the hub.
 
 Observability of one simulated world hangs off the :class:`TelemetryHub`
-its ``Cluster`` owns: a :class:`Tracer` collecting :class:`Span` records
-and instant events, plus a :class:`~repro.telemetry.metrics.MetricsRegistry`.
+its ``Cluster`` owns: a :class:`Tracer` recording spans and instant
+events, plus a :class:`~repro.telemetry.metrics.MetricsRegistry`.
 The hub is a **no-op unless enabled** — every instrumentation site guards
 on ``hub.enabled`` (a single attribute read) before building spans or
 argument dicts, so the chunk-pipeline hot path pays nothing by default.
@@ -16,6 +16,11 @@ Span ids are hierarchical dotted strings (``"3"``, ``"3.1"``, ``"3.1.2"``):
 a child's id extends its parent's, so exporters and the ``--telemetry``
 lint can check nesting without reconstructing a tree.
 
+The tracer keeps its records in columns (DESIGN.md §7), not as one object
+per span: a :class:`Span` is a two-slot view of one record, and exporters
+read the store through :meth:`Tracer.export_rows`. Nothing outside this
+module knows the column layout.
+
 Enable telemetry with the ``REPRO_TELEMETRY=1`` environment variable or
 ``AdapCCSession(telemetry=True)``; capture programmatically by passing your
 own hub (``Cluster(..., hub=mine)``, ``AdapCCSession(telemetry=mine)``).
@@ -26,7 +31,9 @@ without one captures (DESIGN.md "State ownership").
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional
+from array import array
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import TelemetryError
 from repro.telemetry.metrics import MetricsRegistry
@@ -36,6 +43,9 @@ ENV_TELEMETRY = "REPRO_TELEMETRY"
 
 _FALSEY = {"", "0", "false", "no", "off"}
 
+#: One export row (see :meth:`Tracer.export_rows`).
+Row = Tuple[Any, Any, bool, str, Optional[str], Any, Any, Any, Tuple[str, ...], tuple]
+
 
 def telemetry_enabled() -> bool:
     """Whether the environment asks for telemetry (``REPRO_TELEMETRY``)."""
@@ -44,76 +54,206 @@ def telemetry_enabled() -> bool:
 
 
 class Span:
-    """One named interval (or instant) on one track.
+    """A view of one named interval (or instant) on one track.
 
-    ``end`` is ``None`` while the span is open; instants have
-    ``end == start``. ``track`` names the timeline the span belongs to
-    (one per rank/link/subsystem — Chrome-trace threads).
+    Two slots — the :class:`Tracer` and the record's index — and every
+    field read from the tracer's columns. ``end`` is ``None`` while the
+    span is open; instants have ``end == start``. ``track`` names the
+    timeline the span belongs to (one per rank/link/subsystem —
+    Chrome-trace threads). ``args`` is read-only: arguments known only at
+    close go to ``end(span, t, **args)``.
     """
 
-    __slots__ = (
-        "span_id",
-        "parent_id",
-        "name",
-        "category",
-        "track",
-        "start",
-        "end",
-        "args",
-        "seq",
-        "_child_count",
-    )
+    __slots__ = ("_tracer", "_index")
 
-    def __init__(
-        self,
-        span_id: str,
-        name: str,
-        start: float,
-        *,
-        category: str = "",
-        track: str = "",
-        parent_id: Optional[str] = None,
-        args: Optional[Dict[str, Any]] = None,
-        seq: int = 0,
-    ):
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.category = category
-        self.track = track
-        self.start = start
-        self.end: Optional[float] = None
-        self.args: Dict[str, Any] = args or {}
-        self.seq = seq
-        self._child_count = 0
+    def __init__(self, tracer: "Tracer", index: int):
+        self._tracer = tracer
+        self._index = index
 
     @property
-    def duration(self) -> Optional[float]:
+    def span_id(self) -> str:
+        return self._tracer._dotted(self._index)
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        parent = self._tracer._parent[self._index]
+        return None if parent < 0 else self._tracer._dotted(parent)
+
+    @property
+    def name(self) -> Any:
+        tracer = self._tracer
+        return tracer._strings[tracer._name[self._index]]
+
+    @property
+    def category(self) -> Any:
+        tracer = self._tracer
+        return tracer._strings[tracer._category[self._index]]
+
+    @property
+    def track(self) -> Any:
+        tracer = self._tracer
+        return tracer._strings[tracer._track[self._index]]
+
+    @property
+    def start(self) -> Any:
+        return self._tracer._start_of(self._index)
+
+    @property
+    def end(self) -> Any:
+        return self._tracer._end_of(self._index)
+
+    @property
+    def seq(self) -> int:
+        """Emission order within the tracer, from 1."""
+        return self._index + 1
+
+    @property
+    def args(self) -> Mapping[str, Any]:
+        tracer = self._tracer
+        keys = tracer._schemas[tracer._schema[self._index]]
+        return MappingProxyType(dict(zip(keys, tracer._values[self._index])))
+
+    @property
+    def duration(self) -> Optional[Any]:
         """Seconds from start to end, or ``None`` while open."""
-        return None if self.end is None else self.end - self.start
+        end = self.end
+        return None if end is None else end - self.start
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Span)
+            and other._tracer is self._tracer
+            and other._index == self._index
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self._tracer), self._index))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.end is None else f"{self.duration:.3g}s"
         return f"<Span {self.span_id} {self.name!r} on {self.track!r} {state}>"
 
 
-class Tracer:
-    """Append-only collector of spans and instant events."""
+class _Interned(dict):
+    """Value → id table whose ids index :attr:`objects`; a miss interns.
+
+    A ``str`` is keyed by itself, so the common lookup is one dict probe;
+    any other value by ``(type, value)``, so ``1`` and ``True`` stay apart.
+    """
 
     def __init__(self) -> None:
-        self.spans: List[Span] = []
-        self.events: List[Span] = []
-        self._root_count = 0
-        self._seq = 0
+        super().__init__()
+        self.objects: List[Any] = []
+
+    def __missing__(self, value: Any) -> int:
+        key = value if type(value) is str else (type(value), value)
+        found = self.get(key)
+        if found is None:
+            found = self[key] = len(self.objects)
+            self.objects.append(value)
+        return found
+
+
+class Tracer:
+    """Append-only columnar store of spans and instant events.
+
+    One record per :meth:`begin` / :meth:`instant`, index = emission
+    order. Columns: interned name / category / track ids, ``start`` and
+    ``end`` (``array('d')``) with a separate closed flag, an event flag,
+    the parent's index (``-1`` for a root) and the ordinal among its
+    siblings — the dotted id is derived from these, never stored — and
+    the args as one value tuple under an interned key schema. A timestamp
+    that is not an exact, non-NaN ``float`` keeps its exact object in a
+    side table, so exports render it as given (NaN included: sorting
+    compares NaN objects by identity).
+    """
+
+    def __init__(self) -> None:
+        self._interned = _Interned()
+        self._strings = self._interned.objects
+        self._name = array("i")
+        self._category = array("i")
+        self._track = array("i")
+        self._start = array("d")
+        self._end = array("d")
+        self._closed = bytearray()
+        self._event = bytearray()
+        self._parent = array("i")
+        self._ordinal = array("i")
+        self._schema = array("i")
+        self._schemas: List[Tuple[str, ...]] = [()]
+        self._schema_ids: Dict[Tuple[str, ...], int] = {(): 0}
+        self._values: List[tuple] = []
+        self._exact_start: Dict[int, Any] = {}
+        self._exact_end: Dict[int, Any] = {}
+        self._children: Dict[int, int] = {}
+        self._roots = 0
+        self._events = 0
 
     # -- creation -------------------------------------------------------------
 
-    def _next_id(self, parent: Optional[Span]) -> str:
+    @staticmethod
+    def _foreign(span: Span) -> TelemetryError:
+        """The error for a view of another tracer's store."""
+        return TelemetryError(
+            f"span {span.span_id} was not recorded by this tracer "
+            "(another hub's, or from before a reset)"
+        )
+
+    def _schema_of(self, keys: Tuple[str, ...]) -> int:
+        schema = self._schema_ids.get(keys)
+        if schema is None:
+            schema = self._schema_ids[keys] = len(self._schemas)
+            self._schemas.append(keys)
+        return schema
+
+    def _record(
+        self,
+        name: Any,
+        start: Any,
+        category: Any,
+        track: Any,
+        parent: Optional[Span],
+        args: Dict[str, Any],
+        event: bool,
+    ) -> Span:
+        # Everything that can raise comes before the first append, so a
+        # rejected record leaves every column the same length.
+        if parent is not None and parent._tracer is not self:
+            raise self._foreign(parent)
+        interned = self._interned
+        name_id, category_id, track_id = interned[name], interned[category], interned[track]
+        index = len(self._values)
+        self._name.append(name_id)
+        self._category.append(category_id)
+        self._track.append(track_id)
         if parent is None:
-            self._root_count += 1
-            return str(self._root_count)
-        parent._child_count += 1
-        return f"{parent.span_id}.{parent._child_count}"
+            self._roots += 1
+            self._ordinal.append(self._roots)
+            self._parent.append(-1)
+        else:
+            owner = parent._index
+            ordinal = self._children[owner] = self._children.get(owner, 0) + 1
+            self._ordinal.append(ordinal)
+            self._parent.append(owner)
+        if type(start) is not float or start != start:
+            self._exact_start[index] = start
+            if event:
+                self._exact_end[index] = start
+            start = 0.0  # a placeholder: the side table holds the value
+        self._start.append(start)
+        self._end.append(start)
+        self._closed.append(event)
+        self._event.append(event)
+        if event:
+            self._events += 1
+        if args:
+            self._schema.append(self._schema_of(tuple(args)))
+            self._values.append(tuple(args.values()))
+        else:
+            self._schema.append(0)
+            self._values.append(())
+        return Span(self, index)
 
     def begin(
         self,
@@ -126,29 +266,34 @@ class Tracer:
         **args: Any,
     ) -> Span:
         """Open a span at ``start`` (explicit clock; usually ``sim.now``)."""
-        self._seq += 1
-        span = Span(
-            self._next_id(parent),
-            name,
-            start,
-            category=category,
-            track=track,
-            parent_id=None if parent is None else parent.span_id,
-            args=args,
-            seq=self._seq,
-        )
-        self.spans.append(span)
-        return span
+        return self._record(name, start, category, track, parent, args, False)
 
-    def end(self, span: Span, end: float) -> Span:
-        """Close ``span`` at ``end``; rejects double-closes and time travel."""
-        if span.end is not None:
+    def end(self, span: Span, end: float, /, **args: Any) -> Span:
+        """Close ``span`` at ``end``; rejects double-closes and time travel.
+
+        ``args`` are the span's arguments known only at close: a key given
+        here replaces the value given at :meth:`begin`.
+        """
+        if span._tracer is not self:
+            raise self._foreign(span)
+        index = span._index
+        if self._closed[index]:
             raise TelemetryError(f"span {span.span_id} already closed")
-        if end < span.start:
+        start = self._start_of(index)
+        if end < start:
             raise TelemetryError(
-                f"span {span.span_id} would end at {end} before its start {span.start}"
+                f"span {span.span_id} would end at {end} before its start {start}"
             )
-        span.end = end
+        if args:
+            merged = dict(zip(self._schemas[self._schema[index]], self._values[index]))
+            merged.update(args)
+            self._schema[index] = self._schema_of(tuple(merged))
+            self._values[index] = tuple(merged.values())
+        if type(end) is float and end == end:
+            self._end[index] = end
+        else:
+            self._exact_end[index] = end
+        self._closed[index] = 1
         return span
 
     def instant(
@@ -162,37 +307,115 @@ class Tracer:
         **args: Any,
     ) -> Span:
         """Record a zero-duration event at ``ts``."""
-        self._seq += 1
-        event = Span(
-            self._next_id(parent),
-            name,
-            ts,
-            category=category,
-            track=track,
-            parent_id=None if parent is None else parent.span_id,
-            args=args,
-            seq=self._seq,
-        )
-        event.end = ts
-        self.events.append(event)
-        return event
+        return self._record(name, ts, category, track, parent, args, True)
+
+    # -- reading the columns --------------------------------------------------
+
+    def _start_of(self, index: int) -> Any:
+        exact = self._exact_start
+        return exact[index] if exact and index in exact else self._start[index]
+
+    def _end_of(self, index: int) -> Any:
+        if not self._closed[index]:
+            return None
+        exact = self._exact_end
+        return exact[index] if exact and index in exact else self._end[index]
+
+    def _dotted(self, index: int) -> str:
+        parts = []
+        while index >= 0:
+            parts.append(str(self._ordinal[index]))
+            index = self._parent[index]
+        return ".".join(reversed(parts))
+
+    def export_rows(self) -> Iterator[Row]:
+        """Every record, in export order ``(start, seq)``, as one tuple:
+
+        ``(start, end, is_event, span_id, parent_id, name, category, track,
+        arg_keys, arg_values)`` — timestamps as given (``end`` is ``None``
+        while open), ids derived once per parent, ``name`` / ``category`` /
+        ``track`` the interned objects, and the args as the record's key
+        schema (one shared tuple per schema) and value tuple. The order is
+        a stable sort of record indices by start; a NaN start makes it the
+        ``(start, seq)`` sort of spans-then-events the exporters always
+        did, which is the only order NaN comparisons reproduce.
+        """
+        count = len(self._values)
+        starts = self._start.tolist()
+        for index, value in self._exact_start.items():
+            starts[index] = value
+        if any(value != value for value in self._exact_start.values()):
+            event = self._event
+            order = [index for index in range(count) if not event[index]]
+            order += [index for index in range(count) if event[index]]
+            order.sort(key=lambda index: (starts[index], index))
+        else:
+            order = sorted(range(count), key=starts.__getitem__)
+        ends = self._end.tolist()
+        for index, value in self._exact_end.items():
+            ends[index] = value
+        strings, schemas, values = self._strings, self._schemas, self._values
+        names, categories, tracks = self._name, self._category, self._track
+        parents, ordinals, closed, events = self._parent, self._ordinal, self._closed, self._event
+        schema_of = self._schema
+        parent_ids: Dict[int, str] = {}
+        for index in order:
+            parent = parents[index]
+            if parent < 0:
+                parent_id = None
+                span_id = str(ordinals[index])
+            else:
+                parent_id = parent_ids.get(parent)
+                if parent_id is None:
+                    parent_id = parent_ids[parent] = self._dotted(parent)
+                span_id = f"{parent_id}.{ordinals[index]}"
+            yield (
+                starts[index],
+                ends[index] if closed[index] else None,
+                bool(events[index]),
+                span_id,
+                parent_id,
+                strings[names[index]],
+                strings[categories[index]],
+                strings[tracks[index]],
+                schemas[schema_of[index]],
+                values[index],
+            )
 
     # -- inspection -----------------------------------------------------------
 
+    @property
+    def spans(self) -> List[Span]:
+        """Views of every span, in begin order."""
+        return [Span(self, index) for index, event in enumerate(self._event) if not event]
+
+    @property
+    def events(self) -> List[Span]:
+        """Views of every instant event, in emission order."""
+        return [Span(self, index) for index, event in enumerate(self._event) if event]
+
+    @property
+    def span_count(self) -> int:
+        return len(self._values) - self._events
+
+    @property
+    def event_count(self) -> int:
+        return self._events
+
     def open_spans(self) -> List[Span]:
         """Spans begun but not yet ended (should be empty after a run)."""
-        return [s for s in self.spans if s.end is None]
+        return [Span(self, index) for index, closed in enumerate(self._closed) if not closed]
 
     def of_category(self, category: str) -> List[Span]:
         """All spans with the given category, in begin order."""
-        return [s for s in self.spans if s.category == category]
+        return [span for span in self.spans if span.category == category]
 
     def events_named(self, name: str) -> List[Span]:
         """All instant events with the given name, in emission order."""
-        return [e for e in self.events if e.name == name]
+        return [event for event in self.events if event.name == name]
 
     def __len__(self) -> int:
-        return len(self.spans) + len(self.events)
+        return len(self._values)
 
 
 class TelemetryConsumer:
@@ -203,7 +426,9 @@ class TelemetryConsumer:
     :meth:`on_event` — which is what lets the observe watchdog maintain
     rolling statistics online instead of re-parsing exports. Consumers
     never see open spans (a span is streamed only once its ``end`` is
-    known) and are never called while the hub is disabled.
+    known) and are never called while the hub is disabled: a span opened
+    while enabled and closed after :meth:`TelemetryHub.disable` is closed
+    in the store but not streamed.
     """
 
     def on_span(self, span: Span) -> None:
@@ -274,34 +499,66 @@ class TelemetryHub:
         return self
 
     def reset(self) -> "TelemetryHub":
-        """Drop all collected spans, events, and metrics (consumers stay)."""
+        """Drop all collected spans, events, and metrics (consumers stay).
+
+        Spans begun before the reset can no longer be ended here.
+        """
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         return self
 
     # -- recording (no-ops when disabled) -------------------------------------
 
-    def begin(self, name: str, start: float, **kwargs: Any) -> Optional[Span]:
-        """Open a span, or return ``None`` when disabled."""
+    def begin(
+        self,
+        name: str,
+        start: float,
+        *,
+        category: str = "",
+        track: str = "",
+        parent: Optional[Span] = None,
+        **args: Any,
+    ) -> Optional[Span]:
+        """Open a span (see :meth:`Tracer.begin`), or return ``None`` when
+        disabled."""
         if not self.enabled:
             return None
-        return self.tracer.begin(name, start, **kwargs)
+        return self.tracer._record(name, start, category, track, parent, args, False)
 
-    def end(self, span: Optional[Span], end: float) -> None:
-        """Close a span returned by :meth:`begin` (``None`` is ignored)."""
-        if span is not None:
-            self.tracer.end(span, end)
+    def end(self, span: Optional[Span], end: float, /, **args: Any) -> None:
+        """Close a span returned by :meth:`begin` (``None`` is ignored).
+
+        ``args`` are merged into the span's arguments (see
+        :meth:`Tracer.end`). The span is closed even while the hub is
+        disabled, so none is left open, but streamed to consumers only
+        while it is enabled. A span of another hub's tracer, or of one a
+        :meth:`reset` discarded, raises :class:`TelemetryError`.
+        """
+        if span is None:
+            return
+        self.tracer.end(span, end, **args)
+        if self.enabled and self._consumers:
             # Snapshot: a consumer that (un)subscribes during dispatch must
             # not make its neighbours skip or double-receive this record,
             # and a consumer subscribed mid-dispatch must not see it.
             for consumer in tuple(self._consumers):
                 consumer.on_span(span)
 
-    def instant(self, name: str, ts: float, **kwargs: Any) -> Optional[Span]:
-        """Record an instant event, or return ``None`` when disabled."""
+    def instant(
+        self,
+        name: str,
+        ts: float,
+        *,
+        category: str = "",
+        track: str = "",
+        parent: Optional[Span] = None,
+        **args: Any,
+    ) -> Optional[Span]:
+        """Record an instant event (see :meth:`Tracer.instant`), or return
+        ``None`` when disabled."""
         if not self.enabled:
             return None
-        event = self.tracer.instant(name, ts, **kwargs)
+        event = self.tracer._record(name, ts, category, track, parent, args, True)
         for consumer in tuple(self._consumers):
             consumer.on_event(event)
         return event

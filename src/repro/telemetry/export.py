@@ -18,12 +18,11 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.critpath.engine import extract_chunk_spans, handoff_producers
 from repro.errors import TelemetryError
-from repro.telemetry.core import Span, TelemetryHub
+from repro.telemetry.core import TelemetryHub
 
 #: Version stamp carried by the ``meta`` line; bump on breaking changes.
 SCHEMA_VERSION = 1
@@ -39,37 +38,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 canonical_json = _ENCODER.encode
 
 _float_repr = float.__repr__
-
-
-def _span_record(
-    span: Span, record_type: str, labels: Optional[Dict[str, str]] = None
-) -> Dict[str, Any]:
-    record = {
-        "type": record_type,
-        "id": span.span_id,
-        "parent": span.parent_id,
-        "name": span.name,
-        "cat": span.category,
-        "track": span.track,
-        "start": span.start,
-        "end": span.end,
-        "args": span.args,
-    }
-    if labels:
-        record["labels"] = labels
-    return record
-
-
-def _export_order(hub: TelemetryHub) -> Tuple[List[Span], Set[Span]]:
-    """Everything the hub holds in export order — by timestamp, emission
-    order breaking ties — and which of it is events rather than spans.
-
-    The spans themselves are sorted, not ``(key, span)`` entries: tens of
-    thousands of short-lived tuples that each hold a ``Span`` are what
-    tips the collector into full passes over the hub mid-export.
-    """
-    tracer = hub.tracer
-    return sorted(tracer.spans + tracer.events, key=attrgetter("start", "seq")), set(tracer.events)
+_int_repr = int.__repr__
 
 
 def ordered_records(hub: TelemetryHub) -> List[Dict[str, Any]]:
@@ -82,28 +51,46 @@ def ordered_records(hub: TelemetryHub) -> List[Dict[str, Any]]:
     # Hub labels are stamped onto every record; an unlabeled hub emits
     # byte-identical output to before labels existed (no empty key).
     labels = getattr(hub, "labels", None) or None
-    records, events = _export_order(hub)
-    return [
-        _span_record(span, "event" if span in events else "span", labels) for span in records
-    ]
+    records = []
+    for start, end, event, span_id, parent_id, name, category, track, keys, values in (
+        hub.tracer.export_rows()
+    ):
+        record = {
+            "type": "event" if event else "span",
+            "id": span_id,
+            "parent": parent_id,
+            "name": name,
+            "cat": category,
+            "track": track,
+            "start": start,
+            "end": end,
+            "args": dict(zip(keys, values)),
+        }
+        if labels:
+            record["labels"] = labels
+        records.append(record)
+    return records
 
 
 def render_lines(hub: TelemetryHub) -> List[Tuple[Any, str]]:
     """``(start, JSONL line)`` of each span/event of ``hub``, in export order.
 
-    The line is written straight from the :class:`Span` into the fixed,
-    already-sorted key skeleton — no record dict, no encoder call for the
-    scalar fields: ``name``/``cat``/``track`` are quoted once per distinct
-    value, ids by the encoder's own string escaper, exact finite floats by
-    ``float.__repr__`` (what the encoder itself uses). ``args``, labels and
-    any field of another type (``int``, ``numpy.float64``, ``nan``,
-    ``None``, …) go through :data:`canonical_json`, so the text is the
-    encoder's by construction.
+    The line is written straight from the tracer's export rows into the
+    fixed, already-sorted key skeleton — no record dict, no encoder call
+    for the scalar fields: ``name``/``cat``/``track`` are quoted once per
+    distinct value, ids are digits and dots, exact finite floats go
+    through ``float.__repr__`` and exact ints through ``int.__repr__``
+    (what the encoder itself uses). ``args`` are rendered through one
+    template per key schema, keys pre-sorted and pre-quoted. Labels and
+    any value of another type (``bool``, ``numpy.float64``, ``nan``,
+    ``None``, containers, …) go through :data:`canonical_json`, so the
+    text is the encoder's by construction.
     """
     encode = canonical_json
     labels = getattr(hub, "labels", None) or None
     labels_part = f'"labels":{encode(labels)},' if labels else ""
     quoted: Dict[str, str] = {}
+    templates: Dict[Tuple[str, ...], Tuple[str, List[int]]] = {}
 
     def text(value: Any) -> str:
         if type(value) is not str:
@@ -118,21 +105,43 @@ def render_lines(hub: TelemetryHub) -> List[Tuple[Any, str]]:
             return _float_repr(value)
         return encode(value)
 
-    def ident(value: Any) -> str:
-        return _quote(value) if type(value) is str else encode(value)
+    def scalar(value: Any) -> str:
+        kind = type(value)
+        if kind is str:
+            return _quote(value)
+        if kind is int:
+            return _int_repr(value)
+        if kind is float and isfinite(value):
+            return _float_repr(value)
+        return encode(value)
 
-    records, events = _export_order(hub)
-    return [
-        (
-            span.start,
-            f'{{"args":{encode(span.args)},"cat":{text(span.category)},'
-            f'"end":{number(span.end)},"id":{ident(span.span_id)},{labels_part}'
-            f'"name":{text(span.name)},"parent":{ident(span.parent_id)},'
-            f'"start":{number(span.start)},"track":{text(span.track)},'
-            f'"type":"{"event" if span in events else "span"}"}}',
+    def arguments(keys: Tuple[str, ...], values: tuple) -> str:
+        if not keys:
+            return "{}"
+        found = templates.get(keys)
+        if found is None:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            template = ",".join(_quote(keys[at]).replace("%", "%%") + ":%s" for at in order)
+            found = templates[keys] = ("{" + template + "}", order)
+        template, order = found
+        return template % tuple([scalar(values[at]) for at in order])
+
+    lines = []
+    for start, end, event, span_id, parent_id, name, category, track, keys, values in (
+        hub.tracer.export_rows()
+    ):
+        parent = "null" if parent_id is None else f'"{parent_id}"'
+        lines.append(
+            (
+                start,
+                f'{{"args":{arguments(keys, values)},"cat":{text(category)},'
+                f'"end":{number(end)},"id":"{span_id}",{labels_part}'
+                f'"name":{text(name)},"parent":{parent},'
+                f'"start":{number(start)},"track":{text(track)},'
+                f'"type":"{"event" if event else "span"}"}}',
+            )
         )
-        for span in records
-    ]
+    return lines
 
 
 def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
@@ -141,8 +150,8 @@ def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
         "type": "meta",
         "schema": SCHEMA_VERSION,
         "clock": clock,
-        "spans": len(hub.tracer.spans),
-        "events": len(hub.tracer.events),
+        "spans": hub.tracer.span_count,
+        "events": hub.tracer.event_count,
     }
     labels = getattr(hub, "labels", None)
     if labels:

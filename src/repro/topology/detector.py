@@ -107,13 +107,14 @@ class Detector:
         same_switch = yield from self._probe_switch_locality(instance_id)
         colocated = yield from self._probe_nic_locality(instance_id)
         if span is not None:
-            span.args.update(
+            telemetry.end(
+                span,
+                sim.now,
                 nic_numa_node=nic_numa,
                 nvlink_pairs=len(nvlink_pairs),
                 same_switch_pairs=len(same_switch),
                 nic_colocated_gpus=len(colocated),
             )
-            telemetry.end(span, sim.now)
             telemetry.metrics.counter(
                 "detector_probe_rounds_total", "per-instance detection probe rounds"
             ).inc()

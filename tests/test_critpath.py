@@ -200,12 +200,12 @@ class TestConsumer:
     def test_reset_clears_the_window(self):
         consumer = CritpathConsumer()
         assert consumer.report() is None and consumer.top_link() is None
-        from repro.telemetry.core import Span
+        from repro.telemetry.core import Tracer
 
-        span = Span("s1", "a:send", 0.0, category="chunk", track="link:g0->n0",
-                    args={"chunk": 0, "unit": "m0"})
-        span.end = 1.0
-        consumer.on_span(span)
+        tracer = Tracer()
+        span = tracer.begin("a:send", 0.0, category="chunk", track="link:g0->n0",
+                            chunk=0, unit="m0")
+        consumer.on_span(tracer.end(span, 1.0))
         assert consumer.span_count == 1
         consumer.reset()
         assert consumer.span_count == 0 and consumer.report() is None

@@ -49,7 +49,7 @@ from repro.observe import (
 )
 from repro.simulation import Simulator
 from repro.telemetry import TelemetryHub, set_hub
-from repro.telemetry.core import Span
+from repro.telemetry.core import Tracer
 from repro.topology import LogicalTopology
 
 OBSERVE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "11"))
@@ -479,6 +479,7 @@ def _drive_synthetic(seed: int, iterations: int) -> str:
     most seeds raise at least one verdict.
     """
     watchdog = Watchdog(make_topology(), config=ObserveConfig())
+    tracer = Tracer()
     rng = np.random.default_rng(seed)
     onset = iterations // 2
     for i in range(iterations):
@@ -487,17 +488,17 @@ def _drive_synthetic(seed: int, iterations: int) -> str:
         # accumulates past the CUSUM threshold before the baseline
         # re-learns the degraded rate as the new normal.
         throughput = 1e9 * (0.15 if degraded else 1.0) * (1 + rng.uniform(-0.05, 0.05))
-        span = Span(f"c{i}", "chunk-send", float(i), category="chunk", track="link:n0->n1",
-                    args={"bytes": throughput})
-        span.end = float(i) + 1.0
+        span = tracer.begin("chunk-send", float(i), category="chunk", track="link:n0->n1",
+                            bytes=throughput)
+        tracer.end(span, float(i) + 1.0)
         watchdog.on_span(span)
-        fit = Span(f"f{i}", "alpha-beta-fit", float(i), category="profile",
-                   args={"edge": "n0->n1", "residual": 2.0 if degraded else 0.0})
+        fit = tracer.instant("alpha-beta-fit", float(i), category="profile",
+                             edge="n0->n1", residual=2.0 if degraded else 0.0)
         watchdog.on_event(fit)
         delays = {r: 0.0 for r in range(4)}
         delays[2] = 0.3 if degraded else 0.0
-        ski = Span(f"s{i}", "ski-rental-decision", float(i), category="relay",
-                   args={"ready_delays": delays, "buy_cost_seconds": 0.1})
+        ski = tracer.instant("ski-rental-decision", float(i), category="relay",
+                             ready_delays=delays, buy_cost_seconds=0.1)
         watchdog.on_event(ski)
         watchdog.end_iteration(i, 0.1 * (2.0 if degraded else 1.0))
     return watchdog.log.to_jsonl()

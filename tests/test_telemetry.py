@@ -113,6 +113,37 @@ class TestHub:
         with pytest.raises(TelemetryError):
             set_hub("not a hub")
 
+    def test_end_after_disable_closes_but_does_not_stream(self):
+        live = TelemetryHub(enabled=True)
+        log = []
+        live.subscribe(_Recording("consumer", log))
+        span = live.begin("s", 0.0)
+        live.disable()
+        live.end(span, 1.0)
+        assert log == []
+        assert live.tracer.open_spans() == [] and span.end == 1.0
+
+    def test_end_rejects_another_hubs_span(self):
+        mine, other = TelemetryHub(enabled=True), TelemetryHub(enabled=True)
+        log = []
+        mine.subscribe(_Recording("consumer", log))
+        span = other.begin("s", 0.0)
+        with pytest.raises(TelemetryError, match="not recorded by this tracer"):
+            mine.end(span, 1.0)
+        assert log == []
+        assert other.tracer.open_spans() == [span]
+
+    def test_end_rejects_a_span_begun_before_reset(self):
+        live = TelemetryHub(enabled=True)
+        stale = live.begin("stale", 0.0)
+        live.reset()
+        fresh = live.begin("fresh", 0.0)
+        with pytest.raises(TelemetryError, match="not recorded by this tracer"):
+            live.end(stale, 1.0)
+        with pytest.raises(TelemetryError, match="not recorded by this tracer"):
+            live.begin("child", 0.5, parent=stale)
+        assert live.tracer.open_spans() == [fresh] and len(live.tracer) == 1
+
 
 class _Recording(TelemetryConsumer):
     """Test consumer that logs every delivery, optionally acting mid-dispatch."""
