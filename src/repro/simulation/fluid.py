@@ -24,25 +24,28 @@ touches. Untouched components keep their frozen rates — which is safe
 bit-for-bit, not just mathematically, because the per-component solver is
 deterministic in its inputs, so a re-solve of an unchanged component
 would reproduce the frozen value exactly. ``incremental=False`` re-solves
-every component from scratch at every recompute point; the differential
-suite runs both modes against each other and against
-:func:`solve_rates_reference`, the original joint progressive-filling
-solve over all active transfers.
+every component from scratch, without the fill memo, at every recompute
+point; the differential suite runs both modes against each other and
+against the original per-transfer progressive-filling solve, kept as the
+oracle in ``tests/fluid_oracle.py``.
 
 The per-component solver works on *path classes*, not transfers: chunk
 pipelining puts many transfers on few distinct paths, transfers sharing a
 path (and hence a per-stream cap) get the same max-min rate by symmetry,
 and because the per-link user sums are integer-valued the collapse is
 exact to the last bit and independent of member order (DESIGN.md §11).
+Components therefore hold their members as per-class groups, and a
+network memoises the class fill by (class, count) multiset, since chunk
+waves present the same few sets over and over.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.simulation.engine import URGENT, Event, Simulator
@@ -50,6 +53,8 @@ from repro.simulation.engine import URGENT, Event, Simulator
 _EPS = 1e-12
 #: Remaining-bytes tolerance under which a transfer counts as complete.
 _DONE_EPS = 1e-6
+#: Entries at which a network's fill memo is cleared and starts over.
+_FILL_MEMO_ENTRIES = 4096
 
 
 class FluidLink:
@@ -68,19 +73,21 @@ class FluidLink:
         latency: float = 0.0,
         per_stream_cap: float = float("inf"),
     ):
-        if capacity < 0:
-            raise SimulationError(f"link {name}: negative capacity")
-        if latency < 0:
-            raise SimulationError(f"link {name}: negative latency")
-        if per_stream_cap <= 0:
-            raise SimulationError(f"link {name}: per-stream cap must be positive")
+        # Negated comparisons, so NaN fails them too.
+        if not capacity >= 0:
+            raise SimulationError(f"link {name}: capacity {capacity!r} is not >= 0")
+        if not 0 <= latency < math.inf:
+            raise SimulationError(f"link {name}: latency {latency!r} is not finite and >= 0")
+        if not per_stream_cap > 0:
+            raise SimulationError(f"link {name}: per-stream cap {per_stream_cap!r} is not > 0")
         self.id = next(FluidLink._ids)
         self.name = name
         self.capacity = capacity
         self.latency = latency
         self.per_stream_cap = per_stream_cap
-        #: Cumulative bytes that have crossed this link (updated lazily by
-        #: the network at recompute points).
+        #: Cumulative bytes that have crossed this link, credited once per
+        #: transfer: its size when it completes, the bytes it moved when
+        #: it is cancelled (times the path's multiplicity of the link).
         self.bytes_carried = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -97,9 +104,12 @@ class _PathClass:
     transfer. Immutable: every transfer on the path shares this object.
     """
 
-    __slots__ = ("links", "multiplicity", "incidence", "stream_cap", "latency")
+    __slots__ = ("serial", "links", "multiplicity", "incidence", "stream_cap", "latency")
 
-    def __init__(self, links: Tuple[FluidLink, ...]):
+    def __init__(self, serial: int, links: Tuple[FluidLink, ...]):
+        #: Interning order within the network: the path's name in a fill
+        #: memo key (stable across runs, unlike ``id()``).
+        self.serial = serial
         self.links = links
         #: Multiplicity of each link in the path (a path may cross a shared
         #: bus twice; it then consumes that bus's capacity twice).
@@ -130,9 +140,9 @@ class Transfer:
         self.tag = tag
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        #: Interned path and owning component, managed by the network.
+        #: Interned path and class group, managed by the network.
         self._path = path
-        self._comp: Optional[_Component] = None
+        self._group: Optional[_Group] = None
 
     @property
     def links(self) -> List[FluidLink]:
@@ -151,21 +161,57 @@ class Transfer:
         )
 
 
+class _Group:
+    """The members of one path class inside one component.
+
+    Members of a class cross the same links, so a class never spans two
+    components: a merge moves whole groups and a split hands whole groups
+    to the parts. ``members`` is in activation order; ``rate`` is the
+    class's solved rate, and every member's ``rate`` equals it at every
+    settle point — a newcomer copies it on joining, and a solve that
+    changes it writes it to every member.
+    """
+
+    __slots__ = ("path", "members", "rate", "comp")
+
+    def __init__(self, path: _PathClass, comp: _Component):
+        self.path = path
+        self.members: Dict[Transfer, None] = {}
+        self.rate = 0.0
+        self.comp = comp
+
+
 class _Component:
     """One connected component of the transfer↔link sharing graph.
 
-    ``members`` and ``links`` are insertion-ordered dicts used as ordered
+    ``groups`` and ``links`` are insertion-ordered dicts used as ordered
     sets, so every walk over them is deterministic. ``needs_split`` marks
-    a component that lost a member and may therefore have disconnected;
-    it is re-partitioned lazily at the next solve.
+    a component that lost a class and may therefore have disconnected;
+    it is re-partitioned lazily at the next solve. (Losing one member of
+    a class that keeps others cannot disconnect anything: the class still
+    holds every link it held.)
     """
 
-    __slots__ = ("members", "links", "needs_split")
+    __slots__ = ("groups", "links", "needs_split")
 
     def __init__(self) -> None:
-        self.members: Dict[Transfer, None] = {}
+        self.groups: Dict[_Group, None] = {}
         self.links: Dict[int, None] = {}
         self.needs_split = False
+
+
+_serial = attrgetter("path.serial")
+_remaining = attrgetter("remaining")
+
+
+def _credit(transfer: Transfer, moved: float) -> None:
+    """Add ``moved`` bytes of ``transfer`` to each link it crossed."""
+    for link, mult in transfer._path.incidence:
+        link.bytes_carried += moved * mult
+
+
+def _names(links: Iterable[FluidLink]) -> str:
+    return "[" + ", ".join(link.name for link in links) + "]"
 
 
 def _fill_classes(classes: Sequence[Tuple[_PathClass, int]]) -> List[float]:
@@ -179,8 +225,10 @@ def _fill_classes(classes: Sequence[Tuple[_PathClass, int]]) -> List[float]:
     ``sum(count * multiplicity)`` over unfrozen classes — integer-valued,
     hence exact in float64 in any order — and every other reduction is a
     ``min``, so the result does not depend on the order of ``classes`` and
-    equals the per-transfer fill (:func:`solve_rates_reference`) bit for
-    bit. Components hold a handful of classes, where a scalar loop beats
+    equals the per-transfer fill (``tests/fluid_oracle.py``) bit for bit.
+    It reads nothing but the classes, their counts and the links'
+    capacities, which is what makes :class:`FluidNetwork`'s memo of it
+    exact. Components hold a handful of classes, where a scalar loop beats
     the call overhead of array rounds.
     """
     slot_of: Dict[FluidLink, int] = {}
@@ -246,87 +294,13 @@ def _fill_classes(classes: Sequence[Tuple[_PathClass, int]]) -> List[float]:
     return rates
 
 
-def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
-    """From-scratch joint max-min solve over ``transfers`` (the oracle).
-
-    The original semantics, kept for the differential suite: one
-    progressive-filling run with a row per *transfer* (built from
-    ``Transfer.links`` alone, so it shares nothing with the path-class
-    table), vectorized over a flattened incidence. On one component it
-    equals the network's class-collapsed rates bit for bit; over *all*
-    active transfers jointly, components interleave and take different
-    float paths, so agreement there is 1e-9, not bitwise.
-    """
-    n = len(transfers)
-    if n == 0:
-        return []
-    caps = np.full(n, math.inf)
-    links: List[FluidLink] = []
-    link_index: Dict[int, int] = {}
-    t_idx: List[int] = []
-    l_idx: List[int] = []
-    mults: List[float] = []
-    for ti, t in enumerate(transfers):
-        multiplicity: Dict[FluidLink, int] = {}
-        for link in t.links:
-            multiplicity[link] = multiplicity.get(link, 0) + 1
-        for link, mult in multiplicity.items():
-            caps[ti] = min(caps[ti], link.per_stream_cap / mult)
-            li = link_index.get(link.id)
-            if li is None:
-                li = link_index[link.id] = len(links)
-                links.append(link)
-            t_idx.append(ti)
-            l_idx.append(li)
-            mults.append(mult)
-    m = len(links)
-    ti_arr = np.array(t_idx, dtype=np.intp)
-    li_arr = np.array(l_idx, dtype=np.intp)
-    mult_arr = np.array(mults)
-    residual = np.array([link.capacity for link in links])
-    sat_floor = _EPS * np.maximum(1.0, residual)
-    rates = np.zeros(n)
-    unfrozen = np.ones(n, dtype=bool)
-
-    while True:
-        active_inc = unfrozen[ti_arr]
-        users = np.bincount(
-            li_arr[active_inc], weights=mult_arr[active_inc], minlength=m
-        )
-        used = users > _EPS
-        delta = math.inf
-        if used.any():
-            delta = float(np.min(residual[used] / users[used]))
-        headroom = caps[unfrozen] - rates[unfrozen]
-        if headroom.size:
-            delta = min(delta, float(headroom.min()))
-        if delta < 0:
-            delta = 0.0
-        if delta > _EPS:
-            rates[unfrozen] += delta
-            residual -= delta * users
-
-        saturated = residual <= sat_floor
-        on_saturated = np.zeros(n, dtype=bool)
-        hit = active_inc & saturated[li_arr]
-        on_saturated[ti_arr[hit]] = True
-        newly = unfrozen & (on_saturated | (rates >= caps - _EPS))
-        if not newly.any():
-            if delta <= _EPS:
-                break  # nothing can move (e.g. zero-capacity link)
-            continue
-        unfrozen &= ~newly
-        if not unfrozen.any():
-            break
-    return rates.tolist()
-
-
 class FluidNetwork:
     """Tracks active transfers and allocates max-min fair rates.
 
     One instance serves a whole simulated cluster. All state changes go
     through :meth:`transfer`, :meth:`cancel` and :meth:`set_capacity`, which
-    keep the completion timer consistent.
+    keep the completion timer consistent (and the fill memo valid: a
+    link's capacity must not be written any other way).
     """
 
     def __init__(self, sim: Simulator, incremental: Optional[bool] = None):
@@ -342,10 +316,21 @@ class FluidNetwork:
         #: Whether recomputes re-solve only dirty components (the default)
         #: or every component from scratch (the differential reference).
         self.incremental = True if incremental is None else incremental
-        #: link id -> active transfers crossing it, insertion-ordered.
-        self._link_users: Dict[int, Dict[Transfer, None]] = {}
+        #: path class -> its group of active members (live classes only).
+        self._groups: Dict[_PathClass, _Group] = {}
+        #: link id -> groups whose path crosses it, insertion-ordered.
+        self._link_users: Dict[int, Dict[_Group, None]] = {}
         #: link id -> owning component, exact at all times.
         self._link_comp: Dict[int, _Component] = {}
+        #: A multi-class component's class serials (ascending) then their
+        #: member counts, as ``array('q')`` bytes -> the class rates in that
+        #: order, as ``array('d')`` bytes (compact: thousands of entries
+        #: live at once on a 24-rank AllReduce). Exact because
+        #: :func:`_fill_classes` reads only the classes, their counts (both
+        #: in the key) and link capacities (the memo is cleared whenever
+        #: :meth:`set_capacity` writes one); bounded by clearing it at
+        #: ``_FILL_MEMO_ENTRIES``.
+        self._fill_memo: Dict[bytes, bytes] = {}
         #: Components needing a re-solve, insertion-ordered (used as set).
         self._dirty: Dict[_Component, None] = {}
         #: component -> predicted absolute time of its earliest member
@@ -441,17 +426,24 @@ class FluidNetwork:
     ) -> Event:
         """Move ``size`` bytes across ``links``; returns the completion event.
 
-        The transfer first pays ``sum(link.latency) + extra_latency``
-        seconds of latency, then joins the fluid phase. The event's value is
+        The transfer first pays the latency of every *distinct* link on the
+        path (a bus crossed twice adds its latency once) plus
+        ``extra_latency``, then joins the fluid phase. The event's value is
         the :class:`Transfer` record (with start/finish times filled in).
         """
-        if size < 0:
-            raise SimulationError("transfer size must be non-negative")
-        event = Event(self.sim)
         key = tuple(links)
+        if not 0 <= size < math.inf:
+            raise SimulationError(
+                f"transfer over {_names(key)}: size {size!r} is not finite and >= 0"
+            )
+        if not math.isfinite(extra_latency):
+            raise SimulationError(
+                f"transfer over {_names(key)}: extra latency {extra_latency!r} is not finite"
+            )
+        event = Event(self.sim)
         path = self._paths.get(key)
         if path is None:
-            path = self._paths[key] = _PathClass(key)
+            path = self._paths[key] = _PathClass(len(self._paths), key)
         t = Transfer(path, size, event, tag=tag)
         if not key:
             # Pure-latency movement (e.g. an intra-GPU copy modelled as free):
@@ -482,6 +474,7 @@ class FluidNetwork:
         self._settle_progress()
         del self._active[transfer]
         self._component_remove(transfer)
+        _credit(transfer, transfer.size - transfer.remaining)
         if self._recorders:
             self._emit(
                 "net-flow-cancel",
@@ -495,10 +488,12 @@ class FluidNetwork:
 
     def set_capacity(self, link: FluidLink, capacity: float) -> None:
         """Change a link's capacity mid-simulation (tc-style shaping)."""
-        if capacity < 0:
-            raise SimulationError("capacity must be non-negative")
+        if not capacity >= 0:
+            raise SimulationError(f"link {link.name}: capacity {capacity!r} is not >= 0")
         self._settle_progress()
         link.capacity = capacity
+        # Every memoised fill may have read the old capacity.
+        self._fill_memo.clear()
         comp = self._link_comp.get(link.id)
         if comp is not None:
             self._dirty[comp] = None
@@ -512,8 +507,9 @@ class FluidNetwork:
     def link_load(self, link: FluidLink) -> float:
         """Aggregate current rate on ``link`` in bytes/second."""
         return sum(
-            t.rate * t._path.multiplicity[link]
-            for t in self._link_users.get(link.id, ())
+            t.rate * group.path.multiplicity[link]
+            for group in self._link_users.get(link.id, ())
+            for t in group.members
         )
 
     # -- internals -----------------------------------------------------------
@@ -532,6 +528,7 @@ class FluidNetwork:
         if transfer.remaining <= _DONE_EPS:
             transfer.finish_time = self.sim.now
             self.completed_transfers += 1
+            _credit(transfer, transfer.size)
             if self._recorders:
                 self._emit(
                     "net-flow-end",
@@ -548,15 +545,19 @@ class FluidNetwork:
         self._recompute()
 
     def _settle_progress(self) -> None:
-        """Apply progress accrued since the last recompute point."""
+        """Apply progress accrued since the last recompute point.
+
+        Only ``remaining`` moves, by ``rate * dt`` per member — the
+        group's rate is every member's — and no link is touched: links are
+        credited once per transfer, when it completes or is cancelled.
+        """
         dt = self.sim.now - self._last_update
         if dt > 0:
-            for t in self._active:
-                moved = t.rate * dt
-                left = t.remaining - moved
-                t.remaining = left if left > 0.0 else 0.0
-                for link, mult in t._path.incidence:
-                    link.bytes_carried += moved * mult
+            for group in self._groups.values():
+                moved = group.rate * dt
+                for t in group.members:
+                    left = t.remaining - moved
+                    t.remaining = left if left > 0.0 else 0.0
             self._scan_pending = True
         self._last_update = self.sim.now
 
@@ -675,6 +676,7 @@ class FluidNetwork:
         for t in finished:
             del self._active[t]
             self._component_remove(t)
+            _credit(t, t.size)
             t.finish_time = self.sim.now
             self.completed_transfers += 1
             if self._recorders:
@@ -691,63 +693,78 @@ class FluidNetwork:
     # -- component tracking --------------------------------------------------
 
     def _component_add(self, t: Transfer) -> None:
-        """Register an activated transfer, merging the components it joins.
+        """Register an activated transfer with its class group.
 
-        A new transfer connects the components of every link on its path
-        into exactly one component (it touches all of them itself), so a
-        merge here is always exact — only removals can split.
+        A transfer whose class is live joins that group: its links already
+        belong to the group's component, so nothing is walked. Otherwise
+        a new group is made, and since it touches every link of its path
+        it connects their components into exactly one — a merge here is
+        always exact; only removals can split.
         """
-        touched: Dict[int, _Component] = {}
-        for link in t._path.multiplicity:
-            self._link_users.setdefault(link.id, {})[t] = None
-            comp = self._link_comp.get(link.id)
-            if comp is not None:
-                touched[id(comp)] = comp
-        if touched:
-            ordered = list(touched.values())
-            target = max(ordered, key=lambda c: len(c.members) + len(c.links))
-            for comp in ordered:
-                if comp is target:
+        path = t._path
+        group = self._groups.get(path)
+        if group is not None:
+            comp = group.comp
+            t.rate = group.rate
+        else:
+            touched: Dict[_Component, None] = {}
+            for link in path.multiplicity:
+                other = self._link_comp.get(link.id)
+                if other is not None:
+                    touched[other] = None
+            comp = (
+                max(touched, key=lambda c: len(c.groups) + len(c.links))
+                if touched
+                else _Component()
+            )
+            for other in touched:
+                if other is comp:
                     continue
-                for member in comp.members:
-                    member._comp = target
-                    target.members[member] = None
-                for lid in comp.links:
-                    self._link_comp[lid] = target
-                    target.links[lid] = None
-                if comp.needs_split:
+                for absorbed in other.groups:
+                    absorbed.comp = comp
+                    comp.groups[absorbed] = None
+                for lid in other.links:
+                    self._link_comp[lid] = comp
+                    comp.links[lid] = None
+                if other.needs_split:
                     # An absorbed component with a pending split stays
                     # possibly-disconnected after the merge.
-                    target.needs_split = True
-                self._dirty.pop(comp, None)
-                self._comp_finish.pop(comp, None)
-        else:
-            target = _Component()
-        target.members[t] = None
-        t._comp = target
-        for link in t._path.multiplicity:
-            target.links[link.id] = None
-            self._link_comp[link.id] = target
-        self._dirty[target] = None
+                    comp.needs_split = True
+                self._dirty.pop(other, None)
+                self._comp_finish.pop(other, None)
+            group = self._groups[path] = _Group(path, comp)
+            comp.groups[group] = None
+            for link in path.multiplicity:
+                self._link_users.setdefault(link.id, {})[group] = None
+                comp.links[link.id] = None
+                self._link_comp[link.id] = comp
+        group.members[t] = None
+        t._group = group
+        self._dirty[comp] = None
         # Membership changed: the cached finish prediction must be rebuilt
         # at the next solve.
-        self._comp_finish.pop(target, None)
+        self._comp_finish.pop(comp, None)
 
     def _component_remove(self, t: Transfer) -> None:
-        """Unregister a finished/cancelled transfer from its component."""
-        comp = t._comp
-        t._comp = None
-        del comp.members[t]
-        for link in t._path.multiplicity:
-            users = self._link_users.get(link.id)
-            if users is not None:
-                users.pop(t, None)
-                if not users:
-                    del self._link_users[link.id]
-                    self._link_comp.pop(link.id, None)
-                    comp.links.pop(link.id, None)
+        """Unregister a finished/cancelled transfer from its group."""
+        group = t._group
+        t._group = None
+        del group.members[t]
+        comp = group.comp
         self._comp_finish.pop(comp, None)
-        if comp.members:
+        if group.members:
+            self._dirty[comp] = None
+            return
+        del comp.groups[group]
+        del self._groups[group.path]
+        for link in group.path.multiplicity:
+            users = self._link_users[link.id]
+            del users[group]
+            if not users:
+                del self._link_users[link.id]
+                del self._link_comp[link.id]
+                del comp.links[link.id]
+        if comp.groups:
             comp.needs_split = True
             self._dirty[comp] = None
         else:
@@ -756,13 +773,13 @@ class FluidNetwork:
     def _split_component(self, comp: _Component) -> List[_Component]:
         """Re-partition a possibly-disconnected component exactly.
 
-        Walks the component's remaining transfer↔link adjacency outward
-        from each not-yet-reached member; each reachable set becomes a
-        fresh component. Deterministic — ``members`` and the adjacency
-        dicts are insertion-ordered — though no solved rate depends on
-        the order (the class kernel is order-free).
+        Walks the component's remaining group↔link adjacency outward from
+        each not-yet-reached group; each reachable set becomes a fresh
+        component. Deterministic — ``groups`` and the adjacency dicts are
+        insertion-ordered — though no solved rate depends on the order
+        (the class kernel is order-free).
         """
-        unvisited = dict(comp.members)
+        unvisited = dict(comp.groups)
         self._comp_finish.pop(comp, None)
         parts: List[_Component] = []
         while unvisited:
@@ -771,10 +788,10 @@ class FluidNetwork:
             part = _Component()
             stack = [seed]
             while stack:
-                member = stack.pop()
-                part.members[member] = None
-                member._comp = part
-                for link in member._path.multiplicity:
+                group = stack.pop()
+                part.groups[group] = None
+                group.comp = part
+                for link in group.path.multiplicity:
                     if link.id in part.links:
                         continue
                     part.links[link.id] = None
@@ -794,10 +811,10 @@ class FluidNetwork:
         Incremental mode solves each *dirty* component with the
         progressive-filling kernel and leaves every other component's
         rates frozen; from-scratch mode re-partitions and re-solves all of
-        them. Both produce identical bits (see the module docstring), and
-        both match the joint :func:`solve_rates_reference` to float
-        round-off, because a max-min allocation decomposes exactly across
-        link-disjoint components.
+        them without the fill memo. Both produce identical bits (see the
+        module docstring), and both match the joint per-transfer solve to
+        float round-off, because a max-min allocation decomposes exactly
+        across link-disjoint components.
         """
         if self.incremental:
             if not self._dirty:
@@ -805,21 +822,18 @@ class FluidNetwork:
             dirty = list(self._dirty)
             self._dirty.clear()
         else:
-            # From-scratch mode re-solves *every* component each time. A
+            # From-scratch mode re-solves *every* component each time, and
+            # fills every multi-class one afresh: the memo is emptied per
+            # call, and no two components of one call share a class. A
             # clean component's re-solve reproduces its frozen rates
             # bit-for-bit, and component tracking (merges, splits, finish
             # cache pops) is shared with incremental mode, so the two
             # modes stay exactly equivalent.
             self._dirty.clear()
-            dirty = []
-            seen: Dict[int, None] = {}
-            for t in self._active:
-                comp = t._comp
-                if id(comp) not in seen:
-                    seen[id(comp)] = None
-                    dirty.append(comp)
+            self._fill_memo.clear()
+            dirty = list(dict.fromkeys(group.comp for group in self._groups.values()))
         for comp in dirty:
-            if not comp.members:
+            if not comp.groups:
                 continue
             if comp.needs_split:
                 comp.needs_split = False
@@ -830,58 +844,70 @@ class FluidNetwork:
                 self._solve_component(part)
 
     def _solve_component(self, comp: _Component) -> None:
-        """Assign max-min fair rates to one component's transfers.
+        """Assign max-min fair rates to one component's class groups.
 
-        Members are counted per path class and the classes are solved, not
-        the transfers. A single-class component — one flow, or a burst of
-        chunks down one path: the bulk of chunk-pipeline traffic — needs
-        no filling loop: round one's increment is the minimum of the
-        per-stream and capacity bounds and freezes every member, so the
-        rate is that minimum in closed form. Otherwise
-        :func:`_fill_classes` runs the rounds. Either way the bits equal a
-        per-transfer fill of the same members in any order.
+        The classes are solved, not the transfers. A single-class
+        component — one flow, or a burst of chunks down one path: the bulk
+        of chunk-pipeline traffic — needs no filling loop: round one's
+        increment is the minimum of the per-stream and capacity bounds and
+        freezes every member, so the rate is that minimum in closed form.
+        Otherwise :func:`_fill_classes` runs the rounds, once per distinct
+        (class, count) multiset until a capacity changes: the memo key
+        lists the classes by serial, so it names the multiset whatever
+        order the groups sit in. Either way the bits equal a per-transfer
+        fill of the same members in any order. A group's rate reaches its
+        members only when it changed bitwise.
 
         The component's cached finish prediction is rebuilt only when it
-        was invalidated by a membership change or some member's rate
+        was invalidated by a membership change or some group's rate
         actually changed; both triggers fire identically in incremental
         and from-scratch modes, so the cache (and therefore every timer
         horizon) stays bit-equal across modes.
         """
-        groups: Dict[_PathClass, List[Transfer]] = {}
-        for t in comp.members:
-            group = groups.get(t._path)
-            if group is None:
-                groups[t._path] = [t]
-            else:
-                group.append(t)
+        groups = comp.groups
         if len(groups) == 1:
-            ((path, group),) = groups.items()
+            (group,) = groups
+            path = group.path
+            count = len(group.members)
             rate = path.stream_cap
             for link, mult in path.incidence:
-                link_share = link.capacity / (len(group) * mult)
+                link_share = link.capacity / (count * mult)
                 if link_share < rate:
                     rate = link_share
-            rates = [rate if rate > _EPS else 0.0]
+            solved: Iterable[Tuple[_Group, float]] = ((group, rate if rate > _EPS else 0.0),)
         else:
-            rates = _fill_classes([(path, len(group)) for path, group in groups.items()])
-        # One pass writes rates back and predicts the earliest finish. A
-        # class shares one rate and ``now + remaining / rate`` is monotone
-        # in ``remaining``, so its earliest finish is that of its least
-        # remaining member, exactly.
+            ordered = sorted(groups, key=_serial)
+            counts = [len(group.members) for group in ordered]
+            key = array("q", [group.path.serial for group in ordered] + counts).tobytes()
+            memo = self._fill_memo
+            packed = memo.get(key)
+            if packed is None:
+                if len(memo) >= _FILL_MEMO_ENTRIES:
+                    memo.clear()
+                rates = _fill_classes(
+                    [(group.path, count) for group, count in zip(ordered, counts)]
+                )
+                memo[key] = array("d", rates).tobytes()
+            else:
+                rates = array("d", packed)
+            solved = zip(ordered, rates)
         changed = False
-        now = self.sim.now
-        finish = math.inf
-        for group, rate in zip(groups.values(), rates):
-            least = math.inf
-            for t in group:
-                if t.rate != rate:
+        for group, rate in solved:
+            if group.rate != rate:
+                group.rate = rate
+                for t in group.members:
                     t.rate = rate
-                    changed = True
-                if t.remaining < least:
-                    least = t.remaining
-            if rate > _EPS:
-                predicted = now + least / rate
-                if predicted < finish:
-                    finish = predicted
+                changed = True
         if changed or comp not in self._comp_finish:
+            # A class shares one rate and ``now + remaining / rate`` is
+            # monotone in ``remaining``, so its earliest finish is that of
+            # its least remaining member, exactly.
+            now = self.sim.now
+            finish = math.inf
+            for group in groups:
+                rate = group.rate
+                if rate > _EPS:
+                    predicted = now + min(map(_remaining, group.members)) / rate
+                    if predicted < finish:
+                        finish = predicted
             self._comp_finish[comp] = finish

@@ -1,0 +1,95 @@
+"""The per-transfer max-min solve, kept verbatim as the fluid network's oracle.
+
+``solve_rates_reference`` below is the rate solver of
+``repro.simulation.fluid`` as it was before the network collapsed each
+component's transfers into path classes: one numpy progressive-filling run
+with a row per *transfer*, rebuilt from ``Transfer.links`` alone, so it
+shares nothing with the network's interning, class groups or fill memo.
+``tests/test_fluid_differential.py`` and ``tests/test_fluid.py`` hold the
+network's rates to it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Dict, List, Sequence
+
+import numpy as np
+
+from repro.simulation.fluid import _EPS, FluidLink, Transfer
+
+
+def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
+    """From-scratch joint max-min solve over ``transfers`` (the oracle).
+
+    The original semantics, kept for the differential suite: one
+    progressive-filling run with a row per *transfer* (built from
+    ``Transfer.links`` alone, so it shares nothing with the path-class
+    table), vectorized over a flattened incidence. On one component it
+    equals the network's class-collapsed rates bit for bit; over *all*
+    active transfers jointly, components interleave and take different
+    float paths, so agreement there is 1e-9, not bitwise.
+    """
+    n = len(transfers)
+    if n == 0:
+        return []
+    caps = np.full(n, math.inf)
+    links: List[FluidLink] = []
+    link_index: Dict[int, int] = {}
+    t_idx: List[int] = []
+    l_idx: List[int] = []
+    mults: List[float] = []
+    for ti, t in enumerate(transfers):
+        multiplicity: Dict[FluidLink, int] = {}
+        for link in t.links:
+            multiplicity[link] = multiplicity.get(link, 0) + 1
+        for link, mult in multiplicity.items():
+            caps[ti] = min(caps[ti], link.per_stream_cap / mult)
+            li = link_index.get(link.id)
+            if li is None:
+                li = link_index[link.id] = len(links)
+                links.append(link)
+            t_idx.append(ti)
+            l_idx.append(li)
+            mults.append(mult)
+    m = len(links)
+    ti_arr = np.array(t_idx, dtype=np.intp)
+    li_arr = np.array(l_idx, dtype=np.intp)
+    mult_arr = np.array(mults)
+    residual = np.array([link.capacity for link in links])
+    sat_floor = _EPS * np.maximum(1.0, residual)
+    rates = np.zeros(n)
+    unfrozen = np.ones(n, dtype=bool)
+
+    while True:
+        active_inc = unfrozen[ti_arr]
+        users = np.bincount(
+            li_arr[active_inc], weights=mult_arr[active_inc], minlength=m
+        )
+        used = users > _EPS
+        delta = math.inf
+        if used.any():
+            delta = float(np.min(residual[used] / users[used]))
+        headroom = caps[unfrozen] - rates[unfrozen]
+        if headroom.size:
+            delta = min(delta, float(headroom.min()))
+        if delta < 0:
+            delta = 0.0
+        if delta > _EPS:
+            rates[unfrozen] += delta
+            residual -= delta * users
+
+        saturated = residual <= sat_floor
+        on_saturated = np.zeros(n, dtype=bool)
+        hit = active_inc & saturated[li_arr]
+        on_saturated[ti_arr[hit]] = True
+        newly = unfrozen & (on_saturated | (rates >= caps - _EPS))
+        if not newly.any():
+            if delta <= _EPS:
+                break  # nothing can move (e.g. zero-capacity link)
+            continue
+        unfrozen &= ~newly
+        if not unfrozen.any():
+            break
+    return rates.tolist()
+

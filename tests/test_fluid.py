@@ -344,3 +344,99 @@ def test_rates_respect_link_capacity(caps):
     sim.run(until=1.0)
     for link in links:
         assert net.link_load(link) <= link.capacity * (1 + 1e-9)
+
+
+# -- byte accounting ------------------------------------------------------------
+
+
+def test_bytes_are_credited_once_at_completion_with_multiplicity():
+    """Nothing is credited while a transfer streams (settling touches no
+    link); at completion each link gains exactly ``size × multiplicity``."""
+    sim, net = make_net()
+    bus = FluidLink("bus", capacity=100.0)
+    nic = FluidLink("nic", capacity=30.0)
+    size = 1000.1
+    done = net.transfer([bus, nic, bus], size=size)
+    sim.run(until=10.0)
+    assert (bus.bytes_carried, nic.bytes_carried) == (0.0, 0.0)
+    sim.run_until_complete(done)
+    assert bus.bytes_carried == 2 * size
+    assert nic.bytes_carried == size
+
+
+def test_cancel_credits_exactly_the_bytes_moved():
+    sim, net = make_net()
+    bus = FluidLink("bus", capacity=70.0)
+    done = net.transfer([bus, bus], size=1000.0)
+    done.add_callback(lambda _evt: None)  # the cancel fails it
+    sim.run(until=3.3)
+    (t,) = net.active_transfers
+    net.cancel(t)
+    assert 0.0 < t.remaining < t.size
+    assert bus.bytes_carried == 2 * (t.size - t.remaining)
+
+
+# -- latency -------------------------------------------------------------------
+
+
+def test_path_latency_counts_each_distinct_link_once():
+    """A bus crossed twice consumes its capacity twice but adds its latency
+    once (the path latency sums *distinct* links)."""
+    sim, net = make_net()
+    bus = FluidLink("bus", capacity=100.0, latency=1.5)
+    nic = FluidLink("nic", capacity=100.0, latency=0.25)
+    done = net.transfer([bus, nic, bus], size=100.0)
+    t = sim.run_until_complete(done)
+    assert t.start_time == 1.75
+    assert t.finish_time == pytest.approx(1.75 + 2.0)
+
+
+# -- non-finite inputs ---------------------------------------------------------
+
+
+def test_nan_capacity_is_rejected():
+    with pytest.raises(SimulationError, match="link bad: capacity nan"):
+        FluidLink("bad", capacity=math.nan)
+
+
+def test_set_capacity_to_nan_is_rejected():
+    sim, net = make_net()
+    link = FluidLink("l", capacity=100.0)
+    with pytest.raises(SimulationError, match="link l: capacity nan"):
+        net.set_capacity(link, math.nan)
+    assert link.capacity == 100.0
+
+
+def test_nan_latency_is_rejected():
+    with pytest.raises(SimulationError, match="link bad: latency nan"):
+        FluidLink("bad", capacity=100.0, latency=math.nan)
+
+
+def test_nan_extra_latency_is_rejected():
+    sim, net = make_net()
+    link = FluidLink("l", capacity=100.0)
+    with pytest.raises(SimulationError, match=r"transfer over \[l\]: extra latency nan"):
+        net.transfer([link], size=100.0, extra_latency=math.nan)
+
+
+def test_nan_per_stream_cap_is_rejected():
+    with pytest.raises(SimulationError, match="link bad: per-stream cap nan"):
+        FluidLink("bad", capacity=100.0, per_stream_cap=math.nan)
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf])
+def test_non_finite_size_is_rejected(size):
+    sim, net = make_net()
+    a, b = FluidLink("a", capacity=100.0), FluidLink("b", capacity=100.0)
+    with pytest.raises(SimulationError, match=r"transfer over \[a, b\]: size"):
+        net.transfer([a, b], size=size)
+    assert not net.active_transfers
+
+
+def test_infinite_capacity_and_stream_cap_stay_legal():
+    sim, net = make_net()
+    free = FluidLink("free", capacity=math.inf, per_stream_cap=math.inf)
+    slow = FluidLink("slow", capacity=50.0)
+    done = net.transfer([free, slow], size=100.0)
+    sim.run_until_complete(done)
+    assert sim.now == 2.0

@@ -6,15 +6,16 @@ to its references:
 
 * **vs. the joint solve** — at every recompute point of a randomized
   multi-component run, the per-transfer rates match
-  :func:`repro.simulation.fluid.solve_rates_reference` (one progressive
+  :func:`tests.fluid_oracle.solve_rates_reference` (one progressive
   filling over *all* active transfers jointly, the pre-incremental
   semantics) to within 1e-9. Per-component filling takes different float
   paths than the joint solve, so agreement is near-exact, not bitwise.
 * **vs. from-scratch per-component mode** — replaying the same event
   script with ``incremental=False`` (every component re-solved on every
-  recompute) produces **exactly** the same per-link ``bytes_carried``,
-  completion times and final clock, bit for bit. This is the property
-  that makes it safe to ship the incremental solver as the default.
+  recompute, without the fill memo) produces **exactly** the same
+  per-link ``bytes_carried``, completion times and final clock, bit for
+  bit. This is the property that makes it safe to ship the incremental
+  solver as the default.
 
 * **class kernel vs. the per-transfer fill, bitwise** — on one connected
   component (found here by union-find over ``Transfer.links``, not by the
@@ -22,7 +23,12 @@ to its references:
   :func:`solve_rates_reference` of the same members with ``==``, and do
   not move under a shuffle of activation order. The reference keeps one
   row per transfer and rebuilds the incidence from ``links``; the network
-  solves one row per interned path class.
+  solves one row per interned path class, through its fill memo.
+
+* **class groups** — through merges, splits, cancels and shaping, every
+  member's ``rate`` equals its group's at every settle point, and the
+  network's components partition the active transfers exactly as the
+  union-find does (so no group spans two components).
 
 Event scripts are hypothesis-generated: interleaved transfer starts
 (random paths over a shared pool of links, so components merge), early
@@ -36,8 +42,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import FluidLink, FluidNetwork, Simulator
-from repro.simulation.fluid import solve_rates_reference
+from repro.simulation import FluidLink, FluidNetwork, Simulator, fluid
+
+from .fluid_oracle import solve_rates_reference
 
 #: Tolerance of the incremental-vs-joint comparison (relative and absolute).
 TOLERANCE = 1e-9
@@ -92,12 +99,19 @@ _script = st.lists(
 )
 
 
-def _run_script(capacities, script, network_cls=FluidNetwork, incremental=None):
+def _run_script(
+    capacities, script, network_cls=FluidNetwork, incremental=None, stream_caps=()
+):
     """Replay one generated event script; returns its observable outcome."""
     sim = Simulator()
     net = network_cls(sim, incremental=incremental)
     links = [
-        FluidLink(f"l{i}", capacity=cap) for i, cap in enumerate(capacities)
+        FluidLink(
+            f"l{i}",
+            capacity=cap,
+            per_stream_cap=stream_caps[i] if i < len(stream_caps) else math.inf,
+        )
+        for i, cap in enumerate(capacities)
     ]
     started = []
 
@@ -324,3 +338,147 @@ def test_component_isolation_freezes_untouched_rates():
         net.transfer([right], size=10.0)
     sim.run(until=2.0)
     assert steady.rate == rate_before  # bitwise frozen, not approx
+
+
+# -- fill memo ------------------------------------------------------------------
+
+#: Three paths over three links, all sharing one link or another, so any
+#: non-empty mix of them is one multi-class component.
+_SHARED_PATHS = ((0, 1), (1, 2), (2,))
+
+_finite_capacity = st.floats(min_value=1.0, max_value=1000.0)
+
+
+def _start_wave(net, links, counts, size=1e9):
+    """Start ``counts[i]`` transfers down ``_SHARED_PATHS[i]``; returns them
+    once solved. Their events are consumed so a cancel can fail them."""
+    for path, count in zip(_SHARED_PATHS, counts):
+        for _ in range(count):
+            net.transfer([links[i] for i in path], size=size).add_callback(
+                lambda _evt: None
+            )
+    net.sim.run(until=net.sim.now)
+    return net.active_transfers
+
+
+def _fresh_rates(capacities, counts):
+    """The same wave on a fresh network (and so an empty memo)."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    links = [FluidLink(f"l{i}", capacity=c) for i, c in enumerate(capacities)]
+    return [t.rate for t in _start_wave(net, links, counts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacities=st.lists(_finite_capacity, min_size=3, max_size=3),
+    counts=st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),
+    which=st.integers(min_value=0, max_value=2),
+    reshaped=_finite_capacity,
+)
+def test_class_set_rebuilt_after_set_capacity_gets_the_new_rates(
+    capacities, counts, which, reshaped
+):
+    """A wave solved (and memoised), cancelled, then rebuilt identically
+    after ``set_capacity``: the rebuilt wave presents the same memo key,
+    and must still get the new capacity's rates — ``==`` to the oracle
+    and to a fresh network that never saw the old capacity."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    links = [FluidLink(f"l{i}", capacity=c) for i, c in enumerate(capacities)]
+    first = _start_wave(net, links, counts)
+    _assert_bitwise_per_component(first)
+    for t in first:
+        net.cancel(t)
+    net.set_capacity(links[which], reshaped)
+    again = _start_wave(net, links, counts)
+    _assert_bitwise_per_component(again)
+    capacities[which] = reshaped
+    assert [t.rate for t in again] == _fresh_rates(capacities, counts)
+
+
+def test_identical_class_set_is_filled_once(monkeypatch):
+    """Rebuilding the same (class, count) set hits the memo: one fill."""
+    calls = []
+    original = fluid._fill_classes
+
+    def counting(classes):
+        calls.append(len(classes))
+        return original(classes)
+
+    monkeypatch.setattr(fluid, "_fill_classes", counting)
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    links = [FluidLink(f"l{i}", capacity=c) for i, c in enumerate((30.0, 70.0, 50.0))]
+    first = _start_wave(net, links, (2, 1, 3))
+    rates = [t.rate for t in first]
+    for t in first:
+        net.cancel(t)
+    again = _start_wave(net, links, (2, 1, 3))
+    assert [t.rate for t in again] == rates
+    assert calls == [3]
+    assert len(net._fill_memo) == 1
+
+
+def test_fill_memo_is_bounded(monkeypatch):
+    """Past its fixed size the memo starts over; rates stay exact."""
+    monkeypatch.setattr(fluid, "_FILL_MEMO_ENTRIES", 2)
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    links = [FluidLink(f"l{i}", capacity=c) for i, c in enumerate((30.0, 70.0, 50.0))]
+    for counts in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 2)):
+        wave = _start_wave(net, links, counts)
+        _assert_bitwise_per_component(wave)
+        assert 1 <= len(net._fill_memo) <= 2
+        for t in wave:
+            net.cancel(t)
+
+
+# -- class groups ---------------------------------------------------------------
+
+
+def _assert_groups_consistent(net):
+    """Every live group is its class's only group, sits in its component,
+    and holds its members; the network's components partition the active
+    transfers exactly as an independent union-find over links does."""
+    for path, group in net._groups.items():
+        assert group.path is path and group.members
+        assert group in group.comp.groups
+        for t in group.members:
+            assert t._group is group
+    ours = {}
+    for t in net.active_transfers:
+        ours.setdefault(id(t._group.comp), set()).add(t.id)
+    expected = [{t.id for t in members} for members in _components(net.active_transfers)]
+    assert sorted(map(sorted, ours.values())) == sorted(map(sorted, expected))
+
+
+class GroupCheckNetwork(FluidNetwork):
+    """A network that checks the group invariants at every settle point
+    and after every rate assignment."""
+
+    def _settle_progress(self):
+        for group in self._groups.values():
+            assert all(t.rate == group.rate for t in group.members)
+        super()._settle_progress()
+
+    def _assign_rates(self):
+        super()._assign_rates()
+        _assert_groups_consistent(self)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    capacities=_link_caps,
+    stream_caps=st.lists(
+        st.one_of(st.just(math.inf), st.floats(min_value=0.5, max_value=50.0)),
+        max_size=6,
+    ),
+    script=_script,
+)
+def test_members_carry_their_groups_rate_through_merges_and_splits(
+    capacities, stream_caps, script
+):
+    """Finite per-stream caps make a group's rate survive a newcomer
+    joining, so a newcomer that did not copy it would be caught."""
+    _run_script(capacities, script, GroupCheckNetwork, stream_caps=stream_caps)
