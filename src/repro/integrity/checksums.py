@@ -38,8 +38,12 @@ DIGEST_RTOL = 1e-9
 
 
 def payload_checksum(payload: np.ndarray) -> int:
-    """CRC32 over the payload's bytes (dtype- and order-normalized)."""
-    return zlib.crc32(np.ascontiguousarray(payload).tobytes())
+    """CRC32 over the payload's bytes in C order.
+
+    Reads a C-contiguous buffer in place (a payload usually is one) rather
+    than a ``tobytes()`` copy; the value equals ``crc32(payload.tobytes())``.
+    """
+    return zlib.crc32(np.ascontiguousarray(payload))
 
 
 def payload_digest(payload: np.ndarray) -> float:

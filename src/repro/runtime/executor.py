@@ -248,8 +248,12 @@ class ChunkPipeline:
         link = f"{i}->{j}"
         transfer_tag = f"{self.tag}:{link}"
         if telemetry is not None:
-            name = f"{self.tag}:send"
-            track = f"link:{link}"
+            site = telemetry.site(
+                f"{self.tag}:send",
+                category="chunk",
+                track=f"link:{link}",
+                keys=("chunk", "bytes", "unit"),
+            )
             # Identifies the sender process for the race detector's
             # happens-before replay; must match repro.analysis.race.unit_label.
             unit_label = f"{unit[0]}:{unit[1]}"
@@ -259,23 +263,15 @@ class ChunkPipeline:
             slot_in = self.slot(unit, i, k)
             yield slot_in.event
             if telemetry is not None:
-                span = telemetry.begin(
-                    name,
-                    self.sim.now,
-                    category="chunk",
-                    track=track,
-                    chunk=k,
-                    bytes=self.chunk_bytes[k],
-                    unit=unit_label,
-                )
+                span = site.begin(self.sim.now, (k, self.chunk_bytes[k], unit_label))
             yield self.network.transfer(edge.fluid_links, self.chunk_bytes[k], tag=transfer_tag)
             if telemetry is not None:
                 telemetry.end(span, self.sim.now)
                 if sent is None:  # registered on first use, as before
                     sent = telemetry.metrics.counter(
                         "chunks_sent_total", "chunks streamed across logical edges"
-                    )
-                sent.inc(stage=stage)
+                    ).labels(stage=stage)
+                sent.inc()
             out_slot = self.slot(unit, j, k)
             if not out_slot.event.triggered:
                 delivered = slot_in.payload
@@ -307,8 +303,12 @@ class ChunkPipeline:
         )
         telemetry = self._telemetry
         if telemetry is not None and gpu is not None:
-            name = f"{self.tag}:reduce"
-            track = f"gpu:{node.index}"
+            site = telemetry.site(
+                f"{self.tag}:reduce",
+                category="reduce",
+                track=f"gpu:{node.index}",
+                keys=("chunk", "bytes", "inputs"),
+            )
             launched = None
         for k in range(self.num_chunks):
             events = [self.slot(unit, node, k).event for unit in units]
@@ -331,22 +331,14 @@ class ChunkPipeline:
                     total += part
                 if self.kernel_enabled and gpu is not None:
                     if telemetry is not None:
-                        span = telemetry.begin(
-                            name,
-                            self.sim.now,
-                            category="reduce",
-                            track=track,
-                            chunk=k,
-                            bytes=self.chunk_bytes[k],
-                            inputs=len(parts),
-                        )
+                        span = site.begin(self.sim.now, (k, self.chunk_bytes[k], len(parts)))
                     yield self.sim.timeout(gpu.spec.reduce_kernel_time(self.chunk_bytes[k]))
                     if telemetry is not None:
                         telemetry.end(span, self.sim.now)
                         if launched is None:  # registered on first use, as before
                             launched = telemetry.metrics.counter(
                                 "reduce_kernels_total", "aggregation kernels launched"
-                            )
+                            ).labels()
                         launched.inc()
             else:
                 total = parts[0]  # single unit: relay without a kernel

@@ -11,7 +11,13 @@ Three ideas cover everything in this module:
   Callbacks registered on the event fire when it is processed.
 * :class:`Process` — an event that wraps a generator. It triggers when the
   generator returns (value = ``StopIteration`` value) or raises.
-* :class:`Simulator` — the clock plus a priority queue of scheduled events.
+* :class:`Simulator` — the clock plus a priority queue of scheduled work.
+
+A queue entry is ``(time, priority, seq, callback, arg)``: a triggered
+event is queued as ``(…, Simulator._dispatch, event)``, and internal
+timers that nobody waits on — the fluid network's latency waits, flushes
+and completion horizons — go straight in through
+:meth:`Simulator.call_later` without an :class:`Event` around them.
 """
 
 from __future__ import annotations
@@ -245,16 +251,11 @@ class Simulator:
     insertion order) until the queue is empty or ``until`` is reached.
     """
 
-    def __init__(self, batch_events: bool = True):
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: Drain whole same-(time, priority) runs per :meth:`step` instead
-        #: of one heap round-trip per event. Dispatch order is identical
-        #: either way; ``False`` keeps the one-event-per-step reference
-        #: behavior for differential testing.
-        self.batch_events = batch_events
 
     # -- event creation -----------------------------------------------------
 
@@ -286,13 +287,36 @@ class Simulator:
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, priority, self._seq, event))
+        heapq.heappush(
+            self._queue, (self.now + delay, priority, self._seq, Simulator._dispatch, event)
+        )
+
+    def call_later(
+        self,
+        delay: float,
+        callback: Callable[[Any], None],
+        arg: Any,
+        priority: int = NORMAL,
+    ) -> None:
+        """Run ``callback(arg)`` ``delay`` simulated seconds from now.
+
+        The timer is a bare queue entry: no :class:`Event`, so nothing can
+        wait on it, fail it or cancel it — a callback that may be
+        superseded checks for that itself. It takes its place in the
+        (time, priority, insertion order) sequence exactly as a
+        :meth:`timeout` created at the same moment would.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay: {delay}")
+        self._seq += 1
+        heapq.heappush(self._queue, (self.now + delay, priority, self._seq, callback, arg))
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def _dispatch(self, event: Event) -> None:
+    @staticmethod
+    def _dispatch(event: Event) -> None:
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         for callback in callbacks:
@@ -302,33 +326,32 @@ class Simulator:
             raise event._value
 
     def step(self) -> None:
-        """Process the next event (and, batching, its same-instant run).
+        """Run the next queue entry and the rest of its same-instant run.
 
-        With ``batch_events`` the step keeps dispatching while the queue's
-        head shares the first event's (time, priority), saving a call and
-        the caller's loop checks per event. Entries are popped one at a
-        time, only when they are next: a dispatched callback may schedule
-        something *more urgent* at the same instant (process resumptions
-        are URGENT, scheduled from NORMAL callbacks), which then heads the
-        queue and ends the step — so dispatch order is identical to
-        unbatched stepping and an exception leaves the rest queued.
+        The step keeps going while the queue's head shares the first
+        entry's (time, priority), saving a call and the caller's loop
+        checks per entry. Entries are popped one at a time, only when they
+        are next: a callback may schedule something *more urgent* at the
+        same instant (process resumptions are URGENT, scheduled from
+        NORMAL callbacks), which then heads the queue and ends the step —
+        so the order is that of popping one entry per step, and an
+        exception leaves the rest queued.
         """
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
         queue = self._queue
-        entry = heapq.heappop(queue)
-        time, priority = entry[0], entry[1]
+        if not queue:
+            raise SimulationError("step() on an empty event queue")
+        time, priority, _seq, callback, arg = heapq.heappop(queue)
         if time < self.now - 1e-12:
             raise SimulationError("event scheduled in the past")
-        self.now = max(self.now, time)
-        self._dispatch(entry[3])
-        if not self.batch_events:
-            return
+        if time > self.now:
+            self.now = time
+        callback(arg)
         while queue:
             head = queue[0]
             if head[0] != time or head[1] != priority:
                 return
-            self._dispatch(heapq.heappop(queue)[3])
+            heapq.heappop(queue)
+            head[3](head[4])
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue empties or the clock reaches ``until``.

@@ -348,15 +348,15 @@ class FluidNetwork:
         #: by the force-complete path; lets activation-only flushes skip
         #: the O(active) completion scan entirely.
         self._scan_pending = False
-        #: Attached observers implementing the recorder protocol —
-        #: ``record(time, kind, subject, **payload)``, usually
-        #: :class:`repro.simulation.records.TraceRecorder`. The network
-        #: emits ``net-flow-start``/``net-flow-end``/``net-flow-cancel``
-        #: events to every recorder, and a ``net-rates`` allocation
-        #: snapshot per recompute instant to recorders that want it
-        #: (``wants_rates`` attribute, default true), which
-        #: :mod:`repro.analysis.lint_trace` checks for capacity and
-        #: fairness invariants. Use :meth:`attach_recorder` /
+        #: Attached observers implementing the recorder protocol, usually
+        #: :class:`repro.simulation.records.TraceRecorder`. Every recorder
+        #: gets the typed flow calls ``flow_started(transfer, now)``,
+        #: ``flow_ended(transfer, now)`` and ``flow_cancelled(transfer,
+        #: now)``; recorders that want it (``wants_rates`` attribute,
+        #: default true) also get one ``record(time, "net-rates",
+        #: "network", flows=, links=)`` allocation snapshot per recompute
+        #: instant, which :mod:`repro.analysis.lint_trace` checks for
+        #: capacity and fairness invariants. Use :meth:`attach_recorder` /
         #: :meth:`detach_recorder`; the ``recorder`` property remains as a
         #: single-recorder compatibility view.
         self._recorders: List = []
@@ -411,10 +411,6 @@ class FluidNetwork:
             getattr(rec, "wants_rates", True) for rec in self._recorders
         )
 
-    def _emit(self, kind: str, subject: str, **payload) -> None:
-        for rec in self._recorders:
-            rec.record(self.sim.now, kind, subject, **payload)
-
     # -- public API ----------------------------------------------------------
 
     def transfer(
@@ -448,21 +444,11 @@ class FluidNetwork:
         if not key:
             # Pure-latency movement (e.g. an intra-GPU copy modelled as free):
             # complete after the latency with no fluid phase.
-            def _complete(_evt: Event, transfer: Transfer = t) -> None:
-                transfer.start_time = transfer.finish_time = self.sim.now
-                transfer.remaining = 0.0
-                self.completed_transfers += 1
-                transfer.event.succeed(transfer)
-
-            self.sim.timeout(max(0.0, extra_latency)).add_callback(_complete)
+            self.sim.call_later(max(0.0, extra_latency), self._complete_latency_only, t)
             return event
         latency = path.latency + extra_latency
         if latency > 0:
-
-            def _after_latency(_evt: Event, transfer: Transfer = t) -> None:
-                self._activate(transfer)
-
-            self.sim.timeout(latency).add_callback(_after_latency)
+            self.sim.call_later(latency, self._activate, t)
         else:
             self._activate(t)
         return event
@@ -475,14 +461,8 @@ class FluidNetwork:
         del self._active[transfer]
         self._component_remove(transfer)
         _credit(transfer, transfer.size - transfer.remaining)
-        if self._recorders:
-            self._emit(
-                "net-flow-cancel",
-                f"flow{transfer.id}",
-                flow=transfer.id,
-                tag=transfer.tag,
-                remaining=transfer.remaining,
-            )
+        for rec in self._recorders:
+            rec.flow_cancelled(transfer, self.sim.now)
         transfer.event.fail(reason or SimulationError(f"transfer {transfer.id} cancelled"))
         self._recompute()
 
@@ -514,29 +494,24 @@ class FluidNetwork:
 
     # -- internals -----------------------------------------------------------
 
+    def _complete_latency_only(self, transfer: Transfer) -> None:
+        transfer.start_time = transfer.finish_time = self.sim.now
+        transfer.remaining = 0.0
+        self.completed_transfers += 1
+        transfer.event.succeed(transfer)
+
     def _activate(self, transfer: Transfer) -> None:
         self._settle_progress()
-        transfer.start_time = self.sim.now
-        if self._recorders:
-            self._emit(
-                "net-flow-start",
-                f"flow{transfer.id}",
-                flow=transfer.id,
-                tag=transfer.tag,
-                size=transfer.size,
-            )
+        now = self.sim.now
+        transfer.start_time = now
+        for rec in self._recorders:
+            rec.flow_started(transfer, now)
         if transfer.remaining <= _DONE_EPS:
-            transfer.finish_time = self.sim.now
+            transfer.finish_time = now
             self.completed_transfers += 1
             _credit(transfer, transfer.size)
-            if self._recorders:
-                self._emit(
-                    "net-flow-end",
-                    f"flow{transfer.id}",
-                    flow=transfer.id,
-                    tag=transfer.tag,
-                    size=transfer.size,
-                )
+            for rec in self._recorders:
+                rec.flow_ended(transfer, now)
             transfer.event.succeed(transfer)
             self._recompute()
             return
@@ -573,14 +548,9 @@ class FluidNetwork:
         if self._flush_scheduled:
             return
         self._flush_scheduled = True
-        flush_event = Event(self.sim)
-        flush_event._ok = True
-        flush_event._value = None
-        flush_event._triggered = True
-        flush_event.callbacks.append(self._flush)
-        self.sim._schedule(flush_event, priority=URGENT)
+        self.sim.call_later(0.0, self._flush, None, URGENT)
 
-    def _flush(self, _event: Event) -> None:
+    def _flush(self, _arg: None) -> None:
         """Reassign rates and (re)schedule the next completion."""
         self._flush_scheduled = False
         self._settle_progress()  # no-op for dt=0; needed if time advanced
@@ -617,14 +587,14 @@ class FluidNetwork:
             self._assign_rates()
             self._complete_finished()
 
-        def _on_timer(_evt: Event) -> None:
-            if generation != self._timer_generation:
-                return  # superseded by a later recompute
-            self._settle_progress()
-            self._recompute()
-
-        self.sim.timeout(horizon).add_callback(_on_timer)
+        self.sim.call_later(horizon, self._on_timer, generation)
         self._record_snapshot()
+
+    def _on_timer(self, generation: int) -> None:
+        if generation != self._timer_generation:
+            return  # superseded by a later recompute
+        self._settle_progress()
+        self._recompute()
 
     def _next_horizon(self) -> float:
         """Seconds until the earliest predicted completion (``inf`` if none).
@@ -673,20 +643,16 @@ class FluidNetwork:
         finished = [t for t in self._active if t.remaining <= _DONE_EPS]
         if not finished:
             return
+        now = self.sim.now
+        recorders = self._recorders
         for t in finished:
             del self._active[t]
             self._component_remove(t)
             _credit(t, t.size)
-            t.finish_time = self.sim.now
+            t.finish_time = now
             self.completed_transfers += 1
-            if self._recorders:
-                self._emit(
-                    "net-flow-end",
-                    f"flow{t.id}",
-                    flow=t.id,
-                    tag=t.tag,
-                    size=t.size,
-                )
+            for rec in recorders:
+                rec.flow_ended(t, now)
             t.event.succeed(t)
         self._assign_rates()
 

@@ -31,6 +31,38 @@ class TraceRecorder:
         """Append one observation."""
         self.records.append(TraceRecord(time, kind, subject, payload))
 
+    # -- the fluid network's typed flow calls, as ``net-flow-*`` records --
+
+    def flow_started(self, transfer: Any, now: float) -> None:
+        self.record(
+            now,
+            "net-flow-start",
+            f"flow{transfer.id}",
+            flow=transfer.id,
+            tag=transfer.tag,
+            size=transfer.size,
+        )
+
+    def flow_ended(self, transfer: Any, now: float) -> None:
+        self.record(
+            now,
+            "net-flow-end",
+            f"flow{transfer.id}",
+            flow=transfer.id,
+            tag=transfer.tag,
+            size=transfer.size,
+        )
+
+    def flow_cancelled(self, transfer: Any, now: float) -> None:
+        self.record(
+            now,
+            "net-flow-cancel",
+            f"flow{transfer.id}",
+            flow=transfer.id,
+            tag=transfer.tag,
+            remaining=transfer.remaining,
+        )
+
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """All records with the given kind, in time order."""
         return [r for r in self.records if r.kind == kind]

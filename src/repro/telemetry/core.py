@@ -19,7 +19,9 @@ lint can check nesting without reconstructing a tree.
 The tracer keeps its records in columns (DESIGN.md §7), not as one object
 per span: a :class:`Span` is a two-slot view of one record, and exporters
 read the store through :meth:`Tracer.export_rows`. Nothing outside this
-module knows the column layout.
+module knows the column layout. A hot call site binds its name, category,
+track and argument keys once with :meth:`TelemetryHub.site` and then
+passes only a start and a value tuple per span.
 
 Enable telemetry with the ``REPRO_TELEMETRY=1`` environment variable or
 ``AdapCCSession(telemetry=True)``; capture programmatically by passing your
@@ -45,6 +47,9 @@ _FALSEY = {"", "0", "false", "no", "off"}
 
 #: One export row (see :meth:`Tracer.export_rows`).
 Row = Tuple[Any, Any, bool, str, Optional[str], Any, Any, Any, Tuple[str, ...], tuple]
+#: What a record shares with every record of its call site:
+#: ``(name, category, track, arg keys)``.
+Site = Tuple[Any, Any, Any, Tuple[str, ...]]
 
 
 def telemetry_enabled() -> bool:
@@ -81,18 +86,15 @@ class Span:
 
     @property
     def name(self) -> Any:
-        tracer = self._tracer
-        return tracer._strings[tracer._name[self._index]]
+        return self._tracer._site_fields(self._index)[0]
 
     @property
     def category(self) -> Any:
-        tracer = self._tracer
-        return tracer._strings[tracer._category[self._index]]
+        return self._tracer._site_fields(self._index)[1]
 
     @property
     def track(self) -> Any:
-        tracer = self._tracer
-        return tracer._strings[tracer._track[self._index]]
+        return self._tracer._site_fields(self._index)[2]
 
     @property
     def start(self) -> Any:
@@ -110,7 +112,7 @@ class Span:
     @property
     def args(self) -> Mapping[str, Any]:
         tracer = self._tracer
-        keys = tracer._schemas[tracer._schema[self._index]]
+        keys = tracer._site_fields(self._index)[3]
         return MappingProxyType(dict(zip(keys, tracer._values[self._index])))
 
     @property
@@ -134,55 +136,39 @@ class Span:
         return f"<Span {self.span_id} {self.name!r} on {self.track!r} {state}>"
 
 
-class _Interned(dict):
-    """Value → id table whose ids index :attr:`objects`; a miss interns.
-
-    A ``str`` is keyed by itself, so the common lookup is one dict probe;
-    any other value by ``(type, value)``, so ``1`` and ``True`` stay apart.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.objects: List[Any] = []
-
-    def __missing__(self, value: Any) -> int:
-        key = value if type(value) is str else (type(value), value)
-        found = self.get(key)
-        if found is None:
-            found = self[key] = len(self.objects)
-            self.objects.append(value)
-        return found
+def _field_key(value: Any) -> Any:
+    """A site field's part of the site key: a ``str`` is keyed by itself,
+    any other value by ``(type, value)``, so ``1`` and ``True`` stay apart."""
+    return value if type(value) is str else (type(value), value)
 
 
 class Tracer:
     """Append-only columnar store of spans and instant events.
 
     One record per :meth:`begin` / :meth:`instant`, index = emission
-    order. Columns: interned name / category / track ids, ``start`` and
-    ``end`` (``array('d')``) with a separate closed flag, an event flag,
-    the parent's index (``-1`` for a root) and the ordinal among its
-    siblings — the dotted id is derived from these, never stored — and
-    the args as one value tuple under an interned key schema. A timestamp
-    that is not an exact, non-NaN ``float`` keeps its exact object in a
-    side table, so exports render it as given (NaN included: sorting
-    compares NaN objects by identity).
+    order. Columns: the id of the record's interned *site* — its
+    ``(name, category, track, arg keys)`` — ``start`` and ``end``
+    (``array('d')``) with a separate closed flag, an event flag, the
+    parent's index (``-1`` for a root) and the ordinal among its siblings
+    — the dotted id is derived from these, never stored — and the arg
+    values as one tuple in the site's key order. A timestamp that is not
+    an exact, non-NaN ``float`` keeps its exact object in a side table, so
+    exports render it as given (NaN included: sorting compares NaN objects
+    by identity).
     """
 
     def __init__(self) -> None:
-        self._interned = _Interned()
-        self._strings = self._interned.objects
-        self._name = array("i")
-        self._category = array("i")
-        self._track = array("i")
+        self._sites: List[Site] = []
+        self._site_ids: Dict[tuple, int] = {}
+        #: One shared tuple per distinct arg-key sequence.
+        self._key_tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._site = array("i")
         self._start = array("d")
         self._end = array("d")
         self._closed = bytearray()
         self._event = bytearray()
         self._parent = array("i")
         self._ordinal = array("i")
-        self._schema = array("i")
-        self._schemas: List[Tuple[str, ...]] = [()]
-        self._schema_ids: Dict[Tuple[str, ...], int] = {(): 0}
         self._values: List[tuple] = []
         self._exact_start: Dict[int, Any] = {}
         self._exact_end: Dict[int, Any] = {}
@@ -200,12 +186,18 @@ class Tracer:
             "(another hub's, or from before a reset)"
         )
 
-    def _schema_of(self, keys: Tuple[str, ...]) -> int:
-        schema = self._schema_ids.get(keys)
-        if schema is None:
-            schema = self._schema_ids[keys] = len(self._schemas)
-            self._schemas.append(keys)
-        return schema
+    def _site_of(self, name: Any, category: Any, track: Any, keys: Tuple[str, ...]) -> int:
+        """The id of a site, interned on first sight."""
+        key = (_field_key(name), _field_key(category), _field_key(track), keys)
+        site = self._site_ids.get(key)
+        if site is None:
+            keys = self._key_tuples.setdefault(keys, keys)
+            site = self._site_ids[key] = len(self._sites)
+            self._sites.append((name, category, track, keys))
+        return site
+
+    def _site_fields(self, index: int) -> Site:
+        return self._sites[self._site[index]]
 
     def _record(
         self,
@@ -217,16 +209,18 @@ class Tracer:
         args: Dict[str, Any],
         event: bool,
     ) -> Span:
-        # Everything that can raise comes before the first append, so a
-        # rejected record leaves every column the same length.
         if parent is not None and parent._tracer is not self:
             raise self._foreign(parent)
-        interned = self._interned
-        name_id, category_id, track_id = interned[name], interned[category], interned[track]
+        site = self._site_of(name, category, track, tuple(args))
+        return self._append(site, start, tuple(args.values()), parent, event)
+
+    def _append(
+        self, site: int, start: Any, values: tuple, parent: Optional[Span], event: bool
+    ) -> Span:
+        # Everything that can raise comes before this point, so a rejected
+        # record leaves every column the same length.
         index = len(self._values)
-        self._name.append(name_id)
-        self._category.append(category_id)
-        self._track.append(track_id)
+        self._site.append(site)
         if parent is None:
             self._roots += 1
             self._ordinal.append(self._roots)
@@ -247,12 +241,7 @@ class Tracer:
         self._event.append(event)
         if event:
             self._events += 1
-        if args:
-            self._schema.append(self._schema_of(tuple(args)))
-            self._values.append(tuple(args.values()))
-        else:
-            self._schema.append(0)
-            self._values.append(())
+        self._values.append(values)
         return Span(self, index)
 
     def begin(
@@ -285,9 +274,10 @@ class Tracer:
                 f"span {span.span_id} would end at {end} before its start {start}"
             )
         if args:
-            merged = dict(zip(self._schemas[self._schema[index]], self._values[index]))
+            name, category, track, keys = self._site_fields(index)
+            merged = dict(zip(keys, self._values[index]))
             merged.update(args)
-            self._schema[index] = self._schema_of(tuple(merged))
+            self._site[index] = self._site_of(name, category, track, tuple(merged))
             self._values[index] = tuple(merged.values())
         if type(end) is float and end == end:
             self._end[index] = end
@@ -334,8 +324,8 @@ class Tracer:
         ``(start, end, is_event, span_id, parent_id, name, category, track,
         arg_keys, arg_values)`` — timestamps as given (``end`` is ``None``
         while open), ids derived once per parent, ``name`` / ``category`` /
-        ``track`` the interned objects, and the args as the record's key
-        schema (one shared tuple per schema) and value tuple. The order is
+        ``track`` / ``arg_keys`` the record's site (one shared key tuple
+        per key sequence), and the arg value tuple. The order is
         a stable sort of record indices by start; a NaN start makes it the
         ``(start, seq)`` sort of spans-then-events the exporters always
         did, which is the only order NaN comparisons reproduce.
@@ -354,10 +344,8 @@ class Tracer:
         ends = self._end.tolist()
         for index, value in self._exact_end.items():
             ends[index] = value
-        strings, schemas, values = self._strings, self._schemas, self._values
-        names, categories, tracks = self._name, self._category, self._track
+        sites, site_of, values = self._sites, self._site, self._values
         parents, ordinals, closed, events = self._parent, self._ordinal, self._closed, self._event
-        schema_of = self._schema
         parent_ids: Dict[int, str] = {}
         for index in order:
             parent = parents[index]
@@ -369,16 +357,17 @@ class Tracer:
                 if parent_id is None:
                     parent_id = parent_ids[parent] = self._dotted(parent)
                 span_id = f"{parent_id}.{ordinals[index]}"
+            name, category, track, keys = sites[site_of[index]]
             yield (
                 starts[index],
                 ends[index] if closed[index] else None,
                 bool(events[index]),
                 span_id,
                 parent_id,
-                strings[names[index]],
-                strings[categories[index]],
-                strings[tracks[index]],
-                schemas[schema_of[index]],
+                name,
+                category,
+                track,
+                keys,
                 values[index],
             )
 
@@ -416,6 +405,46 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._values)
+
+
+class SpanSite:
+    """A span call site bound once: name, category, track and arg keys.
+
+    Made by :meth:`TelemetryHub.site`. :meth:`begin` takes only a start
+    and the arg values in key order, so a call site that opens thousands
+    of spans builds no kwargs dict and interns nothing per span. The site
+    re-resolves against the hub's current tracer, so spans begun after a
+    :meth:`TelemetryHub.reset` land in the new store.
+    """
+
+    __slots__ = ("_hub", "_fields", "_tracer", "_site")
+
+    def __init__(
+        self, target: "TelemetryHub", name: Any, category: Any, track: Any, keys: Tuple[str, ...]
+    ):
+        if any(type(key) is not str for key in keys) or len(set(keys)) != len(keys):
+            raise TelemetryError(f"span site {name!r}: arg keys {keys!r} are not distinct str")
+        self._hub = target
+        self._fields: Site = (name, category, track, keys)
+        self._tracer: Optional[Tracer] = None
+        self._site = -1
+
+    def begin(self, start: float, values: tuple) -> Optional[Span]:
+        """Open a span at ``start`` with these arg values, or return
+        ``None`` when the hub is disabled (as :meth:`TelemetryHub.begin`)."""
+        target = self._hub
+        if not target.enabled:
+            return None
+        if len(values) != len(self._fields[3]):
+            raise TelemetryError(
+                f"span site {self._fields[0]!r}: {len(values)} values "
+                f"for keys {self._fields[3]!r}"
+            )
+        tracer = target.tracer
+        if tracer is not self._tracer:
+            self._site = tracer._site_of(*self._fields)
+            self._tracer = tracer
+        return tracer._append(self._site, start, tuple(values), None, False)
 
 
 class TelemetryConsumer:
@@ -524,6 +553,22 @@ class TelemetryHub:
         if not self.enabled:
             return None
         return self.tracer._record(name, start, category, track, parent, args, False)
+
+    def site(
+        self,
+        name: Any,
+        *,
+        category: Any = "",
+        track: Any = "",
+        keys: Tuple[str, ...] = (),
+    ) -> SpanSite:
+        """Bind a span call site once; see :class:`SpanSite`.
+
+        ``site(name, category=c, track=t, keys=k).begin(start, values)``
+        records what ``begin(name, start, category=c, track=t,
+        **dict(zip(k, values)))`` would.
+        """
+        return SpanSite(self, name, category, track, tuple(keys))
 
     def end(self, span: Optional[Span], end: float, /, **args: Any) -> None:
         """Close a span returned by :meth:`begin` (``None`` is ignored).

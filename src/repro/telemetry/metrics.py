@@ -88,10 +88,15 @@ class Counter(Metric):
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise TelemetryError(f"counter {self.name}: negative increment {amount}")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
+
+    def labels(self, **labels: Any) -> "CounterSeries":
+        """The labelled series, bound once for repeated increments.
+
+        Binding registers nothing: the series appears in exports at its
+        first :meth:`CounterSeries.inc`, exactly as with :meth:`inc`.
+        """
+        return CounterSeries(self, _label_key(labels))
 
     def value(self, **labels: Any) -> float:
         """Current value of one labelled series (0 if never incremented)."""
@@ -103,6 +108,24 @@ class Counter(Metric):
 
     def _series(self) -> Iterable[Tuple[LabelKey, float]]:
         return sorted(self._values.items())
+
+
+class CounterSeries:
+    """One label set of a :class:`Counter`, its label key built once."""
+
+    __slots__ = ("_counter", "_values", "_key")
+
+    def __init__(self, counter: Counter, key: LabelKey):
+        self._counter = counter
+        self._values = counter._values
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (must be >= 0) to this series."""
+        if amount < 0:
+            raise TelemetryError(f"counter {self._counter.name}: negative increment {amount}")
+        values, key = self._values, self._key
+        values[key] = values.get(key, 0.0) + amount
 
 
 class Gauge(Metric):

@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import ProcessInterrupt, SimulationError
 from repro.simulation import Simulator, Store
+from repro.simulation.engine import NORMAL, URGENT, Event
+from repro.simulation.fluid import FluidLink, FluidNetwork
 from repro.simulation.resources import Semaphore
+
+from .engine_oracle import step_one_at_a_time
 
 
 def test_timeout_advances_clock():
@@ -344,7 +348,8 @@ class TestSemaphore:
 
 
 class TestEventBatching:
-    """step() drains same-(time, priority) runs; semantics must not change."""
+    """step() drains same-(time, priority) runs; the order must be that of
+    the one-entry-per-step reference stepper (``tests/engine_oracle.py``)."""
 
     @staticmethod
     def _burst_scenario(sim):
@@ -368,20 +373,36 @@ class TestEventBatching:
         sim.process(spawner(sim))
         return order
 
+    @staticmethod
+    def _simulators():
+        """A batching simulator and one on the reference stepper."""
+        return Simulator(), step_one_at_a_time(Simulator())
+
     def test_batched_matches_unbatched_exactly(self):
         runs = []
-        for batch in (True, False):
-            sim = Simulator(batch_events=batch)
-            assert sim.batch_events is batch
+        for sim in self._simulators():
             order = self._burst_scenario(sim)
             sim.run()
             runs.append(order)
         assert runs[0] == runs[1]
 
+    def test_timers_interleave_with_events_as_unbatched(self):
+        # call_later entries take their seq where a timeout would, so the
+        # mixed order of bare timers and event dispatches is the
+        # reference stepper's.
+        runs = []
+        for sim in self._simulators():
+            order = self._burst_scenario(sim)
+            for delay, priority in ((1.0, NORMAL), (1.0, URGENT), (0.0, URGENT), (2.0, NORMAL)):
+                sim.call_later(delay, order.append, ("timer", delay, priority), priority)
+            sim.run()
+            runs.append(order)
+        assert runs[0] == runs[1]
+        assert ("timer", 1.0, URGENT) in runs[0]
+
     def test_step_count_shrinks_under_batching(self):
         counts = []
-        for batch in (True, False):
-            sim = Simulator(batch_events=batch)
+        for sim in self._simulators():
             self._burst_scenario(sim)
             steps = 0
             while sim.peek() != float("inf"):
@@ -391,7 +412,7 @@ class TestEventBatching:
         assert counts[0] < counts[1]
 
     def test_exception_mid_batch_requeues_the_rest(self):
-        sim = Simulator(batch_events=True)
+        sim = Simulator()
         seen = []
 
         def ok(sim, name):
@@ -414,9 +435,47 @@ class TestEventBatching:
         assert seen == ["a", "b"]
 
     def test_run_until_matches_unbatched_clock(self):
-        for batch in (True, False):
-            sim = Simulator(batch_events=batch)
+        for sim in self._simulators():
             self._burst_scenario(sim)
             sim.run(until=1.0)
             assert sim.now == 1.0
             assert sim.peek() == 2.0
+
+
+class TestCallLater:
+    def test_runs_callback_with_arg_at_its_time(self):
+        sim = Simulator()
+        seen = []
+        sim.call_later(2.0, lambda arg: seen.append((sim.now, arg)), "x")
+        sim.run()
+        assert seen == [(2.0, "x")]
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().call_later(-1.0, print, None)
+
+    def test_one_event_per_fluid_transfer(self, monkeypatch):
+        # Latency waits, flushes and completion horizons are bare timers:
+        # the only Event a transfer makes is its completion event.
+        made = []
+        init = Event.__init__
+
+        def counting_init(self, sim):
+            made.append(type(self).__name__)
+            init(self, sim)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        slow = FluidLink("slow", capacity=100.0, latency=0.5)
+        fast = FluidLink("fast", capacity=400.0, latency=0.25, per_stream_cap=150.0)
+        done = [
+            net.transfer([slow, fast], size=300.0),
+            net.transfer([fast], size=600.0, extra_latency=0.1),
+            net.transfer([fast], size=0.0),
+            net.transfer([], size=10.0, extra_latency=0.2),
+            net.transfer([FluidLink("free", capacity=50.0)], size=25.0),
+        ]
+        sim.run()
+        assert all(event.processed and event.ok for event in done)
+        assert made == ["Event"] * len(done)

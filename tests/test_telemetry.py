@@ -43,6 +43,8 @@ from repro.telemetry import (
 from repro.telemetry.__main__ import main as telemetry_cli
 from repro.telemetry.export import summarize_collectives
 
+from .engine_oracle import step_one_at_a_time
+
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "23"))
 
 
@@ -515,15 +517,16 @@ class TestDeterminism:
         assert disabled_hub.metrics.names() == []
 
     def test_event_batching_keeps_exports_byte_identical(self):
-        # Satellite invariant: flipping the engine's same-instant batching
-        # must not move a single recorded timestamp.
+        # The engine's same-instant batching must not move a single
+        # recorded timestamp against the one-entry-per-step stepper.
         exports = []
-        for batch in (True, False):
+        for reference in (False, True):
             fresh = TelemetryHub(enabled=True)
             previous = set_hub(fresh)
             try:
                 session = AdapCCSession(make_config([2, 2], [2, 2]), seed=0)
-                session.sim.batch_events = batch
+                if reference:
+                    step_one_at_a_time(session.sim)
                 session.init()
                 session.setup()
                 tensors = {rank: np.full(128, float(rank + 1)) for rank in range(4)}
