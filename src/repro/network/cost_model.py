@@ -10,6 +10,7 @@ give an overdetermined linear system solved by least squares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -26,8 +27,13 @@ class AlphaBeta:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ProfilingError(f"negative alpha-beta estimate: {self}")
+        self.check()
+
+    def check(self, where: str = "invalid alpha-beta estimate") -> None:
+        """Raise ProfilingError unless α ≥ 0 is finite and β ≥ 0 (∞: a
+        zero-capacity link); a NaN would make the link look fastest."""
+        if not (0.0 <= self.alpha < math.inf and self.beta >= 0.0):
+            raise ProfilingError(f"{where}: alpha must be finite, beta not NaN, both >= 0: {self}")
 
     @property
     def bandwidth(self) -> float:

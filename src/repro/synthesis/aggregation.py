@@ -34,8 +34,8 @@ def improve_aggregation(scored, chunk: float) -> Strategy:
     sub-collective and each aggregating non-root node, try disabling
     aggregation there; keep the flip when the evaluated completion time
     improves. The root always aggregates (it must produce the final
-    tensor). A flip re-derives only its own sub-collective's structure and
-    the link rates it shares with the others.
+    tensor). A flip recompiles only its own sub-collective and re-times only
+    those crossing a link whose rate it moved.
     """
     strategy = scored.strategy
     best = scored.score(chunk)

@@ -25,19 +25,21 @@ well-defined.
 Evaluation runs in two passes (DESIGN.md §3.1, "Synthesis evaluation
 pipeline"). The *structure* pass, building a :class:`CompiledStrategy`,
 does everything that does not depend on the chunk size: traffic units →
-loads → per-stream rates, each flow's ``(α, rate)`` list, the aggregation
-dependency order and who arrives where. The *timing* pass,
-:meth:`CompiledStrategy.objective`, is float arithmetic over those lists
-for one chunk size. :meth:`StrategyEvaluator.evaluate` is the two passes
-back to back and hands the structure back as ``result.compiled``; the
-synthesizer evaluates a routed candidate once and re-times that structure
-for every chunk size of its grid.
+loads → per-stream rates, a dense index over each sub-collective's edges,
+the aggregation dependency order and the distinct runs that arrive at each
+stage (or, without aggregation, a prefix trie of the flows' paths). The
+*timing* pass, :meth:`CompiledStrategy.objective`, is float arithmetic over
+those tables for one chunk size, memoised per sub-collective.
+:meth:`StrategyEvaluator.evaluate` is the structure pass and hands it back
+as ``result.compiled``; the synthesizer evaluates a routed candidate once
+and re-times that structure for every chunk size of its grid.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import SynthesisError
 from repro.hardware.gpu import GpuSpec
@@ -49,11 +51,11 @@ EdgeKey = Tuple[NodeId, NodeId]
 #: ("agg", node) downstream of an aggregation at that node, or
 #: ("bcast", src) for broadcast replicas.
 Unit = Tuple
-#: What the timing pass reads per edge crossing: (α, per-stream rate).
+#: What the timing pass reads per edge: (α, per-stream rate).
 EdgeCost = Tuple[float, float]
-#: One flow's run into an aggregating node: (flow, feeder stage, first edge,
-#: stop edge) — see :class:`_SubStructure`.
-Arrival = Tuple[int, int, int, int]
+#: Edge crossings departing together: (feeder stage, edge indices) — see
+#: :class:`_SubStructure`.
+Run = Tuple[int, Tuple[int, ...]]
 
 
 def _aggregating_nodes(primitive: Primitive, sc: SubCollective) -> FrozenSet[NodeId]:
@@ -104,19 +106,45 @@ def _edge_units(
 
 
 class EvaluationResult:
-    """Objective plus per-flow and per-edge detail for inspection."""
+    """Objective plus per-flow and per-edge detail for inspection, each
+    derived on first read from ``compiled`` as it stood when the result was
+    made: the synthesizer keeps only ``compiled`` and never pays for more."""
 
-    def __init__(self) -> None:
-        self.objective: float = 0.0
-        #: (subcollective index, flow position) -> T_f
-        self.flow_times: Dict[Tuple[int, int], float] = {}
-        #: (subcollective index, edge) -> N^m_{i,j}
-        self.edge_loads: Dict[Tuple[int, EdgeKey], int] = {}
-        #: edge -> total load across sub-collectives (Σ_m N^m)
-        self.total_loads: Dict[EdgeKey, int] = {}
+    def __init__(self, compiled: "CompiledStrategy", chunk: Optional[float]):
         #: The structure this result was timed from; re-time it with
         #: ``compiled.objective(chunk)`` instead of evaluating again.
-        self.compiled: Optional["CompiledStrategy"] = None
+        self.compiled = compiled
+        self._subs, self._total_loads = compiled._subs, compiled.total_loads
+        self._chunks = compiled._chunks(chunk)
+
+    @cached_property
+    def objective(self) -> float:
+        """Predicted completion time (eq. 4)."""
+        return max(map(_Bound.worst_at, self._subs, self._chunks), default=0.0)
+
+    @cached_property
+    def flow_times(self) -> Dict[Tuple[int, int], float]:
+        """(subcollective index, flow position) -> T_f"""
+        times: Dict[Tuple[int, int], float] = {}
+        for bound, chunk in zip(self._subs, self._chunks):
+            finished = bound.finish_times(chunk)
+            for position, slot in enumerate(bound.sub.slots):
+                times[(bound.sub.sc.index, position)] = finished[slot]
+        return times
+
+    @cached_property
+    def edge_loads(self) -> Dict[Tuple[int, EdgeKey], int]:
+        """(subcollective index, edge) -> N^m_{i,j}"""
+        return {
+            (bound.sub.sc.index, key): load
+            for bound in self._subs
+            for key, load in zip(bound.sub.edges, bound.sub.loads)
+        }
+
+    @cached_property
+    def total_loads(self) -> Dict[EdgeKey, int]:
+        """edge -> total load across sub-collectives (Σ_m N^m)"""
+        return dict(self._total_loads)
 
 
 class _SubStructure:
@@ -124,29 +152,71 @@ class _SubStructure:
 
     Everything here follows from the routed flows and the aggregation
     flags alone — not from the chunk size, and not from link estimates.
+    The timing pass yields one finish time per *output* (a distinct last
+    run, or per flow without aggregation); ``slots`` maps flows to outputs.
     """
 
-    __slots__ = ("sc", "edge_keys", "loads", "stages", "finals", "rises")
+    __slots__ = ("sc", "edge_keys", "edges", "indexed", "loads", "stages", "finals", "trie",
+                 "leaves", "revisits", "slots")
 
-    def __init__(self, sc: SubCollective, edge_keys: List[List[EdgeKey]]):
+    def __init__(self, sc: SubCollective, kept: Optional["_SubStructure"]):
         self.sc = sc
-        #: Per flow, the (src, dst) pairs along its path.
-        self.edge_keys = edge_keys
-        #: edge -> N^m_{i,j}, in first-crossing order.
-        self.loads: Dict[EdgeKey, int] = {}
-        #: Reduce-style only. One ``(kernel spec, arrivals)`` per aggregating
-        #: node, upstream first; an arrival ``(flow, feeder, first, stop)``
-        #: is the flow's run over edges ``first..stop-1`` into the node,
-        #: departing from stage ``feeder`` (``-1``: the flow's source at 0).
-        self.stages: Optional[List[Tuple[Optional[GpuSpec], List[Arrival]]]] = None
-        #: Reduce-style only. Per flow ``(feeder, first)``: its last run,
-        #: over edges ``first..`` to the destination.
-        self.finals: List[Tuple[int, int]] = []
-        #: Other primitives. Per flow and edge crossing, the two indices
-        #: into the flow's cumulative ready times whose difference is that
-        #: edge's eq.-6 rise. Ready times are keyed by *node*, so a node the
-        #: path visits twice (a NIC relayed through) reads its last visit.
-        self.rises: List[List[Tuple[int, int]]] = []
+        if kept is not None:  # an aggregation flip keeps the routes
+            self.edge_keys, self.edges, self.indexed = kept.edge_keys, kept.edges, kept.indexed
+        else:
+            #: Per flow its (src, dst) pairs, and its edges as indices into
+            #: ``edges``: the distinct edges in first-crossing order.
+            self.edge_keys = [flow.edges for flow in sc.flows]
+            index: Dict[EdgeKey, int] = {}
+            self.indexed = [[index.setdefault(k, len(index)) for k in ks] for ks in self.edge_keys]
+            self.edges: List[EdgeKey] = list(index)
+        self.loads: List[int] = []  # N^m_{i,j} per edge of ``edges``
+        #: Reduce-style only. One ``(kernel spec, distinct runs)`` per
+        #: aggregating node, upstream first; a run ``(feeder, edges)``
+        #: departs from stage ``feeder`` (-1: a source). ``finals``: last runs.
+        self.stages: Optional[List[Tuple[Optional[GpuSpec], List[Run]]]] = None
+        self.finals: List[Run] = []
+        #: Other primitives. A prefix trie of the paths: node ``k + 1`` is
+        #: ``trie[k] = (parent, edge)``, node 0 the sources; ``leaves`` holds
+        #: each flow's node, 0 for a flow visiting a node twice, timed alone
+        #: from ``revisits`` (its edges and the ready-time index pairs of
+        #: its eq.-6 rises, keyed by node: a NIC's last visit counts).
+        self.trie: List[Tuple[int, int]] = []
+        self.leaves: List[int] = []
+        self.revisits: List[Tuple[List[int], List[Tuple[int, int]]]] = []
+        self.slots: List[int] = []
+
+
+class _Bound:
+    """A sub-collective's structure bound to its edges' ``(α, rate)``, with
+    its worst finish time memoised per chunk size."""
+
+    __slots__ = ("sub", "costs", "worst")
+
+    def __init__(self, sub: _SubStructure, costs: Dict[EdgeKey, EdgeCost]):
+        self.sub = sub
+        self.costs = [costs[key] for key in sub.edges]
+        self.worst: Dict[float, float] = {}
+
+    def worst_at(self, chunk: float) -> float:
+        """max_f T_f over this sub-collective's flows at chunk size ``chunk``."""
+        worst = self.worst.get(chunk)
+        if worst is None:
+            worst = self.worst[chunk] = max(self.finish_times(chunk), default=0.0)
+        return worst
+
+    def finish_times(self, chunk: float) -> List[float]:
+        """T per output (see ``_SubStructure.slots``) — eqs. 2, 5, 6."""
+        sub = self.sub
+        size = sub.sc.size
+        if size == 0:
+            return [0.0] * len(sub.slots)
+        # t_{i,j} = α + C/rate once per distinct edge (eq. 2 with eq. 3's rate).
+        steps = [alpha + chunk / rate for alpha, rate in self.costs]
+        chunks = chunk_count(size, chunk)
+        if sub.stages is not None:
+            return _aggregated_times(sub, steps, chunk, chunks)
+        return _independent_times(sub, steps, chunks)
 
 
 class CompiledStrategy:
@@ -163,25 +233,48 @@ class CompiledStrategy:
         self.topology = topology
         self.include_kernel_time = include_kernel_time
         self.strategy = strategy
-        self._subs = [
-            self._compile_sub(sc, [flow.edges for flow in sc.flows])
-            for sc in strategy.subcollectives
-        ]
-        self._bind()
+        subs = [self._compile_sub(sc) for sc in strategy.subcollectives]
+        #: edge -> Σ_m N^m
+        self.total_loads: Dict[EdgeKey, int] = {}
+        #: edge -> positions of the sub-collectives crossing it
+        self._crossing: Dict[EdgeKey, List[int]] = defaultdict(list)
+        for position, sub in enumerate(subs):
+            for key, load in zip(sub.edges, sub.loads):
+                self.total_loads[key] = self.total_loads.get(key, 0) + load
+                self._crossing[key].append(position)
+        self._read_estimates()
+        #: NIC -> Σ load over its loaded network edges out / in
+        load = self.total_loads.get
+        self._egress = {nic: sum(map(load, keys)) for nic, keys in self._net_out.items()}
+        self._ingress = {nic: sum(map(load, keys)) for nic, keys in self._net_in.items()}
+        self._costs = {key: self._cost(key) for key in self.total_loads}
+        self._subs = [_Bound(sub, self._costs) for sub in subs]
 
     # -- the structure pass ----------------------------------------------------------
 
-    def _compile_sub(self, sc: SubCollective, edge_keys: List[List[EdgeKey]]) -> _SubStructure:
-        """Structure of one sub-collective over its expanded edge lists."""
+    def _compile_sub(self, sc: SubCollective, kept: Optional[_SubStructure] = None):
+        """Structure of one sub-collective (keeping ``kept``'s routes, if given)."""
         primitive = self.strategy.primitive
-        sub = _SubStructure(sc, edge_keys)
-        for key, units in _edge_units(primitive, sc, edge_keys).items():
-            sub.loads[key] = len(units)
+        sub = _SubStructure(sc, kept)
+        units = _edge_units(primitive, sc, sub.edge_keys)
+        sub.loads = [len(units[key]) for key in sub.edges]
         if not primitive.needs_aggregation:
-            for flow in sc.flows:
-                last_visit = {node: idx for idx, node in enumerate(flow.path)}
-                visits = [last_visit[node] for node in flow.path]
-                sub.rises.append(list(zip(visits[1:], visits)))
+            children: Dict[Tuple[int, int], int] = {}
+            for flow, indices in zip(sc.flows, sub.indexed):
+                path, node = flow.path, 0
+                if len(set(path)) != len(path):
+                    last_visit = {visited: idx for idx, visited in enumerate(path)}
+                    visits = [last_visit[visited] for visited in path]
+                    sub.revisits.append((indices, list(zip(visits[1:], visits))))
+                    indices = []  # never in the trie
+                for edge in indices:
+                    child = children.get((node, edge))
+                    if child is None:
+                        sub.trie.append((node, edge))
+                        child = children[(node, edge)] = len(sub.trie)
+                    node = child
+                sub.leaves.append(node)
+            sub.slots = list(range(len(sc.flows)))
             return sub
 
         aggregating = _aggregating_nodes(primitive, sc)
@@ -192,26 +285,53 @@ class CompiledStrategy:
         ]
         order = self._aggregation_order(sc, positions)
         stage_of = {node: stage for stage, node in enumerate(order)}
-        arrivals: List[List[Arrival]] = [[] for _ in order]
-        for flow_idx, flow in enumerate(sc.flows):
+        arrivals: List[Dict[Run, None]] = [{} for _ in order]
+        finals: Dict[Run, int] = {}
+        for flow, visited, indices in zip(sc.flows, positions, sub.indexed):
             # A flow *originating* at an aggregating node departs when that
             # aggregation is done (its data merges with the children's
             # chunks): position 0 feeds the next run but is no arrival.
             feeder, first = -1, 0
-            for idx in positions[flow_idx]:
+            for idx in visited:
                 stage = stage_of[flow.path[idx]]
                 if idx > 0:
-                    arrivals[stage].append((flow_idx, feeder, first, idx))
+                    arrivals[stage][(feeder, tuple(indices[first:idx]))] = None
                 feeder, first = stage, idx
-            sub.finals.append((feeder, first))
+            sub.slots.append(finals.setdefault((feeder, tuple(indices[first:])), len(finals)))
         sub.stages = [
-            (self._kernel_spec(node) if arrived else None, arrived)
-            for node, arrived in zip(order, arrivals)
+            (self._kernel_spec(node) if runs else None, list(runs))
+            for node, runs in zip(order, arrivals)
         ]
+        sub.finals = list(finals)
         return sub
 
-    def _edge_costs(self, total_loads: Dict[EdgeKey, int]) -> Dict[EdgeKey, EdgeCost]:
-        """(α, per-stream rate) on every loaded edge (refines eq. 3).
+    def _read_estimates(self) -> None:
+        """Read each loaded edge's estimates and its NICs' line rates once."""
+        topology = self.topology
+
+        def line_rate(edges) -> float:
+            rates = [e.effective_parallel.bandwidth for e in edges if e.kind is EdgeKind.NETWORK]
+            return max(rates) if rates and max(rates) > 0 else float("inf")
+
+        #: edge -> (is network, α, single-stream rate, parallel aggregate)
+        self._estimates: Dict[EdgeKey, Tuple[bool, float, float, float]] = {}
+        #: NIC -> the loaded network edges leaving / entering it
+        self._net_out: Dict[NodeId, List[EdgeKey]] = defaultdict(list)
+        self._net_in: Dict[NodeId, List[EdgeKey]] = defaultdict(list)
+        for key in self.total_loads:
+            edge = topology.edge(*key)
+            network = edge.kind is EdgeKind.NETWORK
+            effective = edge.effective
+            self._estimates[key] = (network, effective.alpha, effective.bandwidth,
+                                    edge.effective_parallel.bandwidth)
+            if network:
+                self._net_out[key[0]].append(key)
+                self._net_in[key[1]].append(key)
+        self._line_out = {nic: line_rate(topology.out_edges(nic)) for nic in self._net_out}
+        self._line_in = {nic: line_rate(topology.in_edges(nic)) for nic in self._net_in}
+
+    def _cost(self, key: EdgeKey) -> EdgeCost:
+        """(α, per-stream rate) on one loaded edge (refines eq. 3).
 
         A stream's rate is bounded by three profiled quantities: the
         single-stream bandwidth b₁ (per-channel caps), and its fair share
@@ -220,46 +340,17 @@ class CompiledStrategy:
         logical edges sharing a NIC contend even though they are distinct
         edges, which eq. 3's per-edge accounting misses.
         """
-        topology = self.topology
-        edges = {key: topology.edge(*key) for key in total_loads}
-        egress: Dict[NodeId, int] = defaultdict(int)
-        ingress: Dict[NodeId, int] = defaultdict(int)
-        for (i, j), load in total_loads.items():
-            if edges[(i, j)].kind is EdgeKind.NETWORK:
-                egress[i] += load
-                ingress[j] += load
-
-        def line_rate(adjacent) -> float:
-            best = max(
-                (
-                    edge.effective_parallel.bandwidth
-                    for edge in adjacent
-                    if edge.kind is EdgeKind.NETWORK
-                ),
-                default=0.0,
+        network, alpha, single, aggregate = self._estimates[key]
+        if network:
+            i, j = key
+            rate = min(
+                single,
+                self._line_out[i] / max(1, self._egress[i]),
+                self._line_in[j] / max(1, self._ingress[j]),
             )
-            return best if best > 0 else float("inf")
-
-        line_out = {node: line_rate(topology.out_edges(node)) for node in egress}
-        line_in = {node: line_rate(topology.in_edges(node)) for node in ingress}
-
-        costs: Dict[EdgeKey, EdgeCost] = {}
-        for key, load in total_loads.items():
-            edge = edges[key]
-            effective = edge.effective
-            single = effective.bandwidth
-            if edge.kind is EdgeKind.NETWORK:
-                i, j = key
-                rate = min(
-                    single,
-                    line_out[i] / max(1, egress[i]),
-                    line_in[j] / max(1, ingress[j]),
-                )
-            else:
-                aggregate = edge.effective_parallel.bandwidth
-                rate = min(single, aggregate / max(1, load))
-            costs[key] = (effective.alpha, max(rate, 1e-9))
-        return costs
+        else:
+            rate = min(single, aggregate / max(1, self.total_loads[key]))
+        return (alpha, max(rate, 1e-9))
 
     def _kernel_spec(self, node: NodeId) -> Optional[GpuSpec]:
         """Whose aggregation kernel a node pays per chunk (None: free)."""
@@ -302,87 +393,78 @@ class CompiledStrategy:
             pending = remaining
         return order
 
-    def _bind(self) -> None:
-        """Loads → rates → each flow's flat ``(α, rate)`` list."""
-        total: Dict[EdgeKey, int] = {}
-        for sub in self._subs:
-            for key, load in sub.loads.items():
-                total[key] = total.get(key, 0) + load
-        #: edge -> Σ_m N^m
-        self.total_loads = total
-        costs = self._edge_costs(total)
-        self._costs = [
-            [[costs[key] for key in keys] for keys in sub.edge_keys] for sub in self._subs
-        ]
-
     # -- aggregation flips ---------------------------------------------------------
 
     def refresh_subcollective(self, position: int) -> Tuple:
         """Re-derive after ``strategy.subcollectives[position]`` changed its
-        aggregation flags: that sub-collective's structure, then the shared
-        loads and rates. Returns the state to hand to :meth:`restore` if
-        the change is rolled back."""
-        previous = (self._subs, self.total_loads, self._costs)
-        stale = self._subs[position]
-        self._subs = list(self._subs)
-        self._subs[position] = self._compile_sub(stale.sc, stale.edge_keys)
-        self._bind()
+        aggregation flags; returns the state :meth:`restore` rolls back to.
+
+        Re-rates only edges whose load changed and the network edges at a
+        NIC whose egress or ingress sum changed; re-binds (drops the memo
+        of) only sub-collectives crossing an edge whose ``(α, rate)`` moved.
+        """
+        previous = (self._subs, self.total_loads, self._costs, self._egress, self._ingress)
+        subs, total, costs, egress, ingress = previous
+        stale = subs[position].sub
+        fresh = self._compile_sub(stale.sc, stale)
+        self.total_loads, self._costs = dict(total), dict(costs)
+        self._egress, self._ingress = dict(egress), dict(ingress)
+        affected: Dict[EdgeKey, None] = {}
+        for key, before, after in zip(fresh.edges, stale.loads, fresh.loads):
+            if before != after:
+                self.total_loads[key] += after - before
+                if self._estimates[key][0]:  # a network rate follows its NICs' sums
+                    self._egress[key[0]] += after - before
+                    self._ingress[key[1]] += after - before
+                else:
+                    affected[key] = None
+        for sums, was, edges in ((self._egress, egress, self._net_out),
+                                 (self._ingress, ingress, self._net_in)):
+            for nic, load in sums.items():
+                if load != was[nic]:
+                    affected.update(dict.fromkeys(edges[nic]))
+        rebind = {position}
+        for key in affected:
+            cost = self._cost(key)
+            if cost != self._costs[key]:
+                self._costs[key] = cost
+                rebind.update(self._crossing[key])
+        self._subs = list(subs)
+        for changed in rebind:
+            sub = fresh if changed == position else subs[changed].sub
+            self._subs[changed] = _Bound(sub, self._costs)
         return previous
 
     def restore(self, state: Tuple) -> None:
         """Return to a state :meth:`refresh_subcollective` replaced."""
-        self._subs, self.total_loads, self._costs = state
+        self._subs, self.total_loads, self._costs, self._egress, self._ingress = state
 
     # -- the timing pass -------------------------------------------------------------
 
-    def _flow_times(
-        self, chunk: Optional[float]
-    ) -> Iterator[Tuple[SubCollective, List[float]]]:
-        """T_f of every flow, one list per sub-collective."""
-        for sub, costs in zip(self._subs, self._costs):
-            sc = sub.sc
-            chunk_size = chunk if chunk is not None else sc.chunk_size
-            if sc.size == 0 or not costs:
-                yield sc, [0.0 for _ in costs]
-                continue
-            time_flows = _independent_times if sub.stages is None else _aggregated_times
-            yield sc, time_flows(sub, costs, chunk_size, chunk_count(sc.size, chunk_size))
+    def _chunks(self, chunk: Optional[float]) -> List[float]:
+        """Per sub-collective, ``chunk`` or (when omitted) its own chunk size."""
+        return [bound.sub.sc.chunk_size if chunk is None else chunk for bound in self._subs]
 
     def objective(self, chunk: Optional[float] = None) -> float:
         """Predicted completion time (eq. 4)."""
-        worst = 0.0
-        for _sc, times in self._flow_times(chunk):
-            for t in times:
-                if t > worst:
-                    worst = t
-        return worst
+        return max(map(_Bound.worst_at, self._subs, self._chunks(chunk)), default=0.0)
 
     def evaluate(self, chunk: Optional[float] = None) -> EvaluationResult:
         """The objective with its per-flow and per-edge detail."""
-        result = EvaluationResult()
-        result.compiled = self
-        for sub in self._subs:
-            for key, load in sub.loads.items():
-                result.edge_loads[(sub.sc.index, key)] = load
-        result.total_loads = dict(self.total_loads)
-        worst = 0.0
-        for sc, times in self._flow_times(chunk):
-            for position, t in enumerate(times):
-                result.flow_times[(sc.index, position)] = t
-                worst = max(worst, t)
-        result.objective = worst
-        return result
+        return EvaluationResult(self, chunk)
 
 
 def _aggregated_times(
-    sub: _SubStructure, costs: List[List[EdgeCost]], chunk: float, chunks: int
+    sub: _SubStructure, steps: List[float], chunk: float, chunks: int
 ) -> List[float]:
-    """T_f per flow of a reduce-style sub-collective (eqs. 2, 5, 6).
+    """T per distinct last run of a reduce-style sub-collective.
 
-    An aggregating node's output time is the max arrival over every flow
-    traversing it (waiting for the slowest chunk) plus the aggregation
-    kernel; stages come upstream first, so a run departing from an
-    aggregating node finds that node's output already resolved.
+    An aggregating node's output time is the max arrival over every run
+    into it (waiting for the slowest chunk) plus the aggregation kernel;
+    stages come upstream first, so a run departing from an aggregating
+    node finds that node's output already resolved. Flows crossing the
+    same edges from the same stage arrive together: each distinct run is
+    walked once.
 
     The per-flow *pace* refines eq. 6 for merged pipelines: a pipeline
     through an aggregation point advances at the max of its incoming
@@ -390,55 +472,64 @@ def _aggregated_times(
     ready-time difference across the merge edge, which would double-count
     the one-time fill latency.
     """
-    # t_{i,j} = α + C/rate per edge crossing (eq. 2 with eq. 3's shared rate).
-    edge_times = [[alpha + chunk / rate for alpha, rate in flow] for flow in costs]
-    ready: List[float] = []  # per stage: when the aggregated chunk leaves
-    paces: List[float] = []  # per stage: steady-state seconds per chunk
-    for spec, arrivals in sub.stages:
+    # Per stage, when the aggregated chunk leaves and the steady-state
+    # seconds per chunk; the extra last entry is a source (feeder -1).
+    ready = [0.0] * (len(sub.stages) + 1)
+    paces = list(ready)
+
+    def walk(run: Run) -> Tuple[float, float]:
+        feeder, edges = run
+        t, pace = ready[feeder], paces[feeder]
+        for edge in edges:
+            step = steps[edge]
+            t += step
+            if step > pace:
+                pace = step
+        return t, pace
+
+    for stage, (spec, runs) in enumerate(sub.stages):
         # A stage nothing arrives at (an aggregating source) is ready at 0.
         latest = slowest = 0.0
-        for flow_idx, feeder, first, stop in arrivals:
-            t, pace = (ready[feeder], paces[feeder]) if feeder >= 0 else (0.0, 0.0)
-            for step in edge_times[flow_idx][first:stop]:
-                t += step
-                if step > pace:
-                    pace = step
+        for t, pace in map(walk, runs):
             if t > latest:
                 latest = t
             if pace > slowest:
                 slowest = pace
         kernel = spec.reduce_kernel_time(chunk) if spec is not None else 0.0
-        ready.append(latest + kernel)
-        paces.append(max(slowest, kernel))
+        ready[stage] = latest + kernel
+        paces[stage] = max(slowest, kernel)
+    return [t + chunks * pace for t, pace in map(walk, sub.finals)]  # eq. 5
 
+
+def _independent_times(sub: _SubStructure, steps: List[float], chunks: int) -> List[float]:
+    """T per flow of a sub-collective without aggregation: a walk of the
+    prefix trie, each node holding its ready time and the largest eq.-6
+    rise on the way there; a revisiting flow walks its own path."""
+    ready = [0.0]
+    peak = [0.0]
+    for parent, edge in sub.trie:
+        base = ready[parent]
+        current = base + steps[edge]
+        rise = current - base
+        top = peak[parent]
+        ready.append(current)
+        peak.append(rise if rise > top else top)
     times: List[float] = []
-    for (feeder, first), steps in zip(sub.finals, edge_times):
-        t, pace = (ready[feeder], paces[feeder]) if feeder >= 0 else (0.0, 0.0)
-        for step in steps[first:]:
-            t += step
-            if step > pace:
-                pace = step
-        times.append(t + chunks * pace)  # eq. 5
-    return times
-
-
-def _independent_times(
-    sub: _SubStructure, costs: List[List[EdgeCost]], chunk: float, chunks: int
-) -> List[float]:
-    """T_f per flow of a sub-collective without aggregation: a path walk."""
-    times: List[float] = []
-    for flow, rises in zip(costs, sub.rises):
-        current = 0.0
-        ready = [0.0]
-        for alpha, rate in flow:
-            current += alpha + chunk / rate
-            ready.append(current)
+    revisits = iter(sub.revisits)
+    for leaf in sub.leaves:
+        if leaf:
+            times.append(ready[leaf] + chunks * peak[leaf])  # eq. 5
+            continue
+        indices, rises = next(revisits)
+        walked = [0.0]
+        for edge in indices:
+            walked.append(walked[-1] + steps[edge])
         bottleneck = 0.0
         for later, earlier in rises:
-            rise = ready[later] - ready[earlier]
+            rise = walked[later] - walked[earlier]
             if rise > bottleneck:
-                bottleneck = rise  # eq. 6
-        times.append(current + chunks * bottleneck)  # eq. 5
+                bottleneck = rise
+        times.append(walked[-1] + chunks * bottleneck)
     return times
 
 
@@ -452,9 +543,10 @@ class StrategyEvaluator:
     # -- public API ------------------------------------------------------------
 
     def evaluate(self, strategy: Strategy) -> EvaluationResult:
-        """Full evaluation of a strategy — the structure pass, then one
-        timing pass at the strategy's own chunk sizes; also validates edge
-        existence. ``result.compiled`` keeps the structure for re-timing."""
+        """Full evaluation of a strategy — the structure pass, timed at the
+        strategy's own chunk sizes when a field is read; also validates
+        edge existence. ``result.compiled`` keeps the structure for
+        re-timing."""
         return CompiledStrategy(self.topology, self.include_kernel_time, strategy).evaluate()
 
     def objective(self, strategy: Strategy) -> float:

@@ -17,6 +17,7 @@ The returned :class:`Strategy` carries the achieved objective in
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,7 +28,7 @@ from repro.synthesis.chunking import chunk_candidates
 from repro.synthesis.evaluator import CompiledStrategy, StrategyEvaluator
 from repro.synthesis.routing import (
     TREE_FAMILIES,
-    BandwidthTable,
+    RouteTable,
     alltoall_flows,
     broadcast_flows,
     instance_network_bandwidth,
@@ -48,7 +49,8 @@ class SynthesizerConfig:
     families: Tuple[str, ...] = tuple(TREE_FAMILIES)
     #: Whether to run the greedy aggregation-flip pass on the winner.
     aggregation_search: bool = True
-    #: Override the chunk candidate grid (None = default geometric grid).
+    #: Override the chunk candidate grid (None = default geometric grid);
+    #: each size is capped to the partition, duplicates are tried once.
     chunk_sizes: Optional[Tuple[float, ...]] = None
     #: Two-stage search: screen every family at one representative chunk
     #: size, then sweep the chunk grid only on the best `finalists`
@@ -64,6 +66,9 @@ class SynthesizerConfig:
         unknown = set(self.families) - set(TREE_FAMILIES)
         if unknown:
             raise SynthesisError(f"unknown routing families: {sorted(unknown)}")
+        chunks = self.chunk_sizes
+        if chunks is not None and not (chunks and all(0 < c < math.inf for c in chunks)):
+            raise SynthesisError(f"chunk sizes must be finite and positive, got {chunks!r}")
 
 
 @dataclass
@@ -338,21 +343,19 @@ class Synthesizer:
         all_chunks = self._chunks(size_each)
         # Route and compile each family once; every (family, chunk)
         # candidate below is then one timing pass over that structure.
-        bandwidths = BandwidthTable(self.topology)
+        routes = RouteTable(self.topology)
         scored: Dict[str, CompiledScore] = {}
         for family_name in self.config.families:
             family = TREE_FAMILIES[family_name]
             trees = [
-                family(
-                    self.topology, participants, sc_root, rotation=index, bandwidths=bandwidths
-                )
+                family(self.topology, participants, sc_root, rotation=index, routes=routes)
                 for index, sc_root in enumerate(roots)
             ]
             scored[family_name] = CompiledScore(
                 self.evaluator,
                 self._routed(
                     primitive, tensor_size, participants, roots, trees, all_chunks[0],
-                    size_each, family_name,
+                    size_each, family_name, routes,
                 ),
             )
 
@@ -399,15 +402,16 @@ class Synthesizer:
         chunk: float,
         size_each: float,
         family_name: str,
+        routes: RouteTable,
     ) -> Strategy:
         """Build one family's (unscored) strategy from its trees."""
         subcollectives = []
         for index, (sc_root, tree) in enumerate(zip(roots, trees)):
             if primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER:
-                flows = broadcast_flows(self.topology, tree, sc_root)
+                flows = broadcast_flows(self.topology, tree, sc_root, routes)
                 aggregation: Dict = {}
             else:
-                flows = reduce_flows(self.topology, tree, sc_root)
+                flows = reduce_flows(self.topology, tree, sc_root, routes)
                 aggregation = default_aggregation(tree, sc_root)
             subcollectives.append(
                 SubCollective(
@@ -482,5 +486,5 @@ class Synthesizer:
 
     def _chunks(self, partition_size: float) -> List[float]:
         if self.config.chunk_sizes is not None:
-            return [min(c, partition_size) for c in self.config.chunk_sizes]
+            return list(dict.fromkeys(min(c, partition_size) for c in self.config.chunk_sizes))
         return chunk_candidates(partition_size)

@@ -57,27 +57,27 @@ def hop_path(topology: LogicalTopology, src_rank: int, dst_rank: int) -> List[No
 
 
 def tree_flow_paths(
-    topology: LogicalTopology, tree: Tree, root: int
+    topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
 ) -> Dict[int, List[NodeId]]:
-    """Per-rank node walk from each non-root rank to the root along the tree."""
-    paths: Dict[int, List[NodeId]] = {}
+    """Per-rank node walk from each non-root rank to the root along the tree:
+    its first hop (from ``routes``, shared per search) + its parent's walk."""
+    routes = routes or RouteTable(topology)
+    walks: Dict[int, List[NodeId]] = {root: [gpu_node(root)]}
     for rank in tree:
-        if rank == root:
-            continue
-        walk: List[NodeId] = [gpu_node(rank)]
+        climb: List[int] = []
         current = rank
-        hops = 0
-        while current != root:
+        while current not in walks:
             parent = tree[current]
             if parent == current:
                 raise SynthesisError(f"rank {current} is a non-root fixed point")
-            walk.extend(hop_path(topology, current, parent)[1:])
-            current = parent
-            hops += 1
-            if hops > len(tree):
+            climb.append(current)
+            if len(climb) > len(tree):
                 raise SynthesisError("tree contains a cycle")
-        paths[rank] = walk
-    return paths
+            current = parent
+        for child in reversed(climb):
+            parent = tree[child]
+            walks[child] = routes.hop(child, parent)[:-1] + walks[parent]
+    return {rank: walks[rank] for rank in tree if rank != root}
 
 
 def tree_interior_ranks(tree: Tree, root: int) -> List[int]:
@@ -94,8 +94,7 @@ def tree_interior_ranks(tree: Tree, root: int) -> List[int]:
 
 def gpu_pair_bandwidth(topology: LogicalTopology, a: int, b: int) -> float:
     """Effective bandwidth of the one-hop route a→b (bottleneck over edges)."""
-    path = hop_path(topology, a, b)
-    return min(edge.effective.bandwidth for edge in topology.path_edges(path))
+    return RouteTable(topology).pair(a, b)
 
 
 def instance_network_bandwidth(topology: LogicalTopology, instance_id: int) -> float:
@@ -111,32 +110,41 @@ def instance_network_bandwidth(topology: LogicalTopology, instance_id: int) -> f
     return max(bandwidths)
 
 
-class BandwidthTable:
-    """Memo of :func:`gpu_pair_bandwidth` reads.
+class RouteTable:
+    """Memo of one-hop routes and their bandwidths.
 
     Valid while the topology's estimates stay put — one synthesis search.
     The synthesizer builds one per search and hands it to every family,
-    root and rotation, so ``widest_tree``'s all-pairs reads are paid once
-    rather than once per tree.
+    root and rotation, so each GPU pair's :func:`hop_path` is expanded and
+    its :func:`gpu_pair_bandwidth` read once rather than once per tree.
     """
 
     def __init__(self, topology: LogicalTopology):
         self.topology = topology
+        self._hops: Dict[Tuple[int, int], List[NodeId]] = {}
         self._pair: Dict[Tuple[int, int], float] = {}
+
+    def hop(self, a: int, b: int) -> List[NodeId]:
+        """:func:`hop_path` a→b; shared, so callers must not mutate it."""
+        path = self._hops.get((a, b))
+        if path is None:
+            path = self._hops[(a, b)] = hop_path(self.topology, a, b)
+        return path
 
     def pair(self, a: int, b: int) -> float:
         """Effective bandwidth of the one-hop route a→b."""
         bandwidth = self._pair.get((a, b))
         if bandwidth is None:
-            bandwidth = self._pair[(a, b)] = gpu_pair_bandwidth(self.topology, a, b)
+            edges = self.topology.path_edges(self.hop(a, b))
+            bandwidth = self._pair[(a, b)] = min(edge.effective.bandwidth for edge in edges)
         return bandwidth
 
 
 # -- tree families -----------------------------------------------------------------
 #
 # Every family is called as ``family(topology, participants, root, rotation=…,
-# bandwidths=…)``; a family that reads GPU-pair bandwidths takes them from the
-# shared ``bandwidths`` table, the others ignore it.
+# routes=…)``; a family that reads GPU-pair bandwidths takes them from the
+# shared ``routes`` table, the others ignore it.
 
 
 def _group_by_instance(
@@ -186,7 +194,7 @@ def hierarchical_tree(
     root: int,
     rotation: int = 0,
     fanout: int = 2,
-    bandwidths: Optional[BandwidthTable] = None,
+    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Local leaders + bandwidth-sorted ``fanout``-ary tree over leaders."""
     groups = _group_by_instance(topology, participants)
@@ -213,7 +221,7 @@ def hierarchical_star(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    bandwidths: Optional[BandwidthTable] = None,
+    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Local leaders all sending directly to the root."""
     groups = _group_by_instance(topology, participants)
@@ -232,7 +240,7 @@ def hierarchical_chain(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    bandwidths: Optional[BandwidthTable] = None,
+    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Local leaders chained in ascending bandwidth order toward the root.
 
@@ -258,7 +266,7 @@ def flat_star(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    bandwidths: Optional[BandwidthTable] = None,
+    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Every participant sends directly to the root."""
     tree: Tree = {root: root}
@@ -273,7 +281,7 @@ def widest_tree(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    bandwidths: Optional[BandwidthTable] = None,
+    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Prim-style maximum-bottleneck arborescence into the root.
 
@@ -281,19 +289,19 @@ def widest_tree(
     set has the highest effective bandwidth; ties go to the lowest rank,
     then to the parent attached first.
     """
-    bandwidths = bandwidths or BandwidthTable(topology)
+    routes = routes or RouteTable(topology)
     remaining = sorted(set(participants) - {root})
     tree: Tree = {root: root}
     # Per unattached rank, its widest link into the attached set so far.
     widest: Dict[int, Tuple[float, int]] = {
-        rank: (bandwidths.pair(rank, root), root) for rank in remaining
+        rank: (routes.pair(rank, root), root) for rank in remaining
     }
     while remaining:
         rank = max(remaining, key=lambda r: widest[r][0])  # first of equals: lowest rank
         tree[rank] = widest[rank][1]
         remaining.remove(rank)
         for other in remaining:
-            bandwidth = bandwidths.pair(other, rank)
+            bandwidth = routes.pair(other, rank)
             if bandwidth > widest[other][0]:
                 widest[other] = (bandwidth, rank)
     return tree
@@ -312,21 +320,21 @@ TREE_FAMILIES: Dict[str, Callable[..., Tree]] = {
 # -- flow construction -----------------------------------------------------------------
 
 
-def reduce_flows(topology: LogicalTopology, tree: Tree, root: int) -> List[Flow]:
+def reduce_flows(
+    topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
+) -> List[Flow]:
     """One flow per non-root participant, routed along the tree (eq. 1)."""
-    paths = tree_flow_paths(topology, tree, root)
-    return [
-        Flow(src=gpu_node(rank), dst=gpu_node(root), path=path)
-        for rank, path in sorted(paths.items())
-    ]
+    paths = tree_flow_paths(topology, tree, root, routes)
+    return [Flow(src=path[0], dst=path[-1], path=path) for _rank, path in sorted(paths.items())]
 
 
-def broadcast_flows(topology: LogicalTopology, tree: Tree, root: int) -> List[Flow]:
+def broadcast_flows(
+    topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
+) -> List[Flow]:
     """Broadcast = the reduce tree reversed: root → every participant."""
-    paths = tree_flow_paths(topology, tree, root)
+    paths = tree_flow_paths(topology, tree, root, routes)
     return [
-        Flow(src=gpu_node(root), dst=gpu_node(rank), path=list(reversed(path)))
-        for rank, path in sorted(paths.items())
+        Flow(src=path[-1], dst=path[0], path=path[::-1]) for _rank, path in sorted(paths.items())
     ]
 
 

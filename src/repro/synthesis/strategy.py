@@ -65,21 +65,24 @@ class Flow:
     path: List[NodeId]
 
     def __post_init__(self) -> None:
-        if len(self.path) < 2:
+        path = self.path
+        if len(path) < 2:
             raise SynthesisError(f"flow {self.src}->{self.dst}: path too short")
-        if self.path[0] != self.src or self.path[-1] != self.dst:
+        if path[0] != self.src or path[-1] != self.dst:
             raise SynthesisError(
-                f"flow {self.src}->{self.dst}: path endpoints {self.path[0]}, "
-                f"{self.path[-1]} do not match"
+                f"flow {self.src}->{self.dst}: path endpoints {path[0]}, "
+                f"{path[-1]} do not match"
             )
-        gpu_nodes = [n for n in self.path if n.kind is NodeKind.GPU]
+        if len(set(path)) == len(path):
+            return  # no node repeats: neither check below can fail
+        gpu_nodes = [n for n in path if n.is_gpu]
         if len(set(gpu_nodes)) != len(gpu_nodes):
             raise SynthesisError(f"flow {self.src}->{self.dst}: path revisits a GPU")
         # NIC nodes legitimately repeat when a flow relays through another
         # instance's GPU (in through the NIC, out through it again), but
         # never back-to-back.
-        for a, b in zip(self.path, self.path[1:]):
-            if a == b:
+        for a, b in zip(path, path[1:]):
+            if a is b:
                 raise SynthesisError(f"flow {self.src}->{self.dst}: self-loop at {a}")
 
     @property

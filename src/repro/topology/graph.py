@@ -387,18 +387,25 @@ class LogicalTopology:
 
         When only the single-stream estimate is given, the parallel
         aggregate is scaled from the nominal ratio so shaping detected by
-        the single-stream probe also shifts the aggregate.
+        the single-stream probe also shifts the aggregate (none is left of a
+        zero-capacity, β = ∞, estimate). An estimate that skipped
+        ``AlphaBeta``'s checks (unpickled, say) is re-checked here.
         """
         edge = self.edge(src, dst)
+        for given in (estimate, parallel):
+            if given is not None:
+                given.check(f"edge {src}->{dst}")
         edge.estimate = estimate
         if parallel is not None:
             edge.estimate_parallel = parallel
         elif edge.nominal.bandwidth not in (0.0, float("inf")) and edge.nominal_parallel:
-            ratio = estimate.bandwidth / edge.nominal.bandwidth
-            aggregate = edge.nominal_parallel.bandwidth * ratio
-            edge.estimate_parallel = AlphaBeta(
-                estimate.alpha, 0.0 if aggregate == float("inf") else 1.0 / aggregate
-            )
+            if estimate.beta == float("inf"):
+                beta = float("inf")
+            else:
+                ratio = estimate.bandwidth / edge.nominal.bandwidth
+                aggregate = edge.nominal_parallel.bandwidth * ratio
+                beta = 0.0 if aggregate == float("inf") else 1.0 / aggregate
+            edge.estimate_parallel = AlphaBeta(estimate.alpha, beta)
 
     def clear_estimates(self) -> None:
         """Drop all profiled estimates (fall back to nominal everywhere)."""

@@ -24,6 +24,21 @@ class TestAlphaBeta:
         with pytest.raises(ProfilingError):
             AlphaBeta(-1e-6, 1e-9)
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(float("nan"), 1e-9), (0.0, float("nan")), (float("inf"), 1e-9), (-0.0, -1e-9)],
+    )
+    def test_nan_and_infinite_alpha_rejected(self, alpha, beta):
+        """A NaN compares false everywhere: let through, it made the link
+        look faster than any real one to every min/max downstream."""
+        with pytest.raises(ProfilingError, match="alpha must be finite"):
+            AlphaBeta(alpha, beta)
+
+    def test_infinite_beta_is_a_zero_capacity_link(self):
+        ab = AlphaBeta(1e-5, float("inf"))
+        assert ab.bandwidth == 0.0
+        assert ab.transfer_time(1e6) == float("inf")
+
     def test_chunked_time_counts_alpha_per_chunk(self):
         ab = AlphaBeta(alpha=1e-5, beta=1e-9)
         t = ab.chunked_time(total_bytes=10e6, chunk_bytes=1e6)

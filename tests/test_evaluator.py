@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from repro.errors import SynthesisError
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
 from repro.simulation import Simulator
+from repro.synthesis import evaluator as evaluator_module
 from repro.synthesis.evaluator import StrategyEvaluator
 from repro.synthesis.strategy import Flow, Primitive, Strategy, SubCollective
 from repro.topology import LogicalTopology
 from repro.topology.graph import gpu_node, nic_node
+
+from .evaluator_oracle import evaluate_reference
 
 
 @pytest.fixture
@@ -355,3 +358,221 @@ class TestStructureTimingSplit:
         compiled.restore(unflipped)
         assert _detail(compiled.evaluate()) == before
         assert _detail(evaluator.evaluate(strategy)) == before
+
+
+CHUNKS = st.floats(min_value=1e3, max_value=64e6, allow_nan=False)
+
+
+def _flippable(strategy):
+    """(position, node) of every aggregating non-root node."""
+    if not strategy.primitive.needs_aggregation:
+        return []
+    return [
+        (position, node)
+        for position, sc in enumerate(strategy.subcollectives)
+        for node, flag in sc.aggregation.items()
+        if flag and node != sc.root
+    ]
+
+
+def _assert_matches_oracle(evaluator, compiled, strategy, chunk):
+    """``compiled`` at ``chunk`` equals the per-flow oracle and a fresh
+    evaluate of the strategy rebuilt at that chunk, bit for bit."""
+    want = evaluate_reference(evaluator.topology, evaluator.include_kernel_time, strategy, chunk)
+    assert compiled.objective(chunk).hex() == want.objective.hex()
+    assert _detail(compiled.evaluate(chunk)) == _detail(want)
+    rebuilt = copy.deepcopy(strategy)
+    if chunk is not None:
+        for sc in rebuilt.subcollectives:
+            sc.chunk_size = chunk
+    assert _detail(evaluator.evaluate(rebuilt)) == _detail(want)
+
+
+class TestAgainstThePerFlowOracle:
+    """The timing pass over unique runs (stage runs, prefix trie, per-flow
+    revisits) and the delta aggregation flips against
+    ``tests/evaluator_oracle.py``, the per-flow evaluator compiled from
+    scratch, at every step of a flip/restore/re-time sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        kernel=st.booleans(),
+        moves=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=10_000), st.booleans(), CHUNKS),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_flip_restore_sequences_equal_the_oracle_and_a_fresh_evaluate(
+        self, synthesis_golden, seed, kernel, moves
+    ):
+        strategy = synthesis_golden.random_strategy(np.random.default_rng(seed), HETERO)
+        evaluator = StrategyEvaluator(HETERO, include_kernel_time=kernel)
+        compiled = evaluator.evaluate(strategy).compiled
+        undo = []
+        for pick, roll_back, chunk in moves:
+            flippable = _flippable(strategy)
+            if roll_back and undo:
+                position, node, state = undo.pop()
+                strategy.subcollectives[position].aggregation[node] = True
+                compiled.restore(state)
+            elif flippable:
+                position, node = flippable[pick % len(flippable)]
+                strategy.subcollectives[position].aggregation[node] = False
+                undo.append((position, node, compiled.refresh_subcollective(position)))
+            _assert_matches_oracle(evaluator, compiled, strategy, chunk)
+            _assert_matches_oracle(evaluator, compiled, strategy, None)
+
+    def test_a_result_keeps_the_state_it_was_made_in(self, synthesis_golden):
+        """Detail is derived lazily, but from the structure as it stood:
+        a later flip does not leak into an earlier result."""
+        rng = np.random.default_rng(7)
+        while True:
+            strategy = synthesis_golden.random_strategy(rng, HETERO)
+            if _flippable(strategy):
+                break
+        evaluator = StrategyEvaluator(HETERO)
+        compiled = evaluator.evaluate(strategy).compiled
+        before = compiled.evaluate(4e6)
+        want = _detail(evaluate_reference(HETERO, True, strategy, 4e6))
+        position, node = _flippable(strategy)[0]
+        strategy.subcollectives[position].aggregation[node] = False
+        compiled.refresh_subcollective(position)
+        assert _detail(before) == want
+
+    @pytest.mark.parametrize("primitive", [Primitive.BROADCAST, Primitive.ALLTOALL])
+    def test_a_path_revisiting_a_nic_keeps_the_last_visit_quirk(self, topo, primitive):
+        """g0 → g1 relayed through g2 crosses n0 and n1 twice: eq. 6 reads
+        each NIC's last visit (DESIGN §3.1), so the flow is timed on its
+        own, outside the prefix trie."""
+        relayed = [gpu_node(0), nic_node(0), nic_node(1), gpu_node(2), nic_node(1), nic_node(0),
+                   gpu_node(1)]
+        flows = [
+            Flow(gpu_node(0), gpu_node(2), relayed[:4]),
+            Flow(gpu_node(0), gpu_node(1), relayed),
+            Flow(gpu_node(0), gpu_node(3), [gpu_node(0), nic_node(0), nic_node(1), gpu_node(3)]),
+        ]
+        sc = SubCollective(index=0, size=8e6, chunk_size=1e6, flows=flows)
+        strategy = Strategy(primitive, 8e6 * (4 if primitive is Primitive.ALLTOALL else 1),
+                            [0, 1, 2, 3], [sc])
+        evaluator = StrategyEvaluator(topo)
+        compiled = evaluator.evaluate(strategy).compiled
+        assert len(compiled._subs[0].sub.revisits) == 1
+        for chunk in (None, 1e3, 3e5, 8e6):
+            _assert_matches_oracle(evaluator, compiled, strategy, chunk)
+
+    def test_a_zero_size_subcollective_finishes_at_zero(self, topo):
+        path = [gpu_node(2), gpu_node(3), nic_node(1), nic_node(0), gpu_node(0)]
+
+        def sc(index, size):
+            return SubCollective(
+                index=index,
+                size=size,
+                chunk_size=500.0,
+                flows=[Flow(gpu_node(2), gpu_node(0), list(path)),
+                       Flow(gpu_node(3), gpu_node(0), path[1:])],
+                aggregation={gpu_node(0): True, gpu_node(3): True},
+                root=gpu_node(0),
+            )
+
+        strategy = Strategy(Primitive.REDUCE, 1000.0, [0, 2, 3], [sc(0, 1000.0), sc(1, 0.0)])
+        evaluator = StrategyEvaluator(topo)
+        compiled = evaluator.evaluate(strategy).compiled
+        assert compiled.evaluate().flow_times[(1, 0)] == 0.0
+        _assert_matches_oracle(evaluator, compiled, strategy, None)
+        strategy.subcollectives[1].aggregation[gpu_node(3)] = False
+        compiled.refresh_subcollective(1)
+        _assert_matches_oracle(evaluator, compiled, strategy, 250.0)
+
+
+def _relay_reduce(instances=4, width=4):
+    """One reduce per instance into its first GPU: locals 1 and 3 relay
+    through GPU 2 over NVLink, every other instance's first GPU sends over
+    the network — so all sub-collectives share network edges."""
+    subcollectives = []
+    for m in range(instances):
+        root, relay = width * m, width * m + 2
+        g = gpu_node
+        flows = [
+            Flow(g(root + 1), g(root), [g(root + 1), g(relay), g(root)]),
+            Flow(g(root + 3), g(root), [g(root + 3), g(relay), g(root)]),
+            Flow(g(relay), g(root), [g(relay), g(root)]),
+        ] + [
+            Flow(g(width * k), g(root), [g(width * k), nic_node(k), nic_node(m), g(root)])
+            for k in range(instances)
+            if k != m
+        ]
+        subcollectives.append(
+            SubCollective(
+                index=m,
+                size=16e6,
+                chunk_size=1e6,
+                flows=flows,
+                aggregation={g(root): True, g(relay): True},
+                root=g(root),
+            )
+        )
+    return Strategy(Primitive.REDUCE, 16e6 * instances, list(range(instances * width)),
+                    subcollectives)
+
+
+class TestDeltaFlips:
+    def test_an_nvlink_only_flip_retimes_only_its_own_subcollective(self, monkeypatch):
+        """Flipping sub-collective 0's relay off changes the load of one
+        NVLink edge no other sub-collective crosses; the network rates
+        every sub-collective shares stand, so the other three keep their
+        memoised times."""
+        strategy = _relay_reduce()
+        evaluator = StrategyEvaluator(HETERO)
+        compiled = evaluator.evaluate(strategy).compiled
+        compiled.objective(2e6)
+        timed = []
+        finish_times = evaluator_module._Bound.finish_times
+
+        def counting(bound, chunk):
+            timed.append(bound.sub.sc.index)
+            return finish_times(bound, chunk)
+
+        monkeypatch.setattr(evaluator_module._Bound, "finish_times", counting)
+        compiled.objective(2e6)
+        assert timed == []  # memoised
+        strategy.subcollectives[0].aggregation[gpu_node(2)] = False
+        unflipped = compiled.refresh_subcollective(0)
+        flipped = compiled.objective(2e6)
+        assert timed == [0]
+        assert flipped.hex() == evaluate_reference(HETERO, True, strategy, 2e6).objective.hex()
+
+        strategy.subcollectives[0].aggregation[gpu_node(2)] = True
+        compiled.restore(unflipped)
+        timed.clear()
+        compiled.objective(2e6)
+        assert timed == []  # the restored state kept its memo
+
+    def test_a_network_load_change_retimes_every_sharer(self, monkeypatch):
+        """The converse: flipping a relay whose merged flow crosses the
+        network moves NIC 0's egress sum, so every sub-collective sending
+        out of NIC 0 (1–3) is re-timed — but not sub-collective 0, whose
+        network edges all enter NIC 0."""
+        strategy = _relay_reduce()
+        # Sub-collective 1's flow from GPU 0 now relays GPU 1's data too.
+        sc = strategy.subcollectives[1]
+        sc.flows.append(Flow(gpu_node(1), gpu_node(4),
+                             [gpu_node(1), gpu_node(0), nic_node(0), nic_node(1), gpu_node(4)]))
+        sc.aggregation[gpu_node(0)] = True
+        evaluator = StrategyEvaluator(HETERO)
+        compiled = evaluator.evaluate(strategy).compiled
+        compiled.objective(2e6)
+        timed = []
+        finish_times = evaluator_module._Bound.finish_times
+
+        def counting(bound, chunk):
+            timed.append(bound.sub.sc.index)
+            return finish_times(bound, chunk)
+
+        monkeypatch.setattr(evaluator_module._Bound, "finish_times", counting)
+        sc.aggregation[gpu_node(0)] = False
+        compiled.refresh_subcollective(1)
+        flipped = compiled.objective(2e6)
+        assert sorted(timed) == [1, 2, 3]
+        assert flipped.hex() == evaluate_reference(HETERO, True, strategy, 2e6).objective.hex()

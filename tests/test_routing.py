@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.errors import SynthesisError
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
 from repro.network.cost_model import AlphaBeta
 from repro.simulation import Simulator
 from repro.synthesis.routing import (
     TREE_FAMILIES,
+    RouteTable,
     alltoall_flows,
     broadcast_flows,
     flat_star,
@@ -168,8 +170,41 @@ class TestFlows:
 
     def test_tree_paths_reject_cycle(self, homo):
         bad = {0: 0, 1: 2, 2: 1}
-        with pytest.raises(Exception):
+        with pytest.raises(SynthesisError, match="cycle"):
             tree_flow_paths(homo, bad, 0)
+
+    def test_tree_paths_reject_a_non_root_fixed_point(self, homo):
+        with pytest.raises(SynthesisError, match="rank 2 is a non-root fixed point"):
+            tree_flow_paths(homo, {0: 0, 1: 2, 2: 2}, 0)
+
+    def test_walks_are_hops_to_the_root(self, hetero):
+        """Each walk (built from its parent's) is the concatenation of the
+        tree's hops, whatever the family or root."""
+        for family in TREE_FAMILIES.values():
+            for root in (0, 9):
+                tree = family(hetero, list(range(16)), root)
+                for rank, walk in tree_flow_paths(hetero, tree, root).items():
+                    expected = [gpu_node(rank)]
+                    while rank != root:
+                        expected += hop_path(hetero, rank, tree[rank])[1:]
+                        rank = tree[rank]
+                    assert walk == expected
+
+    def test_a_shared_route_table_changes_nothing(self, hetero):
+        routes = RouteTable(hetero)
+        for family in TREE_FAMILIES.values():
+            for rotation, root in enumerate((0, 4, 9, 13)):
+                alone = family(hetero, list(range(16)), root, rotation=rotation)
+                tree = family(hetero, list(range(16)), root, rotation=rotation, routes=routes)
+                assert tree == alone
+                for build in (reduce_flows, broadcast_flows):
+                    shared = build(hetero, tree, root, routes)
+                    fresh = build(hetero, tree, root)
+                    assert [(f.src, f.dst, f.path) for f in shared] == [
+                        (f.src, f.dst, f.path) for f in fresh
+                    ]
+        for a, b in ((0, 1), (4, 0), (15, 2)):
+            assert routes.pair(a, b) == gpu_pair_bandwidth(hetero, a, b)
 
     def test_alltoall_all_ordered_pairs(self, homo):
         flows = alltoall_flows(homo, list(range(4)))

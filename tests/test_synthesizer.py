@@ -203,6 +203,46 @@ class TestAdaptivity:
                 interior = [n.index for n in flow.path[1:-1] if n.kind is NodeKind.GPU]
                 assert all(topo.cluster.gpu(r).instance_id != 2 for r in interior)
 
+    def test_a_zero_capacity_nic_never_looks_faster(self):
+        """β = ∞ is legal and prices as the slowest link there is (a NaN
+        β used to drop every flow crossing it from the objective)."""
+        from repro.network.cost_model import AlphaBeta
+
+        topo, synth = make_synth(make_homo_cluster(num_servers=4))
+        clean = synth.synthesize(Primitive.REDUCE, 64 * MB, range(16), root=0)
+        for other in (0, 1, 2):
+            topo.set_estimate(nic_node(3), nic_node(other), AlphaBeta(1e-5, float("inf")))
+        dead = synth.synthesize(Primitive.REDUCE, 64 * MB, range(16), root=0)
+        assert dead.predicted_time > 1e3 * clean.predicted_time
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    topo.set_estimate(nic_node(src), nic_node(dst), AlphaBeta(0, float("inf")))
+        assert synth.synthesize(Primitive.ALLREDUCE, 64 * MB, range(16)).predicted_time > 0
+
+    def test_routes_belong_to_their_own_topology(self):
+        """Two topologies with different instance layouts, planned in turn
+        in one process, each route over their own edges: rank 5 sits on
+        instance 1 of one and instance 2 of the other, so a hop memo shared
+        between them (e.g. keyed by a reused ``id()``) would hand one a
+        path the other's edges cannot carry."""
+        layouts = (
+            make_homo_cluster(num_servers=2, gpus_per_server=4),
+            make_homo_cluster(num_servers=4, gpus_per_server=2),
+        )
+        rooted = (Primitive.REDUCE, Primitive.BROADCAST)
+        for _round in range(2):
+            for specs in layouts:
+                topo, synth = make_synth(specs)
+                for primitive in Primitive:
+                    strategy = synth.synthesize(
+                        primitive, 8 * MB, range(8), root=0 if primitive in rooted else None
+                    )
+                    for sc in strategy.subcollectives:
+                        for flow in sc.flows:
+                            topo.path_edges(flow.path)  # raises on a foreign hop
+                del topo, synth
+
     def test_solver_scales_to_paper_testbed(self):
         _, synth = make_synth(make_hetero_cluster(num_a100=4, num_v100=2))
         strategy = synth.synthesize(Primitive.ALLREDUCE, 64 * MB, range(24))
@@ -231,6 +271,22 @@ class TestConfig:
         strategy = synth.synthesize(Primitive.REDUCE, 8 * MB, range(8), root=0)
         for sc in strategy.subcollectives:
             assert sc.chunk_size == pytest.approx(MB)
+
+    @pytest.mark.parametrize(
+        "chunk_sizes", [(), (MB, float("nan")), (0.0,), (-MB,), (float("inf"),)]
+    )
+    def test_chunk_sizes_must_be_finite_and_positive(self, chunk_sizes):
+        with pytest.raises(SynthesisError, match="chunk sizes"):
+            SynthesizerConfig(chunk_sizes=chunk_sizes)
+
+    def test_chunk_sizes_capped_to_the_partition_are_tried_once(self, homo_synth):
+        """(1, 8, 16, 32) MB on 4 MB partitions caps to (1, 4, 4, 4) MB: two
+        candidates, so 5 screened + 2 finalists × 2 = 9 evaluated, not 13."""
+        _, synth = homo_synth
+        synth.config = SynthesizerConfig(chunk_sizes=(1e6, 8e6, 16e6, 32e6))
+        strategy = synth.synthesize(Primitive.REDUCE_SCATTER, 32e6, range(8))
+        assert synth.last_report.candidates_evaluated == 9
+        assert strategy.subcollectives[0].chunk_size in (1e6, 4e6)
 
 
 class TestXmlIntegration:

@@ -7,7 +7,7 @@ from multiprocessing import get_context
 
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import ProfilingError, TopologyError
 from repro.hardware import Cluster, a100_server, make_hetero_cluster, make_homo_cluster
 from repro.hardware.presets import fragmented_server
 from repro.network.cost_model import AlphaBeta
@@ -153,6 +153,29 @@ class TestLogicalTopology:
         assert edge.effective is est
         topo.clear_estimates()
         assert edge.effective is edge.nominal
+
+    def test_set_estimate_rejects_an_unchecked_nan_naming_the_edge(self):
+        """An estimate that skipped AlphaBeta's checks (an unpickled record
+        bypasses __init__) is refused by the topology, edge untouched."""
+        _, _, topo = build(make_homo_cluster(num_servers=2))
+        edge = topo.edge(nic_node(0), nic_node(1))
+        for field, value in (("beta", float("nan")), ("alpha", float("inf"))):
+            smuggled = AlphaBeta(1e-5, 1e-9)
+            object.__setattr__(smuggled, field, value)
+            with pytest.raises(ProfilingError, match="edge n0->n1"):
+                topo.set_estimate(nic_node(0), nic_node(1), smuggled)
+            with pytest.raises(ProfilingError, match="edge n0->n1"):
+                topo.set_estimate(nic_node(0), nic_node(1), AlphaBeta(1e-5, 1e-9), smuggled)
+            assert edge.estimate is None and edge.estimate_parallel is None
+
+    def test_zero_capacity_estimate_has_no_aggregate(self):
+        """β = ∞ stays legal and scales the parallel aggregate to zero too
+        (it used to divide by zero)."""
+        _, _, topo = build(make_homo_cluster(num_servers=2))
+        topo.set_estimate(nic_node(0), nic_node(1), AlphaBeta(1e-5, float("inf")))
+        edge = topo.edge(nic_node(0), nic_node(1))
+        assert edge.effective.bandwidth == 0.0
+        assert edge.effective_parallel.bandwidth == 0.0
 
     def test_profiled_edges_are_nvlink_and_network(self):
         _, _, topo = build(make_homo_cluster(num_servers=2))
