@@ -20,7 +20,7 @@ import pytest
 from repro.bench import Table
 from repro.bench.harness import BenchEnvironment
 from repro.hardware import MB, make_hetero_cluster, make_homo_cluster
-from repro.runtime import run_allreduce, run_reduce
+from repro.runtime import launch
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.synthesis.routing import TREE_FAMILIES
 
@@ -31,9 +31,7 @@ PAYLOAD = 8192
 def run_strategy(env, strategy):
     inputs = {r: np.ones(PAYLOAD) for r in env.ranks}
     scale = TENSOR / (PAYLOAD * 8)
-    if strategy.primitive is Primitive.ALLREDUCE:
-        return run_allreduce(env.topology, strategy, inputs, byte_scale=scale).duration
-    return run_reduce(env.topology, strategy, inputs, byte_scale=scale).duration
+    return launch(env.topology, strategy, inputs, byte_scale=scale).wait().duration
 
 
 def test_ablation_aggregation_control(run_once):

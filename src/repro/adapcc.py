@@ -33,15 +33,7 @@ from repro.hardware.instance import InstanceSpec
 from repro.observe.watchdog import ObserveConfig, Watchdog
 from repro.profiling.profiler import Profiler
 from repro.relay.coordinator import AdaptiveAllReduce
-from repro.runtime.collectives import (
-    CollectiveResult,
-    run_allgather,
-    run_allreduce,
-    run_alltoall,
-    run_broadcast,
-    run_reduce,
-    run_reduce_scatter,
-)
+from repro.runtime.collectives import CollectiveResult, launch
 from repro.runtime.context import ContextManager, TransmissionContext
 from repro.simulation.engine import Simulator
 from repro.synthesis.optimizer import Synthesizer, SynthesizerConfig
@@ -195,60 +187,48 @@ class AdapCCSession:
         byte_scale: float = 1.0,
     ):
         """AllReduce across all ranks; adaptive relay control by default."""
-        strategy = self._strategy(Primitive.ALLREDUCE, tensors, byte_scale)
-        self._tick()
         if adaptive and ready_times:
+            strategy = self._strategy(Primitive.ALLREDUCE, tensors, byte_scale)
+            self._tick()
             return self._observed(
                 self.adaptive.run(strategy, tensors, ready_times, byte_scale=byte_scale)
             )
         clean = {r: (t or 0.0) for r, t in (ready_times or {}).items()}
-        return self._observed(
-            run_allreduce(
-                self.topology, strategy, tensors, ready_times=clean, byte_scale=byte_scale
-            )
-        )
+        return self._run(Primitive.ALLREDUCE, tensors, byte_scale, ready_times=clean)
 
     def reduce(self, tensors, root: int = 0, byte_scale: float = 1.0) -> CollectiveResult:
         """Reduce: the root rank receives the elementwise sum."""
-        strategy = self._strategy(Primitive.REDUCE, tensors, byte_scale, root=root)
-        self._tick()
-        return self._observed(
-            run_reduce(self.topology, strategy, tensors, byte_scale=byte_scale)
-        )
+        return self._run(Primitive.REDUCE, tensors, byte_scale, root=root)
 
     def broadcast(self, tensors, root: int = 0, byte_scale: float = 1.0) -> CollectiveResult:
         """Broadcast: every rank receives the root's tensor."""
-        strategy = self._strategy(Primitive.BROADCAST, tensors, byte_scale, root=root)
-        self._tick()
-        return self._observed(
-            run_broadcast(self.topology, strategy, tensors, byte_scale=byte_scale)
-        )
+        return self._run(Primitive.BROADCAST, tensors, byte_scale, root=root)
 
     def alltoall(self, tensors, byte_scale: float = 1.0) -> CollectiveResult:
         """AlltoAll: rank d's block s is rank s's block d (token dispatch)."""
-        strategy = self._strategy(Primitive.ALLTOALL, tensors, byte_scale)
-        self._tick()
-        return self._observed(
-            run_alltoall(self.topology, strategy, tensors, byte_scale=byte_scale)
-        )
+        return self._run(Primitive.ALLTOALL, tensors, byte_scale)
 
     def allgather(self, tensors, byte_scale: float = 1.0) -> CollectiveResult:
         """AllGather: every rank receives all shards, in rank order."""
-        strategy = self._strategy(Primitive.ALLGATHER, tensors, byte_scale)
-        self._tick()
-        return self._observed(
-            run_allgather(self.topology, strategy, tensors, byte_scale=byte_scale)
-        )
+        return self._run(Primitive.ALLGATHER, tensors, byte_scale)
 
     def reduce_scatter(self, tensors, byte_scale: float = 1.0) -> CollectiveResult:
         """ReduceScatter: rank r receives the sum of partition r."""
-        strategy = self._strategy(Primitive.REDUCE_SCATTER, tensors, byte_scale)
-        self._tick()
-        return self._observed(
-            run_reduce_scatter(self.topology, strategy, tensors, byte_scale=byte_scale)
-        )
+        return self._run(Primitive.REDUCE_SCATTER, tensors, byte_scale)
 
     # -- internals -----------------------------------------------------------------------
+
+    def _run(
+        self, primitive, tensors, byte_scale, root=None, ready_times=None
+    ) -> CollectiveResult:
+        """Run one collective to completion and feed it to the watchdog."""
+        strategy = self._strategy(primitive, tensors, byte_scale, root=root)
+        self._tick()
+        return self._observed(
+            launch(
+                self.topology, strategy, tensors, ready_times=ready_times, byte_scale=byte_scale
+            ).wait()
+        )
 
     def _require_init(self) -> None:
         if self.topology is None:

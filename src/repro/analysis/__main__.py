@@ -8,8 +8,7 @@ report (default), a structured JSON report, or a SARIF 2.1.0 document
 (``--format``), with stable exit codes:
 
 * ``0`` — every selected pass ran and no gating finding remains,
-* ``1`` — at least one finding at/above ``--fail-on`` severity survived
-  baseline suppression,
+* ``1`` — at least one finding at/above ``--fail-on`` severity,
 * ``2`` — a pass crashed (internal error, including a finding whose code
   the pass did not declare) or the invocation was invalid.
 
@@ -20,43 +19,13 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import List, Set
 
 from repro.analysis.findings import SEVERITIES, severity_rank
-from repro.analysis.registry import PassResult, iter_passes
+from repro.analysis.registry import iter_passes
 from repro.analysis.runner import run_passes
 from repro.analysis.sarif import render_text, to_json_report, to_sarif
-
-#: Schema of the baseline (suppression) file.
-BASELINE_SCHEMA = 1
-
-
-def load_baseline(path: Path) -> Set[str]:
-    """Suppression keys from a baseline file (empty set if absent)."""
-    if not path.is_file():
-        return set()
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"baseline {path} has schema {payload.get('schema')!r}; "
-            f"expected {BASELINE_SCHEMA}"
-        )
-    return set(payload.get("suppressions", []))
-
-
-def write_baseline(path: Path, results: List[PassResult]) -> int:
-    """Write every current finding's suppression key to ``path``."""
-    keys = sorted(
-        {f.suppression_key for result in results for f in result.findings}
-    )
-    payload = {"schema": BASELINE_SCHEMA, "suppressions": keys}
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return len(keys)
 
 
 def _list_passes() -> int:
@@ -91,16 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="error",
         help="lowest severity that causes exit code 1 (default: error)",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppression baseline: findings whose keys it lists do not gate",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write all current findings' suppression keys to FILE",
-    )
     # One flag per registered pass: absent = None, bare = "", FILE = its path.
     for spec in iter_passes():
         if spec.lint_file is None:
@@ -122,30 +81,14 @@ def main(argv=None) -> int:
     if args.list:
         return _list_passes()
 
-    try:
-        baseline = load_baseline(Path(args.baseline)) if args.baseline else set()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: unreadable baseline: {exc}", file=sys.stderr)
-        return 2
-
     chosen = {spec.name: getattr(args, spec.name) for spec in iter_passes()}
     results = run_passes(
         names=[name for name, value in chosen.items() if value is not None] or None,
         targets={name: value for name, value in chosen.items() if value},
     )
 
-    if args.write_baseline:
-        count = write_baseline(Path(args.write_baseline), results)
-        print(
-            f"wrote {count} suppression(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        baseline |= {
-            f.suppression_key for result in results for f in result.findings
-        }
-
     if args.format == "text":
-        report = "\n".join(render_text(results, suppressed=baseline)) + "\n"
+        report = "\n".join(render_text(results)) + "\n"
     else:
         # Progress notes go to stderr so machine-readable stdout stays clean.
         for result in results:
@@ -167,7 +110,6 @@ def main(argv=None) -> int:
         for result in results
         for finding in result.findings
         if severity_rank(finding.severity) >= threshold
-        and finding.suppression_key not in baseline
     ]
     return 1 if gating else 0
 

@@ -9,14 +9,12 @@ finding carries everything an exporter or CI annotator needs:
   ``race-unordered-iteration``, …), the SARIF ``ruleId``;
 * ``subject`` / ``message`` — the locator and the human explanation;
 * ``severity`` — ``error`` (invariant broken, CI-gating), ``warning``
-  (heuristic hazard, baseline-suppressible) or ``note`` (informational);
+  (heuristic hazard, gating under ``--fail-on warning``) or ``note``
+  (informational);
 * ``pass_name`` — which registered pass produced it (stamped by the
   runner; empty on a finding returned by a direct lint call);
 * ``file`` / ``line`` — a physical location when the finding anchors to
-  source (the AST walkers fill these; scenario checks leave them ``None``);
-* ``suppression_key`` — a stable key for baseline files: findings keep
-  the same key across unrelated edits (no line numbers), so a committed
-  baseline keeps suppressing exactly the findings it was written for.
+  source (the AST walkers fill these; scenario checks leave them ``None``).
 
 This module imports nothing from the rest of the package.
 """
@@ -79,12 +77,6 @@ class Finding:
         """A finding anchored to ``file:line`` (``line`` may be unknown)."""
         subject = file if line is None else f"{file}:{line}"
         return cls(code, subject, message, severity, file=file, line=line)
-
-    @property
-    def suppression_key(self) -> str:
-        """Stable baseline key: pass, code and file (or subject), no line."""
-        anchor = self.file if self.file is not None else self.subject
-        return f"{self.pass_name}:{self.code}:{anchor}"
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.subject}: {self.message}"

@@ -27,16 +27,16 @@ fixtures under ``tests/fixtures/hazards/`` pin their recall.
 
 **Dynamic half** — ``race-happens-before`` at ``error`` severity. From a
 synthesized :class:`~repro.synthesis.strategy.Strategy` we derive the
-chunk-dependency DAG the executor is contractually bound to (the same
-sender/aggregator construction as :func:`repro.analysis.verify_strategy.
-stage_unreachable`, extended across the AllReduce reduce→broadcast stage
-boundary), then replay an exported telemetry run against it with vector
-clocks: every per-chunk ``…:send`` span is an event of its sender process
-(one process per (edge, traffic unit)); an event's vector clock is the
-pointwise max of its own process history and its DAG predecessors'
-clocks. Any recorded interleaving in which a span starts before a DAG
-predecessor has ended is a race — the executor committed to an ordering
-the schedule did not honour — and is reported with both clocks.
+chunk-dependency DAG the executor is contractually bound to (the stages
+and sender wiring of :mod:`repro.runtime.stages`, extended across the
+AllReduce reduce→broadcast stage boundary), then replay an exported
+telemetry run against it with vector clocks: every per-chunk ``…:send``
+span is an event of its sender process (one process per (edge, traffic
+unit)); an event's vector clock is the pointwise max of its own process
+history and its DAG predecessors' clocks. Any recorded interleaving in
+which a span starts before a DAG predecessor has ended is a race — the
+executor committed to an ordering the schedule did not honour — and is
+reported with both clocks.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import SEVERITY_WARNING, Finding, RuleSpec
 from repro.analysis.lint_source import PACKAGE_ROOT, SYNTAX_RULE, visit_sources
+from repro.runtime.stages import MODE_MERGE, agg_unit, lower, unit_label, wire
 
 #: Sub-packages whose code feeds the simulator's event ordering.
 RACE_SENSITIVE_DIRS = ("simulation", "runtime", "recovery", "observe")
@@ -330,12 +331,6 @@ def _has_tiebreak(entry: ast.Tuple) -> bool:
 # -- dynamic half: chunk-dependency DAG vs telemetry -----------------------------------
 
 
-def unit_label(unit: Tuple) -> str:
-    """Canonical string form of an executor traffic unit, for span args."""
-    kind, value = unit
-    return f"{kind}:{value}"
-
-
 @dataclass(frozen=True)
 class SenderId:
     """One executor sender process: a (stage, edge, unit) triple."""
@@ -368,96 +363,50 @@ class SenderGraph:
     preds: Dict[SenderId, List[List[SenderId]]] = field(default_factory=dict)
 
 
-#: Stage construction per primitive: (tag prefix, reversed paths?, mode).
-#: Mirrors ``repro.runtime.collectives`` — the tags the pipelines carry.
-_STAGES = {
-    "reduce": (("reduce", False, "merge"),),
-    "reduce_scatter": (("rs", False, "merge"),),
-    "allreduce": (("allreduce-red", False, "merge"), ("allreduce-bc", True, "grouped")),
-    "broadcast": (("bcast", False, "grouped"),),
-    "allgather": (("allgather", False, "grouped"),),
-    "alltoall": (("a2a", False, "independent"),),
-}
-
-
-def _stage_units(
-    paths: Sequence[Tuple[int, Sequence]], mode: str, aggregates_at
-) -> Dict[Tuple[str, str, str], None]:
-    """Ordered sender set {(src, dst, unit): None} for one stage."""
-
-    def unit_at(flow_idx: int, path: Sequence, path_idx: int) -> str:
-        if mode == "grouped":
-            return unit_label(("bcast", path[0]))
-        if mode == "independent":
-            return unit_label(("flow", flow_idx))
-        unit = unit_label(("flow", flow_idx))
-        for idx in range(path_idx + 1):
-            if aggregates_at(path[idx]):
-                unit = unit_label(("agg", path[idx]))
-        return unit
-
-    senders: Dict[Tuple[str, str, str], None] = {}
-    for flow_idx, path in paths:
-        for p in range(len(path) - 1):
-            senders.setdefault(
-                (str(path[p]), str(path[p + 1]), unit_at(flow_idx, path, p))
-            )
-    return senders
-
-
 def derive_chunk_dag(strategy) -> SenderGraph:
     """Derive the happens-before DAG over sender processes from a strategy."""
-    stages = _STAGES[strategy.primitive.value]
     graph = SenderGraph()
     for sc in strategy.subcollectives:
         if not sc.flows:
             continue
-        prev_stage: Optional[Tuple[str, Dict[SenderId, None]]] = None
-        prev_root: Optional[str] = None
-        for prefix, reverse, mode in stages:
-            tag = f"{prefix}:m{sc.index}"
-            agg = sc.aggregates_at if mode == "merge" else (lambda node: False)
-            paths = [
-                (idx, list(reversed(flow.path)) if reverse else list(flow.path))
-                for idx, flow in enumerate(sc.flows)
+        prev_incoming: Dict[str, Dict[str, List[SenderId]]] = {}
+        for stage in lower(strategy.primitive, sc):
+            wiring = wire(stage.flows, stage.mode, stage.aggregates_at)
+            senders = [
+                (i, unit, SenderId(stage.tag, str(i), str(j), unit_label(unit)))
+                for i, j, unit in wiring.senders
             ]
-            raw = _stage_units(paths, mode, agg)
-            by_key = {
-                key: SenderId(tag, key[0], key[1], key[2]) for key in raw
-            }
             #: Incoming units per node: node -> unit -> [senders carrying it].
             incoming: Dict[str, Dict[str, List[SenderId]]] = {}
-            for (src, dst, unit), sender in (
-                (key, by_key[key]) for key in raw
-            ):
-                incoming.setdefault(dst, {}).setdefault(unit, []).append(sender)
-            for (src, dst, unit), sender in ((key, by_key[key]) for key in raw):
+            for _i, _unit, sender in senders:
+                incoming.setdefault(sender.dst, {}).setdefault(sender.unit, []).append(sender)
+            for tail, unit, sender in senders:
+                src, label = sender.src, sender.unit
                 groups: List[List[SenderId]] = []
-                if mode == "merge" and unit == unit_label(("agg", src)) and any(
-                    u != unit for u in incoming.get(src, {})
+                if (
+                    stage.mode == MODE_MERGE
+                    and unit == agg_unit(tail)
+                    and any(u != label for u in incoming.get(src, {}))
                 ):
                     # Aggregator output: waits for EVERY incoming unit at
                     # src (AND across units, OR within each unit's copies).
                     for in_unit in sorted(incoming.get(src, {})):
-                        if in_unit == unit:
+                        if in_unit == label:
                             continue
                         groups.append(incoming[src][in_unit])
-                elif unit in incoming.get(src, {}):
+                elif label in incoming.get(src, {}):
                     # Pass-through: the same unit must have arrived at src
                     # over some in-edge (whichever copy lands first).
-                    groups.append(incoming[src][unit])
-                elif prev_stage is not None and src == prev_root:
+                    groups.append(incoming[src][label])
+                elif stage.fed_by is not None and tail == stage.root:
                     # Stage boundary (AllReduce): a broadcast send out of
                     # the root waits for the reduce stage's aggregation
                     # there — every reduce unit arriving at the root.
-                    _prev_tag, prev_incoming = prev_stage
                     for in_unit in sorted(prev_incoming.get(src, {})):
                         groups.append(prev_incoming[src][in_unit])
                 graph.senders.append(sender)
                 graph.preds[sender] = groups
-            if sc.root is not None:
-                prev_root = str(sc.root)
-            prev_stage = (tag, incoming)
+            prev_incoming = incoming
     return graph
 
 

@@ -17,7 +17,7 @@ scrape already.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Sequence, Set
+from typing import List, Sequence
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import PassResult
@@ -42,9 +42,6 @@ def _sarif_result(result: PassResult, finding: Finding) -> dict:
         "ruleId": rule_id(result.spec.name, finding.code),
         "level": finding.severity,
         "message": {"text": finding.message},
-        "partialFingerprints": {
-            "repro/suppressionKey": finding.suppression_key,
-        },
         "properties": {
             "pass": result.spec.name,
             "subject": finding.subject,
@@ -143,17 +140,8 @@ def to_json_report(results: Sequence[PassResult]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def render_text(
-    results: Sequence[PassResult],
-    suppressed: Iterable[str] = (),
-    verbose_notes: bool = True,
-) -> List[str]:
-    """The human report, one line per entry (legacy ``ok   name`` shape).
-
-    ``suppressed`` contains the suppression keys a baseline hides;
-    matching findings are counted but rendered as suppressed.
-    """
-    suppressed_keys: Set[str] = set(suppressed)
+def render_text(results: Sequence[PassResult], verbose_notes: bool = True) -> List[str]:
+    """The human report, one line per entry (legacy ``ok   name`` shape)."""
     lines: List[str] = []
     for result in results:
         if verbose_notes:
@@ -165,16 +153,10 @@ def render_text(
                 f"     {line}" for line in result.error.strip().splitlines()
             )
             continue
-        live = [
-            f for f in result.findings if f.suppression_key not in suppressed_keys
-        ]
-        muted = len(result.findings) - len(live)
-        if not live:
-            extra = f", {muted} suppressed" if muted else ""
-            lines.append(f"ok   {result.spec.title}{extra}")
+        if not result.findings:
+            lines.append(f"ok   {result.spec.title}")
             continue
-        extra = f" ({muted} suppressed)" if muted else ""
-        lines.append(f"FAIL {result.spec.title}: {len(live)} finding(s){extra}")
-        for finding in live:
+        lines.append(f"FAIL {result.spec.title}: {len(result.findings)} finding(s)")
+        for finding in result.findings:
             lines.append(f"     {finding} [{finding.severity}]")
     return lines

@@ -39,6 +39,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.findings import Finding, RuleSpec
 from repro.errors import CoordinationError, StrategyVerificationError
 from repro.relay.behavior import behavior_tuples
+from repro.runtime.stages import (
+    MODE_GROUPED,
+    MODE_INDEPENDENT,
+    MODE_MERGE,
+    FlowPath,
+    agg_unit,
+    lower,
+    wire,
+)
 from repro.synthesis.evaluator import edge_units
 from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind, gpu_node
@@ -46,11 +55,8 @@ from repro.topology.graph import LogicalTopology, NodeId, NodeKind, gpu_node
 #: Relative tolerance for floating-point size comparisons.
 _REL_TOL = 1e-6
 
-#: Pipeline modes, mirroring :mod:`repro.runtime.executor` (string-equal by
-#: contract; the executor's preflight check round-trips through here).
-MODE_MERGE = "merge"
-MODE_GROUPED = "grouped"
-MODE_INDEPENDENT = "independent"
+#: How a deadlock finding names a stage, by mode.
+_STAGE_KIND = {MODE_MERGE: "reduce", MODE_GROUPED: "broadcast", MODE_INDEPENDENT: "alltoall"}
 
 #: Primitives whose flows all terminate at the sub-collective root.
 _REDUCE_FAMILY = (Primitive.REDUCE, Primitive.ALLREDUCE, Primitive.REDUCE_SCATTER)
@@ -476,67 +482,38 @@ def _check_behavior(
 
 
 def stage_unreachable(
-    flow_paths: Sequence[Tuple[int, Sequence[NodeId]]],
+    flow_paths: Sequence[FlowPath],
     mode: str,
     aggregates_at: Optional[Callable[[NodeId], bool]] = None,
 ) -> List[Tuple[Tuple, NodeId]]:
     """Terminal (unit, node) slots the executor's event graph cannot reach.
 
-    This replays :meth:`repro.runtime.executor.ChunkPipeline.start` as a
-    worklist fixpoint: sources seed availability, a sender propagates a
-    unit across its edge once available at the tail, an aggregator fires
-    once every incoming unit has arrived (local contributions never gate).
-    Availability is monotone and identical across chunk indices, so
-    single-slot reachability decides deadlock freedom for the whole
-    pipeline. An empty return means every flow's terminal slot is
-    reachable; anything else is a dependency cycle the runtime would hit
-    as a deadlock.
+    A worklist fixpoint over the stage's :func:`repro.runtime.stages.wire`
+    — the senders, aggregators and sources
+    :meth:`~repro.runtime.executor.ChunkPipeline.start` spawns: sources
+    seed availability, a sender propagates a unit across its edge once
+    available at the tail, an aggregator fires once every incoming unit has
+    arrived (local contributions never gate). Availability is monotone and
+    identical across chunk indices, so single-slot reachability decides
+    deadlock freedom for the whole pipeline. An empty return means every
+    flow's terminal slot is reachable; anything else is a dependency cycle
+    the runtime would hit as a deadlock.
     """
-    merge = mode == MODE_MERGE
-    agg = aggregates_at if (merge and aggregates_at is not None) else (lambda node: False)
-
-    def unit_at(flow_idx: int, path: Sequence[NodeId], path_idx: int) -> Tuple:
-        if mode == MODE_GROUPED:
-            return ("bcast", path[0])
-        if mode == MODE_INDEPENDENT:
-            return ("flow", flow_idx)
-        unit: Tuple = ("flow", flow_idx)
-        for idx in range(path_idx + 1):
-            if agg(path[idx]):
-                unit = ("agg", path[idx])
-        return unit
-
-    senders: Set[Tuple[NodeId, NodeId, Tuple]] = set()
-    agg_inputs: Dict[NodeId, Set[Tuple]] = {}
-    available: Set[Tuple[Tuple, NodeId]] = set()
-    terminals: List[Tuple[Tuple, NodeId]] = []
-    for flow_idx, path in flow_paths:
-        src = path[0]
-        if agg(src):
-            agg_inputs.setdefault(src, set())
-        else:
-            available.add((unit_at(flow_idx, path, 0), src))
-        for p in range(len(path) - 1):
-            i, j = path[p], path[p + 1]
-            unit = unit_at(flow_idx, path, p)
-            senders.add((i, j, unit))
-            if agg(j):
-                agg_inputs.setdefault(j, set()).add(unit)
-        terminals.append((unit_at(flow_idx, path, len(path) - 1), path[-1]))
-
+    wiring = wire(flow_paths, mode, aggregates_at)
+    available = {(unit, node) for _idx, unit, node in wiring.sources}
     changed = True
     while changed:
         changed = False
-        for i, j, unit in senders:
+        for i, j, unit in wiring.senders:
             if (unit, i) in available and (unit, j) not in available:
                 available.add((unit, j))
                 changed = True
-        for node, units in agg_inputs.items():
-            key = (("agg", node), node)
+        for node, units in wiring.agg_inputs.items():
+            key = (agg_unit(node), node)
             if key not in available and all((u, node) in available for u in units):
                 available.add(key)
                 changed = True
-    return [t for t in terminals if t not in available]
+    return [t for t in wiring.terminals if t not in available]
 
 
 def _check_deadlock(
@@ -544,26 +521,9 @@ def _check_deadlock(
 ) -> List[Finding]:
     if sc.size == 0 or not sc.flows:
         return []
-    stages: List[Tuple[str, List[Tuple[int, Sequence[NodeId]]], str, Optional[Callable]]]
-    forward = [(idx, flow.path) for idx, flow in enumerate(sc.flows)]
-    if primitive in (Primitive.REDUCE, Primitive.REDUCE_SCATTER):
-        stages = [("reduce", forward, MODE_MERGE, sc.aggregates_at)]
-    elif primitive is Primitive.ALLREDUCE:
-        reversed_paths = [
-            (idx, list(reversed(flow.path))) for idx, flow in enumerate(sc.flows)
-        ]
-        stages = [
-            ("reduce", forward, MODE_MERGE, sc.aggregates_at),
-            ("broadcast", reversed_paths, MODE_GROUPED, None),
-        ]
-    elif primitive in (Primitive.BROADCAST, Primitive.ALLGATHER):
-        stages = [("broadcast", forward, MODE_GROUPED, None)]
-    else:  # ALLTOALL
-        stages = [("alltoall", forward, MODE_INDEPENDENT, None)]
-
     violations: List[Finding] = []
-    for stage_name, flow_paths, mode, aggregates_at in stages:
-        unreachable = stage_unreachable(flow_paths, mode, aggregates_at)
+    for stage in lower(primitive, sc):
+        unreachable = stage_unreachable(stage.flows, stage.mode, stage.aggregates_at)
         if unreachable:
             shown = ", ".join(f"{unit}@{node}" for unit, node in unreachable[:3])
             more = f" (+{len(unreachable) - 3} more)" if len(unreachable) > 3 else ""
@@ -571,7 +531,8 @@ def _check_deadlock(
                 Finding(
                     "deadlock",
                     subject,
-                    f"{stage_name} stage cannot reach terminal slots {shown}{more}",
+                    f"{_STAGE_KIND[stage.mode]} stage cannot reach terminal slots "
+                    f"{shown}{more}",
                 )
             )
     return violations

@@ -15,15 +15,7 @@ import numpy as np
 
 from repro.analysis.config import verification_enabled
 from repro.errors import CommunicatorError
-from repro.runtime.collectives import (
-    CollectiveResult,
-    run_allgather,
-    run_allreduce,
-    run_alltoall,
-    run_broadcast,
-    run_reduce,
-    run_reduce_scatter,
-)
+from repro.runtime.collectives import CollectiveResult, launch
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
 
@@ -90,41 +82,16 @@ class Backend(abc.ABC):
         max_chunks: Optional[int] = None,
     ) -> CollectiveResult:
         """Execute a planned strategy on this backend's executor."""
-        primitive = strategy.primitive
-        if primitive is Primitive.REDUCE:
-            return run_reduce(
-                self.topology, strategy, inputs, active_ranks, ready_times, byte_scale,
-                max_chunks,
-            )
-        if primitive is Primitive.BROADCAST:
-            return run_broadcast(
-                self.topology, strategy, inputs, ready_times, byte_scale, max_chunks
-            )
-        if primitive is Primitive.ALLREDUCE:
-            return run_allreduce(
-                self.topology,
-                strategy,
-                inputs,
-                active_ranks,
-                ready_times,
-                pipeline_stages=self.pipelines_stages(),
-                byte_scale=byte_scale,
-                max_chunks=max_chunks,
-            )
-        if primitive is Primitive.ALLGATHER:
-            return run_allgather(
-                self.topology, strategy, inputs, ready_times, byte_scale, max_chunks
-            )
-        if primitive is Primitive.REDUCE_SCATTER:
-            return run_reduce_scatter(
-                self.topology, strategy, inputs, active_ranks, ready_times, byte_scale,
-                max_chunks,
-            )
-        if primitive is Primitive.ALLTOALL:
-            return run_alltoall(
-                self.topology, strategy, inputs, ready_times, byte_scale, max_chunks
-            )
-        raise CommunicatorError(f"unsupported primitive {primitive}")
+        return launch(
+            self.topology,
+            strategy,
+            inputs,
+            active_ranks,
+            ready_times,
+            byte_scale,
+            max_chunks,
+            pipeline_stages=self.pipelines_stages(),
+        ).wait()
 
     def pipelines_stages(self) -> bool:
         """Whether AllReduce's reduce and broadcast stages are pipelined."""

@@ -149,7 +149,7 @@ class NcclBackend(Backend):
         plus the round barriers (gated by the slowest pair — painful on
         heterogeneous NICs) is NCCL's AlltoAll handicap (Sec. VI-C).
         """
-        from repro.runtime.collectives import CollectiveResult, run_alltoall
+        from repro.runtime.collectives import CollectiveResult, launch
         from repro.synthesis.strategy import Strategy
 
         if strategy.primitive is not Primitive.ALLTOALL:
@@ -197,14 +197,14 @@ class NcclBackend(Backend):
                 ],
                 routing_family="nccl-p2p-round",
             )
-            result = run_alltoall(
+            result = launch(
                 self.topology,
                 round_strategy,
                 inputs,
                 ready_times=ready_times if round_index == 1 else None,
                 byte_scale=byte_scale,
                 max_chunks=max_chunks,
-            )
+            ).wait()
             if round_index == 1:
                 ready_at = result.ready_at
             for flow in flows:

@@ -52,8 +52,6 @@ from repro.bench.grid import (  # noqa: F401 - re-exports
     cell_id,
     cell_key,
     compare_payloads,
-    measure_all,
-    measure_figure,
     measure_fleet,
 )
 from repro.bench.report import Table, bench_dir, write_bench_payload

@@ -172,16 +172,6 @@ def figure_block(
     }
 
 
-def measure_figure(name: str, quick: bool = False) -> Dict:
-    """Measure one figure's cells serially; returns its aggregate block."""
-    cells: Dict[str, float] = {}
-    bottlenecks: Dict[str, Optional[str]] = {}
-    for _fig, config, backend in iter_cells([name], quick=quick):
-        key = cell_key(config, backend)
-        cells[key], bottlenecks[key] = measure_cell_detail(name, config, backend)
-    return figure_block(name, cells, quick=quick, bottlenecks=bottlenecks)
-
-
 def assemble_payload(
     figures: Dict[str, Dict], quick: bool = False
 ) -> Dict:
@@ -192,14 +182,6 @@ def assemble_payload(
         "quick": quick,
         "figures": figures,
     }
-
-
-def measure_all(figures: Sequence[str], quick: bool = False) -> Dict:
-    """Measure the selected figures serially into one aggregate payload."""
-    blocks: Dict[str, Dict] = {}
-    for name in figures:
-        blocks[name] = measure_figure(name, quick=quick)
-    return assemble_payload(blocks, quick=quick)
 
 
 def measure_fleet(seed: int = 11) -> Dict:

@@ -90,11 +90,6 @@ class CrashFault:
         if self.rejoin_iteration is not None and self.rejoin_iteration <= self.iteration:
             raise ChaosError("rejoin must happen after the crash")
 
-    @property
-    def permanent(self) -> bool:
-        """Whether the worker never comes back."""
-        return self.rejoin_iteration is None
-
     def down_at(self, iteration: int) -> bool:
         """Whether the worker is down during ``iteration``."""
         if iteration < self.iteration:
@@ -312,10 +307,6 @@ class FaultPlan:
     def partitions_healing_at(self, iteration: int) -> List[PartitionFault]:
         """Partitions whose heal lands exactly at ``iteration``."""
         return [p for p in self.partitions if p.heal_iteration == iteration]
-
-    def corruptions_at(self, iteration: int) -> List[CorruptionFault]:
-        """Corruption faults whose window covers ``iteration``."""
-        return [c for c in self.corruptions if c.active_at(iteration)]
 
     def message_actions(self, rank: int) -> Dict[int, str]:
         """submission-index -> action map for one rank's work queue."""

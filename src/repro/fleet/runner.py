@@ -60,11 +60,7 @@ from repro.hardware.presets import make_homo_cluster
 from repro.observe.verdicts import AnomalyKind, AnomalyVerdict
 from repro.observe.watchdog import ObserveConfig, Watchdog
 from repro.profiling.profiler import Profiler
-from repro.runtime.collectives import (
-    PendingCollective,
-    launch_allreduce,
-    launch_alltoall,
-)
+from repro.runtime.collectives import PendingCollective, launch
 from repro.simulation.engine import Simulator
 from repro.synthesis import Primitive, Synthesizer
 from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub
@@ -154,10 +150,6 @@ class _JobState:
     @property
     def name(self) -> str:
         return self.trace.name
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pending is None and self.next_op >= len(self.trace.ops)
 
 
 @dataclass
@@ -364,23 +356,13 @@ class FleetRunner:
                 rank: np.full(self.length, float(rank + 1))
                 for rank in job.trace.ranks
             }
-            byte_scale = op.size_bytes / (self.length * 8.0)
-            if op.kind == ALLREDUCE:
-                pending = launch_allreduce(
-                    self.topology,
-                    strategy,
-                    inputs,
-                    byte_scale=byte_scale,
-                    max_chunks=self.max_chunks,
-                )
-            else:
-                pending = launch_alltoall(
-                    self.topology,
-                    strategy,
-                    inputs,
-                    byte_scale=byte_scale,
-                    max_chunks=self.max_chunks,
-                )
+            pending = launch(
+                self.topology,
+                strategy,
+                inputs,
+                byte_scale=op.size_bytes / (self.length * 8.0),
+                max_chunks=self.max_chunks,
+            )
         job.pending = pending
         job.pending_op = op
         job.pending_launched = self.sim.now

@@ -202,10 +202,6 @@ class Cluster:
             raise TopologyError(f"rank {rank} out of range [0, {len(self.gpus)})")
         return self.gpus[rank]
 
-    def instance_of(self, rank: int) -> Instance:
-        """The instance hosting ``rank``."""
-        return self.instances[self.gpu(rank).instance_id]
-
     def ranks_on_instance(self, instance_id: int) -> List[int]:
         """Global ranks of all GPUs on one instance, in local-index order."""
         return [gpu.rank for gpu in self.instances[instance_id].gpus]

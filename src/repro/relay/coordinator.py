@@ -28,7 +28,7 @@ from repro.relay.ski_rental import (
     BreakEvenPolicy,
     estimate_collective_seconds,
 )
-from repro.runtime.collectives import run_allreduce
+from repro.runtime.collectives import launch
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
 
@@ -231,14 +231,14 @@ class AdaptiveAllReduce:
         if not decision.proceed:
             # Everyone became ready while waiting: one full collective.
             residual = {r: (ready_delays.get(r) or 0.0) for r in strategy.participants}
-            result = run_allreduce(
+            result = launch(
                 self.topology,
                 strategy,
                 inputs,
                 ready_times=residual,
                 byte_scale=byte_scale,
                 max_chunks=max_chunks,
-            )
+            ).wait()
             return AdaptiveResult(
                 outputs=result.outputs,
                 started=started,
@@ -277,7 +277,7 @@ class AdaptiveAllReduce:
         late_candidates = [
             rank for rank in decision.relays if ready_delays.get(rank) is not None
         ]
-        phase1 = run_allreduce(
+        phase1 = launch(
             self.topology,
             strategy,
             inputs,
@@ -286,7 +286,7 @@ class AdaptiveAllReduce:
             byte_scale=byte_scale,
             max_chunks=max_chunks,
             late_ranks=late_candidates,
-        )
+        ).wait()
         phase1_end = sim.now
         if phase1_span is not None:
             telemetry.end(
@@ -362,7 +362,7 @@ class AdaptiveAllReduce:
                     late_survivors=sorted(late_survivors),
                     remaining_fraction=remaining_fraction,
                 )
-            phase2 = run_allreduce(
+            phase2 = launch(
                 self.topology,
                 strategy,
                 phase2_inputs,
@@ -370,7 +370,7 @@ class AdaptiveAllReduce:
                 ready_times=residual,
                 byte_scale=byte_scale * max(remaining_fraction, 1.0 / 64.0),
                 max_chunks=max_chunks,
-            )
+            ).wait()
             phase2_seconds = phase2.duration
             if phase2_span is not None:
                 telemetry.end(phase2_span, sim.now)

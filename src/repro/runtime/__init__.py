@@ -7,22 +7,14 @@ registered buffers (:mod:`repro.runtime.context`,
 (:mod:`repro.runtime.executor`) that moves *real numpy payloads* through
 the fluid network so collective results are verifiable bit-for-bit.
 
-The high-level entry points live in :mod:`repro.runtime.collectives`:
-``run_reduce``, ``run_broadcast``, ``run_allreduce``, ``run_allgather``,
-``run_reduce_scatter`` and ``run_alltoall``.
+Every collective starts through :func:`repro.runtime.collectives.launch`
+(``launch(topology, strategy, inputs).wait()`` blocks until it is done),
+which lowers the strategy into chunk stages once, in
+:mod:`repro.runtime.stages` — the lowering the deadlock check and the
+race detector read too.
 """
 
-from repro.runtime.collectives import (
-    CollectiveResult,
-    PendingCollective,
-    launch_allreduce,
-    run_allgather,
-    run_allreduce,
-    run_alltoall,
-    run_broadcast,
-    run_reduce,
-    run_reduce_scatter,
-)
+from repro.runtime.collectives import CollectiveResult, PendingCollective, launch
 from repro.runtime.buffers import BufferRegistry, GpuBuffers
 from repro.runtime.context import ContextManager, TransmissionContext
 from repro.runtime.queues import WorkItem, WorkQueues
@@ -33,16 +25,10 @@ __all__ = [
     "CollectiveResult",
     "CollectiveService",
     "PendingCollective",
-    "launch_allreduce",
     "ContextManager",
     "GpuBuffers",
     "TransmissionContext",
     "WorkItem",
     "WorkQueues",
-    "run_allgather",
-    "run_allreduce",
-    "run_alltoall",
-    "run_broadcast",
-    "run_reduce",
-    "run_reduce_scatter",
+    "launch",
 ]

@@ -78,11 +78,6 @@ class GpuBuffers:
         self._sizes.pop(name, None)
         self._handles.pop(name, None)
 
-    def release_all(self) -> None:
-        """Reclaim everything (training finished)."""
-        self._sizes.clear()
-        self._handles.clear()
-
 
 class BufferRegistry:
     """Cluster-wide registry: per-rank buffers plus the IPC pointer table.

@@ -1,43 +1,54 @@
-"""High-level collective execution: strategies × payloads → results.
+"""Collective execution: strategies × payloads → results.
 
-Each ``run_*`` function executes one collective invocation on the cluster
-simulator, driving it until completion, and returns a
-:class:`CollectiveResult` with per-rank output arrays and timing. Inputs
-are numpy arrays (one per participant rank); outputs are bit-exact
-collective results, which is what lets the test suite verify AllReduce
-correctness and the relay machinery verify phase-1+phase-2 equivalence.
+:func:`launch` starts one collective invocation on the cluster simulator
+and returns a :class:`PendingCollective`; ``launch(...).wait()`` drives the
+simulator until it completes and returns a :class:`CollectiveResult` with
+per-rank output arrays and timing. Collectives launched before the
+simulator is driven overlap on the fabric — gradient bucketing, fleet
+replay and the queued service rely on this. One builder per primitive
+lowers the strategy into chunk stages (:func:`repro.runtime.stages.lower`),
+starts a :class:`~repro.runtime.executor.ChunkPipeline` per stage, and
+assembles the outputs. Inputs are numpy arrays (one per participant
+rank); outputs are bit-exact collective results, which is what lets the
+test suite verify AllReduce correctness and the relay machinery verify
+phase-1+phase-2 equivalence.
 
 Straggler/relay hooks:
 
 * ``ready_times`` — per-rank delays (seconds from the call) before the
   rank's tensor is available; sources publish chunks only after that.
-* ``active_ranks`` — ranks contributing data. Non-active participants are
-  the paper's *relays*: their flows are dropped (their tensors are not
-  aggregated) but their GPUs still appear as path intermediates, and in
-  AllReduce they still receive the broadcast stage's result.
+* ``active_ranks`` — ranks contributing data to reduce stages.
+  Non-active participants are the paper's *relays*: their flows are
+  dropped (their tensors are not aggregated) but their GPUs still appear
+  as path intermediates, and in AllReduce they still receive the
+  broadcast stage's result.
+* ``late_ranks`` (AllReduce) — relays whose tensors may become ready
+  mid-collective: their chunks join the ongoing aggregation at their own
+  GPU opportunistically (late join, Sec. IV-C), tracked per chunk so
+  phase 2 only carries the rest.
+* ``pipeline_stages=False`` (AllReduce) inserts a barrier between the
+  reduce and broadcast stages (each broadcast chunk waits for the whole
+  reduce to land) — used to model baselines like Blink whose two stages
+  are "not effectively pipelined" (Sec. VI-C).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CommunicatorError
-from repro.runtime.executor import (
-    MODE_GROUPED,
-    MODE_INDEPENDENT,
-    MODE_MERGE,
-    ChunkPipeline,
-)
+from repro.runtime.executor import ChunkPipeline
 from repro.runtime.partition import (
     check_uniform_inputs,
     chunk_ranges,
     elements_for_bytes,
     partition_ranges,
 )
-from repro.synthesis.strategy import Flow, Primitive, Strategy
+from repro.runtime.stages import Stage, agg_unit, bcast_unit, lower
+from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology
 
 
@@ -66,6 +77,33 @@ class CollectiveResult:
         return tensor_bytes / self.duration
 
 
+class PendingCollective:
+    """A launched collective.
+
+    ``done`` is the completion event; ``result()`` assembles the
+    :class:`CollectiveResult` once the event has been processed, and
+    ``wait()`` drives the simulator to that point first. Multiple pending
+    collectives launched on the same simulator overlap — the mechanism
+    behind DDP-style gradient bucketing (Fig. 3a's backward passes
+    overlapping earlier buckets' AllReduce).
+    """
+
+    def __init__(self, done, collect: Callable[[], CollectiveResult]):
+        self.done = done
+        self._collect = collect
+
+    def result(self) -> CollectiveResult:
+        """Assemble outputs and timing; valid once ``done`` has fired."""
+        if not self.done.processed:
+            raise CommunicatorError("collective has not completed yet")
+        return self._collect()
+
+    def wait(self) -> CollectiveResult:
+        """Drive the simulator until this collective completes."""
+        self.done.sim.run_until_complete(self.done)
+        return self.result()
+
+
 class _Run:
     """Shared plumbing for one collective execution."""
 
@@ -74,10 +112,12 @@ class _Run:
         topology: LogicalTopology,
         strategy: Strategy,
         inputs: Dict[int, np.ndarray],
-        active_ranks: Optional[Iterable[int]] = None,
-        ready_times: Optional[Dict[int, float]] = None,
-        byte_scale: float = 1.0,
-        max_chunks: Optional[int] = None,
+        active_ranks: Optional[Iterable[int]],
+        ready_times: Optional[Dict[int, float]],
+        byte_scale: float,
+        max_chunks: Optional[int],
+        pipeline_stages: bool,
+        late_ranks: Optional[Iterable[int]],
     ):
         if byte_scale <= 0:
             raise CommunicatorError("byte_scale must be positive")
@@ -95,7 +135,6 @@ class _Run:
         #: Simulated bytes per element. byte_scale > 1 lets the trainer move
         #: model-sized traffic (hundreds of MB) while keeping payload arrays
         #: small; timing uses scaled bytes, payloads stay bit-exact.
-        self.byte_scale = byte_scale
         self.itemsize = np.dtype(self.dtype).itemsize * byte_scale
         missing = set(strategy.participants) - set(inputs)
         if missing:
@@ -105,6 +144,8 @@ class _Run:
         )
         if not self.active <= set(strategy.participants):
             raise CommunicatorError("active ranks must be a subset of participants")
+        self.pipeline_stages = pipeline_stages
+        self.late = set(late_ranks or ()) - self.active
         delays = ready_times or {}
         self.started = self.sim.now
         self.ready_at = {
@@ -115,15 +156,17 @@ class _Run:
             rank: self.sim.timeout(self.ready_at[rank] - self.started)
             for rank in strategy.participants
         }
+        #: Every event the collective's completion waits for.
+        self.events: List = []
         self._span = None
         self._telemetry = topology.cluster.hub
 
-    def begin_trace(self, name: str) -> "_Run":
+    def begin_trace(self) -> None:
         """Open one ``category="collective"`` span for this invocation."""
         telemetry = self._telemetry
         if telemetry.enabled:
             self._span = telemetry.begin(
-                name,
+                self.strategy.primitive.value,
                 self.started,
                 category="collective",
                 track="collectives",
@@ -132,14 +175,14 @@ class _Run:
                 bytes=self.length * self.itemsize,
                 subcollectives=len(self.strategy.subcollectives),
             )
-        return self
 
-    def end_trace(self, finished: float) -> None:
+    def end_trace(self, _done) -> None:
         """Close the collective span and record latency metrics."""
         span = self._span
         if span is None:
             return
         self._span = None
+        finished = self.sim.now
         telemetry = self._telemetry
         telemetry.end(span, finished)
         telemetry.metrics.histogram(
@@ -153,273 +196,173 @@ class _Run:
         """Event that fires when ``rank``'s tensor becomes available."""
         return self._ready_events[rank]
 
-    def sc_partitions(self) -> List[Tuple[int, int]]:
-        """Element range of each sub-collective's partition."""
-        return partition_ranges(
-            self.length, [sc.size for sc in self.strategy.subcollectives]
-        )
+    def partitions(self, ranges: Sequence[Tuple[int, int]]):
+        """(sc, start, end, chunks) of every sub-collective with data, given
+        each sub-collective's element range."""
+        for sc, (start, end) in zip(self.strategy.subcollectives, ranges):
+            chunk_elems = elements_for_bytes(sc.chunk_size, self.itemsize)
+            if self.max_chunks is not None:
+                span = max(0, end - start)
+                floor_elems = -(-span // self.max_chunks) if span else 1
+                chunk_elems = max(chunk_elems, floor_elems)
+            chunks = chunk_ranges(start, end, chunk_elems)
+            if chunks:
+                yield sc, start, end, chunks
 
-    def chunks_for(self, sc, start: int, end: int) -> List[Tuple[int, int]]:
-        """Chunk element ranges tiling one sub-collective's partition."""
-        chunk_elems = elements_for_bytes(sc.chunk_size, self.itemsize)
-        if self.max_chunks is not None:
-            span = max(0, end - start)
-            floor_elems = -(-span // self.max_chunks) if span else 1
-            chunk_elems = max(chunk_elems, floor_elems)
-        return chunk_ranges(start, end, chunk_elems)
+    def tensor_partitions(self):
+        """:meth:`partitions` of the tensor split by sub-collective size."""
+        sizes = [sc.size for sc in self.strategy.subcollectives]
+        return self.partitions(partition_ranges(self.length, sizes))
 
-    def active_flows(self, sc) -> List[Tuple[int, Flow]]:
-        """(index, flow) pairs whose source rank is active."""
-        return [
-            (idx, flow)
-            for idx, flow in enumerate(sc.flows)
-            if flow.src.index in self.active
-        ]
-
-    def input_chunk_source(self, chunks: List[Tuple[int, int]], flows_by_idx):
-        """Chunk source reading from a rank's input tensor once it is ready."""
+    def input_source(self, chunks, sc: SubCollective, offsets=None):
+        """Chunk source reading a flow's source rank's input tensor once it
+        is ready, ``offsets[flow index]`` elements in (default 0)."""
 
         def source(flow_idx: int, k: int):
-            flow = flows_by_idx[flow_idx]
-            rank = flow.src.index
+            rank = sc.flows[flow_idx].src.index
+            base = offsets[flow_idx] if offsets else 0
             start, end = chunks[k]
-            return self.ready_event(rank), lambda: self.inputs[rank][start:end]
+            return (
+                self._ready_events[rank],
+                lambda: self.inputs[rank][base + start : base + end],
+            )
 
         return source
 
-    def finish(self, completion_events) -> float:
-        """Drive the simulator until every event completes; returns now."""
-        done = self.sim.all_of(list(completion_events))
-        self.sim.run_until_complete(done)
-        return self.sim.now
+    def start(self, stage: Stage, chunks, source, optional=()) -> ChunkPipeline:
+        """Build and start one stage's pipeline."""
+        pipeline = ChunkPipeline(
+            self.topology,
+            stage.flows,
+            num_chunks=len(chunks),
+            chunk_bytes=[(end - start) * self.itemsize for start, end in chunks],
+            chunk_source=source,
+            mode=stage.mode,
+            aggregates_at=stage.aggregates_at,
+            tag=stage.tag,
+            optional_flows=optional,
+        )
+        self.events.append(pipeline.start())
+        return pipeline
+
+    def result(self, outputs, included_chunks=None) -> CollectiveResult:
+        return CollectiveResult(
+            outputs=outputs,
+            started=self.started,
+            finished=self.sim.now,
+            ready_at=self.ready_at,
+            included_chunks=included_chunks or {},
+        )
 
 
-def _chunk_bytes(chunks: List[Tuple[int, int]], itemsize: int) -> List[float]:
-    return [(end - start) * itemsize for start, end in chunks]
+def _root_sum(run: _Run, sc, start, end, stage, pipeline) -> np.ndarray:
+    """The reduce stage's result at ``sc``'s root: the aggregate that
+    arrived plus the root's own tensor (the root has no flow of its own)."""
+    own = run.inputs[sc.root.index][start:end]
+    if not stage.flows:
+        return own.copy()
+    return pipeline.gather(agg_unit(sc.root), sc.root) + own
 
 
-# -- Reduce ---------------------------------------------------------------------------
-
-
-def run_reduce(
-    topology: LogicalTopology,
-    strategy: Strategy,
-    inputs: Dict[int, np.ndarray],
-    active_ranks: Optional[Iterable[int]] = None,
-    ready_times: Optional[Dict[int, float]] = None,
-    byte_scale: float = 1.0,
-    max_chunks: Optional[int] = None,
-) -> CollectiveResult:
-    """Execute a Reduce strategy; the root rank receives the elementwise sum
-    of all active ranks' tensors."""
-    if strategy.primitive is not Primitive.REDUCE:
-        raise CommunicatorError(f"run_reduce got a {strategy.primitive.value} strategy")
-    run = _Run(topology, strategy, inputs, active_ranks, ready_times, byte_scale, max_chunks)
-    root_rank = strategy.subcollectives[0].root.index
-    if root_rank not in run.active:
+def _reduce(run: _Run):
+    """Reduce: the root rank receives the elementwise sum of all active
+    ranks' tensors."""
+    root = run.strategy.subcollectives[0].root.index
+    if root not in run.active:
         raise CommunicatorError("the reduce root must be an active rank")
-    run.begin_trace("reduce")
-
-    output = np.zeros(run.length, dtype=run.dtype)
-    pipelines = []
-    events = []
-    for sc, (start, end) in zip(strategy.subcollectives, run.sc_partitions()):
-        chunks = run.chunks_for(sc, start, end)
-        flows = run.active_flows(sc)
-        if not chunks:
-            continue
-        pipeline = ChunkPipeline(
-            topology,
-            flows,
-            num_chunks=len(chunks),
-            chunk_bytes=_chunk_bytes(chunks, run.itemsize),
-            chunk_source=run.input_chunk_source(chunks, dict(flows)),
-            mode=MODE_MERGE,
-            aggregates_at=sc.aggregates_at,
-            tag=f"reduce:m{sc.index}",
-        )
-        events.append(pipeline.start())
-        pipelines.append((sc, start, end, pipeline))
+    parts = []
+    for sc, start, end, chunks in run.tensor_partitions():
+        (stage,) = lower(Primitive.REDUCE, sc, run.active)
+        pipeline = run.start(stage, chunks, run.input_source(chunks, sc))
+        parts.append((sc, start, end, stage, pipeline))
     # The final aggregation also needs the root's own tensor.
-    events.append(run.ready_event(root_rank))
-    finished = run.finish(events)
-    run.end_trace(finished)
+    run.events.append(run.ready_event(root))
 
-    for sc, start, end, pipeline in pipelines:
-        root_node = sc.root
-        if run.active_flows(sc):
-            output[start:end] = pipeline.gather(("agg", root_node), root_node)
-        else:
-            output[start:end] = inputs[root_rank][start:end]
-        # Root's own contribution when it had no aggregator (no active flows
-        # case handled above; with flows the aggregator folded it in via its
-        # own flow — except the root has no flow, so add it here).
-        if run.active_flows(sc):
-            output[start:end] += inputs[root_rank][start:end]
-    return CollectiveResult(
-        outputs={root_rank: output},
-        started=run.started,
-        finished=finished,
-        ready_at=run.ready_at,
-    )
+    def collect():
+        output = np.zeros(run.length, dtype=run.dtype)
+        for sc, start, end, stage, pipeline in parts:
+            output[start:end] = _root_sum(run, sc, start, end, stage, pipeline)
+        return run.result({root: output})
+
+    return collect
 
 
-# -- Broadcast ------------------------------------------------------------------------
+def _reduce_scatter(run: _Run):
+    """ReduceScatter: rank r receives the sum of partition r over all
+    active ranks. One per-partition Reduce rooted at each rank."""
+    parts = []
+    for sc, start, end, chunks in run.tensor_partitions():
+        (stage,) = lower(Primitive.REDUCE_SCATTER, sc, run.active)
+        pipeline = run.start(stage, chunks, run.input_source(chunks, sc))
+        run.events.append(run.ready_event(sc.root.index))
+        parts.append((sc, start, end, stage, pipeline))
 
-
-def run_broadcast(
-    topology: LogicalTopology,
-    strategy: Strategy,
-    inputs: Dict[int, np.ndarray],
-    ready_times: Optional[Dict[int, float]] = None,
-    byte_scale: float = 1.0,
-    max_chunks: Optional[int] = None,
-) -> CollectiveResult:
-    """Execute a Broadcast strategy; every participant receives the root's
-    tensor."""
-    if strategy.primitive is not Primitive.BROADCAST:
-        raise CommunicatorError(f"run_broadcast got a {strategy.primitive.value} strategy")
-    run = _Run(topology, strategy, inputs, None, ready_times, byte_scale, max_chunks)
-    run.begin_trace("broadcast")
-    root_rank = strategy.subcollectives[0].root.index
-
-    pipelines = []
-    events = []
-    for sc, (start, end) in zip(strategy.subcollectives, run.sc_partitions()):
-        chunks = run.chunks_for(sc, start, end)
-        flows = list(enumerate(sc.flows))
-        if not chunks or not flows:
-            continue
-        pipeline = ChunkPipeline(
-            topology,
-            flows,
-            num_chunks=len(chunks),
-            chunk_bytes=_chunk_bytes(chunks, run.itemsize),
-            chunk_source=run.input_chunk_source(chunks, dict(flows)),
-            mode=MODE_GROUPED,
-            tag=f"bcast:m{sc.index}",
+    def collect():
+        return run.result(
+            {part[0].root.index: _root_sum(run, *part) for part in parts}
         )
-        events.append(pipeline.start())
-        pipelines.append((sc, start, end, pipeline))
-    finished = run.finish(events)
-    run.end_trace(finished)
 
-    outputs: Dict[int, np.ndarray] = {
-        rank: np.zeros(run.length, dtype=run.dtype) for rank in strategy.participants
-    }
-    outputs[root_rank][:] = inputs[root_rank]
-    for sc, start, end, pipeline in pipelines:
-        for _idx, flow in enumerate(sc.flows):
-            dst_rank = flow.dst.index
-            outputs[dst_rank][start:end] = pipeline.gather(("bcast", sc.root), flow.dst)
-    return CollectiveResult(
-        outputs=outputs, started=run.started, finished=finished, ready_at=run.ready_at
-    )
+    return collect
 
 
-# -- AllReduce ------------------------------------------------------------------------
+def _broadcast(run: _Run):
+    """Broadcast: every participant receives the root's tensor."""
+    root = run.strategy.subcollectives[0].root.index
+    parts = []
+    for sc, start, end, chunks in run.tensor_partitions():
+        (stage,) = lower(Primitive.BROADCAST, sc)
+        parts.append((sc, start, end, run.start(stage, chunks, run.input_source(chunks, sc))))
+
+    def collect():
+        outputs = {
+            rank: np.zeros(run.length, dtype=run.dtype) for rank in run.strategy.participants
+        }
+        outputs[root][:] = run.inputs[root]
+        for sc, start, end, pipeline in parts:
+            for idx, flow in enumerate(sc.flows):
+                outputs[flow.dst.index][start:end] = pipeline.delivered(idx)
+        return run.result(outputs)
+
+    return collect
 
 
-def run_allreduce(
-    topology: LogicalTopology,
-    strategy: Strategy,
-    inputs: Dict[int, np.ndarray],
-    active_ranks: Optional[Iterable[int]] = None,
-    ready_times: Optional[Dict[int, float]] = None,
-    pipeline_stages: bool = True,
-    byte_scale: float = 1.0,
-    max_chunks: Optional[int] = None,
-    late_ranks: Optional[Iterable[int]] = None,
-) -> CollectiveResult:
-    """Execute an AllReduce strategy (reduce stage + pipelined reversed
-    broadcast stage, Sec. V-B "multi-stage parallelism").
+def _allreduce(run: _Run):
+    """AllReduce: a reduce stage feeding a pipelined reversed broadcast
+    stage per sub-collective (Sec. V-B "multi-stage parallelism").
 
     With ``active_ranks`` a strict subset, this is the paper's *phase 1*:
     relays forward but do not contribute, and every participant — relay or
     not — receives the partial sum over active ranks.
-
-    ``pipeline_stages=False`` inserts a barrier between the reduce and
-    broadcast stages (each broadcast chunk waits for the whole reduce to
-    land) — used to model baselines like Blink whose two stages are "not
-    effectively pipelined" (Sec. VI-C).
     """
-    if strategy.primitive is not Primitive.ALLREDUCE:
-        raise CommunicatorError(f"run_allreduce got a {strategy.primitive.value} strategy")
-    run = _Run(topology, strategy, inputs, active_ranks, ready_times, byte_scale, max_chunks)
-    run.begin_trace("allreduce")
-    events, stages = _build_allreduce(run, strategy, inputs, pipeline_stages, late_ranks)
-    finished = run.finish(events)
-    run.end_trace(finished)
-    outputs = _collect_allreduce_outputs(run, strategy, inputs, stages)
-    return CollectiveResult(
-        outputs=outputs,
-        started=run.started,
-        finished=finished,
-        ready_at=run.ready_at,
-        included_chunks=_collect_included(strategy, stages),
-    )
-
-
-def _build_allreduce(
-    run: "_Run",
-    strategy: Strategy,
-    inputs,
-    pipeline_stages: bool,
-    late_ranks: Optional[Iterable[int]] = None,
-):
-    """Launch the reduce+broadcast pipelines; returns (events, stages).
-
-    ``late_ranks`` are non-active participants whose tensors may become
-    ready mid-collective: their chunks join the ongoing aggregation at
-    their own GPU opportunistically (late join, Sec. IV-C), tracked per
-    chunk so phase 2 only carries the rest."""
-    topology = run.topology
-    late = set(late_ranks or ()) - run.active
-    stages = []
-    events = []
-    for sc, (start, end) in zip(strategy.subcollectives, run.sc_partitions()):
-        chunks = run.chunks_for(sc, start, end)
-        flows = run.active_flows(sc)
+    inputs = run.inputs
+    parts = []
+    for sc, start, end, chunks in run.tensor_partitions():
+        reduce_stage, bcast_stage = lower(Primitive.ALLREDUCE, sc, run.active)
         root_node = sc.root
         root_rank = root_node.index
         root_active = root_rank in run.active
-        if not chunks:
-            continue
-        if not flows and not root_active:
+        if not reduce_stage.flows and not root_active:
             # Nothing reaches this partition's root: the partial sum over
             # the active set is zero here, which the zero-initialised
             # outputs already represent.
             continue
-        chunk_bytes = _chunk_bytes(chunks, run.itemsize)
-
-        all_flows_by_idx = dict(enumerate(sc.flows))
-        reduce_pipeline = ChunkPipeline(
-            topology,
-            flows,
-            num_chunks=len(chunks),
-            chunk_bytes=chunk_bytes,
-            chunk_source=run.input_chunk_source(chunks, all_flows_by_idx),
-            mode=MODE_MERGE,
-            aggregates_at=sc.aggregates_at,
-            tag=f"allreduce-red:m{sc.index}",
+        late = [
+            (idx, flow.path) for idx, flow in enumerate(sc.flows) if flow.src.index in run.late
+        ]
+        reduce_pipeline = run.start(
+            reduce_stage, chunks, run.input_source(chunks, sc), optional=late
         )
-        reduce_pipeline.optional_flows = {
-            idx: flow
-            for idx, flow in enumerate(sc.flows)
-            if flow.src.index in late
-        }
-        events.append(reduce_pipeline.start())
 
         # Root's own contribution (it has no flow of its own) plus the
         # reduce stage's output feed the broadcast stage chunk by chunk —
         # this is the stage pipelining: a chunk is broadcast as soon as its
         # aggregation lands, not when the whole reduce finishes.
-        if flows:
-            agg_slots = reduce_pipeline.output_slots(("agg", root_node), root_node)
+        if reduce_stage.flows:
+            agg_slots = reduce_pipeline.output_slots(agg_unit(root_node), root_node)
         else:
             agg_slots = None
 
-        def stage_source(
+        def fed_source(
             flow_idx,
             k,
             _chunks=chunks,
@@ -434,291 +377,77 @@ def _build_allreduce(
             slot = _slots[k]
             # With stage pipelining a chunk broadcasts as soon as it lands;
             # without, every chunk waits for the reduce stage's last chunk.
-            gate = slot.event if pipeline_stages else _slots[-1].event
+            gate = slot.event if run.pipeline_stages else _slots[-1].event
             if _root_active:
                 return gate, lambda: slot.payload + inputs[_root][start_k:end_k]
             # A relay root aggregates received data only (its own tensor is
             # not ready — it joins in phase 2).
             return gate, lambda: slot.payload
 
-        broadcast_flows = [
-            (idx, Flow(flow.dst, flow.src, list(reversed(flow.path))))
-            for idx, flow in enumerate(sc.flows)
-        ]
-        broadcast_pipeline = ChunkPipeline(
-            topology,
-            broadcast_flows,
-            num_chunks=len(chunks),
-            chunk_bytes=chunk_bytes,
-            chunk_source=stage_source,
-            mode=MODE_GROUPED,
-            tag=f"allreduce-bc:m{sc.index}",
-        )
-        events.append(broadcast_pipeline.start())
+        bcast_pipeline = run.start(bcast_stage, chunks, fed_source)
         if root_active:
-            events.append(run.ready_event(root_rank))
-        stages.append((sc, start, end, broadcast_pipeline, reduce_pipeline, chunks))
-    return events, stages
+            run.events.append(run.ready_event(root_rank))
+        parts.append((sc, start, end, bcast_pipeline, reduce_pipeline, chunks))
 
-
-def _collect_allreduce_outputs(run: "_Run", strategy: Strategy, inputs, stages):
-    """Assemble per-rank outputs after the pipelines have completed."""
-    outputs: Dict[int, np.ndarray] = {
-        rank: np.zeros(run.length, dtype=run.dtype) for rank in strategy.participants
-    }
-    for sc, start, end, pipeline, _reduce_pipeline, _chunks in stages:
-        root_node = sc.root
-        if not sc.flows:
-            outputs[root_node.index][start:end] = inputs[root_node.index][start:end]
-            continue
-        for _idx, flow in enumerate(sc.flows):
+    def collect():
+        outputs = {
+            rank: np.zeros(run.length, dtype=run.dtype) for rank in run.strategy.participants
+        }
+        included: Dict[int, List[Tuple[int, int]]] = {}
+        for sc, start, end, pipeline, reduce_pipeline, chunks in parts:
+            root_node = sc.root
+            for flow_idx, k in reduce_pipeline.included_optional:
+                included.setdefault(sc.flows[flow_idx].src.index, []).append(chunks[k])
+            if not sc.flows:
+                outputs[root_node.index][start:end] = inputs[root_node.index][start:end]
+                continue
             # Broadcast flows run root -> original source.
-            dst_rank = flow.src.index
-            outputs[dst_rank][start:end] = pipeline.gather(("bcast", root_node), flow.src)
-        root_chunks = pipeline.output_slots(("bcast", root_node), root_node)
-        outputs[root_node.index][start:end] = np.concatenate(
-            [slot.payload for slot in root_chunks]
-        )
-    return outputs
-
-
-def _collect_included(strategy: Strategy, stages) -> Dict[int, List[Tuple[int, int]]]:
-    """Per-rank element ranges that late-joined the reduce stage."""
-    included: Dict[int, List[Tuple[int, int]]] = {}
-    for sc, _start, _end, _bcast, reduce_pipeline, chunks in stages:
-        for flow_idx, k in reduce_pipeline.included_optional:
-            rank = sc.flows[flow_idx].src.index
-            included.setdefault(rank, []).append(chunks[k])
-    for ranges in included.values():
-        ranges.sort()
-    return included
-
-
-class PendingCollective:
-    """A launched-but-not-awaited collective (for overlap/bucketing).
-
-    ``done`` is the completion event; ``result()`` assembles the
-    :class:`CollectiveResult` once the event has been processed. Multiple
-    pending collectives launched on the same simulator overlap — the
-    mechanism behind DDP-style gradient bucketing (Fig. 3a's backward
-    passes overlapping earlier buckets' AllReduce).
-    """
-
-    def __init__(
-        self,
-        run: "_Run",
-        done,
-        finalize: Callable[[], Dict[int, np.ndarray]],
-        included: Optional[Callable[[], Dict]] = None,
-    ):
-        self._run = run
-        self.done = done
-        self._finalize = finalize
-        self._included = included or (lambda: {})
-
-    @property
-    def sim(self):
-        """The simulator this collective runs on."""
-        return self._run.sim
-
-    def result(self) -> CollectiveResult:
-        """Assemble outputs and timing; valid once ``done`` has fired."""
-        if not self.done.processed:
-            raise CommunicatorError("collective has not completed yet")
-        return CollectiveResult(
-            outputs=self._finalize(),
-            started=self._run.started,
-            finished=self._run.sim.now,
-            ready_at=self._run.ready_at,
-            included_chunks=self._included(),
-        )
-
-
-def launch_allreduce(
-    topology: LogicalTopology,
-    strategy: Strategy,
-    inputs: Dict[int, np.ndarray],
-    active_ranks: Optional[Iterable[int]] = None,
-    ready_times: Optional[Dict[int, float]] = None,
-    pipeline_stages: bool = True,
-    byte_scale: float = 1.0,
-    max_chunks: Optional[int] = None,
-    late_ranks: Optional[Iterable[int]] = None,
-) -> PendingCollective:
-    """Non-blocking AllReduce: start the pipelines and return a handle.
-
-    Semantics match :func:`run_allreduce`; the caller drives the simulator
-    (``sim.run_until_complete(pending.done)``) and then reads
-    ``pending.result()``. Launching several collectives before driving
-    overlaps them on the fabric — gradient bucketing uses this.
-    """
-    if strategy.primitive is not Primitive.ALLREDUCE:
-        raise CommunicatorError(
-            f"launch_allreduce got a {strategy.primitive.value} strategy"
-        )
-    run = _Run(topology, strategy, inputs, active_ranks, ready_times, byte_scale, max_chunks)
-    run.begin_trace("allreduce")
-    events, stages = _build_allreduce(run, strategy, inputs, pipeline_stages, late_ranks)
-    done = run.sim.all_of(list(events))
-    done.add_callback(lambda _evt: run.end_trace(run.sim.now))
-
-    def finalize() -> Dict[int, np.ndarray]:
-        return _collect_allreduce_outputs(run, strategy, inputs, stages)
-
-    return PendingCollective(
-        run, done, finalize, included=lambda: _collect_included(strategy, stages)
-    )
-
-
-# -- AllGather ------------------------------------------------------------------------
-
-
-def run_allgather(
-    topology: LogicalTopology,
-    strategy: Strategy,
-    inputs: Dict[int, np.ndarray],
-    ready_times: Optional[Dict[int, float]] = None,
-    byte_scale: float = 1.0,
-    max_chunks: Optional[int] = None,
-) -> CollectiveResult:
-    """Execute AllGather: every rank ends with the concatenation of all
-    ranks' shards, in rank order. One broadcast sub-collective per rank
-    (Sec. IV-D)."""
-    if strategy.primitive is not Primitive.ALLGATHER:
-        raise CommunicatorError(f"run_allgather got a {strategy.primitive.value} strategy")
-    run = _Run(topology, strategy, inputs, None, ready_times, byte_scale, max_chunks)
-    run.begin_trace("allgather")
-    ranks = sorted(strategy.participants)
-    offsets = {rank: pos * run.length for pos, rank in enumerate(ranks)}
-
-    pipelines = []
-    events = []
-    for sc in strategy.subcollectives:
-        chunks = run.chunks_for(sc, 0, run.length)  # each shard in full
-        flows = list(enumerate(sc.flows))
-        if not chunks or not flows:
-            continue
-        pipeline = ChunkPipeline(
-            topology,
-            flows,
-            num_chunks=len(chunks),
-            chunk_bytes=_chunk_bytes(chunks, run.itemsize),
-            chunk_source=run.input_chunk_source(chunks, dict(flows)),
-            mode=MODE_GROUPED,
-            tag=f"allgather:m{sc.index}",
-        )
-        events.append(pipeline.start())
-        pipelines.append((sc, pipeline))
-    finished = run.finish(events)
-    run.end_trace(finished)
-
-    total = run.length * len(ranks)
-    outputs = {rank: np.zeros(total, dtype=run.dtype) for rank in ranks}
-    for rank in ranks:
-        outputs[rank][offsets[rank] : offsets[rank] + run.length] = inputs[rank]
-    for sc, pipeline in pipelines:
-        src_rank = sc.root.index
-        for _idx, flow in enumerate(sc.flows):
-            dst_rank = flow.dst.index
-            outputs[dst_rank][offsets[src_rank] : offsets[src_rank] + run.length] = (
-                pipeline.gather(("bcast", sc.root), flow.dst)
+            for idx, flow in enumerate(sc.flows):
+                outputs[flow.src.index][start:end] = pipeline.delivered(idx)
+            outputs[root_node.index][start:end] = pipeline.gather(
+                bcast_unit(root_node), root_node
             )
-    return CollectiveResult(
-        outputs=outputs, started=run.started, finished=finished, ready_at=run.ready_at
-    )
+        for ranges in included.values():
+            ranges.sort()
+        return run.result(outputs, included)
+
+    return collect
 
 
-# -- ReduceScatter --------------------------------------------------------------------
+def _allgather(run: _Run):
+    """AllGather: every rank ends with the concatenation of all ranks'
+    shards, in rank order. One broadcast sub-collective per rank, each
+    carrying its shard in full (Sec. IV-D)."""
+    ranks = sorted(run.strategy.participants)
+    offsets = {rank: pos * run.length for pos, rank in enumerate(ranks)}
+    parts = []
+    whole = [(0, run.length)] * len(run.strategy.subcollectives)
+    for sc, _start, _end, chunks in run.partitions(whole):
+        (stage,) = lower(Primitive.ALLGATHER, sc)
+        parts.append((sc, run.start(stage, chunks, run.input_source(chunks, sc))))
+
+    def collect():
+        total = run.length * len(ranks)
+        outputs = {rank: np.zeros(total, dtype=run.dtype) for rank in ranks}
+        for rank in ranks:
+            outputs[rank][offsets[rank] : offsets[rank] + run.length] = run.inputs[rank]
+        for sc, pipeline in parts:
+            base = offsets[sc.root.index]
+            for idx, flow in enumerate(sc.flows):
+                outputs[flow.dst.index][base : base + run.length] = pipeline.delivered(idx)
+        return run.result(outputs)
+
+    return collect
 
 
-def run_reduce_scatter(
-    topology: LogicalTopology,
-    strategy: Strategy,
-    inputs: Dict[int, np.ndarray],
-    active_ranks: Optional[Iterable[int]] = None,
-    ready_times: Optional[Dict[int, float]] = None,
-    byte_scale: float = 1.0,
-    max_chunks: Optional[int] = None,
-) -> CollectiveResult:
-    """Execute ReduceScatter: rank r receives the sum of partition r over
-    all active ranks. One per-partition Reduce rooted at each rank."""
-    if strategy.primitive is not Primitive.REDUCE_SCATTER:
-        raise CommunicatorError(
-            f"run_reduce_scatter got a {strategy.primitive.value} strategy"
-        )
-    run = _Run(topology, strategy, inputs, active_ranks, ready_times, byte_scale, max_chunks)
-    run.begin_trace("reduce_scatter")
+def _alltoall(run: _Run):
+    """AlltoAll: rank d's output block s is rank s's input block d.
 
-    pipelines = []
-    events = []
-    for sc, (start, end) in zip(strategy.subcollectives, run.sc_partitions()):
-        chunks = run.chunks_for(sc, start, end)
-        flows = run.active_flows(sc)
-        if not chunks:
-            continue
-        pipeline = ChunkPipeline(
-            topology,
-            flows,
-            num_chunks=len(chunks),
-            chunk_bytes=_chunk_bytes(chunks, run.itemsize),
-            chunk_source=run.input_chunk_source(chunks, dict(flows)),
-            mode=MODE_MERGE,
-            aggregates_at=sc.aggregates_at,
-            tag=f"rs:m{sc.index}",
-        )
-        events.append(pipeline.start())
-        events.append(run.ready_event(sc.root.index))
-        pipelines.append((sc, start, end, pipeline))
-    finished = run.finish(events)
-    run.end_trace(finished)
-
-    outputs: Dict[int, np.ndarray] = {}
-    for sc, start, end, pipeline in pipelines:
-        root_rank = sc.root.index
-        if run.active_flows(sc):
-            partition = pipeline.gather(("agg", sc.root), sc.root)
-            partition = partition + inputs[root_rank][start:end]
-        else:
-            partition = inputs[root_rank][start:end].copy()
-        outputs[root_rank] = partition
-    return CollectiveResult(
-        outputs=outputs, started=run.started, finished=finished, ready_at=run.ready_at
-    )
-
-
-# -- AlltoAll -------------------------------------------------------------------------
-
-
-def run_alltoall(
-    topology: LogicalTopology,
-    strategy: Strategy,
-    inputs: Dict[int, np.ndarray],
-    ready_times: Optional[Dict[int, float]] = None,
-    byte_scale: float = 1.0,
-    max_chunks: Optional[int] = None,
-) -> CollectiveResult:
-    """Execute AlltoAll: rank d's output block s is rank s's input block d.
-
-    Tensor lengths must be divisible by the world size (standard equal-split
-    AlltoAll semantics).
+    Tensor lengths must be divisible by the world size (standard
+    equal-split AlltoAll semantics); each per-pair block is partitioned
+    across sub-collectives.
     """
-    if strategy.primitive is not Primitive.ALLTOALL:
-        raise CommunicatorError(f"run_alltoall got a {strategy.primitive.value} strategy")
-    run = _Run(topology, strategy, inputs, None, ready_times, byte_scale, max_chunks)
-    run.begin_trace("alltoall")
-    events, pipelines, position, block = _build_alltoall(run, strategy)
-    finished = run.finish(events)
-    run.end_trace(finished)
-    outputs = _collect_alltoall_outputs(run, strategy, inputs, pipelines, position, block)
-    return CollectiveResult(
-        outputs=outputs, started=run.started, finished=finished, ready_at=run.ready_at
-    )
-
-
-def _build_alltoall(run: "_Run", strategy: Strategy):
-    """Launch the per-pair AlltoAll pipelines; returns (events, pipelines,
-    position, block)."""
-    ranks = sorted(strategy.participants)
+    ranks = sorted(run.strategy.participants)
     world = len(ranks)
     if run.length % world != 0:
         raise CommunicatorError(
@@ -726,87 +455,68 @@ def _build_alltoall(run: "_Run", strategy: Strategy):
         )
     block = run.length // world
     position = {rank: pos for pos, rank in enumerate(ranks)}
+    sizes = [sc.size for sc in run.strategy.subcollectives]
+    parts = []
+    for sc, start, end, chunks in run.partitions(partition_ranges(block, sizes)):
+        (stage,) = lower(Primitive.ALLTOALL, sc)
+        # A flow reads the block of its source's tensor meant for its dst.
+        offsets = [position[flow.dst.index] * block for flow in sc.flows]
+        source = run.input_source(chunks, sc, offsets)
+        parts.append((sc, start, end, run.start(stage, chunks, source)))
 
-    # Partition each per-pair block across sub-collectives.
-    sub_ranges = partition_ranges(block, [sc.size for sc in strategy.subcollectives])
+    def collect():
+        outputs = {rank: np.zeros(run.length, dtype=run.dtype) for rank in ranks}
+        for rank in ranks:
+            base = position[rank] * block
+            outputs[rank][base : base + block] = run.inputs[rank][base : base + block]
+        for sc, start, end, pipeline in parts:
+            for idx, flow in enumerate(sc.flows):
+                base = position[flow.src.index] * block
+                outputs[flow.dst.index][base + start : base + end] = pipeline.delivered(idx)
+        return run.result(outputs)
 
-    pipelines = []
-    events = []
-    for sc, (sub_start, sub_end) in zip(strategy.subcollectives, sub_ranges):
-        if sub_end <= sub_start:
-            continue
-        chunks = run.chunks_for(sc, sub_start, sub_end)
-        flows = list(enumerate(sc.flows))
-        if not chunks or not flows:
-            continue
-        flows_by_idx = dict(flows)
-
-        def pair_source(flow_idx, k, _chunks=chunks, _flows=flows_by_idx):
-            flow = _flows[flow_idx]
-            src_rank, dst_rank = flow.src.index, flow.dst.index
-            start_k, end_k = _chunks[k]
-            base = position[dst_rank] * block
-            return (
-                run.ready_event(src_rank),
-                lambda: run.inputs[src_rank][base + start_k : base + end_k],
-            )
-
-        pipeline = ChunkPipeline(
-            run.topology,
-            flows,
-            num_chunks=len(chunks),
-            chunk_bytes=_chunk_bytes(chunks, run.itemsize),
-            chunk_source=pair_source,
-            mode=MODE_INDEPENDENT,
-            tag=f"a2a:m{sc.index}",
-        )
-        events.append(pipeline.start())
-        pipelines.append((sc, sub_start, sub_end, pipeline))
-    return events, pipelines, position, block
+    return collect
 
 
-def _collect_alltoall_outputs(run: "_Run", strategy: Strategy, inputs, pipelines, position, block):
-    """Assemble per-rank AlltoAll outputs after the pipelines complete."""
-    ranks = sorted(strategy.participants)
-    outputs = {rank: np.zeros(run.length, dtype=run.dtype) for rank in ranks}
-    for rank in ranks:
-        base = position[rank] * block
-        outputs[rank][base : base + block] = inputs[rank][base : base + block]
-    for sc, sub_start, sub_end, pipeline in pipelines:
-        for idx, flow in enumerate(sc.flows):
-            src_rank, dst_rank = flow.src.index, flow.dst.index
-            payload = pipeline.gather(("flow", idx), flow.dst)
-            base = position[src_rank] * block
-            outputs[dst_rank][base + sub_start : base + sub_end] = payload
-    return outputs
+_BUILDERS = {
+    Primitive.REDUCE: _reduce,
+    Primitive.BROADCAST: _broadcast,
+    Primitive.ALLREDUCE: _allreduce,
+    Primitive.ALLGATHER: _allgather,
+    Primitive.REDUCE_SCATTER: _reduce_scatter,
+    Primitive.ALLTOALL: _alltoall,
+}
 
 
-def launch_alltoall(
+def launch(
     topology: LogicalTopology,
     strategy: Strategy,
     inputs: Dict[int, np.ndarray],
+    active_ranks: Optional[Iterable[int]] = None,
     ready_times: Optional[Dict[int, float]] = None,
     byte_scale: float = 1.0,
     max_chunks: Optional[int] = None,
+    pipeline_stages: bool = True,
+    late_ranks: Optional[Iterable[int]] = None,
 ) -> PendingCollective:
-    """Non-blocking AlltoAll: start the pipelines and return a handle.
+    """Start ``strategy``'s collective on ``inputs``; returns its handle.
 
-    Semantics match :func:`run_alltoall`; the caller drives the simulator
-    and reads ``pending.result()`` once ``pending.done`` has fired.
-    Concurrent jobs in fleet replay launch through this so their AlltoAll
-    traffic overlaps other jobs' collectives on the shared fabric.
+    Nothing runs until the simulator is driven: ``launch(...).wait()``
+    is the blocking form. See the module docstring for the hooks.
     """
-    if strategy.primitive is not Primitive.ALLTOALL:
-        raise CommunicatorError(
-            f"launch_alltoall got a {strategy.primitive.value} strategy"
-        )
-    run = _Run(topology, strategy, inputs, None, ready_times, byte_scale, max_chunks)
-    run.begin_trace("alltoall")
-    events, pipelines, position, block = _build_alltoall(run, strategy)
-    done = run.sim.all_of(list(events))
-    done.add_callback(lambda _evt: run.end_trace(run.sim.now))
-
-    def finalize() -> Dict[int, np.ndarray]:
-        return _collect_alltoall_outputs(run, strategy, inputs, pipelines, position, block)
-
-    return PendingCollective(run, done, finalize)
+    run = _Run(
+        topology,
+        strategy,
+        inputs,
+        active_ranks,
+        ready_times,
+        byte_scale,
+        max_chunks,
+        pipeline_stages,
+        late_ranks,
+    )
+    collect = _BUILDERS[strategy.primitive](run)
+    run.begin_trace()
+    done = run.sim.all_of(run.events)
+    done.add_callback(run.end_trace)
+    return PendingCollective(done, collect)

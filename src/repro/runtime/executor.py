@@ -17,8 +17,10 @@ graph over the simulator:
   chaining: an AllReduce broadcast stage sources from the reduce stage's
   output slots, which is exactly the paper's reduce/broadcast pipelining).
 
-Payloads are real numpy arrays, so tests can assert bit-exact collective
-semantics, not just timing.
+Which senders, aggregators and sources a stage has is
+:func:`repro.runtime.stages.wire`'s answer, shared with the deadlock check
+and the race detector. Payloads are real numpy arrays, so tests can assert
+bit-exact collective semantics, not just timing.
 """
 
 from __future__ import annotations
@@ -29,17 +31,21 @@ import numpy as np
 
 from repro.analysis.config import verification_enabled
 from repro.errors import CommunicatorError
+from repro.runtime.stages import (  # noqa: F401 - the modes are re-exported
+    MODE_GROUPED,
+    MODE_INDEPENDENT,
+    MODE_MERGE,
+    MODES,
+    FlowPath,
+    UnitKey,
+    agg_unit,
+    unit_label,
+    wire,
+)
 from repro.simulation.engine import Event, Simulator
-from repro.synthesis.strategy import Flow
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind
 
-UnitKey = Tuple
 SlotKey = Tuple[UnitKey, NodeId, int]
-
-#: Pipeline modes, matching the evaluator's bandwidth-sharing rules.
-MODE_MERGE = "merge"  # reduce-family: units merge at aggregation points
-MODE_GROUPED = "grouped"  # broadcast: replicas share one unit per source
-MODE_INDEPENDENT = "independent"  # alltoall: every flow is its own unit
 
 
 class Slot:
@@ -62,12 +68,21 @@ ChunkSource = Callable[[int, int], Tuple[Event, Callable[[], np.ndarray]]]
 
 
 class ChunkPipeline:
-    """Event-graph execution of one sub-collective stage."""
+    """Event-graph execution of one sub-collective stage.
+
+    ``flows`` are ``(flow index, node path)`` pairs; ``chunk_source(flow
+    index, k)`` gives chunk k's availability event and payload getter.
+    ``optional_flows`` are late-join candidates: flow ``i``'s chunk k is
+    folded into the aggregation at its source node iff it is ready when
+    chunk k's kernel runs (Sec. IV-C: "data chunks with the same offset
+    join the ongoing aggregation"); chunks that miss the window stay for
+    phase 2, and :attr:`included_optional` records the ones that made it.
+    """
 
     def __init__(
         self,
         topology: LogicalTopology,
-        flows: Sequence[Tuple[int, Flow]],
+        flows: Sequence[FlowPath],
         num_chunks: int,
         chunk_bytes: Sequence[float],
         chunk_source: ChunkSource,
@@ -75,8 +90,9 @@ class ChunkPipeline:
         aggregates_at: Optional[Callable[[NodeId], bool]] = None,
         kernel_enabled: bool = True,
         tag: str = "collective",
+        optional_flows: Sequence[FlowPath] = (),
     ):
-        if mode not in (MODE_MERGE, MODE_GROUPED, MODE_INDEPENDENT):
+        if mode not in MODES:
             raise CommunicatorError(f"unknown pipeline mode {mode!r}")
         if mode is not MODE_MERGE and aggregates_at is not None:
             raise CommunicatorError("aggregation only applies to merge mode")
@@ -91,11 +107,14 @@ class ChunkPipeline:
         self.chunk_bytes = list(chunk_bytes)
         self.chunk_source = chunk_source
         self.mode = mode
-        self._aggregates_at = aggregates_at or (lambda node: False)
+        self._aggregates_at = aggregates_at
         self.kernel_enabled = kernel_enabled
         self.tag = tag
+        self.optional_flows = list(optional_flows)
+        #: (flow index, chunk index) pairs that did make it into phase 1.
+        self.included_optional: set = set()
         self._slots: Dict[SlotKey, Slot] = {}
-        self._published: set = set()
+        self._terminals: Dict[int, Tuple[UnitKey, NodeId]] = {}
         self._started = False
         # Resolved once per pipeline: None when telemetry is off, so the
         # per-chunk hot paths below pay a single identity check and
@@ -104,32 +123,6 @@ class ChunkPipeline:
         # Same idiom for the data-plane integrity/chaos tap: resolved once
         # per pipeline, None when nobody is attached.
         self._data_plane = cluster.data_plane if cluster.data_plane.active else None
-        #: Flow indices whose data joins *opportunistically*: a late-ready
-        #: relay's chunk k is folded into the aggregation at its source
-        #: node iff it is ready when chunk k's kernel runs (Sec. IV-C:
-        #: "data chunks with the same offset join the ongoing
-        #: aggregation"). Chunks that miss the window stay for phase 2.
-        self.optional_flows: Dict[int, Flow] = {}
-        #: (flow_idx, chunk index) pairs that did make it into phase 1.
-        self.included_optional: set = set()
-
-    # -- unit algebra ---------------------------------------------------------------
-
-    def aggregates_at(self, node: NodeId) -> bool:
-        """Whether this pipeline merges units at ``node`` (merge mode only)."""
-        return self.mode == MODE_MERGE and bool(self._aggregates_at(node))
-
-    def unit_at(self, flow_idx: int, flow: Flow, path_idx: int) -> UnitKey:
-        """The traffic unit carrying ``flow`` outgoing from path[path_idx]."""
-        if self.mode == MODE_GROUPED:
-            return ("bcast", flow.src)
-        if self.mode == MODE_INDEPENDENT:
-            return ("flow", flow_idx)
-        unit: UnitKey = ("flow", flow_idx)
-        for idx in range(path_idx + 1):
-            if self.aggregates_at(flow.path[idx]):
-                unit = ("agg", flow.path[idx])
-        return unit
 
     def slot(self, unit: UnitKey, node: NodeId, k: int) -> Slot:
         """The (lazily created) availability slot of one chunk at one node."""
@@ -137,10 +130,6 @@ class ChunkPipeline:
         if key not in self._slots:
             self._slots[key] = Slot(self.sim)
         return self._slots[key]
-
-    def output_unit(self, flow_idx: int, flow: Flow) -> UnitKey:
-        """The unit under which this flow's data arrives at its destination."""
-        return self.unit_at(flow_idx, flow, len(flow.path) - 1)
 
     # -- wiring ----------------------------------------------------------------------
 
@@ -157,11 +146,7 @@ class ChunkPipeline:
             return
         from repro.analysis.verify_strategy import stage_unreachable
 
-        unreachable = stage_unreachable(
-            [(idx, flow.path) for idx, flow in self.flows],
-            self.mode,
-            self._aggregates_at,
-        )
+        unreachable = stage_unreachable(self.flows, self.mode, self._aggregates_at)
         if unreachable:
             unique = list(dict.fromkeys(unreachable))
             detail = ", ".join(f"{unit} at {node}" for unit, node in unique[:4])
@@ -180,44 +165,28 @@ class ChunkPipeline:
         if verification_enabled():
             self.validate()
 
-        senders: Dict[Tuple[NodeId, NodeId, UnitKey], None] = {}
-        #: Incoming units per aggregating node.
-        agg_inputs: Dict[NodeId, set] = {}
-        #: Active source flows per aggregating node (their data merges there).
-        agg_local: Dict[NodeId, List[int]] = {}
-        terminal_events: List[Event] = []
-
-        for flow_idx, flow in self.flows:
-            src = flow.path[0]
-            if self.aggregates_at(src):
-                agg_inputs.setdefault(src, set())
-                agg_local.setdefault(src, []).append(flow_idx)
-            else:
-                self._spawn_source(flow_idx, flow)
-            for path_idx, (i, j) in enumerate(flow.edges):
-                unit = self.unit_at(flow_idx, flow, path_idx)
-                senders.setdefault((i, j, unit), None)
-                if self.aggregates_at(j):
-                    agg_inputs.setdefault(j, set()).add(unit)
-            out_unit = self.output_unit(flow_idx, flow)
-            terminal_events.append(self.slot(out_unit, flow.dst, self.num_chunks - 1).event)
+        wiring = wire(self.flows, self.mode, self._aggregates_at)
+        for flow_idx, unit, node in wiring.sources:
+            self.sim.process(self._source(flow_idx, unit, node), name=f"src:{node}")
+        last = self.num_chunks - 1
+        self._terminals = dict(zip((idx for idx, _path in self.flows), wiring.terminals))
+        terminal_events = [self.slot(unit, node, last).event for unit, node in wiring.terminals]
 
         # Late-join candidates attach as optional contributors wherever an
         # aggregation is already happening at their source node.
         agg_optional: Dict[NodeId, List[int]] = {}
-        for flow_idx, flow in self.optional_flows.items():
-            src = flow.path[0]
-            if src in agg_inputs and self.aggregates_at(src):
-                agg_optional.setdefault(src, []).append(flow_idx)
+        for flow_idx, path in self.optional_flows:
+            if path[0] in wiring.agg_inputs:
+                agg_optional.setdefault(path[0], []).append(flow_idx)
 
-        for (i, j, unit) in senders:
+        for (i, j, unit) in wiring.senders:
             self.sim.process(self._sender(i, j, unit), name=f"send:{i}->{j}")
-        for node, units in agg_inputs.items():
+        for node, units in wiring.agg_inputs.items():
             self.sim.process(
                 self._aggregator(
                     node,
                     sorted(units),
-                    agg_local.get(node, []),
+                    wiring.agg_local.get(node, []),
                     agg_optional.get(node, []),
                 ),
                 name=f"agg:{node}",
@@ -226,19 +195,11 @@ class ChunkPipeline:
 
     # -- processes ----------------------------------------------------------------------
 
-    def _spawn_source(self, flow_idx: int, flow: Flow) -> None:
-        unit = self.unit_at(flow_idx, flow, 0)
-        key = (unit, flow.src)
-        if key in self._published:
-            return  # grouped mode: another flow already publishes this unit
-        self._published.add(key)
-        self.sim.process(self._source(flow_idx, flow, unit), name=f"src:{flow.src}")
-
-    def _source(self, flow_idx: int, flow: Flow, unit: UnitKey):
+    def _source(self, flow_idx: int, unit: UnitKey, node: NodeId):
         for k in range(self.num_chunks):
             ready, payload = self.chunk_source(flow_idx, k)
             yield ready
-            self.slot(unit, flow.src, k).set(payload())
+            self.slot(unit, node, k).set(payload())
 
     def _sender(self, i: NodeId, j: NodeId, unit: UnitKey):
         """Stream chunks of one unit across one edge, in order."""
@@ -255,15 +216,15 @@ class ChunkPipeline:
                 keys=("chunk", "bytes", "unit"),
             )
             # Identifies the sender process for the race detector's
-            # happens-before replay; must match repro.analysis.race.unit_label.
-            unit_label = f"{unit[0]}:{unit[1]}"
+            # happens-before replay.
+            label = unit_label(unit)
             stage = self.tag.split(":", 1)[0]
             sent = None
         for k in range(self.num_chunks):
             slot_in = self.slot(unit, i, k)
             yield slot_in.event
             if telemetry is not None:
-                span = site.begin(self.sim.now, (k, self.chunk_bytes[k], unit_label))
+                span = site.begin(self.sim.now, (k, self.chunk_bytes[k], label))
             yield self.network.transfer(edge.fluid_links, self.chunk_bytes[k], tag=transfer_tag)
             if telemetry is not None:
                 telemetry.end(span, self.sim.now)
@@ -295,7 +256,7 @@ class ChunkPipeline:
         included iff its source is ready when the aggregation of chunk k
         starts — never waited for.
         """
-        out_unit: UnitKey = ("agg", node)
+        out_unit = agg_unit(node)
         gpu = (
             self.topology.cluster.gpu(node.index)
             if node.kind is NodeKind.GPU
@@ -359,3 +320,7 @@ class ChunkPipeline:
     def output_slots(self, unit: UnitKey, node: NodeId) -> List[Slot]:
         """Per-chunk slots of a unit at a node (for stage chaining)."""
         return [self.slot(unit, node, k) for k in range(self.num_chunks)]
+
+    def delivered(self, flow_idx: int) -> np.ndarray:
+        """Everything flow ``flow_idx`` delivered at its destination."""
+        return self.gather(*self._terminals[flow_idx])

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.errors import CommunicatorError, RetryBudgetExhausted
 from repro.integrity.checksums import payload_digest
-from repro.runtime.collectives import launch_allreduce
+from repro.runtime.collectives import launch
 from repro.runtime.queues import WorkItem, WorkQueues
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
@@ -331,9 +331,7 @@ class CollectiveService:
         strategy: Strategy = self.strategy_provider(primitive, tensor_size, active)
         # The dispatcher runs *inside* the simulation, so it uses the
         # non-blocking launch form and yields on completion.
-        pending = launch_allreduce(
-            self.topology, strategy, tensors, byte_scale=self.byte_scale
-        )
+        pending = launch(self.topology, strategy, tensors, byte_scale=self.byte_scale)
         yield pending.done
         result = pending.result()
         # End-of-collective digest exchange: when an integrity monitor is

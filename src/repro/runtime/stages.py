@@ -1,0 +1,180 @@
+"""The one lowering from a :class:`Strategy` to chunk stages (Sec. IV-D, V-B).
+
+Every primitive runs, per sub-collective, as a reduce stage, a broadcast
+stage or a set of independent AlltoAll flows, and AllReduce feeds its
+reduce stage into a broadcast stage over the reversed paths. :func:`lower`
+writes that once; :func:`wire` derives a stage's event-graph shape —
+senders, aggregator inputs, sources and terminal slots — from the one
+traffic-unit rule, :func:`path_units`. The executor
+(:meth:`repro.runtime.executor.ChunkPipeline.start`), the deadlock check
+(:func:`repro.analysis.verify_strategy.stage_unreachable`) and the race
+detector's chunk DAG (:func:`repro.analysis.race.derive_chunk_dag`) all
+read them, so they cannot disagree on what a stage is.
+
+A chunk travels as a *traffic unit*: ``("flow", i)`` is flow ``i``'s own
+data, ``("agg", node)`` everything merged at an aggregating node, and
+``("bcast", src)`` the one copy all broadcast replicas from ``src`` share.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+
+from repro.synthesis.strategy import Primitive, SubCollective
+from repro.topology.graph import NodeId
+
+#: Stage modes, matching the evaluator's bandwidth-sharing rules.
+MODE_MERGE = "merge"  # reduce-family: units merge at aggregation points
+MODE_GROUPED = "grouped"  # broadcast: replicas share one unit per source
+MODE_INDEPENDENT = "independent"  # alltoall: every flow is its own unit
+MODES = (MODE_MERGE, MODE_GROUPED, MODE_INDEPENDENT)
+
+UnitKey = Tuple
+#: One flow of a stage: (flow index in its sub-collective, node path).
+FlowPath = Tuple[int, Sequence[NodeId]]
+Predicate = Callable[[NodeId], bool]
+
+#: Each primitive's stages per sub-collective: (tag prefix, mode, reversed
+#: paths). A second stage is fed by the first at the sub-collective root.
+_STAGES = {
+    Primitive.REDUCE: (("reduce", MODE_MERGE, False),),
+    Primitive.REDUCE_SCATTER: (("rs", MODE_MERGE, False),),
+    Primitive.ALLREDUCE: (
+        ("allreduce-red", MODE_MERGE, False),
+        ("allreduce-bc", MODE_GROUPED, True),
+    ),
+    Primitive.BROADCAST: (("bcast", MODE_GROUPED, False),),
+    Primitive.ALLGATHER: (("allgather", MODE_GROUPED, False),),
+    Primitive.ALLTOALL: (("a2a", MODE_INDEPENDENT, False),),
+}
+
+
+def agg_unit(node: NodeId) -> UnitKey:
+    """The unit an aggregating node publishes its merged chunks under."""
+    return ("agg", node)
+
+
+def bcast_unit(src: NodeId) -> UnitKey:
+    """The unit every broadcast replica from ``src`` shares."""
+    return ("bcast", src)
+
+
+def unit_label(unit: UnitKey) -> str:
+    """Canonical string form of a traffic unit (the chunk spans' ``unit``)."""
+    kind, value = unit
+    return f"{kind}:{value}"
+
+
+def _never(node: NodeId) -> bool:
+    return False
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One chunk stage of one sub-collective."""
+
+    #: ``<prefix>:m<sub-collective index>``; chunk spans are named after it.
+    tag: str
+    mode: str
+    flows: Tuple[FlowPath, ...]
+    #: a_{m,node}; ``None`` outside merge mode.
+    aggregates_at: Optional[Predicate] = None
+    #: The earlier stage whose aggregate at ``root`` feeds this one.
+    fed_by: Optional["Stage"] = field(default=None, repr=False)
+    root: Optional[NodeId] = None
+
+
+def lower(
+    primitive: Primitive, sc: SubCollective, active: Optional[Collection[int]] = None
+) -> List[Stage]:
+    """The stages ``sc`` runs as, in launch order.
+
+    A merge stage carries only the flows whose source rank is in
+    ``active`` (``None``: every rank): the others are relays, which forward
+    but contribute no data.
+    """
+    stages: List[Stage] = []
+    for prefix, mode, reverse in _STAGES[primitive]:
+        merge = mode == MODE_MERGE
+        flows = tuple(
+            (idx, flow.path[::-1] if reverse else flow.path)
+            for idx, flow in enumerate(sc.flows)
+            if not merge or active is None or flow.src.index in active
+        )
+        stages.append(
+            Stage(
+                f"{prefix}:m{sc.index}",
+                mode,
+                flows,
+                sc.aggregates_at if merge else None,
+                stages[-1] if stages else None,
+                sc.root,
+            )
+        )
+    return stages
+
+
+def path_units(
+    mode: str, flow_idx: int, path: Sequence[NodeId], aggregates_at: Predicate
+) -> List[UnitKey]:
+    """The traffic-unit rule: the unit carrying flow ``flow_idx`` out of
+    each node of ``path``; the last entry is the unit it arrives under.
+
+    Broadcast replicas share their source's unit; an AlltoAll flow keeps
+    its own; a reduce-family flow travels as itself until its first
+    aggregating node, then as the latest aggregate it was merged into.
+    """
+    if mode == MODE_GROUPED:
+        return [bcast_unit(path[0])] * len(path)
+    unit: UnitKey = ("flow", flow_idx)
+    if mode == MODE_INDEPENDENT:
+        return [unit] * len(path)
+    units = []
+    for node in path:
+        if aggregates_at(node):
+            unit = agg_unit(node)
+        units.append(unit)
+    return units
+
+
+@dataclass
+class Wiring:
+    """A stage's event graph, as the executor spawns it."""
+
+    #: (tail, head, unit) of every sender process, in first-use order.
+    senders: Dict[Tuple[NodeId, NodeId, UnitKey], None] = field(default_factory=dict)
+    #: Aggregating node -> the units arriving there, in first-use order.
+    agg_inputs: Dict[NodeId, Dict[UnitKey, None]] = field(default_factory=dict)
+    #: Aggregating node -> the flows sourced there (their data merges there).
+    agg_local: Dict[NodeId, List[int]] = field(default_factory=dict)
+    #: (flow index, unit, node) of each source publishing input chunks; one
+    #: per (unit, node), so broadcast replicas publish once.
+    sources: List[Tuple[int, UnitKey, NodeId]] = field(default_factory=list)
+    #: (unit, node) each flow's data is delivered under, in flow order.
+    terminals: List[Tuple[UnitKey, NodeId]] = field(default_factory=list)
+
+
+def wire(
+    flows: Sequence[FlowPath], mode: str, aggregates_at: Optional[Predicate] = None
+) -> Wiring:
+    """Derive a stage's :class:`Wiring` from :func:`path_units`."""
+    agg = aggregates_at if mode == MODE_MERGE and aggregates_at is not None else _never
+    wiring = Wiring()
+    published = set()
+    for flow_idx, path in flows:
+        units = path_units(mode, flow_idx, path, agg)
+        src = path[0]
+        if agg(src):
+            wiring.agg_inputs.setdefault(src, {})
+            wiring.agg_local.setdefault(src, []).append(flow_idx)
+        elif (units[0], src) not in published:
+            published.add((units[0], src))
+            wiring.sources.append((flow_idx, units[0], src))
+        for hop in range(len(path) - 1):
+            head = path[hop + 1]
+            wiring.senders.setdefault((path[hop], head, units[hop]))
+            if agg(head):
+                wiring.agg_inputs.setdefault(head, {})[units[hop]] = None
+        wiring.terminals.append((units[-1], path[-1]))
+    return wiring

@@ -28,6 +28,7 @@ import numpy as np
 from repro.baselines.common import Backend
 from repro.errors import TrainingError
 from repro.relay.coordinator import AdaptiveAllReduce
+from repro.runtime.collectives import launch
 from repro.runtime.context import ContextManager
 from repro.synthesis.strategy import Primitive
 from repro.training.compute import ComputeModel
@@ -216,9 +217,7 @@ class Trainer:
                 relays = result.decision.relays
                 if result.fault_report and result.fault_report.any_faults:
                     faulty = list(result.fault_report.faulty_ranks)
-                    self._handle_faults(faulty)
-                    strategy = self._plan()
-                    self._setup_contexts(strategy)
+                    strategy = self._handle_faults(faulty)
             elif (
                 self.config.buckets > 1
                 and self.model.primitive is Primitive.ALLREDUCE
@@ -279,8 +278,6 @@ class Trainer:
         worker; its AllReduce launches immediately and overlaps both the
         remaining backward compute and the other buckets' collectives.
         """
-        from repro.runtime.collectives import launch_allreduce
-
         sim = self.topology.cluster.sim
         buckets = self.config.buckets
         pendings = []
@@ -288,7 +285,7 @@ class Trainer:
             fraction = (bucket + 1) / buckets
             bucket_ready = {rank: delay * fraction for rank, delay in ready.items()}
             pendings.append(
-                launch_allreduce(
+                launch(
                     self.topology,
                     strategy,
                     self._inputs(),
@@ -330,8 +327,10 @@ class Trainer:
             sc.chunk_size for sc in b.subcollectives
         ]
 
-    def _handle_faults(self, faulty: List[int]) -> None:
-        """Exclude faulty ranks and redistribute data (Sec. IV-C.2)."""
+    def _handle_faults(self, faulty: List[int]):
+        """Exclude faulty ranks, redistribute data and rebuild the
+        survivors' strategy and contexts (Sec. IV-C.2); returns the new
+        strategy."""
         survivors = [r for r in self.participants if r not in faulty]
         if not survivors:
             raise TrainingError("all workers faulty; training cannot continue")
@@ -339,3 +338,8 @@ class Trainer:
         self.loader.redistribute(survivors)
         # Global batch is preserved by the loader; per-worker batches grew.
         self._payload = {r: self._payload[r] for r in survivors}
+        # The old contexts span the evicted ranks: release their buffers.
+        self.contexts.teardown(self._active_contexts)
+        strategy = self._plan()
+        self._setup_contexts(strategy)
+        return strategy

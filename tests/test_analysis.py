@@ -190,8 +190,8 @@ class TestExecutorPreflight:
         g0, g1, g2 = gpu_node(0), gpu_node(1), gpu_node(2)
         agg = {g0, g1, g2}
         flows = [
-            (0, Flow(g1, g0, [g1, g2, g0])),
-            (1, Flow(g2, g0, [g2, g1, g0])),
+            (0, [g1, g2, g0]),
+            (1, [g2, g1, g0]),
         ]
         return ChunkPipeline(
             topo,

@@ -6,7 +6,7 @@ import pytest
 from repro.bench.harness import BenchEnvironment
 from repro.errors import CommunicatorError
 from repro.hardware import Cluster, make_homo_cluster
-from repro.runtime import launch_allreduce, run_allreduce
+from repro.runtime import launch
 from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer
 from repro.topology import LogicalTopology
@@ -33,13 +33,13 @@ class TestLaunchAllReduce:
 
         topo, synth = make_env()
         strategy = synth.synthesize(Primitive.ALLREDUCE, 8192, ranks)
-        pending = launch_allreduce(topo, strategy, inputs)
+        pending = launch(topo, strategy, inputs)
         topo.cluster.sim.run_until_complete(pending.done)
         launched = pending.result()
 
         topo2, synth2 = make_env()
         strategy2 = synth2.synthesize(Primitive.ALLREDUCE, 8192, ranks)
-        ran = run_allreduce(topo2, strategy2, inputs)
+        ran = launch(topo2, strategy2, inputs).wait()
 
         for rank in ranks:
             np.testing.assert_array_equal(launched.outputs[rank], ran.outputs[rank])
@@ -49,7 +49,7 @@ class TestLaunchAllReduce:
         ranks = list(range(8))
         topo, synth = make_env()
         strategy = synth.synthesize(Primitive.ALLREDUCE, 8192, ranks)
-        pending = launch_allreduce(topo, strategy, make_inputs(ranks, 1024))
+        pending = launch(topo, strategy, make_inputs(ranks, 1024))
         with pytest.raises(CommunicatorError):
             pending.result()
 
@@ -63,12 +63,12 @@ class TestLaunchAllReduce:
 
         topo, synth = make_env()
         strategy = synth.synthesize(Primitive.ALLREDUCE, length * 8 * scale, ranks)
-        solo = run_allreduce(topo, strategy, inputs, byte_scale=scale)
+        solo = launch(topo, strategy, inputs, byte_scale=scale).wait()
 
         topo2, synth2 = make_env()
         strategy2 = synth2.synthesize(Primitive.ALLREDUCE, length * 8 * scale, ranks)
-        p1 = launch_allreduce(topo2, strategy2, inputs, byte_scale=scale)
-        p2 = launch_allreduce(topo2, strategy2, inputs, byte_scale=scale)
+        p1 = launch(topo2, strategy2, inputs, byte_scale=scale)
+        p2 = launch(topo2, strategy2, inputs, byte_scale=scale)
         sim = topo2.cluster.sim
         sim.run_until_complete(sim.all_of([p1.done, p2.done]))
         both = max(p1.result().duration, p2.result().duration)
@@ -76,12 +76,21 @@ class TestLaunchAllReduce:
         assert both > 1.2 * solo.duration
         assert both < 2.2 * solo.duration
 
-    def test_wrong_primitive_rejected(self):
+    def test_a_reduce_and_an_allreduce_overlap(self):
+        """Any primitive launches without blocking: a Reduce launched next
+        to an AllReduce runs concurrently and both stay bit-exact."""
         ranks = list(range(8))
+        inputs = make_inputs(ranks, 1024)
         topo, synth = make_env()
-        strategy = synth.synthesize(Primitive.REDUCE, 8192, ranks, root=0)
-        with pytest.raises(CommunicatorError):
-            launch_allreduce(topo, strategy, make_inputs(ranks, 1024))
+        reduce = launch(topo, synth.synthesize(Primitive.REDUCE, 8192, ranks, root=0), inputs)
+        allreduce = launch(topo, synth.synthesize(Primitive.ALLREDUCE, 8192, ranks), inputs)
+        allreduce.wait()
+        reduced = reduce.wait()
+        expected = sum(inputs.values())
+        np.testing.assert_array_equal(reduced.outputs[0], expected)
+        for rank in ranks:
+            np.testing.assert_array_equal(allreduce.result().outputs[rank], expected)
+        assert reduced.started == allreduce.result().started
 
 
 class TestBucketedTraining:

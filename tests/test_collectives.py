@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CommunicatorError
 from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
-from repro.runtime import (
-    run_allgather,
-    run_allreduce,
-    run_alltoall,
-    run_broadcast,
-    run_reduce,
-    run_reduce_scatter,
-)
+from repro.runtime import launch
 from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.topology import LogicalTopology
@@ -28,6 +21,10 @@ def make_env(specs=None, **cfg):
     return topo, synth
 
 
+def run(topo, strategy, inputs, **kwargs):
+    return launch(topo, strategy, inputs, **kwargs).wait()
+
+
 def make_inputs(ranks, length, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return {rank: rng.integers(0, 100, length).astype(dtype) for rank in ranks}
@@ -39,7 +36,7 @@ class TestReduce:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 4096)
         strategy = synth.synthesize(Primitive.REDUCE, 4096 * 8, ranks, root=0)
-        result = run_reduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         expected = sum(inputs[r] for r in ranks)
         np.testing.assert_array_equal(result.outputs[0], expected)
 
@@ -48,7 +45,7 @@ class TestReduce:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 1000)
         strategy = synth.synthesize(Primitive.REDUCE, 8000, ranks, root=5)
-        result = run_reduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         np.testing.assert_array_equal(result.outputs[5], sum(inputs[r] for r in ranks))
 
     def test_subset_participants(self):
@@ -56,7 +53,7 @@ class TestReduce:
         ranks = [1, 3, 4, 6]
         inputs = make_inputs(ranks, 512)
         strategy = synth.synthesize(Primitive.REDUCE, 512 * 8, ranks, root=3)
-        result = run_reduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         np.testing.assert_array_equal(result.outputs[3], sum(inputs[r] for r in ranks))
 
     def test_duration_positive_and_reasonable(self):
@@ -64,7 +61,7 @@ class TestReduce:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 1 << 20)  # 8 MB
         strategy = synth.synthesize(Primitive.REDUCE, (1 << 20) * 8, ranks, root=0)
-        result = run_reduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         assert result.duration > 0
         # 8 MB over >= 6 GB/s class links: well under a second.
         assert result.duration < 1.0
@@ -76,7 +73,7 @@ class TestReduce:
         inputs = make_inputs(ranks, 256)
         strategy = synth.synthesize(Primitive.REDUCE, 2048, ranks, root=0)
         active = [0, 1, 2, 5]
-        result = run_reduce(topo, strategy, inputs, active_ranks=active)
+        result = run(topo, strategy, inputs, active_ranks=active)
         np.testing.assert_array_equal(result.outputs[0], sum(inputs[r] for r in active))
 
     def test_ready_times_delay_completion(self):
@@ -84,25 +81,19 @@ class TestReduce:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 256)
         strategy = synth.synthesize(Primitive.REDUCE, 2048, ranks, root=0)
-        fast = run_reduce(topo, strategy, inputs)
+        fast = run(topo, strategy, inputs)
         topo2, synth2 = make_env()
         strategy2 = synth2.synthesize(Primitive.REDUCE, 2048, ranks, root=0)
-        slow = run_reduce(topo2, strategy2, inputs, ready_times={7: 0.5})
+        slow = run(topo2, strategy2, inputs, ready_times={7: 0.5})
         assert slow.duration >= 0.5
         assert slow.duration > fast.duration
         np.testing.assert_array_equal(slow.outputs[0], fast.outputs[0])
-
-    def test_wrong_primitive_rejected(self):
-        topo, synth = make_env()
-        strategy = synth.synthesize(Primitive.BROADCAST, 1024, range(8), root=0)
-        with pytest.raises(CommunicatorError):
-            run_reduce(topo, strategy, make_inputs(range(8), 128))
 
     def test_inactive_root_rejected(self):
         topo, synth = make_env()
         strategy = synth.synthesize(Primitive.REDUCE, 1024, range(8), root=0)
         with pytest.raises(CommunicatorError):
-            run_reduce(topo, strategy, make_inputs(range(8), 128), active_ranks=[1, 2])
+            run(topo, strategy, make_inputs(range(8), 128), active_ranks=[1, 2])
 
 
 class TestBroadcast:
@@ -111,7 +102,7 @@ class TestBroadcast:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 2048)
         strategy = synth.synthesize(Primitive.BROADCAST, 2048 * 8, ranks, root=2)
-        result = run_broadcast(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         for rank in ranks:
             np.testing.assert_array_equal(result.outputs[rank], inputs[2])
 
@@ -120,7 +111,7 @@ class TestBroadcast:
         ranks = list(range(16))
         inputs = make_inputs(ranks, 1024)
         strategy = synth.synthesize(Primitive.BROADCAST, 8192, ranks, root=0)
-        result = run_broadcast(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         for rank in ranks:
             np.testing.assert_array_equal(result.outputs[rank], inputs[0])
 
@@ -131,7 +122,7 @@ class TestAllReduce:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 4096)
         strategy = synth.synthesize(Primitive.ALLREDUCE, 4096 * 8, ranks)
-        result = run_allreduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         expected = sum(inputs[r] for r in ranks)
         for rank in ranks:
             np.testing.assert_array_equal(result.outputs[rank], expected)
@@ -141,7 +132,7 @@ class TestAllReduce:
         ranks = list(range(16))
         inputs = make_inputs(ranks, 2048)
         strategy = synth.synthesize(Primitive.ALLREDUCE, 2048 * 8, ranks)
-        result = run_allreduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         expected = sum(inputs[r] for r in ranks)
         for rank in ranks:
             np.testing.assert_array_equal(result.outputs[rank], expected)
@@ -156,7 +147,7 @@ class TestAllReduce:
         # only roots sub-collectives at ready workers).
         roots = {sc.root.index for sc in strategy.subcollectives}
         active = sorted(roots | {2, 6})
-        result = run_allreduce(topo, strategy, inputs, active_ranks=active)
+        result = run(topo, strategy, inputs, active_ranks=active)
         expected = sum(inputs[r] for r in active)
         for rank in ranks:  # including the relays
             np.testing.assert_array_equal(result.outputs[rank], expected)
@@ -167,14 +158,14 @@ class TestAllReduce:
         length = 1 << 20
         inputs = make_inputs(ranks, length)
         strategy = synth.synthesize(Primitive.ALLREDUCE, length * 8, ranks)
-        result = run_allreduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         assert result.algorithm_bandwidth(length * 8) > 1e9  # > 1 GB/s
 
     def test_single_rank_identity(self):
         topo, synth = make_env()
         inputs = make_inputs([3], 64)
         strategy = synth.synthesize(Primitive.ALLREDUCE, 512, [3])
-        result = run_allreduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         np.testing.assert_array_equal(result.outputs[3], inputs[3])
 
 
@@ -184,7 +175,7 @@ class TestAllGather:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 128)
         strategy = synth.synthesize(Primitive.ALLGATHER, 1024, ranks)
-        result = run_allgather(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         expected = np.concatenate([inputs[r] for r in ranks])
         for rank in ranks:
             np.testing.assert_array_equal(result.outputs[rank], expected)
@@ -196,7 +187,7 @@ class TestReduceScatter:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 800)
         strategy = synth.synthesize(Primitive.REDUCE_SCATTER, 6400, ranks)
-        result = run_reduce_scatter(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         total = sum(inputs[r] for r in ranks)
         reconstructed = np.concatenate(
             [result.outputs[sc.root.index] for sc in strategy.subcollectives]
@@ -210,7 +201,7 @@ class TestAllToAll:
         ranks = list(range(8))
         inputs = make_inputs(ranks, 8 * 32)
         strategy = synth.synthesize(Primitive.ALLTOALL, 8 * 32 * 8, ranks)
-        result = run_alltoall(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         for d_pos, dst in enumerate(ranks):
             for s_pos, src in enumerate(ranks):
                 got = result.outputs[dst][s_pos * 32 : (s_pos + 1) * 32]
@@ -222,7 +213,24 @@ class TestAllToAll:
         ranks = list(range(8))
         strategy = synth.synthesize(Primitive.ALLTOALL, 8 * 100, ranks)
         with pytest.raises(CommunicatorError):
-            run_alltoall(topo, strategy, make_inputs(ranks, 100))
+            run(topo, strategy, make_inputs(ranks, 100))
+
+
+class TestLaunch:
+    def test_dispatches_on_the_strategy_primitive(self):
+        """One entry point: the strategy's primitive picks the builder, and
+        the collective span is named after it."""
+        topo, synth = make_env()
+        ranks = list(range(8))
+        inputs = make_inputs(ranks, 128)
+        for primitive in (Primitive.BROADCAST, Primitive.REDUCE):
+            strategy = synth.synthesize(primitive, 1024, ranks, root=0)
+            result = run(topo, strategy, inputs)
+            expected = inputs[0] if primitive is Primitive.BROADCAST else sum(inputs.values())
+            np.testing.assert_array_equal(result.outputs[0], expected)
+            assert set(result.outputs) == (
+                set(ranks) if primitive is Primitive.BROADCAST else {0}
+            )
 
 
 class TestInputValidation:
@@ -232,21 +240,21 @@ class TestInputValidation:
         inputs = make_inputs(range(8), 128)
         inputs[3] = inputs[3][:64]
         with pytest.raises(CommunicatorError):
-            run_reduce(topo, strategy, inputs)
+            run(topo, strategy, inputs)
 
     def test_missing_rank_rejected(self):
         topo, synth = make_env()
         strategy = synth.synthesize(Primitive.REDUCE, 1024, range(8), root=0)
         inputs = make_inputs(range(7), 128)
         with pytest.raises(CommunicatorError):
-            run_reduce(topo, strategy, inputs)
+            run(topo, strategy, inputs)
 
     def test_float32_supported(self):
         topo, synth = make_env()
         ranks = list(range(8))
         inputs = make_inputs(ranks, 256, dtype=np.float32)
         strategy = synth.synthesize(Primitive.ALLREDUCE, 1024, ranks)
-        result = run_allreduce(topo, strategy, inputs)
+        result = run(topo, strategy, inputs)
         expected = sum(inputs[r] for r in ranks)
         np.testing.assert_allclose(result.outputs[0], expected, rtol=1e-6)
 
@@ -266,7 +274,7 @@ def test_property_partial_allreduce_sums_active_subset(length, seed, active_mask
     strategy = synth.synthesize(Primitive.ALLREDUCE, max(1, length * 8), ranks)
     active = {r for r in ranks if active_mask & (1 << r)}
     active.update(sc.root.index for sc in strategy.subcollectives)
-    result = run_allreduce(topo, strategy, inputs, active_ranks=sorted(active))
+    result = run(topo, strategy, inputs, active_ranks=sorted(active))
     expected = sum(inputs[r] for r in sorted(active))
     for rank in ranks:
         np.testing.assert_array_equal(result.outputs[rank], expected)

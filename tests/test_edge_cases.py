@@ -93,15 +93,14 @@ class TestExecutorKernelToggle:
     def test_kernel_disabled_is_faster(self):
         """kernel_enabled=False removes the aggregation kernel time."""
         from repro.runtime.executor import ChunkPipeline, MODE_MERGE
-        from repro.synthesis.strategy import Flow
 
         def run(kernel_enabled):
             sim = Simulator()
             cluster = Cluster(sim, make_homo_cluster(num_servers=1))
             topo = LogicalTopology.from_cluster(cluster)
             flows = [
-                (0, Flow(gpu_node(1), gpu_node(0), [gpu_node(1), gpu_node(0)])),
-                (1, Flow(gpu_node(2), gpu_node(0), [gpu_node(2), gpu_node(0)])),
+                (0, [gpu_node(1), gpu_node(0)]),
+                (1, [gpu_node(2), gpu_node(0)]),
             ]
             payloads = {i: [np.ones(4)] * 8 for i in range(2)}
 

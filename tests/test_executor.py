@@ -16,7 +16,7 @@ from repro.runtime.executor import (
     Slot,
 )
 from repro.simulation import Simulator
-from repro.synthesis.strategy import Flow, Primitive, SubCollective
+from repro.synthesis.strategy import Primitive, SubCollective
 from repro.topology import LogicalTopology
 from repro.topology.graph import gpu_node, nic_node
 
@@ -55,8 +55,8 @@ class TestChunkPipelineMerge:
     def test_two_flow_aggregation(self, topo):
         sim = topo.cluster.sim
         flows = [
-            (0, Flow(gpu_node(1), gpu_node(0), [gpu_node(1), gpu_node(0)])),
-            (1, Flow(gpu_node(2), gpu_node(0), [gpu_node(2), gpu_node(0)])),
+            (0, [gpu_node(1), gpu_node(0)]),
+            (1, [gpu_node(2), gpu_node(0)]),
         ]
         payloads = {
             0: [np.array([1.0, 2.0]), np.array([3.0])],
@@ -82,7 +82,7 @@ class TestChunkPipelineMerge:
         payload unchanged and pays no kernel time (hasKernel condition 2)."""
         sim = topo.cluster.sim
         flows = [
-            (0, Flow(gpu_node(2), gpu_node(0), [gpu_node(2), gpu_node(1), gpu_node(0)])),
+            (0, [gpu_node(2), gpu_node(1), gpu_node(0)]),
         ]
         payloads = {0: [np.array([5.0])]}
         pipeline = ChunkPipeline(
@@ -100,7 +100,7 @@ class TestChunkPipelineMerge:
 
     def test_chunks_delivered_in_order(self, topo):
         sim = topo.cluster.sim
-        flows = [(0, Flow(gpu_node(1), gpu_node(0), [gpu_node(1), gpu_node(0)]))]
+        flows = [(0, [gpu_node(1), gpu_node(0)])]
         payloads = {0: [np.array([float(k)]) for k in range(5)]}
         pipeline = ChunkPipeline(
             topo,
@@ -125,10 +125,8 @@ class TestChunkPipelineModes:
         data once, not twice."""
         sim = topo.cluster.sim
         flows = [
-            (0, Flow(gpu_node(0), gpu_node(4),
-                     [gpu_node(0), nic_node(0), nic_node(1), gpu_node(4)])),
-            (1, Flow(gpu_node(0), gpu_node(5),
-                     [gpu_node(0), nic_node(0), nic_node(1), gpu_node(5)])),
+            (0, [gpu_node(0), nic_node(0), nic_node(1), gpu_node(4)]),
+            (1, [gpu_node(0), nic_node(0), nic_node(1), gpu_node(5)]),
         ]
         payload = np.ones(1000)
         payloads = {0: [payload], 1: [payload]}
@@ -151,10 +149,8 @@ class TestChunkPipelineModes:
     def test_independent_flows_carry_distinct_payloads(self, topo):
         sim = topo.cluster.sim
         flows = [
-            (0, Flow(gpu_node(0), gpu_node(4),
-                     [gpu_node(0), nic_node(0), nic_node(1), gpu_node(4)])),
-            (1, Flow(gpu_node(1), gpu_node(5),
-                     [gpu_node(1), nic_node(0), nic_node(1), gpu_node(5)])),
+            (0, [gpu_node(0), nic_node(0), nic_node(1), gpu_node(4)]),
+            (1, [gpu_node(1), nic_node(0), nic_node(1), gpu_node(5)]),
         ]
         payloads = {0: [np.array([1.0])], 1: [np.array([2.0])]}
         egress = topo.cluster.nic_egress(0)
@@ -215,7 +211,7 @@ class TestBehaviorExecutorConsistency:
 
     @pytest.mark.parametrize("active_mask", [0b11111111, 0b11110101, 0b10000001])
     def test_partial_reduce_matches_tuples(self, topo, active_mask):
-        from repro.runtime import run_reduce
+        from repro.runtime import launch
 
         participants = list(range(8))
         active = [r for r in participants if active_mask & (1 << r)]
@@ -225,7 +221,7 @@ class TestBehaviorExecutorConsistency:
         tuples = behavior_tuples(sc, Primitive.REDUCE, active)
 
         inputs = {r: np.full(64, float(r + 1)) for r in participants}
-        result = run_reduce(topo, strategy, inputs, active_ranks=active)
+        result = launch(topo, strategy, inputs, active_ranks=active).wait()
         expected = sum(inputs[r] for r in active)
         np.testing.assert_array_equal(result.outputs[0], expected)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.hardware import Cluster, make_homo_cluster
 from repro.relay import AdaptiveAllReduce
-from repro.runtime import run_allreduce
+from repro.runtime import launch
 from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.topology import LogicalTopology
@@ -40,7 +40,7 @@ class TestLateJoinExecutor:
         strategy = synth.synthesize(Primitive.ALLREDUCE, length * 8 * scale, ranks)
         s = self.STRAGGLER
         active = [r for r in ranks if r != s]
-        result = run_allreduce(
+        result = launch(
             topo,
             strategy,
             inputs,
@@ -48,7 +48,7 @@ class TestLateJoinExecutor:
             ready_times={s: late_delay},
             byte_scale=scale,
             late_ranks=[s],
-        )
+        ).wait()
         return ranks, inputs, result
 
     def test_never_ready_relay_contributes_nothing(self):

@@ -143,7 +143,7 @@ class TestCollectiveEquivalenceProperties:
     )
     def test_allreduce_equals_reduce_plus_broadcast(self, seed, length):
         """Semantics: AllReduce == Reduce-to-root then Broadcast-from-root."""
-        from repro.runtime import run_allreduce, run_broadcast, run_reduce
+        from repro.runtime import launch
 
         rng = np.random.default_rng(seed)
         inputs = {r: rng.integers(0, 7, length).astype(np.float64) for r in range(8)}
@@ -152,22 +152,22 @@ class TestCollectiveEquivalenceProperties:
         cluster = Cluster(sim, make_homo_cluster(num_servers=2))
         topo = LogicalTopology.from_cluster(cluster)
         synth = Synthesizer(topo)
-        ar = run_allreduce(
+        ar = launch(
             topo, synth.synthesize(Primitive.ALLREDUCE, length * 8, range(8)), inputs
-        )
+        ).wait()
 
         sim2 = Simulator()
         cluster2 = Cluster(sim2, make_homo_cluster(num_servers=2))
         topo2 = LogicalTopology.from_cluster(cluster2)
         synth2 = Synthesizer(topo2)
-        red = run_reduce(
+        red = launch(
             topo2, synth2.synthesize(Primitive.REDUCE, length * 8, range(8), root=0), inputs
-        )
+        ).wait()
         bc_inputs = {r: (red.outputs[0] if r == 0 else np.zeros(length)) for r in range(8)}
-        bc = run_broadcast(
+        bc = launch(
             topo2,
             synth2.synthesize(Primitive.BROADCAST, length * 8, range(8), root=0),
             bc_inputs,
-        )
+        ).wait()
         for rank in range(8):
             np.testing.assert_array_equal(ar.outputs[rank], bc.outputs[rank])

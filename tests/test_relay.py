@@ -259,9 +259,9 @@ class TestAdaptiveAllReduce:
         # Naive: a full collective that waits for everyone.
         topo, synth = make_env()
         strategy = synth.synthesize(Primitive.ALLREDUCE, (1 << 20) * 8, ranks)
-        from repro.runtime import run_allreduce
+        from repro.runtime import launch
 
-        naive = run_allreduce(topo, strategy, inputs, ready_times=ready)
+        naive = launch(topo, strategy, inputs, ready_times=ready).wait()
         assert naive.duration >= straggle
         # Phase 1 result was available long before the straggler arrived;
         # final completion still needs phase 2, but the total should not

@@ -265,6 +265,72 @@ class TestTrainer:
         assert stat.wait_ratio == pytest.approx(0.2 / 0.4)
 
 
+class TestFaultRecovery:
+    """Sec. IV-C.2: a worker the fault detector declares faulty is excluded,
+    the data loader redistributes its shard, and training goes on with the
+    survivors."""
+
+    FAULTY = 5
+
+    @pytest.fixture(scope="class")
+    def crashed_run(self):
+        """Three adaptive VIT iterations on 8 ranks; rank 5 crashes (reports
+        no ready time) in the first. Returns (trainer, report, the ranks
+        each adaptive collective ran with)."""
+        backend = make_backend("adapcc", make_topo())
+        trainer = Trainer(backend, VIT, TrainerConfig(iterations=3, seed=3))
+        draw, run = trainer.compute.draw, trainer.adaptive.run
+        collectives = []
+
+        def crash_first(interference=None):
+            times = draw(interference)
+            if not collectives:
+                times[self.FAULTY] = None
+            return times
+
+        def recorded(strategy, inputs, ready, **kwargs):
+            result = run(strategy, inputs, ready, **kwargs)
+            collectives.append(
+                (sorted(strategy.participants), sorted(inputs), sorted(ready), result)
+            )
+            return result
+
+        trainer.compute.draw = crash_first
+        trainer.adaptive.run = recorded
+        return trainer, trainer.run(), collectives
+
+    def survivors(self):
+        return [rank for rank in range(8) if rank != self.FAULTY]
+
+    def test_faulty_worker_is_excluded(self, crashed_run):
+        trainer, report, _ = crashed_run
+        assert [stat.faulty for stat in report.stats] == [[self.FAULTY], [], []]
+        assert trainer.participants == self.survivors()
+
+    def test_redistributed_shards_keep_the_global_batch(self, crashed_run):
+        trainer, report, _ = crashed_run
+        loader = trainer.loader
+        assert loader.workers == self.survivors()
+        assert loader.verify_partition()
+        assert report.global_batch == trainer.global_batch == 8 * VIT.default_batch
+        assert sum(loader.next_batch().values()) == trainer.global_batch
+
+    def test_later_iterations_run_on_survivors_only(self, crashed_run):
+        trainer, _, collectives = crashed_run
+        survivors = self.survivors()
+        assert collectives[0][:3] == (list(range(8)),) * 3
+        for participants, inputs, ready, result in collectives[1:]:
+            assert participants == inputs == ready == survivors
+            assert sorted(result.outputs) == survivors
+        # The contexts of the pre-fault strategy are torn down: no buffer
+        # stays registered on the evicted GPU.
+        assert all(
+            self.FAULTY not in context.participants
+            for context in trainer.contexts.contexts.values()
+        )
+        assert trainer.contexts.registry.of(self.FAULTY).registered_bytes == 0
+
+
 class TestConvergence:
     def test_full_learns(self):
         run = train_convergence(AggregationMode.FULL, steps=80, seed=2)
