@@ -31,19 +31,20 @@ The checks behind them guard the reproduction's correctness (DESIGN.md §5):
   silence while disabled);
 * :mod:`repro.analysis.race` — the sim-determinism race detector:
   static AST hazard checks over the order-sensitive packages plus a
-  vector-clock happens-before replay of an executed telemetry run
-  against the strategy-derived chunk-dependency DAG;
+  happens-before check of an executed telemetry run against the
+  strategy-derived chunk-dependency DAG, through the critical-path
+  engine's span join;
 * ``lint_critpath_report`` / ``lint_integrity_records`` /
   ``lint_fleet_run`` — structural checks over a critical-path report, an
   integrity log and a merged fleet export.
 
-Only :mod:`repro.analysis.config` is imported eagerly: the runtime
-executor consults :func:`verification_enabled` at import time, and the
-verifier in turn imports the runtime, so everything else loads lazily
-(PEP 562). The pass entry points share their module's name
-(``verify_strategy``, ``lint_trace``, ``lint_source``), so import those
-*functions* from their submodules; the collision-free helpers below are
-re-exported here.
+Only :mod:`repro.analysis.config` is imported eagerly: the session, the
+baselines and the relay coordinator consult :func:`verification_enabled`
+before planning, and the verifier in turn imports the runtime, so
+everything else loads lazily (PEP 562). The pass entry points share their
+module's name (``verify_strategy``, ``lint_trace``, ``lint_source``), so
+import those *functions* from their submodules; the collision-free
+helpers below are re-exported here.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Structured findings — the one result type of every check (DESIGN.md §10).
 
-A :class:`Finding` is what ``verify_strategy``, every ``lint_*`` module,
-the pass bodies and the executor pre-flight return, and a
-:class:`RuleSpec` is the declaration of one code a check can emit. A
-finding carries everything an exporter or CI annotator needs:
+A :class:`Finding` is what ``verify_strategy``, every ``lint_*`` module
+and the pass bodies return, and a :class:`RuleSpec` is the declaration
+of one code a check can emit. A finding carries everything an exporter
+or CI annotator needs:
 
 * ``code`` — the stable kebab-case rule identifier (``wall-clock``,
   ``race-unordered-iteration``, …), the SARIF ``ruleId``;

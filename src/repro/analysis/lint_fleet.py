@@ -29,9 +29,10 @@ body (``repro.analysis.passes.run_fleet_pass``), not here.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.analysis.findings import Finding, RuleSpec
+from repro.critpath.engine import ChunkSpan, chunk_send
 from repro.telemetry.export import TelemetryRun, read_jsonl
 
 #: Window/occupancy overlap below this is numerical noise, not evidence.
@@ -133,26 +134,17 @@ def lint_fleet_run(run: TelemetryRun) -> List[Finding]:
     return violations
 
 
-def _chunk_sends(run: TelemetryRun):
-    """(job, tag, unit, chunk, link, start, end, bytes) per chunk send."""
-    for span in run.spans:
-        name = span.get("name", "")
-        if span.get("cat") != "chunk" or not name.endswith(":send"):
+def _chunk_sends(run: TelemetryRun) -> Iterator[Tuple[str, ChunkSpan]]:
+    """``(job, send)`` per chunk send (:func:`~repro.critpath.engine.chunk_send`)."""
+    for number, record in enumerate(run.records, start=1):
+        if record.get("type") != "span":
             continue
-        track = span.get("track", "")
-        if not track.startswith("link:") or span.get("end") is None:
-            continue
-        args = span.get("args", {})
-        yield (
-            _job_of(span),
-            name[: -len(":send")],
-            str(args.get("unit", "")),
-            int(args.get("chunk", -1)),
-            track[len("link:"):],
-            float(span["start"]),
-            float(span["end"]),
-            float(args.get("bytes", 0.0)),
+        send = chunk_send(
+            record.get("cat"), record.get("name", ""), record.get("track", ""),
+            record.get("start"), record.get("end"), record.get("args", {}), 0, number,
         )
+        if send is not None:
+            yield _job_of(record), send
 
 
 def collective_windows(run: TelemetryRun) -> Dict[str, List[Tuple[float, float, str]]]:
@@ -195,19 +187,19 @@ def _lint_conservation(run: TelemetryRun) -> List[Finding]:
     violations: List[Finding] = []
     windows = collective_windows(run)
     sizes: Dict[Tuple[str, str, str, str, int], float] = {}
-    for job, tag, unit, chunk, link, start, _end, size in _chunk_sends(run):
-        owner = _enclosing(windows.get(job, []), start)
-        key = (job, owner or f"@{start}:{link}", tag, unit, chunk)
+    for job, send in _chunk_sends(run):
+        owner = _enclosing(windows.get(job, []), send.start)
+        key = (job, owner or f"@{send.start}:{send.link}", send.tag, send.unit, send.chunk)
         known = sizes.get(key)
         if known is None:
-            sizes[key] = size
-        elif size != known:
+            sizes[key] = send.bytes
+        elif send.bytes != known:
             violations.append(
                 Finding(
                     "fleet-conservation",
-                    f"{job}:{tag}:{unit}:chunk{chunk}",
-                    f"chunk changed size across hops: {known} vs {size} "
-                    f"byte(s) (hop {link})",
+                    f"{job}:{send.tag}:{send.unit}:chunk{send.chunk}",
+                    f"chunk changed size across hops: {known} vs {send.bytes} "
+                    f"byte(s) (hop {send.link})",
                 )
             )
     return violations
@@ -218,8 +210,8 @@ def _lint_attributions(run: TelemetryRun) -> List[Finding]:
     violations: List[Finding] = []
     #: (job, link) -> [(start, end)] of that job's sends on the link.
     occupancy: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-    for job, _tag, _unit, _chunk, link, start, end, _size in _chunk_sends(run):
-        occupancy.setdefault((job, link), []).append((start, end))
+    for job, send in _chunk_sends(run):
+        occupancy.setdefault((job, send.link), []).append((send.start, send.end))
     jobs_in_stream = {_job_of(record) for record in run.records} - {""}
 
     for index, event in enumerate(run.events):

@@ -409,8 +409,8 @@ def run_race_pass(ctx: PassContext) -> List[Finding]:
     The static half walks the order-sensitive sub-packages (or
     ``ctx.root`` when given — tests point it at seeded hazard fixtures).
     The dynamic half — only on the real tree — plans one AllReduce,
-    executes it under a fresh telemetry hub, and replays the exported run
-    against the strategy's chunk-dependency DAG with vector clocks.
+    executes it under a fresh telemetry hub, and checks the exported run's
+    chunk spans against the strategy's chunk-dependency DAG.
     """
     findings = race.lint_determinism_hazards(root=ctx.root)
     if ctx.root is not None:
@@ -429,8 +429,8 @@ register(
     PassSpec(
         name="races",
         description="sim-determinism race detector: static AST hazards over "
-        "order-sensitive packages + vector-clock happens-before "
-        "check of an executed run against its strategy's chunk DAG",
+        "order-sensitive packages + happens-before check of an "
+        "executed run against its strategy's chunk DAG",
         title="race detector",
         rules=race.RULES,
         run=run_race_pass,

@@ -25,30 +25,29 @@ incidentals instead of the event graph:
 These are heuristics, reported at ``warning`` severity; the seeded
 fixtures under ``tests/fixtures/hazards/`` pin their recall.
 
-**Dynamic half** — ``race-happens-before`` at ``error`` severity. From a
-synthesized :class:`~repro.synthesis.strategy.Strategy` we derive the
-chunk-dependency DAG the executor is contractually bound to (the stages
-and sender wiring of :mod:`repro.runtime.stages`, extended across the
-AllReduce reduce→broadcast stage boundary), then replay an exported
-telemetry run against it with vector clocks: every per-chunk ``…:send``
-span is an event of its sender process (one process per (edge, traffic
-unit)); an event's vector clock is the pointwise max of its own process
-history and its DAG predecessors' clocks. Any recorded interleaving in
-which a span starts before a DAG predecessor has ended is a race — the
-executor committed to an ordering the schedule did not honour — and is
-reported with both clocks.
+**Dynamic half** — ``race-happens-before`` at ``error`` severity. A
+synthesized :class:`~repro.synthesis.strategy.Strategy` fixes the
+chunk-dependency DAG the executor is bound to
+(:func:`repro.runtime.stages.derive_chunk_dag`: one sender process per
+(stage, edge, traffic unit), chained across the AllReduce
+reduce→broadcast boundary). An exported run's ``…:send`` spans join onto
+it through the critical-path engine's
+:func:`~repro.critpath.engine.dag_join` — occurrence by occurrence, so
+every execution of the strategy in the run is checked — and a span that
+starts before a DAG predecessor ended is a race: the executor committed
+to an ordering the schedule did not honour.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.findings import SEVERITY_WARNING, Finding, RuleSpec
 from repro.analysis.lint_source import PACKAGE_ROOT, SYNTAX_RULE, visit_sources
-from repro.runtime.stages import MODE_MERGE, agg_unit, lower, unit_label, wire
+from repro.critpath.engine import TIME_TOL, dag_join, extract_chunk_spans
+from repro.runtime.stages import SenderGraph, derive_chunk_dag
 
 #: Sub-packages whose code feeds the simulator's event ordering.
 RACE_SENSITIVE_DIRS = ("simulation", "runtime", "recovery", "observe")
@@ -81,9 +80,6 @@ _ORDERING_CALLS = {"sorted", "list", "tuple", "min", "max", "enumerate"}
 
 #: In-place operators whose result depends on fold order for floats.
 _ACCUMULATING_OPS = (ast.Add, ast.Sub, ast.Mult)
-
-#: Per-span slack when comparing simulator timestamps.
-_TIME_TOL = 1e-9
 
 
 RULES = (
@@ -331,129 +327,48 @@ def _has_tiebreak(entry: ast.Tuple) -> bool:
 # -- dynamic half: chunk-dependency DAG vs telemetry -----------------------------------
 
 
-@dataclass(frozen=True)
-class SenderId:
-    """One executor sender process: a (stage, edge, unit) triple."""
+def check_run_against_dag(strategy, run, tol: float = TIME_TOL) -> List[Finding]:
+    """Happens-before check of a telemetry run against the chunk DAG.
 
-    tag: str
-    src: str
-    dst: str
-    unit: str
-
-    @property
-    def track(self) -> str:
-        return f"link:{self.src}->{self.dst}"
-
-    def __str__(self) -> str:
-        return f"{self.tag}[{self.src}->{self.dst} {self.unit}]"
-
-
-@dataclass
-class SenderGraph:
-    """The strategy-derived chunk-dependency DAG, per sender process.
-
-    ``preds[s]`` is a list of AND-groups: for every group, at least one
-    member sender's chunk-k span must end before ``s``'s chunk-k span
-    starts (OR within a group — whichever copy of the unit lands first
-    releases the slot; AND across groups — an aggregator waits for every
-    incoming unit). Same-sender chunks additionally serialize k-1 → k.
-    """
-
-    senders: List[SenderId] = field(default_factory=list)
-    preds: Dict[SenderId, List[List[SenderId]]] = field(default_factory=dict)
-
-
-def derive_chunk_dag(strategy) -> SenderGraph:
-    """Derive the happens-before DAG over sender processes from a strategy."""
-    graph = SenderGraph()
-    for sc in strategy.subcollectives:
-        if not sc.flows:
-            continue
-        prev_incoming: Dict[str, Dict[str, List[SenderId]]] = {}
-        for stage in lower(strategy.primitive, sc):
-            wiring = wire(stage.flows, stage.mode, stage.aggregates_at)
-            senders = [
-                (i, unit, SenderId(stage.tag, str(i), str(j), unit_label(unit)))
-                for i, j, unit in wiring.senders
-            ]
-            #: Incoming units per node: node -> unit -> [senders carrying it].
-            incoming: Dict[str, Dict[str, List[SenderId]]] = {}
-            for _i, _unit, sender in senders:
-                incoming.setdefault(sender.dst, {}).setdefault(sender.unit, []).append(sender)
-            for tail, unit, sender in senders:
-                src, label = sender.src, sender.unit
-                groups: List[List[SenderId]] = []
-                if (
-                    stage.mode == MODE_MERGE
-                    and unit == agg_unit(tail)
-                    and any(u != label for u in incoming.get(src, {}))
-                ):
-                    # Aggregator output: waits for EVERY incoming unit at
-                    # src (AND across units, OR within each unit's copies).
-                    for in_unit in sorted(incoming.get(src, {})):
-                        if in_unit == label:
-                            continue
-                        groups.append(incoming[src][in_unit])
-                elif label in incoming.get(src, {}):
-                    # Pass-through: the same unit must have arrived at src
-                    # over some in-edge (whichever copy lands first).
-                    groups.append(incoming[src][label])
-                elif stage.fed_by is not None and tail == stage.root:
-                    # Stage boundary (AllReduce): a broadcast send out of
-                    # the root waits for the reduce stage's aggregation
-                    # there — every reduce unit arriving at the root.
-                    for in_unit in sorted(prev_incoming.get(src, {})):
-                        groups.append(prev_incoming[src][in_unit])
-                graph.senders.append(sender)
-                graph.preds[sender] = groups
-            prev_incoming = incoming
-    return graph
-
-
-def check_run_against_dag(strategy, run, tol: float = _TIME_TOL) -> List[Finding]:
-    """Vector-clock happens-before check of a telemetry run against the DAG.
-
-    ``run`` is a parsed :class:`~repro.telemetry.export.TelemetryRun`.
-    Returns ``race-happens-before`` findings for every recorded chunk span
-    that starts before a DAG predecessor ended, and ``race-dag-coverage``
-    when the run is missing spans the DAG says must exist.
+    ``run`` is a parsed :class:`~repro.telemetry.export.TelemetryRun`. Its
+    chunk spans join to the strategy's :func:`derive_chunk_dag` through
+    :func:`~repro.critpath.engine.dag_join`. Returns ``race-dag-coverage``
+    when the run is missing spans the DAG says must exist, else
+    ``race-happens-before`` for every span — of every execution of the
+    strategy — that starts before a DAG predecessor ended.
     """
     graph = derive_chunk_dag(strategy)
+    spans = extract_chunk_spans(run.records)
+    slots, preds = dag_join(spans, graph)
+    findings = _coverage(graph, slots)
+    if findings:
+        return findings
+    for sender in graph.senders:
+        for chunk, indices in sorted(slots[sender].items()):
+            for index in indices:
+                start = spans[index].start
+                for before in (spans[pred] for pred in preds[index]):
+                    if before.end > start + tol:
+                        findings.append(
+                            Finding(
+                                "race-happens-before",
+                                f"{sender}#chunk{chunk}",
+                                f"chunk {chunk} of {sender} starts at t={start:.9g} "
+                                f"before its DAG predecessor (chunk {before.chunk} "
+                                f"of {before.tag}[{before.link} {before.unit}]) "
+                                f"ends at t={before.end:.9g}: the recorded "
+                                "schedule ran them out of order",
+                            )
+                        )
+    return findings
+
+
+def _coverage(graph: SenderGraph, slots) -> List[Finding]:
+    """Every DAG sender recorded spans, and every chunk its stage carries."""
     findings: List[Finding] = []
-    wanted = {(s.tag, s.track, s.unit): s for s in graph.senders}
-
-    # Collect per-sender chunk spans, in file order (= (start, seq) order).
-    spans: Dict[SenderId, Dict[int, Tuple[float, float, int]]] = {}
-    order_index = 0
-    for record in run.records:
-        if record.get("type") != "span" or record.get("cat") != "chunk":
-            continue
-        name = record.get("name", "")
-        if not name.endswith(":send"):
-            continue
-        tag = name[: -len(":send")]
-        args = record.get("args", {})
-        unit = args.get("unit")
-        key = (tag, record.get("track", ""), unit)
-        sender = wanted.get(key)
-        if sender is None:
-            continue
-        chunk = int(args.get("chunk", -1))
-        end = record.get("end")
-        if chunk < 0 or end is None:
-            continue
-        spans.setdefault(sender, {})[chunk] = (
-            float(record["start"]),
-            float(end),
-            order_index,
-        )
-        order_index += 1
-
-    # Coverage: all senders of one stage carry the same chunk count, and a
-    # sender the DAG requires must have produced spans at all.
     chunks_by_tag: Dict[str, Set[int]] = {}
     for sender in graph.senders:
-        if sender not in spans:
+        if sender not in slots:
             findings.append(
                 Finding(
                     "race-dag-coverage",
@@ -463,13 +378,13 @@ def check_run_against_dag(strategy, run, tol: float = _TIME_TOL) -> List[Finding
                 )
             )
             continue
-        chunks_by_tag.setdefault(sender.tag, set()).update(spans[sender])
+        chunks_by_tag.setdefault(sender.tag, set()).update(slots[sender])
     for tag, chunk_set in sorted(chunks_by_tag.items()):
         expected = set(range(max(chunk_set) + 1))
         for sender in graph.senders:
-            if sender.tag != tag or sender not in spans:
+            if sender.tag != tag or sender not in slots:
                 continue
-            missing = expected - set(spans[sender])
+            missing = expected - set(slots[sender])
             if missing:
                 findings.append(
                     Finding(
@@ -479,60 +394,4 @@ def check_run_against_dag(strategy, run, tol: float = _TIME_TOL) -> List[Finding
                         f"{sorted(missing)} of {len(expected)}",
                     )
                 )
-    if findings:
-        return findings
-
-    # Vector clocks: one component per sender process; an event's clock is
-    # the pointwise max over its own history and its DAG predecessors'.
-    index_of = {sender: i for i, sender in enumerate(graph.senders)}
-    clock_of: Dict[Tuple[SenderId, int], List[int]] = {}
-    width = len(graph.senders)
-
-    def clock(sender: SenderId, chunk: int) -> List[int]:
-        key = (sender, chunk)
-        cached = clock_of.get(key)
-        if cached is not None:
-            return cached
-        vc = [0] * width
-        if chunk > 0:
-            for i, v in enumerate(clock(sender, chunk - 1)):
-                if v > vc[i]:
-                    vc[i] = v
-        for group in graph.preds[sender]:
-            # The slot is released by whichever group member *ends* first.
-            first = min(group, key=lambda p: (spans[p][chunk][1], spans[p][chunk][0]))
-            for i, v in enumerate(clock(first, chunk)):
-                if v > vc[i]:
-                    vc[i] = v
-        vc[index_of[sender]] = chunk + 1
-        clock_of[key] = vc
-        return vc
-
-    for sender in graph.senders:
-        for chunk in sorted(spans[sender]):
-            start, _end, _ord = spans[sender][chunk]
-            required: List[Tuple[SenderId, int]] = []
-            if chunk > 0:
-                required.append((sender, chunk - 1))
-            for group in graph.preds[sender]:
-                first = min(
-                    group, key=lambda p: (spans[p][chunk][1], spans[p][chunk][0])
-                )
-                required.append((first, chunk))
-            for pred, pred_chunk in required:
-                pred_end = spans[pred][pred_chunk][1]
-                if pred_end > start + tol:
-                    findings.append(
-                        Finding(
-                            "race-happens-before",
-                            f"{sender}#chunk{chunk}",
-                            f"chunk {chunk} of {sender} starts at "
-                            f"t={start:.9g} before its DAG predecessor "
-                            f"(chunk {pred_chunk} of {pred}) ends at "
-                            f"t={pred_end:.9g}: the DAG orders them "
-                            f"(VC {clock(pred, pred_chunk)} ≤ "
-                            f"{clock(sender, chunk)}) but the recorded "
-                            "schedule ran them out of order",
-                        )
-                    )
     return findings

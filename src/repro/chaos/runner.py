@@ -178,6 +178,14 @@ class ChaosRunner:
         )
         if unknown:
             raise ChaosError(f"plan corrupts links outside the topology: {unknown}")
+        if plan.message_faults:
+            # Message faults act on a CollectiveService's work queues
+            # (ChaosInjector.attach_queues); the runner drives the
+            # coordinator directly and has none to fault.
+            raise ChaosError(
+                "the chaos runner has no work queues: drive a plan with "
+                "message faults through a CollectiveService"
+            )
         # Data-plane parties: the corruptor exists whenever the plan
         # schedules corruption (the attack is real even when undefended);
         # the monitor only when the integrity layer is switched on.
@@ -219,7 +227,7 @@ class ChaosRunner:
                 config=observe,
                 profiler=self.profiler,
                 current_strategy=lambda: self._strategy,
-                resynthesize=self._resynthesize_for_observe,
+                resynthesize=lambda reason: self._resynthesize(self.members, reason),
                 synthesizer=self.synthesizer,
                 attribution=self.critpath.top_link,
             ).attach()
@@ -234,43 +242,37 @@ class ChaosRunner:
         changed (or when a between-prepare-and-commit coordinator crash is
         being injected, which forces a re-install of the same strategy so
         the rollback path has a transition to orphan)."""
-        key = tuple(members)
-        changed = self._strategy is None or self._strategy_members != key
-        if not changed and not crash_after_prepare:
-            return self._strategy
+        if self._strategy is None or self._strategy_members != tuple(members):
+            return self._resynthesize(members, crash_after_prepare=crash_after_prepare)
+        if crash_after_prepare:
+            self.control_plane.install_strategy(members, crash_after_prepare=True)
+        return self._strategy
+
+    def _resynthesize(
+        self,
+        members: Sequence[int],
+        reason: Optional[str] = None,
+        crash_after_prepare: bool = False,
+    ) -> Strategy:
+        """Install ``members`` transactionally (two-phase prepare/commit,
+        journaled), synthesize an AllReduce for the committed membership
+        under the current link estimates, and trace it as
+        ``chaos-resynthesis``. Every path that replaces the strategy —
+        membership changes, watchdog verdicts, integrity quarantines —
+        goes through here; only the first install is not a re-synthesis.
+        """
         committed = self.control_plane.install_strategy(
             members, crash_after_prepare=crash_after_prepare
         )
-        if changed:
-            first = self._strategy is None
-            tensor_size = self.length * 8 * self.byte_scale
-            self._strategy = self.synthesizer.synthesize(
-                Primitive.ALLREDUCE, tensor_size, list(committed)
-            )
-            self._strategy_members = key
-            if not first:
-                self.resyntheses += 1
-            self.injector.record(
-                "chaos-resynthesis", "synthesizer", key,
-                members=list(key),
-            )
-        return self._strategy
-
-    def _resynthesize_for_observe(self, reason: str) -> Strategy:
-        """The watchdog's re-synthesis hook: transactional install of a
-        fresh strategy on the *current* membership under the refreshed
-        link estimates (two-phase prepare/commit, journaled like every
-        membership-driven install)."""
-        committed = self.control_plane.install_strategy(self.members)
-        tensor_size = self.length * 8 * self.byte_scale
+        if self._strategy is not None:
+            self.resyntheses += 1
         self._strategy = self.synthesizer.synthesize(
-            Primitive.ALLREDUCE, tensor_size, list(committed)
+            Primitive.ALLREDUCE, self.length * 8 * self.byte_scale, list(committed)
         )
-        self._strategy_members = tuple(self.members)
-        self.resyntheses += 1
+        key = self._strategy_members = tuple(members)
+        because = {} if reason is None else {"reason": reason}
         self.injector.record(
-            "chaos-resynthesis", "synthesizer", tuple(self.members),
-            members=list(self.members), reason=reason,
+            "chaos-resynthesis", "synthesizer", key, members=list(key), **because
         )
         return self._strategy
 
@@ -286,23 +288,6 @@ class ChaosRunner:
             payload["iteration"],
             **payload,
         )
-
-    def _resynthesize_for_integrity(self, link: str) -> Strategy:
-        """Quarantine-driven re-synthesis: same transactional two-phase
-        install path as membership changes and watchdog verdicts, on the
-        current membership over the capacity-masked topology."""
-        committed = self.control_plane.install_strategy(self.members)
-        tensor_size = self.length * 8 * self.byte_scale
-        self._strategy = self.synthesizer.synthesize(
-            Primitive.ALLREDUCE, tensor_size, list(committed)
-        )
-        self._strategy_members = tuple(self.members)
-        self.resyntheses += 1
-        self.injector.record(
-            "chaos-resynthesis", "synthesizer", tuple(self.members),
-            members=list(self.members), reason=f"integrity-quarantine:{link}",
-        )
-        return self._strategy
 
     def _integrity_scan(
         self,
@@ -352,7 +337,9 @@ class ChaosRunner:
                 "chaos-quarantine", link, iteration,
                 iteration=iteration, link=link,
             )
-            new_strategy = self._resynthesize_for_integrity(link)
+            new_strategy = self._resynthesize(
+                self.members, f"integrity-quarantine:{link}"
+            )
             monitor.record_resynthesis(link, now=self.sim.now)
         return True, new_strategy
 

@@ -1,21 +1,22 @@
 """Critical-path extraction and bottleneck attribution (DESIGN.md §12).
 
-The executor's chunk pipelines already export one ``…:send`` span per
-(stage, link, traffic-unit, chunk) — the same spans the ``--races`` pass
-replays against the strategy-derived chunk-dependency DAG. This module
-joins those spans back into a per-run execution DAG, walks the critical
-path on sim-clock timings, and attributes the elapsed time to links,
-ranks, and pipeline stages with slack analysis — the "where did the time
-go?" answer the watchdog needs to target its re-probes.
+The executor's chunk pipelines export one ``…:send`` span per (stage,
+link, traffic-unit, chunk); :func:`chunk_send` is the one reader of that
+format, for every consumer of chunk sends. This module joins those spans
+back into a per-run execution DAG, walks the critical path on sim-clock
+timings, and attributes the elapsed time to links, ranks, and pipeline
+stages with slack analysis — the "where did the time go?" answer the
+watchdog needs to target its re-probes.
 
 Two join modes:
 
 * **dag** — a :class:`~repro.synthesis.strategy.Strategy` is available:
-  spans join to :func:`repro.analysis.race.derive_chunk_dag` senders by
-  ``(tag, track, unit)`` exactly as the race detector does, and the DAG's
-  AND-groups (OR within a group: whichever copy of a unit *ends* first
-  releases the slot) become edges. Repeated executions of the same
-  strategy (training iterations) match by occurrence index.
+  :func:`dag_join` matches spans to the senders of
+  :func:`repro.runtime.stages.derive_chunk_dag` by ``(tag, track, unit)``
+  and the DAG's AND-groups (OR within a group: whichever copy of a unit
+  *ends* first releases the slot) become edges. Repeated executions of
+  the same strategy (training iterations) match by occurrence index. The
+  ``--races`` happens-before check is this join plus one comparison.
 * **inferred** — no strategy: edges are inferred from the spans alone.
   The same sender's chunk ``k-1 → k`` serializes; a cross-link handoff
   edge joins the latest-ending producer of the same ``(tag, unit,
@@ -48,8 +49,7 @@ REPORT_SCHEMA = 1
 #: Report envelope type tag.
 REPORT_KIND = "critpath_report"
 
-#: Per-span slack when comparing simulator timestamps (matches the race
-#: detector's tolerance).
+#: Per-span slack when comparing simulator timestamps.
 TIME_TOL = 1e-9
 
 
@@ -167,19 +167,21 @@ def _end_key(spans: Sequence[ChunkSpan], index: int) -> Tuple[float, float, int]
     return (span.end, span.start, span.order)
 
 
-def _dag_predecessors(
-    spans: Sequence[ChunkSpan], strategy
-) -> List[List[int]]:
-    """Edges from the strategy-derived chunk DAG, matched by occurrence.
+def dag_join(
+    spans: Sequence[ChunkSpan], graph
+) -> Tuple[Dict[Any, Dict[int, List[int]]], List[List[int]]]:
+    """Join chunk spans onto a chunk DAG, matched by occurrence.
 
-    ``slots[sender][chunk]`` lists span indices in file order; the o-th
-    occurrence of every sender's chunk belongs to the o-th execution of
-    the strategy, so repeated iterations line up without any iteration
-    label on the spans.
+    ``graph`` is a :class:`~repro.runtime.stages.SenderGraph`. A span
+    belongs to the sender with its ``(tag, track, unit)``;
+    ``slots[sender][chunk]`` lists that sender's span indices in file
+    order, and the o-th occurrence of every sender's chunk belongs to the
+    o-th execution of the strategy, so repeated iterations line up without
+    any iteration label on the spans. A span's predecessors are the same
+    occurrence of its sender's chunk ``k-1`` and, per AND-group, the
+    member that ended first — whichever copy of a unit lands first
+    releases the slot. Returns ``(slots, preds)``.
     """
-    from repro.analysis.race import derive_chunk_dag
-
-    graph = derive_chunk_dag(strategy)
     wanted = {(s.tag, s.track, s.unit): s for s in graph.senders}
     slots: Dict[Any, Dict[int, List[int]]] = {}
     for index, span in enumerate(spans):
@@ -202,12 +204,10 @@ def _dag_predecessors(
                         if occurrence < len(slots.get(p, {}).get(chunk, []))
                     ]
                     if candidates:
-                        # The slot is released by whichever group member
-                        # ends first — the race detector's rule.
                         preds[index].append(
                             min(candidates, key=lambda i: _end_key(spans, i))
                         )
-    return preds
+    return slots, preds
 
 
 def handoff_producers(
@@ -459,7 +459,11 @@ def analyze_spans(
         return report
 
     if strategy is not None:
-        preds = _dag_predecessors(spans, strategy)
+        # Imported here: the runtime builds on the hardware layer, which
+        # imports telemetry and, through its exporter, this module.
+        from repro.runtime.stages import derive_chunk_dag
+
+        _slots, preds = dag_join(spans, derive_chunk_dag(strategy))
     else:
         preds = _inferred_predecessors(spans, tol)
     report["inferred_edges"] = _stitch_orphans(spans, preds, tol)

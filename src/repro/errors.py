@@ -95,14 +95,6 @@ class CoordinationError(ReproError):
     """Relay-control coordination failures."""
 
 
-class WorkerFault(ReproError):
-    """A worker has been declared faulty by the coordinator."""
-
-    def __init__(self, rank: int, message: str = ""):
-        super().__init__(message or f"worker rank {rank} is faulty")
-        self.rank = rank
-
-
 class TrainingError(ReproError):
     """Errors raised by the training substrate."""
 

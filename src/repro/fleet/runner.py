@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.critpath.consumer import CritpathConsumer
+from repro.critpath.engine import chunk_send
 from repro.errors import FleetError
 from repro.fleet.aggregate import (
     FleetAggregator,
@@ -98,23 +99,20 @@ class LinkOccupancy(TelemetryConsumer):
     """Accumulates when one job's chunk sends occupied each link.
 
     Subscribed to a single job's hub, so the intervals are per-job by
-    construction. Only ``…:send`` chunk spans count (the same filter the
-    critpath consumer applies), so staging/reduce activity is not
-    mistaken for wire occupancy.
+    construction. Only chunk sends count (:func:`~repro.critpath.engine.
+    chunk_send`, as for the critpath consumer), so staging/reduce activity
+    is not mistaken for wire occupancy.
     """
 
     def __init__(self) -> None:
         self.intervals: Dict[str, List[Tuple[float, float]]] = {}
 
     def on_span(self, span: Span) -> None:
-        if span.category != "chunk" or not span.name.endswith(":send"):
-            return
-        if not span.track.startswith("link:") or span.end is None:
-            return
-        if span.end <= span.start:
-            return
-        link = span.track[len("link:"):]
-        self.intervals.setdefault(link, []).append((span.start, span.end))
+        send = chunk_send(
+            span.category, span.name, span.track, span.start, span.end, span.args, 0, span.seq
+        )
+        if send is not None and send.end > send.start:
+            self.intervals.setdefault(send.link, []).append((send.start, send.end))
 
     def on_event(self, span: Span) -> None:
         pass

@@ -35,7 +35,6 @@ from repro.observe.verdicts import (
     AnomalyVerdict,
     ObserveLog,
     link_endpoints,
-    links_touching,
     parse_observe_jsonl,
 )
 from repro.observe.watchdog import ObserveConfig, Watchdog
@@ -58,6 +57,5 @@ __all__ = [
     "cusum_latency_bound",
     "evaluate_detection",
     "link_endpoints",
-    "links_touching",
     "parse_observe_jsonl",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ObserveError
 
@@ -172,13 +172,3 @@ def link_endpoints(link: str) -> Tuple[str, str]:
         raise ObserveError(f"not a link name: {link!r}")
     src, dst = link.split("->", 1)
     return src, dst
-
-
-def links_touching(links: Sequence[str], node_name: str) -> List[str]:
-    """The subset of ``links`` with ``node_name`` as either endpoint."""
-    out = []
-    for link in links:
-        src, dst = link_endpoints(link)
-        if node_name in (src, dst):
-            out.append(link)
-    return out

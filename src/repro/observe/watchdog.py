@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.critpath.engine import chunk_send
 from repro.errors import ObserveError, TopologyError
 from repro.observe.detectors import CusumDetector, EwmaBaseline, SignalTracker
 from repro.observe.verdicts import (
@@ -223,16 +224,14 @@ class Watchdog(TelemetryConsumer):
         """Accumulate chunk-pipeline link spans into per-iteration sums."""
         if not self.config.enabled:
             return
-        if span.category != "chunk" or not span.track.startswith("link:"):
-            return
-        duration = span.duration
-        if duration is None or duration <= 0:
-            return
-        link = span.track[len("link:"):]
-        self._link_bytes[link] = self._link_bytes.get(link, 0.0) + float(
-            span.args.get("bytes", 0.0)
+        send = chunk_send(
+            span.category, span.name, span.track, span.start, span.end, span.args, 0, span.seq
         )
-        self._link_busy[link] = self._link_busy.get(link, 0.0) + duration
+        if send is None or send.duration <= 0:
+            return
+        link = send.link
+        self._link_bytes[link] = self._link_bytes.get(link, 0.0) + send.bytes
+        self._link_busy[link] = self._link_busy.get(link, 0.0) + send.duration
 
     def on_event(self, event: Span) -> None:
         """Fold profiler fits and ski-rental verdicts into the signals."""

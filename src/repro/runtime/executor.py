@@ -18,9 +18,12 @@ graph over the simulator:
   output slots, which is exactly the paper's reduce/broadcast pipelining).
 
 Which senders, aggregators and sources a stage has is
-:func:`repro.runtime.stages.wire`'s answer, shared with the deadlock check
-and the race detector. Payloads are real numpy arrays, so tests can assert
-bit-exact collective semantics, not just timing.
+:func:`repro.runtime.stages.wire`'s answer, shared with the plan-time
+deadlock check and the chunk DAG. A stage that cannot finish (two
+aggregation points each waiting on the other) is rejected when its
+strategy is verified; one that runs anyway stalls the simulator, whose
+``run_until_complete`` then raises. Payloads are real numpy arrays, so
+tests can assert bit-exact collective semantics, not just timing.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.config import verification_enabled
 from repro.errors import CommunicatorError
 from repro.runtime.stages import (  # noqa: F401 - the modes are re-exported
     MODE_GROUPED,
@@ -133,28 +135,6 @@ class ChunkPipeline:
 
     # -- wiring ----------------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Pre-execution deadlock check over the chunk dependency graph.
-
-        Runs the same fixpoint the event graph would resolve dynamically
-        (:func:`repro.analysis.stage_unreachable`): if any flow's terminal
-        chunk slot is unreachable — e.g. two aggregation points each
-        waiting on the other's output — the stage would stall forever, so
-        fail fast here instead of hanging the simulator.
-        """
-        if self.num_chunks == 0 or not self.flows:
-            return
-        from repro.analysis.verify_strategy import stage_unreachable
-
-        unreachable = stage_unreachable(self.flows, self.mode, self._aggregates_at)
-        if unreachable:
-            unique = list(dict.fromkeys(unreachable))
-            detail = ", ".join(f"{unit} at {node}" for unit, node in unique[:4])
-            raise CommunicatorError(
-                f"stage {self.tag!r} would deadlock: "
-                f"{len(unique)} terminal slot(s) unreachable ({detail})"
-            )
-
     def start(self) -> Event:
         """Spawn all processes; returns an event for full completion."""
         if self._started:
@@ -162,8 +142,6 @@ class ChunkPipeline:
         self._started = True
         if self.num_chunks == 0 or not self.flows:
             return self.sim.timeout(0.0)
-        if verification_enabled():
-            self.validate()
 
         wiring = wire(self.flows, self.mode, self._aggregates_at)
         for flow_idx, unit, node in wiring.sources:
@@ -215,8 +193,7 @@ class ChunkPipeline:
                 track=f"link:{link}",
                 keys=("chunk", "bytes", "unit"),
             )
-            # Identifies the sender process for the race detector's
-            # happens-before replay.
+            # Identifies the sender process in the chunk DAG's span join.
             label = unit_label(unit)
             stage = self.tag.split(":", 1)[0]
             sent = None

@@ -5,11 +5,13 @@ stage or a set of independent AlltoAll flows, and AllReduce feeds its
 reduce stage into a broadcast stage over the reversed paths. :func:`lower`
 writes that once; :func:`wire` derives a stage's event-graph shape —
 senders, aggregator inputs, sources and terminal slots — from the one
-traffic-unit rule, :func:`path_units`. The executor
-(:meth:`repro.runtime.executor.ChunkPipeline.start`), the deadlock check
-(:func:`repro.analysis.verify_strategy.stage_unreachable`) and the race
-detector's chunk DAG (:func:`repro.analysis.race.derive_chunk_dag`) all
-read them, so they cannot disagree on what a stage is.
+traffic-unit rule, :func:`path_units`; :func:`derive_chunk_dag` chains the
+stages' senders into the happens-before DAG a run must honour. The
+executor (:meth:`repro.runtime.executor.ChunkPipeline.start`), the
+plan-time deadlock check (``verify_strategy.stage_unreachable``) and the
+span join of :mod:`repro.critpath.engine` — which the race check and the
+critical-path report share — all read them, so they cannot disagree on
+what a stage is.
 
 A chunk travels as a *traffic unit*: ``("flow", i)`` is flow ``i``'s own
 data, ``("agg", node)`` everything merged at an aggregating node, and
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro.synthesis.strategy import Primitive, SubCollective
+from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import NodeId
 
 #: Stage modes, matching the evaluator's bandwidth-sharing rules.
@@ -178,3 +180,82 @@ def wire(
                 wiring.agg_inputs.setdefault(head, {})[units[hop]] = None
         wiring.terminals.append((units[-1], path[-1]))
     return wiring
+
+
+@dataclass(frozen=True)
+class SenderId:
+    """One executor sender process: a (stage, edge, unit) triple."""
+
+    tag: str
+    src: str
+    dst: str
+    unit: str
+
+    @property
+    def track(self) -> str:
+        return f"link:{self.src}->{self.dst}"
+
+    def __str__(self) -> str:
+        return f"{self.tag}[{self.src}->{self.dst} {self.unit}]"
+
+
+@dataclass
+class SenderGraph:
+    """The strategy-derived chunk-dependency DAG, per sender process.
+
+    ``preds[s]`` is a list of AND-groups: for every group, at least one
+    member sender's chunk-k span must end before ``s``'s chunk-k span
+    starts (OR within a group — whichever copy of the unit lands first
+    releases the slot; AND across groups — an aggregator waits for every
+    incoming unit). Same-sender chunks additionally serialize k-1 → k.
+    """
+
+    senders: List[SenderId] = field(default_factory=list)
+    preds: Dict[SenderId, List[List[SenderId]]] = field(default_factory=dict)
+
+
+def derive_chunk_dag(strategy: Strategy) -> SenderGraph:
+    """Derive the happens-before DAG over sender processes from a strategy."""
+    graph = SenderGraph()
+    for sc in strategy.subcollectives:
+        if not sc.flows:
+            continue
+        prev_incoming: Dict[str, Dict[str, List[SenderId]]] = {}
+        for stage in lower(strategy.primitive, sc):
+            wiring = wire(stage.flows, stage.mode, stage.aggregates_at)
+            senders = [
+                (i, unit, SenderId(stage.tag, str(i), str(j), unit_label(unit)))
+                for i, j, unit in wiring.senders
+            ]
+            #: Incoming units per node: node -> unit -> [senders carrying it].
+            incoming: Dict[str, Dict[str, List[SenderId]]] = {}
+            for _i, _unit, sender in senders:
+                incoming.setdefault(sender.dst, {}).setdefault(sender.unit, []).append(sender)
+            for tail, unit, sender in senders:
+                src, label = sender.src, sender.unit
+                groups: List[List[SenderId]] = []
+                if (
+                    stage.mode == MODE_MERGE
+                    and unit == agg_unit(tail)
+                    and any(u != label for u in incoming.get(src, {}))
+                ):
+                    # Aggregator output: waits for EVERY incoming unit at
+                    # src (AND across units, OR within each unit's copies).
+                    for in_unit in sorted(incoming.get(src, {})):
+                        if in_unit == label:
+                            continue
+                        groups.append(incoming[src][in_unit])
+                elif label in incoming.get(src, {}):
+                    # Pass-through: the same unit must have arrived at src
+                    # over some in-edge (whichever copy lands first).
+                    groups.append(incoming[src][label])
+                elif stage.fed_by is not None and tail == stage.root:
+                    # Stage boundary (AllReduce): a broadcast send out of
+                    # the root waits for the reduce stage's aggregation
+                    # there — every reduce unit arriving at the root.
+                    for in_unit in sorted(prev_incoming.get(src, {})):
+                        groups.append(prev_incoming[src][in_unit])
+                graph.senders.append(sender)
+                graph.preds[sender] = groups
+            prev_incoming = incoming
+    return graph

@@ -8,7 +8,7 @@ first child to trigger.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import List
 
 from repro.simulation.engine import Event, Simulator
 
@@ -72,9 +72,3 @@ class AnyOf(Event):
                 self.fail(event.value)
 
         return on_child
-
-
-def first_value(result: Any) -> Any:
-    """Unpack the value from an :class:`AnyOf` result pair."""
-    _index, value = result
-    return value

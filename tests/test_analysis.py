@@ -1,8 +1,8 @@
 """Tests for the :mod:`repro.analysis` passes (DESIGN.md §5).
 
 Covers the strategy verifier (acceptance of real synthesizer/baseline
-output, rejection of seeded corruptions), the executor's pre-flight
-deadlock check, the fluid-trace linter (clean real runs, synthetic
+output, rejection of seeded corruptions), the engine's report of a
+deadlocked stage, the fluid-trace linter (clean real runs, synthetic
 violations), the AST source linter, and the ``python -m repro.analysis``
 CLI.
 """
@@ -17,7 +17,7 @@ from repro.analysis.verify_strategy import verify_strategy
 from repro.analysis.__main__ import main as analysis_main
 from repro.baselines import make_backend
 from repro.bench.harness import BenchEnvironment
-from repro.errors import CommunicatorError, StrategyVerificationError, SynthesisError
+from repro.errors import SimulationError, StrategyVerificationError, SynthesisError
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
 from repro.hardware.presets import make_config
 from repro.relay.coordinator import AdaptiveAllReduce
@@ -185,38 +185,26 @@ class TestMutationsRejected:
         assert excinfo.value.violations
 
 
-class TestExecutorPreflight:
-    def _cyclic_pipeline(self, topo):
+class TestStageDeadlock:
+    def test_cyclic_aggregation_stalls_the_engine_loudly(self):
+        # Plan-time verification rejects this stage (the `deadlock` rule);
+        # run anyway, it leaves the event queue empty before completion,
+        # which the engine reports instead of hanging.
+        topo = homo_topology()
         g0, g1, g2 = gpu_node(0), gpu_node(1), gpu_node(2)
         agg = {g0, g1, g2}
-        flows = [
-            (0, [g1, g2, g0]),
-            (1, [g2, g1, g0]),
-        ]
-        return ChunkPipeline(
+        pipeline = ChunkPipeline(
             topo,
-            flows,
+            [(0, [g1, g2, g0]), (1, [g2, g1, g0])],
             num_chunks=1,
             chunk_bytes=[100.0],
             chunk_source=lambda i, k: (topo.cluster.sim.timeout(0.0), lambda: np.zeros(1)),
             mode=MODE_MERGE,
             aggregates_at=lambda node: node in agg,
         )
-
-    def test_validate_rejects_cyclic_aggregation(self):
-        topo = homo_topology()
-        pipeline = self._cyclic_pipeline(topo)
-        with pytest.raises(CommunicatorError, match="deadlock"):
-            pipeline.validate()
-
-    def test_start_fails_fast_under_pytest(self):
-        # verification_enabled() is True under pytest, so start() runs the
-        # same pre-flight and refuses to build a stalling event graph.
-        assert verification_enabled()
-        topo = homo_topology()
-        pipeline = self._cyclic_pipeline(topo)
-        with pytest.raises(CommunicatorError, match="deadlock"):
-            pipeline.start()
+        done = pipeline.start()
+        with pytest.raises(SimulationError, match="deadlock: event queue empty"):
+            topo.cluster.sim.run_until_complete(done)
 
     def test_stage_unreachable_empty_for_chain(self):
         g0, g1, g2 = gpu_node(0), gpu_node(1), gpu_node(2)

@@ -241,6 +241,17 @@ class TestEvictionAndRejoin:
         with pytest.raises(ChaosError):
             ChaosRunner(SPECS, plan, length=128)
 
+    def test_message_faults_rejected_not_dropped(self):
+        # Message faults act on a CollectiveService's work queues, which
+        # the runner never builds: replaying such a plan would silently
+        # run it as if they were absent.
+        plan = FaultPlan.generate(
+            seed=CHAOS_SEED, world=WORLD, iterations=3, message_fault_rate=0.5
+        )
+        assert plan.message_faults
+        with pytest.raises(ChaosError, match="work queues"):
+            ChaosRunner(SPECS, plan, length=128)
+
 
 class TestLinkFaults:
     def test_degradation_restores_nominal_and_lints_clean(self):

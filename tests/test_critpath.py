@@ -25,38 +25,36 @@ from repro.critpath.__main__ import main as critpath_cli
 from repro.hardware.presets import make_config, make_homo_cluster
 from repro.observe import ObserveConfig
 from repro.synthesis.strategy import Primitive
-from repro.telemetry.core import TelemetryHub, set_hub
+from repro.telemetry.core import TelemetryHub
 from repro.telemetry.export import parse_jsonl, to_jsonl
 
 SPECS = make_homo_cluster(num_servers=2, gpus_per_server=4)
 
 
+def _allreduce_on(hub: TelemetryHub):
+    """Plan and run one 4-rank AllReduce on ``hub``; returns its strategy."""
+    env = BenchEnvironment(make_config([2, 2]), "adapcc", hub=hub)
+    env.backend.verify = False
+    inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
+    strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
+    env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
+    return strategy
+
+
 def _instrumented_allreduce():
     """One AllReduce under a fresh enabled hub; returns (run, strategy, hub)."""
     fresh = TelemetryHub(enabled=True)
-    previous = set_hub(fresh)
-    try:
-        env = BenchEnvironment(make_config([2, 2]), "adapcc")
-        env.backend.verify = False
-        inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
-        strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
-        env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
-    finally:
-        set_hub(previous)
+    strategy = _allreduce_on(fresh)
     return parse_jsonl(to_jsonl(fresh)), strategy, fresh
 
 
 def _chaos_run(plan, observe=None):
     """Replay one fault plan; returns (parsed run, runner)."""
     fresh = TelemetryHub(enabled=True)
-    previous = set_hub(fresh)
-    try:
-        runner = ChaosRunner(
-            SPECS, plan, length=512, byte_scale=200_000.0, observe=observe
-        )
-        runner.run()
-    finally:
-        set_hub(previous)
+    runner = ChaosRunner(
+        SPECS, plan, length=512, byte_scale=200_000.0, observe=observe, hub=fresh
+    )
+    runner.run()
     return parse_jsonl(to_jsonl(fresh)), runner
 
 
@@ -180,19 +178,7 @@ class TestConsumer:
         fresh = TelemetryHub(enabled=True)
         consumer = CritpathConsumer()
         fresh.subscribe(consumer)
-        previous = set_hub(fresh)
-        try:
-            env = BenchEnvironment(make_config([2, 2]), "adapcc")
-            env.backend.verify = False
-            inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
-            strategy = env.backend.plan(
-                Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks
-            )
-            env.backend.run(
-                strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0)
-            )
-        finally:
-            set_hub(previous)
+        _allreduce_on(fresh)
         offline = analyze_run(parse_jsonl(to_jsonl(fresh)))
         assert consumer.span_count == offline["span_count"]
         assert consumer.top_link() == offline["top_link"]["name"]

@@ -7,7 +7,7 @@ from repro.errors import SimulationError, SynthesisError
 from repro.hardware import Cluster, GPU, make_homo_cluster
 from repro.hardware.presets import A100_GPU
 from repro.simulation import Simulator
-from repro.simulation.primitives import AnyOf, first_value
+from repro.simulation.primitives import AnyOf
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.synthesis.chunking import chunk_candidates
 from repro.topology import LogicalTopology
@@ -15,9 +15,6 @@ from repro.topology.graph import gpu_node, nic_node
 
 
 class TestSimulationEdges:
-    def test_first_value_unpacks(self):
-        assert first_value((2, "payload")) == "payload"
-
     def test_any_of_empty_succeeds_immediately(self):
         sim = Simulator()
         event = AnyOf(sim, [])

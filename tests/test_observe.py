@@ -488,8 +488,8 @@ def _drive_synthetic(seed: int, iterations: int) -> str:
         # accumulates past the CUSUM threshold before the baseline
         # re-learns the degraded rate as the new normal.
         throughput = 1e9 * (0.15 if degraded else 1.0) * (1 + rng.uniform(-0.05, 0.05))
-        span = tracer.begin("chunk-send", float(i), category="chunk", track="link:n0->n1",
-                            bytes=throughput)
+        span = tracer.begin("a:send", float(i), category="chunk", track="link:n0->n1",
+                            chunk=i, bytes=throughput)
         tracer.end(span, float(i) + 1.0)
         watchdog.on_span(span)
         fit = tracer.instant("alpha-beta-fit", float(i), category="profile",

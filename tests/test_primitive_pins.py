@@ -19,9 +19,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis.race import check_run_against_dag, derive_chunk_dag
+from repro.analysis.race import check_run_against_dag
 from repro.bench.harness import BenchEnvironment
 from repro.hardware.presets import make_config
+from repro.runtime.stages import derive_chunk_dag
 from repro.synthesis.strategy import Primitive
 from repro.telemetry.core import TelemetryHub
 from repro.telemetry.export import parse_jsonl, to_jsonl

@@ -1,5 +1,7 @@
 """Tests for the sim-determinism race detector (static + dynamic halves)."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,17 +9,14 @@ import pytest
 
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.lint_source import lint_source
-from repro.analysis.race import (
-    check_run_against_dag,
-    derive_chunk_dag,
-    lint_determinism_hazards,
-    unit_label,
-)
+from repro.analysis.passes import _traced_allreduce
+from repro.analysis.race import check_run_against_dag, lint_determinism_hazards
 from repro.analysis.runner import run_passes
 from repro.bench.harness import BenchEnvironment
 from repro.hardware.presets import make_config
+from repro.runtime.stages import derive_chunk_dag, unit_label
 from repro.synthesis.strategy import Primitive
-from repro.telemetry.core import TelemetryHub, hub, set_hub
+from repro.telemetry.core import TelemetryHub
 from repro.telemetry.export import parse_jsonl, to_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures" / "hazards"
@@ -106,24 +105,23 @@ class TestAmbientObserverFixtures:
         assert green.ok
 
 
+def _executed_allreduce(executions: int = 1):
+    """``executions`` instrumented runs of one 4-rank AllReduce strategy on
+    one hub: (strategy, parsed telemetry run)."""
+    fresh = TelemetryHub(enabled=True)
+    env = BenchEnvironment(make_config([2, 2]), "adapcc", hub=fresh)
+    env.backend.verify = False
+    inputs = {rank: np.full(512, float(rank + 1)) for rank in env.ranks}
+    strategy = env.backend.plan(Primitive.ALLREDUCE, 2 * 1024 * 1024, env.ranks)
+    for _ in range(executions):
+        env.backend.run(strategy, inputs, byte_scale=2 * 1024 * 1024 / (512 * 8.0))
+    return strategy, parse_jsonl(to_jsonl(fresh))
+
+
 @pytest.fixture(scope="module")
 def executed_allreduce():
     """One instrumented 4-rank AllReduce: (strategy, parsed telemetry run)."""
-    previous = hub()
-    fresh = TelemetryHub(enabled=True)
-    set_hub(fresh)
-    try:
-        env = BenchEnvironment(make_config([2, 2]), "adapcc")
-        env.backend.verify = False
-        inputs = {rank: np.full(512, float(rank + 1)) for rank in env.ranks}
-        strategy = env.backend.plan(Primitive.ALLREDUCE, 2 * 1024 * 1024, env.ranks)
-        env.backend.run(
-            strategy, inputs, byte_scale=2 * 1024 * 1024 / (512 * 8.0)
-        )
-        run = parse_jsonl(to_jsonl(fresh))
-    finally:
-        set_hub(previous)
-    return strategy, run
+    return _executed_allreduce()
 
 
 def _chunk_records(run):
@@ -192,7 +190,20 @@ class TestHappensBefore:
             victim["start"] = original
         assert findings
         assert {f.code for f in findings} == {"race-happens-before"}
-        assert any("VC" in f.message for f in findings)
+
+    def test_a_race_in_an_earlier_execution_is_reported(self):
+        # Two executions of one strategy in one run: every occurrence of a
+        # sender's chunk is checked against the same execution's
+        # predecessors, not only the last one recorded.
+        strategy, run = _executed_allreduce(executions=2)
+        assert check_run_against_dag(strategy, run) == []
+        sends = _chunk_records(run)
+        victim = next(r for r in sends if int(r["args"]["chunk"]) == 1)
+        assert sends.index(victim) < len(sends) // 2  # in the first execution
+        victim["start"] = -1.0
+        findings = check_run_against_dag(strategy, run)
+        assert findings
+        assert {f.code for f in findings} == {"race-happens-before"}
 
     def test_missing_sender_is_a_coverage_error(self, executed_allreduce):
         from types import SimpleNamespace
@@ -220,6 +231,30 @@ class TestHappensBefore:
         # the checker's tolerance must not flag equality as a race.
         strategy, run = executed_allreduce
         assert check_run_against_dag(strategy, run, tol=0.0) == []
+
+
+#: sha256 of the JSON list, per chunk-1 send of the ``--races`` pass's
+#: AllReduce in file order, of the sorted ``[code, subject]`` findings when
+#: that one send is rewound to t = -1 — recorded with the vector-clock
+#: checker the span join replaced.
+REWIND_FINDINGS_SHA256 = "a9992e6e3186b09511a283f7c409f064840ed70280ed2dea00382048ca28794a"
+
+
+def test_rewound_sends_give_the_recorded_findings():
+    strategy, run = _traced_allreduce()
+    victims = [r for r in _chunk_records(run) if int(r["args"]["chunk"]) == 1]
+    assert len(victims) == 40
+    table = []
+    for victim in victims:
+        original = victim["start"]
+        victim["start"] = -1.0
+        try:
+            findings = check_run_against_dag(strategy, run)
+        finally:
+            victim["start"] = original
+        table.append(sorted([f.code, f.subject] for f in findings))
+    text = json.dumps(table, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REWIND_FINDINGS_SHA256
 
 
 class TestRacePassCli:
