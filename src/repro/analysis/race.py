@@ -28,7 +28,7 @@ fixtures under ``tests/fixtures/hazards/`` pin their recall.
 **Dynamic half** — ``race-happens-before`` at ``error`` severity. A
 synthesized :class:`~repro.synthesis.strategy.Strategy` fixes the
 chunk-dependency DAG the executor is bound to
-(:func:`repro.runtime.stages.derive_chunk_dag`: one sender process per
+(:func:`repro.runtime.stages.derive_chunk_dag`: one sender per
 (stage, edge, traffic unit), chained across the AllReduce
 reduce→broadcast boundary). An exported run's ``…:send`` spans join onto
 it through the critical-path engine's

@@ -34,6 +34,7 @@ Straggler/relay hooks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -147,6 +148,13 @@ class _Run:
         self.pipeline_stages = pipeline_stages
         self.late = set(late_ranks or ()) - self.active
         delays = ready_times or {}
+        for rank, delay in delays.items():
+            # NaN would read as "ready now" and inf would run the clock to
+            # infinity, so both are refused before anything is scheduled.
+            if not math.isfinite(delay):
+                raise CommunicatorError(
+                    f"ready time of rank {rank} is {delay!r}, not a finite delay"
+                )
         self.started = self.sim.now
         self.ready_at = {
             rank: self.started + max(0.0, delays.get(rank, 0.0))

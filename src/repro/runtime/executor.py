@@ -17,6 +17,18 @@ graph over the simulator:
   chaining: an AllReduce broadcast stage sources from the reduce stage's
   output slots, which is exactly the paper's reduce/broadcast pipelining).
 
+Each of the three is a small callback state machine, not a simulator
+process: like the paper's communicator, which starts no thread per chunk,
+a chunk hop is "event fires → issue the next step". A machine appends its
+callback to the one event it waits on and continues synchronously when
+that event has already been processed. Its queue entries take exactly the
+``(time, priority, seq)`` slots a generator process would have used — the
+first step a URGENT zero-delay entry where the process's start was, an
+aggregator's all-inputs wait one zero-delay NORMAL entry when its pending
+count reaches zero, a reduce kernel a NORMAL entry after the kernel time —
+so every simulated number and exported byte is the same as a process-based
+executor's (``tests/executor_oracle.py`` keeps that one as the reference).
+
 Which senders, aggregators and sources a stage has is
 :func:`repro.runtime.stages.wire`'s answer, shared with the plan-time
 deadlock check and the chunk DAG. A stage that cannot finish (two
@@ -44,7 +56,7 @@ from repro.runtime.stages import (  # noqa: F401 - the modes are re-exported
     unit_label,
     wire,
 )
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import URGENT, Event, Simulator
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind
 
 SlotKey = Tuple[UnitKey, NodeId, int]
@@ -128,15 +140,16 @@ class ChunkPipeline:
 
     def slot(self, unit: UnitKey, node: NodeId, k: int) -> Slot:
         """The (lazily created) availability slot of one chunk at one node."""
-        key = (unit, node, k)
-        if key not in self._slots:
-            self._slots[key] = Slot(self.sim)
-        return self._slots[key]
+        slot = self._slots.get((unit, node, k))
+        if slot is None:
+            slot = self._slots[(unit, node, k)] = Slot(self.sim)
+        return slot
 
     # -- wiring ----------------------------------------------------------------------
 
     def start(self) -> Event:
-        """Spawn all processes; returns an event for full completion."""
+        """Queue every sender, aggregator and source's first step; returns
+        an event for full completion."""
         if self._started:
             raise CommunicatorError("pipeline already started")
         self._started = True
@@ -144,8 +157,9 @@ class ChunkPipeline:
             return self.sim.timeout(0.0)
 
         wiring = wire(self.flows, self.mode, self._aggregates_at)
+        call_later = self.sim.call_later
         for flow_idx, unit, node in wiring.sources:
-            self.sim.process(self._source(flow_idx, unit, node), name=f"src:{node}")
+            call_later(0.0, _Source(self, flow_idx, unit, node).step, None, URGENT)
         last = self.num_chunks - 1
         self._terminals = dict(zip((idx for idx, _path in self.flows), wiring.terminals))
         terminal_events = [self.slot(unit, node, last).event for unit, node in wiring.terminals]
@@ -158,129 +172,17 @@ class ChunkPipeline:
                 agg_optional.setdefault(path[0], []).append(flow_idx)
 
         for (i, j, unit) in wiring.senders:
-            self.sim.process(self._sender(i, j, unit), name=f"send:{i}->{j}")
+            call_later(0.0, _Sender(self, i, j, unit).step, None, URGENT)
         for node, units in wiring.agg_inputs.items():
-            self.sim.process(
-                self._aggregator(
-                    node,
-                    sorted(units),
-                    wiring.agg_local.get(node, []),
-                    agg_optional.get(node, []),
-                ),
-                name=f"agg:{node}",
+            aggregator = _Aggregator(
+                self,
+                node,
+                sorted(units),
+                wiring.agg_local.get(node, []),
+                agg_optional.get(node, []),
             )
+            call_later(0.0, aggregator.step, None, URGENT)
         return self.sim.all_of(terminal_events)
-
-    # -- processes ----------------------------------------------------------------------
-
-    def _source(self, flow_idx: int, unit: UnitKey, node: NodeId):
-        for k in range(self.num_chunks):
-            ready, payload = self.chunk_source(flow_idx, k)
-            yield ready
-            self.slot(unit, node, k).set(payload())
-
-    def _sender(self, i: NodeId, j: NodeId, unit: UnitKey):
-        """Stream chunks of one unit across one edge, in order."""
-        edge = self.topology.edge(i, j)
-        telemetry = self._telemetry
-        # Loop invariants, formatted once per sender rather than per chunk.
-        link = f"{i}->{j}"
-        transfer_tag = f"{self.tag}:{link}"
-        if telemetry is not None:
-            site = telemetry.site(
-                f"{self.tag}:send",
-                category="chunk",
-                track=f"link:{link}",
-                keys=("chunk", "bytes", "unit"),
-            )
-            # Identifies the sender process in the chunk DAG's span join.
-            label = unit_label(unit)
-            stage = self.tag.split(":", 1)[0]
-            sent = None
-        for k in range(self.num_chunks):
-            slot_in = self.slot(unit, i, k)
-            yield slot_in.event
-            if telemetry is not None:
-                span = site.begin(self.sim.now, (k, self.chunk_bytes[k], label))
-            yield self.network.transfer(edge.fluid_links, self.chunk_bytes[k], tag=transfer_tag)
-            if telemetry is not None:
-                telemetry.end(span, self.sim.now)
-                if sent is None:  # registered on first use, as before
-                    sent = telemetry.metrics.counter(
-                        "chunks_sent_total", "chunks streamed across logical edges"
-                    ).labels(stage=stage)
-                sent.inc()
-            out_slot = self.slot(unit, j, k)
-            if not out_slot.event.triggered:
-                delivered = slot_in.payload
-                if self._data_plane is not None:
-                    # Checksum stamp/verify and (under chaos) corruption.
-                    delivered = self._data_plane.deliver(
-                        link, k, delivered, tag=self.tag, now=self.sim.now
-                    )
-                out_slot.set(delivered)
-
-    def _aggregator(
-        self,
-        node: NodeId,
-        units: List[UnitKey],
-        local_flows: List[int],
-        optional_flows: Optional[List[int]] = None,
-    ):
-        """Merge same-index chunks from all units (+ local data) at a node.
-
-        ``optional_flows`` are late-join candidates: their chunk k is
-        included iff its source is ready when the aggregation of chunk k
-        starts — never waited for.
-        """
-        out_unit = agg_unit(node)
-        gpu = (
-            self.topology.cluster.gpu(node.index)
-            if node.kind is NodeKind.GPU
-            else None
-        )
-        telemetry = self._telemetry
-        if telemetry is not None and gpu is not None:
-            site = telemetry.site(
-                f"{self.tag}:reduce",
-                category="reduce",
-                track=f"gpu:{node.index}",
-                keys=("chunk", "bytes", "inputs"),
-            )
-            launched = None
-        for k in range(self.num_chunks):
-            events = [self.slot(unit, node, k).event for unit in units]
-            getters: List[Callable[[], np.ndarray]] = []
-            for flow_idx in local_flows:
-                ready, payload = self.chunk_source(flow_idx, k)
-                events.append(ready)
-                getters.append(payload)
-            yield self.sim.all_of(events)
-            parts = [self.slot(unit, node, k).payload for unit in units]
-            parts.extend(getter() for getter in getters)
-            for flow_idx in optional_flows or ():
-                ready, payload = self.chunk_source(flow_idx, k)
-                if ready.processed:  # ready right now: join this offset
-                    parts.append(payload())
-                    self.included_optional.add((flow_idx, k))
-            if len(parts) >= 2:
-                total = parts[0].copy()
-                for part in parts[1:]:
-                    total += part
-                if self.kernel_enabled and gpu is not None:
-                    if telemetry is not None:
-                        span = site.begin(self.sim.now, (k, self.chunk_bytes[k], len(parts)))
-                    yield self.sim.timeout(gpu.spec.reduce_kernel_time(self.chunk_bytes[k]))
-                    if telemetry is not None:
-                        telemetry.end(span, self.sim.now)
-                        if launched is None:  # registered on first use, as before
-                            launched = telemetry.metrics.counter(
-                                "reduce_kernels_total", "aggregation kernels launched"
-                            ).labels()
-                        launched.inc()
-            else:
-                total = parts[0]  # single unit: relay without a kernel
-            self.slot(out_unit, node, k).set(total)
 
     # -- output access --------------------------------------------------------------------
 
@@ -301,3 +203,234 @@ class ChunkPipeline:
     def delivered(self, flow_idx: int) -> np.ndarray:
         """Everything flow ``flow_idx`` delivered at its destination."""
         return self.gather(*self._terminals[flow_idx])
+
+
+# -- state machines --------------------------------------------------------------------
+#
+# Each machine holds its chunk index ``k``; ``step`` waits for chunk k's
+# input (or returns after the last chunk) and the callbacks carry chunk k
+# through to its output slot, then step on to k + 1.
+
+
+class _Source:
+    """Publishes one flow's input chunks at its first node once ready."""
+
+    __slots__ = ("pipe", "flow_idx", "unit", "node", "k", "getter")
+
+    def __init__(self, pipe: ChunkPipeline, flow_idx: int, unit: UnitKey, node: NodeId):
+        self.pipe = pipe
+        self.flow_idx = flow_idx
+        self.unit = unit
+        self.node = node
+        self.k = 0
+        self.getter: Optional[Callable[[], np.ndarray]] = None
+
+    def step(self, _arg=None) -> None:
+        pipe = self.pipe
+        while self.k < pipe.num_chunks:
+            ready, self.getter = pipe.chunk_source(self.flow_idx, self.k)
+            if not ready.processed:
+                ready.callbacks.append(self.ready)
+                return
+            self.publish(ready)
+
+    def publish(self, ready: Event) -> None:
+        if not ready.ok:
+            raise ready.value
+        self.pipe.slot(self.unit, self.node, self.k).set(self.getter())
+        self.k += 1
+
+    def ready(self, event: Event) -> None:
+        self.publish(event)
+        self.step()
+
+
+class _Sender:
+    """Streams one unit's chunks across one edge, in order."""
+
+    __slots__ = (
+        "pipe", "unit", "tail", "head", "links", "link", "transfer_tag",
+        "site", "label", "sent", "k", "slot_in", "span",
+    )
+
+    def __init__(self, pipe: ChunkPipeline, i: NodeId, j: NodeId, unit: UnitKey):
+        self.pipe = pipe
+        self.unit = unit
+        self.tail = i
+        self.head = j
+        self.links = pipe.topology.edge(i, j).fluid_links
+        self.link = f"{i}->{j}"
+        self.transfer_tag = f"{pipe.tag}:{self.link}"
+        telemetry = pipe._telemetry
+        if telemetry is not None:
+            self.site = telemetry.site(
+                f"{pipe.tag}:send",
+                category="chunk",
+                track=f"link:{self.link}",
+                keys=("chunk", "bytes", "unit"),
+            )
+            # Identifies the sender in the chunk DAG's span join.
+            self.label = unit_label(unit)
+        self.sent = None  # the chunks_sent_total series, bound on first use
+        self.k = 0
+        self.slot_in: Optional[Slot] = None
+        self.span = None
+
+    def step(self, _arg=None) -> None:
+        if self.k == self.pipe.num_chunks:
+            return
+        self.slot_in = self.pipe.slot(self.unit, self.tail, self.k)
+        ready = self.slot_in.event
+        if ready.processed:
+            self.send(ready)
+        else:
+            ready.callbacks.append(self.send)
+
+    def send(self, _ready: Event) -> None:
+        pipe = self.pipe
+        k = self.k
+        size = pipe.chunk_bytes[k]
+        if pipe._telemetry is not None:
+            self.span = self.site.begin(pipe.sim.now, (k, size, self.label))
+        done = pipe.network.transfer(self.links, size, tag=self.transfer_tag)
+        done.callbacks.append(self.arrived)
+
+    def arrived(self, done: Event) -> None:
+        if not done.ok:  # e.g. cancelled
+            raise done.value
+        pipe = self.pipe
+        telemetry = pipe._telemetry
+        if telemetry is not None:
+            telemetry.end(self.span, pipe.sim.now)
+            if self.sent is None:  # registered on first use
+                self.sent = telemetry.metrics.counter(
+                    "chunks_sent_total", "chunks streamed across logical edges"
+                ).labels(stage=pipe.tag.split(":", 1)[0])
+            self.sent.inc()
+        out_slot = pipe.slot(self.unit, self.head, self.k)
+        if not out_slot.event.triggered:
+            delivered = self.slot_in.payload
+            if pipe._data_plane is not None:
+                # Checksum stamp/verify and (under chaos) corruption.
+                delivered = pipe._data_plane.deliver(
+                    self.link, self.k, delivered, tag=pipe.tag, now=pipe.sim.now
+                )
+            out_slot.set(delivered)
+        self.k += 1
+        self.step()
+
+
+class _Aggregator:
+    """Merges same-index chunks from all units (+ local data) at a node.
+
+    ``optional_flows`` are late-join candidates: their chunk k is included
+    iff its source is ready when the aggregation of chunk k starts — never
+    waited for.
+    """
+
+    __slots__ = (
+        "pipe", "node", "units", "local_flows", "optional_flows", "out_unit",
+        "gpu", "site", "launched", "k", "pending", "getters", "total", "span",
+    )
+
+    def __init__(
+        self,
+        pipe: ChunkPipeline,
+        node: NodeId,
+        units: List[UnitKey],
+        local_flows: List[int],
+        optional_flows: List[int],
+    ):
+        self.pipe = pipe
+        self.node = node
+        self.units = units
+        self.local_flows = local_flows
+        self.optional_flows = optional_flows
+        self.out_unit = agg_unit(node)
+        self.gpu = (
+            pipe.topology.cluster.gpu(node.index) if node.kind is NodeKind.GPU else None
+        )
+        telemetry = pipe._telemetry
+        if telemetry is not None and self.gpu is not None:
+            self.site = telemetry.site(
+                f"{pipe.tag}:reduce",
+                category="reduce",
+                track=f"gpu:{node.index}",
+                keys=("chunk", "bytes", "inputs"),
+            )
+        self.launched = None  # the reduce_kernels_total series, bound on first use
+        self.k = 0
+        self.pending = 0
+        self.getters: List[Callable[[], np.ndarray]] = []
+        self.total: Optional[np.ndarray] = None
+        self.span = None
+
+    def step(self, _arg=None) -> None:
+        pipe = self.pipe
+        k = self.k
+        if k == pipe.num_chunks:
+            return
+        events = [pipe.slot(unit, self.node, k).event for unit in self.units]
+        self.getters = []
+        for flow_idx in self.local_flows:
+            ready, payload = pipe.chunk_source(flow_idx, k)
+            events.append(ready)
+            self.getters.append(payload)
+        # Never empty: wire() makes a node an aggregator only for a unit
+        # arriving there or a flow sourced there.
+        self.pending = len(events)
+        for event in events:
+            if event.processed:
+                self.input_ready(event)
+            else:
+                event.callbacks.append(self.input_ready)
+
+    def input_ready(self, event: Event) -> None:
+        if not event.ok:
+            raise event.value
+        self.pending -= 1
+        if self.pending == 0:
+            # One zero-delay NORMAL entry: the wait-for-all completing.
+            self.pipe.sim.call_later(0.0, self.merge, None)
+
+    def merge(self, _arg=None) -> None:
+        pipe = self.pipe
+        k = self.k
+        parts = [pipe.slot(unit, self.node, k).payload for unit in self.units]
+        parts.extend(getter() for getter in self.getters)
+        for flow_idx in self.optional_flows:
+            ready, payload = pipe.chunk_source(flow_idx, k)
+            if ready.processed:  # ready right now: join this offset
+                parts.append(payload())
+                pipe.included_optional.add((flow_idx, k))
+        if len(parts) < 2:
+            self.publish(parts[0])  # single unit: relay without a kernel
+            return
+        total = parts[0].copy()
+        for part in parts[1:]:
+            total += part
+        if not pipe.kernel_enabled or self.gpu is None:
+            self.publish(total)
+            return
+        self.total = total
+        size = pipe.chunk_bytes[k]
+        if pipe._telemetry is not None:
+            self.span = self.site.begin(pipe.sim.now, (k, size, len(parts)))
+        pipe.sim.call_later(self.gpu.spec.reduce_kernel_time(size), self.reduced, None)
+
+    def reduced(self, _arg=None) -> None:
+        telemetry = self.pipe._telemetry
+        if telemetry is not None:
+            telemetry.end(self.span, self.pipe.sim.now)
+            if self.launched is None:  # registered on first use
+                self.launched = telemetry.metrics.counter(
+                    "reduce_kernels_total", "aggregation kernels launched"
+                ).labels()
+            self.launched.inc()
+        total, self.total = self.total, None
+        self.publish(total)
+
+    def publish(self, total: np.ndarray) -> None:
+        self.pipe.slot(self.out_unit, self.node, self.k).set(total)
+        self.k += 1
+        self.step()

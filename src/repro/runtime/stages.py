@@ -142,9 +142,9 @@ def path_units(
 
 @dataclass
 class Wiring:
-    """A stage's event graph, as the executor spawns it."""
+    """A stage's event graph, as the executor builds it."""
 
-    #: (tail, head, unit) of every sender process, in first-use order.
+    #: (tail, head, unit) of every sender, in first-use order.
     senders: Dict[Tuple[NodeId, NodeId, UnitKey], None] = field(default_factory=dict)
     #: Aggregating node -> the units arriving there, in first-use order.
     agg_inputs: Dict[NodeId, Dict[UnitKey, None]] = field(default_factory=dict)
@@ -184,7 +184,7 @@ def wire(
 
 @dataclass(frozen=True)
 class SenderId:
-    """One executor sender process: a (stage, edge, unit) triple."""
+    """One executor sender: a (stage, edge, unit) triple."""
 
     tag: str
     src: str
@@ -201,7 +201,7 @@ class SenderId:
 
 @dataclass
 class SenderGraph:
-    """The strategy-derived chunk-dependency DAG, per sender process.
+    """The strategy-derived chunk-dependency DAG, per sender.
 
     ``preds[s]`` is a list of AND-groups: for every group, at least one
     member sender's chunk-k span must end before ``s``'s chunk-k span
@@ -215,7 +215,7 @@ class SenderGraph:
 
 
 def derive_chunk_dag(strategy: Strategy) -> SenderGraph:
-    """Derive the happens-before DAG over sender processes from a strategy."""
+    """Derive the happens-before DAG over senders from a strategy."""
     graph = SenderGraph()
     for sc in strategy.subcollectives:
         if not sc.flows:

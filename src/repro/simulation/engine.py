@@ -127,8 +127,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
+            raise SimulationError(f"timeout delay {delay!r} is not >= 0")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
@@ -206,8 +206,7 @@ class Process(Event):
         """Advance the generator with the event's outcome.
 
         Runs as a loop rather than recursing so that yielding a long chain
-        of already-processed events (common in chunk pipelines) cannot blow
-        the Python stack.
+        of already-processed events cannot blow the Python stack.
         """
         while True:
             self.sim._active_process = self
@@ -306,8 +305,8 @@ class Simulator:
         (time, priority, insertion order) sequence exactly as a
         :meth:`timeout` created at the same moment would.
         """
-        if delay < 0:
-            raise SimulationError(f"negative call_later delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
+            raise SimulationError(f"call_later delay {delay!r} is not >= 0")
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, priority, self._seq, callback, arg))
 
@@ -359,8 +358,10 @@ class Simulator:
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if no event falls on it.
         """
-        if until is not None and until < self.now:
-            raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
+        if until is not None and not until >= self.now:
+            raise SimulationError(
+                f"run(until={until!r}) is not a time at or after now={self.now}"
+            )
         while self._queue:
             if until is not None and self.peek() > until:
                 break

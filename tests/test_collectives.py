@@ -258,6 +258,22 @@ class TestInputValidation:
         expected = sum(inputs[r] for r in ranks)
         np.testing.assert_allclose(result.outputs[0], expected, rtol=1e-6)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_ready_time_rejected(self, delay):
+        """NaN used to read as "ready now" and inf ran the clock to t=inf;
+        both are refused before anything is scheduled, so the simulator
+        stays usable for the next collective."""
+        topo, synth = make_env()
+        sim = topo.cluster.sim
+        ranks = list(range(8))
+        inputs = make_inputs(ranks, 128)
+        strategy = synth.synthesize(Primitive.ALLREDUCE, 1024, ranks)
+        with pytest.raises(CommunicatorError, match="rank 5"):
+            launch(topo, strategy, inputs, ready_times={2: 1e-3, 5: delay})
+        assert (sim.now, sim.peek()) == (0.0, float("inf"))
+        result = run(topo, strategy, inputs, ready_times={2: 1e-3})
+        np.testing.assert_array_equal(result.outputs[0], sum(inputs.values()))
+
 
 @settings(max_examples=20, deadline=None)
 @given(

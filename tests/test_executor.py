@@ -198,6 +198,32 @@ class TestChunkPipelineValidation:
             pipeline.gather(("flow", 0), gpu_node(0))
 
 
+@pytest.mark.parametrize("primitive", list(Primitive), ids=lambda p: p.value)
+def test_collectives_start_no_process(topo, monkeypatch, primitive):
+    """Senders, aggregators and sources are callback state machines: a
+    collective's launch and wait create no simulator process."""
+    from repro.runtime import launch
+    from repro.simulation import engine
+    from repro.synthesis import Synthesizer, SynthesizerConfig
+
+    ranks = list(range(8))
+    strategy = Synthesizer(topo, SynthesizerConfig(parallelism=2)).synthesize(
+        primitive, 8 * 64 * 1024.0, ranks, root=0
+    )
+    inputs = {rank: np.full(64 * 1024, float(rank + 1)) for rank in ranks}
+    made = []
+    init = engine.Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Process, "__init__", counting_init)
+    result = launch(topo, strategy, inputs, ready_times={3: 1e-4}).wait()
+    assert result.outputs
+    assert made == []
+
+
 class TestBehaviorExecutorConsistency:
     """The executor's implicit per-node behaviour must match the paper's
     behaviour-tuple abstraction for arbitrary active sets."""

@@ -43,6 +43,24 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_nan_timeout_rejected():
+    # NaN fails every comparison, so a `delay < 0` check let it through and
+    # the heap then ordered it wherever it happened to land.
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="nan"):
+        sim.timeout(float("nan"))
+    assert sim.peek() == float("inf")
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, fired.append, "late")
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run(until=float("nan"))
+    assert (fired, sim.now) == ([], 0.0)
+
+
 def test_process_return_value():
     sim = Simulator()
 
@@ -453,6 +471,12 @@ class TestCallLater:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().call_later(-1.0, print, None)
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.call_later(float("nan"), print, None)
+        assert sim.peek() == float("inf")
 
     def test_one_event_per_fluid_transfer(self, monkeypatch):
         # Latency waits, flushes and completion horizons are bare timers:
