@@ -505,7 +505,8 @@ class FleetRunner:
         for job in self._jobs:
             total_spans += job.hub.tracer.span_count
             total_events += job.hub.tracer.event_count
-            for index, (start, line) in enumerate(render_lines(job.hub)):
+            starts, job_lines = render_lines(job.hub)
+            for index, (start, line) in enumerate(zip(starts, job_lines)):
                 entries.append((start, job.name, index, line))
         entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
         meta = {

@@ -239,7 +239,10 @@ def summarize(path: str, top: int = 0, group_by: Optional[str] = None) -> int:
 def chrome(path: str, output: Optional[str]) -> int:
     """Convert a JSONL run to a Chrome trace file."""
     run = _load(path)
-    target = output or (path.rsplit(".jsonl", 1)[0] + ".trace.json")
+    # Only a trailing ".jsonl" is replaced: one elsewhere in the path (a
+    # "runs.jsonl.d/" directory) is part of where the trace belongs.
+    stem = path[: -len(".jsonl")] if path.endswith(".jsonl") else path
+    target = output or stem + ".trace.json"
     write_chrome_trace(run, target, clock=run.meta.get("clock", "sim"))
     print(f"wrote {target} ({len(run.spans)} spans, {len(run.events)} events)")
     return 0

@@ -46,7 +46,7 @@ ENV_TELEMETRY = "REPRO_TELEMETRY"
 _FALSEY = {"", "0", "false", "no", "off"}
 
 #: One export row (see :meth:`Tracer.export_rows`).
-Row = Tuple[Any, Any, bool, str, Optional[str], Any, Any, Any, Tuple[str, ...], tuple]
+Row = Tuple[Any, Any, bool, str, Optional[str], int, tuple]
 #: What a record shares with every record of its call site:
 #: ``(name, category, track, arg keys)``.
 Site = Tuple[Any, Any, Any, Tuple[str, ...]]
@@ -318,17 +318,23 @@ class Tracer:
             index = self._parent[index]
         return ".".join(reversed(parts))
 
+    @property
+    def sites(self) -> Tuple[Site, ...]:
+        """Every interned site's ``(name, category, track, arg keys)``,
+        indexed by the site id :meth:`export_rows` yields."""
+        return tuple(self._sites)
+
     def export_rows(self) -> Iterator[Row]:
         """Every record, in export order ``(start, seq)``, as one tuple:
 
-        ``(start, end, is_event, span_id, parent_id, name, category, track,
-        arg_keys, arg_values)`` — timestamps as given (``end`` is ``None``
-        while open), ids derived once per parent, ``name`` / ``category`` /
-        ``track`` / ``arg_keys`` the record's site (one shared key tuple
-        per key sequence), and the arg value tuple. The order is
-        a stable sort of record indices by start; a NaN start makes it the
-        ``(start, seq)`` sort of spans-then-events the exporters always
-        did, which is the only order NaN comparisons reproduce.
+        ``(start, end, is_event, span_id, parent_id, site, arg_values)`` —
+        timestamps as given (``end`` is ``None`` while open), ids derived
+        once per parent, the record's interned site id (its fields are
+        ``sites[site]``, so a reader resolves each site once, not each
+        row) and the arg value tuple in that site's key order. The order
+        is a stable sort of record indices by start; a NaN start makes it
+        the ``(start, seq)`` sort of spans-then-events the exporters
+        always did, which is the only order NaN comparisons reproduce.
         """
         count = len(self._values)
         starts = self._start.tolist()
@@ -344,7 +350,7 @@ class Tracer:
         ends = self._end.tolist()
         for index, value in self._exact_end.items():
             ends[index] = value
-        sites, site_of, values = self._sites, self._site, self._values
+        site_of, values = self._site, self._values
         parents, ordinals, closed, events = self._parent, self._ordinal, self._closed, self._event
         parent_ids: Dict[int, str] = {}
         for index in order:
@@ -357,17 +363,13 @@ class Tracer:
                 if parent_id is None:
                     parent_id = parent_ids[parent] = self._dotted(parent)
                 span_id = f"{parent_id}.{ordinals[index]}"
-            name, category, track, keys = sites[site_of[index]]
             yield (
                 starts[index],
                 ends[index] if closed[index] else None,
                 bool(events[index]),
                 span_id,
                 parent_id,
-                name,
-                category,
-                track,
-                keys,
+                site_of[index],
                 values[index],
             )
 

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.critpath.engine import extract_chunk_spans, handoff_producers
@@ -51,10 +52,10 @@ def ordered_records(hub: TelemetryHub) -> List[Dict[str, Any]]:
     # Hub labels are stamped onto every record; an unlabeled hub emits
     # byte-identical output to before labels existed (no empty key).
     labels = getattr(hub, "labels", None) or None
+    sites = hub.tracer.sites
     records = []
-    for start, end, event, span_id, parent_id, name, category, track, keys, values in (
-        hub.tracer.export_rows()
-    ):
+    for start, end, event, span_id, parent_id, site, values in hub.tracer.export_rows():
+        name, category, track, keys = sites[site]
         record = {
             "type": "event" if event else "span",
             "id": span_id,
@@ -72,76 +73,112 @@ def ordered_records(hub: TelemetryHub) -> List[Dict[str, Any]]:
     return records
 
 
-def render_lines(hub: TelemetryHub) -> List[Tuple[Any, str]]:
-    """``(start, JSONL line)`` of each span/event of ``hub``, in export order.
+class _ValueText(dict):
+    """JSON text of exact ``str``, ``float`` and ``None`` values, rendered
+    once per distinct value: ``texts[value]`` is one dict hit for every
+    value seen before (a run has far fewer distinct floats than float
+    fields).
 
-    The line is written straight from the tracer's export rows into the
-    fixed, already-sorted key skeleton — no record dict, no encoder call
-    for the scalar fields: ``name``/``cat``/``track`` are quoted once per
-    distinct value, ids are digits and dots, exact finite floats go
-    through ``float.__repr__`` and exact ints through ``int.__repr__``
-    (what the encoder itself uses). ``args`` are rendered through one
-    template per key schema, keys pre-sorted and pre-quoted. Labels and
-    any value of another type (``bool``, ``numpy.float64``, ``nan``,
-    ``None``, containers, …) go through :data:`canonical_json`, so the
-    text is the encoder's by construction.
+    Read it only for a value whose type is exactly one of those three:
+    ``1 == 1.0 == True`` share a key, so an ``int``, a ``bool`` or a
+    ``numpy.float64`` would read a float's text. ``0.0`` is never stored,
+    because ``-0.0`` is an equal key with other text; nor is a non-finite
+    float (``NaN`` equals nothing, so it is no key at all).
     """
-    encode = canonical_json
+
+    __slots__ = ()
+
+    def __missing__(self, value: Any) -> str:
+        if type(value) is str:
+            text = self[value] = _quote(value)
+        elif value and isfinite(value):
+            text = self[value] = _float_repr(value)
+        else:
+            text = canonical_json(value)
+        return text
+
+
+#: The types :class:`_ValueText` is read for.
+_TEXT_TYPES = frozenset((str, float, type(None)))
+
+
+def _line_template(fields: Any, event: bool, labels_part: str) -> Tuple[List[Any], Any]:
+    """One site's line template and the getter that picks a row's slot
+    values from ``arg values + (end, parent, start)``.
+
+    The template is the line's fixed text — the sorted, quoted arg keys,
+    ``cat``, the labels, ``name``, ``track`` and ``type``, rendered once —
+    as a list with a slot at every odd index: the arg values in key
+    order, ``end``, ``id``, ``parent`` and ``start``. A row fills the
+    slots and joins the list.
+    """
+    name, category, track, keys = fields
+
+    def fixed(value: Any) -> str:
+        return _quote(value) if type(value) is str else canonical_json(value)
+
+    slot = None
+    parts: List[Any] = ['{"args":{']
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for position, at in enumerate(order):
+        parts += ["," if position else "", fixed(keys[at]), ":", slot]
+    parts += [
+        '},"cat":', fixed(category), ',"end":', slot, ',"id":"', slot, '",', labels_part,
+        '"name":', fixed(name), ',"parent":', slot, ',"start":', slot,
+        ',"track":', fixed(track), ',"type":"', "event" if event else "span", '"}',
+    ]
+    template = [""]
+    for part in parts:
+        if part is slot:
+            template += [slot, ""]
+        else:
+            template[-1] += part
+    count = len(keys)
+    return template, itemgetter(*order, count, count + 1, count + 2)
+
+
+def render_lines(hub: TelemetryHub) -> Tuple[List[Any], List[str]]:
+    """The start and the JSONL line of each span/event of ``hub``, in
+    export order, as two parallel lists ``(starts, lines)``.
+
+    Each line is its site's template (:func:`_line_template`, built the
+    first time a ``(site, is_event)`` pair is seen) filled with the row's
+    own values — no record dict, no encoder call per field. Ids are digits
+    and dots. Exact ``str``, ``float`` and ``None`` values take their text
+    from one :class:`_ValueText` per call — the encoder's escaper and
+    ``float.__repr__``, once per distinct value — exact ints take
+    ``int.__repr__`` (most are distinct flow numbers), and anything else
+    (``bool``, ``numpy.float64``, containers, …) goes through
+    :data:`canonical_json`, so the text is the encoder's by construction.
+    """
+    tracer = hub.tracer
+    sites = tracer.sites
     labels = getattr(hub, "labels", None) or None
-    labels_part = f'"labels":{encode(labels)},' if labels else ""
-    quoted: Dict[str, str] = {}
-    templates: Dict[Tuple[str, ...], Tuple[str, List[int]]] = {}
-
-    def text(value: Any) -> str:
-        if type(value) is not str:
-            return encode(value)
-        found = quoted.get(value)
+    labels_part = f'"labels":{canonical_json(labels)},' if labels else ""
+    texts = _ValueText({None: "null"})
+    text_types, encode = _TEXT_TYPES, canonical_json
+    templates: Dict[int, Tuple[List[Any], Any]] = {}
+    starts: List[Any] = []
+    lines: List[str] = []
+    add_start, add_line = starts.append, lines.append
+    for start, end, event, span_id, parent_id, site, values in tracer.export_rows():
+        found = templates.get(site + site + event)
         if found is None:
-            found = quoted[value] = _quote(value)
-        return found
-
-    def number(value: Any) -> str:
-        if type(value) is float and isfinite(value):
-            return _float_repr(value)
-        return encode(value)
-
-    def scalar(value: Any) -> str:
-        kind = type(value)
-        if kind is str:
-            return _quote(value)
-        if kind is int:
-            return _int_repr(value)
-        if kind is float and isfinite(value):
-            return _float_repr(value)
-        return encode(value)
-
-    def arguments(keys: Tuple[str, ...], values: tuple) -> str:
-        if not keys:
-            return "{}"
-        found = templates.get(keys)
-        if found is None:
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            template = ",".join(_quote(keys[at]).replace("%", "%%") + ":%s" for at in order)
-            found = templates[keys] = ("{" + template + "}", order)
-        template, order = found
-        return template % tuple([scalar(values[at]) for at in order])
-
-    lines = []
-    for start, end, event, span_id, parent_id, name, category, track, keys, values in (
-        hub.tracer.export_rows()
-    ):
-        parent = "null" if parent_id is None else f'"{parent_id}"'
-        lines.append(
-            (
-                start,
-                f'{{"args":{arguments(keys, values)},"cat":{text(category)},'
-                f'"end":{number(end)},"id":"{span_id}",{labels_part}'
-                f'"name":{text(name)},"parent":{parent},'
-                f'"start":{number(start)},"track":{text(track)},'
-                f'"type":"{"event" if event else "span"}"}}',
+            found = templates[site + site + event] = _line_template(
+                sites[site], event, labels_part
             )
-        )
-    return lines
+        template, pick = found
+        row = [
+            texts[value]
+            if type(value) in text_types
+            else _int_repr(value) if type(value) is int else encode(value)
+            for value in pick(values + (end, parent_id, start))
+        ]
+        row.insert(len(values) + 1, span_id)
+        template[1::2] = row
+        add_start(start)
+        add_line("".join(template))
+    return starts, lines
 
 
 def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
@@ -157,7 +194,7 @@ def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
     if labels:
         meta["labels"] = labels
     lines = [canonical_json(meta)]
-    lines.extend(line for _, line in render_lines(hub))
+    lines.extend(render_lines(hub)[1])
     tail: Dict[str, Any] = {"type": "metrics", "metrics": hub.metrics.snapshot()}
     if labels:
         tail["labels"] = labels
@@ -205,14 +242,19 @@ def parse_jsonl(text: str) -> TelemetryRun:
     *content* problems are the ``--telemetry`` lint's job, so unknown
     record types are kept (in ``records``) rather than rejected here.
 
-    Non-blank lines are decoded :data:`PARSE_BLOCK` at a time, as one JSON
-    array (joined on ``",\\n"``: a raw newline may not sit inside a JSON
-    string, so no string runs from one line into the next). A block is
-    taken only if it decodes to as many objects as it has lines; any
-    other block — a malformed line, a non-object, two values on one line —
-    is decoded again line by line, which names the offending line.
+    Lines end at ``"\\n"`` only, less one trailing ``"\\r"``: U+2028,
+    U+2029 and U+0085, which ``str.splitlines`` would also split at, may
+    sit unescaped inside a JSON string. Non-blank lines are decoded
+    :data:`PARSE_BLOCK` at a time, as one JSON array (joined on
+    ``",\\n"``: a raw newline may not sit inside a JSON string, so no
+    string runs from one line into the next). A block is taken only if it
+    decodes to as many objects as it has lines; any other block — a
+    malformed line, a non-object, two values on one line — is decoded
+    again line by line, which names the offending line.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     live = [index for index, line in enumerate(lines) if line.strip()]
     run = TelemetryRun()
     for at in range(0, len(live), PARSE_BLOCK):

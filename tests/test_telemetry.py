@@ -629,3 +629,24 @@ class TestCLI:
 
     def test_summarize_missing_file_fails(self, tmp_path):
         assert telemetry_cli(["summarize", str(tmp_path / "absent.jsonl")]) == 1
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("run.jsonl", "run.trace.json"),
+            ("runs.jsonl.d/iter3", "runs.jsonl.d/iter3.trace.json"),
+            ("runs.jsonl.d/iter3.jsonl", "runs.jsonl.d/iter3.trace.json"),
+        ],
+    )
+    def test_chrome_default_output_replaces_only_a_trailing_suffix(
+        self, tmp_path, source, expected
+    ):
+        hub = TelemetryHub(enabled=True)
+        hub.instant("mark", 0.0)
+        run_path = tmp_path / source
+        run_path.parent.mkdir(parents=True, exist_ok=True)
+        run_path.write_text(to_jsonl(hub), encoding="utf-8")
+        before = set(tmp_path.rglob("*"))
+        assert telemetry_cli(["chrome", str(run_path)]) == 0
+        assert set(tmp_path.rglob("*")) - before == {tmp_path / expected}
+        assert lint_chrome_trace(json.loads((tmp_path / expected).read_text())) == []
