@@ -27,11 +27,16 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.errors import ProcessInterrupt, SimulationError
 
-#: Events scheduled with URGENT priority sort before NORMAL ones at the same
-#: simulated time. The engine uses URGENT internally for process resumption
-#: so that a process sees the world as it was when its event triggered.
+#: Entries at one simulated time run in priority order: URGENT, then
+#: NORMAL, then LATE. The engine uses URGENT internally for process
+#: resumption so that a process sees the world as it was when its event
+#: triggered. A LATE entry runs after every URGENT and NORMAL entry of its
+#: instant: the fluid network schedules its rate flush LATE, so one solve
+#: sees every change made at the instant. An URGENT or NORMAL entry that a
+#: LATE callback schedules at its own instant runs before the next LATE one.
 URGENT = 0
 NORMAL = 1
+LATE = 2
 
 
 class Event:

@@ -1,4 +1,4 @@
-"""The per-transfer max-min solve, kept verbatim as the fluid network's oracle.
+"""The fluid network's references: the per-transfer solve and the flush policy.
 
 ``solve_rates_reference`` below is the rate solver of
 ``repro.simulation.fluid`` as it was before the network collapsed each
@@ -7,6 +7,12 @@ with a row per *transfer*, rebuilt from ``Transfer.links`` alone, so it
 shares nothing with the network's interning, class groups or fill memo.
 ``tests/test_fluid_differential.py`` and ``tests/test_fluid.py`` hold the
 network's rates to it.
+
+``PerEventFlushNetwork`` is the network with the flush policy it had
+before it solved once per simulated instant: the rate flush scheduled
+URGENT, so it ran after each activation, completion, cancel or reshape
+rather than after the instant's last one.
+``tests/test_flush_differential.py`` holds the network to it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.simulation.fluid import _EPS, FluidLink, Transfer
+from repro.simulation.engine import URGENT
+from repro.simulation.fluid import _EPS, FluidLink, FluidNetwork, Transfer
 
 
 def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
@@ -93,3 +100,44 @@ def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
             break
     return rates.tolist()
 
+
+class PerEventFlushNetwork(FluidNetwork):
+    """The fluid network with one rate flush per change, not per instant.
+
+    The URGENT flush runs before every later NORMAL entry of its instant,
+    so an instant with k activations solved k times. Everything else is
+    the network's own code.
+
+    It also records one case where the two policies may differ in the
+    last bits: ``transient_refresh`` is set when a component with no
+    membership change had its finish prediction refreshed twice at one
+    instant (two same-instant reshapes that change its rates and then
+    change or restore them). This policy re-derives the prediction from
+    the instant's state; a once-per-instant solve that sees the restored
+    rates unchanged keeps the earlier, bitwise different but equally
+    exact one.
+    """
+
+    def __init__(self, sim, incremental=None):
+        super().__init__(sim, incremental=incremental)
+        self.transient_refresh = False
+        #: component -> instant of its last refresh with no membership change
+        self._refreshed: Dict = {}
+
+    def _recompute(self) -> None:
+        if self._flush_scheduled:
+            return
+        self._flush_scheduled = True
+        self.sim.call_later(0.0, self._flush, None, URGENT)
+
+    def _solve_component(self, comp) -> None:
+        kept = comp in self._comp_finish  # no membership change since its last solve
+        before = [group.rate for group in comp.groups]
+        super()._solve_component(comp)
+        if not kept:
+            self._refreshed.pop(comp, None)
+        elif before != [group.rate for group in comp.groups]:
+            now = self.sim.now
+            if self._refreshed.get(comp) == now:
+                self.transient_refresh = True
+            self._refreshed[comp] = now

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProcessInterrupt, SimulationError
 from repro.simulation import Simulator, Store
-from repro.simulation.engine import NORMAL, URGENT, Event
+from repro.simulation.engine import LATE, NORMAL, URGENT, Event
 from repro.simulation.fluid import FluidLink, FluidNetwork
 from repro.simulation.resources import Semaphore
 
@@ -417,6 +417,35 @@ class TestEventBatching:
             runs.append(order)
         assert runs[0] == runs[1]
         assert ("timer", 1.0, URGENT) in runs[0]
+
+    @staticmethod
+    def _late_scenario(sim):
+        order = []
+
+        def late(tag):
+            order.append(tag)
+            if tag == "late-a":
+                sim.call_later(0.0, order.append, "normal-from-late", NORMAL)
+
+        sim.call_later(1.0, late, "late-a", LATE)
+        sim.call_later(1.0, order.append, "normal", NORMAL)
+        sim.call_later(1.0, late, "late-b", LATE)
+        sim.call_later(1.0, lambda _: sim.call_later(0.0, order.append, "urgent", URGENT), None)
+        sim.run()
+        return order
+
+    def test_late_entry_runs_after_its_instants_other_work(self):
+        """A LATE entry waits for every URGENT and NORMAL entry of its
+        instant, including ones that entries before it scheduled there;
+        one it schedules at a lower priority runs before the next LATE."""
+        for sim in self._simulators():
+            assert self._late_scenario(sim) == [
+                "normal",
+                "urgent",
+                "late-a",
+                "normal-from-late",
+                "late-b",
+            ]
 
     def test_step_count_shrinks_under_batching(self):
         counts = []

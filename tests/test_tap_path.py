@@ -54,13 +54,18 @@ from repro.topology.detector import Detector
 from repro.topology.graph import LogicalTopology
 from repro.training import VGG16, Trainer, TrainerConfig
 
+from .fluid_oracle import PerEventFlushNetwork
 from .test_report_chain import _traced_allreduce
 
 OBSERVED_JSONL_SHA256 = "229cd21f9c4d2a045305aac9b337b319b2b49910a1b95e9fe1b20e87fd82cafe"
 OBSERVED_JSONL_BYTES = 2_197_185
 OBSERVED_PROMETHEUS_SHA256 = "a7f6e832760a97e5e71c426c58629307eb97e950e0571d7d4a39251bdd5d373a"
-TRACE_RECORDS_SHA256 = "076f4d06520282bfc5f67f9fb55a161af00f75ef330cbe05774ad1a0c93ce746"
-TRACE_RECORDS = 1169
+#: Re-derived when the fluid network moved to one rate solve per instant:
+#: 449 ``net-rates`` snapshots (up to 24 at one instant) became 178, so
+#: 1169 records became 898. What else may move is pinned below, in
+#: test_trace_pass_records_are_the_per_change_records_less_superseded_snapshots.
+TRACE_RECORDS_SHA256 = "28dd12aba526217b74c84b3e16b21e12154d176bac79f26681db369e26dc07ec"
+TRACE_RECORDS = 898
 OBSERVED_REPORT_SHA256 = "765bf5ee4073b8dadadf81a5151cc8a8bd6bdedfda4bbbd7759784c8851ca41b"
 OBSERVED_REPORT_BYTES = 61_845
 DAG_REPORT_SHA256 = "28cb3f037dbb1b47363d9c1ab23aa2e18b646fe6e2960a3e076aff2a2d43499d"
@@ -126,6 +131,51 @@ def test_observed_training_prometheus_is_pinned(observed_hub):
 def test_trace_pass_records_are_pinned(fresh_ids):
     records = trace_pass_records()
     assert (len(records), _sha256(repr(records))) == (TRACE_RECORDS, TRACE_RECORDS_SHA256)
+
+
+def _by_instant(records):
+    """``{time: (snapshots, sorted flow-record reprs)}``, in time order."""
+    instants = {}
+    for record in records:
+        snapshots, flows = instants.setdefault(record.time, ([], []))
+        if record.kind == "net-rates":
+            snapshots.append(record)
+        else:
+            flows.append(repr(record))
+    return {time: (snapshots, sorted(flows)) for time, (snapshots, flows) in instants.items()}
+
+
+def test_trace_pass_records_are_the_per_change_records_less_superseded_snapshots(
+    monkeypatch,
+):
+    """Under the per-change flush every activation solved and snapshotted
+    again; one solve per instant keeps only the instant's last snapshot.
+    Flow records may reorder within an instant (ends now follow starts),
+    so they are compared per instant as multisets."""
+
+    def run():
+        monkeypatch.setattr(Transfer, "_ids", itertools.count())
+        monkeypatch.setattr(FluidLink, "_ids", itertools.count())
+        return trace_pass_records()
+
+    ours = run()
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.hardware.cluster.FluidNetwork", PerEventFlushNetwork)
+        theirs = run()
+    last_snapshot = {r.time: i for i, r in enumerate(theirs) if r.kind == "net-rates"}
+    kept = [
+        r for i, r in enumerate(theirs) if r.kind != "net-rates" or last_snapshot[r.time] == i
+    ]
+    assert len(kept) < len(theirs)
+    assert len(ours) == len(kept)
+    assert list(_by_instant(ours).items()) == list(_by_instant(kept).items())
+
+
+def test_trace_pass_snapshots_one_instant_once(fresh_ids):
+    """At most one ``net-rates`` snapshot per instant (the per-change
+    flush took 24 at one instant of this scenario)."""
+    times = [r.time for r in trace_pass_records() if r.kind == "net-rates"]
+    assert len(times) == len(set(times)) == 178
 
 
 def test_observed_training_report_is_pinned(observed_hub):
