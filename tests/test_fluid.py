@@ -413,10 +413,15 @@ def test_nan_latency_is_rejected():
 
 
 def test_nan_extra_latency_is_rejected():
+    """NaN, and a negative value, which would start the transfer before
+    its path latency has passed (or hide under an empty path's clamp)."""
     sim, net = make_net()
-    link = FluidLink("l", capacity=100.0)
-    with pytest.raises(SimulationError, match=r"transfer over \[l\]: extra latency nan"):
-        net.transfer([link], size=100.0, extra_latency=math.nan)
+    link = FluidLink("l", capacity=100.0, latency=1.0)
+    for bad in (math.nan, -5.0):
+        for path in ([link], []):
+            with pytest.raises(SimulationError, match=rf"extra latency {bad!r} is not finite"):
+                net.transfer(path, size=100.0, extra_latency=bad)
+    assert sim.peek() == math.inf
 
 
 def test_nan_per_stream_cap_is_rejected():
