@@ -1,7 +1,7 @@
 """Post-run lint over fluid-network trace streams.
 
 With a :class:`repro.simulation.records.TraceRecorder` attached to the
-:class:`repro.simulation.fluid.FluidNetwork` (``network.recorder = rec``),
+:class:`repro.simulation.fluid.FluidNetwork` (``network.attach_recorder(rec)``),
 every run leaves a stream of ``net-flow-start`` / ``net-flow-end`` /
 ``net-flow-cancel`` events plus one ``net-rates`` allocation snapshot per
 recompute instant. This module replays that stream and checks the

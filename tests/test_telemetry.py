@@ -554,20 +554,17 @@ class TestRecorderAttachment:
         assert recorder not in network._recorders
         network.detach_recorder(recorder)  # missing is a no-op
 
-    def test_recorder_property_skips_telemetry_bridge(self, fresh_hub):
+    def test_lint_recorder_comes_and_goes_beside_telemetry_bridge(self, fresh_hub):
         session = AdapCCSession(make_config([2, 2]))
         network = session.cluster.network
-        # The enabled hub auto-attached its bridge, yet the compatibility
-        # view must show only what lint code assigns.
-        assert network.recorder is None
+        # The enabled hub auto-attached its bridge, which wants no snapshots.
+        (bridge,) = network._recorders
+        assert not bridge.wants_rates and not network._wants_rates
         mine = TraceRecorder()
-        network.recorder = mine
-        assert network.recorder is mine
-        bridges = [r for r in network._recorders if not getattr(r, "wants_rates", True)]
-        assert bridges, "telemetry bridge must survive recorder assignment"
-        network.recorder = None
-        assert network.recorder is None
-        assert bridges[0] in network._recorders
+        network.attach_recorder(mine)
+        assert network._recorders == [bridge, mine] and network._wants_rates
+        network.detach_recorder(mine)
+        assert network._recorders == [bridge] and not network._wants_rates
 
 
 # -- bench payloads --------------------------------------------------------------
