@@ -1,8 +1,8 @@
 """Seeded, schedule-driven fault injection for the AdapCC reproduction.
 
 One :class:`FaultPlan` is a declarative, seed-replayable schedule of
-stragglers, crashes, link degradations, message faults, coordinator-role
-crashes, control-channel partitions and silent link corruption; the
+stragglers, crashes, link degradations, coordinator-role crashes,
+control-channel partitions and silent link corruption; the
 :class:`ChaosInjector` applies it to a simulated cluster, and the
 :class:`ChaosRunner` drives it through the full relay/recovery stack.
 """
@@ -12,8 +12,6 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import (
     BITFLIP,
     DECIDE_PHASE,
-    DROP,
-    DUPLICATE,
     SCALE,
     TRANSITION_PHASE,
     CoordinatorCrashFault,
@@ -21,7 +19,6 @@ from repro.chaos.plan import (
     CrashFault,
     FaultPlan,
     LinkFault,
-    MessageFault,
     PartitionFault,
     StragglerFault,
 )
@@ -30,8 +27,6 @@ from repro.chaos.runner import ChaosRunner, ChaosRunReport, IterationOutcome
 __all__ = [
     "BITFLIP",
     "DECIDE_PHASE",
-    "DROP",
-    "DUPLICATE",
     "SCALE",
     "TRANSITION_PHASE",
     "ChaosInjector",
@@ -43,7 +38,6 @@ __all__ = [
     "FaultPlan",
     "IterationOutcome",
     "LinkFault",
-    "MessageFault",
     "PartitionFault",
     "PayloadCorruptor",
     "StragglerFault",

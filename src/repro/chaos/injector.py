@@ -10,18 +10,13 @@ into concrete side effects:
   :class:`~repro.chaos.plan.LinkFault` that rewrites the instance's NIC
   capacity through :meth:`repro.hardware.cluster.Cluster.set_nic_bandwidth`
   (the fluid network re-solves max-min rates at each change) and always
-  restores nominal bandwidth at the end of the window;
-* **message faults** — :meth:`attach_queues` installs a
-  :attr:`~repro.runtime.queues.WorkQueues.fault_filter` that drops or
-  duplicates chosen submissions at the Work Queue boundary, which is what
-  exercises :class:`~repro.runtime.service.CollectiveService`'s
-  timeout/retry and duplicate-suppression paths.
+  restores nominal bandwidth at the end of the window.
 
 Every applied fault is appended to :attr:`trace` as a plain tuple
 ``(sim_time, kind, *details)`` — the deterministic event trace the
 conformance suite compares across same-seed replays — and mirrored into an
 optional :class:`~repro.simulation.records.TraceRecorder` (kinds
-``chaos-straggler``/``chaos-crash``/``chaos-link``/``chaos-msg``) so
+``chaos-straggler``/``chaos-crash``/``chaos-link``) so
 :func:`repro.analysis.lint_chaos.lint_chaos` can cross-check chaos runs
 against the fluid-trace invariants.
 """
@@ -30,10 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.plan import DROP, FaultPlan, LinkFault
+from repro.chaos.plan import FaultPlan, LinkFault
 from repro.errors import ChaosError
 from repro.hardware.cluster import Cluster
-from repro.runtime.queues import WorkItem, WorkQueues
 from repro.simulation.records import TraceRecorder
 
 
@@ -147,31 +141,3 @@ class ChaosInjector:
             fault.instance_id, 1.0,
             instance=fault.instance_id, bandwidth_fraction=1.0,
         )
-
-    # -- message faults --------------------------------------------------------
-
-    def attach_queues(self, queues: Dict[int, WorkQueues]) -> None:
-        """Install drop/duplicate filters on the ranks the plan targets."""
-        for rank, queue in queues.items():
-            actions = self.plan.message_actions(rank)
-            if actions:
-                queue.fault_filter = self._make_filter(rank, actions)
-
-    def _make_filter(self, rank: int, actions: Dict[int, str]):
-        counter = {"n": 0}
-
-        def fault_filter(item: WorkItem) -> List[WorkItem]:
-            index = counter["n"]
-            counter["n"] += 1
-            action = actions.get(index)
-            if action is None:
-                return [item]
-            self.record(
-                "chaos-msg", f"rank{rank}", rank, index, action,
-                rank=rank, submission_index=index, action=action,
-            )
-            if action == DROP:
-                return []
-            return [item, item]
-
-        return fault_filter

@@ -7,7 +7,7 @@ the conformance suite — consumes the *plan*, never ambient randomness, so
 any chaos run can be replayed bit-for-bit from ``FaultPlan.generate(seed,
 ...)`` (or from the explicit event list itself).
 
-Seven fault families (ISSUE 2's four, the recovery control plane's, plus
+Six fault families (worker-level, the recovery control plane's, plus
 the data-plane integrity layer's):
 
 * :class:`StragglerFault` — a per-rank delay added to the tensor-ready
@@ -17,8 +17,6 @@ the data-plane integrity layer's):
   until it rejoins);
 * :class:`LinkFault` — degradation or flapping of one instance's NIC
   bandwidth on the :class:`~repro.simulation.fluid.FluidNetwork`;
-* :class:`MessageFault` — a dropped or duplicated work-queue submission at
-  the framework/communicator boundary (Fig. 4's Work Queue);
 * :class:`CoordinatorCrashFault` — the acting coordinator's *control-plane
   role* dies mid-iteration (during the ski-rental decision, or between a
   strategy transition's prepare and commit), forcing a lease takeover and
@@ -43,10 +41,6 @@ import numpy as np
 
 from repro.errors import ChaosError
 from repro.integrity.channel import SITE_KERNEL, SITE_WIRE
-
-#: Message-fault actions.
-DROP = "drop"
-DUPLICATE = "duplicate"
 
 #: Corruption-fault modes.
 BITFLIP = "bitflip"
@@ -121,22 +115,6 @@ class LinkFault:
             raise ChaosError("bandwidth fraction must be in [0, 1)")
         if self.flaps < 1:
             raise ChaosError("flaps must be >= 1")
-
-
-@dataclass(frozen=True)
-class MessageFault:
-    """Drop or duplicate the ``submission_index``-th work-queue submission
-    of ``rank`` (0-based, counted per rank across the whole run)."""
-
-    rank: int
-    submission_index: int
-    action: str
-
-    def __post_init__(self) -> None:
-        if self.action not in (DROP, DUPLICATE):
-            raise ChaosError(f"unknown message-fault action {self.action!r}")
-        if self.submission_index < 0:
-            raise ChaosError("submission index must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -248,7 +226,6 @@ class FaultPlan:
     stragglers: Tuple[StragglerFault, ...] = ()
     crashes: Tuple[CrashFault, ...] = ()
     link_faults: Tuple[LinkFault, ...] = ()
-    message_faults: Tuple[MessageFault, ...] = ()
     coordinator_crashes: Tuple[CoordinatorCrashFault, ...] = ()
     partitions: Tuple[PartitionFault, ...] = ()
     corruptions: Tuple[CorruptionFault, ...] = ()
@@ -308,14 +285,6 @@ class FaultPlan:
         """Partitions whose heal lands exactly at ``iteration``."""
         return [p for p in self.partitions if p.heal_iteration == iteration]
 
-    def message_actions(self, rank: int) -> Dict[int, str]:
-        """submission-index -> action map for one rank's work queue."""
-        return {
-            fault.submission_index: fault.action
-            for fault in self.message_faults
-            if fault.rank == rank
-        }
-
     def ground_truth(self) -> List[Dict[str, object]]:
         """Anomaly labels this plan should produce, for detection scoring.
 
@@ -373,7 +342,6 @@ class FaultPlan:
             self.stragglers,
             self.crashes,
             self.link_faults,
-            self.message_faults,
             self.coordinator_crashes,
             self.partitions,
             self.corruptions,
@@ -471,7 +439,6 @@ class FaultPlan:
         transient_fraction: float = 0.5,
         link_fault_rate: float = 0.0,
         num_instances: int = 0,
-        message_fault_rate: float = 0.0,
         coordinator_crash_rate: float = 0.0,
         transition_crash_fraction: float = 0.25,
         partition_rate: float = 0.0,
@@ -495,7 +462,6 @@ class FaultPlan:
         stragglers: List[StragglerFault] = []
         crashes: List[CrashFault] = []
         link_faults: List[LinkFault] = []
-        message_faults: List[MessageFault] = []
 
         crashable = list(range(1, world))
         rng.shuffle(crashable)
@@ -529,15 +495,6 @@ class FaultPlan:
             link_faults.append(
                 LinkFault(instance_id, start, duration, fraction, flaps=flaps)
             )
-
-        if message_fault_rate > 0:
-            for rank in range(world):
-                if rank in down_ranks:
-                    continue
-                for index in range(iterations):
-                    if rng.random() < message_fault_rate:
-                        action = DROP if rng.random() < 0.5 else DUPLICATE
-                        message_faults.append(MessageFault(rank, index, action))
 
         coordinator_crashes: List[CoordinatorCrashFault] = []
         partitions: List[PartitionFault] = []
@@ -600,7 +557,6 @@ class FaultPlan:
             stragglers=tuple(stragglers),
             crashes=tuple(crashes),
             link_faults=tuple(link_faults),
-            message_faults=tuple(message_faults),
             coordinator_crashes=tuple(coordinator_crashes),
             partitions=tuple(partitions),
             corruptions=tuple(corruptions),

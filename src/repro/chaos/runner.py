@@ -178,14 +178,6 @@ class ChaosRunner:
         )
         if unknown:
             raise ChaosError(f"plan corrupts links outside the topology: {unknown}")
-        if plan.message_faults:
-            # Message faults act on a CollectiveService's work queues
-            # (ChaosInjector.attach_queues); the runner drives the
-            # coordinator directly and has none to fault.
-            raise ChaosError(
-                "the chaos runner has no work queues: drive a plan with "
-                "message faults through a CollectiveService"
-            )
         # Data-plane parties: the corruptor exists whenever the plan
         # schedules corruption (the attack is real even when undefended);
         # the monitor only when the integrity layer is switched on.

@@ -16,18 +16,6 @@ class SimulationError(ReproError):
     """Errors raised by the discrete-event simulation engine."""
 
 
-class ProcessInterrupt(ReproError):
-    """Raised inside a simulated process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.simulation.engine.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class TopologyError(ReproError):
     """Invalid or inconsistent hardware/logical topology."""
 
@@ -71,24 +59,6 @@ class CommunicatorError(ReproError):
 
 class BufferError_(CommunicatorError):
     """Buffer misuse: overflow, double registration, or missing IPC handle."""
-
-
-class RetryBudgetExhausted(CommunicatorError):
-    """A collective service round ran out of retries.
-
-    Raised (instead of silently degrading) when the service is configured
-    with ``fail_on_exhausted=True`` and a round still has missing ranks
-    after ``max_retries`` re-arms of the capped exponential backoff.
-    """
-
-    def __init__(self, sequence: int, attempts: int, missing: object = None):
-        self.sequence = sequence
-        self.attempts = attempts
-        self.missing = sorted(missing or [])
-        super().__init__(
-            f"collective round {sequence} exhausted its retry budget "
-            f"({attempts} attempts; missing ranks {self.missing})"
-        )
 
 
 class CoordinationError(ReproError):

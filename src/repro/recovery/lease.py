@@ -118,10 +118,9 @@ class EpochFence:
     """Drops stale-epoch messages and counts every drop.
 
     One fence per control plane; all coordinator↔worker message paths
-    (ready reports, prepare-acks, work-queue submissions) funnel their
-    epoch checks through :meth:`admit` so the
-    ``recovery_fenced_messages_total`` metric is the single audit point
-    for split-brain resolution.
+    (ready reports, prepare-acks) funnel their epoch checks through
+    :meth:`admit` so the ``recovery_fenced_messages_total`` metric is the
+    single audit point for split-brain resolution.
     """
 
     def __init__(self, hub: Optional[TelemetryHub] = None) -> None:

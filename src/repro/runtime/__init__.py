@@ -2,8 +2,7 @@
 
 This package is the runtime half of AdapCC: transmission contexts with
 registered buffers (:mod:`repro.runtime.context`,
-:mod:`repro.runtime.buffers`), work/result queues
-(:mod:`repro.runtime.queues`), and the pipelined chunk executor
+:mod:`repro.runtime.buffers`) and the pipelined chunk executor
 (:mod:`repro.runtime.executor`) that moves *real numpy payloads* through
 the fluid network so collective results are verifiable bit-for-bit.
 
@@ -17,18 +16,13 @@ race detector read too.
 from repro.runtime.collectives import CollectiveResult, PendingCollective, launch
 from repro.runtime.buffers import BufferRegistry, GpuBuffers
 from repro.runtime.context import ContextManager, TransmissionContext
-from repro.runtime.queues import WorkItem, WorkQueues
-from repro.runtime.service import CollectiveService
 
 __all__ = [
     "BufferRegistry",
     "CollectiveResult",
-    "CollectiveService",
     "PendingCollective",
     "ContextManager",
     "GpuBuffers",
     "TransmissionContext",
-    "WorkItem",
-    "WorkQueues",
     "launch",
 ]

@@ -4,8 +4,8 @@
 and returns a :class:`PendingCollective`; ``launch(...).wait()`` drives the
 simulator until it completes and returns a :class:`CollectiveResult` with
 per-rank output arrays and timing. Collectives launched before the
-simulator is driven overlap on the fabric — gradient bucketing, fleet
-replay and the queued service rely on this. One builder per primitive
+simulator is driven overlap on the fabric — gradient bucketing and fleet
+replay rely on this. One builder per primitive
 lowers the strategy into chunk stages (:func:`repro.runtime.stages.lower`),
 starts a :class:`~repro.runtime.executor.ChunkPipeline` per stage, and
 assembles the outputs. Inputs are numpy arrays (one per participant

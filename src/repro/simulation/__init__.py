@@ -22,19 +22,16 @@ Typical use::
 """
 
 from repro.simulation.engine import Event, Process, Simulator, Timeout
-from repro.simulation.primitives import AllOf, AnyOf
-from repro.simulation.resources import Store
+from repro.simulation.primitives import AllOf
 from repro.simulation.fluid import FluidLink, FluidNetwork, Transfer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "FluidLink",
     "FluidNetwork",
     "Process",
     "Simulator",
-    "Store",
     "Timeout",
     "Transfer",
 ]

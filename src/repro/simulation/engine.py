@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 
 #: Entries at one simulated time run in priority order: URGENT, then
 #: NORMAL, then LATE. The engine uses URGENT internally for process
@@ -165,7 +165,7 @@ class Process(Event):
     process is waiting on it).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -175,37 +175,7 @@ class Process(Event):
         super().__init__(sim)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when running
-        #: or finished). Used by interrupt().
-        self._target: Optional[Event] = None
         Initialize(sim, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """Whether the generator has not finished yet."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process.
-
-        The process is rescheduled immediately; the event it was waiting on
-        stays pending and may still be consumed later.
-        """
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is None:
-            raise SimulationError("cannot interrupt a process that is not waiting")
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = ProcessInterrupt(cause)
-        interrupt_event._triggered = True
-        interrupt_event.callbacks.append(self._resume)
-        self.sim._schedule(interrupt_event, priority=URGENT)
-        # Detach from the original target so its trigger no longer resumes us.
-        target = self._target
-        if target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._target = None
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the event's outcome.
@@ -214,22 +184,17 @@ class Process(Event):
         of already-processed events cannot blow the Python stack.
         """
         while True:
-            self.sim._active_process = self
-            self._target = None
             try:
                 if event._ok:
                     next_event = self._generator.send(event._value)
                 else:
                     next_event = self._generator.throw(event._value)
             except StopIteration as stop:
-                self.sim._active_process = None
                 self.succeed(stop.value, priority=URGENT)
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate via event
-                self.sim._active_process = None
                 self.fail(exc, priority=URGENT)
                 return
-            self.sim._active_process = None
             if not isinstance(next_event, Event):
                 self._generator.close()
                 self.fail(
@@ -242,7 +207,6 @@ class Process(Event):
             if next_event.processed:
                 event = next_event  # already done: consume without recursing
                 continue
-            self._target = next_event
             next_event.add_callback(self._resume)
             return
 
@@ -259,7 +223,6 @@ class Simulator:
         self.now: float = 0.0
         self._queue: List = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     # -- event creation -----------------------------------------------------
 
@@ -280,12 +243,6 @@ class Simulator:
         from repro.simulation.primitives import AllOf
 
         return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Event triggering when any event in ``events`` triggers."""
-        from repro.simulation.primitives import AnyOf
-
-        return AnyOf(self, list(events))
 
     # -- scheduling ---------------------------------------------------------
 

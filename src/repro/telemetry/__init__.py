@@ -16,8 +16,8 @@ Three pieces (see DESIGN.md §7):
       python -m repro.telemetry chrome run.jsonl -o run.trace.json
 
 Instrumentation is threaded through every layer (detector, profiler,
-synthesizer, chunk pipeline, relay coordinator, collective service, chaos
-injector); ``python -m repro.analysis --telemetry`` lints exported traces.
+synthesizer, chunk pipeline, relay coordinator, chaos injector);
+``python -m repro.analysis --telemetry`` lints exported traces.
 """
 
 from repro.telemetry.bridge import TelemetryRecorder

@@ -4,9 +4,9 @@ Two subcommands:
 
 * ``summarize <run.jsonl>`` — per-collective latency table, link
   utilization table, ski-rental decision table, and a chronological
-  decision log (synthesis choices, relay verdicts, chaos events, service
-  degradations); ``--top N`` appends the N slowest spans of each span
-  kind; ``--group-by <label>`` splits the tables by a record label (e.g.
+  decision log (synthesis choices, relay verdicts, chaos events);
+  ``--top N`` appends the N slowest spans of each span kind;
+  ``--group-by <label>`` splits the tables by a record label (e.g.
   ``--group-by job`` on a merged fleet stream gives one table set per
   job);
 * ``chrome <run.jsonl> [-o out.trace.json]`` — convert a JSONL run into
@@ -34,8 +34,6 @@ from repro.telemetry.export import (
 DECISION_EVENTS = (
     "ski-rental-decision",
     "synthesis-decision",
-    "service-retry",
-    "service-degraded",
     "fault-detected",
 )
 

@@ -1,11 +1,11 @@
-"""Tests for buffers, IPC tables, transmission contexts, and work queues."""
+"""Tests for buffers, IPC tables and transmission contexts."""
 
 import numpy as np
 import pytest
 
 from repro.errors import BufferError_, CommunicatorError
-from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
-from repro.runtime import BufferRegistry, ContextManager, GpuBuffers, WorkQueues
+from repro.hardware import Cluster, MB, make_homo_cluster
+from repro.runtime import BufferRegistry, ContextManager, GpuBuffers
 from repro.runtime.partition import (
     check_uniform_inputs,
     chunk_ranges,
@@ -191,49 +191,3 @@ class TestContextManager:
             manager.setup_all(contexts)
             manager.teardown(contexts)
         assert manager.registry.of(0).registered_bytes == 0.0
-
-
-class TestWorkQueues:
-    def test_submit_poll_complete_fetch(self):
-        sim = Simulator()
-        queues = WorkQueues(sim, rank=0)
-        seq = queues.submit(Primitive.ALLREDUCE, np.ones(4))
-        done = []
-
-        def worker(sim):
-            item = yield queues.poll_work()
-            queues.complete(item, item.tensor * 2)
-
-        def framework(sim):
-            sequence, output = yield queues.fetch_result()
-            done.append((sequence, output))
-
-        sim.process(worker(sim))
-        sim.process(framework(sim))
-        sim.run()
-        assert done[0][0] == seq
-        np.testing.assert_array_equal(done[0][1], np.full(4, 2.0))
-
-    def test_fifo_order_preserved(self):
-        sim = Simulator()
-        queues = WorkQueues(sim, rank=0)
-        s1 = queues.submit(Primitive.ALLREDUCE, np.ones(1))
-        s2 = queues.submit(Primitive.ALLTOALL, np.ones(1))
-        polled = []
-
-        def worker(sim):
-            for _ in range(2):
-                item = yield queues.poll_work()
-                polled.append(item.sequence)
-
-        sim.process(worker(sim))
-        sim.run()
-        assert polled == [s1, s2]
-
-    def test_drain_results_nonblocking(self):
-        sim = Simulator()
-        queues = WorkQueues(sim, rank=0)
-        assert queues.drain_results() == {}
-        queues.result.put((7, np.zeros(1)))
-        sim.run()
-        assert 7 in queues.drain_results()

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.errors import ProcessInterrupt, SimulationError
-from repro.simulation import Simulator, Store
+from repro.errors import SimulationError
+from repro.simulation import Simulator
 from repro.simulation.engine import LATE, NORMAL, URGENT, Event
 from repro.simulation.fluid import FluidLink, FluidNetwork
-from repro.simulation.resources import Semaphore
 
 from .engine_oracle import step_one_at_a_time
 
@@ -208,161 +207,6 @@ def test_all_of_collects_values_in_order():
     sim.process(proc(sim))
     sim.run()
     assert out == [(3.0, ["c", "a"])]
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-    out = []
-
-    def proc(sim):
-        index, value = yield sim.any_of([sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")])
-        out.append((sim.now, index, value))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert out == [(1.0, 1, "fast")]
-
-
-def test_interrupt_raises_in_target():
-    sim = Simulator()
-    caught = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except ProcessInterrupt as exc:
-            caught.append((sim.now, exc.cause))
-
-    def interrupter(sim, target):
-        yield sim.timeout(2.0)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, target))
-    sim.run()
-    assert caught == [(2.0, "wake up")]
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-class TestStore:
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def producer(sim):
-            for i in range(3):
-                yield store.put(i)
-                yield sim.timeout(1.0)
-
-        def consumer(sim):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer(sim):
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def producer(sim):
-            yield sim.timeout(7.0)
-            yield store.put("x")
-
-        sim.process(consumer(sim))
-        sim.process(producer(sim))
-        sim.run()
-        assert got == [(7.0, "x")]
-
-    def test_capacity_blocks_putter(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        times = []
-
-        def producer(sim):
-            yield store.put("a")
-            times.append(("a-stored", sim.now))
-            yield store.put("b")
-            times.append(("b-stored", sim.now))
-
-        def consumer(sim):
-            yield sim.timeout(5.0)
-            yield store.get()
-
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
-        sim.run()
-        assert times == [("a-stored", 0.0), ("b-stored", 5.0)]
-
-    def test_try_get_nonblocking(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put("x")
-        sim.run()
-        assert store.try_get() == "x"
-
-    def test_zero_capacity_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Store(sim, capacity=0)
-
-
-class TestSemaphore:
-    def test_mutual_exclusion(self):
-        sim = Simulator()
-        sem = Semaphore(sim, slots=1)
-        timeline = []
-
-        def worker(sim, name):
-            yield sem.acquire()
-            timeline.append((name, "in", sim.now))
-            yield sim.timeout(2.0)
-            timeline.append((name, "out", sim.now))
-            sem.release()
-
-        sim.process(worker(sim, "w1"))
-        sim.process(worker(sim, "w2"))
-        sim.run()
-        assert timeline == [
-            ("w1", "in", 0.0),
-            ("w1", "out", 2.0),
-            ("w2", "in", 2.0),
-            ("w2", "out", 4.0),
-        ]
-
-    def test_release_unheld_rejected(self):
-        sim = Simulator()
-        sem = Semaphore(sim)
-        with pytest.raises(SimulationError):
-            sem.release()
-
-    def test_available_counts(self):
-        sim = Simulator()
-        sem = Semaphore(sim, slots=3)
-        sem.acquire()
-        sem.acquire()
-        assert sem.available == 1
 
 
 class TestEventBatching:
