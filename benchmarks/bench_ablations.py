@@ -15,13 +15,12 @@ ablated against the full system:
 """
 
 import numpy as np
-import pytest
 
 from repro.bench import Table
 from repro.bench.harness import BenchEnvironment
 from repro.hardware import MB, make_hetero_cluster, make_homo_cluster
 from repro.runtime import launch
-from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
+from repro.synthesis import Primitive, SynthesizerConfig
 from repro.synthesis.routing import TREE_FAMILIES
 
 TENSOR = 64 * MB

@@ -7,7 +7,6 @@ trace, prints its summary statistics, and replays it onto a simulated
 2-instance pair to confirm the achieved transfer rates track the trace.
 """
 
-import numpy as np
 import pytest
 
 from repro.hardware import Cluster, InstanceSpec, NicSpec, a100_server, gbps

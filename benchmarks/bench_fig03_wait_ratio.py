@@ -8,7 +8,6 @@ exceeds 10 % in half the iterations.
 """
 
 import numpy as np
-import pytest
 
 from repro.bench.harness import BenchEnvironment
 from repro.hardware import make_hetero_cluster, make_homo_cluster

@@ -8,8 +8,6 @@ configurations of its A100/V100 testbed and reports AdapCC speedups of
 sizes") and checks the ordering: AdapCC wins every config, Blink trails.
 """
 
-import pytest
-
 from repro.bench import Table, geometric_mean, measure_algorithm_bandwidth
 from repro.hardware import MB
 from repro.hardware.presets import make_config

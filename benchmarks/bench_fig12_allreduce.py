@@ -5,8 +5,6 @@ over MSCCL (1.15x) and 1.30–1.61x over Blink (1.49x), credited to better
 reduce/broadcast stage parallelization and link-property awareness.
 """
 
-import pytest
-
 from repro.bench import Table, geometric_mean, measure_algorithm_bandwidth
 from repro.hardware import MB
 from repro.hardware.presets import make_config

@@ -7,8 +7,6 @@ collective) against NCCL: 1.12–1.30x faster in homogeneous settings, up to
 channel caps at ~20 Gbps.
 """
 
-import pytest
-
 from repro.bench import Table, geometric_mean, measure_training
 from repro.hardware import make_hetero_cluster, make_homo_cluster
 from repro.training import GPT2, MOE, VGG16, VIT

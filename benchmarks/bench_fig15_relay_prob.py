@@ -7,7 +7,6 @@ distribution is roughly even.
 """
 
 import numpy as np
-import pytest
 
 from repro.bench.harness import BenchEnvironment
 from repro.hardware import make_hetero_cluster, make_homo_cluster

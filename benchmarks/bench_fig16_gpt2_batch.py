@@ -12,8 +12,6 @@ constant communication speedup that larger (more compute-bound) batches
 dilute.
 """
 
-import pytest
-
 from repro.bench import Series, measure_training
 from repro.hardware import make_hetero_cluster
 from repro.training import GPT2

@@ -7,8 +7,6 @@ Reproduction note: as in Fig. 16, AdapCC wins at every batch size but the
 gain shrinks rather than grows with batch (see EXPERIMENTS.md).
 """
 
-import pytest
-
 from repro.bench import Series, measure_training
 from repro.hardware import make_hetero_cluster
 from repro.training import VIT

@@ -14,8 +14,6 @@ unshaped profile): the gap between static and re-profiling AdapCC widens
 with volatility, which is the paper's underlying claim.
 """
 
-import pytest
-
 from repro.bench import Series, measure_training
 from repro.hardware import make_homo_cluster
 from repro.network.shaping import TraceShaper

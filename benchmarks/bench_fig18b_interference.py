@@ -7,8 +7,6 @@ compute, creating stragglers; AdapCC's relay control yields up to 1.49x
 faster communication than NCCL at the highest level.
 """
 
-import pytest
-
 from repro.bench import Series, measure_training
 from repro.hardware import make_homo_cluster
 from repro.training import VIT

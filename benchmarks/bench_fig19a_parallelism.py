@@ -6,8 +6,6 @@ transmissions extract more of the available bandwidth than NCCL's single
 channel can), flattening past M = 4 — their chosen operating point.
 """
 
-import pytest
-
 from repro.bench import Series, measure_algorithm_bandwidth
 from repro.hardware import MB, make_homo_cluster
 from repro.synthesis import Primitive

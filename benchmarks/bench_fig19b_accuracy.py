@@ -9,8 +9,6 @@ depends only on which gradients are aggregated when, which the substrate
 preserves exactly).
 """
 
-import pytest
-
 from repro.bench import Series
 from repro.training import AggregationMode, train_convergence
 

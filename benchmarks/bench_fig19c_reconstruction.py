@@ -11,8 +11,6 @@ optimizer wall-clock); the NCCL restart is priced by the documented cost
 model in :mod:`repro.runtime.reconstruction`.
 """
 
-import pytest
-
 from repro.bench import Table
 from repro.bench.harness import BenchEnvironment
 from repro.hardware import make_homo_cluster

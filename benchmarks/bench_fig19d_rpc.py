@@ -6,7 +6,6 @@ negligible against multi-server communication times.
 """
 
 import numpy as np
-import pytest
 
 from repro.bench.harness import BenchEnvironment
 from repro.hardware import make_hetero_cluster

@@ -40,16 +40,13 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional
 
-# Grid definitions re-exported for compatibility: the grid itself lives in
-# repro.bench.grid so the sweep workers can import it without re-running
-# this CLI module.
-from repro.bench.grid import (  # noqa: F401 - re-exports
+# The grid itself lives in repro.bench.grid so the sweep workers can
+# import it without re-running this CLI module.
+from repro.bench.grid import (
     AGGREGATE_NAME,
     CONFIG_RECIPES,
     DEFAULT_TOLERANCE,
     FIGURES,
-    TENSOR_BYTES,
-    cell_id,
     cell_key,
     compare_payloads,
     measure_fleet,

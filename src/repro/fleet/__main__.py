@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from repro.bench.report import Table
 from repro.errors import ReproError

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import TopologyError
-from repro.hardware.links import us
 
 
 @dataclass(frozen=True)

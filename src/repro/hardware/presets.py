@@ -30,7 +30,6 @@ from repro.hardware.links import (
     RDMA_50G,
     TCP_100G,
     TCP_50G,
-    gbps,
     us,
 )
 

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CommunicatorError
 from repro.hardware.cluster import Cluster
-from repro.hardware.links import us
 from repro.runtime.buffers import BufferRegistry
 from repro.synthesis.strategy import Strategy
 

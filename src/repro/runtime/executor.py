@@ -45,9 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CommunicatorError
-from repro.runtime.stages import (  # noqa: F401 - the modes are re-exported
-    MODE_GROUPED,
-    MODE_INDEPENDENT,
+from repro.runtime.stages import (
     MODE_MERGE,
     MODES,
     FlowPath,

@@ -13,7 +13,7 @@ import enum
 import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StrategyFormatError, SynthesisError, TopologyError
 from repro.topology.graph import NodeId, NodeKind, gpu_node, parse_node

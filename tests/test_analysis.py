@@ -24,7 +24,7 @@ from repro.relay.coordinator import AdaptiveAllReduce
 from repro.runtime.executor import MODE_MERGE, ChunkPipeline
 from repro.simulation import Simulator
 from repro.simulation.records import TraceRecord, TraceRecorder
-from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
+from repro.synthesis import Primitive, Synthesizer
 from repro.synthesis.strategy import Flow, Strategy, SubCollective
 from repro.topology import LogicalTopology
 from repro.topology.graph import gpu_node

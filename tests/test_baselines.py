@@ -9,7 +9,7 @@ from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
 from repro.baselines import available_backends, make_backend
 from repro.baselines.nccl import NCCL_CHUNK_BYTES, NcclBackend
 from repro.baselines.blink import BLINK_CHUNK_BYTES
-from repro.hardware.presets import a100_server, fragmented_server
+from repro.hardware.presets import a100_server
 from repro.simulation import Simulator
 from repro.synthesis import Primitive
 from repro.topology import LogicalTopology

@@ -1,7 +1,6 @@
 """Tests for the bench harness, report formatting, reconstruction model,
 and the simulation trace recorder."""
 
-import numpy as np
 import pytest
 
 from repro.bench import (

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CommunicatorError
-from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
+from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
 from repro.runtime import launch
 from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import AdapCCSession
-from repro.errors import TopologyError
 from repro.hardware import Cluster, a100_server, make_homo_cluster, v100_server
 from repro.simulation import Simulator
 

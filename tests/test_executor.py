@@ -8,15 +8,10 @@ import pytest
 from repro.errors import CommunicatorError
 from repro.hardware import Cluster, make_homo_cluster
 from repro.relay import behavior_tuples
-from repro.runtime.executor import (
-    MODE_GROUPED,
-    MODE_INDEPENDENT,
-    MODE_MERGE,
-    ChunkPipeline,
-    Slot,
-)
+from repro.runtime.executor import MODE_MERGE, ChunkPipeline
+from repro.runtime.stages import MODE_GROUPED, MODE_INDEPENDENT
 from repro.simulation import Simulator
-from repro.synthesis.strategy import Primitive, SubCollective
+from repro.synthesis.strategy import Primitive
 from repro.topology import LogicalTopology
 from repro.topology.graph import gpu_node, nic_node
 

@@ -6,7 +6,6 @@ from repro.errors import TopologyError
 from repro.hardware import (
     Cluster,
     GpuSpec,
-    InstanceSpec,
     LinkSpec,
     LinkType,
     NicSpec,
@@ -17,7 +16,6 @@ from repro.hardware import (
     make_homo_cluster,
     make_paper_testbed,
     us,
-    v100_server,
 )
 from repro.hardware.presets import A100_GPU, V100_GPU, fragmented_server, make_config
 from repro.simulation import Simulator

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import AdapCCSession, Primitive
-from repro.baselines import make_backend
 from repro.bench.harness import BenchEnvironment
 from repro.hardware import MB, make_paper_testbed
 from repro.hardware.presets import a100_server, fragmented_server, v100_server

@@ -8,7 +8,7 @@ from repro.profiling import DEFAULT_PROBE_PLAN, ProbePlan, Profiler, inter_insta
 from repro.profiling.rounds import validate_round
 from repro.simulation import Simulator
 from repro.topology import LogicalTopology
-from repro.topology.graph import gpu_node, nic_node
+from repro.topology.graph import nic_node
 
 
 class TestProbePlan:

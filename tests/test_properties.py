@@ -1,7 +1,6 @@
 """Cross-cutting property-based tests on core invariants (DESIGN.md §5)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,7 @@ from repro.runtime.partition import chunk_ranges, partition_ranges
 from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.synthesis.evaluator import StrategyEvaluator
-from repro.synthesis.routing import TREE_FAMILIES, reduce_flows, tree_flow_paths
+from repro.synthesis.routing import TREE_FAMILIES, reduce_flows
 from repro.topology import LogicalTopology
 from repro.topology.graph import nic_node
 

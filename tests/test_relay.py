@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CoordinationError
-from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
+from repro.hardware import Cluster, MB, make_homo_cluster
 from repro.relay import (
     AdaptiveAllReduce,
-    BehaviorTuple,
     BreakEvenPolicy,
     Coordinator,
     FaultDetector,
@@ -22,7 +21,7 @@ from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer
 from repro.synthesis.strategy import Flow, SubCollective
 from repro.topology import LogicalTopology
-from repro.topology.graph import gpu_node, nic_node
+from repro.topology.graph import gpu_node
 
 
 def make_env(specs=None):

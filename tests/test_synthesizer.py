@@ -9,7 +9,6 @@ from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
 from repro.simulation import Simulator
 from repro.synthesis import (
     Primitive,
-    Strategy,
     Synthesizer,
     SynthesizerConfig,
     strategy_from_xml,
