@@ -7,12 +7,15 @@ nothing but its seed, and it is why the tracer only ever timestamps with
 the simulator clock.
 """
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.adapcc import AdapCCSession
 from repro.analysis.lint_telemetry import (
     lint_chrome_trace,
@@ -40,6 +43,7 @@ from repro.telemetry import (
     to_chrome_trace,
     to_jsonl,
 )
+from repro.telemetry.__main__ import DECISION_EVENTS
 from repro.telemetry.__main__ import main as telemetry_cli
 from repro.telemetry.export import summarize_collectives
 
@@ -626,6 +630,19 @@ class TestCLI:
 
     def test_summarize_missing_file_fails(self, tmp_path):
         assert telemetry_cli(["summarize", str(tmp_path / "absent.jsonl")]) == 1
+
+    def test_every_decision_event_is_emitted(self):
+        # A name in the decision log's filter that no module emits is
+        # stale: the log would silently never show it.
+        package = Path(repro.__file__).parent
+        literals = set()
+        for path in package.rglob("*.py"):
+            if path == package / "telemetry" / "__main__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+        assert set(DECISION_EVENTS) <= literals
 
     @pytest.mark.parametrize(
         "source, expected",
