@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.config import verification_enabled
 from repro.errors import ReproError
 from repro.hardware.cluster import Cluster
 from repro.hardware.instance import InstanceSpec
@@ -51,7 +50,7 @@ class AdapCCSession:
         instance_specs: Sequence[InstanceSpec],
         config: Optional[SynthesizerConfig] = None,
         seed: int = 0,
-        verify: Optional[bool] = None,
+        verify: bool = True,
         telemetry: Union[None, bool, TelemetryHub] = None,
         observe: Union[None, bool, ObserveConfig] = None,
     ):
@@ -68,11 +67,9 @@ class AdapCCSession:
         self.telemetry = self.cluster.hub
         self.config = config
         self.seed = seed
-        #: Tri-state static-verification override: ``None`` defers to
-        #: :func:`repro.analysis.verification_enabled` (on under pytest or
-        #: ``REPRO_VERIFY=1``), ``True``/``False`` force it. When enabled,
-        #: every synthesized strategy is checked by
-        #: :func:`repro.analysis.assert_valid` before first use.
+        #: Static verification: when on, every synthesized strategy is
+        #: checked by :func:`repro.analysis.assert_valid` before first use,
+        #: here and in the session's adaptive relay.
         self.verify = verify
         self.topology: Optional[LogicalTopology] = None
         self.detection: Optional[DetectionReport] = None
@@ -111,7 +108,7 @@ class AdapCCSession:
         self.profiler = Profiler(self.topology)
         self.profiler.profile()
         self.synthesizer = Synthesizer(self.topology, self.config)
-        self.adaptive = AdaptiveAllReduce(self.topology, seed=self.seed)
+        self.adaptive = AdaptiveAllReduce(self.topology, seed=self.seed, verify=self.verify)
         self._arm_watchdog()
         return self
 
@@ -169,7 +166,7 @@ class AdapCCSession:
         self.profiler = Profiler(self.topology)
         self.profiler.profile()
         self.synthesizer = Synthesizer(self.topology, self.config)
-        self.adaptive = AdaptiveAllReduce(self.topology, seed=self.seed)
+        self.adaptive = AdaptiveAllReduce(self.topology, seed=self.seed, verify=self.verify)
         if self.contexts is not None:
             self.contexts = ContextManager(self.cluster)
         self._strategies.clear()
@@ -298,7 +295,7 @@ class AdapCCSession:
             strategy = self.synthesizer.synthesize(
                 primitive, tensor_size, list(participants), root=root
             )
-            if verification_enabled(self.verify):
+            if self.verify:
                 from repro.analysis.verify_strategy import assert_valid
 
                 assert_valid(strategy, self.topology)

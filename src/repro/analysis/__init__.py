@@ -38,21 +38,18 @@ The checks behind them guard the reproduction's correctness (DESIGN.md §5):
   ``lint_fleet_run`` — structural checks over a critical-path report, an
   integrity log and a merged fleet export.
 
-Only :mod:`repro.analysis.config` is imported eagerly: the session, the
-baselines and the relay coordinator consult :func:`verification_enabled`
-before planning, and the verifier in turn imports the runtime, so
-everything else loads lazily (PEP 562). The pass entry points share their
-module's name (``verify_strategy``, ``lint_trace``, ``lint_source``), so
-import those *functions* from their submodules; the collision-free
-helpers below are re-exported here.
+Everything loads lazily (PEP 562): the session, the baselines and the
+relay coordinator import the verifier when they plan, and the verifier in
+turn imports the runtime. The pass entry points share their module's name
+(``verify_strategy``, ``lint_trace``, ``lint_source``), so import those
+*functions* from their submodules; the collision-free helpers below are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import importlib
 from typing import Any
-
-from repro.analysis.config import ENV_VERIFY, verification_enabled
 
 _LAZY = {
     "assert_valid": ("repro.analysis.verify_strategy", "assert_valid"),
@@ -69,7 +66,7 @@ _LAZY = {
     "to_sarif": ("repro.analysis.sarif", "to_sarif"),
 }
 
-__all__ = ["ENV_VERIFY", "verification_enabled", *sorted(_LAZY)]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str) -> Any:

@@ -13,7 +13,6 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.analysis.config import verification_enabled
 from repro.errors import CommunicatorError
 from repro.runtime.collectives import CollectiveResult, launch
 from repro.synthesis.strategy import Primitive, Strategy
@@ -28,10 +27,8 @@ class Backend(abc.ABC):
 
     def __init__(self, topology: LogicalTopology):
         self.topology = topology
-        #: Tri-state verification override for :meth:`plan`: ``None`` defers
-        #: to :func:`repro.analysis.verification_enabled` (on under pytest
-        #: or ``REPRO_VERIFY``), ``True``/``False`` force it.
-        self.verify: Optional[bool] = None
+        #: Whether :meth:`plan` statically verifies what it produces.
+        self.verify = True
 
     def plan(
         self,
@@ -48,7 +45,7 @@ class Backend(abc.ABC):
         same invariants as the synthesizer's.
         """
         strategy = self._plan(primitive, tensor_size, participants, root=root)
-        if verification_enabled(self.verify):
+        if self.verify:
             from repro.analysis.verify_strategy import assert_valid
 
             assert_valid(strategy, self.topology)

@@ -5,14 +5,7 @@ from repro.bench.harness import (
     measure_algorithm_bandwidth,
     measure_training,
 )
-from repro.bench.report import (
-    Series,
-    Table,
-    bench_dir,
-    captured_bench_payloads,
-    geometric_mean,
-    write_bench_payload,
-)
+from repro.bench.report import Series, Table, geometric_mean
 from repro.bench.sweep import SweepError, run_sweep
 
 __all__ = [
@@ -20,11 +13,8 @@ __all__ = [
     "Series",
     "SweepError",
     "Table",
-    "bench_dir",
-    "captured_bench_payloads",
     "geometric_mean",
     "measure_algorithm_bandwidth",
     "measure_training",
     "run_sweep",
-    "write_bench_payload",
 ]

@@ -18,8 +18,7 @@ block still gate cleanly under ``--check``.
 Modes:
 
 * default — measure, print the three figure tables, write the aggregate
-  (to ``REPRO_BENCH_DIR`` via the shared payload path when set, else to
-  ``--output``); quick runs default to ``BENCH_fig11_13_quick.json`` and
+  to ``--output``; quick runs default to ``BENCH_fig11_13_quick.json`` and
   the writer refuses to overwrite a full baseline with a quick payload
   (or vice versa);
 * ``--check [BASELINE]`` — measure and compare against a committed
@@ -43,7 +42,6 @@ from typing import Dict, Optional
 # The grid itself lives in repro.bench.grid so the sweep workers can
 # import it without re-running this CLI module.
 from repro.bench.grid import (
-    AGGREGATE_NAME,
     CONFIG_RECIPES,
     DEFAULT_TOLERANCE,
     FIGURES,
@@ -51,7 +49,7 @@ from repro.bench.grid import (
     compare_payloads,
     measure_fleet,
 )
-from repro.bench.report import Table, bench_dir, write_bench_payload
+from repro.bench.report import Table
 from repro.bench.sweep import SweepError, run_sweep
 
 _CONFIG_RECIPES = CONFIG_RECIPES  # noqa: N816 - old private alias, kept for compat
@@ -108,9 +106,6 @@ def _write_aggregate(payload: Dict, output: str) -> Optional[Path]:
     Returns the written path, or ``None`` if the write was refused.
     """
     quick = bool(payload.get("quick"))
-    if bench_dir() is not None:
-        name = AGGREGATE_NAME + ("_quick" if quick else "")
-        return write_bench_payload(name, payload)
     path = Path(output)
     path.parent.mkdir(parents=True, exist_ok=True)
     existing = _load_json(path) if path.exists() else None
@@ -157,7 +152,7 @@ def main(argv=None) -> int:
         "--output",
         default=None,
         metavar="PATH",
-        help="aggregate output path when REPRO_BENCH_DIR is unset "
+        help="aggregate output path "
         f"(default: {FULL_BASELINE}, or {QUICK_BASELINE} with --quick); "
         "with --check, an explicit path additionally records the "
         "measured aggregate before gating",

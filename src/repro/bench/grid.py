@@ -61,10 +61,6 @@ FIGURES: Dict[str, Dict] = {
 #: this fraction of its baseline bandwidth before the gate fails.
 DEFAULT_TOLERANCE = 0.10
 
-#: Name stem of the aggregate payload (file: ``BENCH_fig11_13.json``).
-AGGREGATE_NAME = "fig11_13"
-
-
 def cell_key(config: str, backend: str) -> str:
     """The JSON key of one measurement cell within its figure block."""
     return f"{config}|{backend}"

@@ -8,12 +8,11 @@ across backends, or one system's clock advances would pollute another's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.common import Backend, make_backend
-from repro.bench.report import write_bench_payload
 from repro.hardware.cluster import Cluster
 from repro.hardware.instance import InstanceSpec
 from repro.simulation.engine import Simulator
@@ -46,35 +45,6 @@ class BenchEnvironment:
     def ranks(self) -> List[int]:
         """All global ranks of the environment's cluster."""
         return [gpu.rank for gpu in self.cluster.gpus]
-
-    def snapshot(self) -> Dict:
-        """Observability snapshot of this environment after a measurement.
-
-        Collects the bench-payload facts the ISSUE's perf trajectory
-        tracks: per-link traffic with the busiest link called out, the
-        fluid network's completed-transfer count, and — when the cluster's
-        hub is enabled — the full telemetry metrics snapshot (which is
-        where relay-phase and chunk counters live).
-        """
-        links = [
-            {"name": link.name, "bytes_carried": link.bytes_carried}
-            for link in self.cluster.all_links()
-            if link.bytes_carried > 0
-        ]
-        busiest = max(links, key=lambda row: row["bytes_carried"], default=None)
-        snapshot: Dict = {
-            "world": len(self.ranks),
-            "instances": len(self.cluster.instances),
-            "backend": self.backend_name,
-            "sim_seconds": self.sim.now,
-            "completed_transfers": self.cluster.network.completed_transfers,
-            "busiest_link": busiest,
-            "links": links,
-        }
-        telemetry = self.cluster.hub
-        if telemetry.enabled:
-            snapshot["metrics"] = telemetry.metrics.snapshot()
-        return snapshot
 
 
 def measure_algorithm_bandwidth(
@@ -112,21 +82,7 @@ def measure_algorithm_bandwidth(
             strategy, inputs, byte_scale=byte_scale, max_chunks=max_chunks
         )
         durations.append(result.duration)
-    mean_duration = sum(durations) / len(durations)
-    bandwidth = tensor_bytes / mean_duration
-    write_bench_payload(
-        f"{primitive.value}_{backend_name}_w{len(ranks)}i{len(env.specs)}",
-        {
-            "kind": "algorithm_bandwidth",
-            "primitive": primitive.value,
-            "tensor_bytes": tensor_bytes,
-            "repeats": repeats,
-            "duration_seconds": mean_duration,
-            "algorithm_bps": bandwidth,
-            **env.snapshot(),
-        },
-    )
-    return bandwidth
+    return tensor_bytes / (sum(durations) / len(durations))
 
 
 def measure_training(
@@ -151,19 +107,4 @@ def measure_training(
     if shaper_factory is not None:
         shaper = shaper_factory(env.cluster)
         shaper.start()
-    trainer = Trainer(env.backend, model, config, interference=interference)
-    report = trainer.run()
-    write_bench_payload(
-        f"training_{model.name}_{backend_name}_w{len(env.ranks)}",
-        {
-            "kind": "training",
-            "model": model.name,
-            "iterations": report.iterations,
-            "global_batch": report.global_batch,
-            "mean_iteration_seconds": report.mean_iteration_seconds,
-            "mean_comm_seconds": report.mean_comm_seconds,
-            "reconstructions": report.reconstructions,
-            **env.snapshot(),
-        },
-    )
-    return report
+    return Trainer(env.backend, model, config, interference=interference).run()

@@ -1,93 +1,14 @@
-"""Table/series formatting and ``BENCH_*.json`` payloads for benchmarks.
+"""Table and series formatting for benchmarks.
 
 Each benchmark prints the same rows/series its paper figure reports; these
-helpers keep the formatting uniform and parseable. When ``REPRO_BENCH_DIR``
-is set, the measurement helpers additionally persist one machine-readable
-``BENCH_<name>.json`` payload per measurement through
-:func:`write_bench_payload` — the perf-trajectory record (iteration time,
-bytes on the busiest link, relay-phase counts, telemetry metrics snapshot)
-that CI and the ROADMAP's optimization PRs diff across commits.
+helpers keep the formatting uniform and parseable.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-#: Environment variable naming the directory BENCH payloads are written to.
-#: Unset (the default) disables payload emission entirely.
-ENV_BENCH_DIR = "REPRO_BENCH_DIR"
-
-#: Per-process count of payloads written under each name, so repeated
-#: measurements with the same derived name get deterministic ``_2``/``_3``
-#: suffixes instead of silently overwriting one another.
-_payload_counts: Dict[str, int] = {}
-
-#: When set, :func:`write_bench_payload` appends ``(name, payload)`` here
-#: instead of writing files. Sweep worker processes run their cells under
-#: :func:`captured_bench_payloads` and ship the records back to the
-#: parent, which replays them through :func:`write_bench_payload` in
-#: canonical serial order — so collision suffixes (``_2``/``_3``) land on
-#: exactly the payloads a serial run would have given them, and the
-#: payload directory is byte-identical regardless of ``--jobs``.
-_capture_sink: Optional[List[Tuple[str, Dict]]] = None
-
-
-def bench_dir() -> Optional[Path]:
-    """The BENCH payload directory, or ``None`` when emission is off."""
-    value = os.environ.get(ENV_BENCH_DIR, "")
-    return Path(value) if value else None
-
-
-def write_bench_payload(name: str, payload: Dict) -> Optional[Path]:
-    """Persist one measurement payload as ``BENCH_<name>.json``.
-
-    No-op returning ``None`` unless ``REPRO_BENCH_DIR`` is set. The JSON is
-    key-sorted so same-seed runs write byte-identical payloads, and a
-    repeated ``name`` within one process gets a numeric suffix rather than
-    clobbering the earlier measurement. Under
-    :func:`captured_bench_payloads` the record is captured instead of
-    written (the capturing caller replays it later).
-    """
-    directory = bench_dir()
-    if directory is None:
-        return None
-    if _capture_sink is not None:
-        _capture_sink.append((name, payload))
-        return None
-    directory.mkdir(parents=True, exist_ok=True)
-    count = _payload_counts.get(name, 0) + 1
-    _payload_counts[name] = count
-    suffix = "" if count == 1 else f"_{count}"
-    path = directory / f"BENCH_{name}{suffix}.json"
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return path
-
-
-@contextmanager
-def captured_bench_payloads(records: List[Tuple[str, Dict]]):
-    """Capture :func:`write_bench_payload` calls into ``records``.
-
-    While the context is active (and ``REPRO_BENCH_DIR`` is set), payload
-    writes append ``(name, payload)`` to ``records`` instead of touching
-    the filesystem or the per-name collision counters. Sweep workers wrap
-    their cell measurement in this so the parent process can replay every
-    payload in canonical order.
-    """
-    global _capture_sink
-    previous = _capture_sink
-    _capture_sink = records
-    try:
-        yield records
-    finally:
-        _capture_sink = previous
+from typing import Dict, List, Sequence
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -62,11 +62,6 @@ class PayloadCorruptor:
         #: (iteration, link, site, mode, chunk, tag) per corruption, in order.
         self.trace: List[Tuple] = []
 
-    @property
-    def links(self) -> List[str]:
-        """The faulted links, sorted."""
-        return sorted(self.faults)
-
     def begin_iteration(self, iteration: int) -> None:
         """Advance the fault windows to ``iteration``."""
         self.iteration = iteration

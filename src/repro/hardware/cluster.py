@@ -68,91 +68,48 @@ class Cluster:
             self.network.attach_recorder(TelemetryRecorder(self.hub))
         self.instances: List[Instance] = []
         self.gpus: List[GPU] = []
-        rank = 0
-        for instance_id, spec in enumerate(specs):
-            instance = Instance(spec, instance_id, first_rank=rank)
-            self.instances.append(instance)
-            self.gpus.extend(instance.gpus)
-            rank += spec.num_gpus
-
         self._nvlinks: Dict[Tuple[int, int], FluidLink] = {}
         self._pcie_buses: Dict[Tuple[int, int], FluidLink] = {}
         self._nic_egress: Dict[Tuple[int, int], FluidLink] = {}
         self._nic_ingress: Dict[Tuple[int, int], FluidLink] = {}
         self._nic_duplex: Dict[Tuple[int, int], FluidLink] = {}
-        self._build_links()
+        for spec in specs:
+            self.add_instance(spec)
 
     # -- construction ---------------------------------------------------------
 
-    def _build_links(self) -> None:
-        for instance in self.instances:
-            spec = instance.spec
-            for a in range(spec.num_gpus):
-                for b in range(spec.num_gpus):
-                    if a != b and instance.has_nvlink(a, b):
-                        ra = instance.gpus[a].rank
-                        rb = instance.gpus[b].rank
-                        self._nvlinks[(ra, rb)] = FluidLink(
-                            f"nvlink:{instance.name}:{a}->{b}",
-                            capacity=spec.nvlink.bandwidth,
-                            latency=spec.nvlink.latency,
-                            per_stream_cap=spec.nvlink.per_stream_cap,
-                        )
-            switches = {gpu.pcie_switch for gpu in instance.gpus}
-            switches.update(nic.pcie_switch for nic in spec.nics)
-            for switch in switches:
-                self._pcie_buses[(instance.instance_id, switch)] = FluidLink(
-                    f"pcie:{instance.name}:sw{switch}",
-                    capacity=spec.pcie.bandwidth,
-                    latency=spec.pcie.latency,
-                    per_stream_cap=spec.pcie.per_stream_cap,
-                )
-            for nic_idx, nic in enumerate(spec.nics):
-                key = (instance.instance_id, nic_idx)
-                self._nic_egress[key] = FluidLink(
-                    f"nic-out:{instance.name}:{nic.name}",
-                    capacity=nic.link.bandwidth,
-                    latency=nic.link.latency,
-                    per_stream_cap=nic.link.per_stream_cap,
-                )
-                self._nic_ingress[key] = FluidLink(
-                    f"nic-in:{instance.name}:{nic.name}",
-                    capacity=nic.link.bandwidth,
-                    latency=nic.link.latency,
-                    per_stream_cap=nic.link.per_stream_cap,
-                )
-                if nic.link.duplex_factor != float("inf"):
-                    # Couples the send and receive directions: concurrent
-                    # in+out traffic shares duplex_factor x line rate
-                    # (host staging limits real bidirectional throughput).
-                    self._nic_duplex[key] = FluidLink(
-                        f"nic-duplex:{instance.name}:{nic.name}",
-                        capacity=nic.link.bandwidth * nic.link.duplex_factor,
-                        latency=0.0,
-                    )
-
-    # -- elastic scaling ---------------------------------------------------------
+    def _link(
+        self, name: str, capacity: float, latency: float, per_stream_cap: float = float("inf")
+    ) -> FluidLink:
+        """A link carried by this cluster's network, with its id from it."""
+        return FluidLink(
+            name,
+            capacity=capacity,
+            latency=latency,
+            per_stream_cap=per_stream_cap,
+            link_id=self.network.next_link_id(),
+        )
 
     def add_instance(self, spec: InstanceSpec) -> Instance:
-        """Attach a new instance at runtime (elastic scale-out).
+        """Attach a new instance (elastic scale-out, Sec. IV-A).
 
         New GPUs get the next global ranks; the instance's intra-server
         links and NIC links are created and it joins the full NIC mesh
-        implicitly (paths are resolved per request). The caller is
-        responsible for re-running detection/profiling and rebuilding the
-        logical topology — exactly what AdapCC's Detector does "when a new
-        worker joins the job" (Sec. IV-A).
+        implicitly (paths are resolved per request). The constructor
+        attaches its initial instances the same way. At runtime the
+        caller is responsible for re-running detection/profiling and
+        rebuilding the logical topology — exactly what AdapCC's Detector
+        does "when a new worker joins the job".
         """
-        instance_id = len(self.instances)
-        instance = Instance(spec, instance_id, first_rank=len(self.gpus))
+        instance = Instance(spec, len(self.instances), first_rank=len(self.gpus))
         self.instances.append(instance)
         self.gpus.extend(instance.gpus)
-
         for a in range(spec.num_gpus):
             for b in range(spec.num_gpus):
                 if a != b and instance.has_nvlink(a, b):
-                    ra, rb = instance.gpus[a].rank, instance.gpus[b].rank
-                    self._nvlinks[(ra, rb)] = FluidLink(
+                    ra = instance.gpus[a].rank
+                    rb = instance.gpus[b].rank
+                    self._nvlinks[(ra, rb)] = self._link(
                         f"nvlink:{instance.name}:{a}->{b}",
                         capacity=spec.nvlink.bandwidth,
                         latency=spec.nvlink.latency,
@@ -161,28 +118,31 @@ class Cluster:
         switches = {gpu.pcie_switch for gpu in instance.gpus}
         switches.update(nic.pcie_switch for nic in spec.nics)
         for switch in switches:
-            self._pcie_buses[(instance_id, switch)] = FluidLink(
+            self._pcie_buses[(instance.instance_id, switch)] = self._link(
                 f"pcie:{instance.name}:sw{switch}",
                 capacity=spec.pcie.bandwidth,
                 latency=spec.pcie.latency,
                 per_stream_cap=spec.pcie.per_stream_cap,
             )
         for nic_idx, nic in enumerate(spec.nics):
-            key = (instance_id, nic_idx)
-            self._nic_egress[key] = FluidLink(
+            key = (instance.instance_id, nic_idx)
+            self._nic_egress[key] = self._link(
                 f"nic-out:{instance.name}:{nic.name}",
                 capacity=nic.link.bandwidth,
                 latency=nic.link.latency,
                 per_stream_cap=nic.link.per_stream_cap,
             )
-            self._nic_ingress[key] = FluidLink(
+            self._nic_ingress[key] = self._link(
                 f"nic-in:{instance.name}:{nic.name}",
                 capacity=nic.link.bandwidth,
                 latency=nic.link.latency,
                 per_stream_cap=nic.link.per_stream_cap,
             )
             if nic.link.duplex_factor != float("inf"):
-                self._nic_duplex[key] = FluidLink(
+                # Couples the send and receive directions: concurrent
+                # in+out traffic shares duplex_factor x line rate
+                # (host staging limits real bidirectional throughput).
+                self._nic_duplex[key] = self._link(
                     f"nic-duplex:{instance.name}:{nic.name}",
                     capacity=nic.link.bandwidth * nic.link.duplex_factor,
                     latency=0.0,
@@ -228,9 +188,9 @@ class Cluster:
     def all_links(self) -> List[FluidLink]:
         """Every fluid link of the cluster, in deterministic (name) order.
 
-        Observability helper: the bench snapshot and telemetry summaries
-        rank links by :attr:`~repro.simulation.fluid.FluidLink.bytes_carried`
-        to find the communication bottleneck.
+        Observability helper: callers rank links by
+        :attr:`~repro.simulation.fluid.FluidLink.bytes_carried` to find the
+        communication bottleneck.
         """
         links: List[FluidLink] = [
             *self._nvlinks.values(),

@@ -129,9 +129,5 @@ class Instance:
         """Ground truth for the detector's PCIe-contention probe."""
         return self.gpus[local_a].pcie_switch == self.gpus[local_b].pcie_switch
 
-    def nic_numa_node(self, nic: NicSpec) -> int:
-        """Ground truth for the detector's NUMA-affinity probe."""
-        return nic.numa_node
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Instance {self.name} gpus={len(self.gpus)}>"

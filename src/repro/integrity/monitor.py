@@ -121,18 +121,11 @@ class IntegrityLog:
         self.records.append(record)
         return record
 
-    def of_type(self, record_type: str) -> List[Dict[str, Any]]:
-        """All records of one type, in emission order."""
-        return [r for r in self.records if r.get("type") == record_type]
-
     def to_jsonl(self) -> str:
         """One sorted-keys JSON object per line (byte-stable per seed)."""
         return "\n".join(
             json.dumps(record, sort_keys=True) for record in self.records
         ) + ("\n" if self.records else "")
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def strategy_link_names(strategy) -> List[str]:

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.config import verification_enabled
 from repro.errors import CoordinationError
 from repro.relay.behavior import behavior_tuples
 from repro.relay.faults import FaultDetector, FaultReport
@@ -171,6 +170,7 @@ class AdaptiveAllReduce:
         rpc_latency: Callable[[np.random.Generator], float] = default_rpc_latency,
         seed: int = 0,
         control_plane=None,
+        verify: bool = True,
     ):
         self.topology = topology
         self.coordinator = coordinator or Coordinator(topology)
@@ -184,11 +184,10 @@ class AdaptiveAllReduce:
         self.fault_detector = fault_detector or FaultDetector()
         self.rpc_latency = rpc_latency
         self.rng = np.random.default_rng(seed)
-        #: Tri-state static-verification override (``None`` = defer to
-        #: :func:`repro.analysis.verification_enabled`). Each distinct
-        #: strategy object is verified once, on its first adaptive run —
-        #: the coordinator reuses one strategy across many iterations.
-        self.verify: Optional[bool] = None
+        #: Static verification: each distinct strategy object is verified
+        #: once, on its first adaptive run — the coordinator reuses one
+        #: strategy across many iterations.
+        self.verify = verify
         self._verified: Dict[int, Strategy] = {}
         #: Per-iteration relay picks, for Fig. 15.
         self.relay_counts: Dict[int, int] = {}
@@ -207,7 +206,7 @@ class AdaptiveAllReduce:
         """Execute one collective adaptively; drives the simulator."""
         if strategy.primitive is not Primitive.ALLREDUCE:
             raise CoordinationError("adaptive execution currently targets AllReduce")
-        if id(strategy) not in self._verified and verification_enabled(self.verify):
+        if self.verify and id(strategy) not in self._verified:
             from repro.analysis.verify_strategy import assert_valid
 
             assert_valid(strategy, self.topology)

@@ -24,7 +24,6 @@ full job restart; AdapCC's path is graph reconstruction only (Fig. 19c).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -32,24 +31,8 @@ from repro.errors import CoordinationError
 
 #: The paper's multiplier on (now - fastest ready time).
 FAULT_THRESHOLD_MULTIPLIER = 5.0
-#: Environment variable overriding the default multiplier (operators tune
-#: eviction aggressiveness per deployment without code changes).
-ENV_FAULT_MULTIPLIER = "REPRO_FAULT_MULTIPLIER"
 #: PyTorch Elastic's keep-alive window, for the comparison benches.
 PYTORCH_ELASTIC_TIMEOUT_SECONDS = 15.0
-
-
-def default_fault_multiplier() -> float:
-    """The T_fault multiplier: ``REPRO_FAULT_MULTIPLIER`` if set, else 5."""
-    env = os.environ.get(ENV_FAULT_MULTIPLIER)
-    if env is None or not env.strip():
-        return FAULT_THRESHOLD_MULTIPLIER
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise CoordinationError(
-            f"{ENV_FAULT_MULTIPLIER}={env!r} is not a number"
-        ) from exc
 
 
 @dataclass
@@ -96,9 +79,7 @@ class FaultDetector:
     death — and leaves the window armed for the eventual real rejoin.
     """
 
-    def __init__(self, multiplier: Optional[float] = None):
-        if multiplier is None:
-            multiplier = default_fault_multiplier()
+    def __init__(self, multiplier: float = FAULT_THRESHOLD_MULTIPLIER):
         if multiplier <= 0:
             raise CoordinationError("fault multiplier must be positive")
         self.multiplier = multiplier

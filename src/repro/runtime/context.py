@@ -4,7 +4,8 @@ One *transmission context* exists per parallel sub-collective, identified
 by a context ID shared across all GPU processes. Setting a context up
 allocates the three buffers on every rank, exchanges CUDA-IPC handles
 among same-instance peers (an AllGather over the handle tokens), and
-exchanges host IPs across instances. The cost is paid once before training
+exchanges host IPs across instances; the simulator charges those
+exchanges from the constants below. The cost is paid once before training
 and the registered memory is reused by every later communication request —
 reconstruction after a strategy change only re-runs this set-up, which is
 the cheap path Fig. 19(c) measures against NCCL's full job restart.
@@ -12,6 +13,7 @@ the cheap path Fig. 19(c) measures against NCCL's full job restart.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -89,24 +91,14 @@ class ContextManager:
                 buffers.register(f"{prefix}:local", context.buffer_bytes)
                 buffers.register(f"{prefix}:receive", context.buffer_bytes)
                 buffers.register(f"{prefix}:result", context.buffer_bytes)
-                self.registry.publish_handle(context.context_id, rank, f"{prefix}:receive")
             yield sim.timeout(3 * BUFFER_SETUP_SECONDS)
 
             # Phase 2: IPC-handle allgather within each instance + opening
             # each peer handle; IP exchange across instances.
-            max_peers = 0
-            instance_ids = set()
-            for rank in context.participants:
-                gpu = self.cluster.gpu(rank)
-                instance_ids.add(gpu.instance_id)
-                peers = [
-                    r
-                    for r in context.participants
-                    if r != rank and self.cluster.gpu(r).instance_id == gpu.instance_id
-                ]
-                max_peers = max(max_peers, len(peers))
-            for instance_id in instance_ids:
-                self.registry.publish_ip(context.context_id, instance_id)
+            per_instance = Counter(
+                self.cluster.gpu(rank).instance_id for rank in context.participants
+            )
+            max_peers = max(per_instance.values(), default=1) - 1
             yield sim.timeout(CONTROL_RTT_SECONDS + max_peers * HANDLE_OPEN_SECONDS)
             context.ready = True
 

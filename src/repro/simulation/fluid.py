@@ -62,9 +62,10 @@ class FluidLink:
 
     Capacities are in bytes/second; latency in seconds. ``per_stream_cap``
     limits the rate of any single transfer on the link (``inf`` = no cap).
+    ``link_id`` comes from the network that carries the link
+    (:meth:`FluidNetwork.next_link_id`); a link built without one gets
+    its id from the first network it is carried on.
     """
-
-    _ids = itertools.count()
 
     def __init__(
         self,
@@ -72,6 +73,7 @@ class FluidLink:
         capacity: float,
         latency: float = 0.0,
         per_stream_cap: float = float("inf"),
+        link_id: Optional[int] = None,
     ):
         # Negated comparisons, so NaN fails them too.
         if not capacity >= 0:
@@ -80,7 +82,7 @@ class FluidLink:
             raise SimulationError(f"link {name}: latency {latency!r} is not finite and >= 0")
         if not per_stream_cap > 0:
             raise SimulationError(f"link {name}: per-stream cap {per_stream_cap!r} is not > 0")
-        self.id = next(FluidLink._ids)
+        self.id = link_id
         self.name = name
         self.capacity = capacity
         self.latency = latency
@@ -127,12 +129,15 @@ class _PathClass:
 
 
 class Transfer:
-    """An in-flight data movement across a path of links."""
+    """An in-flight data movement across a path of links.
 
-    _ids = itertools.count()
+    ``transfer_id`` is the carrying network's count of transfers so far.
+    """
 
-    def __init__(self, path: _PathClass, size: float, event: Event, tag: str = ""):
-        self.id = next(Transfer._ids)
+    def __init__(
+        self, transfer_id: int, path: _PathClass, size: float, event: Event, tag: str = ""
+    ):
+        self.id = transfer_id
         self.size = float(size)
         self.remaining = float(size)
         self.rate = 0.0
@@ -313,6 +318,11 @@ class FluidNetwork:
         self._timer_generation = 0
         self._flush_scheduled = False
         self.completed_transfers = 0
+        #: Id sources of this network's links and transfers, so ids (and
+        #: the ``net-rates`` snapshots that carry them) depend only on what
+        #: this network built and carried.
+        self._link_ids = itertools.count()
+        self._transfer_ids = itertools.count()
         #: Whether recomputes re-solve only dirty components (the default)
         #: or every component from scratch (the differential reference).
         self.incremental = True if incremental is None else incremental
@@ -383,6 +393,10 @@ class FluidNetwork:
 
     # -- public API ----------------------------------------------------------
 
+    def next_link_id(self) -> int:
+        """A fresh link id; links are ordered by it in ``net-rates``."""
+        return next(self._link_ids)
+
     def transfer(
         self,
         links: Sequence[FluidLink],
@@ -410,8 +424,11 @@ class FluidNetwork:
         event = Event(self.sim)
         path = self._paths.get(key)
         if path is None:
+            for link in key:
+                if link.id is None:
+                    link.id = next(self._link_ids)
             path = self._paths[key] = _PathClass(len(self._paths), key)
-        t = Transfer(path, size, event, tag=tag)
+        t = Transfer(next(self._transfer_ids), path, size, event, tag=tag)
         if not key:
             # Pure-latency movement (e.g. an intra-GPU copy modelled as free):
             # complete after the latency with no fluid phase.

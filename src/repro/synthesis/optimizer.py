@@ -439,10 +439,6 @@ class Synthesizer:
         strategy.predicted_time = predicted
         return strategy
 
-    def objective(self, strategy: Strategy) -> float:
-        """Score a strategy: eq. 4 under the current link estimates."""
-        return self._score(strategy)
-
     def finish_time(self, strategy: Strategy) -> float:
         """The strategy's eq.-4 finish time under *current* link estimates.
 

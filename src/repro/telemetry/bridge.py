@@ -67,9 +67,9 @@ class TelemetryRecorder:
         telemetry = self._hub
         if not telemetry.enabled:
             return
-        # Transfer ids come from a process-global counter; exporting them
-        # raw would make two same-seed replays differ byte-wise. The span
-        # instead carries its sequential index in the hub's current store.
+        # Transfer ids count per network, and one hub may record several
+        # networks; the span instead carries its sequential index in the
+        # hub's current store.
         if telemetry.tracer is not self._tracer:
             self._tracer = telemetry.tracer
             self._flow_count = 0

@@ -48,11 +48,6 @@ class ConvergenceRun:
         """Accuracy at the last evaluation point."""
         return self.accuracies[-1]
 
-    @property
-    def best_accuracy(self) -> float:
-        """Best accuracy seen at any evaluation point."""
-        return max(self.accuracies)
-
 
 def _make_dataset(
     rng: np.random.Generator, samples: int, features: int, classes: int

@@ -10,7 +10,7 @@ CLI.
 import numpy as np
 import pytest
 
-from repro.analysis import assert_valid, stage_unreachable, verification_enabled
+from repro.analysis import assert_valid, stage_unreachable
 from repro.analysis.lint_source import lint_source
 from repro.analysis.lint_trace import lint_trace
 from repro.analysis.verify_strategy import verify_strategy
@@ -237,6 +237,18 @@ class TestCoordinatorVerification:
         assert id(strategy) in adaptive._verified
         adaptive.run(strategy, inputs, ready)  # cached: no re-verification
 
+    def test_verify_false_skips_the_check(self, monkeypatch):
+        def refuse(strategy, topology):
+            raise AssertionError("assert_valid called")
+
+        monkeypatch.setattr("repro.analysis.verify_strategy.assert_valid", refuse)
+        topo = homo_topology()
+        strategy = synthesize(topo, Primitive.ALLREDUCE)
+        adaptive = AdaptiveAllReduce(topo, verify=False)
+        ready = {r: 0.0 for r in range(8)}
+        adaptive.run(strategy, {r: np.ones(64) for r in range(8)}, ready)
+        assert adaptive._verified == {}
+
 
 def rec(time, kind, **payload):
     return TraceRecord(time, kind, "test", payload)
@@ -397,10 +409,10 @@ class TestSourceLinter:
 
 
 class TestSessionAndBackendHooks:
-    def test_backend_plan_verifies_under_pytest(self):
+    def test_backend_plan_verifies_by_default(self):
         topo = homo_topology()
         backend = make_backend("nccl", topo)
-        assert backend.verify is None  # defers to the pytest env default
+        assert backend.verify is True
         backend.plan(Primitive.ALLREDUCE, 1024.0, range(8))  # must not raise
 
     def test_backend_plan_verification_can_be_forced_off(self):
@@ -408,16 +420,6 @@ class TestSessionAndBackendHooks:
         backend = make_backend("nccl", topo)
         backend.verify = False
         backend.plan(Primitive.ALLREDUCE, 1024.0, range(8))
-
-    def test_env_var_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "0")
-        assert not verification_enabled()
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        assert verification_enabled()
-        monkeypatch.delenv("REPRO_VERIFY")
-        assert verification_enabled()  # pytest fallback
-        assert verification_enabled(False) is False  # explicit wins
-        assert verification_enabled(True) is True
 
 
 class TestCli:

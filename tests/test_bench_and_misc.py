@@ -177,9 +177,6 @@ class TestRepeatsAveraging:
                 self.backend = backend
                 self.ranks = [0, 1]
 
-            def snapshot(self):
-                return {"backend": self.backend_name}
-
         monkeypatch.setattr(harness, "BenchEnvironment", _StubEnv)
 
     def test_mean_of_warm_runs(self, monkeypatch):
@@ -279,10 +276,9 @@ class TestQuickClobberGuard:
             )
         )
 
-    def test_quick_write_refuses_full_baseline(self, tmp_path, monkeypatch):
+    def test_quick_write_refuses_full_baseline(self, tmp_path):
         from repro.bench.__main__ import main as bench_main
 
-        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
         baseline = tmp_path / "BENCH_fig11_13.json"
         self._full_baseline(baseline)
         before = baseline.read_bytes()
@@ -292,10 +288,9 @@ class TestQuickClobberGuard:
         assert rc == 1
         assert baseline.read_bytes() == before  # untouched
 
-    def test_quick_check_refuses_full_baseline(self, tmp_path, monkeypatch):
+    def test_quick_check_refuses_full_baseline(self, tmp_path):
         from repro.bench.__main__ import main as bench_main
 
-        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
         baseline = tmp_path / "BENCH_fig11_13.json"
         self._full_baseline(baseline)
         rc = bench_main(
@@ -310,7 +305,6 @@ class TestQuickClobberGuard:
 
         from repro.bench.__main__ import QUICK_BASELINE, main as bench_main
 
-        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
         rc = bench_main(["--quick", "--figures", "fig11"])
         assert rc == 0
@@ -318,12 +312,9 @@ class TestQuickClobberGuard:
         assert written["quick"] is True
         assert not (tmp_path / "BENCH_fig11_13.json").exists()
 
-    def test_quick_overwrite_of_quick_baseline_is_fine(
-        self, tmp_path, monkeypatch
-    ):
+    def test_quick_overwrite_of_quick_baseline_is_fine(self, tmp_path):
         from repro.bench.__main__ import main as bench_main
 
-        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
         output = tmp_path / "quick.json"
         assert (
             bench_main(["--quick", "--figures", "fig11", "--output", str(output)])

@@ -445,3 +445,25 @@ def test_infinite_capacity_and_stream_cap_stay_legal():
     done = net.transfer([free, slow], size=100.0)
     sim.run_until_complete(done)
     assert sim.now == 2.0
+
+
+def test_hand_built_links_take_ids_from_the_network_that_carries_them():
+    sim, net = make_net()
+    a, b = FluidLink("a", capacity=100.0), FluidLink("b", capacity=100.0)
+    assert a.id is None and b.id is None
+    net.transfer([b, a], size=100.0)
+    assert (b.id, a.id) == (0, 1)
+    assert net.next_link_id() == 2
+    net.transfer([a], size=100.0)
+    assert a.id == 1
+    sim.run()
+
+
+def test_transfer_ids_count_per_network():
+    for _ in range(2):
+        sim, net = make_net()
+        link = FluidLink("l", capacity=100.0)
+        first = net.transfer([link], size=100.0)
+        second = net.transfer([link], size=100.0)
+        sim.run()
+        assert (first.value.id, second.value.id) == (0, 1)

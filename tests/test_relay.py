@@ -342,22 +342,6 @@ class TestFaultDetectorEdgeCases:
         detector = FaultDetector(multiplier=2.0)
         assert detector.threshold(fastest_ready=0.0, phase1_end=1.0) == pytest.approx(2.0)
 
-    def test_multiplier_env_override(self, monkeypatch):
-        from repro.relay.faults import ENV_FAULT_MULTIPLIER
-
-        monkeypatch.setenv(ENV_FAULT_MULTIPLIER, "3.0")
-        detector = FaultDetector()
-        assert detector.multiplier == 3.0
-        # An explicit argument still wins over the environment.
-        assert FaultDetector(multiplier=7.0).multiplier == 7.0
-
-    def test_multiplier_env_invalid_rejected(self, monkeypatch):
-        from repro.relay.faults import ENV_FAULT_MULTIPLIER
-
-        monkeypatch.setenv(ENV_FAULT_MULTIPLIER, "fast")
-        with pytest.raises(CoordinationError):
-            FaultDetector()
-
     def test_non_positive_multiplier_rejected(self):
         with pytest.raises(CoordinationError):
             FaultDetector(multiplier=0.0)

@@ -1,11 +1,12 @@
-"""Tests for buffers, IPC tables and transmission contexts."""
+"""Tests for buffers and transmission contexts."""
 
 import numpy as np
 import pytest
 
 from repro.errors import BufferError_, CommunicatorError
 from repro.hardware import Cluster, MB, make_homo_cluster
-from repro.runtime import BufferRegistry, ContextManager, GpuBuffers
+from repro.runtime import ContextManager, GpuBuffers
+from repro.runtime.context import TransmissionContext
 from repro.runtime.partition import (
     check_uniform_inputs,
     chunk_ranges,
@@ -83,57 +84,12 @@ class TestGpuBuffers:
         with pytest.raises(BufferError_):
             buffers.register("b", 60.0)
 
-    def test_handle_stable(self):
-        buffers = GpuBuffers(3, capacity_bytes=100.0)
-        buffers.register("receive", 10.0)
-        h1 = buffers.export_handle("receive")
-        h2 = buffers.export_handle("receive")
-        assert h1 is h2
-        assert h1.owner_rank == 3
-
-    def test_handle_requires_registration(self):
-        buffers = GpuBuffers(0, capacity_bytes=100.0)
-        with pytest.raises(BufferError_):
-            buffers.export_handle("ghost")
-
     def test_release_idempotent(self):
         buffers = GpuBuffers(0, capacity_bytes=100.0)
         buffers.register("a", 10.0)
         buffers.release("a")
         buffers.release("a")
         assert buffers.registered_bytes == 0.0
-
-
-class TestBufferRegistry:
-    def test_ipc_within_instance(self):
-        cluster = make_cluster()
-        registry = BufferRegistry(cluster)
-        registry.of(1).register("ctx0:receive", MB)
-        registry.publish_handle(0, 1, "ctx0:receive")
-        handle = registry.lookup_handle(0, accessor_rank=0, owner_rank=1)
-        assert handle.owner_rank == 1
-
-    def test_ipc_across_instances_rejected(self):
-        cluster = make_cluster()
-        registry = BufferRegistry(cluster)
-        registry.of(4).register("ctx0:receive", MB)
-        registry.publish_handle(0, 4, "ctx0:receive")
-        with pytest.raises(BufferError_):
-            registry.lookup_handle(0, accessor_rank=0, owner_rank=4)
-
-    def test_unpublished_handle_rejected(self):
-        cluster = make_cluster()
-        registry = BufferRegistry(cluster)
-        with pytest.raises(BufferError_):
-            registry.lookup_handle(0, accessor_rank=0, owner_rank=1)
-
-    def test_ip_table(self):
-        cluster = make_cluster()
-        registry = BufferRegistry(cluster)
-        ip = registry.publish_ip(0, 1)
-        assert registry.lookup_ip(0, 1) == ip
-        with pytest.raises(BufferError_):
-            registry.lookup_ip(0, 0)
 
 
 class TestContextManager:
@@ -161,6 +117,16 @@ class TestContextManager:
         assert all(c.ready for c in contexts)
         buffers = manager.registry.of(0)
         assert buffers.registered_bytes > 0
+
+    def test_setup_seconds_are_pinned(self):
+        """3 buffer set-ups, one control round trip, then one handle open
+        per same-instance peer of the most crowded instance."""
+        cluster = make_cluster(make_homo_cluster(num_servers=2, gpus_per_server=4))
+        manager = ContextManager(cluster)
+        intra = TransmissionContext(0, participants=[0, 1, 2, 3], buffer_bytes=MB)
+        cross = TransmissionContext(1, participants=[0, 1, 4], buffer_bytes=MB)
+        assert manager.setup_all([intra]) == pytest.approx(1.61e-3, rel=1e-12)
+        assert manager.setup_all([cross]) == pytest.approx(1.37e-3, rel=1e-12)
 
     def test_double_setup_rejected(self):
         cluster = make_cluster()

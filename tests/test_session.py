@@ -106,6 +106,32 @@ class TestCollectives:
         assert session.sim.now > before  # contexts + transfer time elapsed
 
 
+class TestVerification:
+    @pytest.fixture
+    def failing_verifier(self, monkeypatch):
+        def refuse(strategy, topology):
+            raise AssertionError("assert_valid called")
+
+        monkeypatch.setattr("repro.analysis.verify_strategy.assert_valid", refuse)
+
+    def test_verify_false_reaches_the_adaptive_relay(self, failing_verifier):
+        session = AdapCCSession(make_homo_cluster(num_servers=2), verify=False).init()
+        for _ in range(2):
+            tensors = tensors_for(session)
+            ready = {rank: 0.0 for rank in tensors}
+            ready[max(tensors)] = 0.03
+            result = session.allreduce(tensors, ready_times=ready)
+            assert result.decision.proceed
+            session.scale_out(make_homo_cluster(num_servers=1)[0])
+        assert session.adaptive.verify is False
+
+    def test_verification_is_on_by_default(self, failing_verifier):
+        session = make_session()
+        assert session.verify is True and session.adaptive.verify is True
+        with pytest.raises(AssertionError, match="assert_valid called"):
+            session.allreduce(tensors_for(session))
+
+
 class TestAdaptivity:
     def test_periodic_profiling_triggers(self):
         session = make_session()

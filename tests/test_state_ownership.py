@@ -1,23 +1,37 @@
-"""The world owns its observers (DESIGN.md "State ownership").
+"""The world owns its state (DESIGN.md "State ownership").
 
 A telemetry hub and a data-plane tap are constructor state of the
 ``Cluster`` they observe, so several worlds share a process — interleaved
 or on threads — without installing anything process-wide. None of these
-tests calls ``set_hub``.
+tests calls ``set_hub``. Below the CLI edge nothing reads the environment
+(two named exceptions aside) and no class keeps a counter: link and flow
+ids come from the network that carries them.
 """
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 
 from repro import AdapCCSession
+from repro.bench.harness import BenchEnvironment
 from repro.chaos import ChaosRunner, FaultPlan
+from repro.hardware.cluster import Cluster
 from repro.hardware.presets import make_config, make_homo_cluster
 from repro.integrity import IntegrityConfig, data_plane
 from repro.observe import ObserveConfig
+from repro.simulation.engine import Simulator
 from repro.simulation.records import TraceRecorder
+from repro.synthesis.strategy import Primitive
 from repro.telemetry import TelemetryHub, hub, to_jsonl
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+#: The only modules that may read the environment: ``REPRO_TELEMETRY``
+#: fills the process-default hub, and ``REPRO_BENCH_POISON`` is the sweep
+#: failure test's one channel into a ``spawn`` worker.
+ENV_READERS = {"telemetry/core.py", "bench/sweep.py"}
 
 #: Two different jobs: cluster shape and tensor length differ, so a record
 #: landing on the wrong stream cannot go unnoticed.
@@ -133,3 +147,108 @@ def test_chaos_runner_never_touches_the_default_data_plane():
     assert runner.cluster.data_plane is not plane
     assert runner.cluster.data_plane.corruptor is runner.corruptor
     assert report.convictions == ["n0->n1"]
+
+
+def _env_reads(tree):
+    """Line numbers of ``os.environ`` / ``os.getenv`` uses in ``tree``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        ):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                yield node.lineno
+
+
+def _class_counters(tree):
+    """``Class:line`` of every class-body assignment of ``itertools.count()``."""
+    bare = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        for alias in node.names
+        if alias.name == "count"
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            call = getattr(stmt, "value", None)
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or not isinstance(
+                call, ast.Call
+            ):
+                continue
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "count"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "itertools"
+            ) or (isinstance(func, ast.Name) and func.id in bare):
+                yield f"{node.name}:{stmt.lineno}"
+
+
+def _scan(check):
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(f"{relative}:{hit}" for hit in check(tree, relative))
+    return found
+
+
+def test_nothing_below_the_cli_edge_reads_the_environment():
+    def check(tree, relative):
+        return () if relative in ENV_READERS else _env_reads(tree)
+
+    assert _scan(check) == []
+
+
+def test_no_class_keeps_a_counter():
+    assert _scan(lambda tree, _relative: _class_counters(tree)) == []
+
+
+def test_the_scans_see_what_they_ban():
+    planted = ast.parse(
+        "import os\nimport itertools\nfrom itertools import count as tally\n"
+        "class A:\n    _ids = itertools.count()\n    _more: object = tally(1)\n"
+        "    def __init__(self):\n        self._own = itertools.count()\n"
+        "FLAG = os.environ.get('X') or os.getenv('Y')\n"
+    )
+    assert list(_class_counters(planted)) == ["A:5", "A:6"]
+    assert list(_env_reads(planted)) == [9, 9]
+
+
+def _traced_allreduce_records():
+    env = BenchEnvironment(make_config([2, 2]), "adapcc")
+    recorder = TraceRecorder()
+    env.cluster.network.attach_recorder(recorder)
+    inputs = {rank: np.full(256, float(rank + 1)) for rank in env.ranks}
+    strategy = env.backend.plan(Primitive.ALLREDUCE, 1 << 20, env.ranks)
+    env.backend.run(strategy, inputs, byte_scale=(1 << 20) / (256 * 8.0))
+    return recorder.records
+
+
+def test_back_to_back_clusters_record_the_same_ids():
+    """Flow ids and the link ids of ``net-rates`` snapshots are the
+    network's own, so a second identical world records the same bytes."""
+    first = _traced_allreduce_records()
+    assert {r.kind for r in first} >= {"net-flow-start", "net-flow-end", "net-rates"}
+    assert first == _traced_allreduce_records()
+
+
+def test_each_cluster_numbers_its_own_links():
+    """A cluster's network numbers its links 0..n-1, a scale-out
+    continues the numbering, and a second cluster starts again at 0."""
+    for _ in range(2):
+        cluster = Cluster(Simulator(), make_config([2, 2]))
+        built = len(cluster.all_links())
+        assert sorted(link.id for link in cluster.all_links()) == list(range(built))
+        cluster.add_instance(make_config([2, 2])[0])
+        grown = sorted(link.id for link in cluster.all_links())
+        assert grown == list(range(len(grown))) and len(grown) > built
+

@@ -25,7 +25,6 @@ in-place checksum to a ``tobytes()`` copy.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 import zlib
@@ -43,7 +42,7 @@ from repro.hardware.presets import make_config
 from repro.integrity import IntegrityConfig, IntegrityMonitor, payload_checksum
 from repro.integrity.channel import DataPlane
 from repro.simulation.engine import Simulator
-from repro.simulation.fluid import FluidLink, FluidNetwork, Transfer
+from repro.simulation.fluid import FluidLink, FluidNetwork
 from repro.simulation.records import TraceRecorder
 from repro.synthesis.strategy import Primitive
 from repro.telemetry.bridge import TelemetryRecorder
@@ -74,14 +73,6 @@ DAG_REPORT_BYTES = 6_665
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@pytest.fixture
-def fresh_ids(monkeypatch):
-    """Restart the process-wide transfer and link counters, so raw ids in
-    the recorder's payloads do not depend on what ran before."""
-    monkeypatch.setattr(Transfer, "_ids", itertools.count())
-    monkeypatch.setattr(FluidLink, "_ids", itertools.count())
 
 
 def observed_training_hub(iterations: int = 2) -> TelemetryHub:
@@ -128,7 +119,7 @@ def test_observed_training_prometheus_is_pinned(observed_hub):
     assert _sha256(observed_hub.metrics.to_prometheus()) == OBSERVED_PROMETHEUS_SHA256
 
 
-def test_trace_pass_records_are_pinned(fresh_ids):
+def test_trace_pass_records_are_pinned():
     records = trace_pass_records()
     assert (len(records), _sha256(repr(records))) == (TRACE_RECORDS, TRACE_RECORDS_SHA256)
 
@@ -152,16 +143,10 @@ def test_trace_pass_records_are_the_per_change_records_less_superseded_snapshots
     again; one solve per instant keeps only the instant's last snapshot.
     Flow records may reorder within an instant (ends now follow starts),
     so they are compared per instant as multisets."""
-
-    def run():
-        monkeypatch.setattr(Transfer, "_ids", itertools.count())
-        monkeypatch.setattr(FluidLink, "_ids", itertools.count())
-        return trace_pass_records()
-
-    ours = run()
+    ours = trace_pass_records()
     with monkeypatch.context() as patch:
         patch.setattr("repro.hardware.cluster.FluidNetwork", PerEventFlushNetwork)
-        theirs = run()
+        theirs = trace_pass_records()
     last_snapshot = {r.time: i for i, r in enumerate(theirs) if r.kind == "net-rates"}
     kept = [
         r for i, r in enumerate(theirs) if r.kind != "net-rates" or last_snapshot[r.time] == i
@@ -171,7 +156,7 @@ def test_trace_pass_records_are_the_per_change_records_less_superseded_snapshots
     assert list(_by_instant(ours).items()) == list(_by_instant(kept).items())
 
 
-def test_trace_pass_snapshots_one_instant_once(fresh_ids):
+def test_trace_pass_snapshots_one_instant_once():
     """At most one ``net-rates`` snapshot per instant (the per-change
     flush took 24 at one instant of this scenario)."""
     times = [r.time for r in trace_pass_records() if r.kind == "net-rates"]

@@ -571,34 +571,6 @@ class TestRecorderAttachment:
         assert network._recorders == [bridge] and not network._wants_rates
 
 
-# -- bench payloads --------------------------------------------------------------
-
-
-class TestBenchPayload:
-    def test_measurement_writes_bench_json(self, tmp_path, monkeypatch, fresh_hub):
-        from repro.bench import measure_algorithm_bandwidth
-        from repro.synthesis.strategy import Primitive
-
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        measure_algorithm_bandwidth(
-            make_config([2, 2]), "adapcc", Primitive.ALLREDUCE, 1 << 20
-        )
-        files = sorted(tmp_path.glob("BENCH_*.json"))
-        assert len(files) == 1
-        payload = json.loads(files[0].read_text())
-        assert payload["kind"] == "algorithm_bandwidth"
-        assert payload["algorithm_bps"] > 0
-        assert payload["busiest_link"]["bytes_carried"] > 0
-        assert "chunks_sent_total" in payload["metrics"]
-
-    def test_no_payload_without_env(self, tmp_path, monkeypatch):
-        from repro.bench import write_bench_payload
-
-        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
-        assert write_bench_payload("x", {"a": 1}) is None
-        assert list(tmp_path.glob("BENCH_*.json")) == []
-
-
 # -- CLI -------------------------------------------------------------------------
 
 
