@@ -366,7 +366,7 @@ def _allreduce(run: _Run):
         # this is the stage pipelining: a chunk is broadcast as soon as its
         # aggregation lands, not when the whole reduce finishes.
         if reduce_stage.flows:
-            agg_slots = reduce_pipeline.output_slots(agg_unit(root_node), root_node)
+            agg_slots = reduce_pipeline.row(agg_unit(root_node), root_node)
         else:
             agg_slots = None
 
@@ -385,7 +385,7 @@ def _allreduce(run: _Run):
             slot = _slots[k]
             # With stage pipelining a chunk broadcasts as soon as it lands;
             # without, every chunk waits for the reduce stage's last chunk.
-            gate = slot.event if run.pipeline_stages else _slots[-1].event
+            gate = slot if run.pipeline_stages else _slots[-1]
             if _root_active:
                 return gate, lambda: slot.payload + inputs[_root][start_k:end_k]
             # A relay root aggregates received data only (its own tensor is

@@ -25,9 +25,17 @@ that event has already been processed. Its queue entries take exactly the
 ``(time, priority, seq)`` slots a generator process would have used — the
 first step a URGENT zero-delay entry where the process's start was, an
 aggregator's all-inputs wait one zero-delay NORMAL entry when its pending
-count reaches zero, a reduce kernel a NORMAL entry after the kernel time —
-so every simulated number and exported byte is the same as a process-based
-executor's (``tests/executor_oracle.py`` keeps that one as the reference).
+count reaches zero, a reduce kernel a NORMAL entry after the kernel time,
+a chunk's arrival the NORMAL entry its transfer's completion event would
+have taken — so every simulated number and exported byte is the same as
+a process-based executor's (``tests/executor_oracle.py`` keeps that one
+as the reference).
+
+A chunk's availability at a node is a :class:`Slot`, itself the event
+waiters hang on. The slots of one unit at one node are a row indexed by
+chunk, and each machine holds the rows it reads and writes, so a chunk
+step is a list index. A sender's transfer calls back
+:meth:`_Sender.arrived` directly, with no completion event.
 
 Which senders, aggregators and sources a stage has is
 :func:`repro.runtime.stages.wire`'s answer, shared with the plan-time
@@ -55,24 +63,25 @@ from repro.runtime.stages import (
     wire,
 )
 from repro.simulation.engine import URGENT, Event, Simulator
+from repro.simulation.fluid import Outcome
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind
 
-SlotKey = Tuple[UnitKey, NodeId, int]
+RowKey = Tuple[UnitKey, NodeId]
 
 
-class Slot:
-    """One chunk's availability: an event plus the payload."""
+class Slot(Event):
+    """One chunk's availability at one node: an event carrying the payload."""
 
-    __slots__ = ("event", "payload")
+    __slots__ = ("payload",)
 
     def __init__(self, sim: Simulator):
-        self.event = Event(sim)
+        super().__init__(sim)
         self.payload: Optional[np.ndarray] = None
 
     def set(self, payload: np.ndarray) -> None:
         """Publish the chunk and wake every waiter."""
         self.payload = payload
-        self.event.succeed()
+        self.succeed()
 
 
 #: A chunk source: (availability event, payload getter) for chunk k.
@@ -125,7 +134,7 @@ class ChunkPipeline:
         self.optional_flows = list(optional_flows)
         #: (flow index, chunk index) pairs that did make it into phase 1.
         self.included_optional: set = set()
-        self._slots: Dict[SlotKey, Slot] = {}
+        self._rows: Dict[RowKey, List[Slot]] = {}
         self._terminals: Dict[int, Tuple[UnitKey, NodeId]] = {}
         self._started = False
         # Resolved once per pipeline: None when telemetry is off, so the
@@ -136,12 +145,14 @@ class ChunkPipeline:
         # per pipeline, None when nobody is attached.
         self._data_plane = cluster.data_plane if cluster.data_plane.active else None
 
-    def slot(self, unit: UnitKey, node: NodeId, k: int) -> Slot:
-        """The (lazily created) availability slot of one chunk at one node."""
-        slot = self._slots.get((unit, node, k))
-        if slot is None:
-            slot = self._slots[(unit, node, k)] = Slot(self.sim)
-        return slot
+    def row(self, unit: UnitKey, node: NodeId) -> List[Slot]:
+        """The availability slots of ``unit``'s chunks at ``node``, by
+        chunk index (made on first use)."""
+        row = self._rows.get((unit, node))
+        if row is None:
+            sim = self.sim
+            row = self._rows[(unit, node)] = [Slot(sim) for _ in range(self.num_chunks)]
+        return row
 
     # -- wiring ----------------------------------------------------------------------
 
@@ -160,7 +171,7 @@ class ChunkPipeline:
             call_later(0.0, _Source(self, flow_idx, unit, node).step, None, URGENT)
         last = self.num_chunks - 1
         self._terminals = dict(zip((idx for idx, _path in self.flows), wiring.terminals))
-        terminal_events = [self.slot(unit, node, last).event for unit, node in wiring.terminals]
+        terminal_events = [self.row(unit, node)[last] for unit, node in wiring.terminals]
 
         # Late-join candidates attach as optional contributors wherever an
         # aggregation is already happening at their source node.
@@ -186,17 +197,13 @@ class ChunkPipeline:
 
     def gather(self, unit: UnitKey, node: NodeId) -> np.ndarray:
         """Concatenate all chunk payloads of ``unit`` delivered at ``node``."""
+        row = self._rows.get((unit, node))
         chunks = []
         for k in range(self.num_chunks):
-            slot = self._slots.get((unit, node, k))
-            if slot is None or slot.payload is None:
+            if row is None or row[k].payload is None:
                 raise CommunicatorError(f"chunk {k} of {unit} missing at {node}")
-            chunks.append(slot.payload)
+            chunks.append(row[k].payload)
         return np.concatenate(chunks) if chunks else np.empty(0)
-
-    def output_slots(self, unit: UnitKey, node: NodeId) -> List[Slot]:
-        """Per-chunk slots of a unit at a node (for stage chaining)."""
-        return [self.slot(unit, node, k) for k in range(self.num_chunks)]
 
     def delivered(self, flow_idx: int) -> np.ndarray:
         """Everything flow ``flow_idx`` delivered at its destination."""
@@ -213,13 +220,12 @@ class ChunkPipeline:
 class _Source:
     """Publishes one flow's input chunks at its first node once ready."""
 
-    __slots__ = ("pipe", "flow_idx", "unit", "node", "k", "getter")
+    __slots__ = ("pipe", "flow_idx", "row", "k", "getter")
 
     def __init__(self, pipe: ChunkPipeline, flow_idx: int, unit: UnitKey, node: NodeId):
         self.pipe = pipe
         self.flow_idx = flow_idx
-        self.unit = unit
-        self.node = node
+        self.row = pipe.row(unit, node)
         self.k = 0
         self.getter: Optional[Callable[[], np.ndarray]] = None
 
@@ -235,7 +241,7 @@ class _Source:
     def publish(self, ready: Event) -> None:
         if not ready.ok:
             raise ready.value
-        self.pipe.slot(self.unit, self.node, self.k).set(self.getter())
+        self.row[self.k].set(self.getter())
         self.k += 1
 
     def ready(self, event: Event) -> None:
@@ -247,15 +253,14 @@ class _Sender:
     """Streams one unit's chunks across one edge, in order."""
 
     __slots__ = (
-        "pipe", "unit", "tail", "head", "links", "link", "transfer_tag",
-        "site", "label", "sent", "k", "slot_in", "span",
+        "pipe", "row_in", "row_out", "links", "link", "transfer_tag",
+        "site", "label", "sent", "k", "span",
     )
 
     def __init__(self, pipe: ChunkPipeline, i: NodeId, j: NodeId, unit: UnitKey):
         self.pipe = pipe
-        self.unit = unit
-        self.tail = i
-        self.head = j
+        self.row_in = pipe.row(unit, i)
+        self.row_out = pipe.row(unit, j)
         self.links = pipe.topology.edge(i, j).fluid_links
         self.link = f"{i}->{j}"
         self.transfer_tag = f"{pipe.tag}:{self.link}"
@@ -271,15 +276,13 @@ class _Sender:
             self.label = unit_label(unit)
         self.sent = None  # the chunks_sent_total series, bound on first use
         self.k = 0
-        self.slot_in: Optional[Slot] = None
         self.span = None
 
     def step(self, _arg=None) -> None:
         if self.k == self.pipe.num_chunks:
             return
-        self.slot_in = self.pipe.slot(self.unit, self.tail, self.k)
-        ready = self.slot_in.event
-        if ready.processed:
+        ready = self.row_in[self.k]
+        if ready._processed:
             self.send(ready)
         else:
             ready.callbacks.append(self.send)
@@ -290,12 +293,11 @@ class _Sender:
         size = pipe.chunk_bytes[k]
         if pipe._telemetry is not None:
             self.span = self.site.begin(pipe.sim.now, (k, size, self.label))
-        done = pipe.network.transfer(self.links, size, tag=self.transfer_tag)
-        done.callbacks.append(self.arrived)
+        pipe.network.transfer(self.links, size, tag=self.transfer_tag, callback=self.arrived)
 
-    def arrived(self, done: Event) -> None:
-        if not done.ok:  # e.g. cancelled
-            raise done.value
+    def arrived(self, outcome: Outcome) -> None:
+        if isinstance(outcome, BaseException):  # cancelled
+            raise outcome
         pipe = self.pipe
         telemetry = pipe._telemetry
         if telemetry is not None:
@@ -305,9 +307,9 @@ class _Sender:
                     "chunks_sent_total", "chunks streamed across logical edges"
                 ).labels(stage=pipe.tag.split(":", 1)[0])
             self.sent.inc()
-        out_slot = pipe.slot(self.unit, self.head, self.k)
-        if not out_slot.event.triggered:
-            delivered = self.slot_in.payload
+        out_slot = self.row_out[self.k]
+        if not out_slot._triggered:
+            delivered = self.row_in[self.k].payload
             if pipe._data_plane is not None:
                 # Checksum stamp/verify and (under chaos) corruption.
                 delivered = pipe._data_plane.deliver(
@@ -327,7 +329,7 @@ class _Aggregator:
     """
 
     __slots__ = (
-        "pipe", "node", "units", "local_flows", "optional_flows", "out_unit",
+        "pipe", "rows", "local_flows", "optional_flows", "row_out",
         "gpu", "site", "launched", "k", "pending", "getters", "total", "span",
     )
 
@@ -340,11 +342,10 @@ class _Aggregator:
         optional_flows: List[int],
     ):
         self.pipe = pipe
-        self.node = node
-        self.units = units
+        self.rows = [pipe.row(unit, node) for unit in units]
         self.local_flows = local_flows
         self.optional_flows = optional_flows
-        self.out_unit = agg_unit(node)
+        self.row_out = pipe.row(agg_unit(node), node)
         self.gpu = (
             pipe.topology.cluster.gpu(node.index) if node.kind is NodeKind.GPU else None
         )
@@ -368,7 +369,7 @@ class _Aggregator:
         k = self.k
         if k == pipe.num_chunks:
             return
-        events = [pipe.slot(unit, self.node, k).event for unit in self.units]
+        events: List[Event] = [row[k] for row in self.rows]
         self.getters = []
         for flow_idx in self.local_flows:
             ready, payload = pipe.chunk_source(flow_idx, k)
@@ -394,7 +395,7 @@ class _Aggregator:
     def merge(self, _arg=None) -> None:
         pipe = self.pipe
         k = self.k
-        parts = [pipe.slot(unit, self.node, k).payload for unit in self.units]
+        parts = [row[k].payload for row in self.rows]
         parts.extend(getter() for getter in self.getters)
         for flow_idx in self.optional_flows:
             ready, payload = pipe.chunk_source(flow_idx, k)
@@ -429,6 +430,6 @@ class _Aggregator:
         self.publish(total)
 
     def publish(self, total: np.ndarray) -> None:
-        self.pipe.slot(self.out_unit, self.node, self.k).set(total)
+        self.row_out[self.k].set(total)
         self.k += 1
         self.step()

@@ -21,8 +21,7 @@ Typical use::
     sim.run()
 """
 
-from repro.simulation.engine import Event, Process, Simulator, Timeout
-from repro.simulation.primitives import AllOf
+from repro.simulation.engine import AllOf, Event, Process, Simulator, Timeout
 from repro.simulation.fluid import FluidLink, FluidNetwork, Transfer
 
 __all__ = [

@@ -11,19 +11,26 @@ Three ideas cover everything in this module:
   Callbacks registered on the event fire when it is processed.
 * :class:`Process` — an event that wraps a generator. It triggers when the
   generator returns (value = ``StopIteration`` value) or raises.
-* :class:`Simulator` — the clock plus a priority queue of scheduled work.
+* :class:`Simulator` — the clock plus the queue of scheduled work.
 
-A queue entry is ``(time, priority, seq, callback, arg)``: a triggered
-event is queued as ``(…, Simulator._dispatch, event)``, and internal
-timers that nobody waits on — the fluid network's latency waits, flushes
-and completion horizons — go straight in through
-:meth:`Simulator.call_later` without an :class:`Event` around them.
+Work runs in ``(time, priority, seq)`` order. A queue entry is a
+``(callback, arg)`` pair: a triggered event is queued as
+``(Simulator._dispatch, event)``, and internal timers that nobody waits
+on — the fluid network's latency waits, flushes and completion horizons —
+go straight in through :meth:`Simulator.call_later` without an
+:class:`Event` around them. An entry due later than ``now`` goes to a heap
+keyed ``(time, priority, seq)``; one due at ``now`` itself (a zero delay,
+or one that rounds to ``now``) is appended to a FIFO for its priority.
+Every heap entry due at ``now`` was scheduled before the clock reached
+``now``, so it precedes its priority's FIFO entries, and the two together
+keep exactly the ``(time, priority, seq)`` order of one heap.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -89,7 +96,7 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        self.sim._schedule(self, priority=priority)
+        self.sim._fifos[priority].append((Simulator._dispatch, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -105,7 +112,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.sim._schedule(self, priority=priority)
+        self.sim._fifos[priority].append((Simulator._dispatch, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -139,7 +146,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._triggered = True
-        sim._schedule(self, delay=delay)
+        sim.call_later(delay, Simulator._dispatch, self)
 
 
 class Initialize(Event):
@@ -153,7 +160,7 @@ class Initialize(Event):
         self._ok = True
         self._value = None
         self._triggered = True
-        sim._schedule(self, priority=URGENT)
+        sim._fifos[URGENT].append((Simulator._dispatch, self))
 
 
 class Process(Event):
@@ -211,17 +218,61 @@ class Process(Event):
             return
 
 
+class AllOf(Event):
+    """Triggers when all child events have succeeded.
+
+    The value is the list of child values in the order the children were
+    given. If any child fails, this event fails immediately with the same
+    exception (remaining children are left untouched). A simpler form of
+    SimPy's condition events.
+    """
+
+    __slots__ = ("_events", "_pending")
+
+    def __init__(self, sim: "Simulator", events: List[Event]):
+        super().__init__(sim)
+        self._events = events
+        self._pending = len(events)
+        if self._pending == 0:
+            self.succeed([])
+            return
+        for event in events:
+            event.add_callback(self._on_child)
+
+    def _on_child(self, event: Event) -> None:
+        if self._triggered:
+            return
+        if not event.ok:
+            self.fail(event.value)
+            return
+        self._pending -= 1
+        if self._pending == 0:
+            self.succeed([child.value for child in self._events])
+
+
+#: A queue entry: ``callback(arg)`` runs when the entry's turn comes.
+Entry = Tuple[Callable[[Any], None], Any]
+
+
 class Simulator:
     """The simulation clock and event queue.
 
     All simulated objects hold a reference to their simulator and create
     events through it. ``run()`` processes events in (time, priority,
     insertion order) until the queue is empty or ``until`` is reached.
+    A priority is one of :data:`URGENT`, :data:`NORMAL` and :data:`LATE`.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List = []
+        #: Entries due after ``now``: ``(time, priority, seq, callback, arg)``.
+        self._heap: List[Tuple[float, int, int, Callable[[Any], None], Any]] = []
+        #: Entries due at ``now``, one FIFO per priority.
+        self._fifos: Tuple[Deque[Entry], Deque[Entry], Deque[Entry]] = (
+            deque(),
+            deque(),
+            deque(),
+        )
         self._seq = 0
 
     # -- event creation -----------------------------------------------------
@@ -240,17 +291,9 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """Event triggering when every event in ``events`` has succeeded."""
-        from repro.simulation.primitives import AllOf
-
         return AllOf(self, list(events))
 
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        self._seq += 1
-        heapq.heappush(
-            self._queue, (self.now + delay, priority, self._seq, Simulator._dispatch, event)
-        )
 
     def call_later(
         self,
@@ -269,12 +312,20 @@ class Simulator:
         """
         if not delay >= 0:  # also rejects NaN, which no comparison orders
             raise SimulationError(f"call_later delay {delay!r} is not >= 0")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, priority, self._seq, callback, arg))
+        now = self.now
+        time = now + delay
+        if time == now:
+            self._fifos[priority].append((callback, arg))
+        else:
+            self._seq += 1
+            heappush(self._heap, (time, priority, self._seq, callback, arg))
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        urgent, normal, late = self._fifos
+        if urgent or normal or late:
+            return self.now
+        return self._heap[0][0] if self._heap else float("inf")
 
     @staticmethod
     def _dispatch(event: Event) -> None:
@@ -289,30 +340,53 @@ class Simulator:
     def step(self) -> None:
         """Run the next queue entry and the rest of its same-instant run.
 
-        The step keeps going while the queue's head shares the first
-        entry's (time, priority), saving a call and the caller's loop
-        checks per entry. Entries are popped one at a time, only when they
-        are next: a callback may schedule something *more urgent* at the
-        same instant (process resumptions are URGENT, scheduled from
-        NORMAL callbacks), which then heads the queue and ends the step —
-        so the order is that of popping one entry per step, and an
-        exception leaves the rest queued.
+        The step keeps going while the next entry shares the first one's
+        (time, priority), saving a call and the caller's loop checks per
+        entry: first the heap entries due at that (time, priority), then
+        the priority's FIFO. Entries are taken one at a time, only when
+        they are next: a callback may schedule something *more urgent* at
+        the same instant (process resumptions are URGENT, scheduled from
+        NORMAL callbacks), which then comes first and ends the step — so
+        the order is that of taking one entry per step, and an exception
+        leaves the rest queued.
         """
-        queue = self._queue
-        if not queue:
+        heap = self._heap
+        urgent, normal, late = self._fifos
+        priority = URGENT if urgent else NORMAL if normal else LATE if late else None
+        if heap:
+            head = heap[0]
+            if priority is None or (head[1] <= priority and head[0] == self.now):
+                time = self.now = head[0]
+                priority = head[1]
+                while True:
+                    heappop(heap)
+                    head[3](head[4])
+                    if priority != URGENT and (urgent or (priority == LATE and normal)):
+                        return
+                    if not heap:
+                        break
+                    head = heap[0]
+                    if head[0] != time or head[1] != priority:
+                        break
+        elif priority is None:
             raise SimulationError("step() on an empty event queue")
-        time, priority, _seq, callback, arg = heapq.heappop(queue)
-        if time < self.now - 1e-12:
-            raise SimulationError("event scheduled in the past")
-        if time > self.now:
-            self.now = time
-        callback(arg)
-        while queue:
-            head = queue[0]
-            if head[0] != time or head[1] != priority:
-                return
-            heapq.heappop(queue)
-            head[3](head[4])
+        if priority == URGENT:
+            while urgent:
+                callback, arg = urgent.popleft()
+                callback(arg)
+        elif priority == NORMAL:
+            while normal and not urgent:
+                callback, arg = normal.popleft()
+                callback(arg)
+        else:
+            while late and not urgent and not normal:
+                callback, arg = late.popleft()
+                callback(arg)
+
+    def _idle(self) -> bool:
+        """Whether nothing at all is queued."""
+        urgent, normal, late = self._fifos
+        return not (self._heap or urgent or normal or late)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue empties or the clock reaches ``until``.
@@ -324,7 +398,7 @@ class Simulator:
             raise SimulationError(
                 f"run(until={until!r}) is not a time at or after now={self.now}"
             )
-        while self._queue:
+        while not self._idle():
             if until is not None and self.peek() > until:
                 break
             self.step()
@@ -338,8 +412,8 @@ class Simulator:
         :class:`SimulationError` if the queue empties (deadlock) or the
         clock passes ``limit`` first.
         """
-        while not event.processed:
-            if not self._queue:
+        while not event._processed:
+            if self._idle():
                 raise SimulationError(
                     f"deadlock: event queue empty at t={self.now} before {event!r}"
                 )

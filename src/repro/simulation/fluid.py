@@ -37,6 +37,16 @@ exact to the last bit and independent of member order (DESIGN.md §11).
 Components therefore hold their members as per-class groups, and a
 network memoises the class fill by (class, count) multiset, since chunk
 waves present the same few sets over and over.
+
+A group keeps its members in *cohorts* of bit-equal ``remaining``: equal
+values under the same sequence of settles stay equal, so settling, the
+finished scan and the earliest-finish prediction walk cohorts, not
+members (DESIGN.md §11). A transfer completes through one path: its
+callback is queued in the NORMAL slot at the current instant that
+``event.succeed()`` would take, with the transfer (or, on a cancel, the
+error). The chunk executor passes a callback and so builds no
+:class:`~repro.simulation.engine.Event` per chunk; a caller that passes
+none gets a completion event, completed through the same path.
 """
 
 from __future__ import annotations
@@ -45,10 +55,10 @@ import itertools
 import math
 from array import array
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.simulation.engine import LATE, Event, Simulator
+from repro.simulation.engine import LATE, NORMAL, Event, Simulator
 
 _EPS = 1e-12
 #: Remaining-bytes tolerance under which a transfer counts as complete.
@@ -128,26 +138,63 @@ class _PathClass:
         self.latency = sum(link.latency for link in self.multiplicity)
 
 
+#: What a finished transfer's callback gets: the transfer, or the error of
+#: a cancel.
+Outcome = Union["Transfer", BaseException]
+
+
 class Transfer:
     """An in-flight data movement across a path of links.
 
     ``transfer_id`` is the carrying network's count of transfers so far.
+    ``callback(outcome)`` runs when the transfer finishes or is cancelled;
+    ``event`` is the completion event of a transfer started without a
+    callback. While the transfer streams, ``remaining`` and ``rate`` are
+    its cohort's and its class group's; once it has left the network they
+    keep the values they had then.
     """
 
+    __slots__ = (
+        "id", "size", "tag", "start_time", "finish_time", "callback", "event",
+        "_path", "_group", "_cohort", "_order", "_remaining", "_rate",
+    )
+
     def __init__(
-        self, transfer_id: int, path: _PathClass, size: float, event: Event, tag: str = ""
+        self,
+        transfer_id: int,
+        path: _PathClass,
+        size: float,
+        callback: Callable[[Any], None],
+        event: Optional[Event],
+        tag: str = "",
     ):
         self.id = transfer_id
         self.size = float(size)
-        self.remaining = float(size)
-        self.rate = 0.0
-        self.event = event
         self.tag = tag
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        #: Interned path and class group, managed by the network.
+        self.callback = callback
+        self.event = event
+        #: Interned path, class group and cohort, managed by the network.
         self._path = path
         self._group: Optional[_Group] = None
+        self._cohort: Optional[_Cohort] = None
+        #: Activation order within the network (set when it starts streaming).
+        self._order = -1
+        self._remaining = self.size
+        self._rate = 0.0
+
+    @property
+    def remaining(self) -> float:
+        """Bytes left to move."""
+        cohort = self._cohort
+        return self._remaining if cohort is None else cohort.remaining
+
+    @property
+    def rate(self) -> float:
+        """Current rate in bytes/second (the last one, once it has left)."""
+        group = self._group
+        return self._rate if group is None else group.rate
 
     @property
     def links(self) -> List[FluidLink]:
@@ -166,22 +213,39 @@ class Transfer:
         )
 
 
+class _Cohort:
+    """Members of one class group whose ``remaining`` is bit-equal.
+
+    Members of a group move at the group's rate, so two of them with equal
+    ``remaining`` subtract the same ``rate * dt`` at every settle and stay
+    equal: the cohort settles, finishes and predicts its finish once for
+    all of them. ``members`` is in activation order.
+    """
+
+    __slots__ = ("remaining", "members")
+
+    def __init__(self, remaining: float, first: Transfer):
+        self.remaining = remaining
+        self.members = [first]
+
+
 class _Group:
     """The members of one path class inside one component.
 
     Members of a class cross the same links, so a class never spans two
     components: a merge moves whole groups and a split hands whole groups
-    to the parts. ``members`` is in activation order; ``rate`` is the
-    class's solved rate, and every member's ``rate`` equals it at every
-    settle point — a newcomer copies it on joining, and a solve that
-    changes it writes it to every member.
+    to the parts. ``rate`` is the class's solved rate, which every member
+    reads as its own; ``cohorts`` hold the ``count`` members, each cohort
+    made when a member joined with a ``remaining`` unequal to the last
+    cohort's.
     """
 
-    __slots__ = ("path", "members", "rate", "comp")
+    __slots__ = ("path", "cohorts", "count", "rate", "comp")
 
     def __init__(self, path: _PathClass, comp: _Component):
         self.path = path
-        self.members: Dict[Transfer, None] = {}
+        self.cohorts: List[_Cohort] = []
+        self.count = 0
         self.rate = 0.0
         self.comp = comp
 
@@ -206,6 +270,7 @@ class _Component:
 
 
 _serial = attrgetter("path.serial")
+_order = attrgetter("_order")
 _remaining = attrgetter("remaining")
 
 
@@ -323,6 +388,8 @@ class FluidNetwork:
         #: this network built and carried.
         self._link_ids = itertools.count()
         self._transfer_ids = itertools.count()
+        #: Source of ``Transfer._order``: finished transfers complete in it.
+        self._activations = itertools.count()
         #: Whether recomputes re-solve only dirty components (the default)
         #: or every component from scratch (the differential reference).
         self.incremental = True if incremental is None else incremental
@@ -352,12 +419,12 @@ class FluidNetwork:
         #: modes and the completion horizon is a min over components
         #: instead of a scan over every active transfer.
         self._comp_finish: Dict[_Component, float] = {}
-        #: Whether some transfer's ``remaining`` may have crossed the
-        #: completion threshold since the last finished-scan. Set when
-        #: settling advances time (the only way remaining decreases) and
-        #: by the force-complete path; lets activation-only flushes skip
-        #: the O(active) completion scan entirely.
-        self._scan_pending = False
+        #: Groups with a cohort whose ``remaining`` crossed the completion
+        #: threshold since the last finished-scan, insertion-ordered (used
+        #: as a set). Filled by settling (the only way remaining
+        #: decreases) and by the force-complete path, so the scan visits
+        #: these groups only, and an activation-only flush none.
+        self._finishing: Dict[_Group, None] = {}
         #: Attached observers implementing the recorder protocol, usually
         #: :class:`repro.simulation.records.TraceRecorder`. Every recorder
         #: gets the typed flow calls ``flow_started(transfer, now)``,
@@ -403,13 +470,17 @@ class FluidNetwork:
         size: float,
         extra_latency: float = 0.0,
         tag: str = "",
-    ) -> Event:
-        """Move ``size`` bytes across ``links``; returns the completion event.
+        callback: Optional[Callable[[Outcome], None]] = None,
+    ) -> Optional[Event]:
+        """Move ``size`` bytes across ``links``.
 
         The transfer first pays the latency of every *distinct* link on the
         path (a bus crossed twice adds its latency once) plus
-        ``extra_latency``, then joins the fluid phase. The event's value is
-        the :class:`Transfer` record (with start/finish times filled in).
+        ``extra_latency``, then joins the fluid phase. When it finishes,
+        ``callback`` gets the :class:`Transfer` record (with start/finish
+        times filled in); when it is cancelled, the error. Without a
+        callback, the transfer returns a completion event instead, whose
+        value is the record (or which fails with the error).
         """
         key = tuple(links)
         if not 0 <= size < math.inf:
@@ -421,14 +492,18 @@ class FluidNetwork:
                 f"transfer over {_names(key)}: extra latency {extra_latency!r} "
                 "is not finite and >= 0"
             )
-        event = Event(self.sim)
+        if callback is None:
+            event: Optional[Event] = Event(self.sim)
+            callback = Simulator._dispatch
+        else:
+            event = None
         path = self._paths.get(key)
         if path is None:
             for link in key:
                 if link.id is None:
                     link.id = next(self._link_ids)
             path = self._paths[key] = _PathClass(len(self._paths), key)
-        t = Transfer(next(self._transfer_ids), path, size, event, tag=tag)
+        t = Transfer(next(self._transfer_ids), path, size, callback, event, tag=tag)
         if not key:
             # Pure-latency movement (e.g. an intra-GPU copy modelled as free):
             # complete after the latency with no fluid phase.
@@ -442,22 +517,28 @@ class FluidNetwork:
         return event
 
     def cancel(self, transfer: Transfer, reason: Optional[BaseException] = None) -> None:
-        """Abort an active transfer, failing its completion event.
+        """Abort an active transfer, passing the error to its callback.
 
         A transfer whose bytes ran out at the current instant stays active
         until the instant's flush, which runs after the instant's URGENT
-        and NORMAL entries: a cancel from one of them reaches it, fails its
-        event and credits its links with every byte, as moved.
+        and NORMAL entries: a cancel from one of them reaches it, fails it
+        and credits its links with every byte, as moved.
         """
         if transfer not in self._active:
             raise SimulationError("cancel() of a transfer that is not active")
         self._settle_progress()
         del self._active[transfer]
+        cohort = transfer._cohort
+        cohort.members.remove(transfer)
+        if not cohort.members:
+            transfer._group.cohorts.remove(cohort)
         self._component_remove(transfer)
         _credit(transfer, transfer.size - transfer.remaining)
         for rec in self._recorders:
             rec.flow_cancelled(transfer, self.sim.now)
-        transfer.event.fail(reason or SimulationError(f"transfer {transfer.id} cancelled"))
+        self._finish(
+            transfer, reason or SimulationError(f"transfer {transfer.id} cancelled")
+        )
         self._recompute()
 
     def set_capacity(self, link: FluidLink, capacity: float) -> None:
@@ -481,34 +562,52 @@ class FluidNetwork:
     def link_load(self, link: FluidLink) -> float:
         """Aggregate current rate on ``link`` in bytes/second."""
         return sum(
-            t.rate * group.path.multiplicity[link]
+            group.rate * group.path.multiplicity[link] * group.count
             for group in self._link_users.get(link.id, ())
-            for t in group.members
         )
 
     # -- internals -----------------------------------------------------------
 
+    def _finish(self, transfer: Transfer, outcome: Outcome) -> None:
+        """Queue ``transfer``'s callback with ``outcome``.
+
+        The one completion path: the entry takes the NORMAL slot at the
+        current instant that ``event.succeed()`` would take. A transfer
+        started without a callback triggers its event here and queues
+        :meth:`Simulator._dispatch` of it, exactly what ``succeed`` or
+        ``fail`` would queue.
+        """
+        event = transfer.event
+        if event is not None:
+            event._ok = outcome is transfer
+            event._value = outcome
+            event._triggered = True
+            outcome = event
+        self.sim._fifos[NORMAL].append((transfer.callback, outcome))
+
     def _complete_latency_only(self, transfer: Transfer) -> None:
         transfer.start_time = transfer.finish_time = self.sim.now
-        transfer.remaining = 0.0
+        transfer._remaining = 0.0
         self.completed_transfers += 1
-        transfer.event.succeed(transfer)
+        self._finish(transfer, transfer)
 
     def _activate(self, transfer: Transfer) -> None:
-        self._settle_progress()
         now = self.sim.now
+        if now != self._last_update:
+            self._settle_progress()
         transfer.start_time = now
         for rec in self._recorders:
             rec.flow_started(transfer, now)
-        if transfer.remaining <= _DONE_EPS:
+        if transfer._remaining <= _DONE_EPS:
             transfer.finish_time = now
             self.completed_transfers += 1
             _credit(transfer, transfer.size)
             for rec in self._recorders:
                 rec.flow_ended(transfer, now)
-            transfer.event.succeed(transfer)
+            self._finish(transfer, transfer)
             self._recompute()
             return
+        transfer._order = next(self._activations)
         self._active[transfer] = None
         self._component_add(transfer)
         self._recompute()
@@ -516,18 +615,23 @@ class FluidNetwork:
     def _settle_progress(self) -> None:
         """Apply progress accrued since the last recompute point.
 
-        Only ``remaining`` moves, by ``rate * dt`` per member — the
-        group's rate is every member's — and no link is touched: links are
-        credited once per transfer, when it completes or is cancelled.
+        Only ``remaining`` moves, by ``rate * dt`` per cohort — the
+        group's rate is every member's, and a cohort's ``remaining`` is
+        every member's — and no link is touched: links are credited once
+        per transfer, when it completes or is cancelled.
         """
         dt = self.sim.now - self._last_update
         if dt > 0:
+            finishing = self._finishing
             for group in self._groups.values():
                 moved = group.rate * dt
-                for t in group.members:
-                    left = t.remaining - moved
-                    t.remaining = left if left > 0.0 else 0.0
-            self._scan_pending = True
+                for cohort in group.cohorts:
+                    left = cohort.remaining - moved
+                    if left > _DONE_EPS:
+                        cohort.remaining = left
+                    else:
+                        cohort.remaining = left if left > 0.0 else 0.0
+                        finishing[group] = None
         self._last_update = self.sim.now
 
     def _recompute(self) -> None:
@@ -563,30 +667,37 @@ class FluidNetwork:
                 return
             if horizon > 0.0 and self.sim.now + horizon > self.sim.now:
                 break
-            # The next completion is below the clock's floating-point
-            # resolution at the current time: those transfers are
-            # numerically done — force-complete them or the timer would
-            # fire forever without advancing time. The cached horizon can
-            # sit an ulp off (or clamp to zero against) the live values,
-            # so take the exact minimum here (this path is rare) to
-            # guarantee at least one transfer crosses the threshold and
-            # the loop makes progress.
-            exact = math.inf
-            for t in self._active:
-                if t.rate > _EPS:
-                    headway = t.remaining / t.rate
-                    if headway < exact:
-                        exact = headway
-            threshold = max(exact, 0.0) * (1 + 1e-9)
-            for t in list(self._active):
-                if t.rate > _EPS and t.remaining / t.rate <= threshold:
-                    t.remaining = 0.0
-            self._scan_pending = True
+            self._force_complete()
             self._assign_rates()
             self._complete_finished()
 
         self.sim.call_later(horizon, self._on_timer, generation)
         self._record_snapshot()
+
+    def _force_complete(self) -> None:
+        """Zero the cohorts whose finish is below the clock's resolution.
+
+        The next completion is below the clock's floating-point resolution
+        at the current time: those transfers are numerically done —
+        force-complete them or the timer would fire forever without
+        advancing time. The cached horizon can sit an ulp off (or clamp to
+        zero against) the live values, so take the exact minimum here (this
+        path is rare) to guarantee at least one cohort crosses the
+        threshold and the flush makes progress.
+        """
+        moving = [group for group in self._groups.values() if group.rate > _EPS]
+        exact = math.inf
+        for group in moving:
+            for cohort in group.cohorts:
+                headway = cohort.remaining / group.rate
+                if headway < exact:
+                    exact = headway
+        threshold = max(exact, 0.0) * (1 + 1e-9)
+        for group in moving:
+            for cohort in group.cohorts:
+                if cohort.remaining / group.rate <= threshold:
+                    cohort.remaining = 0.0
+                    self._finishing[group] = None
 
     def _on_timer(self, generation: int) -> None:
         if generation != self._timer_generation:
@@ -635,12 +746,32 @@ class FluidNetwork:
                 )
 
     def _complete_finished(self) -> None:
-        if not self._scan_pending:
+        """Complete every member of every cohort out of bytes.
+
+        Only the cohorts of groups that settling marked are scanned, not
+        the members; the finished members then complete in activation
+        order, as a scan of the active transfers would meet them. (A
+        marked group may have lost the cohort to a cancel since, or left
+        the network: its scan finds nothing.)
+        """
+        if not self._finishing:
             return
-        self._scan_pending = False
-        finished = [t for t in self._active if t.remaining <= _DONE_EPS]
+        finished: List[Transfer] = []
+        cohorts_done = 0
+        for group in self._finishing:
+            kept = []
+            for cohort in group.cohorts:
+                if cohort.remaining <= _DONE_EPS:
+                    finished += cohort.members
+                    cohorts_done += 1
+                else:
+                    kept.append(cohort)
+            group.cohorts = kept
+        self._finishing.clear()
         if not finished:
             return
+        if cohorts_done > 1:
+            finished.sort(key=_order)
         now = self.sim.now
         recorders = self._recorders
         for t in finished:
@@ -651,7 +782,7 @@ class FluidNetwork:
             self.completed_transfers += 1
             for rec in recorders:
                 rec.flow_ended(t, now)
-            t.event.succeed(t)
+            self._finish(t, t)
         self._assign_rates()
 
     # -- component tracking --------------------------------------------------
@@ -669,7 +800,6 @@ class FluidNetwork:
         group = self._groups.get(path)
         if group is not None:
             comp = group.comp
-            t.rate = group.rate
         else:
             touched: Dict[_Component, None] = {}
             for link in path.multiplicity:
@@ -702,21 +832,36 @@ class FluidNetwork:
                 self._link_users.setdefault(link.id, {})[group] = None
                 comp.links[link.id] = None
                 self._link_comp[link.id] = comp
-        group.members[t] = None
+        # Equal-size chunks that start together share a cohort.
+        cohorts = group.cohorts
+        if cohorts and cohorts[-1].remaining == t._remaining:
+            cohort = cohorts[-1]
+            cohort.members.append(t)
+        else:
+            cohort = _Cohort(t._remaining, t)
+            cohorts.append(cohort)
+        group.count += 1
         t._group = group
+        t._cohort = cohort
         self._dirty[comp] = None
         # Membership changed: the cached finish prediction must be rebuilt
         # at the next solve.
         self._comp_finish.pop(comp, None)
 
     def _component_remove(self, t: Transfer) -> None:
-        """Unregister a finished/cancelled transfer from its group."""
+        """Unregister a finished/cancelled transfer from its group.
+
+        The caller has taken it out of its cohort; from here on it keeps
+        the ``remaining`` and ``rate`` it has now.
+        """
         group = t._group
-        t._group = None
-        del group.members[t]
+        t._remaining = t._cohort.remaining
+        t._rate = group.rate
+        t._group = t._cohort = None
+        group.count -= 1
         comp = group.comp
         self._comp_finish.pop(comp, None)
-        if group.members:
+        if group.count:
             self._dirty[comp] = None
             return
         del comp.groups[group]
@@ -819,8 +964,8 @@ class FluidNetwork:
         (class, count) multiset until a capacity changes: the memo key
         lists the classes by serial, so it names the multiset whatever
         order the groups sit in. Either way the bits equal a per-transfer
-        fill of the same members in any order. A group's rate reaches its
-        members only when it changed bitwise.
+        fill of the same members in any order. Members read the group's
+        rate, so a solve writes one number per class.
 
         The component's cached finish prediction is rebuilt only when it
         was invalidated by a membership change or some group's rate
@@ -832,7 +977,7 @@ class FluidNetwork:
         if len(groups) == 1:
             (group,) = groups
             path = group.path
-            count = len(group.members)
+            count = group.count
             rate = path.stream_cap
             for link, mult in path.incidence:
                 link_share = link.capacity / (count * mult)
@@ -841,7 +986,7 @@ class FluidNetwork:
             solved: Iterable[Tuple[_Group, float]] = ((group, rate if rate > _EPS else 0.0),)
         else:
             ordered = sorted(groups, key=_serial)
-            counts = [len(group.members) for group in ordered]
+            counts = [group.count for group in ordered]
             key = array("q", [group.path.serial for group in ordered] + counts).tobytes()
             memo = self._fill_memo
             packed = memo.get(key)
@@ -859,19 +1004,17 @@ class FluidNetwork:
         for group, rate in solved:
             if group.rate != rate:
                 group.rate = rate
-                for t in group.members:
-                    t.rate = rate
                 changed = True
         if changed or comp not in self._comp_finish:
             # A class shares one rate and ``now + remaining / rate`` is
             # monotone in ``remaining``, so its earliest finish is that of
-            # its least remaining member, exactly.
+            # its least remaining cohort, exactly.
             now = self.sim.now
             finish = math.inf
             for group in groups:
                 rate = group.rate
                 if rate > _EPS:
-                    predicted = now + min(map(_remaining, group.members)) / rate
+                    predicted = now + min(map(_remaining, group.cohorts)) / rate
                     if predicted < finish:
                         finish = predicted
             self._comp_finish[comp] = finish

@@ -43,7 +43,7 @@ class ProcessChunkPipeline(ChunkPipeline):
             self.sim.process(self._source(flow_idx, unit, node), name=f"src:{node}")
         last = self.num_chunks - 1
         self._terminals = dict(zip((idx for idx, _path in self.flows), wiring.terminals))
-        terminal_events = [self.slot(unit, node, last).event for unit, node in wiring.terminals]
+        terminal_events = [self.row(unit, node)[last] for unit, node in wiring.terminals]
 
         agg_optional: Dict[NodeId, List[int]] = {}
         for flow_idx, path in self.optional_flows:
@@ -68,7 +68,7 @@ class ProcessChunkPipeline(ChunkPipeline):
         for k in range(self.num_chunks):
             ready, payload = self.chunk_source(flow_idx, k)
             yield ready
-            self.slot(unit, node, k).set(payload())
+            self.row(unit, node)[k].set(payload())
 
     def _sender(self, i: NodeId, j: NodeId, unit: UnitKey):
         edge = self.topology.edge(i, j)
@@ -86,8 +86,8 @@ class ProcessChunkPipeline(ChunkPipeline):
             stage = self.tag.split(":", 1)[0]
             sent = None
         for k in range(self.num_chunks):
-            slot_in = self.slot(unit, i, k)
-            yield slot_in.event
+            slot_in = self.row(unit, i)[k]
+            yield slot_in
             if telemetry is not None:
                 span = site.begin(self.sim.now, (k, self.chunk_bytes[k], label))
             yield self.network.transfer(edge.fluid_links, self.chunk_bytes[k], tag=transfer_tag)
@@ -98,8 +98,8 @@ class ProcessChunkPipeline(ChunkPipeline):
                         "chunks_sent_total", "chunks streamed across logical edges"
                     ).labels(stage=stage)
                 sent.inc()
-            out_slot = self.slot(unit, j, k)
-            if not out_slot.event.triggered:
+            out_slot = self.row(unit, j)[k]
+            if not out_slot.triggered:
                 delivered = slot_in.payload
                 if self._data_plane is not None:
                     delivered = self._data_plane.deliver(
@@ -126,14 +126,14 @@ class ProcessChunkPipeline(ChunkPipeline):
             )
             launched = None
         for k in range(self.num_chunks):
-            events = [self.slot(unit, node, k).event for unit in units]
+            events = [self.row(unit, node)[k] for unit in units]
             getters: List[Callable[[], np.ndarray]] = []
             for flow_idx in local_flows:
                 ready, payload = self.chunk_source(flow_idx, k)
                 events.append(ready)
                 getters.append(payload)
             yield self.sim.all_of(events)
-            parts = [self.slot(unit, node, k).payload for unit in units]
+            parts = [self.row(unit, node)[k].payload for unit in units]
             parts.extend(getter() for getter in getters)
             for flow_idx in optional_flows or ():
                 ready, payload = self.chunk_source(flow_idx, k)
@@ -157,7 +157,7 @@ class ProcessChunkPipeline(ChunkPipeline):
                         launched.inc()
             else:
                 total = parts[0]
-            self.slot(out_unit, node, k).set(total)
+            self.row(out_unit, node)[k].set(total)
 
 
 def process_executor(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -13,6 +13,12 @@ before it solved once per simulated instant: the rate flush scheduled
 URGENT, so it ran after each activation, completion, cancel or reshape
 rather than after the instant's last one.
 ``tests/test_flush_differential.py`` holds the network to it.
+
+``PerMemberNetwork`` is the network before it grouped a class's members
+into cohorts of bit-equal ``remaining``: every transfer is a cohort of its
+own, and settling, the force-complete sweep and the finished scan walk
+the active transfers in activation order, member by member, as they did.
+``tests/test_fluid_differential.py`` holds the cohorts to it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,15 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.simulation.engine import URGENT
-from repro.simulation.fluid import _EPS, FluidLink, FluidNetwork, Transfer
+from repro.simulation.fluid import (
+    _DONE_EPS,
+    _EPS,
+    FluidLink,
+    FluidNetwork,
+    Transfer,
+    _Cohort,
+    _credit,
+)
 
 
 def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
@@ -141,3 +155,52 @@ class PerEventFlushNetwork(FluidNetwork):
             if self._refreshed.get(comp) == now:
                 self.transient_refresh = True
             self._refreshed[comp] = now
+
+
+class PerMemberNetwork(FluidNetwork):
+    """The fluid network with one cohort per transfer and the per-member
+    settle, force-complete sweep and finished scan."""
+
+    def _component_add(self, t) -> None:
+        super()._component_add(t)
+        cohort = t._cohort
+        if len(cohort.members) > 1:
+            cohort.members.remove(t)
+            t._cohort = _Cohort(t._remaining, t)
+            t._group.cohorts.append(t._cohort)
+
+    def _settle_progress(self) -> None:
+        dt = self.sim.now - self._last_update
+        if dt > 0:
+            for t in self._active:
+                left = t.remaining - t.rate * dt
+                t._cohort.remaining = left if left > 0.0 else 0.0
+        self._last_update = self.sim.now
+
+    def _force_complete(self) -> None:
+        exact = math.inf
+        for t in self._active:
+            if t.rate > _EPS:
+                exact = min(exact, t.remaining / t.rate)
+        threshold = max(exact, 0.0) * (1 + 1e-9)
+        for t in self._active:
+            if t.rate > _EPS and t.remaining / t.rate <= threshold:
+                t._cohort.remaining = 0.0
+
+    def _complete_finished(self) -> None:
+        self._finishing.clear()
+        finished = [t for t in self._active if t.remaining <= _DONE_EPS]
+        if not finished:
+            return
+        now = self.sim.now
+        for t in finished:
+            t._group.cohorts.remove(t._cohort)
+            del self._active[t]
+            self._component_remove(t)
+            _credit(t, t.size)
+            t.finish_time = now
+            self.completed_transfers += 1
+            for rec in self._recorders:
+                rec.flow_ended(t, now)
+            self._finish(t, t)
+        self._assign_rates()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, SimulationError
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
 from repro.runtime import launch
 from repro.simulation import Simulator
@@ -231,6 +231,25 @@ class TestLaunch:
             assert set(result.outputs) == (
                 set(ranks) if primitive is Primitive.BROADCAST else {0}
             )
+
+    def test_cancelled_chunk_fails_wait_with_its_error(self):
+        """A chunk's transfer completes through the sender's callback, and
+        a cancel passes its error the same way: ``wait()`` raises it."""
+        topo, synth = make_env()
+        ranks = list(range(8))
+        strategy = synth.synthesize(Primitive.ALLREDUCE, 8192 * 8, ranks)
+        pending = launch(topo, strategy, make_inputs(ranks, 8192))
+        sim, network = topo.cluster.sim, topo.cluster.network
+        while not network.active_transfers:
+            sim.step()
+        victim = network.active_transfers[0]
+        assert victim.tag.startswith("allreduce") and victim.event is None
+        lost = SimulationError("chunk lost")
+        network.cancel(victim, lost)
+        with pytest.raises(SimulationError) as raised:
+            pending.wait()
+        assert raised.value is lost
+        assert not pending.done.processed
 
 
 class TestInputValidation:

@@ -30,6 +30,13 @@ to its references:
   network's components partition the active transfers exactly as the
   union-find does (so no group spans two components).
 
+* **cohorts vs. one cohort per transfer, bitwise** — a network that keeps
+  a class's members in cohorts of bit-equal ``remaining`` finishes every
+  transfer at the same time, with the same ``remaining`` and ``rate``
+  read during and after it, and credits every link the same bytes, as
+  :class:`tests.fluid_oracle.PerMemberNetwork`, which settles each
+  member by itself.
+
 Event scripts are hypothesis-generated: interleaved transfer starts
 (random paths over a shared pool of links, so components merge), early
 cancels, and mid-flight ``set_capacity`` shaping (including to zero),
@@ -44,7 +51,7 @@ from hypothesis import strategies as st
 
 from repro.simulation import FluidLink, FluidNetwork, Simulator, fluid
 
-from .fluid_oracle import solve_rates_reference
+from .fluid_oracle import PerMemberNetwork, solve_rates_reference
 
 #: Tolerance of the incremental-vs-joint comparison (relative and absolute).
 TOLERANCE = 1e-9
@@ -451,10 +458,13 @@ def _assert_groups_consistent(net):
     and holds its members; the network's components partition the active
     transfers exactly as an independent union-find over links does."""
     for path, group in net._groups.items():
-        assert group.path is path and group.members
+        assert group.path is path and group.count
+        assert group.count == sum(len(cohort.members) for cohort in group.cohorts)
         assert group in group.comp.groups
-        for t in group.members:
-            assert t._group is group
+        for cohort in group.cohorts:
+            assert cohort.members
+            for t in cohort.members:
+                assert t._group is group and t._cohort is cohort
     ours = {}
     for t in net.active_transfers:
         ours.setdefault(id(t._group.comp), set()).add(t.id)
@@ -468,7 +478,9 @@ class GroupCheckNetwork(FluidNetwork):
 
     def _settle_progress(self):
         for group in self._groups.values():
-            assert all(t.rate == group.rate for t in group.members)
+            for cohort in group.cohorts:
+                assert all(t.rate == group.rate for t in cohort.members)
+                assert all(t.remaining == cohort.remaining for t in cohort.members)
         super()._settle_progress()
 
     def _assign_rates(self):
@@ -491,3 +503,225 @@ def test_members_carry_their_groups_rate_through_merges_and_splits(
     """Finite per-stream caps make a group's rate survive a newcomer
     joining, so a newcomer that did not copy it would be caught."""
     _run_script(capacities, script, GroupCheckNetwork, stream_caps=stream_caps)
+
+
+# -- cohorts --------------------------------------------------------------------
+
+
+class _Reads:
+    """Records what a transfer reads as when it starts, ends or is cancelled
+    (the moments the telemetry bridge and ``TraceRecorder`` read it)."""
+
+    wants_rates = False
+
+    def __init__(self):
+        self.log = []
+
+    def flow_started(self, t, now):
+        self.log.append(("start", t.tag, now, t.remaining, t.rate))
+
+    def flow_ended(self, t, now):
+        self.log.append(("end", t.tag, now, t.remaining, t.rate))
+
+    def flow_cancelled(self, t, now):
+        self.log.append(("cancel", t.tag, now, t.remaining, t.rate))
+
+
+class _ForceCounting:
+    """Counts the flushes that took the force-complete path."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.forced = 0
+
+    def _force_complete(self):
+        self.forced += 1
+        super()._force_complete()
+
+
+class CountingNetwork(_ForceCounting, FluidNetwork):
+    pass
+
+
+class CountingPerMember(_ForceCounting, PerMemberNetwork):
+    pass
+
+
+#: Few sizes, so equal-size joins are common; one is under the
+#: completion threshold.
+_cohort_size = st.sampled_from([1e-7, 64.0, 100.0, 100.0, 250.0, 333.3])
+
+_cohort_op = st.one_of(
+    # ``copies`` equal-size transfers down one path at one instant.
+    st.tuples(
+        st.just("burst"),
+        st.integers(min_value=0, max_value=3),
+        _cohort_size,
+        st.integers(min_value=1, max_value=5),
+    ),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=15)),
+    st.tuples(
+        st.just("setcap"),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([0.0, 0.0, 1.0, 30.0, 100.0, 997.0]),
+    ),
+)
+
+_cohort_script = st.tuples(
+    # A clock far from zero makes completions fall below its resolution.
+    st.sampled_from([0.0, 1e9]),
+    # Few capacities and caps, so classes on disjoint links often move at
+    # one rate and finish at one instant.
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([30.0, 100.0]), st.floats(min_value=1.0, max_value=1000.0)),
+            st.sampled_from([math.inf, math.inf, 7.0, 50.0]),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.75]), _cohort_op),
+        min_size=2,
+        max_size=16,
+    ),
+)
+
+#: Paths over the three links; path 3 shares both of path 0's links.
+_COHORT_PATHS = ((0,), (1,), (0, 2), (0, 2, 1))
+
+
+def _run_cohort_script(network_cls, start, link_specs, script):
+    sim = Simulator()
+    net = network_cls(sim)
+    reads = _Reads()
+    net.attach_recorder(reads)
+    links = [
+        FluidLink(f"l{i}", capacity=capacity, per_stream_cap=cap)
+        for i, (capacity, cap) in enumerate(link_specs)
+    ]
+    started = []
+    done = []
+    during = []
+
+    def finished(outcome):
+        if isinstance(outcome, BaseException):
+            done.append(("cancelled", str(outcome), sim.now))
+        else:
+            done.append((outcome.tag, sim.now))
+
+    def runner(sim):
+        yield sim.timeout(start)
+        for delay, op in script:
+            yield sim.timeout(delay)
+            during.append([(t.tag, t.remaining, t.rate) for t in net.active_transfers])
+            if op[0] == "burst":
+                _kind, path, size, copies = op
+                for _ in range(copies):
+                    tag = f"t{len(started)}"
+                    path_links = [links[i] for i in _COHORT_PATHS[path]]
+                    net.transfer(path_links, size, tag=tag, callback=finished)
+                    started.append(tag)
+            elif op[0] == "cancel":
+                active = net.active_transfers
+                if active:
+                    net.cancel(active[op[1] % len(active)])
+            else:
+                _kind, idx, capacity = op
+                net.set_capacity(links[idx], capacity)
+        # Whatever a zero-capacity link still blocks ends here.
+        yield sim.timeout(1e4)
+        for t in net.active_transfers:
+            net.cancel(t)
+
+    sim.process(runner(sim))
+    sim.run()
+    return {
+        "now": sim.now,
+        "bytes": [link.bytes_carried for link in links],
+        "done": done,
+        "during": during,
+        "reads": reads.log,
+        "completed": net.completed_transfers,
+        "forced": net.forced,
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_cohort_script)
+def test_cohorts_equal_one_cohort_per_transfer_bitwise(case):
+    """Equal-size joins at one instant, staggered joins, zero-rate classes,
+    the force-complete path and cancels of single cohort members: every
+    finish time, every ``remaining`` and ``rate`` read during a transfer
+    and when it ends or is cancelled, and every link's ``bytes_carried``
+    equal the one-cohort-per-transfer network's with ``==``, and both
+    take the force-complete path as often."""
+    start, link_specs, script = case
+    ours = _run_cohort_script(CountingNetwork, start, link_specs, script)
+    reference = _run_cohort_script(CountingPerMember, start, link_specs, script)
+    assert ours == reference
+
+
+def test_cohort_scripts_reach_the_force_complete_path():
+    """A burst of equal chunks far from clock zero: completions land below
+    the clock's resolution, and both networks force them alike."""
+    script = [
+        (0.0, ("burst", 0, 64.0, 3)),
+        (0.5, ("burst", 2, 64.0, 2)),
+        (0.0, ("cancel", 3)),
+    ]
+    specs = [(997.0, math.inf), (30.0, math.inf), (100.0, 7.0)]
+    ours = _run_cohort_script(CountingNetwork, 1e9, specs, script)
+    reference = _run_cohort_script(CountingPerMember, 1e9, specs, script)
+    assert ours["forced"] > 0
+    assert ours == reference
+
+
+def test_same_instant_finishes_complete_in_activation_order():
+    """Two classes at one capped rate: the later class's member started
+    first, so it completes first, as in the one-cohort-per-transfer scan."""
+    script = [
+        (0.0, ("burst", 0, 64.0, 1)),
+        (0.0, ("burst", 1, 100.0, 1)),
+        (0.0, ("burst", 0, 100.0, 1)),
+    ]
+    specs = [(1000.0, 7.0), (1000.0, 7.0), (100.0, math.inf)]
+    ours = _run_cohort_script(CountingNetwork, 0.0, specs, script)
+    assert [tag for tag, _time in ours["done"]] == ["t0", "t1", "t2"]
+    assert ours == _run_cohort_script(CountingPerMember, 0.0, specs, script)
+
+
+def test_equal_chunks_share_one_cohort():
+    """Same-instant equal-size joins share a cohort; a staggered join of
+    the same size starts its own, since the first have moved bytes."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    link = FluidLink("l", capacity=100.0)
+    for _ in range(3):
+        net.transfer([link], 1000.0)
+    sim.run(until=1.0)
+    net.transfer([link], 1000.0)
+    sim.run(until=1.0)
+    (group,) = net._groups.values()
+    assert [len(cohort.members) for cohort in group.cohorts] == [3, 1]
+    assert [cohort.remaining for cohort in group.cohorts] == [1000.0 - 100.0 / 3, 1000.0]
+
+
+def test_transfer_reads_the_same_after_it_leaves():
+    """A cancelled member keeps the ``remaining`` and ``rate`` it had when
+    it was cancelled; its cohort mates move on."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    link = FluidLink("l", capacity=100.0)
+    events = [net.transfer([link], 1000.0) for _ in range(2)]
+    for event in events:
+        event.add_callback(lambda _event: None)
+    sim.run(until=2.0)
+    victim, mate = net.active_transfers
+    net.cancel(victim)
+    assert (victim.remaining, victim.rate) == (900.0, 50.0)
+    sim.run(until=3.0)
+    assert (victim.remaining, victim.rate) == (900.0, 50.0)
+    assert mate.rate == 100.0
+    sim.run()
+    assert (mate.remaining, mate.rate, mate.finish_time) == (0.0, 100.0, 11.0)

@@ -7,7 +7,7 @@ from repro.simulation import Simulator
 from repro.simulation.engine import LATE, NORMAL, URGENT, Event
 from repro.simulation.fluid import FluidLink, FluidNetwork
 
-from .engine_oracle import step_one_at_a_time
+from .engine_oracle import ReferenceSimulator
 
 
 def test_timeout_advances_clock():
@@ -210,8 +210,9 @@ def test_all_of_collects_values_in_order():
 
 
 class TestEventBatching:
-    """step() drains same-(time, priority) runs; the order must be that of
-    the one-entry-per-step reference stepper (``tests/engine_oracle.py``)."""
+    """step() drains same-(time, priority) runs from the heap and the
+    same-instant FIFOs; the order must be that of the one-heap,
+    one-entry-per-step reference (``tests/engine_oracle.py``)."""
 
     @staticmethod
     def _burst_scenario(sim):
@@ -237,8 +238,8 @@ class TestEventBatching:
 
     @staticmethod
     def _simulators():
-        """A batching simulator and one on the reference stepper."""
-        return Simulator(), step_one_at_a_time(Simulator())
+        """A batching simulator and the reference."""
+        return Simulator(), ReferenceSimulator()
 
     def test_batched_matches_unbatched_exactly(self):
         runs = []
@@ -325,6 +326,88 @@ class TestEventBatching:
         sim.run()
         assert seen == ["a", "b"]
 
+    def test_delay_that_rounds_to_now_keeps_its_place(self):
+        """A positive delay lost to the clock's resolution is due now: it
+        runs after the heap entries already due at its (time, priority),
+        in scheduling order with the zero delays."""
+        for sim in self._simulators():
+            order = []
+
+            def schedule(_arg):
+                sim.call_later(1e-9, order.append, "tiny", NORMAL)
+                sim.call_later(0.0, order.append, "zero", NORMAL)
+                sim.call_later(0.0, order.append, "urgent", URGENT)
+
+            sim.call_later(1e9, schedule, None)
+            sim.call_later(1e9, order.append, "queued-before", NORMAL)
+            sim.run()
+            assert order == ["urgent", "queued-before", "tiny", "zero"]
+            assert sim.now == 1e9
+
+    def test_urgent_scheduled_by_a_late_callback_runs_before_the_next_late(self):
+        for sim in self._simulators():
+            order = []
+
+            def late(tag):
+                order.append(tag)
+                if tag == "late-a":
+                    sim.call_later(0.0, order.append, "late-from-late", LATE)
+                    sim.call_later(0.0, order.append, "urgent-from-late", URGENT)
+
+            sim.call_later(1.0, late, "late-a", LATE)
+            sim.call_later(1.0, late, "late-b", LATE)
+            sim.run()
+            assert order == ["late-a", "urgent-from-late", "late-b", "late-from-late"]
+
+    def test_run_until_stops_inside_an_instant_as_the_reference(self):
+        """``run(until=)`` between two instants leaves the clock there;
+        entries scheduled at that clock run first on the next run."""
+        runs = []
+        for sim in self._simulators():
+            order = self._burst_scenario(sim)
+            sim.run(until=1.5)
+            sim.call_later(0.0, order.append, ("now", sim.now), NORMAL)
+            sim.call_later(0.0, order.append, ("urgent-now", sim.now), URGENT)
+            sim.call_later(0.5, order.append, ("timer", 2.0), URGENT)
+            assert sim.peek() == 1.5
+            sim.run()
+            runs.append(order)
+        assert runs[0] == runs[1]
+        assert runs[0].index(("urgent-now", 1.5)) < runs[0].index(("now", 1.5))
+
+    def test_exception_mid_fifo_run_leaves_the_rest_queued(self):
+        runs = []
+        for sim in self._simulators():
+            order = []
+
+            def boom(_arg):
+                raise RuntimeError("boom")
+
+            def spawn(_arg):
+                sim.call_later(0.0, order.append, "a", NORMAL)
+                sim.call_later(0.0, boom, None, NORMAL)
+                sim.call_later(0.0, order.append, "b", NORMAL)
+                sim.call_later(0.0, order.append, "late", LATE)
+
+            sim.call_later(1.0, spawn, None)
+            with pytest.raises(RuntimeError, match="boom"):
+                sim.run()
+            assert order == ["a"] and sim.peek() == 1.0
+            sim.run()
+            runs.append(order)
+        assert runs[0] == runs[1] == ["a", "b", "late"]
+
+    def test_run_until_complete_returns_before_its_instants_late_flush(self):
+        for sim in self._simulators():
+            order = []
+            done = sim.event()
+            sim.call_later(1.0, order.append, "late", LATE)
+            sim.call_later(1.0, lambda _arg: done.succeed("value"), None)
+            assert sim.run_until_complete(done) == "value"
+            assert order == [] and sim.peek() == 1.0
+            sim.run()
+            assert order == ["late"]
+
     def test_run_until_matches_unbatched_clock(self):
         for sim in self._simulators():
             self._burst_scenario(sim)
@@ -373,6 +456,10 @@ class TestCallLater:
             net.transfer([], size=10.0, extra_latency=0.2),
             net.transfer([FluidLink("free", capacity=50.0)], size=25.0),
         ]
+        arrived = []
+        net.transfer([slow], size=50.0, callback=arrived.append)
         sim.run()
         assert all(event.processed and event.ok for event in done)
+        # A transfer given a callback makes none.
         assert made == ["Event"] * len(done)
+        assert [t.size for t in arrived] == [50.0]
