@@ -5,13 +5,22 @@ and returns a :class:`PendingCollective`; ``launch(...).wait()`` drives the
 simulator until it completes and returns a :class:`CollectiveResult` with
 per-rank output arrays and timing. Collectives launched before the
 simulator is driven overlap on the fabric — gradient bucketing and fleet
-replay rely on this. One builder per primitive
-lowers the strategy into chunk stages (:func:`repro.runtime.stages.lower`),
-starts a :class:`~repro.runtime.executor.ChunkPipeline` per stage, and
-assembles the outputs. Inputs are numpy arrays (one per participant
-rank); outputs are bit-exact collective results, which is what lets the
-test suite verify AllReduce correctness and the relay machinery verify
-phase-1+phase-2 equivalence.
+replay rely on this. Inputs are numpy arrays (one per participant
+rank, 1-D); outputs are bit-exact collective results, which is what lets
+the test suite verify AllReduce correctness and the relay machinery
+verify phase-1+phase-2 equivalence.
+
+A strategy is compiled once per world into a :class:`CollectivePlan`:
+its chunk stages (:func:`repro.runtime.stages.lower`, each compiled to a
+:class:`~repro.runtime.executor.StagePlan`) and the chunk layout of each
+call shape. The world's :class:`~repro.topology.graph.LogicalTopology`
+keeps the plan until the strategy is dropped (:func:`compiled`). A
+launch then only allocates per-call state — ready events, one
+:class:`~repro.runtime.executor.ChunkPipeline` per stage, the completion
+event — and one builder per primitive starts the pipelines and, once
+they finish, writes each delivered chunk once, straight into its output
+slice (:func:`~repro.runtime.executor.assemble`). No output aliases an
+input or another output.
 
 Straggler/relay hooks:
 
@@ -35,20 +44,21 @@ Straggler/relay hooks:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import CommunicatorError
-from repro.runtime.executor import ChunkPipeline
+from repro.runtime.executor import ChunkPipeline, StagePlan, assemble
 from repro.runtime.partition import (
     check_uniform_inputs,
     chunk_ranges,
     elements_for_bytes,
     partition_ranges,
 )
-from repro.runtime.stages import Stage, agg_unit, bcast_unit, lower
+from repro.runtime.stages import MODE_MERGE, FlowPath, agg_unit, bcast_unit, lower
 from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology
 
@@ -105,6 +115,148 @@ class PendingCollective:
         return self.result()
 
 
+class Part(NamedTuple):
+    """One sub-collective's share of a call: its element range and chunks."""
+
+    #: The sub-collective's position in ``strategy.subcollectives``.
+    position: int
+    sc: SubCollective
+    start: int
+    end: int
+    #: Element ranges of the chunks, in tensor coordinates.
+    chunks: List[Tuple[int, int]]
+    #: The same ranges relative to ``start``: slices of the output range.
+    bounds: List[Tuple[int, int]]
+    #: Simulated bytes of each chunk.
+    chunk_bytes: List[float]
+
+
+class CollectivePlan:
+    """A strategy compiled against one topology, for every later launch.
+
+    Holds each sub-collective's :class:`StagePlan` tuple, keyed by the
+    active set and the late-join ranks (a merge stage depends on both; the
+    other stages are shared by every key), and each call shape's
+    :class:`Part` list, keyed by ``(length, itemsize × byte_scale,
+    max_chunks)``. :func:`compiled` builds one on a strategy's
+    first launch in a world, and the world's topology keeps it until the
+    strategy is dropped.
+
+    A plan is never invalidated, because a strategy is not mutated after
+    synthesis: only the search mutates one (``improve_aggregation``'s
+    flips, the winning chunk size), before it returns. Code that wants a
+    variant builds a new :class:`Strategy`. The plan holds the
+    sub-collectives, not the strategy, so it does not keep the strategy
+    alive.
+    """
+
+    def __init__(self, topology: LogicalTopology, strategy: Strategy):
+        self.topology = topology
+        self.primitive = strategy.primitive
+        self.subcollectives = list(strategy.subcollectives)
+        self.world = len(strategy.participants)
+        self._stages: Dict[Tuple[FrozenSet[int], FrozenSet[int]], List] = {}
+        self._layouts: Dict[Tuple[int, float, Optional[int]], List[Part]] = {}
+        self._stage_plans: Dict[Tuple, StagePlan] = {}
+
+    def stages(
+        self, active: FrozenSet[int], late: FrozenSet[int]
+    ) -> List[Tuple[StagePlan, ...]]:
+        """Each sub-collective's compiled stages, in launch order: merge
+        stages carry the flows of ``active`` ranks, with the flows of
+        ``late`` ranks as late-join candidates."""
+        key = (active, late)
+        plans = self._stages.get(key)
+        if plans is None:
+            plans = self._stages[key] = [
+                self._compile(position, active, late)
+                for position in range(len(self.subcollectives))
+            ]
+        return plans
+
+    def _compile(
+        self, position: int, active: FrozenSet[int], late: FrozenSet[int]
+    ) -> Tuple[StagePlan, ...]:
+        sc = self.subcollectives[position]
+        optional = tuple(idx for idx, flow in enumerate(sc.flows) if flow.src.index in late)
+        plans = []
+        for stage in lower(self.primitive, sc, active):
+            # Only a merge stage depends on the active and late ranks, so
+            # the other stages compile once and serve every key.
+            key: Tuple = (position, stage.tag)
+            late_flows: List[FlowPath] = []
+            if stage.mode == MODE_MERGE:
+                key += (tuple(idx for idx, _path in stage.flows), optional)
+                late_flows = [(idx, sc.flows[idx].path) for idx in optional]
+            plan = self._stage_plans.get(key)
+            if plan is None:
+                plan = self._stage_plans[key] = StagePlan(self.topology, stage, late_flows)
+            plans.append(plan)
+        return tuple(plans)
+
+    def layout(self, length: int, itemsize: float, max_chunks: Optional[int]) -> List[Part]:
+        """The :class:`Part` of every sub-collective that carries data."""
+        key = (length, itemsize, max_chunks)
+        parts = self._layouts.get(key)
+        if parts is None:
+            parts = self._layouts[key] = self._partition(length, itemsize, max_chunks)
+        return parts
+
+    def _partition(self, length: int, itemsize: float, max_chunks: Optional[int]) -> List[Part]:
+        sizes = [sc.size for sc in self.subcollectives]
+        if self.primitive is Primitive.ALLGATHER:
+            # One broadcast of the whole shard per rank.
+            ranges = [(0, length)] * len(sizes)
+        elif self.primitive is Primitive.ALLTOALL:
+            # Each per-pair block is partitioned across sub-collectives.
+            ranges = partition_ranges(length // self.world, sizes)
+        else:
+            ranges = partition_ranges(length, sizes)
+        parts = []
+        for position, (sc, (start, end)) in enumerate(zip(self.subcollectives, ranges)):
+            chunk_elems = elements_for_bytes(sc.chunk_size, itemsize)
+            if max_chunks is not None:
+                span = max(0, end - start)
+                floor_elems = -(-span // max_chunks) if span else 1
+                chunk_elems = max(chunk_elems, floor_elems)
+            chunks = chunk_ranges(start, end, chunk_elems)
+            if chunks:
+                parts.append(
+                    Part(
+                        position,
+                        sc,
+                        start,
+                        end,
+                        chunks,
+                        [(lo - start, hi - start) for lo, hi in chunks],
+                        [(hi - lo) * itemsize for lo, hi in chunks],
+                    )
+                )
+        return parts
+
+
+def compiled(topology: LogicalTopology, strategy: Strategy) -> CollectivePlan:
+    """``strategy``'s plan in ``topology``'s world, compiled on first use.
+
+    ``topology.plans`` maps a strategy's ``id`` to a weak reference to it
+    and its plan; the reference's callback drops the entry when the
+    strategy is collected, so an ``id`` reused later cannot find it.
+    """
+    plans = topology.plans
+    key = id(strategy)
+    entry = plans.get(key)
+    if entry is not None and entry[0]() is strategy:
+        return entry[1]
+
+    def drop(ref: weakref.ref) -> None:
+        if plans.get(key, (None,))[0] is ref:
+            del plans[key]
+
+    plan = CollectivePlan(topology, strategy)
+    plans[key] = (weakref.ref(strategy, drop), plan)
+    return plan
+
+
 class _Run:
     """Shared plumbing for one collective execution."""
 
@@ -137,16 +289,20 @@ class _Run:
         #: model-sized traffic (hundreds of MB) while keeping payload arrays
         #: small; timing uses scaled bytes, payloads stay bit-exact.
         self.itemsize = np.dtype(self.dtype).itemsize * byte_scale
-        missing = set(strategy.participants) - set(inputs)
+        participants = frozenset(strategy.participants)
+        missing = participants - set(inputs)
         if missing:
             raise CommunicatorError(f"missing input tensors for ranks {sorted(missing)}")
-        self.active = (
-            set(strategy.participants) if active_ranks is None else set(active_ranks)
-        )
-        if not self.active <= set(strategy.participants):
+        self.active = participants if active_ranks is None else frozenset(active_ranks)
+        if not self.active <= participants:
             raise CommunicatorError("active ranks must be a subset of participants")
         self.pipeline_stages = pipeline_stages
-        self.late = set(late_ranks or ()) - self.active
+        # Late join is an AllReduce hook; other primitives ignore it.
+        self.late = (
+            frozenset(late_ranks or ()) - self.active
+            if strategy.primitive is Primitive.ALLREDUCE
+            else frozenset()
+        )
         delays = ready_times or {}
         for rank, delay in delays.items():
             # NaN would read as "ready now" and inf would run the clock to
@@ -155,6 +311,7 @@ class _Run:
                 raise CommunicatorError(
                     f"ready time of rank {rank} is {delay!r}, not a finite delay"
                 )
+        self.plan = compiled(topology, strategy)
         self.started = self.sim.now
         self.ready_at = {
             rank: self.started + max(0.0, delays.get(rank, 0.0))
@@ -204,30 +361,21 @@ class _Run:
         """Event that fires when ``rank``'s tensor becomes available."""
         return self._ready_events[rank]
 
-    def partitions(self, ranges: Sequence[Tuple[int, int]]):
-        """(sc, start, end, chunks) of every sub-collective with data, given
-        each sub-collective's element range."""
-        for sc, (start, end) in zip(self.strategy.subcollectives, ranges):
-            chunk_elems = elements_for_bytes(sc.chunk_size, self.itemsize)
-            if self.max_chunks is not None:
-                span = max(0, end - start)
-                floor_elems = -(-span // self.max_chunks) if span else 1
-                chunk_elems = max(chunk_elems, floor_elems)
-            chunks = chunk_ranges(start, end, chunk_elems)
-            if chunks:
-                yield sc, start, end, chunks
+    def parts(self):
+        """(part, its sub-collective's stage plans) of every sub-collective
+        with data."""
+        stages = self.plan.stages(self.active, self.late)
+        layout = self.plan.layout(self.length, self.itemsize, self.max_chunks)
+        return [(part, stages[part.position]) for part in layout]
 
-    def tensor_partitions(self):
-        """:meth:`partitions` of the tensor split by sub-collective size."""
-        sizes = [sc.size for sc in self.strategy.subcollectives]
-        return self.partitions(partition_ranges(self.length, sizes))
-
-    def input_source(self, chunks, sc: SubCollective, offsets=None):
+    def input_source(self, part: Part, offsets=None):
         """Chunk source reading a flow's source rank's input tensor once it
         is ready, ``offsets[flow index]`` elements in (default 0)."""
+        flows = part.sc.flows
+        chunks = part.chunks
 
         def source(flow_idx: int, k: int):
-            rank = sc.flows[flow_idx].src.index
+            rank = flows[flow_idx].src.index
             base = offsets[flow_idx] if offsets else 0
             start, end = chunks[k]
             return (
@@ -237,21 +385,15 @@ class _Run:
 
         return source
 
-    def start(self, stage: Stage, chunks, source, optional=()) -> ChunkPipeline:
-        """Build and start one stage's pipeline."""
-        pipeline = ChunkPipeline(
-            self.topology,
-            stage.flows,
-            num_chunks=len(chunks),
-            chunk_bytes=[(end - start) * self.itemsize for start, end in chunks],
-            chunk_source=source,
-            mode=stage.mode,
-            aggregates_at=stage.aggregates_at,
-            tag=stage.tag,
-            optional_flows=optional,
-        )
+    def start(self, plan: StagePlan, part: Part, source) -> ChunkPipeline:
+        """Launch one compiled stage on ``part``'s chunks."""
+        pipeline = ChunkPipeline(self.topology, plan, len(part.chunks), part.chunk_bytes, source)
         self.events.append(pipeline.start())
         return pipeline
+
+    def zeros(self, ranks: Iterable[int], length: int) -> Dict[int, np.ndarray]:
+        """A zeroed output tensor of ``length`` elements per rank."""
+        return {rank: np.zeros(length, dtype=self.dtype) for rank in ranks}
 
     def result(self, outputs, included_chunks=None) -> CollectiveResult:
         return CollectiveResult(
@@ -263,13 +405,16 @@ class _Run:
         )
 
 
-def _root_sum(run: _Run, sc, start, end, stage, pipeline) -> np.ndarray:
-    """The reduce stage's result at ``sc``'s root: the aggregate that
-    arrived plus the root's own tensor (the root has no flow of its own)."""
-    own = run.inputs[sc.root.index][start:end]
-    if not stage.flows:
-        return own.copy()
-    return pipeline.gather(agg_unit(sc.root), sc.root) + own
+def _root_sum(run: _Run, part: Part, plan: StagePlan, pipeline, out: np.ndarray) -> None:
+    """Write the reduce stage's result at ``part``'s root into ``out``: the
+    aggregate that arrived plus the root's own tensor (the root has no
+    flow of its own)."""
+    root = part.sc.root
+    own = run.inputs[root.index][part.start : part.end]
+    if plan.stage.flows:
+        assemble(pipeline.row(agg_unit(root), root), out, part.bounds, own)
+    else:
+        out[:] = own
 
 
 def _reduce(run: _Run):
@@ -278,18 +423,16 @@ def _reduce(run: _Run):
     root = run.strategy.subcollectives[0].root.index
     if root not in run.active:
         raise CommunicatorError("the reduce root must be an active rank")
-    parts = []
-    for sc, start, end, chunks in run.tensor_partitions():
-        (stage,) = lower(Primitive.REDUCE, sc, run.active)
-        pipeline = run.start(stage, chunks, run.input_source(chunks, sc))
-        parts.append((sc, start, end, stage, pipeline))
+    launched = []
+    for part, (plan,) in run.parts():
+        launched.append((part, plan, run.start(plan, part, run.input_source(part))))
     # The final aggregation also needs the root's own tensor.
     run.events.append(run.ready_event(root))
 
     def collect():
         output = np.zeros(run.length, dtype=run.dtype)
-        for sc, start, end, stage, pipeline in parts:
-            output[start:end] = _root_sum(run, sc, start, end, stage, pipeline)
+        for part, plan, pipeline in launched:
+            _root_sum(run, part, plan, pipeline, output[part.start : part.end])
         return run.result({root: output})
 
     return collect
@@ -298,17 +441,17 @@ def _reduce(run: _Run):
 def _reduce_scatter(run: _Run):
     """ReduceScatter: rank r receives the sum of partition r over all
     active ranks. One per-partition Reduce rooted at each rank."""
-    parts = []
-    for sc, start, end, chunks in run.tensor_partitions():
-        (stage,) = lower(Primitive.REDUCE_SCATTER, sc, run.active)
-        pipeline = run.start(stage, chunks, run.input_source(chunks, sc))
-        run.events.append(run.ready_event(sc.root.index))
-        parts.append((sc, start, end, stage, pipeline))
+    launched = []
+    for part, (plan,) in run.parts():
+        launched.append((part, plan, run.start(plan, part, run.input_source(part))))
+        run.events.append(run.ready_event(part.sc.root.index))
 
     def collect():
-        return run.result(
-            {part[0].root.index: _root_sum(run, *part) for part in parts}
-        )
+        outputs = {}
+        for part, plan, pipeline in launched:
+            out = outputs[part.sc.root.index] = np.empty(part.end - part.start, run.dtype)
+            _root_sum(run, part, plan, pipeline, out)
+        return run.result(outputs)
 
     return collect
 
@@ -316,19 +459,17 @@ def _reduce_scatter(run: _Run):
 def _broadcast(run: _Run):
     """Broadcast: every participant receives the root's tensor."""
     root = run.strategy.subcollectives[0].root.index
-    parts = []
-    for sc, start, end, chunks in run.tensor_partitions():
-        (stage,) = lower(Primitive.BROADCAST, sc)
-        parts.append((sc, start, end, run.start(stage, chunks, run.input_source(chunks, sc))))
+    launched = []
+    for part, (plan,) in run.parts():
+        launched.append((part, run.start(plan, part, run.input_source(part))))
 
     def collect():
-        outputs = {
-            rank: np.zeros(run.length, dtype=run.dtype) for rank in run.strategy.participants
-        }
+        outputs = run.zeros(run.strategy.participants, run.length)
         outputs[root][:] = run.inputs[root]
-        for sc, start, end, pipeline in parts:
-            for idx, flow in enumerate(sc.flows):
-                outputs[flow.dst.index][start:end] = pipeline.delivered(idx)
+        for part, pipeline in launched:
+            for idx, flow in enumerate(part.sc.flows):
+                out = outputs[flow.dst.index][part.start : part.end]
+                assemble(pipeline.terminal(idx), out, part.bounds)
         return run.result(outputs)
 
     return collect
@@ -343,37 +484,29 @@ def _allreduce(run: _Run):
     not — receives the partial sum over active ranks.
     """
     inputs = run.inputs
-    parts = []
-    for sc, start, end, chunks in run.tensor_partitions():
-        reduce_stage, bcast_stage = lower(Primitive.ALLREDUCE, sc, run.active)
-        root_node = sc.root
+    launched = []
+    for part, (reduce_plan, bcast_plan) in run.parts():
+        root_node = part.sc.root
         root_rank = root_node.index
         root_active = root_rank in run.active
-        if not reduce_stage.flows and not root_active:
+        reduced = bool(reduce_plan.stage.flows)
+        if not reduced and not root_active:
             # Nothing reaches this partition's root: the partial sum over
             # the active set is zero here, which the zero-initialised
             # outputs already represent.
             continue
-        late = [
-            (idx, flow.path) for idx, flow in enumerate(sc.flows) if flow.src.index in run.late
-        ]
-        reduce_pipeline = run.start(
-            reduce_stage, chunks, run.input_source(chunks, sc), optional=late
-        )
+        reduce_pipeline = run.start(reduce_plan, part, run.input_source(part))
 
         # Root's own contribution (it has no flow of its own) plus the
         # reduce stage's output feed the broadcast stage chunk by chunk —
         # this is the stage pipelining: a chunk is broadcast as soon as its
         # aggregation lands, not when the whole reduce finishes.
-        if reduce_stage.flows:
-            agg_slots = reduce_pipeline.row(agg_unit(root_node), root_node)
-        else:
-            agg_slots = None
+        agg_slots = reduce_pipeline.row(agg_unit(root_node), root_node) if reduced else None
 
         def fed_source(
             flow_idx,
             k,
-            _chunks=chunks,
+            _chunks=part.chunks,
             _slots=agg_slots,
             _root=root_rank,
             _root_active=root_active,
@@ -392,29 +525,30 @@ def _allreduce(run: _Run):
             # not ready — it joins in phase 2).
             return gate, lambda: slot.payload
 
-        bcast_pipeline = run.start(bcast_stage, chunks, fed_source)
+        bcast_pipeline = run.start(bcast_plan, part, fed_source)
         if root_active:
             run.events.append(run.ready_event(root_rank))
-        parts.append((sc, start, end, bcast_pipeline, reduce_pipeline, chunks))
+        launched.append((part, bcast_pipeline, reduce_pipeline))
 
     def collect():
-        outputs = {
-            rank: np.zeros(run.length, dtype=run.dtype) for rank in run.strategy.participants
-        }
+        outputs = run.zeros(run.strategy.participants, run.length)
         included: Dict[int, List[Tuple[int, int]]] = {}
-        for sc, start, end, pipeline, reduce_pipeline, chunks in parts:
+        for part, pipeline, reduce_pipeline in launched:
+            sc = part.sc
             root_node = sc.root
             for flow_idx, k in reduce_pipeline.included_optional:
-                included.setdefault(sc.flows[flow_idx].src.index, []).append(chunks[k])
+                included.setdefault(sc.flows[flow_idx].src.index, []).append(part.chunks[k])
             if not sc.flows:
-                outputs[root_node.index][start:end] = inputs[root_node.index][start:end]
+                outputs[root_node.index][part.start : part.end] = inputs[root_node.index][
+                    part.start : part.end
+                ]
                 continue
             # Broadcast flows run root -> original source.
             for idx, flow in enumerate(sc.flows):
-                outputs[flow.src.index][start:end] = pipeline.delivered(idx)
-            outputs[root_node.index][start:end] = pipeline.gather(
-                bcast_unit(root_node), root_node
-            )
+                out = outputs[flow.src.index][part.start : part.end]
+                assemble(pipeline.terminal(idx), out, part.bounds)
+            root_row = pipeline.row(bcast_unit(root_node), root_node)
+            assemble(root_row, outputs[root_node.index][part.start : part.end], part.bounds)
         for ranges in included.values():
             ranges.sort()
         return run.result(outputs, included)
@@ -428,21 +562,19 @@ def _allgather(run: _Run):
     carrying its shard in full (Sec. IV-D)."""
     ranks = sorted(run.strategy.participants)
     offsets = {rank: pos * run.length for pos, rank in enumerate(ranks)}
-    parts = []
-    whole = [(0, run.length)] * len(run.strategy.subcollectives)
-    for sc, _start, _end, chunks in run.partitions(whole):
-        (stage,) = lower(Primitive.ALLGATHER, sc)
-        parts.append((sc, run.start(stage, chunks, run.input_source(chunks, sc))))
+    launched = []
+    for part, (plan,) in run.parts():
+        launched.append((part, run.start(plan, part, run.input_source(part))))
 
     def collect():
-        total = run.length * len(ranks)
-        outputs = {rank: np.zeros(total, dtype=run.dtype) for rank in ranks}
+        outputs = run.zeros(ranks, run.length * len(ranks))
         for rank in ranks:
             outputs[rank][offsets[rank] : offsets[rank] + run.length] = run.inputs[rank]
-        for sc, pipeline in parts:
-            base = offsets[sc.root.index]
-            for idx, flow in enumerate(sc.flows):
-                outputs[flow.dst.index][base : base + run.length] = pipeline.delivered(idx)
+        for part, pipeline in launched:
+            base = offsets[part.sc.root.index]
+            for idx, flow in enumerate(part.sc.flows):
+                out = outputs[flow.dst.index][base : base + run.length]
+                assemble(pipeline.terminal(idx), out, part.bounds)
         return run.result(outputs)
 
     return collect
@@ -463,24 +595,22 @@ def _alltoall(run: _Run):
         )
     block = run.length // world
     position = {rank: pos for pos, rank in enumerate(ranks)}
-    sizes = [sc.size for sc in run.strategy.subcollectives]
-    parts = []
-    for sc, start, end, chunks in run.partitions(partition_ranges(block, sizes)):
-        (stage,) = lower(Primitive.ALLTOALL, sc)
+    launched = []
+    for part, (plan,) in run.parts():
         # A flow reads the block of its source's tensor meant for its dst.
-        offsets = [position[flow.dst.index] * block for flow in sc.flows]
-        source = run.input_source(chunks, sc, offsets)
-        parts.append((sc, start, end, run.start(stage, chunks, source)))
+        offsets = [position[flow.dst.index] * block for flow in part.sc.flows]
+        launched.append((part, run.start(plan, part, run.input_source(part, offsets))))
 
     def collect():
-        outputs = {rank: np.zeros(run.length, dtype=run.dtype) for rank in ranks}
+        outputs = run.zeros(ranks, run.length)
         for rank in ranks:
             base = position[rank] * block
             outputs[rank][base : base + block] = run.inputs[rank][base : base + block]
-        for sc, start, end, pipeline in parts:
-            for idx, flow in enumerate(sc.flows):
+        for part, pipeline in launched:
+            for idx, flow in enumerate(part.sc.flows):
                 base = position[flow.src.index] * block
-                outputs[flow.dst.index][base + start : base + end] = pipeline.delivered(idx)
+                out = outputs[flow.dst.index][base + part.start : base + part.end]
+                assemble(pipeline.terminal(idx), out, part.bounds)
         return run.result(outputs)
 
     return collect

@@ -37,33 +37,47 @@ chunk, and each machine holds the rows it reads and writes, so a chunk
 step is a list index. A sender's transfer calls back
 :meth:`_Sender.arrived` directly, with no completion event.
 
-Which senders, aggregators and sources a stage has is
-:func:`repro.runtime.stages.wire`'s answer, shared with the plan-time
-deadlock check and the chunk DAG. A stage that cannot finish (two
-aggregation points each waiting on the other) is rejected when its
-strategy is verified; one that runs anyway stalls the simulator, whose
-``run_until_complete`` then raises. Payloads are real numpy arrays, so
-tests can assert bit-exact collective semantics, not just timing.
+A stage is compiled once per topology into a :class:`StagePlan`, built
+from the stage's :func:`repro.runtime.stages.wire` result — the answer
+shared with the plan-time deadlock check and the chunk DAG. Every
+``(unit, node)`` row gets a dense index and every machine one spec: a
+sender's fluid links, link name, transfer tag and unit label; an
+aggregator's input rows, local and late-join flows, output row and GPU;
+a source's flow and row; and each flow's terminal row. A
+:class:`ChunkPipeline` is one launch of a plan: :meth:`ChunkPipeline.start` allocates the rows'
+slots and one small state object per machine, derives nothing from the
+strategy, and queues a single URGENT entry that steps the machines in
+wiring order. A machine's step only appends NORMAL entries or heap
+entries, so this is the order one URGENT entry per machine would give.
+
+A stage that cannot finish (two aggregation points each waiting on the
+other) is rejected when its strategy is verified; one that runs anyway
+stalls the simulator, whose ``run_until_complete`` then raises. Payloads
+are real numpy arrays, so tests can assert bit-exact collective
+semantics, not just timing; :func:`assemble` writes a row's chunks
+straight into an output slice.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CommunicatorError
+from repro.hardware.gpu import GPU
 from repro.runtime.stages import (
     MODE_MERGE,
     MODES,
     FlowPath,
+    Stage,
     UnitKey,
     agg_unit,
     unit_label,
     wire,
 )
 from repro.simulation.engine import URGENT, Event, Simulator
-from repro.simulation.fluid import Outcome
+from repro.simulation.fluid import FluidLink, Outcome
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind
 
 RowKey = Tuple[UnitKey, NodeId]
@@ -88,54 +102,140 @@ class Slot(Event):
 ChunkSource = Callable[[int, int], Tuple[Event, Callable[[], np.ndarray]]]
 
 
-class ChunkPipeline:
-    """Event-graph execution of one sub-collective stage.
+class SourceSpec(NamedTuple):
+    """A source: the flow whose input chunks it publishes, into ``row``."""
 
-    ``flows`` are ``(flow index, node path)`` pairs; ``chunk_source(flow
-    index, k)`` gives chunk k's availability event and payload getter.
+    flow_idx: int
+    row: int
+
+
+class SenderSpec(NamedTuple):
+    """A sender: one unit's chunks from ``row_in`` across one edge to ``row_out``."""
+
+    row_in: int
+    row_out: int
+    links: List[FluidLink]
+    #: ``"<tail>-><head>"``: the integrity tap's link name.
+    link: str
+    #: ``"<stage tag>:<link>"``: the fluid transfers' tag.
+    transfer_tag: str
+    #: :func:`unit_label` of the unit, which the chunk DAG's span join reads.
+    label: str
+
+
+class AggregatorSpec(NamedTuple):
+    """An aggregator: merges ``rows_in`` (sorted-unit order) with its
+    local and late-join flows' chunks into ``row_out`` on ``gpu``."""
+
+    rows_in: Tuple[int, ...]
+    local_flows: Tuple[int, ...]
+    optional_flows: Tuple[int, ...]
+    row_out: int
+    #: ``None`` at a non-GPU node, which merges without a kernel.
+    gpu: Optional[GPU]
+
+
+class StagePlan:
+    """One stage compiled against one topology: what every launch reads.
+
     ``optional_flows`` are late-join candidates: flow ``i``'s chunk k is
     folded into the aggregation at its source node iff it is ready when
     chunk k's kernel runs (Sec. IV-C: "data chunks with the same offset
-    join the ongoing aggregation"); chunks that miss the window stay for
-    phase 2, and :attr:`included_optional` records the ones that made it.
+    join the ongoing aggregation"). A candidate whose source node does not
+    aggregate in this stage never joins.
+    """
+
+    __slots__ = ("stage", "rows", "sources", "senders", "aggregators", "terminals")
+
+    def __init__(
+        self,
+        topology: LogicalTopology,
+        stage: Stage,
+        optional_flows: Sequence[FlowPath] = (),
+    ):
+        mode = stage.mode
+        if mode not in MODES:
+            raise CommunicatorError(f"unknown pipeline mode {mode!r}")
+        if mode != MODE_MERGE and stage.aggregates_at is not None:
+            raise CommunicatorError("aggregation only applies to merge mode")
+        self.stage = stage
+        wiring = wire(stage.flows, mode, stage.aggregates_at)
+        #: Dense index of every (unit, node) row, in first-use order.
+        self.rows: Dict[RowKey, int] = {}
+        self.sources = tuple(
+            SourceSpec(flow_idx, self._row(unit, node))
+            for flow_idx, unit, node in wiring.sources
+        )
+        #: Flow index -> the row its data is delivered in.
+        self.terminals: Dict[int, int] = {
+            flow_idx: self._row(unit, node)
+            for (flow_idx, _path), (unit, node) in zip(stage.flows, wiring.terminals)
+        }
+        self.senders = tuple(
+            SenderSpec(
+                self._row(unit, i),
+                self._row(unit, j),
+                topology.edge(i, j).fluid_links,
+                f"{i}->{j}",
+                f"{stage.tag}:{i}->{j}",
+                unit_label(unit),
+            )
+            for i, j, unit in wiring.senders
+        )
+        # Late-join candidates attach as optional contributors wherever an
+        # aggregation is already happening at their source node.
+        agg_optional: Dict[NodeId, List[int]] = {}
+        for flow_idx, path in optional_flows:
+            if path[0] in wiring.agg_inputs:
+                agg_optional.setdefault(path[0], []).append(flow_idx)
+        cluster = topology.cluster
+        self.aggregators = tuple(
+            AggregatorSpec(
+                tuple(self._row(unit, node) for unit in sorted(units)),
+                tuple(wiring.agg_local.get(node, ())),
+                tuple(agg_optional.get(node, ())),
+                self._row(agg_unit(node), node),
+                cluster.gpu(node.index) if node.kind is NodeKind.GPU else None,
+            )
+            for node, units in wiring.agg_inputs.items()
+        )
+
+    def _row(self, unit: UnitKey, node: NodeId) -> int:
+        return self.rows.setdefault((unit, node), len(self.rows))
+
+
+class ChunkPipeline:
+    """One launch of a :class:`StagePlan`: its slots, machines and chunks.
+
+    ``chunk_source(flow index, k)`` gives chunk k's availability event and
+    payload getter. Late-join chunks that miss their window stay for
+    phase 2; :attr:`included_optional` records the ones that made it.
     """
 
     def __init__(
         self,
         topology: LogicalTopology,
-        flows: Sequence[FlowPath],
+        plan: StagePlan,
         num_chunks: int,
         chunk_bytes: Sequence[float],
         chunk_source: ChunkSource,
-        mode: str = MODE_MERGE,
-        aggregates_at: Optional[Callable[[NodeId], bool]] = None,
         kernel_enabled: bool = True,
-        tag: str = "collective",
-        optional_flows: Sequence[FlowPath] = (),
     ):
-        if mode not in MODES:
-            raise CommunicatorError(f"unknown pipeline mode {mode!r}")
-        if mode is not MODE_MERGE and aggregates_at is not None:
-            raise CommunicatorError("aggregation only applies to merge mode")
         if len(chunk_bytes) != num_chunks:
             raise CommunicatorError("chunk_bytes must have one entry per chunk")
-        self.topology = topology
         cluster = topology.cluster
         self.sim = cluster.sim
         self.network = cluster.network
-        self.flows = list(flows)
+        self.plan = plan
+        self.tag = plan.stage.tag
         self.num_chunks = num_chunks
-        self.chunk_bytes = list(chunk_bytes)
+        self.chunk_bytes = chunk_bytes
         self.chunk_source = chunk_source
-        self.mode = mode
-        self._aggregates_at = aggregates_at
         self.kernel_enabled = kernel_enabled
-        self.tag = tag
-        self.optional_flows = list(optional_flows)
         #: (flow index, chunk index) pairs that did make it into phase 1.
         self.included_optional: set = set()
-        self._rows: Dict[RowKey, List[Slot]] = {}
-        self._terminals: Dict[int, Tuple[UnitKey, NodeId]] = {}
+        #: Each plan row's slots, by chunk; allocated by :meth:`start`.
+        self.rows: List[List[Slot]] = []
         self._started = False
         # Resolved once per pipeline: None when telemetry is off, so the
         # per-chunk hot paths below pay a single identity check and
@@ -147,67 +247,55 @@ class ChunkPipeline:
 
     def row(self, unit: UnitKey, node: NodeId) -> List[Slot]:
         """The availability slots of ``unit``'s chunks at ``node``, by
-        chunk index (made on first use)."""
-        row = self._rows.get((unit, node))
-        if row is None:
-            sim = self.sim
-            row = self._rows[(unit, node)] = [Slot(sim) for _ in range(self.num_chunks)]
-        return row
+        chunk index."""
+        return self.rows[self.plan.rows[(unit, node)]]
 
-    # -- wiring ----------------------------------------------------------------------
+    def terminal(self, flow_idx: int) -> List[Slot]:
+        """The slots flow ``flow_idx`` delivers its data in."""
+        return self.rows[self.plan.terminals[flow_idx]]
 
     def start(self) -> Event:
-        """Queue every sender, aggregator and source's first step; returns
-        an event for full completion."""
+        """Allocate the slots and machines and queue their first steps;
+        returns an event for full completion."""
         if self._started:
             raise CommunicatorError("pipeline already started")
         self._started = True
-        if self.num_chunks == 0 or not self.flows:
-            return self.sim.timeout(0.0)
+        plan = self.plan
+        num_chunks = self.num_chunks
+        sim = self.sim
+        if num_chunks == 0 or not plan.stage.flows:
+            return sim.timeout(0.0)
+        self.rows = rows = [[Slot(sim) for _ in range(num_chunks)] for _ in plan.rows]
+        machines: List = [_Source(self, spec, rows) for spec in plan.sources]
+        machines += [_Sender(self, spec, rows) for spec in plan.senders]
+        machines += [_Aggregator(self, spec, rows) for spec in plan.aggregators]
+        sim.call_later(0.0, _step_all, machines, URGENT)
+        last = num_chunks - 1
+        return sim.all_of([rows[row][last] for row in plan.terminals.values()])
 
-        wiring = wire(self.flows, self.mode, self._aggregates_at)
-        call_later = self.sim.call_later
-        for flow_idx, unit, node in wiring.sources:
-            call_later(0.0, _Source(self, flow_idx, unit, node).step, None, URGENT)
-        last = self.num_chunks - 1
-        self._terminals = dict(zip((idx for idx, _path in self.flows), wiring.terminals))
-        terminal_events = [self.row(unit, node)[last] for unit, node in wiring.terminals]
 
-        # Late-join candidates attach as optional contributors wherever an
-        # aggregation is already happening at their source node.
-        agg_optional: Dict[NodeId, List[int]] = {}
-        for flow_idx, path in self.optional_flows:
-            if path[0] in wiring.agg_inputs:
-                agg_optional.setdefault(path[0], []).append(flow_idx)
+def _step_all(machines: List) -> None:
+    """A pipeline's start entry: every machine's first step, in wiring order."""
+    for machine in machines:
+        machine.step()
 
-        for (i, j, unit) in wiring.senders:
-            call_later(0.0, _Sender(self, i, j, unit).step, None, URGENT)
-        for node, units in wiring.agg_inputs.items():
-            aggregator = _Aggregator(
-                self,
-                node,
-                sorted(units),
-                wiring.agg_local.get(node, []),
-                agg_optional.get(node, []),
-            )
-            call_later(0.0, aggregator.step, None, URGENT)
-        return self.sim.all_of(terminal_events)
 
-    # -- output access --------------------------------------------------------------------
-
-    def gather(self, unit: UnitKey, node: NodeId) -> np.ndarray:
-        """Concatenate all chunk payloads of ``unit`` delivered at ``node``."""
-        row = self._rows.get((unit, node))
-        chunks = []
-        for k in range(self.num_chunks):
-            if row is None or row[k].payload is None:
-                raise CommunicatorError(f"chunk {k} of {unit} missing at {node}")
-            chunks.append(row[k].payload)
-        return np.concatenate(chunks) if chunks else np.empty(0)
-
-    def delivered(self, flow_idx: int) -> np.ndarray:
-        """Everything flow ``flow_idx`` delivered at its destination."""
-        return self.gather(*self._terminals[flow_idx])
+def assemble(
+    row: Sequence[Slot],
+    out: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    addend: Optional[np.ndarray] = None,
+) -> None:
+    """Write chunk k of ``row`` into ``out[bounds[k][0]:bounds[k][1]]``,
+    plus the same slice of ``addend`` if given, without a staging copy."""
+    for k, (lo, hi) in enumerate(bounds):
+        payload = row[k].payload
+        if payload is None:
+            raise CommunicatorError(f"chunk {k} of a delivered row is missing")
+        if addend is None:
+            out[lo:hi] = payload
+        else:
+            np.add(payload, addend[lo:hi], out=out[lo:hi])
 
 
 # -- state machines --------------------------------------------------------------------
@@ -222,10 +310,10 @@ class _Source:
 
     __slots__ = ("pipe", "flow_idx", "row", "k", "getter")
 
-    def __init__(self, pipe: ChunkPipeline, flow_idx: int, unit: UnitKey, node: NodeId):
+    def __init__(self, pipe: ChunkPipeline, spec: SourceSpec, rows: List[List[Slot]]):
         self.pipe = pipe
-        self.flow_idx = flow_idx
-        self.row = pipe.row(unit, node)
+        self.flow_idx = spec.flow_idx
+        self.row = rows[spec.row]
         self.k = 0
         self.getter: Optional[Callable[[], np.ndarray]] = None
 
@@ -257,23 +345,23 @@ class _Sender:
         "site", "label", "sent", "k", "span",
     )
 
-    def __init__(self, pipe: ChunkPipeline, i: NodeId, j: NodeId, unit: UnitKey):
+    def __init__(self, pipe: ChunkPipeline, spec: SenderSpec, rows: List[List[Slot]]):
         self.pipe = pipe
-        self.row_in = pipe.row(unit, i)
-        self.row_out = pipe.row(unit, j)
-        self.links = pipe.topology.edge(i, j).fluid_links
-        self.link = f"{i}->{j}"
-        self.transfer_tag = f"{pipe.tag}:{self.link}"
+        self.row_in = rows[spec.row_in]
+        self.row_out = rows[spec.row_out]
+        self.links = spec.links
+        self.link = spec.link
+        self.transfer_tag = spec.transfer_tag
         telemetry = pipe._telemetry
         if telemetry is not None:
             self.site = telemetry.site(
                 f"{pipe.tag}:send",
                 category="chunk",
-                track=f"link:{self.link}",
+                track=f"link:{spec.link}",
                 keys=("chunk", "bytes", "unit"),
             )
             # Identifies the sender in the chunk DAG's span join.
-            self.label = unit_label(unit)
+            self.label = spec.label
         self.sent = None  # the chunks_sent_total series, bound on first use
         self.k = 0
         self.span = None
@@ -333,28 +421,19 @@ class _Aggregator:
         "gpu", "site", "launched", "k", "pending", "getters", "total", "span",
     )
 
-    def __init__(
-        self,
-        pipe: ChunkPipeline,
-        node: NodeId,
-        units: List[UnitKey],
-        local_flows: List[int],
-        optional_flows: List[int],
-    ):
+    def __init__(self, pipe: ChunkPipeline, spec: AggregatorSpec, rows: List[List[Slot]]):
         self.pipe = pipe
-        self.rows = [pipe.row(unit, node) for unit in units]
-        self.local_flows = local_flows
-        self.optional_flows = optional_flows
-        self.row_out = pipe.row(agg_unit(node), node)
-        self.gpu = (
-            pipe.topology.cluster.gpu(node.index) if node.kind is NodeKind.GPU else None
-        )
+        self.rows = [rows[row] for row in spec.rows_in]
+        self.local_flows = spec.local_flows
+        self.optional_flows = spec.optional_flows
+        self.row_out = rows[spec.row_out]
+        self.gpu = spec.gpu
         telemetry = pipe._telemetry
         if telemetry is not None and self.gpu is not None:
             self.site = telemetry.site(
                 f"{pipe.tag}:reduce",
                 category="reduce",
-                track=f"gpu:{node.index}",
+                track=f"gpu:{self.gpu.rank}",
                 keys=("chunk", "bytes", "inputs"),
             )
         self.launched = None  # the reduce_kernels_total series, bound on first use
@@ -405,8 +484,8 @@ class _Aggregator:
         if len(parts) < 2:
             self.publish(parts[0])  # single unit: relay without a kernel
             return
-        total = parts[0].copy()
-        for part in parts[1:]:
+        total = np.add(parts[0], parts[1])
+        for part in parts[2:]:
             total += part
         if not pipe.kernel_enabled or self.gpu is None:
             self.publish(total)

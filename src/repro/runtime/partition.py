@@ -65,9 +65,14 @@ def elements_for_bytes(nbytes: float, itemsize: int) -> int:
 
 
 def check_uniform_inputs(inputs: dict) -> Tuple[int, np.dtype]:
-    """Validate that all rank tensors share length and dtype."""
+    """Validate that all rank tensors are 1-D and share length and dtype."""
     if not inputs:
         raise CommunicatorError("no input tensors")
+    for rank, array in inputs.items():
+        if np.ndim(array) != 1:
+            raise CommunicatorError(
+                f"rank {rank}: tensor of shape {np.shape(array)} is not 1-D"
+            )
     arrays = list(inputs.values())
     length = len(arrays[0])
     dtype = arrays[0].dtype

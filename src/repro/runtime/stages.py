@@ -7,11 +7,12 @@ writes that once; :func:`wire` derives a stage's event-graph shape —
 senders, aggregator inputs, sources and terminal slots — from the one
 traffic-unit rule, :func:`path_units`; :func:`derive_chunk_dag` chains the
 stages' senders into the happens-before DAG a run must honour. The
-executor (:meth:`repro.runtime.executor.ChunkPipeline.start`), the
-plan-time deadlock check (``verify_strategy.stage_unreachable``) and the
-span join of :mod:`repro.critpath.engine` — which the race check and the
-critical-path report share — all read them, so they cannot disagree on
-what a stage is.
+executor's compiled plans (:class:`repro.runtime.executor.StagePlan`,
+built once per strategy and topology, which every launch then reads),
+the plan-time deadlock check (``verify_strategy.stage_unreachable``) and
+the span join of :mod:`repro.critpath.engine` — which the race check and
+the critical-path report share — all read them, so they cannot disagree
+on what a stage is.
 
 A chunk travels as a *traffic unit*: ``("flow", i)`` is flow ``i``'s own
 data, ``("agg", node)`` everything merged at an aggregating node, and

@@ -233,6 +233,10 @@ class LogicalTopology:
         self.edges: Dict[Tuple[NodeId, NodeId], Edge] = {}
         self._out: Dict[NodeId, List[NodeId]] = {}
         self._in: Dict[NodeId, List[NodeId]] = {}
+        #: The compiled collective plans of this world, by strategy ``id``:
+        #: ``repro.runtime.collectives.compiled`` fills it, and each entry
+        #: goes when its strategy is collected.
+        self.plans: Dict[int, Tuple[object, object]] = {}
 
     # -- construction -----------------------------------------------------------
 

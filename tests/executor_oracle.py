@@ -4,8 +4,9 @@
 callback state machine. The executor it replaced ran each one as a
 simulator :class:`~repro.simulation.engine.Process` — a generator that
 yields the events it waits on — and that form is kept here as
-:class:`ProcessChunkPipeline`: same wiring, slots and output access,
-only ``start`` and the three processes differ. :func:`process_executor`
+:class:`ProcessChunkPipeline`: the same compiled stage plan, slots and
+output access, only ``start`` and the three processes differ (and the
+reference merge keeps its ``copy()`` then ``+=`` form). :func:`process_executor`
 makes :func:`repro.runtime.launch` build it instead, so a differential
 test can run one scenario through both executors and compare outputs,
 timing and exported bytes.
@@ -13,17 +14,21 @@ timing and exported bytes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
 from repro.runtime import collectives
-from repro.runtime.executor import ChunkPipeline
-from repro.runtime.stages import UnitKey, agg_unit, unit_label, wire
+from repro.runtime.executor import (
+    AggregatorSpec,
+    ChunkPipeline,
+    SenderSpec,
+    Slot,
+    SourceSpec,
+)
 from repro.simulation.engine import Event
-from repro.topology.graph import NodeId, NodeKind
 
 
 class ProcessChunkPipeline(ChunkPipeline):
@@ -35,62 +40,43 @@ class ProcessChunkPipeline(ChunkPipeline):
         if self._started:
             raise CommunicatorError("pipeline already started")
         self._started = True
-        if self.num_chunks == 0 or not self.flows:
+        plan = self.plan
+        if self.num_chunks == 0 or not plan.stage.flows:
             return self.sim.timeout(0.0)
 
-        wiring = wire(self.flows, self.mode, self._aggregates_at)
-        for flow_idx, unit, node in wiring.sources:
-            self.sim.process(self._source(flow_idx, unit, node), name=f"src:{node}")
+        self.rows = [[Slot(self.sim) for _ in range(self.num_chunks)] for _ in plan.rows]
+        for spec in plan.sources:
+            self.sim.process(self._source(spec), name="src")
+        for spec in plan.senders:
+            self.sim.process(self._sender(spec), name=f"send:{spec.link}")
+        for spec in plan.aggregators:
+            self.sim.process(self._aggregator(spec), name="agg")
         last = self.num_chunks - 1
-        self._terminals = dict(zip((idx for idx, _path in self.flows), wiring.terminals))
-        terminal_events = [self.row(unit, node)[last] for unit, node in wiring.terminals]
+        return self.sim.all_of([self.rows[row][last] for row in plan.terminals.values()])
 
-        agg_optional: Dict[NodeId, List[int]] = {}
-        for flow_idx, path in self.optional_flows:
-            if path[0] in wiring.agg_inputs:
-                agg_optional.setdefault(path[0], []).append(flow_idx)
-
-        for (i, j, unit) in wiring.senders:
-            self.sim.process(self._sender(i, j, unit), name=f"send:{i}->{j}")
-        for node, units in wiring.agg_inputs.items():
-            self.sim.process(
-                self._aggregator(
-                    node,
-                    sorted(units),
-                    wiring.agg_local.get(node, []),
-                    agg_optional.get(node, []),
-                ),
-                name=f"agg:{node}",
-            )
-        return self.sim.all_of(terminal_events)
-
-    def _source(self, flow_idx: int, unit: UnitKey, node: NodeId):
+    def _source(self, spec: SourceSpec):
         for k in range(self.num_chunks):
-            ready, payload = self.chunk_source(flow_idx, k)
+            ready, payload = self.chunk_source(spec.flow_idx, k)
             yield ready
-            self.row(unit, node)[k].set(payload())
+            self.rows[spec.row][k].set(payload())
 
-    def _sender(self, i: NodeId, j: NodeId, unit: UnitKey):
-        edge = self.topology.edge(i, j)
+    def _sender(self, spec: SenderSpec):
         telemetry = self._telemetry
-        link = f"{i}->{j}"
-        transfer_tag = f"{self.tag}:{link}"
         if telemetry is not None:
             site = telemetry.site(
                 f"{self.tag}:send",
                 category="chunk",
-                track=f"link:{link}",
+                track=f"link:{spec.link}",
                 keys=("chunk", "bytes", "unit"),
             )
-            label = unit_label(unit)
             stage = self.tag.split(":", 1)[0]
             sent = None
         for k in range(self.num_chunks):
-            slot_in = self.row(unit, i)[k]
+            slot_in = self.rows[spec.row_in][k]
             yield slot_in
             if telemetry is not None:
-                span = site.begin(self.sim.now, (k, self.chunk_bytes[k], label))
-            yield self.network.transfer(edge.fluid_links, self.chunk_bytes[k], tag=transfer_tag)
+                span = site.begin(self.sim.now, (k, self.chunk_bytes[k], spec.label))
+            yield self.network.transfer(spec.links, self.chunk_bytes[k], tag=spec.transfer_tag)
             if telemetry is not None:
                 telemetry.end(span, self.sim.now)
                 if sent is None:
@@ -98,44 +84,37 @@ class ProcessChunkPipeline(ChunkPipeline):
                         "chunks_sent_total", "chunks streamed across logical edges"
                     ).labels(stage=stage)
                 sent.inc()
-            out_slot = self.row(unit, j)[k]
+            out_slot = self.rows[spec.row_out][k]
             if not out_slot.triggered:
                 delivered = slot_in.payload
                 if self._data_plane is not None:
                     delivered = self._data_plane.deliver(
-                        link, k, delivered, tag=self.tag, now=self.sim.now
+                        spec.link, k, delivered, tag=self.tag, now=self.sim.now
                     )
                 out_slot.set(delivered)
 
-    def _aggregator(
-        self,
-        node: NodeId,
-        units: List[UnitKey],
-        local_flows: List[int],
-        optional_flows: Optional[List[int]] = None,
-    ):
-        out_unit = agg_unit(node)
-        gpu = self.topology.cluster.gpu(node.index) if node.kind is NodeKind.GPU else None
+    def _aggregator(self, spec: AggregatorSpec):
+        gpu = spec.gpu
         telemetry = self._telemetry
         if telemetry is not None and gpu is not None:
             site = telemetry.site(
                 f"{self.tag}:reduce",
                 category="reduce",
-                track=f"gpu:{node.index}",
+                track=f"gpu:{gpu.rank}",
                 keys=("chunk", "bytes", "inputs"),
             )
             launched = None
         for k in range(self.num_chunks):
-            events = [self.row(unit, node)[k] for unit in units]
+            events = [self.rows[row][k] for row in spec.rows_in]
             getters: List[Callable[[], np.ndarray]] = []
-            for flow_idx in local_flows:
+            for flow_idx in spec.local_flows:
                 ready, payload = self.chunk_source(flow_idx, k)
                 events.append(ready)
                 getters.append(payload)
             yield self.sim.all_of(events)
-            parts = [self.row(unit, node)[k].payload for unit in units]
+            parts = [self.rows[row][k].payload for row in spec.rows_in]
             parts.extend(getter() for getter in getters)
-            for flow_idx in optional_flows or ():
+            for flow_idx in spec.optional_flows:
                 ready, payload = self.chunk_source(flow_idx, k)
                 if ready.processed:
                     parts.append(payload())
@@ -157,7 +136,7 @@ class ProcessChunkPipeline(ChunkPipeline):
                         launched.inc()
             else:
                 total = parts[0]
-            self.row(out_unit, node)[k].set(total)
+            self.rows[spec.row_out][k].set(total)
 
 
 def process_executor(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -21,7 +21,8 @@ from repro.errors import SimulationError, StrategyVerificationError, SynthesisEr
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
 from repro.hardware.presets import make_config
 from repro.relay.coordinator import AdaptiveAllReduce
-from repro.runtime.executor import MODE_MERGE, ChunkPipeline
+from repro.runtime.executor import MODE_MERGE, ChunkPipeline, StagePlan
+from repro.runtime.stages import Stage
 from repro.simulation import Simulator
 from repro.simulation.records import TraceRecord, TraceRecorder
 from repro.synthesis import Primitive, Synthesizer
@@ -193,14 +194,18 @@ class TestStageDeadlock:
         topo = homo_topology()
         g0, g1, g2 = gpu_node(0), gpu_node(1), gpu_node(2)
         agg = {g0, g1, g2}
+        stage = Stage(
+            "collective",
+            MODE_MERGE,
+            ((0, (g1, g2, g0)), (1, (g2, g1, g0))),
+            lambda node: node in agg,
+        )
         pipeline = ChunkPipeline(
             topo,
-            [(0, [g1, g2, g0]), (1, [g2, g1, g0])],
+            StagePlan(topo, stage),
             num_chunks=1,
             chunk_bytes=[100.0],
             chunk_source=lambda i, k: (topo.cluster.sim.timeout(0.0), lambda: np.zeros(1)),
-            mode=MODE_MERGE,
-            aggregates_at=lambda node: node in agg,
         )
         done = pipeline.start()
         with pytest.raises(SimulationError, match="deadlock: event queue empty"):

@@ -233,7 +233,8 @@ class TestChunkCandidates:
 class TestExecutorKernelToggle:
     def test_kernel_disabled_is_faster(self):
         """kernel_enabled=False removes the aggregation kernel time."""
-        from repro.runtime.executor import ChunkPipeline, MODE_MERGE
+        from repro.runtime.executor import ChunkPipeline, MODE_MERGE, StagePlan
+        from repro.runtime.stages import Stage
 
         def run(kernel_enabled):
             sim = Simulator()
@@ -248,14 +249,13 @@ class TestExecutorKernelToggle:
             def source(flow_idx, k):
                 return sim.timeout(0.0), (lambda: payloads[flow_idx][k])
 
+            stage = Stage("collective", MODE_MERGE, tuple(flows), lambda n: n == gpu_node(0))
             pipeline = ChunkPipeline(
                 topo,
-                flows,
+                StagePlan(topo, stage),
                 num_chunks=8,
                 chunk_bytes=[1e6] * 8,
                 chunk_source=source,
-                mode=MODE_MERGE,
-                aggregates_at=lambda n: n == gpu_node(0),
                 kernel_enabled=kernel_enabled,
             )
             sim.run_until_complete(pipeline.start())

@@ -8,8 +8,8 @@ import pytest
 from repro.errors import CommunicatorError
 from repro.hardware import Cluster, make_homo_cluster
 from repro.relay import behavior_tuples
-from repro.runtime.executor import MODE_MERGE, ChunkPipeline
-from repro.runtime.stages import MODE_GROUPED, MODE_INDEPENDENT
+from repro.runtime.executor import MODE_MERGE, ChunkPipeline, Slot, StagePlan, assemble
+from repro.runtime.stages import MODE_GROUPED, MODE_INDEPENDENT, Stage
 from repro.simulation import Simulator
 from repro.synthesis.strategy import Primitive
 from repro.topology import LogicalTopology
@@ -46,6 +46,19 @@ def make_source(topo, payloads):
     return source
 
 
+def build(
+    topo, flows, num_chunks, chunk_bytes, chunk_source, mode=MODE_MERGE, aggregates_at=None
+):
+    """One stage compiled and wrapped in a pipeline, not yet started."""
+    plan = StagePlan(topo, Stage("collective", mode, tuple(flows), aggregates_at))
+    return ChunkPipeline(topo, plan, num_chunks, chunk_bytes, chunk_source)
+
+
+def gathered(pipeline, unit, node):
+    """Every chunk of ``unit`` delivered at ``node``, in order."""
+    return np.concatenate([slot.payload for slot in pipeline.row(unit, node)])
+
+
 class TestChunkPipelineMerge:
     def test_two_flow_aggregation(self, topo):
         sim = topo.cluster.sim
@@ -57,7 +70,7 @@ class TestChunkPipelineMerge:
             0: [np.array([1.0, 2.0]), np.array([3.0])],
             1: [np.array([10.0, 20.0]), np.array([30.0])],
         }
-        pipeline = ChunkPipeline(
+        pipeline = build(
             topo,
             flows,
             num_chunks=2,
@@ -68,7 +81,7 @@ class TestChunkPipelineMerge:
         )
         sim.run_until_complete(pipeline.start())
         np.testing.assert_array_equal(
-            pipeline.gather(("agg", gpu_node(0)), gpu_node(0)),
+            gathered(pipeline, ("agg", gpu_node(0)), gpu_node(0)),
             np.array([11.0, 22.0, 33.0]),
         )
 
@@ -80,7 +93,7 @@ class TestChunkPipelineMerge:
             (0, [gpu_node(2), gpu_node(1), gpu_node(0)]),
         ]
         payloads = {0: [np.array([5.0])]}
-        pipeline = ChunkPipeline(
+        pipeline = build(
             topo,
             flows,
             num_chunks=1,
@@ -90,14 +103,14 @@ class TestChunkPipelineMerge:
             aggregates_at=lambda n: n in (gpu_node(0), gpu_node(1)),
         )
         sim.run_until_complete(pipeline.start())
-        result = pipeline.gather(("agg", gpu_node(0)), gpu_node(0))
+        result = gathered(pipeline, ("agg", gpu_node(0)), gpu_node(0))
         np.testing.assert_array_equal(result, np.array([5.0]))
 
     def test_chunks_delivered_in_order(self, topo):
         sim = topo.cluster.sim
         flows = [(0, [gpu_node(1), gpu_node(0)])]
         payloads = {0: [np.array([float(k)]) for k in range(5)]}
-        pipeline = ChunkPipeline(
+        pipeline = build(
             topo,
             flows,
             num_chunks=5,
@@ -108,7 +121,7 @@ class TestChunkPipelineMerge:
         )
         sim.run_until_complete(pipeline.start())
         np.testing.assert_array_equal(
-            pipeline.gather(("agg", gpu_node(0)), gpu_node(0)),
+            gathered(pipeline, ("agg", gpu_node(0)), gpu_node(0)),
             np.arange(5.0),
         )
 
@@ -127,7 +140,7 @@ class TestChunkPipelineModes:
         payloads = {0: [payload], 1: [payload]}
         egress = topo.cluster.nic_egress(0)
         before = egress.bytes_carried
-        pipeline = ChunkPipeline(
+        pipeline = build(
             topo,
             flows,
             num_chunks=1,
@@ -138,7 +151,7 @@ class TestChunkPipelineModes:
         sim.run_until_complete(pipeline.start())
         assert egress.bytes_carried - before == pytest.approx(8000.0)
         np.testing.assert_array_equal(
-            pipeline.gather(("bcast", gpu_node(0)), gpu_node(5)), payload
+            gathered(pipeline, ("bcast", gpu_node(0)), gpu_node(5)), payload
         )
 
     def test_independent_flows_carry_distinct_payloads(self, topo):
@@ -150,7 +163,7 @@ class TestChunkPipelineModes:
         payloads = {0: [np.array([1.0])], 1: [np.array([2.0])]}
         egress = topo.cluster.nic_egress(0)
         before = egress.bytes_carried
-        pipeline = ChunkPipeline(
+        pipeline = build(
             topo,
             flows,
             num_chunks=1,
@@ -161,36 +174,50 @@ class TestChunkPipelineModes:
         sim.run_until_complete(pipeline.start())
         assert egress.bytes_carried - before == pytest.approx(16.0)
         np.testing.assert_array_equal(
-            pipeline.gather(("flow", 1), gpu_node(5)), np.array([2.0])
+            gathered(pipeline, ("flow", 1), gpu_node(5)), np.array([2.0])
         )
 
 
 class TestChunkPipelineValidation:
     def test_unknown_mode_rejected(self, topo):
         with pytest.raises(CommunicatorError):
-            ChunkPipeline(topo, [], 0, [], lambda f, k: None, mode="quantum")
+            StagePlan(topo, Stage("t", "quantum", ()))
 
     def test_aggregation_outside_merge_rejected(self, topo):
         with pytest.raises(CommunicatorError):
-            ChunkPipeline(
-                topo, [], 0, [], lambda f, k: None,
-                mode=MODE_GROUPED, aggregates_at=lambda n: True,
-            )
+            StagePlan(topo, Stage("t", MODE_GROUPED, (), lambda n: True))
+
+    def test_merge_mode_is_compared_by_value(self, topo):
+        """A ``"merge"`` built at run time is the merge mode, not an
+        unknown one that refuses aggregation."""
+        sim = topo.cluster.sim
+        mode = "".join(["mer", "ge"])
+        assert mode == MODE_MERGE and mode is not MODE_MERGE
+        flows = [(0, [gpu_node(1), gpu_node(0)]), (1, [gpu_node(2), gpu_node(0)])]
+        payloads = {0: [np.array([1.0])], 1: [np.array([2.0])]}
+        pipeline = build(
+            topo, flows, 1, [8.0], make_source(topo, payloads), mode,
+            lambda n: n == gpu_node(0),
+        )
+        sim.run_until_complete(pipeline.start())
+        np.testing.assert_array_equal(
+            gathered(pipeline, ("agg", gpu_node(0)), gpu_node(0)), np.array([3.0])
+        )
 
     def test_chunk_bytes_length_checked(self, topo):
         with pytest.raises(CommunicatorError):
-            ChunkPipeline(topo, [], 3, [1.0], lambda f, k: None)
+            build(topo, [], 3, [1.0], lambda f, k: None)
 
     def test_double_start_rejected(self, topo):
-        pipeline = ChunkPipeline(topo, [], 0, [], lambda f, k: None)
+        pipeline = build(topo, [], 0, [], lambda f, k: None)
         pipeline.start()
         with pytest.raises(CommunicatorError):
             pipeline.start()
 
-    def test_gather_missing_chunk_rejected(self, topo):
-        pipeline = ChunkPipeline(topo, [], 1, [8.0], lambda f, k: None)
+    def test_assemble_missing_chunk_rejected(self, topo):
+        row = [Slot(topo.cluster.sim)]
         with pytest.raises(CommunicatorError):
-            pipeline.gather(("flow", 0), gpu_node(0))
+            assemble(row, np.zeros(1), [(0, 1)])
 
 
 @pytest.mark.parametrize("primitive", list(Primitive), ids=lambda p: p.value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import AdapCCSession
-from repro.errors import ReproError
+from repro.errors import CommunicatorError, ReproError
 from repro.hardware import make_hetero_cluster, make_homo_cluster
 
 
@@ -238,6 +238,14 @@ class TestInOrderCalls:
         tensors[0] = tensors[0][:10]
         with pytest.raises(ReproError):
             session.allreduce(tensors)
+
+    def test_non_1d_tensor_rejected_before_anything_is_scheduled(self):
+        session = make_session()
+        tensors = {rank: np.ones((4, 3)) for rank in tensors_for(session, length=4)}
+        now = session.cluster.sim.now
+        with pytest.raises(CommunicatorError, match=r"rank 0: tensor of shape \(4, 3\)"):
+            session.allreduce(tensors)
+        assert session.cluster.sim.now == now
 
     def test_same_inputs_replay_identically(self):
         runs = []

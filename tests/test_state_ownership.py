@@ -5,12 +5,15 @@ A telemetry hub and a data-plane tap are constructor state of the
 or on threads — without installing anything process-wide. None of these
 tests calls ``set_hub``. Below the CLI edge nothing reads the environment
 (two named exceptions aside) and no class keeps a counter: link and flow
-ids come from the network that carries them.
+ids come from the network that carries them, and a compiled collective
+plan is kept by the topology that runs it.
 """
 
 import ast
+import gc
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +25,14 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.presets import make_config, make_homo_cluster
 from repro.integrity import IntegrityConfig, data_plane
 from repro.observe import ObserveConfig
+from repro.runtime import launch
+from repro.runtime.collectives import compiled
 from repro.simulation.engine import Simulator
 from repro.simulation.records import TraceRecorder
+from repro.synthesis import Synthesizer
 from repro.synthesis.strategy import Primitive
 from repro.telemetry import TelemetryHub, hub, to_jsonl
+from repro.topology.graph import LogicalTopology
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: The only modules that may read the environment: ``REPRO_TELEMETRY``
@@ -252,3 +259,36 @@ def test_each_cluster_numbers_its_own_links():
         grown = sorted(link.id for link in cluster.all_links())
         assert grown == list(range(len(grown))) and len(grown) > built
 
+
+
+def test_each_world_compiles_its_own_plan_and_drops_it_with_the_strategy():
+    """A compiled collective plan is state of the topology that runs it:
+    two worlds running one strategy object share no plan and no link, and
+    a plan goes when its strategy is dropped."""
+    worlds = [
+        LogicalTopology.from_cluster(Cluster(Simulator(), make_config([2, 2]))) for _ in "ab"
+    ]
+    ranks = list(range(4))
+    strategy = Synthesizer(worlds[0]).synthesize(Primitive.ALLREDUCE, 1 << 16, ranks)
+    inputs = {rank: np.full(64, float(rank + 1)) for rank in ranks}
+    for topology in worlds:
+        launch(topology, strategy, inputs).wait()
+    plans = [compiled(topology, strategy) for topology in worlds]
+    assert plans[0] is not plans[1]
+    assert [list(topology.plans) for topology in worlds] == [[id(strategy)]] * 2
+    links = [
+        {
+            id(link)
+            for stages in plan.stages(frozenset(ranks), frozenset())
+            for stage in stages
+            for sender in stage.senders
+            for link in sender.links
+        }
+        for plan in plans
+    ]
+    assert links[0] and links[1] and links[0].isdisjoint(links[1])
+    alive = weakref.ref(plans[0])
+    del plans, strategy
+    gc.collect()
+    assert alive() is None
+    assert [topology.plans for topology in worlds] == [{}, {}]
