@@ -38,6 +38,7 @@ def main() -> None:
     # the simulated traffic to 64 MB while keeping payloads small.
     scale = 64 * MB / tensor_bytes
     result = session.allreduce(tensors, byte_scale=scale)
+    allreduce_strategy = session.planner.live
     expected = sum(tensors.values())
     assert np.allclose(result.outputs[0], expected)
     algbw = 64 * MB / result.duration
@@ -55,11 +56,10 @@ def main() -> None:
     # Peek at a synthesized strategy.
     from repro.bench.visualize import render_strategy
 
-    strategy = next(iter(session._strategies.values()))
-    roots = [sc.root.index for sc in strategy.subcollectives if sc.root]
+    roots = [sc.root.index for sc in allreduce_strategy.subcollectives if sc.root]
     print(f"\nsub-collective roots (spread over fast NICs): {roots}")
     print("\nfirst sub-collective's reduce tree ([+] = aggregation here):")
-    print("\n".join(render_strategy(strategy, session.topology).splitlines()[:24]))
+    print("\n".join(render_strategy(allreduce_strategy, session.topology).splitlines()[:24]))
 
 
 if __name__ == "__main__":

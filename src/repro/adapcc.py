@@ -26,16 +26,16 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.baselines.adapcc_backend import AdapCCBackend
+from repro.errors import CommunicatorError, ReproError
 from repro.hardware.cluster import Cluster
 from repro.hardware.instance import InstanceSpec
 from repro.observe.watchdog import ObserveConfig, Watchdog
-from repro.profiling.profiler import Profiler
 from repro.relay.coordinator import AdaptiveAllReduce
 from repro.runtime.collectives import CollectiveResult, launch
-from repro.runtime.context import ContextManager, TransmissionContext
+from repro.runtime.context import ContextManager
 from repro.simulation.engine import Simulator
-from repro.synthesis.optimizer import Synthesizer, SynthesizerConfig
+from repro.synthesis.optimizer import SynthesizerConfig
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.telemetry.core import TelemetryHub
 from repro.topology.detector import DetectionReport, Detector
@@ -73,12 +73,11 @@ class AdapCCSession:
         self.verify = verify
         self.topology: Optional[LogicalTopology] = None
         self.detection: Optional[DetectionReport] = None
-        self.profiler: Optional[Profiler] = None
-        self.synthesizer: Optional[Synthesizer] = None
+        #: The job's one planner: profiles, synthesizes, verifies, caches
+        #: and re-plans (rebuilt with the topology by :meth:`scale_out`).
+        self.planner: Optional[AdapCCBackend] = None
         self.contexts: Optional[ContextManager] = None
         self.adaptive: Optional[AdaptiveAllReduce] = None
-        self._strategies: Dict = {}
-        self._active_contexts: List[TransmissionContext] = []
         self._profile_period: Optional[int] = None
         self._collectives_run = 0
         #: Closed-loop observability: ``True`` or an :class:`ObserveConfig`
@@ -93,31 +92,21 @@ class AdapCCSession:
         else:
             self._observe_config = observe
         self.watchdog: Optional[Watchdog] = None
-        self._last_strategy_key = None
 
     # -- lifecycle -------------------------------------------------------------------
 
     def init(self) -> "AdapCCSession":
-        """Detect topology, build the logical graph, run the first
-        profiling pass, and create the synthesizer (``adapcc.init()``)."""
-        detector = Detector(self.cluster)
-        self.detection = detector.detect()
-        self.topology = LogicalTopology.from_cluster(
-            self.cluster, nvlink_pairs=self.detection.nvlink_pairs_by_instance()
-        )
-        self.profiler = Profiler(self.topology)
-        self.profiler.profile()
-        self.synthesizer = Synthesizer(self.topology, self.config)
-        self.adaptive = AdaptiveAllReduce(self.topology, seed=self.seed, verify=self.verify)
-        self._arm_watchdog()
+        """Detect topology, build the logical graph, and create the planner,
+        which runs the first profiling pass (``adapcc.init()``)."""
+        self._build()
         return self
 
     def setup(self) -> float:
         """Create the context manager (``adapcc.setup()``); returns the
         simulated seconds the set-up consumed (0 until strategies exist —
-        contexts are set up lazily per strategy)."""
+        the planner sets contexts up lazily per strategy)."""
         self._require_init()
-        self.contexts = ContextManager(self.cluster)
+        self.contexts = self.planner.contexts = ContextManager(self.cluster)
         return 0.0
 
     def profile(self, period: Optional[int] = None) -> None:
@@ -142,36 +131,17 @@ class AdapCCSession:
             raise ReproError("profiling period must be >= 1")
         self._profile_period = period
 
-    def reprofile_now(self) -> None:
-        """Force a profiling pass and invalidate cached strategies."""
-        self._require_init()
-        self.profiler.profile()
-        self._strategies.clear()
-
     def scale_out(self, spec: InstanceSpec) -> List[int]:
         """Elastic scaling: attach a new instance mid-job (Sec. IV-A).
 
         Re-runs detection (the new instance's workers trigger the
-        Detector), rebuilds the logical topology, re-profiles, and drops
-        cached strategies so the next collective includes the new ranks —
-        no restart. Returns the new global ranks.
+        Detector), rebuilds the logical topology and a fresh planner, which
+        re-profiles with an empty cache, so the next collective includes
+        the new ranks — no restart. Returns the new global ranks.
         """
         self._require_init()
         instance = self.cluster.add_instance(spec)
-        detector = Detector(self.cluster)
-        self.detection = detector.detect()
-        self.topology = LogicalTopology.from_cluster(
-            self.cluster, nvlink_pairs=self.detection.nvlink_pairs_by_instance()
-        )
-        self.profiler = Profiler(self.topology)
-        self.profiler.profile()
-        self.synthesizer = Synthesizer(self.topology, self.config)
-        self.adaptive = AdaptiveAllReduce(self.topology, seed=self.seed, verify=self.verify)
-        if self.contexts is not None:
-            self.contexts = ContextManager(self.cluster)
-        self._strategies.clear()
-        self._last_strategy_key = None
-        self._arm_watchdog()
+        self._build()
         return [gpu.rank for gpu in instance.gpus]
 
     # -- collectives -------------------------------------------------------------------
@@ -231,40 +201,30 @@ class AdapCCSession:
         if self.topology is None:
             raise ReproError("call session.init() first")
 
-    def _arm_watchdog(self) -> None:
-        """(Re)build the observe watchdog against the current topology.
+    def _build(self) -> None:
+        """Detect, build the logical topology, the planner (first profiling
+        pass), the relay and the watchdog: :meth:`init` and :meth:`scale_out`.
 
-        Called from :meth:`init` and again from :meth:`scale_out` — the
-        watchdog's detectors are keyed by link name, and a rebuilt
-        topology means fresh links, fresh baselines, fresh strategy hooks.
+        The watchdog's detectors are keyed by link name, and a rebuilt
+        topology means fresh links, fresh baselines and a fresh planner.
         """
+        self.detection = Detector(self.cluster).detect()
+        self.topology = LogicalTopology.from_cluster(
+            self.cluster, nvlink_pairs=self.detection.nvlink_pairs_by_instance()
+        )
+        self.planner = AdapCCBackend(self.topology, self.config)
+        self.planner.verify = self.verify
+        if self.contexts is not None:
+            # The buffer registry is per GPU: a grown cluster needs a new one.
+            self.contexts = self.planner.contexts = ContextManager(self.cluster)
+        self.adaptive = AdaptiveAllReduce(self.topology, seed=self.seed, verify=self.verify)
         if self._observe_config is None or not self._observe_config.enabled:
             return
         if self.watchdog is not None:
             self.watchdog.detach()
         self.watchdog = Watchdog(
-            self.topology,
-            config=self._observe_config,
-            profiler=self.profiler,
-            current_strategy=self._observed_strategy,
-            resynthesize=self._resynthesize_for_observe,
-            synthesizer=self.synthesizer,
+            self.topology, config=self._observe_config, planner=self.planner
         ).attach(self.telemetry)
-
-    def _observed_strategy(self) -> Optional[Strategy]:
-        """The watchdog's view of 'the live strategy': the one the most
-        recent collective ran with."""
-        if self._last_strategy_key is None:
-            return None
-        return self._strategies.get(self._last_strategy_key)
-
-    def _resynthesize_for_observe(self, reason: str) -> Optional[Strategy]:
-        """Watchdog hook: replace the live strategy under refreshed costs."""
-        key = self._last_strategy_key
-        if key is None:
-            return None
-        self._strategies.pop(key, None)
-        return self._strategy_for_key(key)
 
     def _observed(self, result):
         """Feed one finished collective to the watchdog (identity pass)."""
@@ -282,29 +242,11 @@ class AdapCCSession:
         root: Optional[int] = None,
     ) -> Strategy:
         self._require_init()
-        participants = tuple(sorted(tensors))
-        sample = tensors[participants[0]]
-        tensor_size = len(sample) * sample.itemsize * byte_scale
-        key = (primitive, participants, float(tensor_size), root)
-        self._last_strategy_key = key
-        return self._strategy_for_key(key)
-
-    def _strategy_for_key(self, key) -> Strategy:
-        primitive, participants, tensor_size, root = key
-        if key not in self._strategies:
-            strategy = self.synthesizer.synthesize(
-                primitive, tensor_size, list(participants), root=root
-            )
-            if self.verify:
-                from repro.analysis.verify_strategy import assert_valid
-
-                assert_valid(strategy, self.topology)
-            if self.contexts is not None:
-                planned = self.contexts.plan_contexts(strategy)
-                self.contexts.setup_all(planned)
-                self._active_contexts.extend(planned)
-            self._strategies[key] = strategy
-        return self._strategies[key]
+        if not tensors:
+            raise CommunicatorError("no tensors given: a collective needs one per rank")
+        sample = tensors[min(tensors)]
+        tensor_size = float(len(sample) * sample.itemsize * byte_scale)
+        return self.planner.plan(primitive, tensor_size, tensors, root=root)
 
     def _tick(self) -> None:
         self._collectives_run += 1
@@ -312,4 +254,4 @@ class AdapCCSession:
             self._profile_period
             and self._collectives_run % self._profile_period == 0
         ):
-            self.reprofile_now()
+            self.planner.refresh()

@@ -103,10 +103,12 @@ class Backend(abc.ABC):
         ready_times: Optional[Dict[int, float]] = None,
     ) -> CollectiveResult:
         """Convenience: plan then run in one call (micro-benchmarks)."""
-        participants = list(participants)
-        length = len(next(iter(inputs.values())))
-        itemsize = next(iter(inputs.values())).itemsize
-        strategy = self.plan(primitive, length * itemsize, participants, root=root)
+        if not inputs:
+            raise CommunicatorError("no tensors given: a collective needs one per rank")
+        sample = next(iter(inputs.values()))
+        strategy = self.plan(
+            primitive, len(sample) * sample.itemsize, list(participants), root=root
+        )
         return self.run(strategy, inputs, ready_times=ready_times)
 
 

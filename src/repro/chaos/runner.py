@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.adapcc_backend import AdapCCBackend
 from repro.chaos.corruption import PayloadCorruptor
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import DECIDE_PHASE, TRANSITION_PHASE, FaultPlan
@@ -55,12 +56,10 @@ from repro.integrity.monitor import (
     strategy_link_names,
 )
 from repro.observe.watchdog import ObserveConfig, Watchdog
-from repro.profiling.profiler import Profiler
 from repro.recovery.control_plane import RecoveringControlPlane
 from repro.relay.coordinator import AdaptiveAllReduce, AdaptiveResult
 from repro.simulation.engine import Simulator
 from repro.simulation.records import TraceRecorder
-from repro.synthesis.optimizer import Synthesizer
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.telemetry.core import TelemetryHub
 from repro.topology.graph import LogicalTopology
@@ -155,7 +154,8 @@ class ChaosRunner:
         if recorder is not None:
             self.cluster.network.attach_recorder(recorder)
         self.topology = LogicalTopology.from_cluster(self.cluster)
-        self.synthesizer = Synthesizer(self.topology)
+        # Chaos runs on nominal link costs until a verdict's re-probe.
+        self.planner = AdapCCBackend(self.topology, profile_on_init=False)
         self.plan = plan
         self.length = length
         self.byte_scale = byte_scale
@@ -197,18 +197,14 @@ class ChaosRunner:
         self.loader = ShardedDataLoader(
             dataset_size=dataset_size, global_batch=len(ranks) * 8, workers=list(ranks)
         )
-        self._strategy: Optional[Strategy] = None
-        self._strategy_members: Optional[Tuple[int, ...]] = None
         self.resyntheses = 0
         # Closed-loop observability: a watchdog on the live telemetry
         # stream drives targeted re-probes and hysteresis-gated
         # re-synthesis through the same transactional install path the
         # membership changes use. Requires an enabled telemetry hub.
         self.watchdog: Optional[Watchdog] = None
-        self.profiler: Optional[Profiler] = None
         self.critpath: Optional[CritpathConsumer] = None
         if observe is not None and observe.enabled:
-            self.profiler = Profiler(self.topology)
             # Streaming critical-path attribution rides the same hub the
             # watchdog consumes: per iteration it names the top bottleneck
             # link, so verdicts cite a culprit and the re-probe narrows to
@@ -217,10 +213,8 @@ class ChaosRunner:
             self.watchdog = Watchdog(
                 self.topology,
                 config=observe,
-                profiler=self.profiler,
-                current_strategy=lambda: self._strategy,
+                planner=self.planner,
                 resynthesize=lambda reason: self._resynthesize(self.members, reason),
-                synthesizer=self.synthesizer,
                 attribution=self.critpath.top_link,
             ).attach()
             self.cluster.hub.subscribe(self.critpath)
@@ -234,11 +228,12 @@ class ChaosRunner:
         changed (or when a between-prepare-and-commit coordinator crash is
         being injected, which forces a re-install of the same strategy so
         the rollback path has a transition to orphan)."""
-        if self._strategy is None or self._strategy_members != tuple(members):
+        live = self.planner.live
+        if live is None or live.participants != list(members):
             return self._resynthesize(members, crash_after_prepare=crash_after_prepare)
         if crash_after_prepare:
             self.control_plane.install_strategy(members, crash_after_prepare=True)
-        return self._strategy
+        return live
 
     def _resynthesize(
         self,
@@ -247,8 +242,10 @@ class ChaosRunner:
         crash_after_prepare: bool = False,
     ) -> Strategy:
         """Install ``members`` transactionally (two-phase prepare/commit,
-        journaled), synthesize an AllReduce for the committed membership
-        under the current link estimates, and trace it as
+        journaled), have the planner synthesize an AllReduce for the
+        committed membership afresh under the current link estimates (never
+        a cache hit: after a quarantine or a re-probe a membership seen
+        before must be synthesized again), and trace it as
         ``chaos-resynthesis``. Every path that replaces the strategy —
         membership changes, watchdog verdicts, integrity quarantines —
         goes through here; only the first install is not a re-synthesis.
@@ -256,17 +253,17 @@ class ChaosRunner:
         committed = self.control_plane.install_strategy(
             members, crash_after_prepare=crash_after_prepare
         )
-        if self._strategy is not None:
+        if self.planner.live is not None:
             self.resyntheses += 1
-        self._strategy = self.synthesizer.synthesize(
-            Primitive.ALLREDUCE, self.length * 8 * self.byte_scale, list(committed)
+        strategy = self.planner.replan(
+            self.planner.key(Primitive.ALLREDUCE, self.length * 8 * self.byte_scale, committed)
         )
-        key = self._strategy_members = tuple(members)
+        key = tuple(members)
         because = {} if reason is None else {"reason": reason}
         self.injector.record(
             "chaos-resynthesis", "synthesizer", key, members=list(key), **because
         )
-        return self._strategy
+        return strategy
 
     # -- integrity --------------------------------------------------------------
 

@@ -14,8 +14,10 @@ Per job, the runner owns a full observe stack:
   evaluation, so each job's spans/instants/metrics land on its own stream
   (chunk pipelines and collective runs read the hub at construction,
   which is what makes the re-pointing sufficient);
-* a :class:`~repro.observe.watchdog.Watchdog` with the shared profiler /
-  synthesizer, whose re-probes and re-syntheses stay per-job;
+* an :class:`~repro.baselines.adapcc_backend.AdapCCBackend` planner on
+  the shared topology, so the job's live strategy and its re-plans stay
+  per-job;
+* a :class:`~repro.observe.watchdog.Watchdog` on that planner;
 * a :class:`~repro.critpath.consumer.CritpathConsumer` feeding the
   watchdog's attribution hook, and a :class:`LinkOccupancy` consumer
   recording when the job's chunks occupied each physical link.
@@ -45,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.adapcc_backend import AdapCCBackend
 from repro.critpath.consumer import CritpathConsumer
 from repro.critpath.engine import chunk_send
 from repro.errors import FleetError
@@ -60,10 +63,9 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.presets import make_homo_cluster
 from repro.observe.verdicts import AnomalyKind, AnomalyVerdict
 from repro.observe.watchdog import ObserveConfig, Watchdog
-from repro.profiling.profiler import Profiler
 from repro.runtime.collectives import PendingCollective, launch
 from repro.simulation.engine import Simulator
-from repro.synthesis import Primitive, Synthesizer
+from repro.synthesis import Primitive
 from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub
 from repro.telemetry.export import SCHEMA_VERSION, canonical_json, render_lines
 from repro.topology.graph import LogicalTopology
@@ -124,26 +126,21 @@ class _JobState:
 
     trace: JobTrace
     hub: TelemetryHub
+    planner: AdapCCBackend
     watchdog: Watchdog
     critpath: CritpathConsumer
     occupancy: LinkOccupancy
-    #: Strategies keyed by (kind, size_bytes): a strategy partitions a
-    #: specific payload, so an op of a different size must not reuse it
-    #: (its chunk spans would report the wrong byte counts).
-    strategies: Dict[Tuple[str, float], object] = field(default_factory=dict)
     next_op: int = 0
     pending: Optional[PendingCollective] = None
     pending_op: Optional[CollectiveOp] = None
     pending_launched: float = 0.0
     pending_finished: Optional[float] = None
-    last_op: Optional[CollectiveOp] = None
     iteration: int = -1
     completions: List[Dict] = field(default_factory=list)
     verdicts: List[AnomalyVerdict] = field(default_factory=list)
     bytes_completed: float = 0.0
     first_launch: Optional[float] = None
     last_finish: float = 0.0
-    resyntheses: int = 0
 
     @property
     def name(self) -> str:
@@ -193,8 +190,6 @@ class FleetRunner:
             hub=TelemetryHub(enabled=False),
         )
         self.topology = LogicalTopology.from_cluster(self.cluster)
-        self.synthesizer = Synthesizer(self.topology)
-        self.profiler = Profiler(self.topology)
         cluster_ranks = {gpu.rank for gpu in self.cluster.gpus}
         for trace in workload.jobs:
             outside = sorted(set(trace.ranks) - cluster_ranks)
@@ -227,46 +222,24 @@ class FleetRunner:
         hub = TelemetryHub(enabled=True, labels={"job": trace.name})
         critpath = CritpathConsumer()
         occupancy = LinkOccupancy()
-        state = _JobState(
-            trace=trace,
-            hub=hub,
-            watchdog=None,  # type: ignore[arg-type]  # set right below
-            critpath=critpath,
-            occupancy=occupancy,
-        )
+        # Fleet runs on nominal link costs until a verdict's re-probe.
+        planner = AdapCCBackend(self.topology, profile_on_init=False)
         watchdog = Watchdog(
             self.topology,
             config=self.observe,
-            profiler=self.profiler,
-            current_strategy=lambda state=state: (
-                state.strategies.get(
-                    (state.last_op.kind, state.last_op.size_bytes)
-                )
-                if state.last_op is not None
-                else None
-            ),
-            resynthesize=self._resynthesize_hook(state),
-            synthesizer=self.synthesizer,
+            planner=planner,
             attribution=critpath.top_link,
         ).attach(hub)
-        state.watchdog = watchdog
         hub.subscribe(critpath)
         hub.subscribe(occupancy)
-        return state
-
-    def _resynthesize_hook(self, state: _JobState):
-        def hook(reason: str):
-            op = state.last_op
-            if op is None:  # pragma: no cover - watchdog only fires post-op
-                return None
-            strategy = self.synthesizer.synthesize(
-                self._primitive(op.kind), op.size_bytes, state.trace.ranks
-            )
-            state.strategies[(op.kind, op.size_bytes)] = strategy
-            state.resyntheses += 1
-            return strategy
-
-        return hook
+        return _JobState(
+            trace=trace,
+            hub=hub,
+            planner=planner,
+            watchdog=watchdog,
+            critpath=critpath,
+            occupancy=occupancy,
+        )
 
     @staticmethod
     def _primitive(kind: str) -> Primitive:
@@ -343,13 +316,12 @@ class FleetRunner:
 
     def _launch(self, job: _JobState, op: CollectiveOp) -> None:
         with self._serving(job):
-            key = (op.kind, op.size_bytes)
-            strategy = job.strategies.get(key)
-            if strategy is None:
-                strategy = self.synthesizer.synthesize(
-                    self._primitive(op.kind), op.size_bytes, job.trace.ranks
-                )
-                job.strategies[key] = strategy
+            # A strategy partitions a specific payload, so the planner's
+            # key carries the op's size: an op of a different size must not
+            # reuse it (its chunk spans would report the wrong byte counts).
+            strategy = job.planner.plan(
+                self._primitive(op.kind), op.size_bytes, job.trace.ranks
+            )
             inputs = {
                 rank: np.full(self.length, float(rank + 1))
                 for rank in job.trace.ranks
@@ -397,7 +369,6 @@ class FleetRunner:
         )
         job.bytes_completed += op.size_bytes
         job.last_finish = max(job.last_finish, finished)
-        job.last_op = op
         window = (job.pending_launched, finished)
         job.pending = None
         job.pending_op = None
@@ -568,7 +539,7 @@ class FleetRunner:
                 last_finish=job.last_finish,
                 verdicts=len(job.verdicts),
                 reprobes=job.watchdog.reprobes_run,
-                resyntheses=job.resyntheses,
+                resyntheses=job.watchdog.resyntheses_triggered,
             )
             for job in self._jobs
         ]

@@ -17,11 +17,11 @@ EWMA baselines + CUSUM change detectors (:mod:`repro.observe.detectors`)
 
 When a detector fires the watchdog emits a typed
 :class:`~repro.observe.verdicts.AnomalyVerdict` and *closes the loop*:
-it asks the profiler to re-probe only the implicated links, re-evaluates
-the live strategy's eq.-4 finish time under the refreshed costs, and —
-only if the finish time moved beyond the hysteresis threshold — triggers
-re-synthesis through the caller-supplied hook (which routes through the
-two-phase recovery transition machinery where a control plane exists).
+it asks the job's planner to re-probe only the implicated links,
+re-evaluates the live strategy's eq.-4 finish time under the refreshed
+costs, and — only if the finish time moved beyond the hysteresis
+threshold — has the planner re-plan it (or, where a control plane
+exists, installs through its two-phase transition machinery).
 This replaces blind fixed-period re-profiling: probes go exactly where
 the evidence points, exactly when the evidence demands.
 
@@ -108,16 +108,16 @@ def _node_from_name(name: str) -> NodeId:
 class Watchdog(TelemetryConsumer):
     """Online anomaly detection driving targeted re-probing/re-synthesis.
 
-    The three hooks are optional so the watchdog degrades gracefully to a
-    pure detector (verdicts only):
+    The hooks are optional so the watchdog degrades gracefully to a pure
+    detector (verdicts only):
 
-    * ``profiler`` — anything with a ``reprobe(edges)`` method (the
-      targeted pass on :class:`~repro.profiling.profiler.Profiler`);
-    * ``current_strategy`` — zero-arg callable returning the live
-      :class:`~repro.synthesis.strategy.Strategy` (or ``None``);
-    * ``resynthesize`` — callable taking a reason string, installing a
-      fresh strategy (through the two-phase transition machinery where
-      one exists) and returning it;
+    * ``planner`` — the job's
+      :class:`~repro.baselines.adapcc_backend.AdapCCBackend`: its profiler
+      runs the targeted re-probe, its synthesizer re-scores its ``live``
+      strategy, and its ``replan()`` replaces that strategy;
+    * ``resynthesize`` — for installs that go beyond a plain re-plan (the
+      chaos runner's two-phase journaled one): a callable taking a reason
+      string, installing a fresh strategy and returning it;
     * ``attribution`` — zero-arg callable returning the current
       iteration's top-1 attributed bottleneck link (``"g0->n1"`` form) or
       ``None`` — typically :meth:`repro.critpath.consumer.
@@ -132,18 +132,14 @@ class Watchdog(TelemetryConsumer):
         self,
         topology: LogicalTopology,
         config: Optional[ObserveConfig] = None,
-        profiler=None,
-        current_strategy: Optional[Callable[[], object]] = None,
+        planner=None,
         resynthesize: Optional[Callable[[str], object]] = None,
-        synthesizer=None,
         attribution: Optional[Callable[[], Optional[str]]] = None,
     ):
         self.topology = topology
         self.config = config or ObserveConfig()
-        self.profiler = profiler
-        self.current_strategy = current_strategy
+        self.planner = planner
         self.resynthesize = resynthesize
-        self.synthesizer = synthesizer
         self.attribution = attribution
         #: The attribution hook's answer for the iteration being scored
         #: (refreshed at the top of :meth:`end_iteration`).
@@ -471,7 +467,7 @@ class Watchdog(TelemetryConsumer):
         implicated = sorted(
             {link for verdict in verdicts for link in verdict.implicated_links}
         )
-        if not implicated or self.profiler is None:
+        if not implicated or self.planner is None:
             return
         refresh_edges = self._profiled_edges_for(implicated)
         if not refresh_edges:
@@ -500,7 +496,7 @@ class Watchdog(TelemetryConsumer):
         else:
             attributed = None
         started = self.sim.now
-        self.profiler.reprobe(edges)
+        self.planner.profiler.reprobe(edges)
         self._reprobe_count += 1
         probed = sorted(f"{edge.src}->{edge.dst}" for edge in edges)
         reprobe_id = f"p{self._reprobe_count}"
@@ -545,21 +541,18 @@ class Watchdog(TelemetryConsumer):
         self._maybe_resynthesize(reprobe_id)
 
     def _maybe_resynthesize(self, reprobe_id: str) -> None:
-        if (
-            self.synthesizer is None
-            or self.current_strategy is None
-            or self.resynthesize is None
-        ):
-            return
-        strategy = self.current_strategy()
+        strategy = self.planner.live
         if strategy is None or strategy.predicted_time <= 0:
             return
         stale = strategy.predicted_time
-        refreshed = self.synthesizer.finish_time(strategy)
+        refreshed = self.planner.synthesizer.finish_time(strategy)
         ratio = refreshed / stale
         if abs(ratio - 1.0) <= self.config.hysteresis:
             return  # within hysteresis: the stale strategy is still fine
-        new_strategy = self.resynthesize(f"observe:{reprobe_id}")
+        if self.resynthesize is None:
+            new_strategy = self.planner.replan()
+        else:
+            new_strategy = self.resynthesize(f"observe:{reprobe_id}")
         self._resynthesis_count += 1
         self.log.append(
             {

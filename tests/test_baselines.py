@@ -4,7 +4,7 @@ and the relative-performance shapes the paper reports."""
 import numpy as np
 import pytest
 
-from repro.errors import SynthesisError
+from repro.errors import CommunicatorError, SynthesisError
 from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
 from repro.baselines import available_backends, make_backend
 from repro.baselines.nccl import NCCL_CHUNK_BYTES, NcclBackend
@@ -192,6 +192,40 @@ class TestAdapccBackend:
         assert backend.profiler.passes_completed == 2
         b = backend.plan(Primitive.ALLREDUCE, 16 * MB, range(8))
         assert a is not b
+
+    def test_verifies_once_when_a_strategy_enters_the_cache(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(
+            "repro.analysis.verify_strategy.assert_valid",
+            lambda strategy, topology: checked.append(strategy),
+        )
+        backend = make_backend("adapcc", make_topo())
+        a = backend.plan(Primitive.ALLREDUCE, 16 * MB, range(8))
+        assert backend.plan(Primitive.ALLREDUCE, 16 * MB, range(8)) is a
+        assert checked == [a]
+        b = backend.replan()
+        assert checked == [a, b] and b is not a
+        assert backend.live is b
+        assert backend.plan(Primitive.ALLREDUCE, 16 * MB, range(8)) is b
+
+    def test_live_follows_the_last_plan(self):
+        backend = make_backend("adapcc", make_topo())
+        assert backend.live is None
+        a = backend.plan(Primitive.ALLREDUCE, 16 * MB, range(8))
+        r = backend.plan(Primitive.REDUCE, 16 * MB, range(8), root=0)
+        assert backend.live is r
+        assert backend.plan(Primitive.ALLREDUCE, 16 * MB, range(8)) is a
+        assert backend.live is a
+        backend.refresh()
+        assert backend.live is None
+
+    def test_plan_and_run_rejects_empty_input(self):
+        topo = make_topo()
+        backend = make_backend("adapcc", topo)
+        before = topo.cluster.sim.now
+        with pytest.raises(CommunicatorError, match="no tensors given"):
+            backend.plan_and_run(Primitive.ALLREDUCE, {}, [])
+        assert topo.cluster.sim.now == before
 
 
 class TestRelativePerformance:

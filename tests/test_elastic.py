@@ -51,7 +51,7 @@ class TestSessionScaleOut:
         session = AdapCCSession(make_homo_cluster(num_servers=2)).init()
         session.scale_out(v100_server(name="late"))
         assert len(session.detection.instances) == 3
-        assert session.profiler.passes_completed == 1  # fresh profiler, one pass
+        assert session.planner.profiler.passes_completed == 1  # fresh planner, one pass
         from repro.topology.graph import nic_node
 
         edge = session.topology.edge(nic_node(0), nic_node(2))
@@ -63,7 +63,7 @@ class TestSessionScaleOut:
         session.scale_out(v100_server(name="late"))
         tensors = {rank: np.ones(256) for rank in range(12)}
         session.allreduce(tensors, byte_scale=1000.0)
-        strategy = next(iter(session._strategies.values()))
+        strategy = session.planner.live
         for sc in strategy.subcollectives:
             assert sc.root.index < 8  # roots stay on the A100 servers
 

@@ -48,7 +48,7 @@ class TestPaperTestbedEndToEnd:
         session = AdapCCSession(make_paper_testbed()).init()
         tensors = {rank: np.ones(512) for rank in range(24)}
         session.allreduce(tensors)
-        strategy = next(iter(session._strategies.values()))
+        strategy = session.planner.live
         for sc in strategy.subcollectives:
             assert sc.root.index < 16  # ranks 16-23 are the V100 servers
 
@@ -102,12 +102,12 @@ class TestAdaptivityUnderShaping:
         ).init()
         tensors = {rank: np.ones(512) for rank in range(16)}
         session.allreduce(tensors, byte_scale=64 * MB / (512 * 8))
-        before = next(iter(session._strategies.values()))
+        before = session.planner.live
 
         session.cluster.set_nic_bandwidth(1, 1.5e9)  # 100 Gbps -> 12 Gbps
-        session.reprofile_now()
+        session.planner.refresh()
         session.allreduce(tensors, byte_scale=64 * MB / (512 * 8))
-        after = next(iter(session._strategies.values()))
+        after = session.planner.live
 
         # Instance 1's ranks (4-7) must no longer host any sub-collective
         # root after the degradation is observed.

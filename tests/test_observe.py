@@ -220,7 +220,9 @@ class TestDetectionEdges:
         assert tracker.fired
 
     def _watchdog_with_finish(self, refreshed, hysteresis=0.25):
-        """A watchdog whose re-synthesis inputs are fully stubbed."""
+        """A watchdog whose planner is fully stubbed: its live strategy
+        predicted 1.0 and re-scores to ``refreshed``; every re-plan it is
+        asked for is recorded with the reason the watchdog gives."""
 
         class _Strategy:
             predicted_time = 1.0
@@ -229,12 +231,15 @@ class TestDetectionEdges:
             def finish_time(self, strategy):
                 return refreshed
 
+        class _Planner:
+            live = _Strategy()
+            synthesizer = _Synthesizer()
+
         calls = []
         watchdog = Watchdog(
             make_topology(),
             config=ObserveConfig(hysteresis=hysteresis),
-            current_strategy=lambda: _Strategy(),
-            synthesizer=_Synthesizer(),
+            planner=_Planner(),
             resynthesize=lambda reason: calls.append(reason) or _Strategy(),
         )
         return watchdog, calls

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro import AdapCCSession
+from repro.analysis.lint_observe import lint_observe_records
 from repro.errors import CommunicatorError, ReproError
 from repro.hardware import make_hetero_cluster, make_homo_cluster
+from repro.hardware.presets import make_config
+
+from .test_adaptation_pins import ELEMENTS, SCALE_64MB
 
 
 def make_session(specs=None):
@@ -25,7 +29,7 @@ class TestLifecycle:
         session = make_session()
         assert session.detection is not None
         assert session.topology is not None
-        assert session.profiler.passes_completed == 1
+        assert session.planner.profiler.passes_completed == 1
 
     def test_collective_before_init_rejected(self):
         session = AdapCCSession(make_homo_cluster(num_servers=2))
@@ -92,11 +96,11 @@ class TestCollectives:
         session = make_session()
         tensors = tensors_for(session)
         session.allreduce(tensors)
-        assert len(session._strategies) == 1
+        assert len(session.planner._cache) == 1
         session.allreduce(tensors)
-        assert len(session._strategies) == 1
+        assert len(session.planner._cache) == 1
         session.reduce(tensors)
-        assert len(session._strategies) == 2
+        assert len(session.planner._cache) == 2
 
     def test_setup_costs_simulated_time_per_strategy(self):
         session = make_session()
@@ -138,17 +142,17 @@ class TestAdaptivity:
         session.profile(period=2)
         tensors = tensors_for(session)
         session.allreduce(tensors)
-        assert session.profiler.passes_completed == 1
+        assert session.planner.profiler.passes_completed == 1
         session.allreduce(tensors)  # 2nd collective -> re-profile
-        assert session.profiler.passes_completed == 2
+        assert session.planner.profiler.passes_completed == 2
 
     def test_reprofile_invalidates_strategies(self):
         session = make_session()
         tensors = tensors_for(session)
         session.allreduce(tensors)
-        assert session._strategies
-        session.reprofile_now()
-        assert not session._strategies
+        assert session.planner._cache
+        session.planner.refresh()
+        assert not session.planner._cache
 
     def test_hetero_session_end_to_end(self):
         session = make_session(make_hetero_cluster())
@@ -156,6 +160,98 @@ class TestAdaptivity:
         result = session.allreduce(tensors)
         expected = sum(tensors.values())
         np.testing.assert_array_equal(result.outputs[15], expected)
+
+
+class TestPlannerLifecycle:
+    def test_every_primitive_rejects_empty_input_before_planning(self):
+        session = make_session()
+        calls = [
+            session.allreduce,
+            session.reduce,
+            session.broadcast,
+            session.alltoall,
+            session.allgather,
+            session.reduce_scatter,
+        ]
+        before = session.sim.now
+        for call in calls:
+            with pytest.raises(CommunicatorError, match="no tensors given"):
+                call({})
+        with pytest.raises(CommunicatorError, match="no tensors given"):
+            session.allreduce({}, ready_times={0: 0.1})
+        assert session.sim.now == before
+        assert not session.planner._cache
+
+    def test_periodic_replans_release_the_replaced_contexts(self):
+        # 1 GB AllReduces on four A100s: without teardown every re-plan
+        # leaks 3 GB per rank and the 27th call overflows GPU memory.
+        session = AdapCCSession(make_config([2, 2], [])).init()
+        session.setup()
+        tensors = tensors_for(session, length=1024)
+        gigabyte = 1e9 / (1024 * 8)
+        buffers = session.contexts.registry.of(0)
+        session.allreduce(tensors, byte_scale=gigabyte)
+        one_strategy = buffers.registered_bytes
+        assert one_strategy == pytest.approx(3e9)  # local, receive, result
+        session.profile(period=1)
+        for _ in range(200):
+            session.allreduce(tensors, byte_scale=gigabyte)
+            assert buffers.registered_bytes <= one_strategy
+        assert session.planner.profiler.passes_completed == 201
+
+
+class TestClosedLoop:
+    """The watchdog-driven loop end to end: 2x4 A100s, 64 MB AllReduces,
+    NIC 1 drops to 0.3x before call 15 (the pinned closed-loop run)."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        session = AdapCCSession(
+            make_homo_cluster(2, 4), telemetry=True, observe=True
+        ).init()
+        session.profile()
+        session.setup()
+        tensors = tensors_for(session, length=ELEMENTS)
+        planned = []
+        plan = session.planner.plan
+        session.planner.plan = lambda *args, **kwargs: (
+            planned.append(plan(*args, **kwargs)) or planned[-1]
+        )
+        ran = []  # per call: the strategy it ran, re-plans so far
+        for call in range(24):
+            if call == 14:
+                cluster = session.cluster
+                cluster.set_nic_bandwidth(1, cluster.nominal_nic_bandwidth(1) * 0.3)
+            result = session.allreduce(tensors, byte_scale=SCALE_64MB)
+            np.testing.assert_array_equal(result.outputs[0], sum(tensors.values()))
+            ran.append((planned[-1], session.watchdog.resyntheses_triggered))
+        assert len(planned) == 24
+        return session, ran
+
+    def test_one_verdict_reprobe_and_resynthesis(self, run):
+        session, _ = run
+        watchdog = session.watchdog
+        assert watchdog.verdicts_raised == 1
+        assert watchdog.reprobes_run == 1
+        assert watchdog.resyntheses_triggered == 1
+
+    def test_the_next_call_runs_the_new_strategy(self, run):
+        session, ran = run
+        # The re-plan happens at the end of call ``at``, which still ran
+        # the stale strategy; every call after it runs the new one.
+        at = next(i for i, (_, replans) in enumerate(ran) if replans == 1)
+        stale = ran[at][0]
+        assert at >= 14 and all(strategy is stale for strategy, _ in ran[: at + 1])
+        new = session.planner.live
+        assert new is not stale
+        assert new.predicted_time == session.watchdog.log.resyntheses[0]["new_finish"]
+        assert all(strategy is new for strategy, _ in ran[at + 1 :])
+
+    def test_the_log_lints_clean_and_contexts_stay_one_strategy(self, run):
+        session, _ = run
+        assert lint_observe_records(session.watchdog.log.records) == []
+        # The re-plan tore the replaced strategy's contexts down.
+        assert len(session.contexts.contexts) == len(session.planner.live.subcollectives)
 
 
 class TestInOrderCalls:
