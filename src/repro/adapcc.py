@@ -27,13 +27,14 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.baselines.adapcc_backend import AdapCCBackend
-from repro.errors import CommunicatorError, ReproError
+from repro.errors import ReproError
 from repro.hardware.cluster import Cluster
 from repro.hardware.instance import InstanceSpec
 from repro.observe.watchdog import ObserveConfig, Watchdog
 from repro.relay.coordinator import AdaptiveAllReduce
 from repro.runtime.collectives import CollectiveResult, launch
 from repro.runtime.context import ContextManager
+from repro.runtime.partition import check_uniform_inputs
 from repro.simulation.engine import Simulator
 from repro.synthesis.optimizer import SynthesizerConfig
 from repro.synthesis.strategy import Primitive, Strategy
@@ -242,10 +243,8 @@ class AdapCCSession:
         root: Optional[int] = None,
     ) -> Strategy:
         self._require_init()
-        if not tensors:
-            raise CommunicatorError("no tensors given: a collective needs one per rank")
-        sample = tensors[min(tensors)]
-        tensor_size = float(len(sample) * sample.itemsize * byte_scale)
+        length, dtype = check_uniform_inputs(tensors)
+        tensor_size = float(length * dtype.itemsize * byte_scale)
         return self.planner.plan(primitive, tensor_size, tensors, root=root)
 
     def _tick(self) -> None:

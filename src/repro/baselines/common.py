@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.runtime.collectives import CollectiveResult, launch
+from repro.runtime.partition import check_uniform_inputs
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
 
@@ -103,12 +104,8 @@ class Backend(abc.ABC):
         ready_times: Optional[Dict[int, float]] = None,
     ) -> CollectiveResult:
         """Convenience: plan then run in one call (micro-benchmarks)."""
-        if not inputs:
-            raise CommunicatorError("no tensors given: a collective needs one per rank")
-        sample = next(iter(inputs.values()))
-        strategy = self.plan(
-            primitive, len(sample) * sample.itemsize, list(participants), root=root
-        )
+        length, dtype = check_uniform_inputs(inputs)
+        strategy = self.plan(primitive, length * dtype.itemsize, list(participants), root=root)
         return self.run(strategy, inputs, ready_times=ready_times)
 
 

@@ -376,11 +376,15 @@ class AdaptiveAllReduce:
                 telemetry.metrics.counter(
                     "relay_phases_total", "phase-1/phase-2 relay executions"
                 ).inc(phase="phase2")
+            # Phase 2 adds into phase 1's outputs in place: the same
+            # additions, and no third output set.
             outputs = {
-                rank: phase1.outputs[rank] + phase2.outputs[rank]
+                rank: phase1.outputs[rank]
                 for rank in strategy.participants
                 if rank not in faulty
             }
+            for rank, out in outputs.items():
+                out += phase2.outputs[rank]
         elif faulty:
             # Wait out the detection deadline before declaring and moving on.
             if report.detected_at > sim.now:

@@ -17,10 +17,14 @@ call shape. The world's :class:`~repro.topology.graph.LogicalTopology`
 keeps the plan until the strategy is dropped (:func:`compiled`). A
 launch then only allocates per-call state — ready events, one
 :class:`~repro.runtime.executor.ChunkPipeline` per stage, the completion
-event — and one builder per primitive starts the pipelines and, once
-they finish, writes each delivered chunk once, straight into its output
-slice (:func:`~repro.runtime.executor.assemble`). No output aliases an
-input or another output.
+event — and the outputs: one uninitialised block (:meth:`_Run.block`)
+whose rows are the ranks' outputs. One builder per primitive zeroes the
+bytes that nothing will write, starts the pipelines and, once they
+finish, writes each delivered chunk once, straight into its output slice
+(:func:`~repro.runtime.executor.assemble`). A root's aggregate lands in
+its own output slice (the pipeline's ``sink``), so the root's add and an
+AllReduce's broadcast work in place. No output aliases an input or
+another output.
 
 Straggler/relay hooks:
 
@@ -58,7 +62,7 @@ from repro.runtime.partition import (
     elements_for_bytes,
     partition_ranges,
 )
-from repro.runtime.stages import MODE_MERGE, FlowPath, agg_unit, bcast_unit, lower
+from repro.runtime.stages import MODE_MERGE, FlowPath, agg_unit, lower
 from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology
 
@@ -102,12 +106,19 @@ class PendingCollective:
     def __init__(self, done, collect: Callable[[], CollectiveResult]):
         self.done = done
         self._collect = collect
+        self._result: Optional[CollectiveResult] = None
 
     def result(self) -> CollectiveResult:
-        """Assemble outputs and timing; valid once ``done`` has fired."""
+        """Assemble outputs and timing; valid once ``done`` has fired.
+
+        The outputs are assembled once, in place: every call returns the
+        same result.
+        """
         if not self.done.processed:
             raise CommunicatorError("collective has not completed yet")
-        return self._collect()
+        if self._result is None:
+            self._result = self._collect()
+        return self._result
 
     def wait(self) -> CollectiveResult:
         """Drive the simulator until this collective completes."""
@@ -385,15 +396,32 @@ class _Run:
 
         return source
 
-    def start(self, plan: StagePlan, part: Part, source) -> ChunkPipeline:
-        """Launch one compiled stage on ``part``'s chunks."""
-        pipeline = ChunkPipeline(self.topology, plan, len(part.chunks), part.chunk_bytes, source)
+    def start(
+        self, plan: StagePlan, part: Part, source, sink: Optional[np.ndarray] = None
+    ) -> ChunkPipeline:
+        """Launch one compiled stage on ``part``'s chunks; a merge stage's
+        aggregate at ``part``'s root lands in ``sink`` (``part``'s slice
+        of the root's output) when given."""
+        root = part.sc.root
+        pipeline = ChunkPipeline(
+            self.topology,
+            plan,
+            len(part.chunks),
+            part.chunk_bytes,
+            source,
+            sink=None if sink is None else ((agg_unit(root), root), sink, part.bounds),
+        )
         self.events.append(pipeline.start())
         return pipeline
 
-    def zeros(self, ranks: Iterable[int], length: int) -> Dict[int, np.ndarray]:
-        """A zeroed output tensor of ``length`` elements per rank."""
-        return {rank: np.zeros(length, dtype=self.dtype) for rank in ranks}
+    def block(self, rows: int, length: int) -> np.ndarray:
+        """The launch's outputs: one uninitialised ``(rows, length)`` block.
+
+        Every output is a row of it (or a slice of a row), so one kept
+        output keeps the whole block alive. The builder zeroes the bytes
+        that nothing writes; the rest are written exactly once.
+        """
+        return np.empty((rows, length), dtype=self.dtype)
 
     def result(self, outputs, included_chunks=None) -> CollectiveResult:
         return CollectiveResult(
@@ -406,9 +434,9 @@ class _Run:
 
 
 def _root_sum(run: _Run, part: Part, plan: StagePlan, pipeline, out: np.ndarray) -> None:
-    """Write the reduce stage's result at ``part``'s root into ``out``: the
-    aggregate that arrived plus the root's own tensor (the root has no
-    flow of its own)."""
+    """Complete ``part``'s reduce at its root in ``out``: the aggregate
+    that landed there plus the root's own tensor (the root has no flow of
+    its own)."""
     root = part.sc.root
     own = run.inputs[root.index][part.start : part.end]
     if plan.stage.flows:
@@ -423,16 +451,19 @@ def _reduce(run: _Run):
     root = run.strategy.subcollectives[0].root.index
     if root not in run.active:
         raise CommunicatorError("the reduce root must be an active rank")
+    # The partitions tile the tensor, so every byte is written.
+    (output,) = run.block(1, run.length)
     launched = []
     for part, (plan,) in run.parts():
-        launched.append((part, plan, run.start(plan, part, run.input_source(part))))
+        out = output[part.start : part.end]
+        pipeline = run.start(plan, part, run.input_source(part), out)
+        launched.append((part, plan, pipeline, out))
     # The final aggregation also needs the root's own tensor.
     run.events.append(run.ready_event(root))
 
     def collect():
-        output = np.zeros(run.length, dtype=run.dtype)
-        for part, plan, pipeline in launched:
-            _root_sum(run, part, plan, pipeline, output[part.start : part.end])
+        for part, plan, pipeline, out in launched:
+            _root_sum(run, part, plan, pipeline, out)
         return run.result({root: output})
 
     return collect
@@ -441,30 +472,47 @@ def _reduce(run: _Run):
 def _reduce_scatter(run: _Run):
     """ReduceScatter: rank r receives the sum of partition r over all
     active ranks. One per-partition Reduce rooted at each rank."""
+    # Rank r's output is partition r's slice of one row; the partitions
+    # tile it, so every byte is written.
+    (row,) = run.block(1, run.length)
+    outputs = {}
     launched = []
     for part, (plan,) in run.parts():
-        launched.append((part, plan, run.start(plan, part, run.input_source(part))))
+        out = outputs[part.sc.root.index] = row[part.start : part.end]
+        pipeline = run.start(plan, part, run.input_source(part), out)
+        launched.append((part, plan, pipeline, out))
         run.events.append(run.ready_event(part.sc.root.index))
 
     def collect():
-        outputs = {}
-        for part, plan, pipeline in launched:
-            out = outputs[part.sc.root.index] = np.empty(part.end - part.start, run.dtype)
+        for part, plan, pipeline, out in launched:
             _root_sum(run, part, plan, pipeline, out)
         return run.result(outputs)
 
     return collect
 
 
+def _zero_unreached(
+    outputs: Dict[int, np.ndarray], ranks: Iterable[int], src: int, reached, lo: int, hi: int
+) -> None:
+    """Zero ``[lo, hi)`` of every rank's output that ``src``'s data is
+    not delivered to: ranks other than ``src`` and not in ``reached``."""
+    for rank in ranks:
+        if rank != src and rank not in reached:
+            outputs[rank][lo:hi] = 0
+
+
 def _broadcast(run: _Run):
     """Broadcast: every participant receives the root's tensor."""
+    ranks = run.strategy.participants
     root = run.strategy.subcollectives[0].root.index
+    outputs = dict(zip(ranks, run.block(len(ranks), run.length)))
     launched = []
     for part, (plan,) in run.parts():
+        reached = {flow.dst.index for flow in part.sc.flows}
+        _zero_unreached(outputs, ranks, root, reached, part.start, part.end)
         launched.append((part, run.start(plan, part, run.input_source(part))))
 
     def collect():
-        outputs = run.zeros(run.strategy.participants, run.length)
         outputs[root][:] = run.inputs[root]
         for part, pipeline in launched:
             for idx, flow in enumerate(part.sc.flows):
@@ -484,29 +532,39 @@ def _allreduce(run: _Run):
     not — receives the partial sum over active ranks.
     """
     inputs = run.inputs
+    ranks = run.strategy.participants
+    block = run.block(len(ranks), run.length)
+    outputs = dict(zip(ranks, block))
     launched = []
     for part, (reduce_plan, bcast_plan) in run.parts():
-        root_node = part.sc.root
+        sc = part.sc
+        root_node = sc.root
         root_rank = root_node.index
         root_active = root_rank in run.active
         reduced = bool(reduce_plan.stage.flows)
         if not reduced and not root_active:
             # Nothing reaches this partition's root: the partial sum over
-            # the active set is zero here, which the zero-initialised
-            # outputs already represent.
+            # the active set is zero here, on every rank.
+            block[:, part.start : part.end] = 0
             continue
-        reduce_pipeline = run.start(reduce_plan, part, run.input_source(part))
+        reached = {flow.src.index for flow in sc.flows}
+        _zero_unreached(outputs, ranks, root_rank, reached, part.start, part.end)
+        # The reduce stage's aggregate lands in the root's output slice.
+        root_out = outputs[root_rank][part.start : part.end]
+        reduce_pipeline = run.start(reduce_plan, part, run.input_source(part), root_out)
 
-        # Root's own contribution (it has no flow of its own) plus the
-        # reduce stage's output feed the broadcast stage chunk by chunk —
-        # this is the stage pipelining: a chunk is broadcast as soon as its
-        # aggregation lands, not when the whole reduce finishes.
+        # The root's slice, completed chunk by chunk, is what the broadcast
+        # stage sends — this is the stage pipelining: a chunk is broadcast
+        # as soon as its aggregation lands, not when the whole reduce
+        # finishes.
         agg_slots = reduce_pipeline.row(agg_unit(root_node), root_node) if reduced else None
 
         def fed_source(
             flow_idx,
             k,
             _chunks=part.chunks,
+            _bounds=part.bounds,
+            _out=root_out,
             _slots=agg_slots,
             _root=root_rank,
             _root_active=root_active,
@@ -514,13 +572,24 @@ def _allreduce(run: _Run):
             start_k, end_k = _chunks[k]
             if _slots is None:
                 # Root is the only active rank in this sub-collective.
-                return run.ready_event(_root), lambda: inputs[_root][start_k:end_k]
+                lo, hi = _bounds[k]
+
+                def own():
+                    out = _out[lo:hi]
+                    out[...] = inputs[_root][start_k:end_k]
+                    return out
+
+                return run.ready_event(_root), own
             slot = _slots[k]
             # With stage pipelining a chunk broadcasts as soon as it lands;
             # without, every chunk waits for the reduce stage's last chunk.
             gate = slot if run.pipeline_stages else _slots[-1]
             if _root_active:
-                return gate, lambda: slot.payload + inputs[_root][start_k:end_k]
+                # The root has no flow of its own: its chunk is added to
+                # the aggregate in place.
+                return gate, lambda: np.add(
+                    slot.payload, inputs[_root][start_k:end_k], out=slot.payload
+                )
             # A relay root aggregates received data only (its own tensor is
             # not ready — it joins in phase 2).
             return gate, lambda: slot.payload
@@ -531,24 +600,20 @@ def _allreduce(run: _Run):
         launched.append((part, bcast_pipeline, reduce_pipeline))
 
     def collect():
-        outputs = run.zeros(run.strategy.participants, run.length)
         included: Dict[int, List[Tuple[int, int]]] = {}
         for part, pipeline, reduce_pipeline in launched:
             sc = part.sc
-            root_node = sc.root
+            root = sc.root.index
             for flow_idx, k in reduce_pipeline.included_optional:
                 included.setdefault(sc.flows[flow_idx].src.index, []).append(part.chunks[k])
             if not sc.flows:
-                outputs[root_node.index][part.start : part.end] = inputs[root_node.index][
-                    part.start : part.end
-                ]
+                outputs[root][part.start : part.end] = inputs[root][part.start : part.end]
                 continue
-            # Broadcast flows run root -> original source.
+            # Broadcast flows run root -> original source; the root's own
+            # slice was written as the broadcast stage's source.
             for idx, flow in enumerate(sc.flows):
                 out = outputs[flow.src.index][part.start : part.end]
                 assemble(pipeline.terminal(idx), out, part.bounds)
-            root_row = pipeline.row(bcast_unit(root_node), root_node)
-            assemble(root_row, outputs[root_node.index][part.start : part.end], part.bounds)
         for ranges in included.values():
             ranges.sort()
         return run.result(outputs, included)
@@ -562,12 +627,19 @@ def _allgather(run: _Run):
     carrying its shard in full (Sec. IV-D)."""
     ranks = sorted(run.strategy.participants)
     offsets = {rank: pos * run.length for pos, rank in enumerate(ranks)}
+    outputs = dict(zip(ranks, run.block(len(ranks), run.length * len(ranks))))
+    unsent = set(ranks)
     launched = []
     for part, (plan,) in run.parts():
+        root = part.sc.root.index
+        unsent.discard(root)
+        reached = {flow.dst.index for flow in part.sc.flows}
+        _zero_unreached(outputs, ranks, root, reached, offsets[root], offsets[root] + run.length)
         launched.append((part, run.start(plan, part, run.input_source(part))))
+    for root in unsent:  # a shard no sub-collective carries
+        _zero_unreached(outputs, ranks, root, (), offsets[root], offsets[root] + run.length)
 
     def collect():
-        outputs = run.zeros(ranks, run.length * len(ranks))
         for rank in ranks:
             outputs[rank][offsets[rank] : offsets[rank] + run.length] = run.inputs[rank]
         for part, pipeline in launched:
@@ -595,14 +667,21 @@ def _alltoall(run: _Run):
         )
     block = run.length // world
     position = {rank: pos for pos, rank in enumerate(ranks)}
+    outputs = dict(zip(ranks, run.block(world, run.length)))
     launched = []
     for part, (plan,) in run.parts():
+        flows = part.sc.flows
+        reached: Dict[int, set] = {src: set() for src in ranks}
+        for flow in flows:
+            reached[flow.src.index].add(flow.dst.index)
+        for src, dsts in reached.items():
+            base = position[src] * block
+            _zero_unreached(outputs, ranks, src, dsts, base + part.start, base + part.end)
         # A flow reads the block of its source's tensor meant for its dst.
-        offsets = [position[flow.dst.index] * block for flow in part.sc.flows]
+        offsets = [position[flow.dst.index] * block for flow in flows]
         launched.append((part, run.start(plan, part, run.input_source(part, offsets))))
 
     def collect():
-        outputs = run.zeros(ranks, run.length)
         for rank in ranks:
             base = position[rank] * block
             outputs[rank][base : base + block] = run.inputs[rank][base : base + block]

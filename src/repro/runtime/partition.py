@@ -65,14 +65,19 @@ def elements_for_bytes(nbytes: float, itemsize: int) -> int:
 
 
 def check_uniform_inputs(inputs: dict) -> Tuple[int, np.dtype]:
-    """Validate that all rank tensors are 1-D and share length and dtype."""
+    """Validate that all rank tensors are non-empty 1-D numpy arrays that
+    share length and dtype; returns ``(length, dtype)``."""
     if not inputs:
-        raise CommunicatorError("no input tensors")
+        raise CommunicatorError("no tensors given: a collective needs one per rank")
     for rank, array in inputs.items():
-        if np.ndim(array) != 1:
+        if not isinstance(array, np.ndarray):
             raise CommunicatorError(
-                f"rank {rank}: tensor of shape {np.shape(array)} is not 1-D"
+                f"rank {rank}: tensor is a {type(array).__name__}, not a numpy array"
             )
+        if array.ndim != 1:
+            raise CommunicatorError(f"rank {rank}: tensor of shape {array.shape} is not 1-D")
+        if not len(array):
+            raise CommunicatorError(f"rank {rank}: tensor is empty")
     arrays = list(inputs.values())
     length = len(arrays[0])
     dtype = arrays[0].dtype

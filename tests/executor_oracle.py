@@ -4,9 +4,9 @@
 callback state machine. The executor it replaced ran each one as a
 simulator :class:`~repro.simulation.engine.Process` — a generator that
 yields the events it waits on — and that form is kept here as
-:class:`ProcessChunkPipeline`: the same compiled stage plan, slots and
-output access, only ``start`` and the three processes differ (and the
-reference merge keeps its ``copy()`` then ``+=`` form). :func:`process_executor`
+:class:`ProcessChunkPipeline`: the same compiled stage plan, slots,
+sink and output access, only ``start`` and the three processes differ
+(and the reference merge keeps its copy then ``+=`` form). :func:`process_executor`
 makes :func:`repro.runtime.launch` build it instead, so a differential
 test can run one scenario through both executors and compare outputs,
 timing and exported bytes.
@@ -119,8 +119,14 @@ class ProcessChunkPipeline(ChunkPipeline):
                 if ready.processed:
                     parts.append(payload())
                     self.included_optional.add((flow_idx, k))
+            out = None
+            if self.sink is not None and spec.row_out == self.plan.rows[self.sink[0]]:
+                # The merged chunk lands in its slice of the sink.
+                lo, hi = self.sink[2][k]
+                out = self.sink[1][lo:hi]
+                out[...] = parts[0]
             if len(parts) >= 2:
-                total = parts[0].copy()
+                total = parts[0].copy() if out is None else out
                 for part in parts[1:]:
                     total += part
                 if self.kernel_enabled and gpu is not None:
@@ -135,7 +141,7 @@ class ProcessChunkPipeline(ChunkPipeline):
                             ).labels()
                         launched.inc()
             else:
-                total = parts[0]
+                total = parts[0] if out is None else out
             self.rows[spec.row_out][k].set(total)
 
 

@@ -227,6 +227,22 @@ class TestAdapccBackend:
             backend.plan_and_run(Primitive.ALLREDUCE, {}, [])
         assert topo.cluster.sim.now == before
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.zeros(0), "rank 3: tensor is empty"), ([1.0, 2.0], "rank 3: tensor is a list")],
+        ids=["zero-length", "list"],
+    )
+    def test_plan_and_run_rejects_a_malformed_tensor(self, bad, message):
+        topo = make_topo()
+        backend = make_backend("adapcc", topo)
+        inputs = make_inputs(range(8), 64)
+        inputs[3] = bad
+        before = topo.cluster.sim.now
+        for primitive in Primitive:
+            with pytest.raises(CommunicatorError, match=message):
+                backend.plan_and_run(primitive, inputs, range(8), root=0)
+        assert topo.cluster.sim.now == before
+
 
 class TestRelativePerformance:
     """The comparative shapes the paper's Sec. VI-C reports."""

@@ -182,6 +182,31 @@ class TestPlannerLifecycle:
         assert session.sim.now == before
         assert not session.planner._cache
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.zeros(0), "rank 3: tensor is empty"), ([1.0, 2.0], "rank 3: tensor is a list")],
+        ids=["zero-length", "list"],
+    )
+    def test_every_primitive_rejects_a_malformed_tensor_before_planning(self, bad, message):
+        session = make_session()
+        tensors = tensors_for(session, length=64)
+        tensors[3] = bad
+        calls = [
+            session.allreduce,
+            session.reduce,
+            session.broadcast,
+            session.alltoall,
+            session.allgather,
+            session.reduce_scatter,
+            lambda tensors: session.allreduce(tensors, ready_times={0: 0.1}),
+        ]
+        before = session.sim.now
+        for call in calls:
+            with pytest.raises(CommunicatorError, match=message):
+                call(tensors)
+        assert session.sim.now == before
+        assert not session.planner._cache
+
     def test_periodic_replans_release_the_replaced_contexts(self):
         # 1 GB AllReduces on four A100s: without teardown every re-plan
         # leaks 3 GB per rank and the 27th call overflows GPU memory.
