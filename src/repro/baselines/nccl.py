@@ -21,7 +21,8 @@ What the model encodes, each traceable to the paper or NCCL docs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import weakref
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.common import Backend, register_backend
 from repro.errors import SynthesisError
@@ -66,6 +67,9 @@ class NcclBackend(Backend):
         if graph not in ("auto", "tree", "ring"):
             raise SynthesisError(f"unknown NCCL graph mode {graph!r}")
         self.graph = graph
+        #: AlltoAll strategy ``id`` -> (weak reference to it, its pairwise
+        #: round strategies); the reference's callback drops the entry.
+        self._rounds: Dict[int, Tuple[weakref.ref, List[Strategy]]] = {}
 
     # -- graph construction ------------------------------------------------------
 
@@ -150,7 +154,6 @@ class NcclBackend(Backend):
         heterogeneous NICs) is NCCL's AlltoAll handicap (Sec. VI-C).
         """
         from repro.runtime.collectives import CollectiveResult, launch
-        from repro.synthesis.strategy import Strategy
 
         if strategy.primitive is not Primitive.ALLTOALL:
             return super().run(
@@ -166,37 +169,20 @@ class NcclBackend(Backend):
                 strategy, inputs, active_ranks, ready_times, byte_scale, max_chunks
             )
         block = length // world
-        position = {rank: pos for pos, rank in enumerate(participants)}
         import numpy as np
 
-        outputs = {r: np.zeros(length, dtype=inputs[r].dtype) for r in participants}
-        for rank in participants:
-            base = position[rank] * block
-            outputs[rank][base : base + block] = inputs[rank][base : base + block]
+        # One block holds every rank's output; each rank keeps its own
+        # block, and round r delivers the block of the rank r places back.
+        # Every byte is written: a round's launch refuses a length the ranks
+        # do not divide.
+        out = np.empty((world, length), dtype=inputs[participants[0]].dtype)
+        outputs = dict(zip(participants, out))
+        for pos, rank in enumerate(participants):
+            lo = pos * block
+            outputs[rank][lo : lo + block] = inputs[rank][lo : lo + block]
 
         ready_at = {}
-        for round_index in range(1, world):
-            flows = []
-            for pos, src in enumerate(participants):
-                dst = participants[(pos + round_index) % world]
-                flows.append(
-                    Flow(gpu_node(src), gpu_node(dst), hop_path(self.topology, src, dst))
-                )
-            sc = strategy.subcollectives[0]
-            round_strategy = Strategy(
-                primitive=Primitive.ALLTOALL,
-                tensor_size=strategy.tensor_size,
-                participants=participants,
-                subcollectives=[
-                    SubCollective(
-                        index=0,
-                        size=strategy.tensor_size / world,
-                        chunk_size=sc.chunk_size,
-                        flows=flows,
-                    )
-                ],
-                routing_family="nccl-p2p-round",
-            )
+        for round_index, round_strategy in enumerate(self._round_strategies(strategy), 1):
             result = launch(
                 self.topology,
                 round_strategy,
@@ -207,17 +193,58 @@ class NcclBackend(Backend):
             ).wait()
             if round_index == 1:
                 ready_at = result.ready_at
-            for flow in flows:
-                src_rank, dst_rank = flow.src.index, flow.dst.index
-                base = position[src_rank] * block
-                outputs[dst_rank][base : base + block] = result.outputs[dst_rank][
-                    base : base + block
-                ]
+            for pos, dst in enumerate(participants):
+                lo = (pos - round_index) % world * block
+                outputs[dst][lo : lo + block] = result.outputs[dst][lo : lo + block]
             # Grouped-launch + inter-round synchronization overhead.
             sim.run(until=sim.now + P2P_ROUND_OVERHEAD_SECONDS)
         return CollectiveResult(
             outputs=outputs, started=started, finished=sim.now, ready_at=ready_at
         )
+
+    def _round_strategies(self, strategy: Strategy) -> List[Strategy]:
+        """The N−1 pairwise rounds of an AlltoAll ``strategy``, built on its
+        first run and kept while it lives, so each round's plan is compiled
+        once (``repro.runtime.collectives.compiled``)."""
+        key = id(strategy)
+        entry = self._rounds.get(key)
+        if entry is not None and entry[0]() is strategy:
+            return entry[1]
+        participants = sorted(strategy.participants)
+        world = len(participants)
+        chunk_size = strategy.subcollectives[0].chunk_size
+        rounds = []
+        for round_index in range(1, world):
+            flows = []
+            for pos, src in enumerate(participants):
+                dst = participants[(pos + round_index) % world]
+                flows.append(
+                    Flow(gpu_node(src), gpu_node(dst), hop_path(self.topology, src, dst))
+                )
+            rounds.append(
+                Strategy(
+                    primitive=Primitive.ALLTOALL,
+                    tensor_size=strategy.tensor_size,
+                    participants=participants,
+                    subcollectives=[
+                        SubCollective(
+                            index=0,
+                            size=strategy.tensor_size / world,
+                            chunk_size=chunk_size,
+                            flows=flows,
+                        )
+                    ],
+                    routing_family="nccl-p2p-round",
+                )
+            )
+        rounds_map = self._rounds
+
+        def drop(ref: weakref.ref) -> None:
+            if rounds_map.get(key, (None,))[0] is ref:
+                del rounds_map[key]
+
+        self._rounds[key] = (weakref.ref(strategy, drop), rounds)
+        return rounds
 
     def _plan(
         self,

@@ -435,14 +435,17 @@ class _Run:
 
 def _root_sum(run: _Run, part: Part, plan: StagePlan, pipeline, out: np.ndarray) -> None:
     """Complete ``part``'s reduce at its root in ``out``: the aggregate
-    that landed there plus the root's own tensor (the root has no flow of
-    its own)."""
+    that landed there plus, if the root is active, its own tensor (the
+    root has no flow of its own). An inactive root sums the active ranks
+    only: zeros when no active flow reaches it."""
     root = part.sc.root
-    own = run.inputs[root.index][part.start : part.end]
+    own = run.inputs[root.index][part.start : part.end] if root.index in run.active else None
     if plan.stage.flows:
         assemble(pipeline.row(agg_unit(root), root), out, part.bounds, own)
-    else:
+    elif own is not None:
         out[:] = own
+    else:
+        out[:] = 0
 
 
 def _reduce(run: _Run):
@@ -481,7 +484,8 @@ def _reduce_scatter(run: _Run):
         out = outputs[part.sc.root.index] = row[part.start : part.end]
         pipeline = run.start(plan, part, run.input_source(part), out)
         launched.append((part, plan, pipeline, out))
-        run.events.append(run.ready_event(part.sc.root.index))
+        if part.sc.root.index in run.active:  # the root adds its own tensor
+            run.events.append(run.ready_event(part.sc.root.index))
 
     def collect():
         for part, plan, pipeline, out in launched:

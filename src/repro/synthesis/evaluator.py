@@ -32,14 +32,28 @@ stage (or, without aggregation, a prefix trie of the flows' paths). The
 those tables for one chunk size, memoised per sub-collective.
 :meth:`StrategyEvaluator.evaluate` is the structure pass and hands it back
 as ``result.compiled``; the synthesizer evaluates a routed candidate once
-and re-times that structure for every chunk size of its grid.
+and re-times that structure for every chunk size of its grid. The part of
+the structure that reads no estimates — a sub-collective's :class:`Route`
+and its :class:`_Shape` per set of aggregation flags — outlives the pass:
+the synthesizer keeps it in a :class:`StructureCache` across adaptation
+rounds (DESIGN.md §3.1, "Structure reused across adaptation rounds").
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import SynthesisError
 from repro.hardware.gpu import GpuSpec
@@ -54,8 +68,11 @@ Unit = Tuple
 #: What the timing pass reads per edge: (α, per-stream rate).
 EdgeCost = Tuple[float, float]
 #: Edge crossings departing together: (feeder stage, edge indices) — see
-#: :class:`_SubStructure`.
+#: :class:`_Shape`.
 Run = Tuple[int, Tuple[int, ...]]
+
+#: Primitives whose flows carry replicas of one shard (``("bcast", src)`` units).
+_REPLICATED = (Primitive.BROADCAST, Primitive.ALLGATHER)
 
 
 def _aggregating_nodes(primitive: Primitive, sc: SubCollective) -> FrozenSet[NodeId]:
@@ -77,28 +94,28 @@ def edge_units(primitive: Primitive, sc: SubCollective) -> Dict[EdgeKey, set]:
     :mod:`repro.analysis.verify_strategy` checks the same algebra the
     evaluator prices.
     """
-    return _edge_units(primitive, sc, [flow.edges for flow in sc.flows])
+    aggregating = _aggregating_nodes(primitive, sc)
+    return _edge_units(primitive, aggregating, [flow.path for flow in sc.flows])
 
 
 def _edge_units(
-    primitive: Primitive, sc: SubCollective, flow_edges: Sequence[Sequence[EdgeKey]]
+    primitive: Primitive, aggregating: FrozenSet[NodeId], paths: Sequence[Sequence[NodeId]]
 ) -> Dict[EdgeKey, set]:
-    """:func:`edge_units` over already-expanded per-flow edge lists."""
+    """:func:`edge_units` of flows walking ``paths``, summed at ``aggregating``."""
     units: Dict[EdgeKey, set] = defaultdict(set)
-    if primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER:
+    if primitive in _REPLICATED:
         # Replicas of the same data group into one unit per source.
-        for flow, edges in zip(sc.flows, flow_edges):
-            unit: Unit = ("bcast", flow.src)
-            for edge in edges:
+        for path in paths:
+            unit: Unit = ("bcast", path[0])
+            for edge in zip(path, path[1:]):
                 units[edge].add(unit)
         return units
-    aggregating = _aggregating_nodes(primitive, sc)
-    for flow_idx, (flow, edges) in enumerate(zip(sc.flows, flow_edges)):
+    for flow_idx, path in enumerate(paths):
         # Data originating at an aggregating node leaves merged with the
         # flows aggregated there — one shared unit, not two.
-        origin = flow.path[0]
+        origin = path[0]
         unit = ("agg", origin) if origin in aggregating else ("flow", flow_idx)
-        for edge in edges:
+        for edge in zip(path, path[1:]):
             units[edge].add(unit)
             if edge[1] in aggregating:
                 unit = ("agg", edge[1])
@@ -128,17 +145,17 @@ class EvaluationResult:
         times: Dict[Tuple[int, int], float] = {}
         for bound, chunk in zip(self._subs, self._chunks):
             finished = bound.finish_times(chunk)
-            for position, slot in enumerate(bound.sub.slots):
-                times[(bound.sub.sc.index, position)] = finished[slot]
+            for position, slot in enumerate(bound.shape.slots):
+                times[(bound.sc.index, position)] = finished[slot]
         return times
 
     @cached_property
     def edge_loads(self) -> Dict[Tuple[int, EdgeKey], int]:
         """(subcollective index, edge) -> N^m_{i,j}"""
         return {
-            (bound.sub.sc.index, key): load
+            (bound.sc.index, key): load
             for bound in self._subs
-            for key, load in zip(bound.sub.edges, bound.sub.loads)
+            for key, load in zip(bound.route.edges, bound.shape.loads)
         }
 
     @cached_property
@@ -147,55 +164,152 @@ class EvaluationResult:
         return dict(self._total_loads)
 
 
-class _SubStructure:
-    """What one sub-collective contributes to the structure pass.
+class Route:
+    """One routed sub-collective: the distinct edges its flows cross, in
+    first-crossing order (the dense edge index), and each flow's walk as
+    indices into them (``hops``).
 
-    Everything here follows from the routed flows and the aggregation
-    flags alone — not from the chunk size, and not from link estimates.
-    The timing pass yields one finish time per *output* (a distinct last
-    run, or per flow without aggregation); ``slots`` maps flows to outputs.
+    It follows from the walks alone, so it serves every set of aggregation
+    flags (``shapes``: one :class:`_Shape` per flag set) and, kept in a
+    :class:`StructureCache`, every later round that routes the same way.
+    Nothing in it depends on link estimates or on a :class:`SubCollective`
+    object. Its edges, hops and every tuple of its shapes are stored once
+    per value in ``interned``, which a cache shares among all its routes:
+    small-int tuples recur across routes where node walks do not.
     """
 
-    __slots__ = ("sc", "edge_keys", "edges", "indexed", "loads", "stages", "finals", "trie",
-                 "leaves", "revisits", "slots")
+    __slots__ = ("edges", "hops", "shapes", "interned")
 
-    def __init__(self, sc: SubCollective, kept: Optional["_SubStructure"]):
-        self.sc = sc
-        if kept is not None:  # an aggregation flip keeps the routes
-            self.edge_keys, self.edges, self.indexed = kept.edge_keys, kept.edges, kept.indexed
-        else:
-            #: Per flow its (src, dst) pairs, and its edges as indices into
-            #: ``edges``: the distinct edges in first-crossing order.
-            self.edge_keys = [flow.edges for flow in sc.flows]
-            index: Dict[EdgeKey, int] = {}
-            self.indexed = [[index.setdefault(k, len(index)) for k in ks] for ks in self.edge_keys]
-            self.edges: List[EdgeKey] = list(index)
-        self.loads: List[int] = []  # N^m_{i,j} per edge of ``edges``
-        #: Reduce-style only. One ``(kernel spec, distinct runs)`` per
-        #: aggregating node, upstream first; a run ``(feeder, edges)``
-        #: departs from stage ``feeder`` (-1: a source). ``finals``: last runs.
-        self.stages: Optional[List[Tuple[Optional[GpuSpec], List[Run]]]] = None
-        self.finals: List[Run] = []
-        #: Other primitives. A prefix trie of the paths: node ``k + 1`` is
-        #: ``trie[k] = (parent, edge)``, node 0 the sources; ``leaves`` holds
-        #: each flow's node, 0 for a flow visiting a node twice, timed alone
-        #: from ``revisits`` (its edges and the ready-time index pairs of
-        #: its eq.-6 rises, keyed by node: a NIC's last visit counts).
-        self.trie: List[Tuple[int, int]] = []
-        self.leaves: List[int] = []
-        self.revisits: List[Tuple[List[int], List[Tuple[int, int]]]] = []
-        self.slots: List[int] = []
+    def __init__(self, paths: Iterable[Sequence[NodeId]], interned: Optional[Dict] = None):
+        self.interned: Dict = {} if interned is None else interned
+        intern = self.intern
+        index: Dict[EdgeKey, int] = {}
+        self.hops: Tuple[Tuple[int, ...], ...] = tuple(
+            intern(tuple(index.setdefault(key, len(index)) for key in zip(path, path[1:])))
+            for path in paths
+        )
+        self.edges: Tuple[EdgeKey, ...] = intern(tuple(map(intern, index)))
+        self.shapes: Dict[Tuple, _Shape] = {}
+
+    def intern(self, value: Tuple) -> Tuple:
+        """The one stored tuple equal to ``value``."""
+        return self.interned.setdefault(value, value)
+
+    @property
+    def paths(self) -> List[List[NodeId]]:
+        """Each flow's node walk, in flow order."""
+        edges = self.edges
+        return [[edges[hops[0]][0], *[edges[hop][1] for hop in hops]] for hops in self.hops]
+
+
+class _Shape:
+    """What a route and one set of aggregation flags make for timing.
+
+    Not the chunk size, not link estimates: the loads N^m_{i,j} per edge
+    of the route's ``edges``, and the walk the timing pass takes. That
+    walk yields one finish time per *output* (a distinct last run, or
+    per flow without aggregation); ``slots`` maps flows to outputs.
+
+    Reduce-style primitives fill ``stages``: one ``(kernel spec, distinct
+    runs)`` per aggregating node, upstream first; a run ``(feeder, edges)``
+    departs from stage ``feeder`` (-1: a source), and ``finals`` are the
+    last runs. The others fill a prefix trie of the paths: node ``k + 1``
+    is ``trie[k] = (parent, edge)``, node 0 the sources; ``leaves`` holds
+    each flow's node, 0 for a flow visiting a node twice, timed alone from
+    ``revisits`` (its edges, and per path position the index of that
+    node's last visit: eq. 6's rises are keyed by node, so a NIC's last
+    visit counts).
+    """
+
+    __slots__ = ("loads", "slots", "stages", "finals", "trie", "leaves", "revisits")
+
+    def __init__(
+        self,
+        loads: Tuple[int, ...],
+        slots: Sequence[int],
+        stages: Optional[Tuple[Tuple[Optional[GpuSpec], Tuple[Run, ...]], ...]] = None,
+        finals: Tuple[Run, ...] = (),
+        trie: Tuple[Tuple[int, int], ...] = (),
+        leaves: Tuple[int, ...] = (),
+        revisits: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...] = (),
+    ):
+        self.loads = loads
+        self.slots = slots
+        self.stages = stages
+        self.finals = finals
+        self.trie = trie
+        self.leaves = leaves
+        self.revisits = revisits
+
+
+#: Aggregation-flag sets a route keeps shapes for before it starts over.
+_SHAPES_PER_ROUTE = 16
+#: Routes in one generation of a :class:`StructureCache`: more than one
+#: adaptation round routes on the 16-rank perfbench cluster (≈ 200).
+_ROUTES_PER_GENERATION = 256
+
+
+class StructureCache:
+    """Routes (with their shapes) kept across synthesis rounds, bounded.
+
+    Keyed by what fixes a route's walks — for a tree family, the tree's
+    parent pointers, its root and the direction — never by costs: a hit
+    hands back structure only, and the timing pass always reads the
+    current estimates. Every route interns its edges, hops and shape
+    tuples into one shared table, so equal values made in one synthesis
+    are stored once.
+
+    Two generations bound it: a lookup reads the current one, then the
+    previous one (moving a hit to the current one); when the current one
+    holds ``_ROUTES_PER_GENERATION`` routes it becomes the previous one and
+    the old previous one is dropped. So at most twice that many routes are
+    held, and a round that routes at most that many sub-collectives finds
+    all of them again in the next round.
+    """
+
+    def __init__(self) -> None:
+        self._current: Dict[Hashable, Route] = {}
+        self._previous: Dict[Hashable, Route] = {}
+        self._interned: Dict = {}
+
+    def __len__(self) -> int:
+        return len(self._current) + len(self._previous)
+
+    def route(self, key: Hashable, walks: Callable[[], Sequence[Sequence[NodeId]]]) -> Route:
+        """The route cached under ``key``; on a miss, one built from
+        ``walks()`` (the flows' node walks, in flow order)."""
+        route = self._current.get(key)
+        if route is None:
+            route = self._previous.pop(key, None)
+            if len(self._current) >= _ROUTES_PER_GENERATION:
+                self._previous, self._current = self._current, {}
+            if route is None:
+                route = Route(walks(), self._interned)
+            self._current[key] = route
+        return route
+
+    def release_intern_table(self) -> None:
+        """Empty the intern table at the end of a synthesis. The tuples stay
+        shared by the routes and shapes holding them; only the table goes.
+        A table kept between syntheses outlives the garbage of the search
+        that grew it and pins that memory: +1 MB peak RSS on
+        ``train_observed_hetero16``, which synthesizes once."""
+        self._interned.clear()
 
 
 class _Bound:
-    """A sub-collective's structure bound to its edges' ``(α, rate)``, with
-    its worst finish time memoised per chunk size."""
+    """A sub-collective's shape bound to its edges' ``(α, rate)``, with its
+    worst finish time memoised per chunk size."""
 
-    __slots__ = ("sub", "costs", "worst")
+    __slots__ = ("sc", "route", "shape", "costs", "worst")
 
-    def __init__(self, sub: _SubStructure, costs: Dict[EdgeKey, EdgeCost]):
-        self.sub = sub
-        self.costs = [costs[key] for key in sub.edges]
+    def __init__(
+        self, sc: SubCollective, route: Route, shape: _Shape, costs: Dict[EdgeKey, EdgeCost]
+    ):
+        self.sc = sc
+        self.route = route
+        self.shape = shape
+        self.costs = [costs[key] for key in route.edges]
         self.worst: Dict[float, float] = {}
 
     def worst_at(self, chunk: float) -> float:
@@ -206,17 +320,17 @@ class _Bound:
         return worst
 
     def finish_times(self, chunk: float) -> List[float]:
-        """T per output (see ``_SubStructure.slots``) — eqs. 2, 5, 6."""
-        sub = self.sub
-        size = sub.sc.size
+        """T per output (see ``_Shape.slots``) — eqs. 2, 5, 6."""
+        shape = self.shape
+        size = self.sc.size
         if size == 0:
-            return [0.0] * len(sub.slots)
+            return [0.0] * len(shape.slots)
         # t_{i,j} = α + C/rate once per distinct edge (eq. 2 with eq. 3's rate).
         steps = [alpha + chunk / rate for alpha, rate in self.costs]
         chunks = chunk_count(size, chunk)
-        if sub.stages is not None:
-            return _aggregated_times(sub, steps, chunk, chunks)
-        return _independent_times(sub, steps, chunks)
+        if shape.stages is not None:
+            return _aggregated_times(shape, steps, chunk, chunks)
+        return _independent_times(shape, steps, chunks)
 
 
 class CompiledStrategy:
@@ -227,19 +341,35 @@ class CompiledStrategy:
     sub-collective used chunk size ``chunk`` (its own ``chunk_size`` when
     omitted) and is bit-for-bit what a fresh ``evaluate`` of that strategy
     would return.
+
+    ``routes`` gives each sub-collective's :class:`Route` when the caller
+    has it (from a :class:`StructureCache`; ``route.paths`` are then the
+    sub-collective's walks, and its ``flows`` are not read); otherwise each
+    is built from the flows. Either way the shapes come from the route for
+    the current flags, and everything that reads estimates runs here,
+    every time.
     """
 
-    def __init__(self, topology: LogicalTopology, include_kernel_time: bool, strategy: Strategy):
+    def __init__(
+        self,
+        topology: LogicalTopology,
+        include_kernel_time: bool,
+        strategy: Strategy,
+        routes: Optional[Sequence[Route]] = None,
+    ):
         self.topology = topology
         self.include_kernel_time = include_kernel_time
         self.strategy = strategy
-        subs = [self._compile_sub(sc) for sc in strategy.subcollectives]
+        subcollectives = strategy.subcollectives
+        if routes is None:
+            routes = [Route([flow.path for flow in sc.flows]) for sc in subcollectives]
+        shapes = [self._shape(sc, route) for sc, route in zip(subcollectives, routes)]
         #: edge -> Σ_m N^m
         self.total_loads: Dict[EdgeKey, int] = {}
         #: edge -> positions of the sub-collectives crossing it
         self._crossing: Dict[EdgeKey, List[int]] = defaultdict(list)
-        for position, sub in enumerate(subs):
-            for key, load in zip(sub.edges, sub.loads):
+        for position, (route, shape) in enumerate(zip(routes, shapes)):
+            for key, load in zip(route.edges, shape.loads):
                 self.total_loads[key] = self.total_loads.get(key, 0) + load
                 self._crossing[key].append(position)
         self._read_estimates()
@@ -248,62 +378,89 @@ class CompiledStrategy:
         self._egress = {nic: sum(map(load, keys)) for nic, keys in self._net_out.items()}
         self._ingress = {nic: sum(map(load, keys)) for nic, keys in self._net_in.items()}
         self._costs = {key: self._cost(key) for key in self.total_loads}
-        self._subs = [_Bound(sub, self._costs) for sub in subs]
+        self._subs = [
+            _Bound(sc, route, shape, self._costs)
+            for sc, route, shape in zip(subcollectives, routes, shapes)
+        ]
 
     # -- the structure pass ----------------------------------------------------------
 
-    def _compile_sub(self, sc: SubCollective, kept: Optional[_SubStructure] = None):
-        """Structure of one sub-collective (keeping ``kept``'s routes, if given)."""
+    def _shape(self, sc: SubCollective, route: Route) -> _Shape:
+        """``route``'s shape under ``sc``'s aggregation flags: kept on the
+        route, built on first use."""
         primitive = self.strategy.primitive
-        sub = _SubStructure(sc, kept)
-        units = _edge_units(primitive, sc, sub.edge_keys)
-        sub.loads = [len(units[key]) for key in sub.edges]
+        aggregating = _aggregating_nodes(primitive, sc)
+        key = (primitive.needs_aggregation, primitive in _REPLICATED, aggregating)
+        shape = route.shapes.get(key)
+        if shape is None:
+            if len(route.shapes) >= _SHAPES_PER_ROUTE:
+                route.shapes.clear()
+            shape = self._compile_shape(route, aggregating)
+            route.shapes[route.intern(key)] = shape
+        return shape
+
+    def _compile_shape(self, route: Route, aggregating: FrozenSet[NodeId]) -> _Shape:
+        """Loads, and the stages and runs or the trie, of one sub-collective
+        whose flows walk ``route.paths``, summed at ``aggregating``."""
+        primitive = self.strategy.primitive
+        intern = route.intern
+        paths = route.paths
+        units = _edge_units(primitive, aggregating, paths)
+        loads = intern(tuple(len(units[key]) for key in route.edges))
         if not primitive.needs_aggregation:
             children: Dict[Tuple[int, int], int] = {}
-            for flow, indices in zip(sc.flows, sub.indexed):
-                path, node = flow.path, 0
+            leaves: List[int] = []
+            revisits = []
+            for path, indices in zip(paths, route.hops):
+                node = 0
                 if len(set(path)) != len(path):
                     last_visit = {visited: idx for idx, visited in enumerate(path)}
-                    visits = [last_visit[visited] for visited in path]
-                    sub.revisits.append((indices, list(zip(visits[1:], visits))))
-                    indices = []  # never in the trie
+                    visits = tuple(last_visit[visited] for visited in path)
+                    revisits.append((intern(indices), intern(visits)))
+                    indices = ()  # never in the trie
                 for edge in indices:
                     child = children.get((node, edge))
                     if child is None:
-                        sub.trie.append((node, edge))
-                        child = children[(node, edge)] = len(sub.trie)
+                        child = children[(node, edge)] = len(children) + 1
                     node = child
-                sub.leaves.append(node)
-            sub.slots = list(range(len(sc.flows)))
-            return sub
+                leaves.append(node)
+            return _Shape(
+                loads,
+                range(len(paths)),
+                trie=tuple(map(intern, children)),
+                leaves=intern(tuple(leaves)),
+                revisits=tuple(revisits),
+            )
 
-        aggregating = _aggregating_nodes(primitive, sc)
         # Per flow, positions (path indices) of aggregating nodes.
         positions = [
-            [idx for idx, node in enumerate(flow.path) if node in aggregating]
-            for flow in sc.flows
+            [idx for idx, node in enumerate(path) if node in aggregating] for path in paths
         ]
-        order = self._aggregation_order(sc, positions)
+        order = self._aggregation_order(paths, positions)
         stage_of = {node: stage for stage, node in enumerate(order)}
         arrivals: List[Dict[Run, None]] = [{} for _ in order]
         finals: Dict[Run, int] = {}
-        for flow, visited, indices in zip(sc.flows, positions, sub.indexed):
+        slots = []
+        for path, visited, indices in zip(paths, positions, route.hops):
             # A flow *originating* at an aggregating node departs when that
             # aggregation is done (its data merges with the children's
             # chunks): position 0 feeds the next run but is no arrival.
             feeder, first = -1, 0
             for idx in visited:
-                stage = stage_of[flow.path[idx]]
+                stage = stage_of[path[idx]]
                 if idx > 0:
-                    arrivals[stage][(feeder, tuple(indices[first:idx]))] = None
+                    arrivals[stage][(feeder, indices[first:idx])] = None
                 feeder, first = stage, idx
-            sub.slots.append(finals.setdefault((feeder, tuple(indices[first:])), len(finals)))
-        sub.stages = [
-            (self._kernel_spec(node) if runs else None, list(runs))
-            for node, runs in zip(order, arrivals)
-        ]
-        sub.finals = list(finals)
-        return sub
+            slots.append(finals.setdefault((feeder, indices[first:]), len(finals)))
+        return _Shape(
+            loads,
+            intern(tuple(slots)),
+            stages=tuple(
+                (self._kernel_spec(node) if runs else None, tuple(map(intern, runs)))
+                for node, runs in zip(order, arrivals)
+            ),
+            finals=tuple(map(intern, finals)),
+        )
 
     def _read_estimates(self) -> None:
         """Read each loaded edge's estimates and its NICs' line rates once."""
@@ -358,8 +515,9 @@ class CompiledStrategy:
             return None
         return self.topology.cluster.gpu(node.index).spec
 
+    @staticmethod
     def _aggregation_order(
-        self, sc: SubCollective, positions: List[List[int]]
+        paths: Sequence[Sequence[NodeId]], positions: List[List[int]]
     ) -> List[NodeId]:
         """Dependency order over aggregation nodes (upstream first).
 
@@ -368,8 +526,7 @@ class CompiledStrategy:
         """
         deps: Dict[NodeId, set] = defaultdict(set)
         nodes: set = set()
-        for flow, visited in zip(sc.flows, positions):
-            path = flow.path
+        for path, visited in zip(paths, positions):
             for earlier, later in zip(visited, visited[1:]):
                 deps[path[later]].add(path[earlier])
             nodes.update(path[idx] for idx in visited)
@@ -405,12 +562,12 @@ class CompiledStrategy:
         """
         previous = (self._subs, self.total_loads, self._costs, self._egress, self._ingress)
         subs, total, costs, egress, ingress = previous
-        stale = subs[position].sub
-        fresh = self._compile_sub(stale.sc, stale)
+        stale = subs[position]
+        fresh = self._shape(stale.sc, stale.route)
         self.total_loads, self._costs = dict(total), dict(costs)
         self._egress, self._ingress = dict(egress), dict(ingress)
         affected: Dict[EdgeKey, None] = {}
-        for key, before, after in zip(fresh.edges, stale.loads, fresh.loads):
+        for key, before, after in zip(stale.route.edges, stale.shape.loads, fresh.loads):
             if before != after:
                 self.total_loads[key] += after - before
                 if self._estimates[key][0]:  # a network rate follows its NICs' sums
@@ -431,8 +588,9 @@ class CompiledStrategy:
                 rebind.update(self._crossing[key])
         self._subs = list(subs)
         for changed in rebind:
-            sub = fresh if changed == position else subs[changed].sub
-            self._subs[changed] = _Bound(sub, self._costs)
+            bound = subs[changed]
+            shape = fresh if changed == position else bound.shape
+            self._subs[changed] = _Bound(bound.sc, bound.route, shape, self._costs)
         return previous
 
     def restore(self, state: Tuple) -> None:
@@ -443,7 +601,7 @@ class CompiledStrategy:
 
     def _chunks(self, chunk: Optional[float]) -> List[float]:
         """Per sub-collective, ``chunk`` or (when omitted) its own chunk size."""
-        return [bound.sub.sc.chunk_size if chunk is None else chunk for bound in self._subs]
+        return [bound.sc.chunk_size if chunk is None else chunk for bound in self._subs]
 
     def objective(self, chunk: Optional[float] = None) -> float:
         """Predicted completion time (eq. 4)."""
@@ -455,7 +613,7 @@ class CompiledStrategy:
 
 
 def _aggregated_times(
-    sub: _SubStructure, steps: List[float], chunk: float, chunks: int
+    shape: _Shape, steps: List[float], chunk: float, chunks: int
 ) -> List[float]:
     """T per distinct last run of a reduce-style sub-collective.
 
@@ -474,7 +632,7 @@ def _aggregated_times(
     """
     # Per stage, when the aggregated chunk leaves and the steady-state
     # seconds per chunk; the extra last entry is a source (feeder -1).
-    ready = [0.0] * (len(sub.stages) + 1)
+    ready = [0.0] * (len(shape.stages) + 1)
     paces = list(ready)
 
     def walk(run: Run) -> Tuple[float, float]:
@@ -487,7 +645,7 @@ def _aggregated_times(
                 pace = step
         return t, pace
 
-    for stage, (spec, runs) in enumerate(sub.stages):
+    for stage, (spec, runs) in enumerate(shape.stages):
         # A stage nothing arrives at (an aggregating source) is ready at 0.
         latest = slowest = 0.0
         for t, pace in map(walk, runs):
@@ -498,16 +656,16 @@ def _aggregated_times(
         kernel = spec.reduce_kernel_time(chunk) if spec is not None else 0.0
         ready[stage] = latest + kernel
         paces[stage] = max(slowest, kernel)
-    return [t + chunks * pace for t, pace in map(walk, sub.finals)]  # eq. 5
+    return [t + chunks * pace for t, pace in map(walk, shape.finals)]  # eq. 5
 
 
-def _independent_times(sub: _SubStructure, steps: List[float], chunks: int) -> List[float]:
+def _independent_times(shape: _Shape, steps: List[float], chunks: int) -> List[float]:
     """T per flow of a sub-collective without aggregation: a walk of the
     prefix trie, each node holding its ready time and the largest eq.-6
     rise on the way there; a revisiting flow walks its own path."""
     ready = [0.0]
     peak = [0.0]
-    for parent, edge in sub.trie:
+    for parent, edge in shape.trie:
         base = ready[parent]
         current = base + steps[edge]
         rise = current - base
@@ -515,17 +673,17 @@ def _independent_times(sub: _SubStructure, steps: List[float], chunks: int) -> L
         ready.append(current)
         peak.append(rise if rise > top else top)
     times: List[float] = []
-    revisits = iter(sub.revisits)
-    for leaf in sub.leaves:
+    revisits = iter(shape.revisits)
+    for leaf in shape.leaves:
         if leaf:
             times.append(ready[leaf] + chunks * peak[leaf])  # eq. 5
             continue
-        indices, rises = next(revisits)
+        indices, visits = next(revisits)
         walked = [0.0]
         for edge in indices:
             walked.append(walked[-1] + steps[edge])
         bottleneck = 0.0
-        for later, earlier in rises:
+        for later, earlier in zip(visits[1:], visits):
             rise = walked[later] - walked[earlier]
             if rise > bottleneck:
                 bottleneck = rise
@@ -542,12 +700,17 @@ class StrategyEvaluator:
 
     # -- public API ------------------------------------------------------------
 
-    def evaluate(self, strategy: Strategy) -> EvaluationResult:
+    def evaluate(
+        self, strategy: Strategy, routes: Optional[Sequence[Route]] = None
+    ) -> EvaluationResult:
         """Full evaluation of a strategy — the structure pass, timed at the
         strategy's own chunk sizes when a field is read; also validates
         edge existence. ``result.compiled`` keeps the structure for
-        re-timing."""
-        return CompiledStrategy(self.topology, self.include_kernel_time, strategy).evaluate()
+        re-timing. ``routes``: the sub-collectives' cached routes, if the
+        caller holds them (see :class:`CompiledStrategy`)."""
+        return CompiledStrategy(
+            self.topology, self.include_kernel_time, strategy, routes
+        ).evaluate()
 
     def objective(self, strategy: Strategy) -> float:
         """Shortcut: just the predicted completion time (eq. 4)."""

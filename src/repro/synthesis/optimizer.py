@@ -19,23 +19,35 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SynthesisError
 from repro.synthesis.aggregation import default_aggregation, improve_aggregation
 from repro.synthesis.chunking import chunk_candidates
-from repro.synthesis.evaluator import CompiledStrategy, StrategyEvaluator
+from repro.synthesis.evaluator import (
+    CompiledStrategy,
+    Route,
+    StrategyEvaluator,
+    StructureCache,
+)
 from repro.synthesis.routing import (
     TREE_FAMILIES,
     RouteTable,
-    alltoall_flows,
-    broadcast_flows,
+    Tree,
+    alltoall_walks,
+    flows_along,
     instance_network_bandwidth,
-    reduce_flows,
+    tree_walks,
 )
 from repro.synthesis.strategy import Flow, Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology, gpu_node
+
+
+#: Route directions, the first field of a :class:`StructureCache` key.
+_TO_ROOT, _FROM_ROOT, _DIRECT = 0, 1, 2
 
 
 @dataclass
@@ -86,11 +98,20 @@ class CompiledScore:
     Keeps the structure the evaluator compiled — for AllReduce of both
     halves, the stored reduce flows and their reversal into the broadcast
     stage. ``score(chunk)`` then prices any chunk size with arithmetic alone.
+    ``routes`` and ``mirrored`` are the two halves' cached routes, when the
+    caller holds them; the strategy's flows are then not read.
     """
 
-    def __init__(self, evaluator: StrategyEvaluator, strategy: Strategy):
+    def __init__(
+        self,
+        evaluator: StrategyEvaluator,
+        strategy: Strategy,
+        routes: Optional[Sequence[Route]] = None,
+        mirrored: Optional[Sequence[Route]] = None,
+    ):
         self.strategy = strategy
-        self.forward: CompiledStrategy = evaluator.evaluate(strategy).compiled
+        self.routes = routes
+        self.forward: CompiledStrategy = evaluator.evaluate(strategy, routes).compiled
         self.backward: Optional[CompiledStrategy] = None
         if strategy.primitive is Primitive.ALLREDUCE:
             reversed_strategy = Strategy(
@@ -108,7 +129,7 @@ class CompiledScore:
                     for sc in strategy.subcollectives
                 ],
             )
-            self.backward = evaluator.evaluate(reversed_strategy).compiled
+            self.backward = evaluator.evaluate(reversed_strategy, mirrored).compiled
 
     def score(self, chunk: Optional[float] = None) -> float:
         """Evaluator objective with every sub-collective at chunk size
@@ -152,6 +173,10 @@ class Synthesizer:
         self.topology = topology
         self.config = config or SynthesizerConfig()
         self.evaluator = StrategyEvaluator(topology, include_kernel_time=include_kernel_time)
+        #: Routed sub-collectives and their shapes, kept across rounds
+        #: (DESIGN.md §3.1): a re-synthesis re-times, and routes only trees
+        #: it has not seen.
+        self.structures = StructureCache()
         self.last_report = SynthesisReport()
 
     # -- public API -------------------------------------------------------------
@@ -195,6 +220,7 @@ class Synthesizer:
         else:  # pragma: no cover - exhaustive over enum
             raise SynthesisError(f"unsupported primitive {primitive}")
 
+        self.structures.release_intern_table()
         self.last_report.solve_seconds = time.perf_counter() - started
         telemetry = self.topology.cluster.hub
         if telemetry.enabled:
@@ -297,7 +323,10 @@ class Synthesizer:
         world = len(participants)
         per_pair = tensor_size / world
         m = self.config.parallelism
-        flows = alltoall_flows(self.topology, participants)
+        route = self.structures.route(
+            array("i", [_DIRECT, *participants]).tobytes(),
+            lambda: alltoall_walks(self.topology, participants),
+        )
         chunks = self._chunks(per_pair / m)
         strategy = Strategy(
             primitive=Primitive.ALLTOALL,
@@ -308,13 +337,13 @@ class Synthesizer:
                     index=index,
                     size=per_pair / m,
                     chunk_size=chunks[0],
-                    flows=[Flow(f.src, f.dst, list(f.path)) for f in flows],
+                    flows=flows_along(route.paths),
                 )
                 for index in range(m)
             ],
             routing_family="direct",
         )
-        scored = CompiledScore(self.evaluator, strategy)
+        scored = CompiledScore(self.evaluator, strategy, [route] * m)
         best: Optional[Tuple[float, float]] = None
         for chunk in chunks:
             predicted = scored.score(chunk)
@@ -351,12 +380,9 @@ class Synthesizer:
                 family(self.topology, participants, sc_root, rotation=index, routes=routes)
                 for index, sc_root in enumerate(roots)
             ]
-            scored[family_name] = CompiledScore(
-                self.evaluator,
-                self._routed(
-                    primitive, tensor_size, participants, roots, trees, all_chunks[0],
-                    size_each, family_name, routes,
-                ),
+            scored[family_name] = self._routed(
+                primitive, tensor_size, participants, roots, trees, all_chunks[0],
+                size_each, family_name, routes,
             )
 
         report = self.last_report
@@ -387,6 +413,10 @@ class Synthesizer:
         assert best is not None
         predicted, chunk, family_name = best
         winner = scored[family_name]
+        # Candidates are priced from their routes; only the winner's
+        # sub-collectives get flows.
+        for sc, route in zip(winner.strategy.subcollectives, winner.routes):
+            sc.flows = flows_along(route.paths)
         strategy = self._settle(winner.strategy, predicted, chunk)
         if self.config.aggregation_search and primitive.needs_aggregation:
             improve_aggregation(winner, chunk)
@@ -403,32 +433,50 @@ class Synthesizer:
         size_each: float,
         family_name: str,
         routes: RouteTable,
-    ) -> Strategy:
-        """Build one family's (unscored) strategy from its trees."""
+    ) -> CompiledScore:
+        """Build and compile one family's strategy from its trees. Its
+        sub-collectives carry no flows yet: the score reads their routes."""
+        broadcast = primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER
         subcollectives = []
+        routed = []
         for index, (sc_root, tree) in enumerate(zip(roots, trees)):
-            if primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER:
-                flows = broadcast_flows(self.topology, tree, sc_root, routes)
-                aggregation: Dict = {}
-            else:
-                flows = reduce_flows(self.topology, tree, sc_root, routes)
-                aggregation = default_aggregation(tree, sc_root)
+            route = self._tree_route(tree, sc_root, routes, toward_root=not broadcast)
+            routed.append(route)
             subcollectives.append(
                 SubCollective(
                     index=index,
                     size=size_each,
                     chunk_size=chunk,
-                    flows=flows,
-                    aggregation=aggregation,
+                    flows=[],
+                    aggregation={} if broadcast else default_aggregation(tree, sc_root),
                     root=gpu_node(sc_root),
                 )
             )
-        return Strategy(
+        strategy = Strategy(
             primitive=primitive,
             tensor_size=tensor_size,
             participants=participants,
             subcollectives=subcollectives,
             routing_family=family_name,
+        )
+        mirrored = None
+        if primitive is Primitive.ALLREDUCE:
+            # The broadcast half walks the same trees from their roots.
+            mirrored = [
+                self._tree_route(tree, sc_root, routes, toward_root=False)
+                for sc_root, tree in zip(roots, trees)
+            ]
+        return CompiledScore(self.evaluator, strategy, routed, mirrored)
+
+    def _tree_route(
+        self, tree: Tree, root: int, routes: RouteTable, toward_root: bool
+    ) -> Route:
+        """The cached route of ``tree``'s walks to (or from) ``root``: keyed
+        by the direction, the root and the parent pointers, in rank order."""
+        direction = _TO_ROOT if toward_root else _FROM_ROOT
+        key = array("i", [direction, root, *chain.from_iterable(sorted(tree.items()))]).tobytes()
+        return self.structures.route(
+            key, lambda: tree_walks(self.topology, tree, root, routes, toward_root)
         )
 
     @staticmethod

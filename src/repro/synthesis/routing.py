@@ -320,35 +320,46 @@ TREE_FAMILIES: Dict[str, Callable[..., Tree]] = {
 # -- flow construction -----------------------------------------------------------------
 
 
+def tree_walks(
+    topology: LogicalTopology,
+    tree: Tree,
+    root: int,
+    routes: Optional[RouteTable] = None,
+    toward_root: bool = True,
+) -> List[List[NodeId]]:
+    """One walk per non-root participant, in rank order: along the tree to
+    the root, or (``toward_root=False``) reversed, from the root."""
+    paths = tree_flow_paths(topology, tree, root, routes)
+    return [path if toward_root else path[::-1] for _rank, path in sorted(paths.items())]
+
+
+def alltoall_walks(topology: LogicalTopology, participants: Sequence[int]) -> List[List[NodeId]]:
+    """The direct one-hop walk of every ordered pair, sources outermost."""
+    return [
+        hop_path(topology, src, dst) for src in participants for dst in participants if src != dst
+    ]
+
+
+def flows_along(walks: Sequence[List[NodeId]]) -> List[Flow]:
+    """A flow along each walk, from its first node to its last; each walk
+    list becomes its flow's path (so pass lists nothing else holds)."""
+    return [Flow(src=walk[0], dst=walk[-1], path=walk) for walk in walks]
+
+
 def reduce_flows(
     topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
 ) -> List[Flow]:
     """One flow per non-root participant, routed along the tree (eq. 1)."""
-    paths = tree_flow_paths(topology, tree, root, routes)
-    return [Flow(src=path[0], dst=path[-1], path=path) for _rank, path in sorted(paths.items())]
+    return flows_along(tree_walks(topology, tree, root, routes))
 
 
 def broadcast_flows(
     topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
 ) -> List[Flow]:
     """Broadcast = the reduce tree reversed: root → every participant."""
-    paths = tree_flow_paths(topology, tree, root, routes)
-    return [
-        Flow(src=path[-1], dst=path[0], path=path[::-1]) for _rank, path in sorted(paths.items())
-    ]
+    return flows_along(tree_walks(topology, tree, root, routes, toward_root=False))
 
 
 def alltoall_flows(topology: LogicalTopology, participants: Sequence[int]) -> List[Flow]:
     """Direct pairwise flows for AlltoAll (every ordered pair)."""
-    flows = []
-    for src in participants:
-        for dst in participants:
-            if src != dst:
-                flows.append(
-                    Flow(
-                        src=gpu_node(src),
-                        dst=gpu_node(dst),
-                        path=hop_path(topology, src, dst),
-                    )
-                )
-    return flows
+    return flows_along(alltoall_walks(topology, participants))

@@ -75,7 +75,8 @@ class _ReferenceStrategy:
     def _compile_sub(self, sc: SubCollective, edge_keys: List[List[EdgeKey]]) -> _SubStructure:
         primitive = self.strategy.primitive
         sub = _SubStructure(sc, edge_keys)
-        for key, units in _edge_units(primitive, sc, edge_keys).items():
+        aggregating = _aggregating_nodes(primitive, sc)
+        for key, units in _edge_units(primitive, aggregating, [f.path for f in sc.flows]).items():
             sub.loads[key] = len(units)
         if not primitive.needs_aggregation:
             for flow in sc.flows:
@@ -84,7 +85,6 @@ class _ReferenceStrategy:
                 sub.rises.append(list(zip(visits[1:], visits)))
             return sub
 
-        aggregating = _aggregating_nodes(primitive, sc)
         positions = [
             [idx for idx, node in enumerate(flow.path) if node in aggregating]
             for flow in sc.flows

@@ -109,6 +109,49 @@ class TestNcclModel:
         result = backend.plan_and_run(Primitive.ALLTOALL, inputs, ranks)
         assert result.duration > 0
 
+    def test_alltoall_compiles_its_rounds_once(self, monkeypatch):
+        """A second call of one AlltoAll strategy compiles no new plan, and
+        its outputs, ready times and simulated time are the bits a backend
+        building the rounds afresh produces."""
+        from repro.runtime import collectives
+
+        ranks = list(range(8))
+        inputs = make_inputs(ranks, 8 * 16)
+
+        def two_calls(fresh_second: bool):
+            topo = make_topo()
+            backend = make_backend("nccl", topo)
+            strategy = backend.plan(Primitive.ALLTOALL, 8 * 16 * 8, ranks)
+            first = backend.run(strategy, inputs, ready_times={3: 2e-5})
+            plans = [entry[1] for entry in topo.plans.values()]
+            if fresh_second:
+                backend = make_backend("nccl", topo)
+            second = backend.run(strategy, inputs, ready_times={5: 1e-5})
+            kept = plans == [entry[1] for entry in topo.plans.values()]
+            return first, second, kept
+
+        compiled = []
+        original = collectives.CollectivePlan.__init__
+
+        def counting(plan, topology, strategy):
+            compiled.append(strategy.routing_family)
+            original(plan, topology, strategy)
+
+        monkeypatch.setattr(collectives.CollectivePlan, "__init__", counting)
+        first, second, kept = two_calls(fresh_second=False)
+        assert compiled == ["nccl-p2p-round"] * 7  # one per round, first call only
+        assert kept
+        _, reference, _ = two_calls(fresh_second=True)
+        assert second.finished.hex() == reference.finished.hex()
+        assert second.ready_at == reference.ready_at
+        for rank in ranks:
+            assert second.outputs[rank].tobytes() == reference.outputs[rank].tobytes()
+            for src in ranks:  # block src of rank's output is src's block for rank
+                np.testing.assert_array_equal(
+                    first.outputs[rank][src * 16 : (src + 1) * 16],
+                    inputs[src][rank * 16 : (rank + 1) * 16],
+                )
+
 
 class TestMscclModel:
     def test_two_channels(self):

@@ -194,6 +194,28 @@ class TestReduceScatter:
         )
         np.testing.assert_array_equal(reconstructed, total)
 
+    @pytest.mark.parametrize("planner", ["adapcc", "nccl"])
+    @pytest.mark.parametrize("active", [[0, 2, 5, 6], [3], []])
+    def test_an_inactive_root_gets_the_active_ranks_sum_only(self, planner, active):
+        """Partition r holds the sum over active ranks alone, also at an
+        inactive root r (no own slice added; zeros when no active flow
+        reaches it), for a synthesized and a baseline strategy."""
+        from repro.baselines import make_backend
+
+        topo, synth = make_env()
+        ranks = list(range(8))
+        inputs = make_inputs(ranks, 800, seed=3)
+        if planner == "adapcc":
+            strategy = synth.synthesize(Primitive.REDUCE_SCATTER, 6400, ranks)
+        else:
+            strategy = make_backend(planner, topo).plan(Primitive.REDUCE_SCATTER, 6400, ranks)
+        result = run(topo, strategy, inputs, active_ranks=active)
+        expected = sum((inputs[r] for r in active), np.zeros(800))
+        reconstructed = np.concatenate(
+            [result.outputs[sc.root.index] for sc in strategy.subcollectives]
+        )
+        np.testing.assert_array_equal(reconstructed, expected)
+
 
 class TestAllToAll:
     def test_block_exchange_semantics(self):

@@ -458,7 +458,7 @@ class TestAgainstThePerFlowOracle:
                             [0, 1, 2, 3], [sc])
         evaluator = StrategyEvaluator(topo)
         compiled = evaluator.evaluate(strategy).compiled
-        assert len(compiled._subs[0].sub.revisits) == 1
+        assert len(compiled._subs[0].shape.revisits) == 1
         for chunk in (None, 1e3, 3e5, 8e6):
             _assert_matches_oracle(evaluator, compiled, strategy, chunk)
 
@@ -531,7 +531,7 @@ class TestDeltaFlips:
         finish_times = evaluator_module._Bound.finish_times
 
         def counting(bound, chunk):
-            timed.append(bound.sub.sc.index)
+            timed.append(bound.sc.index)
             return finish_times(bound, chunk)
 
         monkeypatch.setattr(evaluator_module._Bound, "finish_times", counting)
@@ -567,7 +567,7 @@ class TestDeltaFlips:
         finish_times = evaluator_module._Bound.finish_times
 
         def counting(bound, chunk):
-            timed.append(bound.sub.sc.index)
+            timed.append(bound.sc.index)
             return finish_times(bound, chunk)
 
         monkeypatch.setattr(evaluator_module._Bound, "finish_times", counting)
