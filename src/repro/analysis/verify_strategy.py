@@ -39,16 +39,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.findings import Finding, RuleSpec
 from repro.errors import CoordinationError, StrategyVerificationError
 from repro.relay.behavior import behavior_tuples
-from repro.runtime.stages import (
+from repro.runtime.stages import FlowPath, lower, wire
+from repro.synthesis.evaluator import (
     MODE_GROUPED,
     MODE_INDEPENDENT,
     MODE_MERGE,
-    FlowPath,
     agg_unit,
-    lower,
-    wire,
+    edge_units,
 )
-from repro.synthesis.evaluator import edge_units
 from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind, gpu_node
 

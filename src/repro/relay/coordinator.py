@@ -31,6 +31,9 @@ from repro.runtime.collectives import launch
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
 
+#: Decision cycles a scan runs before it gives up (500 s of 5 ms cycles).
+_MAX_CYCLES = 100_000
+
 #: Default RPC latency model: lognormal with ~0.6 ms median, matching the
 #: paper's Fig. 19d where 90 % of negotiations finish under 1.5 ms.
 def default_rpc_latency(rng: np.random.Generator) -> float:
@@ -76,11 +79,9 @@ class Coordinator:
         self,
         topology: LogicalTopology,
         policy: Optional[BreakEvenPolicy] = None,
-        max_cycles: int = 100_000,
     ):
         self.topology = topology
         self.policy = policy or BreakEvenPolicy()
-        self.max_cycles = max_cycles
 
     def decide(
         self,
@@ -101,7 +102,7 @@ class Coordinator:
         fastest = min(known)  # waiting cost accrues from the first ready worker
         cycle = self.policy.cycle_seconds
 
-        for k in range(1, self.max_cycles + 1):
+        for k in range(1, _MAX_CYCLES + 1):
             now = k * cycle
             ready = [
                 rank
@@ -133,7 +134,7 @@ class Coordinator:
                     waited_seconds=waited,
                     buy_cost_seconds=buy,
                 )
-        raise CoordinationError("decision scan exceeded max_cycles")
+        raise CoordinationError(f"decision scan exceeded {_MAX_CYCLES} cycles")
 
     def _buy_cost(
         self, strategy: Strategy, tensor_size: float, num_ready: int, num_late: int
@@ -166,7 +167,6 @@ class AdaptiveAllReduce:
         self,
         topology: LogicalTopology,
         coordinator: Optional[Coordinator] = None,
-        fault_detector: Optional[FaultDetector] = None,
         rpc_latency: Callable[[np.random.Generator], float] = default_rpc_latency,
         seed: int = 0,
         control_plane=None,
@@ -181,7 +181,7 @@ class AdaptiveAllReduce:
         #: verdict comes back. ``None`` keeps the paper's shape: the plain
         #: rank-0 coordinator with no failure handling.
         self.control_plane = control_plane
-        self.fault_detector = fault_detector or FaultDetector()
+        self.fault_detector = FaultDetector()
         self.rpc_latency = rpc_latency
         self.rng = np.random.default_rng(seed)
         #: Static verification: each distinct strategy object is verified

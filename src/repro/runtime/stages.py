@@ -5,7 +5,8 @@ stage or a set of independent AlltoAll flows, and AllReduce feeds its
 reduce stage into a broadcast stage over the reversed paths. :func:`lower`
 writes that once; :func:`wire` derives a stage's event-graph shape —
 senders, aggregator inputs, sources and terminal slots — from the one
-traffic-unit rule, :func:`path_units`; :func:`derive_chunk_dag` chains the
+traffic-unit rule, :func:`repro.synthesis.evaluator.path_units`, which
+the evaluator's loads count too; :func:`derive_chunk_dag` chains the
 stages' senders into the happens-before DAG a run must honour. The
 executor's compiled plans (:class:`repro.runtime.executor.StagePlan`,
 built once per strategy and topology, which every launch then reads),
@@ -24,13 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
+from repro.synthesis.evaluator import (
+    MODE_GROUPED,
+    MODE_INDEPENDENT,
+    MODE_MERGE,
+    agg_unit,
+    path_units,
+)
 from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import NodeId
 
-#: Stage modes, matching the evaluator's bandwidth-sharing rules.
-MODE_MERGE = "merge"  # reduce-family: units merge at aggregation points
-MODE_GROUPED = "grouped"  # broadcast: replicas share one unit per source
-MODE_INDEPENDENT = "independent"  # alltoall: every flow is its own unit
+#: Stage modes: the evaluator's bandwidth-sharing rules.
 MODES = (MODE_MERGE, MODE_GROUPED, MODE_INDEPENDENT)
 
 UnitKey = Tuple
@@ -51,16 +56,6 @@ _STAGES = {
     Primitive.ALLGATHER: (("allgather", MODE_GROUPED, False),),
     Primitive.ALLTOALL: (("a2a", MODE_INDEPENDENT, False),),
 }
-
-
-def agg_unit(node: NodeId) -> UnitKey:
-    """The unit an aggregating node publishes its merged chunks under."""
-    return ("agg", node)
-
-
-def bcast_unit(src: NodeId) -> UnitKey:
-    """The unit every broadcast replica from ``src`` shares."""
-    return ("bcast", src)
 
 
 def unit_label(unit: UnitKey) -> str:
@@ -116,29 +111,6 @@ def lower(
             )
         )
     return stages
-
-
-def path_units(
-    mode: str, flow_idx: int, path: Sequence[NodeId], aggregates_at: Predicate
-) -> List[UnitKey]:
-    """The traffic-unit rule: the unit carrying flow ``flow_idx`` out of
-    each node of ``path``; the last entry is the unit it arrives under.
-
-    Broadcast replicas share their source's unit; an AlltoAll flow keeps
-    its own; a reduce-family flow travels as itself until its first
-    aggregating node, then as the latest aggregate it was merged into.
-    """
-    if mode == MODE_GROUPED:
-        return [bcast_unit(path[0])] * len(path)
-    unit: UnitKey = ("flow", flow_idx)
-    if mode == MODE_INDEPENDENT:
-        return [unit] * len(path)
-    units = []
-    for node in path:
-        if aggregates_at(node):
-            unit = agg_unit(node)
-        units.append(unit)
-    return units
 
 
 @dataclass

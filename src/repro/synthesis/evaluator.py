@@ -71,8 +71,53 @@ EdgeCost = Tuple[float, float]
 #: :class:`_Shape`.
 Run = Tuple[int, Tuple[int, ...]]
 
-#: Primitives whose flows carry replicas of one shard (``("bcast", src)`` units).
-_REPLICATED = (Primitive.BROADCAST, Primitive.ALLGATHER)
+#: Traffic-unit modes, one per bandwidth-sharing rule.
+MODE_MERGE = "merge"  # reduce-family: units merge at aggregation points
+MODE_GROUPED = "grouped"  # broadcast: replicas share one unit per source
+MODE_INDEPENDENT = "independent"  # alltoall: every flow is its own unit
+#: The mode of each primitive's flows as a strategy stores them (for
+#: AllReduce, its reduce half; the executor replays them reversed, grouped).
+UNIT_MODES = {
+    Primitive.REDUCE: MODE_MERGE,
+    Primitive.REDUCE_SCATTER: MODE_MERGE,
+    Primitive.ALLREDUCE: MODE_MERGE,
+    Primitive.BROADCAST: MODE_GROUPED,
+    Primitive.ALLGATHER: MODE_GROUPED,
+    Primitive.ALLTOALL: MODE_INDEPENDENT,
+}
+
+
+def agg_unit(node: NodeId) -> Unit:
+    """The unit an aggregating node publishes its merged chunks under."""
+    return ("agg", node)
+
+
+def bcast_unit(src: NodeId) -> Unit:
+    """The unit every broadcast replica from ``src`` shares."""
+    return ("bcast", src)
+
+
+def path_units(
+    mode: str, flow_idx: int, path: Sequence[NodeId], aggregates_at: Callable[[NodeId], bool]
+) -> List[Unit]:
+    """The traffic-unit rule: the unit carrying flow ``flow_idx`` out of
+    each node of ``path``; the last entry is the unit it arrives under.
+
+    Broadcast replicas share their source's unit; an AlltoAll flow keeps
+    its own; a reduce-family flow travels as itself until its first
+    aggregating node, then as the latest aggregate it was merged into.
+    """
+    if mode == MODE_GROUPED:
+        return [bcast_unit(path[0])] * len(path)
+    unit: Unit = ("flow", flow_idx)
+    if mode == MODE_INDEPENDENT:
+        return [unit] * len(path)
+    units = []
+    for node in path:
+        if aggregates_at(node):
+            unit = agg_unit(node)
+        units.append(unit)
+    return units
 
 
 def _aggregating_nodes(primitive: Primitive, sc: SubCollective) -> FrozenSet[NodeId]:
@@ -101,24 +146,15 @@ def edge_units(primitive: Primitive, sc: SubCollective) -> Dict[EdgeKey, set]:
 def _edge_units(
     primitive: Primitive, aggregating: FrozenSet[NodeId], paths: Sequence[Sequence[NodeId]]
 ) -> Dict[EdgeKey, set]:
-    """:func:`edge_units` of flows walking ``paths``, summed at ``aggregating``."""
+    """:func:`edge_units` of flows walking ``paths``, summed at ``aggregating``:
+    each edge gets the :func:`path_units` unit leaving its tail."""
+    mode = UNIT_MODES[primitive]
     units: Dict[EdgeKey, set] = defaultdict(set)
-    if primitive in _REPLICATED:
-        # Replicas of the same data group into one unit per source.
-        for path in paths:
-            unit: Unit = ("bcast", path[0])
-            for edge in zip(path, path[1:]):
-                units[edge].add(unit)
-        return units
     for flow_idx, path in enumerate(paths):
-        # Data originating at an aggregating node leaves merged with the
-        # flows aggregated there — one shared unit, not two.
-        origin = path[0]
-        unit = ("agg", origin) if origin in aggregating else ("flow", flow_idx)
-        for edge in zip(path, path[1:]):
+        for edge, unit in zip(
+            zip(path, path[1:]), path_units(mode, flow_idx, path, aggregating.__contains__)
+        ):
             units[edge].add(unit)
-            if edge[1] in aggregating:
-                unit = ("agg", edge[1])
     return units
 
 
@@ -390,7 +426,7 @@ class CompiledStrategy:
         route, built on first use."""
         primitive = self.strategy.primitive
         aggregating = _aggregating_nodes(primitive, sc)
-        key = (primitive.needs_aggregation, primitive in _REPLICATED, aggregating)
+        key = (primitive.needs_aggregation, UNIT_MODES[primitive], aggregating)
         shape = route.shapes.get(key)
         if shape is None:
             if len(route.shapes) >= _SHAPES_PER_ROUTE:

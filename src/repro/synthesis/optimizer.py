@@ -35,7 +35,6 @@ from repro.synthesis.evaluator import (
 )
 from repro.synthesis.routing import (
     TREE_FAMILIES,
-    RouteTable,
     Tree,
     alltoall_walks,
     flows_along,
@@ -59,8 +58,6 @@ class SynthesizerConfig:
     parallelism: int = 4
     #: Routing families to enumerate (names from TREE_FAMILIES).
     families: Tuple[str, ...] = tuple(TREE_FAMILIES)
-    #: Whether to run the greedy aggregation-flip pass on the winner.
-    aggregation_search: bool = True
     #: Override the chunk candidate grid (None = default geometric grid);
     #: each size is capped to the partition, duplicates are tried once.
     chunk_sizes: Optional[Tuple[float, ...]] = None
@@ -372,17 +369,16 @@ class Synthesizer:
         all_chunks = self._chunks(size_each)
         # Route and compile each family once; every (family, chunk)
         # candidate below is then one timing pass over that structure.
-        routes = RouteTable(self.topology)
         scored: Dict[str, CompiledScore] = {}
         for family_name in self.config.families:
             family = TREE_FAMILIES[family_name]
             trees = [
-                family(self.topology, participants, sc_root, rotation=index, routes=routes)
+                family(self.topology, participants, sc_root, rotation=index)
                 for index, sc_root in enumerate(roots)
             ]
             scored[family_name] = self._routed(
                 primitive, tensor_size, participants, roots, trees, all_chunks[0],
-                size_each, family_name, routes,
+                size_each, family_name,
             )
 
         report = self.last_report
@@ -418,7 +414,7 @@ class Synthesizer:
         for sc, route in zip(winner.strategy.subcollectives, winner.routes):
             sc.flows = flows_along(route.paths)
         strategy = self._settle(winner.strategy, predicted, chunk)
-        if self.config.aggregation_search and primitive.needs_aggregation:
+        if primitive.needs_aggregation:
             improve_aggregation(winner, chunk)
         return strategy
 
@@ -432,7 +428,6 @@ class Synthesizer:
         chunk: float,
         size_each: float,
         family_name: str,
-        routes: RouteTable,
     ) -> CompiledScore:
         """Build and compile one family's strategy from its trees. Its
         sub-collectives carry no flows yet: the score reads their routes."""
@@ -440,7 +435,7 @@ class Synthesizer:
         subcollectives = []
         routed = []
         for index, (sc_root, tree) in enumerate(zip(roots, trees)):
-            route = self._tree_route(tree, sc_root, routes, toward_root=not broadcast)
+            route = self._tree_route(tree, sc_root, toward_root=not broadcast)
             routed.append(route)
             subcollectives.append(
                 SubCollective(
@@ -463,20 +458,18 @@ class Synthesizer:
         if primitive is Primitive.ALLREDUCE:
             # The broadcast half walks the same trees from their roots.
             mirrored = [
-                self._tree_route(tree, sc_root, routes, toward_root=False)
+                self._tree_route(tree, sc_root, toward_root=False)
                 for sc_root, tree in zip(roots, trees)
             ]
         return CompiledScore(self.evaluator, strategy, routed, mirrored)
 
-    def _tree_route(
-        self, tree: Tree, root: int, routes: RouteTable, toward_root: bool
-    ) -> Route:
+    def _tree_route(self, tree: Tree, root: int, toward_root: bool) -> Route:
         """The cached route of ``tree``'s walks to (or from) ``root``: keyed
         by the direction, the root and the parent pointers, in rank order."""
         direction = _TO_ROOT if toward_root else _FROM_ROOT
         key = array("i", [direction, root, *chain.from_iterable(sorted(tree.items()))]).tobytes()
         return self.structures.route(
-            key, lambda: tree_walks(self.topology, tree, root, routes, toward_root)
+            key, lambda: tree_walks(self.topology, tree, root, toward_root)
         )
 
     @staticmethod

@@ -20,16 +20,22 @@ broadcast graph and AlltoAll uses direct pairwise routes. Families:
 
 All families consult the topology's *effective* (profiled) link estimates,
 so re-profiling changes the produced trees — this is the adaptivity loop.
+
+Which NICs a GPU pair's hop crosses is fixed with the topology (the
+Detector's part, Sec. IV-A); only link costs change between rounds. So each
+pair's one-hop walk, as the edges along it, is kept in the topology's own
+``hops`` table, filled on first use and dropped with the topology, while
+every bandwidth is read from those edges' current estimates on each call.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import SynthesisError
 from repro.synthesis.strategy import Flow
-from repro.topology.graph import EdgeKind, LogicalTopology, NodeId, gpu_node, nic_node
+from repro.topology.graph import Edge, EdgeKind, LogicalTopology, NodeId, gpu_node, nic_node
 
 #: parent pointer map: rank -> parent rank (root maps to itself).
 Tree = Dict[int, int]
@@ -38,30 +44,40 @@ Tree = Dict[int, int]
 # -- path expansion -------------------------------------------------------------
 
 
-def hop_path(topology: LogicalTopology, src_rank: int, dst_rank: int) -> List[NodeId]:
-    """Node walk of a single logical hop between two GPUs.
+def _hop(topology: LogicalTopology, src_rank: int, dst_rank: int) -> Tuple[Edge, ...]:
+    """The edges along the one-hop walk src→dst, from ``topology.hops``
+    (expanded there on first use).
 
     Same instance: the direct GPU→GPU edge. Cross instance: through both
     instances' NICs.
     """
-    src = topology.cluster.gpu(src_rank)
-    dst = topology.cluster.gpu(dst_rank)
-    if src.instance_id == dst.instance_id:
-        return [gpu_node(src_rank), gpu_node(dst_rank)]
-    return [
-        gpu_node(src_rank),
-        nic_node(src.instance_id),
-        nic_node(dst.instance_id),
-        gpu_node(dst_rank),
-    ]
+    edges = topology.hops.get((src_rank, dst_rank))
+    if edges is None:
+        src = topology.cluster.gpu(src_rank)
+        dst = topology.cluster.gpu(dst_rank)
+        if src.instance_id == dst.instance_id:
+            walk = [gpu_node(src_rank), gpu_node(dst_rank)]
+        else:
+            walk = [
+                gpu_node(src_rank),
+                nic_node(src.instance_id),
+                nic_node(dst.instance_id),
+                gpu_node(dst_rank),
+            ]
+        edges = topology.hops[(src_rank, dst_rank)] = tuple(topology.path_edges(walk))
+    return edges
 
 
-def tree_flow_paths(
-    topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
-) -> Dict[int, List[NodeId]]:
+def hop_path(topology: LogicalTopology, src_rank: int, dst_rank: int) -> List[NodeId]:
+    """Node walk of a single logical hop between two GPUs, as a fresh list
+    the caller owns."""
+    edges = _hop(topology, src_rank, dst_rank)
+    return [edges[0].src] + [edge.dst for edge in edges]
+
+
+def tree_flow_paths(topology: LogicalTopology, tree: Tree, root: int) -> Dict[int, List[NodeId]]:
     """Per-rank node walk from each non-root rank to the root along the tree:
-    its first hop (from ``routes``, shared per search) + its parent's walk."""
-    routes = routes or RouteTable(topology)
+    its first hop + its parent's walk (each a new list)."""
     walks: Dict[int, List[NodeId]] = {root: [gpu_node(root)]}
     for rank in tree:
         climb: List[int] = []
@@ -76,7 +92,7 @@ def tree_flow_paths(
             current = parent
         for child in reversed(climb):
             parent = tree[child]
-            walks[child] = routes.hop(child, parent)[:-1] + walks[parent]
+            walks[child] = [edge.src for edge in _hop(topology, child, parent)] + walks[parent]
     return {rank: walks[rank] for rank in tree if rank != root}
 
 
@@ -93,8 +109,9 @@ def tree_interior_ranks(tree: Tree, root: int) -> List[int]:
 
 
 def gpu_pair_bandwidth(topology: LogicalTopology, a: int, b: int) -> float:
-    """Effective bandwidth of the one-hop route a→b (bottleneck over edges)."""
-    return RouteTable(topology).pair(a, b)
+    """Effective bandwidth of the one-hop route a→b (bottleneck over edges),
+    under the edges' current estimates."""
+    return min(edge.effective.bandwidth for edge in _hop(topology, a, b))
 
 
 def instance_network_bandwidth(topology: LogicalTopology, instance_id: int) -> float:
@@ -110,41 +127,7 @@ def instance_network_bandwidth(topology: LogicalTopology, instance_id: int) -> f
     return max(bandwidths)
 
 
-class RouteTable:
-    """Memo of one-hop routes and their bandwidths.
-
-    Valid while the topology's estimates stay put — one synthesis search.
-    The synthesizer builds one per search and hands it to every family,
-    root and rotation, so each GPU pair's :func:`hop_path` is expanded and
-    its :func:`gpu_pair_bandwidth` read once rather than once per tree.
-    """
-
-    def __init__(self, topology: LogicalTopology):
-        self.topology = topology
-        self._hops: Dict[Tuple[int, int], List[NodeId]] = {}
-        self._pair: Dict[Tuple[int, int], float] = {}
-
-    def hop(self, a: int, b: int) -> List[NodeId]:
-        """:func:`hop_path` a→b; shared, so callers must not mutate it."""
-        path = self._hops.get((a, b))
-        if path is None:
-            path = self._hops[(a, b)] = hop_path(self.topology, a, b)
-        return path
-
-    def pair(self, a: int, b: int) -> float:
-        """Effective bandwidth of the one-hop route a→b."""
-        bandwidth = self._pair.get((a, b))
-        if bandwidth is None:
-            edges = self.topology.path_edges(self.hop(a, b))
-            bandwidth = self._pair[(a, b)] = min(edge.effective.bandwidth for edge in edges)
-        return bandwidth
-
-
 # -- tree families -----------------------------------------------------------------
-#
-# Every family is called as ``family(topology, participants, root, rotation=…,
-# routes=…)``; a family that reads GPU-pair bandwidths takes them from the
-# shared ``routes`` table, the others ignore it.
 
 
 def _group_by_instance(
@@ -193,10 +176,8 @@ def hierarchical_tree(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    fanout: int = 2,
-    routes: Optional[RouteTable] = None,
 ) -> Tree:
-    """Local leaders + bandwidth-sorted ``fanout``-ary tree over leaders."""
+    """Local leaders + bandwidth-sorted binary tree over leaders."""
     groups = _group_by_instance(topology, participants)
     leaders = _local_leaders(topology, groups, root, rotation)
     tree: Tree = {root: root}
@@ -211,7 +192,7 @@ def hierarchical_tree(
     for position, instance_id in enumerate(ordered_instances):
         if position == 0:
             continue
-        parent_instance = ordered_instances[(position - 1) // fanout]
+        parent_instance = ordered_instances[(position - 1) // 2]
         tree[leaders[instance_id]] = leaders[parent_instance]
     return tree
 
@@ -221,7 +202,6 @@ def hierarchical_star(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Local leaders all sending directly to the root."""
     groups = _group_by_instance(topology, participants)
@@ -240,7 +220,6 @@ def hierarchical_chain(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Local leaders chained in ascending bandwidth order toward the root.
 
@@ -266,7 +245,6 @@ def flat_star(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Every participant sends directly to the root."""
     tree: Tree = {root: root}
@@ -281,7 +259,6 @@ def widest_tree(
     participants: Sequence[int],
     root: int,
     rotation: int = 0,
-    routes: Optional[RouteTable] = None,
 ) -> Tree:
     """Prim-style maximum-bottleneck arborescence into the root.
 
@@ -289,19 +266,18 @@ def widest_tree(
     set has the highest effective bandwidth; ties go to the lowest rank,
     then to the parent attached first.
     """
-    routes = routes or RouteTable(topology)
     remaining = sorted(set(participants) - {root})
     tree: Tree = {root: root}
     # Per unattached rank, its widest link into the attached set so far.
     widest: Dict[int, Tuple[float, int]] = {
-        rank: (routes.pair(rank, root), root) for rank in remaining
+        rank: (gpu_pair_bandwidth(topology, rank, root), root) for rank in remaining
     }
     while remaining:
         rank = max(remaining, key=lambda r: widest[r][0])  # first of equals: lowest rank
         tree[rank] = widest[rank][1]
         remaining.remove(rank)
         for other in remaining:
-            bandwidth = routes.pair(other, rank)
+            bandwidth = gpu_pair_bandwidth(topology, other, rank)
             if bandwidth > widest[other][0]:
                 widest[other] = (bandwidth, rank)
     return tree
@@ -324,12 +300,11 @@ def tree_walks(
     topology: LogicalTopology,
     tree: Tree,
     root: int,
-    routes: Optional[RouteTable] = None,
     toward_root: bool = True,
 ) -> List[List[NodeId]]:
     """One walk per non-root participant, in rank order: along the tree to
     the root, or (``toward_root=False``) reversed, from the root."""
-    paths = tree_flow_paths(topology, tree, root, routes)
+    paths = tree_flow_paths(topology, tree, root)
     return [path if toward_root else path[::-1] for _rank, path in sorted(paths.items())]
 
 
@@ -346,18 +321,14 @@ def flows_along(walks: Sequence[List[NodeId]]) -> List[Flow]:
     return [Flow(src=walk[0], dst=walk[-1], path=walk) for walk in walks]
 
 
-def reduce_flows(
-    topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
-) -> List[Flow]:
+def reduce_flows(topology: LogicalTopology, tree: Tree, root: int) -> List[Flow]:
     """One flow per non-root participant, routed along the tree (eq. 1)."""
-    return flows_along(tree_walks(topology, tree, root, routes))
+    return flows_along(tree_walks(topology, tree, root))
 
 
-def broadcast_flows(
-    topology: LogicalTopology, tree: Tree, root: int, routes: Optional[RouteTable] = None
-) -> List[Flow]:
+def broadcast_flows(topology: LogicalTopology, tree: Tree, root: int) -> List[Flow]:
     """Broadcast = the reduce tree reversed: root → every participant."""
-    return flows_along(tree_walks(topology, tree, root, routes, toward_root=False))
+    return flows_along(tree_walks(topology, tree, root, toward_root=False))
 
 
 def alltoall_flows(topology: LogicalTopology, participants: Sequence[int]) -> List[Flow]:

@@ -237,6 +237,9 @@ class LogicalTopology:
         #: ``repro.runtime.collectives.compiled`` fills it, and each entry
         #: goes when its strategy is collected.
         self.plans: Dict[int, Tuple[object, object]] = {}
+        #: Each GPU pair's one-hop walk as the edges along it, by ``(src rank,
+        #: dst rank)``: ``repro.synthesis.routing`` fills it on first use.
+        self.hops: Dict[Tuple[int, int], Tuple[Edge, ...]] = {}
 
     # -- construction -----------------------------------------------------------
 

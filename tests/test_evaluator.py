@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import available_backends, make_backend
 from repro.errors import SynthesisError
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
+from repro.runtime.stages import lower, wire
 from repro.simulation import Simulator
 from repro.synthesis import evaluator as evaluator_module
 from repro.synthesis.evaluator import StrategyEvaluator
@@ -576,3 +578,37 @@ class TestDeltaFlips:
         flipped = compiled.objective(2e6)
         assert sorted(timed) == [1, 2, 3]
         assert flipped.hex() == evaluate_reference(HETERO, True, strategy, 2e6).objective.hex()
+
+
+class TestOneUnitRule:
+    """The evaluator's loads and the executor's wiring count one traffic-unit
+    rule (``path_units``): every sub-collective's first stage sends exactly
+    the (edge, unit) pairs ``edge_units`` prices, under random flags too."""
+
+    @pytest.fixture(scope="class")
+    def hetero8(self):
+        cluster = Cluster(Simulator(), make_hetero_cluster(num_a100=1, num_v100=1))
+        return LogicalTopology.from_cluster(cluster)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_edge_units_are_the_first_stage_senders(self, hetero8, backend):
+        rng = np.random.default_rng(7)
+        planner = make_backend(backend, hetero8)
+        for primitive in Primitive:
+            try:
+                strategy = planner.plan(primitive, 1e6, range(8))
+            except SynthesisError:  # a primitive this baseline does not model
+                continue
+            for sc in strategy.subcollectives:
+                if not sc.flows:
+                    continue
+                for _flip in range(4):
+                    stage = lower(primitive, sc)[0]
+                    assert stage.mode == evaluator_module.UNIT_MODES[primitive]
+                    wiring = wire(stage.flows, stage.mode, stage.aggregates_at)
+                    sent = {((tail, head), unit) for tail, head, unit in wiring.senders}
+                    priced = evaluator_module.edge_units(primitive, sc)
+                    assert sent == {(edge, u) for edge, units in priced.items() for u in units}
+                    gpus = [node for node in sc.nodes() if node.is_gpu and node != sc.root]
+                    node = gpus[rng.integers(len(gpus))]
+                    sc.aggregation[node] = not sc.aggregates_at(node)

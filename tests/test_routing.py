@@ -1,14 +1,16 @@
 """Tests for routing families and flow construction."""
 
+import numpy as np
 import pytest
 
+from repro import AdapCCSession
 from repro.errors import SynthesisError
-from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
+from repro.hardware import Cluster, a100_server, make_hetero_cluster, make_homo_cluster
 from repro.network.cost_model import AlphaBeta
 from repro.simulation import Simulator
+from repro.synthesis import Primitive, Synthesizer
 from repro.synthesis.routing import (
     TREE_FAMILIES,
-    RouteTable,
     alltoall_flows,
     broadcast_flows,
     flat_star,
@@ -190,24 +192,114 @@ class TestFlows:
                         rank = tree[rank]
                     assert walk == expected
 
-    def test_a_shared_route_table_changes_nothing(self, hetero):
-        routes = RouteTable(hetero)
+    def test_a_warm_hop_table_changes_nothing(self, hetero):
+        """Trees, flows and pair bandwidths read through a hop table filled
+        under other estimates equal a fresh topology's (cold table) of the
+        same cluster under the same estimates."""
+        participants = list(range(16))
         for family in TREE_FAMILIES.values():
             for rotation, root in enumerate((0, 4, 9, 13)):
-                alone = family(hetero, list(range(16)), root, rotation=rotation)
-                tree = family(hetero, list(range(16)), root, rotation=rotation, routes=routes)
-                assert tree == alone
+                tree = family(hetero, participants, root, rotation=rotation)
+                reduce_flows(hetero, tree, root)
+                broadcast_flows(hetero, tree, root)
+        assert hetero.hops
+        fresh = LogicalTopology.from_cluster(hetero.cluster)
+        for topology in (hetero, fresh):
+            topology.set_estimate(nic_node(1), nic_node(0), AlphaBeta(1e-5, 1e-8))
+            topology.set_estimate(gpu_node(0), gpu_node(1), AlphaBeta(1e-6, 1e-9))
+        for family in TREE_FAMILIES.values():
+            for rotation, root in enumerate((0, 4, 9, 13)):
+                tree = family(hetero, participants, root, rotation=rotation)
+                assert tree == family(fresh, participants, root, rotation=rotation)
                 for build in (reduce_flows, broadcast_flows):
-                    shared = build(hetero, tree, root, routes)
-                    fresh = build(hetero, tree, root)
-                    assert [(f.src, f.dst, f.path) for f in shared] == [
-                        (f.src, f.dst, f.path) for f in fresh
+                    warm = build(hetero, tree, root)
+                    cold = build(fresh, tree, root)
+                    assert [(f.src, f.dst, f.path) for f in warm] == [
+                        (f.src, f.dst, f.path) for f in cold
                     ]
         for a, b in ((0, 1), (4, 0), (15, 2)):
-            assert routes.pair(a, b) == gpu_pair_bandwidth(hetero, a, b)
+            assert gpu_pair_bandwidth(hetero, a, b) == gpu_pair_bandwidth(fresh, a, b)
 
     def test_alltoall_all_ordered_pairs(self, homo):
         flows = alltoall_flows(homo, list(range(4)))
         assert len(flows) == 12
         pairs = {(f.src.index, f.dst.index) for f in flows}
         assert len(pairs) == 12
+
+
+class TestHopTable:
+    """Hop walks live in the topology's ``hops`` table, bandwidths do not."""
+
+    def test_a_second_synthesis_expands_no_hop_walk(self, hetero, monkeypatch):
+        participants = list(range(16))
+        calls = []
+
+        def synthesize_all():
+            synthesizer = Synthesizer(hetero)
+            for primitive in Primitive:
+                synthesizer.synthesize(primitive, 8e6, participants)
+            return synthesizer
+
+        synthesizer = synthesize_all()
+        expanded = dict(hetero.hops)
+        assert len(expanded) == 16 * 15
+        path_edges = hetero.path_edges
+
+        def counted(path):
+            calls.append(path)
+            return path_edges(path)
+
+        monkeypatch.setattr(hetero, "path_edges", counted)
+        for primitive in Primitive:
+            synthesizer.synthesize(primitive, 8e6, participants)
+        synthesize_all()  # a fresh synthesizer, same topology
+        assert calls == []
+        assert hetero.hops.keys() == expanded.keys()
+        assert all(hetero.hops[pair] is hop for pair, hop in expanded.items())
+
+    def test_pair_bandwidth_follows_estimates_and_quarantine_when_warm(self, hetero):
+        nominal = gpu_pair_bandwidth(hetero, 4, 0)
+        assert widest_tree(hetero, [0, 4], root=0) == {0: 0, 4: 0}
+        assert (4, 0) in hetero.hops
+
+        def bottleneck():
+            return min(e.effective.bandwidth for e in hetero.path_edges(hop_path(hetero, 4, 0)))
+
+        hetero.set_estimate(nic_node(1), nic_node(0), AlphaBeta(1e-5, 1e-8))
+        assert gpu_pair_bandwidth(hetero, 4, 0) == bottleneck() == 1e8 < nominal
+        hetero.quarantine_link("n1->n0")
+        assert gpu_pair_bandwidth(hetero, 4, 0) == bottleneck() < 1e8
+        hetero.clear_quarantine()
+        hetero.clear_estimates()
+        assert gpu_pair_bandwidth(hetero, 4, 0) == nominal
+
+    def test_walk_owners_cannot_reach_the_table(self, hetero):
+        cached = [gpu_node(4), nic_node(1), nic_node(0), gpu_node(0)]
+        walk = hop_path(hetero, 4, 0)
+        walk.append(gpu_node(9))
+        walk[0] = gpu_node(5)
+        assert hop_path(hetero, 4, 0) == cached
+        for build in (reduce_flows, broadcast_flows):
+            for flow in build(hetero, {0: 0, 4: 0, 5: 4}, 0):
+                flow.path.reverse()
+                flow.path.append(gpu_node(9))
+        for flow in alltoall_flows(hetero, [0, 4]):
+            flow.path.clear()
+        assert hop_path(hetero, 4, 0) == cached
+        assert hetero.hops[(4, 0)] == tuple(hetero.path_edges(cached))
+        assert hop_path(hetero, 5, 4) == [gpu_node(5), gpu_node(4)]
+
+    def test_scale_out_topology_starts_with_its_own_table(self):
+        session = AdapCCSession(make_homo_cluster(num_servers=2)).init()
+        session.allreduce({rank: np.ones(64) for rank in range(8)})
+        old = session.topology
+        assert old.hops
+        old_table = dict(old.hops)
+        session.scale_out(a100_server(name="late"))
+        new = session.topology
+        assert new is not old and new.hops is not old.hops
+        assert old.hops == old_table  # the old world's table is left as it was
+        session.allreduce({rank: np.ones(64) for rank in range(12)})
+        assert any(8 in pair for pair in new.hops)
+        for edges in new.hops.values():
+            assert all(new.edges[(e.src, e.dst)] is e for e in edges)
