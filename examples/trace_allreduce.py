@@ -17,9 +17,10 @@ Run:  python examples/trace_allreduce.py
 import numpy as np
 
 from repro import AdapCCSession
+from repro.critpath import write_chrome_trace
 from repro.hardware import MB
 from repro.hardware.presets import make_config
-from repro.telemetry import write_chrome_trace, write_jsonl
+from repro.telemetry import write_jsonl
 
 
 def main() -> None:

@@ -69,7 +69,7 @@ class AdapCCSession:
         self.config = config
         self.seed = seed
         #: Static verification: when on, every synthesized strategy is
-        #: checked by :func:`repro.analysis.assert_valid` before first use,
+        #: checked by :func:`repro.runtime.verify.assert_valid` before first use,
         #: here and in the session's adaptive relay.
         self.verify = verify
         self.topology: Optional[LogicalTopology] = None

@@ -22,10 +22,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.findings import SEVERITIES, severity_rank
 from repro.analysis.registry import iter_passes
 from repro.analysis.runner import run_passes
 from repro.analysis.sarif import render_text, to_json_report, to_sarif
+from repro.findings import SEVERITIES, severity_rank
 
 
 def _list_passes() -> int:

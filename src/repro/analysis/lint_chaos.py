@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
-from repro.analysis.findings import Finding, RuleSpec
 from repro.analysis.lint_trace import RULES as TRACE_RULES
 from repro.analysis.lint_trace import lint_trace
+from repro.findings import Finding, RuleSpec
 from repro.simulation.records import TraceRecord
 
 #: Chaos event kinds the injector and runner emit.

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.analysis.findings import Finding, RuleSpec
 from repro.critpath.engine import REPORT_KIND, REPORT_SCHEMA
+from repro.findings import Finding, RuleSpec
 
 #: Absolute slop for summed durations: each path boundary may slip by the
 #: engine's per-span tolerance, so scale with a generous constant.

@@ -31,8 +31,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Iterator, List, Tuple
 
-from repro.analysis.findings import Finding, RuleSpec
 from repro.critpath.engine import ChunkSpan, chunk_send
+from repro.findings import Finding, RuleSpec
 from repro.telemetry.export import TelemetryRun, read_jsonl
 
 #: Window/occupancy overlap below this is numerical noise, not evidence.

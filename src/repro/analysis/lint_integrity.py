@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.analysis.findings import Finding, RuleSpec
 from repro.analysis.lint_observe import lint_jsonl_log
+from repro.findings import Finding, RuleSpec
 from repro.integrity.localize import probe_round_bound
 from repro.integrity.monitor import (
     CHECKSUM_RECORD,

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.analysis.findings import Finding, RuleSpec
 from repro.errors import ObserveError
+from repro.findings import Finding, RuleSpec
 from repro.observe.verdicts import (
     CONFIG_RECORD,
     REPROBE_RECORD,

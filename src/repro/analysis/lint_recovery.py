@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.findings import Finding, RuleSpec
+from repro.findings import Finding, RuleSpec
 from repro.recovery.log import EventLog, LogRecord
 from repro.recovery.transitions import quorum_size
 

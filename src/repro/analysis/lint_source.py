@@ -31,7 +31,7 @@ import ast
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.analysis.findings import Finding, RuleSpec
+from repro.findings import Finding, RuleSpec
 
 #: Sub-packages whose code runs under (or feeds) the simulator clock.
 #: ``telemetry`` is held to the same bar: it must never stamp records with

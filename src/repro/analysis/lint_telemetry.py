@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.analysis.findings import Finding, RuleSpec
 from repro.errors import TelemetryError
+from repro.findings import Finding, RuleSpec
 from repro.telemetry.export import SCHEMA_VERSION, TelemetryRun, parse_jsonl
 
 #: Record types a JSONL run may contain after the meta header.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from repro.analysis.findings import Finding, RuleSpec
+from repro.findings import Finding, RuleSpec
 from repro.simulation.records import TraceRecord
 
 #: Relative tolerance for rate/capacity comparisons.

@@ -27,9 +27,7 @@ from repro.analysis import (
     lint_telemetry,
     lint_trace,
     race,
-    verify_strategy,
 )
-from repro.analysis.findings import Finding, RuleSpec
 from repro.analysis.registry import PassContext, PassSpec, register
 from repro.baselines import available_backends
 from repro.bench.harness import BenchEnvironment
@@ -41,17 +39,20 @@ from repro.chaos import (
 )
 from repro.chaos.plan import StragglerFault
 from repro.critpath import analyze_hub, analyze_run, report_to_json
+from repro.critpath.chrome import to_chrome_trace
 from repro.errors import SynthesisError
+from repro.findings import Finding, RuleSpec
 from repro.fleet.runner import FleetRunner
 from repro.fleet.workload import canonical_overlap_workload
 from repro.hardware.presets import make_config, make_homo_cluster
 from repro.integrity import IntegrityConfig
 from repro.observe import ObserveConfig, evaluate_detection
 from repro.observe.verdicts import link_endpoints
+from repro.runtime import verify
 from repro.simulation.records import TraceRecorder
 from repro.synthesis.strategy import Primitive, fingerprint_strategy
 from repro.telemetry.core import TelemetryHub
-from repro.telemetry.export import parse_jsonl, to_chrome_trace, to_jsonl
+from repro.telemetry.export import parse_jsonl, to_jsonl
 
 # -- source ---------------------------------------------------------------------------
 
@@ -113,7 +114,7 @@ def run_strategy_pass(
                 where = f"{backend_name}/{primitive.value}/{label}"
                 findings.extend(
                     replace(f, subject=f"{where}/{f.subject}")
-                    for f in verify_strategy.verify_strategy(strategy, env.topology)
+                    for f in verify.verify_strategy(strategy, env.topology)
                 )
     ctx.echo(
         f"strategies: verified {planned} planned strategies "
@@ -128,7 +129,7 @@ register(
         description="plan every backend × primitive × benchmark topology "
         "and statically verify the strategies",
         title="strategy verifier",
-        rules=verify_strategy.RULES,
+        rules=verify.RULES,
         run=run_strategy_pass,
     )
 )

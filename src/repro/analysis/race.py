@@ -44,9 +44,9 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analysis.findings import SEVERITY_WARNING, Finding, RuleSpec
 from repro.analysis.lint_source import PACKAGE_ROOT, SYNTAX_RULE, visit_sources
 from repro.critpath.engine import TIME_TOL, dag_join, extract_chunk_spans
+from repro.findings import SEVERITY_WARNING, Finding, RuleSpec
 from repro.runtime.stages import SenderGraph, derive_chunk_dag
 
 #: Sub-packages whose code feeds the simulator's event ordering.

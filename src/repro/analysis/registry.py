@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.findings import Finding, RuleSpec
+from repro.findings import Finding, RuleSpec
 
 
 @dataclass

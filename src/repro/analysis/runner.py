@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.findings import Finding
 from repro.analysis.registry import (
     PassContext,
     PassResult,
@@ -24,6 +23,7 @@ from repro.analysis.registry import (
     get_pass,
     iter_passes,
 )
+from repro.findings import Finding
 
 
 def resolve_selection(names: Optional[Sequence[str]]) -> List[PassSpec]:

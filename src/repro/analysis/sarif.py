@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from typing import List, Sequence
 
-from repro.analysis.findings import Finding
 from repro.analysis.registry import PassResult
+from repro.findings import Finding
 
 #: Schema of the ``--format json`` report envelope.
 REPORT_SCHEMA = 2

@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import CommunicatorError
 from repro.runtime.collectives import CollectiveResult, launch
 from repro.runtime.partition import check_uniform_inputs
+from repro.runtime.verify import assert_valid
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
 
@@ -41,14 +42,12 @@ class Backend(abc.ABC):
         """Produce (and optionally statically verify) this backend's strategy.
 
         Template method: backends implement :meth:`_plan`; the produced
-        strategy is run through :func:`repro.analysis.assert_valid` when
+        strategy is run through :func:`repro.runtime.verify.assert_valid` when
         verification is enabled, so every baseline's output is held to the
         same invariants as the synthesizer's.
         """
         strategy = self._plan(primitive, tensor_size, participants, root=root)
         if self.verify:
-            from repro.analysis.verify_strategy import assert_valid
-
             assert_valid(strategy, self.topology)
         return strategy
 

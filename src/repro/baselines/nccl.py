@@ -24,9 +24,12 @@ from __future__ import annotations
 import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.baselines.common import Backend, register_backend
 from repro.errors import SynthesisError
 from repro.hardware.links import KB, MB, GBps, gbps
+from repro.runtime.collectives import CollectiveResult, launch
 from repro.synthesis.aggregation import default_aggregation
 from repro.synthesis.routing import (
     Tree,
@@ -62,21 +65,13 @@ class NcclBackend(Backend):
 
     name = "nccl"
 
-    def __init__(self, topology: LogicalTopology, graph: str = "auto"):
+    def __init__(self, topology: LogicalTopology):
         super().__init__(topology)
-        if graph not in ("auto", "tree", "ring"):
-            raise SynthesisError(f"unknown NCCL graph mode {graph!r}")
-        self.graph = graph
         #: AlltoAll strategy ``id`` -> (weak reference to it, its pairwise
         #: round strategies); the reference's callback drops the entry.
         self._rounds: Dict[int, Tuple[weakref.ref, List[Strategy]]] = {}
 
     # -- graph construction ------------------------------------------------------
-
-    def _choose_graph(self, tensor_size: float) -> str:
-        if self.graph != "auto":
-            return self.graph
-        return "ring" if tensor_size >= RING_THRESHOLD_BYTES else "tree"
 
     def _local_order(self, participants: List[int]) -> Dict[int, List[int]]:
         """Participants grouped by instance, in local rank order."""
@@ -153,8 +148,6 @@ class NcclBackend(Backend):
         plus the round barriers (gated by the slowest pair — painful on
         heterogeneous NICs) is NCCL's AlltoAll handicap (Sec. VI-C).
         """
-        from repro.runtime.collectives import CollectiveResult, launch
-
         if strategy.primitive is not Primitive.ALLTOALL:
             return super().run(
                 strategy, inputs, active_ranks, ready_times, byte_scale, max_chunks
@@ -169,8 +162,6 @@ class NcclBackend(Backend):
                 strategy, inputs, active_ranks, ready_times, byte_scale, max_chunks
             )
         block = length // world
-        import numpy as np
-
         # One block holds every rank's output; each rank keeps its own
         # block, and round r delivers the block of the rank r places back.
         # Every byte is written: a round's launch refuses a length the ranks
@@ -276,7 +267,7 @@ class NcclBackend(Backend):
                 routing_family="nccl-p2p",
             )
 
-        graph_kind = self._choose_graph(tensor_size)
+        graph_kind = "ring" if tensor_size >= RING_THRESHOLD_BYTES else "tree"
         builder = self.ring_graph if graph_kind == "ring" else self.tree_graph
 
         if primitive is Primitive.ALLGATHER:

@@ -1,6 +1,6 @@
 """Critical-path tracing and bottleneck attribution over telemetry runs.
 
-Three surfaces:
+Four surfaces:
 
 * :func:`analyze_run` / :func:`analyze_hub` / :func:`analyze_spans` — the
   engine: join chunk spans (of a parsed export, or of a live hub with no
@@ -11,10 +11,14 @@ Three surfaces:
 * :class:`CritpathConsumer` — streaming attribution on the live
   :class:`~repro.telemetry.core.TelemetryHub`, feeding the observe
   watchdog's targeted re-probes;
+* :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
+  trace-event view of a run, with the engine's chunk handoffs as flow
+  arrows;
 * ``python -m repro.critpath`` — deterministic JSON/text reports from an
   exported JSONL run (byte-identical across same-seed runs).
 """
 
+from repro.critpath.chrome import to_chrome_trace, write_chrome_trace
 from repro.critpath.consumer import CritpathConsumer
 from repro.critpath.engine import (
     REPORT_KIND,
@@ -41,4 +45,6 @@ __all__ = [
     "extract_readiness",
     "render_report",
     "report_to_json",
+    "to_chrome_trace",
+    "write_chrome_trace",
 ]

@@ -42,6 +42,7 @@ from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TelemetryError
+from repro.runtime.stages import derive_chunk_dag
 
 #: Version stamp carried by every report; bump on breaking changes.
 REPORT_SCHEMA = 1
@@ -532,10 +533,6 @@ def analyze_spans(
 
     keys = _end_keys(spans)
     if strategy is not None:
-        # Imported here: the runtime builds on the hardware layer, which
-        # imports telemetry and, through its exporter, this module.
-        from repro.runtime.stages import derive_chunk_dag
-
         _slots, preds = dag_join(spans, derive_chunk_dag(strategy))
     else:
         preds = _inferred_predecessors(spans, keys, tol)

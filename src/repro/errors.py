@@ -36,7 +36,7 @@ class VerificationError(ReproError):
     """A static analysis pass found invariant violations.
 
     The ``violations`` attribute carries them as a list of
-    :class:`repro.analysis.findings.Finding`; the message renders the
+    :class:`repro.findings.Finding`; the message renders the
     first few as ``[code] subject: message``.
     """
 

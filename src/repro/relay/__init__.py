@@ -8,19 +8,16 @@ the late tensors (phase 2). The two-phase result is bit-identical to a
 full collective — only the schedule changes.
 """
 
-from repro.relay.ski_rental import BreakEvenPolicy, estimate_collective_seconds
-from repro.relay.behavior import BehaviorTuple, behavior_tuples
 from repro.relay.coordinator import AdaptiveAllReduce, AdaptiveResult, Coordinator
 from repro.relay.faults import FaultDetector, FaultReport
+from repro.relay.ski_rental import BreakEvenPolicy, estimate_collective_seconds
 
 __all__ = [
     "AdaptiveAllReduce",
     "AdaptiveResult",
-    "BehaviorTuple",
     "BreakEvenPolicy",
     "Coordinator",
     "FaultDetector",
     "FaultReport",
-    "behavior_tuples",
     "estimate_collective_seconds",
 ]

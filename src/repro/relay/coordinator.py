@@ -21,13 +21,14 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.errors import CoordinationError
-from repro.relay.behavior import behavior_tuples
 from repro.relay.faults import FaultDetector, FaultReport
 from repro.relay.ski_rental import (
     BreakEvenPolicy,
     estimate_collective_seconds,
 )
+from repro.runtime.behavior import behavior_tuples
 from repro.runtime.collectives import launch
+from repro.runtime.verify import assert_valid
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
 
@@ -207,8 +208,6 @@ class AdaptiveAllReduce:
         if strategy.primitive is not Primitive.ALLREDUCE:
             raise CoordinationError("adaptive execution currently targets AllReduce")
         if self.verify and id(strategy) not in self._verified:
-            from repro.analysis.verify_strategy import assert_valid
-
             assert_valid(strategy, self.topology)
             self._verified[id(strategy)] = strategy  # pin: keeps id() stable
         sim = self.topology.cluster.sim

@@ -225,7 +225,6 @@ class ChunkPipeline:
         num_chunks: int,
         chunk_bytes: Sequence[float],
         chunk_source: ChunkSource,
-        kernel_enabled: bool = True,
         sink: Optional[Tuple[RowKey, np.ndarray, Sequence[Tuple[int, int]]]] = None,
     ):
         if len(chunk_bytes) != num_chunks:
@@ -238,7 +237,6 @@ class ChunkPipeline:
         self.num_chunks = num_chunks
         self.chunk_bytes = chunk_bytes
         self.chunk_source = chunk_source
-        self.kernel_enabled = kernel_enabled
         self.sink = sink
         #: (flow index, chunk index) pairs that did make it into phase 1.
         self.included_optional: set = set()
@@ -513,7 +511,7 @@ class _Aggregator:
         total = np.add(parts[0], parts[1], out=out)
         for part in parts[2:]:
             total += part
-        if not pipe.kernel_enabled or self.gpu is None:
+        if self.gpu is None:
             self.publish(total)
             return
         self.total = total

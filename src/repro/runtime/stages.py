@@ -10,7 +10,7 @@ the evaluator's loads count too; :func:`derive_chunk_dag` chains the
 stages' senders into the happens-before DAG a run must honour. The
 executor's compiled plans (:class:`repro.runtime.executor.StagePlan`,
 built once per strategy and topology, which every launch then reads),
-the plan-time deadlock check (``verify_strategy.stage_unreachable``) and
+the plan-time deadlock check (:func:`repro.runtime.verify.stage_unreachable`) and
 the span join of :mod:`repro.critpath.engine` — which the race check and
 the critical-path report share — all read them, so they cannot disagree
 on what a stage is.

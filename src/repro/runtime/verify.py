@@ -25,7 +25,7 @@ invariant it enforces:
   terminal slot from the sources; an unreachable terminal is a cycle the
   runtime would only discover as an empty event queue.
 
-:func:`verify_strategy` returns :class:`~repro.analysis.findings.Finding`
+:func:`verify_strategy` returns :class:`~repro.findings.Finding`
 records, one per broken invariant (:data:`RULES` declares the codes);
 :func:`assert_valid` raises :class:`StrategyVerificationError` (which is
 also a :class:`SynthesisError`) when any are found.
@@ -36,9 +36,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.findings import Finding, RuleSpec
 from repro.errors import CoordinationError, StrategyVerificationError
-from repro.relay.behavior import behavior_tuples
+from repro.findings import Finding, RuleSpec
+from repro.runtime.behavior import behavior_tuples
 from repro.runtime.stages import FlowPath, lower, wire
 from repro.synthesis.evaluator import (
     MODE_GROUPED,
@@ -402,7 +402,7 @@ def _check_aggregation(
         return violations
     raw: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
     for flow in sc.flows:
-        for edge in set(flow.edges):
+        for edge in dict.fromkeys(flow.edges):
             raw[edge] += 1
     for edge, unit_set in units.items():
         if len(unit_set) > raw[edge]:

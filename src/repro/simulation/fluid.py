@@ -23,11 +23,11 @@ start/end/cancel or capacity change re-solves only the component it
 touches. Untouched components keep their frozen rates — which is safe
 bit-for-bit, not just mathematically, because the per-component solver is
 deterministic in its inputs, so a re-solve of an unchanged component
-would reproduce the frozen value exactly. ``incremental=False`` re-solves
-every component from scratch, without the fill memo, at every recompute
-point; the differential suite runs both modes against each other and
-against the original per-transfer progressive-filling solve, kept as the
-oracle in ``tests/fluid_oracle.py``.
+would reproduce the frozen value exactly. The differential suite holds
+the network to a subclass that re-solves every component from scratch,
+without the fill memo, at every recompute point, and to the original
+per-transfer progressive-filling solve; both are kept as oracles in
+``tests/fluid_oracle.py``.
 
 The per-component solver works on *path classes*, not transfers: chunk
 pipelining puts many transfers on few distinct paths, transfers sharing a
@@ -373,7 +373,7 @@ class FluidNetwork:
     link's capacity must not be written any other way).
     """
 
-    def __init__(self, sim: Simulator, incremental: Optional[bool] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         #: In-flight transfers in activation order (dict used as ordered set).
         self._active: Dict[Transfer, None] = {}
@@ -390,9 +390,6 @@ class FluidNetwork:
         self._transfer_ids = itertools.count()
         #: Source of ``Transfer._order``: finished transfers complete in it.
         self._activations = itertools.count()
-        #: Whether recomputes re-solve only dirty components (the default)
-        #: or every component from scratch (the differential reference).
-        self.incremental = True if incremental is None else incremental
         #: path class -> its group of active members (live classes only).
         self._groups: Dict[_PathClass, _Group] = {}
         #: link id -> groups whose path crosses it, insertion-ordered.
@@ -415,8 +412,8 @@ class FluidNetwork:
         #: recomputed only when the component's membership changes (the
         #: entry is popped) or some member's rate changes bitwise — an
         #: unchanged rate keeps the predicted absolute finish exact — so
-        #: the cache evolves identically in incremental and from-scratch
-        #: modes and the completion horizon is a min over components
+        #: the cache evolves identically under a from-scratch re-solve
+        #: and the completion horizon is a min over components
         #: instead of a scan over every active transfer.
         self._comp_finish: Dict[_Component, float] = {}
         #: Groups with a cohort whose ``remaining`` crossed the completion
@@ -917,30 +914,17 @@ class FluidNetwork:
     def _assign_rates(self) -> None:
         """Re-solve max-min fair rates where they may have changed.
 
-        Incremental mode solves each *dirty* component with the
-        progressive-filling kernel and leaves every other component's
-        rates frozen; from-scratch mode re-partitions and re-solves all of
-        them without the fill memo. Both produce identical bits (see the
-        module docstring), and both match the joint per-transfer solve to
+        Each *dirty* component is solved with the progressive-filling
+        kernel and every other component's rates stay frozen. That gives
+        the bits a from-scratch re-solve of every component would (see the
+        module docstring), and matches the joint per-transfer solve to
         float round-off, because a max-min allocation decomposes exactly
         across link-disjoint components.
         """
-        if self.incremental:
-            if not self._dirty:
-                return
-            dirty = list(self._dirty)
-            self._dirty.clear()
-        else:
-            # From-scratch mode re-solves *every* component each time, and
-            # fills every multi-class one afresh: the memo is emptied per
-            # call, and no two components of one call share a class. A
-            # clean component's re-solve reproduces its frozen rates
-            # bit-for-bit, and component tracking (merges, splits, finish
-            # cache pops) is shared with incremental mode, so the two
-            # modes stay exactly equivalent.
-            self._dirty.clear()
-            self._fill_memo.clear()
-            dirty = list(dict.fromkeys(group.comp for group in self._groups.values()))
+        if not self._dirty:
+            return
+        dirty = list(self._dirty)
+        self._dirty.clear()
         for comp in dirty:
             if not comp.groups:
                 continue
@@ -969,9 +953,9 @@ class FluidNetwork:
 
         The component's cached finish prediction is rebuilt only when it
         was invalidated by a membership change or some group's rate
-        actually changed; both triggers fire identically in incremental
-        and from-scratch modes, so the cache (and therefore every timer
-        horizon) stays bit-equal across modes.
+        actually changed; both triggers fire identically under a
+        from-scratch re-solve, so the cache (and therefore every timer
+        horizon) stays bit-equal to it.
         """
         groups = comp.groups
         if len(groups) == 1:

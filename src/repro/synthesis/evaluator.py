@@ -136,7 +136,7 @@ def edge_units(primitive: Primitive, sc: SubCollective) -> Dict[EdgeKey, set]:
     which all flows merged there continue as the shared ``("agg", node)``
     unit; broadcast replicas of the same shard group into one
     ``("bcast", src)`` unit. Public so that
-    :mod:`repro.analysis.verify_strategy` checks the same algebra the
+    :mod:`repro.runtime.verify` checks the same algebra the
     evaluator prices.
     """
     aggregating = _aggregating_nodes(primitive, sc)

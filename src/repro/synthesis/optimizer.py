@@ -48,6 +48,9 @@ from repro.topology.graph import LogicalTopology, gpu_node
 #: Route directions, the first field of a :class:`StructureCache` key.
 _TO_ROOT, _FROM_ROOT, _DIRECT = 0, 1, 2
 
+#: Families a screened search sweeps the full chunk grid on.
+FINALISTS = 2
+
 
 @dataclass
 class SynthesizerConfig:
@@ -62,12 +65,11 @@ class SynthesizerConfig:
     #: each size is capped to the partition, duplicates are tried once.
     chunk_sizes: Optional[Tuple[float, ...]] = None
     #: Two-stage search: screen every family at one representative chunk
-    #: size, then sweep the chunk grid only on the best `finalists`
+    #: size, then sweep the chunk grid only on the best :data:`FINALISTS`
     #: families. Cuts solve time ~3x at large scales (relevant to the
     #: paper's Fig. 19c reconstruction budget) with no observed quality
     #: loss; set False for the exhaustive product.
     screening: bool = True
-    finalists: int = 2
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
@@ -383,7 +385,7 @@ class Synthesizer:
 
         report = self.last_report
         finalists: Sequence[str] = self.config.families
-        if self.config.screening and len(self.config.families) > self.config.finalists:
+        if self.config.screening and len(self.config.families) > FINALISTS:
             # Stage 1: rank families at one representative chunk size.
             screen_chunk = all_chunks[len(all_chunks) // 2]
             scores = []
@@ -394,7 +396,7 @@ class Synthesizer:
                 report.family_objectives[family_name] = predicted
             scores.sort()
             # Stage 2: full chunk sweep on the finalists only.
-            finalists = [name for _score, name in scores[: self.config.finalists]]
+            finalists = [name for _score, name in scores[:FINALISTS]]
 
         best: Optional[Tuple[float, float, str]] = None
         for family_name in finalists:

@@ -9,8 +9,9 @@ Three pieces (see DESIGN.md §7):
 * a metrics registry — :class:`Counter`, :class:`Gauge`, and
   :class:`Histogram` with fixed bucket edges, exportable as Prometheus
   text or JSON;
-* exporters — JSONL run files and Chrome trace-event JSON (loadable in
-  Perfetto / ``chrome://tracing``), plus a CLI::
+* exporters — JSONL run files (their Chrome trace-event view, loadable
+  in Perfetto / ``chrome://tracing``, is :mod:`repro.critpath.chrome`),
+  plus a CLI::
 
       python -m repro.telemetry summarize run.jsonl
       python -m repro.telemetry chrome run.jsonl -o run.trace.json
@@ -36,9 +37,7 @@ from repro.telemetry.export import (
     TelemetryRun,
     parse_jsonl,
     read_jsonl,
-    to_chrome_trace,
     to_jsonl,
-    write_chrome_trace,
     write_jsonl,
 )
 from repro.telemetry.metrics import (
@@ -68,8 +67,6 @@ __all__ = [
     "read_jsonl",
     "set_hub",
     "telemetry_enabled",
-    "to_chrome_trace",
     "to_jsonl",
-    "write_chrome_trace",
     "write_jsonl",
 ]

@@ -20,6 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench.report import Table
+from repro.critpath.chrome import write_chrome_trace
 from repro.errors import TelemetryError
 from repro.telemetry.export import (
     TelemetryRun,
@@ -27,7 +28,6 @@ from repro.telemetry.export import (
     summarize_collectives,
     summarize_links,
     summarize_slowest,
-    write_chrome_trace,
 )
 
 #: Instant-event names that belong in the chronological decision log.

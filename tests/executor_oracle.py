@@ -129,7 +129,7 @@ class ProcessChunkPipeline(ChunkPipeline):
                 total = parts[0].copy() if out is None else out
                 for part in parts[1:]:
                     total += part
-                if self.kernel_enabled and gpu is not None:
+                if gpu is not None:
                     if telemetry is not None:
                         span = site.begin(self.sim.now, (k, self.chunk_bytes[k], len(parts)))
                     yield self.sim.timeout(gpu.spec.reduce_kernel_time(self.chunk_bytes[k]))

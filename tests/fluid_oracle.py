@@ -8,6 +8,11 @@ shares nothing with the network's interning, class groups or fill memo.
 ``tests/test_fluid_differential.py`` and ``tests/test_fluid.py`` hold the
 network's rates to it.
 
+``FromScratchNetwork`` is the network with the re-solve it had as its
+``incremental=False`` mode: every component solved afresh at every
+recompute point, without the fill memo. ``tests/test_fluid_differential.py``
+holds the dirty-component re-solve to it bit for bit.
+
 ``PerEventFlushNetwork`` is the network with the flush policy it had
 before it solved once per simulated instant: the rate flush scheduled
 URGENT, so it ran after each activation, completion, cancel or reshape
@@ -115,6 +120,22 @@ def solve_rates_reference(transfers: Sequence[Transfer]) -> List[float]:
     return rates.tolist()
 
 
+class FromScratchNetwork(FluidNetwork):
+    """The fluid network re-solving every component at every recompute."""
+
+    def _assign_rates(self) -> None:
+        # Every multi-class component is filled afresh: the memo is emptied
+        # per call, and no two components of one call share a class. A
+        # clean component's re-solve reproduces its frozen rates
+        # bit-for-bit, and component tracking (merges, splits, finish
+        # cache pops) is the network's own, so the two stay exactly
+        # equivalent.
+        self._dirty.clear()
+        self._fill_memo.clear()
+        self._dirty.update(dict.fromkeys(group.comp for group in self._groups.values()))
+        super()._assign_rates()
+
+
 class PerEventFlushNetwork(FluidNetwork):
     """The fluid network with one rate flush per change, not per instant.
 
@@ -132,8 +153,8 @@ class PerEventFlushNetwork(FluidNetwork):
     exact one.
     """
 
-    def __init__(self, sim, incremental=None):
-        super().__init__(sim, incremental=incremental)
+    def __init__(self, sim):
+        super().__init__(sim)
         self.transient_refresh = False
         #: component -> instant of its last refresh with no membership change
         self._refreshed: Dict = {}

@@ -10,11 +10,9 @@ CLI.
 import numpy as np
 import pytest
 
-from repro.analysis import assert_valid, stage_unreachable
+from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.lint_source import lint_source
 from repro.analysis.lint_trace import lint_trace
-from repro.analysis.verify_strategy import verify_strategy
-from repro.analysis.__main__ import main as analysis_main
 from repro.baselines import make_backend
 from repro.bench.harness import BenchEnvironment
 from repro.errors import SimulationError, StrategyVerificationError, SynthesisError
@@ -23,6 +21,7 @@ from repro.hardware.presets import make_config
 from repro.relay.coordinator import AdaptiveAllReduce
 from repro.runtime.executor import MODE_MERGE, ChunkPipeline, StagePlan
 from repro.runtime.stages import Stage
+from repro.runtime.verify import assert_valid, stage_unreachable, verify_strategy
 from repro.simulation import Simulator
 from repro.simulation.records import TraceRecord, TraceRecorder
 from repro.synthesis import Primitive, Synthesizer
@@ -246,7 +245,7 @@ class TestCoordinatorVerification:
         def refuse(strategy, topology):
             raise AssertionError("assert_valid called")
 
-        monkeypatch.setattr("repro.analysis.verify_strategy.assert_valid", refuse)
+        monkeypatch.setattr("repro.relay.coordinator.assert_valid", refuse)
         topo = homo_topology()
         strategy = synthesize(topo, Primitive.ALLREDUCE)
         adaptive = AdaptiveAllReduce(topo, verify=False)

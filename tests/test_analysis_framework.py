@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.findings import Finding, RuleSpec, severity_rank
 from repro.analysis.lint_chaos import lint_chaos
 from repro.analysis.lint_source import lint_source
 from repro.analysis.registry import (
@@ -20,6 +19,7 @@ from repro.analysis.registry import (
 )
 from repro.analysis.runner import run_passes
 from repro.analysis.sarif import to_sarif
+from repro.findings import Finding, RuleSpec, severity_rank
 from repro.simulation.records import TraceRecord
 
 CANONICAL = [
@@ -57,14 +57,16 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "module",
-        ["verify_strategy", "race", "passes"]
-        + [f"lint_{n}" for n in ("source", "trace", "chaos", "recovery", "telemetry")]
-        + [f"lint_{n}" for n in ("observe", "critpath", "integrity", "fleet")],
+        ["repro.runtime.verify", "repro.analysis.race", "repro.analysis.passes"]
+        + [f"repro.analysis.lint_{n}" for n in ("source", "trace", "chaos", "recovery")]
+        + [f"repro.analysis.lint_{n}" for n in ("telemetry", "observe", "critpath")]
+        + [f"repro.analysis.lint_{n}" for n in ("integrity", "fleet")],
+        ids=lambda module: module.rsplit(".", 1)[1],
     )
     def test_rules_are_declared_in_the_module_that_emits_them(self, module):
         """Every literal code a module raises is a ``RuleSpec`` built there
         (or, for the one shared code, in the ``RULES`` it extends)."""
-        loaded = importlib.import_module(f"repro.analysis.{module}")
+        loaded = importlib.import_module(module)
         tree = ast.parse(open(loaded.__file__, encoding="utf-8").read())
 
         def literal_first_arg(call, names):

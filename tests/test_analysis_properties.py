@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.passes import run_strategy_pass
 from repro.analysis.registry import PassContext
-from repro.analysis.verify_strategy import verify_strategy
 from repro.hardware import Cluster, make_hetero_cluster
+from repro.runtime.verify import verify_strategy
 from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.topology import LogicalTopology

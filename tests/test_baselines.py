@@ -4,16 +4,16 @@ and the relative-performance shapes the paper reports."""
 import numpy as np
 import pytest
 
+from repro.baselines import available_backends, make_backend
+from repro.baselines.blink import BLINK_CHUNK_BYTES
+from repro.baselines.nccl import NCCL_CHUNK_BYTES, RING_THRESHOLD_BYTES, NcclBackend
 from repro.errors import CommunicatorError, SynthesisError
 from repro.hardware import Cluster, MB, make_hetero_cluster, make_homo_cluster
-from repro.baselines import available_backends, make_backend
-from repro.baselines.nccl import NCCL_CHUNK_BYTES, NcclBackend
-from repro.baselines.blink import BLINK_CHUNK_BYTES
 from repro.hardware.presets import a100_server
 from repro.simulation import Simulator
 from repro.synthesis import Primitive
 from repro.topology import LogicalTopology
-from repro.topology.graph import EdgeKind, NodeKind, gpu_node
+from repro.topology.graph import EdgeKind, gpu_node
 
 
 def make_topo(specs=None):
@@ -59,18 +59,14 @@ class TestNcclModel:
 
     def test_ring_is_a_chain_through_all_ranks(self):
         topo = make_topo()
-        backend = NcclBackend(topo, graph="ring")
-        strategy = backend.plan(Primitive.REDUCE, 16 * MB, range(8), root=0)
-        sc = strategy.subcollectives[0]
-        # A chain: exactly one rank parents each rank; max fan-in 1.
-        from collections import Counter
-
-        heads = Counter()
-        for flow in sc.flows:
-            for i, j in flow.edges:
-                if i.kind is NodeKind.GPU and j.kind is NodeKind.GPU:
-                    heads[(i, j)] += 0  # just touch
-        assert len(sc.flows) == 7
+        backend = NcclBackend(topo)
+        chain = backend.ring_graph(list(range(8)), 0)
+        # A chain: every rank but the root forwards to a parent no other
+        # rank forwards to.
+        assert chain[0] == 0 and len({chain[rank] for rank in range(1, 8)}) == 7
+        strategy = backend.plan(Primitive.REDUCE, RING_THRESHOLD_BYTES, range(8), root=0)
+        assert strategy.routing_family == "nccl-ring"
+        assert len(strategy.subcollectives[0].flows) == 7
 
     def test_rank_order_tree_ignores_heterogeneity(self):
         """NCCL's tree layout is identical on shuffled-bandwidth clusters —
@@ -79,8 +75,9 @@ class TestNcclModel:
         from repro.topology.graph import nic_node
 
         topo = make_topo(make_homo_cluster(num_servers=4))
-        backend = NcclBackend(topo, graph="tree")
+        backend = NcclBackend(topo)
         before = backend.plan(Primitive.REDUCE, 16 * MB, range(16), root=0)
+        assert before.routing_family == "nccl-tree"
         # Degrade instance 1 badly; NCCL must not react.
         for other in (0, 2, 3):
             edge = topo.edge(nic_node(1), nic_node(other))
@@ -239,7 +236,7 @@ class TestAdapccBackend:
     def test_verifies_once_when_a_strategy_enters_the_cache(self, monkeypatch):
         checked = []
         monkeypatch.setattr(
-            "repro.analysis.verify_strategy.assert_valid",
+            "repro.baselines.common.assert_valid",
             lambda strategy, topology: checked.append(strategy),
         )
         backend = make_backend("adapcc", make_topo())

@@ -1,6 +1,5 @@
 """Edge-case tests across modules (paths thinner-covered elsewhere)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError, SynthesisError
@@ -11,7 +10,7 @@ from repro.simulation.engine import LATE, NORMAL, URGENT
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.synthesis.chunking import chunk_candidates
 from repro.topology import LogicalTopology
-from repro.topology.graph import gpu_node, nic_node
+from repro.topology.graph import nic_node
 
 
 class TestSimulationEdges:
@@ -228,40 +227,6 @@ class TestChunkCandidates:
             chunk_candidates(0)
         with pytest.raises(SynthesisError):
             chunk_candidates(1e6, min_chunk=10, max_chunk=5)
-
-
-class TestExecutorKernelToggle:
-    def test_kernel_disabled_is_faster(self):
-        """kernel_enabled=False removes the aggregation kernel time."""
-        from repro.runtime.executor import ChunkPipeline, MODE_MERGE, StagePlan
-        from repro.runtime.stages import Stage
-
-        def run(kernel_enabled):
-            sim = Simulator()
-            cluster = Cluster(sim, make_homo_cluster(num_servers=1))
-            topo = LogicalTopology.from_cluster(cluster)
-            flows = [
-                (0, [gpu_node(1), gpu_node(0)]),
-                (1, [gpu_node(2), gpu_node(0)]),
-            ]
-            payloads = {i: [np.ones(4)] * 8 for i in range(2)}
-
-            def source(flow_idx, k):
-                return sim.timeout(0.0), (lambda: payloads[flow_idx][k])
-
-            stage = Stage("collective", MODE_MERGE, tuple(flows), lambda n: n == gpu_node(0))
-            pipeline = ChunkPipeline(
-                topo,
-                StagePlan(topo, stage),
-                num_chunks=8,
-                chunk_bytes=[1e6] * 8,
-                chunk_source=source,
-                kernel_enabled=kernel_enabled,
-            )
-            sim.run_until_complete(pipeline.start())
-            return sim.now
-
-        assert run(False) < run(True)
 
 
 class TestNetworkxExport:

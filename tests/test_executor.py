@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import CommunicatorError
 from repro.hardware import Cluster, make_homo_cluster
-from repro.relay import behavior_tuples
+from repro.runtime.behavior import behavior_tuples
 from repro.runtime.executor import MODE_MERGE, ChunkPipeline, Slot, StagePlan, assemble
 from repro.runtime.stages import MODE_GROUPED, MODE_INDEPENDENT, Stage
 from repro.simulation import Simulator

@@ -10,12 +10,12 @@ to its references:
   filling over *all* active transfers jointly, the pre-incremental
   semantics) to within 1e-9. Per-component filling takes different float
   paths than the joint solve, so agreement is near-exact, not bitwise.
-* **vs. from-scratch per-component mode** — replaying the same event
-  script with ``incremental=False`` (every component re-solved on every
-  recompute, without the fill memo) produces **exactly** the same
-  per-link ``bytes_carried``, completion times and final clock, bit for
-  bit. This is the property that makes it safe to ship the incremental
-  solver as the default.
+* **vs. a from-scratch per-component re-solve** — replaying the same
+  event script on :class:`tests.fluid_oracle.FromScratchNetwork` (every
+  component re-solved on every recompute, without the fill memo)
+  produces **exactly** the same per-link ``bytes_carried``, completion
+  times and final clock, bit for bit. This is the property that makes it
+  safe to re-solve only the dirty components.
 
 * **class kernel vs. the per-transfer fill, bitwise** — on one connected
   component (found here by union-find over ``Transfer.links``, not by the
@@ -51,7 +51,7 @@ from hypothesis import strategies as st
 
 from repro.simulation import FluidLink, FluidNetwork, Simulator, fluid
 
-from .fluid_oracle import PerMemberNetwork, solve_rates_reference
+from .fluid_oracle import FromScratchNetwork, PerMemberNetwork, solve_rates_reference
 
 #: Tolerance of the incremental-vs-joint comparison (relative and absolute).
 TOLERANCE = 1e-9
@@ -60,8 +60,8 @@ TOLERANCE = 1e-9
 class DifferentialNetwork(FluidNetwork):
     """A network that checks every recompute against the joint solve."""
 
-    def __init__(self, sim, incremental=None):
-        super().__init__(sim, incremental=incremental)
+    def __init__(self, sim):
+        super().__init__(sim)
         self.recompute_points = 0
 
     def _assign_rates(self):
@@ -74,9 +74,13 @@ class DifferentialNetwork(FluidNetwork):
             assert transfer.rate == pytest.approx(
                 expected, rel=TOLERANCE, abs=TOLERANCE
             ), (
-                f"incremental rate {transfer.rate!r} diverged from joint "
+                f"rate {transfer.rate!r} diverged from joint "
                 f"reference {expected!r} at t={self.sim.now!r}"
             )
+
+
+class ScratchDifferentialNetwork(DifferentialNetwork, FromScratchNetwork):
+    """The joint-solve check over the from-scratch re-solve."""
 
 
 # -- script generation ---------------------------------------------------------
@@ -106,12 +110,10 @@ _script = st.lists(
 )
 
 
-def _run_script(
-    capacities, script, network_cls=FluidNetwork, incremental=None, stream_caps=()
-):
+def _run_script(capacities, script, network_cls=FluidNetwork, stream_caps=()):
     """Replay one generated event script; returns its observable outcome."""
     sim = Simulator()
-    net = network_cls(sim, incremental=incremental)
+    net = network_cls(sim)
     links = [
         FluidLink(
             f"l{i}",
@@ -166,9 +168,7 @@ def _run_script(
 @given(capacities=_link_caps, script=_script)
 def test_incremental_rates_match_joint_reference(capacities, script):
     """Every incremental recompute agrees with the joint solve to 1e-9."""
-    outcome = _run_script(
-        capacities, script, network_cls=DifferentialNetwork, incremental=True
-    )
+    outcome = _run_script(capacities, script, network_cls=DifferentialNetwork)
     # The assertion lives inside DifferentialNetwork._assign_rates; make
     # sure the script actually exercised it. A transfer cancelled at its
     # own start instant is gone before that instant's one solve, so only
@@ -181,9 +181,9 @@ def test_incremental_rates_match_joint_reference(capacities, script):
 @settings(max_examples=60, deadline=None)
 @given(capacities=_link_caps, script=_script)
 def test_incremental_run_is_bit_identical_to_from_scratch(capacities, script):
-    """Same script, both modes: bytes and completion times match exactly."""
-    incremental = _run_script(capacities, script, incremental=True)
-    scratch = _run_script(capacities, script, incremental=False)
+    """Same script, both re-solves: bytes and completion times match exactly."""
+    incremental = _run_script(capacities, script)
+    scratch = _run_script(capacities, script, network_cls=FromScratchNetwork)
     assert incremental["now"] == scratch["now"]
     assert incremental["completed"] == scratch["completed"]
     assert incremental["bytes"] == scratch["bytes"]  # exact, not approx
@@ -193,10 +193,8 @@ def test_incremental_run_is_bit_identical_to_from_scratch(capacities, script):
 @settings(max_examples=30, deadline=None)
 @given(capacities=_link_caps, script=_script)
 def test_from_scratch_mode_matches_joint_reference_too(capacities, script):
-    """The reference mode itself stays within 1e-9 of the joint solve."""
-    _run_script(
-        capacities, script, network_cls=DifferentialNetwork, incremental=False
-    )
+    """The from-scratch reference itself stays within 1e-9 of the joint solve."""
+    _run_script(capacities, script, network_cls=ScratchDifferentialNetwork)
 
 
 # -- class kernel vs. per-transfer reference, bitwise ------------------------------
@@ -319,11 +317,6 @@ def test_inf_capacity_link_saturates_in_round_one():
     active = net.active_transfers
     assert [t.rate for t in active] == [50.0, 50.0, 50.0]
     assert [t.rate for t in active] == solve_rates_reference(active)
-
-
-def test_incremental_is_the_default():
-    sim = Simulator()
-    assert FluidNetwork(sim).incremental is True
 
 
 def test_reference_solver_matches_trivial_closed_form():

@@ -15,10 +15,10 @@ from repro.relay import (
     BreakEvenPolicy,
     Coordinator,
     FaultDetector,
-    behavior_tuples,
     estimate_collective_seconds,
 )
 from repro.relay.ski_rental import aggregate_bandwidth, collective_volume
+from repro.runtime.behavior import behavior_tuples
 from repro.simulation import Simulator
 from repro.synthesis import Primitive, Synthesizer
 from repro.synthesis.strategy import Flow, SubCollective

@@ -116,7 +116,8 @@ class TestVerification:
         def refuse(strategy, topology):
             raise AssertionError("assert_valid called")
 
-        monkeypatch.setattr("repro.analysis.verify_strategy.assert_valid", refuse)
+        monkeypatch.setattr("repro.baselines.common.assert_valid", refuse)
+        monkeypatch.setattr("repro.relay.coordinator.assert_valid", refuse)
 
     def test_verify_false_reaches_the_adaptive_relay(self, failing_verifier):
         session = AdapCCSession(make_homo_cluster(num_servers=2), verify=False).init()

@@ -29,6 +29,7 @@ from repro.chaos import (
     CoordinatorCrashFault,
     FaultPlan,
 )
+from repro.critpath.chrome import to_chrome_trace
 from repro.errors import TelemetryError
 from repro.hardware.presets import make_config, make_homo_cluster
 from repro.simulation.records import TraceRecorder
@@ -40,7 +41,6 @@ from repro.telemetry import (
     hub,
     parse_jsonl,
     set_hub,
-    to_chrome_trace,
     to_jsonl,
 )
 from repro.telemetry.__main__ import DECISION_EVENTS
