@@ -110,14 +110,12 @@ RULES = (
 # -- static half ----------------------------------------------------------------------
 
 
-def lint_determinism_hazards(
-    root: Optional[Path] = None,
-    dirs: Sequence[str] = RACE_SENSITIVE_DIRS,
-) -> List[Finding]:
-    """Run the static hazard checks over ``dirs`` under ``root``."""
+def lint_determinism_hazards(root: Optional[Path] = None) -> List[Finding]:
+    """Run the static hazard checks over :data:`RACE_SENSITIVE_DIRS` under
+    ``root``."""
     root = Path(root) if root is not None else PACKAGE_ROOT
     findings: List[Finding] = []
-    for sub in dirs:
+    for sub in RACE_SENSITIVE_DIRS:
         base = root / sub
         if base.is_dir():
             findings.extend(
@@ -291,22 +289,31 @@ def _find_scheduling_sink(body: Sequence[ast.stmt]) -> Optional[str]:
 
 
 def _find_accumulation(body: Sequence[ast.stmt]) -> Optional[ast.AugAssign]:
+    """The first in-place fold in ``body`` that may be a float one.
+
+    An int literal step (``count += 1``) is skipped: integer arithmetic is
+    exact in any order, so only the rest of the body can hold a hazard.
+    """
     for stmt in body:
         for node in ast.walk(stmt):
-            if isinstance(node, ast.AugAssign) and isinstance(
-                node.op, _ACCUMULATING_OPS
+            if (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.op, _ACCUMULATING_OPS)
+                and not _is_int_literal(node.value)
             ):
                 return node
     return None
 
 
+def _is_int_literal(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
 def _target_name(node: ast.AugAssign) -> str:
     target = node.target
-    if isinstance(target, ast.Name):
-        return target.id
     if isinstance(target, ast.Attribute):
         return target.attr
-    return ast.dump(target)
+    return ast.unparse(target)
 
 
 def _has_tiebreak(entry: ast.Tuple) -> bool:

@@ -140,13 +140,12 @@ def to_json_report(results: Sequence[PassResult]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def render_text(results: Sequence[PassResult], verbose_notes: bool = True) -> List[str]:
+def render_text(results: Sequence[PassResult]) -> List[str]:
     """The human report, one line per entry (legacy ``ok   name`` shape)."""
     lines: List[str] = []
     for result in results:
-        if verbose_notes:
-            for note in result.notes:
-                lines.append(f"     - {note}")
+        for note in result.notes:
+            lines.append(f"     - {note}")
         if result.error is not None:
             lines.append(f"ERR  {result.spec.title}: internal error")
             lines.extend(

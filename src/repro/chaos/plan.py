@@ -51,6 +51,14 @@ SCALE = "scale"
 DECIDE_PHASE = "decide"
 TRANSITION_PHASE = "transition"
 
+# Shape of a :meth:`FaultPlan.generate` draw.
+#: Upper bound of a straggler's uniform ready-time delay (seconds).
+MAX_DELAY_SECONDS = 0.1
+#: Share of worker crashes that rejoin later in the run.
+TRANSIENT_FRACTION = 0.5
+#: Share of coordinator crashes that land mid-transition, not mid-decision.
+TRANSITION_CRASH_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class StragglerFault:
@@ -434,13 +442,10 @@ class FaultPlan:
         world: int,
         iterations: int,
         straggler_rate: float = 0.3,
-        max_delay_seconds: float = 0.1,
         crash_rate: float = 0.1,
-        transient_fraction: float = 0.5,
         link_fault_rate: float = 0.0,
         num_instances: int = 0,
         coordinator_crash_rate: float = 0.0,
-        transition_crash_fraction: float = 0.25,
         partition_rate: float = 0.0,
         corruption_rate: float = 0.0,
         corruption_links: Sequence[str] = (),
@@ -470,7 +475,7 @@ class FaultPlan:
             if rng.random() >= crash_rate:
                 continue
             at = int(rng.integers(0, iterations))
-            if rng.random() < transient_fraction and at + 1 < iterations:
+            if rng.random() < TRANSIENT_FRACTION and at + 1 < iterations:
                 rejoin = int(rng.integers(at + 1, iterations))
                 crashes.append(CrashFault(rank, at, rejoin_iteration=rejoin))
             else:
@@ -482,7 +487,7 @@ class FaultPlan:
                 if rank in down_ranks:
                     continue
                 if rng.random() < straggler_rate:
-                    delay = float(rng.uniform(0.0, max_delay_seconds))
+                    delay = float(rng.uniform(0.0, MAX_DELAY_SECONDS))
                     stragglers.append(StragglerFault(rank, iteration, delay))
 
         for instance_id in range(num_instances):
@@ -504,7 +509,7 @@ class FaultPlan:
                     continue
                 phase = (
                     TRANSITION_PHASE
-                    if rng.random() < transition_crash_fraction
+                    if rng.random() < TRANSITION_CRASH_FRACTION
                     else DECIDE_PHASE
                 )
                 coordinator_crashes.append(CoordinatorCrashFault(iteration, phase))

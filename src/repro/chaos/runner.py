@@ -51,6 +51,7 @@ from repro.hardware.instance import InstanceSpec
 from repro.integrity.channel import DataPlane
 from repro.integrity.checksums import payload_digest
 from repro.integrity.monitor import (
+    MAX_RETRIES,
     IntegrityConfig,
     IntegrityMonitor,
     strategy_link_names,
@@ -188,7 +189,7 @@ class ChaosRunner:
             )
             self.cluster.data_plane.corruptor = self.corruptor
         self.monitor: Optional[IntegrityMonitor] = None
-        if integrity is not None and integrity.enabled:
+        if integrity is not None:
             self.monitor = IntegrityMonitor(
                 integrity, seed=plan.seed, clock=lambda: self.sim.now, hub=self.cluster.hub
             )
@@ -318,7 +319,7 @@ class ChaosRunner:
         new_strategy: Optional[Strategy] = None
         for link, evidence in suspects:
             convicted = monitor.suspect(link, evidence, now=self.sim.now)
-            if not convicted or not monitor.config.quarantine:
+            if not convicted:
                 continue
             self.topology.quarantine_link(link)
             monitor.record_quarantine(link, now=self.sim.now)
@@ -458,7 +459,7 @@ class ChaosRunner:
                 if not detected:
                     break
                 corruption_detections += 1
-                if attempt >= self.monitor.config.max_retries:
+                if attempt >= MAX_RETRIES:
                     break
                 attempt += 1
                 integrity_retries += 1

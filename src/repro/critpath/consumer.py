@@ -23,8 +23,7 @@ from repro.telemetry.core import Span, TelemetryConsumer
 class CritpathConsumer(TelemetryConsumer):
     """Accumulates one iteration's chunk spans; attributes on demand."""
 
-    def __init__(self, tol: float = 1e-9):
-        self.tol = tol
+    def __init__(self) -> None:
         self._spans: List[ChunkSpan] = []
         self._readiness: List[Dict[int, float]] = []
 
@@ -56,9 +55,7 @@ class CritpathConsumer(TelemetryConsumer):
         """Full critpath report over the current window (None if empty)."""
         if not self._spans:
             return None
-        return analyze_spans(
-            self._spans, tol=self.tol, readiness=self._readiness
-        )
+        return analyze_spans(self._spans, readiness=self._readiness)
 
     def top_link(self) -> Optional[str]:
         """The top-1 attributed link of the current window (None if empty).

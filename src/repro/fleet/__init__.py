@@ -44,7 +44,6 @@ from repro.fleet.workload import (
     InterferenceWindow,
     JobTrace,
     Workload,
-    WorkloadSpec,
     canonical_overlap_workload,
     dump_workload,
     generate_workload,
@@ -67,7 +66,6 @@ __all__ = [
     "LinkOccupancy",
     "ScoringWindow",
     "Workload",
-    "WorkloadSpec",
     "canonical_overlap_workload",
     "dump_workload",
     "fleet_observe_config",

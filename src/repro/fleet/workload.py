@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -138,77 +138,60 @@ class Workload:
 # -- the seeded generator --------------------------------------------------------------
 
 
-@dataclass
-class WorkloadSpec:
-    """Tunables of :func:`generate_workload` (defaults follow the bursty,
-    heavy-tailed shape production profiling traces report)."""
-
-    #: Trace horizon: no op *starts* after this (seconds, sim clock).
-    duration: float = 40.0
-    #: Mean ops per burst (geometric) and mean gap between bursts
-    #: (exponential), both per job.
-    burst_mean_ops: float = 4.0
-    gap_mean_seconds: float = 6.0
-    #: Spacing between ops inside a burst (back-to-back pressure).
-    intra_burst_seconds: float = 0.5
-    #: Lognormal payload-size parameters, clipped to [min, max] bytes.
-    size_median_bytes: float = 400e6
-    size_sigma: float = 0.5
-    size_min_bytes: float = 100e6
-    size_max_bytes: float = 1.6e9
-    #: Fraction of ops that are AllToAll (MoE-style); the rest AllReduce.
-    alltoall_fraction: float = 0.2
+# The generator's trace shape: bursty and heavy-tailed, as production
+# profiling traces report.
+#: Trace horizon: no op *starts* after this (seconds, sim clock).
+DURATION_SECONDS = 40.0
+#: Mean ops per burst (geometric) and mean gap between bursts
+#: (exponential), both per job.
+BURST_MEAN_OPS = 4.0
+GAP_MEAN_SECONDS = 6.0
+#: Spacing between ops inside a burst (back-to-back pressure).
+INTRA_BURST_SECONDS = 0.5
+#: Lognormal payload-size parameters, clipped to [min, max] bytes.
+SIZE_MEDIAN_BYTES = 400e6
+SIZE_SIGMA = 0.5
+SIZE_MIN_BYTES = 100e6
+SIZE_MAX_BYTES = 1.6e9
+#: Fraction of ops that are AllToAll (MoE-style); the rest AllReduce.
+ALLTOALL_FRACTION = 0.2
 
 
-def generate_workload(
-    rank_sets: Sequence[Sequence[int]],
-    seed: int = 0,
-    spec: Optional[WorkloadSpec] = None,
-) -> Workload:
+def generate_workload(rank_sets: Sequence[Sequence[int]], seed: int = 0) -> Workload:
     """A seeded bursty workload over the given per-job rank subsets.
 
     Jobs are named ``job0``, ``job1``, … in ``rank_sets`` order. All
     randomness comes from one ``default_rng(seed)``, consumed job by job
-    in order, so the trace is a pure function of ``(rank_sets, seed,
-    spec)``. No ground truth is attached — overlap in a generated trace
-    is emergent, not planted.
+    in order, so the trace is a pure function of ``(rank_sets, seed)``.
+    No ground truth is attached — overlap in a generated trace is
+    emergent, not planted.
     """
-    spec = spec or WorkloadSpec()
-    if spec.duration <= 0:
-        raise FleetError("workload duration must be positive")
     rng = np.random.default_rng(seed)
     jobs = []
     for index, ranks in enumerate(rank_sets):
         ops: List[CollectiveOp] = []
         # Stagger job starts so bursts are not phase-locked at t=0.
-        now = float(rng.exponential(spec.gap_mean_seconds / 2))
-        while now < spec.duration:
-            burst = int(rng.geometric(1.0 / max(spec.burst_mean_ops, 1.0)))
+        now = float(rng.exponential(GAP_MEAN_SECONDS / 2))
+        while now < DURATION_SECONDS:
+            burst = int(rng.geometric(1.0 / BURST_MEAN_OPS))
             for _ in range(burst):
-                if now >= spec.duration:
+                if now >= DURATION_SECONDS:
                     break
                 size = float(
                     np.clip(
-                        spec.size_median_bytes
-                        * np.exp(spec.size_sigma * rng.standard_normal()),
-                        spec.size_min_bytes,
-                        spec.size_max_bytes,
+                        SIZE_MEDIAN_BYTES * np.exp(SIZE_SIGMA * rng.standard_normal()),
+                        SIZE_MIN_BYTES,
+                        SIZE_MAX_BYTES,
                     )
                 )
-                kind = (
-                    ALLTOALL
-                    if rng.random() < spec.alltoall_fraction
-                    else ALLREDUCE
-                )
+                kind = ALLTOALL if rng.random() < ALLTOALL_FRACTION else ALLREDUCE
                 ops.append(CollectiveOp(kind=kind, start=round(now, 6), size_bytes=size))
-                now += spec.intra_burst_seconds
-            now += float(rng.exponential(spec.gap_mean_seconds))
+                now += INTRA_BURST_SECONDS
+            now += float(rng.exponential(GAP_MEAN_SECONDS))
         if not ops:
             # A degenerate draw (gap beyond the horizon) still yields a
             # schedulable job: one median-size AllReduce at t=0.
-            ops.append(
-                CollectiveOp(kind=ALLREDUCE, start=0.0, size_bytes=spec.size_median_bytes)
-            )
+            ops.append(CollectiveOp(kind=ALLREDUCE, start=0.0, size_bytes=SIZE_MEDIAN_BYTES))
         jobs.append(JobTrace(name=f"job{index}", ranks=tuple(ranks), ops=tuple(ops)))
     return Workload(jobs=tuple(jobs), seed=seed)
 
@@ -220,6 +203,8 @@ def generate_workload(
 #: the same simulated traffic the observe/critpath passes calibrate
 #: against (length * 8 * 200_000).
 CANONICAL_OP_BYTES = 512 * 8 * 200_000.0
+#: Aggressor ops in the canonical scenario's burst.
+BURST_OPS = 8
 
 
 def canonical_overlap_workload(
@@ -227,7 +212,6 @@ def canonical_overlap_workload(
     victim_iterations: int = 20,
     period: float = 0.12,
     burst_start_iteration: int = 6,
-    burst_ops: int = 8,
 ) -> Workload:
     """The pinned two-job interference scenario (cluster: 2×4 A100).
 
@@ -243,7 +227,7 @@ def canonical_overlap_workload(
     Calibration (pinned by ``tests/test_fleet.py`` and the ``--fleet``
     pass): a clean :data:`CANONICAL_OP_BYTES` AllReduce on this cluster
     takes ≈0.106 s, so ``period=0.12`` keeps the victim near-back-to-back
-    and a burst of 8 aggressor ops (≈0.21 s each under fair sharing,
+    and a burst of :data:`BURST_OPS` = 8 aggressor ops (≈0.21 s each under fair sharing,
     launched serially) contends with roughly a dozen victim iterations —
     enough for the iteration-time CUSUM (threshold 1, drift 0.25) *and*
     at least one link signal to accumulate past threshold while the burst
@@ -270,7 +254,7 @@ def canonical_overlap_workload(
             start=burst_start + j * 0.01,
             size_bytes=CANONICAL_OP_BYTES,
         )
-        for j in range(burst_ops)
+        for j in range(BURST_OPS)
     )
     return Workload(
         jobs=(
@@ -283,7 +267,7 @@ def canonical_overlap_workload(
                 victim="alpha",
                 aggressor="beta",
                 start=burst_start,
-                end=burst_start + burst_ops * 0.01,
+                end=burst_start + BURST_OPS * 0.01,
             ),
         ),
     )

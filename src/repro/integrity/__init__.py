@@ -18,7 +18,7 @@ The chaos layer can silently corrupt payloads in flight
   only ever names a link whose *own* probe came back corrupted (a clean
   link can never be convicted);
 * **heal** — the :class:`~repro.integrity.monitor.IntegrityMonitor`'s
-  repeat-offender ledger convicts a link after ``conviction_threshold``
+  repeat-offender ledger convicts a link after ``CONVICTION_THRESHOLD``
   independent localizations, the link is quarantined (capacity masked in
   :class:`~repro.topology.graph.LogicalTopology`), a fresh strategy is
   committed through the recovery control plane's two-phase

@@ -51,7 +51,7 @@ def payload_digest(payload: np.ndarray) -> float:
     return float(np.asarray(payload, dtype=np.float64).sum())
 
 
-def digests_match(expected: float, observed: float, rtol: float = DIGEST_RTOL) -> bool:
+def digests_match(expected: float, observed: float) -> bool:
     """Whether two digests agree up to float association noise."""
     scale = max(abs(expected), abs(observed), 1.0)
-    return abs(expected - observed) <= rtol * scale
+    return abs(expected - observed) <= DIGEST_RTOL * scale

@@ -4,9 +4,9 @@ One :class:`IntegrityMonitor` per chaos run plugs into the data-plane tap
 (:func:`~repro.integrity.channel.data_plane`) and keeps the whole
 detect→localize→convict state machine:
 
-* every delivered chunk is counted and (when checksums are on) verified
-  against the sender's CRC32 stamp — a mismatch is a **checksum
-  failure** that directly names the guilty link;
+* every delivered chunk is counted and verified against the sender's
+  CRC32 stamp — a mismatch is a **checksum failure** that directly
+  names the guilty link;
 * after each collective, :meth:`check_collective` runs the cross-rank
   digest exchange — every output's linear digest must equal the sum of
   the contributors' input digests, and all outputs must agree;
@@ -15,7 +15,7 @@ detect→localize→convict state machine:
   tap, binary-searched by :class:`~repro.integrity.localize.
   BinarySearchLocalizer`;
 * each localization that names a link feeds the **repeat-offender
-  ledger** (:meth:`suspect`); reaching ``conviction_threshold`` convicts
+  ledger** (:meth:`suspect`); reaching :data:`CONVICTION_THRESHOLD` convicts
   the link — the caller then quarantines it and re-synthesizes.
 
 Every step lands in the :class:`IntegrityLog` (plain dicts, exportable
@@ -28,12 +28,10 @@ same-seed runs produce byte-identical logs and exports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.integrity.channel import PROBE_TAG, DataPlane
 from repro.integrity.checksums import (
     DIGEST_RTOL,
@@ -59,55 +57,37 @@ RETRY_RECORD = "integrity-retry"
 SUMMARY_RECORD = "integrity-summary"
 
 
-class IntegrityError(ReproError):
-    """Integrity-layer misuse: bad configuration or impossible requests."""
+#: Probes per candidate link inside one localization round.
+PROBE_REPEATS = 2
+#: Elements per probe payload.
+PROBE_LENGTH = 64
+#: Independent localizations naming a link before it is convicted.
+CONVICTION_THRESHOLD = 2
+#: Times a corrupted iteration is re-run before giving up on it.
+MAX_RETRIES = 3
 
 
-@dataclass(frozen=True)
 class IntegrityConfig:
-    """Tunables of the detection/localization/healing loop."""
+    """Switches the detection/localization/healing loop on for a run.
 
-    enabled: bool = True
-    #: Per-hop CRC32 stamping/verification in the chunk pipeline.
-    checksums: bool = True
-    #: End-of-collective cross-rank digest exchange.
-    digests: bool = True
-    digest_rtol: float = DIGEST_RTOL
-    #: Probes per candidate link inside one localization round.
-    probe_repeats: int = 2
-    #: Elements per probe payload.
-    probe_length: int = 64
-    #: Independent localizations naming a link before it is convicted.
-    conviction_threshold: int = 2
-    #: Times a corrupted iteration is re-run before giving up on it.
-    max_retries: int = 3
-    #: Whether a conviction masks the link's capacity in the topology.
-    quarantine: bool = True
-
-    def __post_init__(self) -> None:
-        if self.probe_repeats < 1:
-            raise IntegrityError("probe_repeats must be >= 1")
-        if self.probe_length < 1:
-            raise IntegrityError("probe_length must be >= 1")
-        if self.conviction_threshold < 1:
-            raise IntegrityError("conviction_threshold must be >= 1")
-        if self.max_retries < 0:
-            raise IntegrityError("max_retries must be >= 0")
-        if self.digest_rtol < 0:
-            raise IntegrityError("digest_rtol must be >= 0")
+    The loop's values are the module constants above: per-hop CRC32
+    stamps and the end-of-collective digest exchange always run, digests
+    agree within :data:`~repro.integrity.checksums.DIGEST_RTOL`, and a
+    conviction always quarantines the link.
+    """
 
     def header(self) -> Dict[str, Any]:
         """The log's config record payload."""
         return {
             "type": CONFIG_RECORD,
-            "checksums": self.checksums,
-            "digests": self.digests,
-            "digest_rtol": self.digest_rtol,
-            "probe_repeats": self.probe_repeats,
-            "probe_length": self.probe_length,
-            "conviction_threshold": self.conviction_threshold,
-            "max_retries": self.max_retries,
-            "quarantine": self.quarantine,
+            "checksums": True,
+            "digests": True,
+            "digest_rtol": DIGEST_RTOL,
+            "probe_repeats": PROBE_REPEATS,
+            "probe_length": PROBE_LENGTH,
+            "conviction_threshold": CONVICTION_THRESHOLD,
+            "max_retries": MAX_RETRIES,
+            "quarantine": True,
         }
 
 
@@ -172,7 +152,7 @@ class IntegrityMonitor:
         self.suspicion: Dict[str, int] = {}
         #: Links convicted by the repeat-offender ledger, in order.
         self.convicted: List[str] = []
-        self.localizer = BinarySearchLocalizer(repeats=self.config.probe_repeats)
+        self.localizer = BinarySearchLocalizer(repeats=PROBE_REPEATS)
         self.probe_rounds_total = 0
         self.probes_total = 0
         self._probe_counter = 0
@@ -183,17 +163,15 @@ class IntegrityMonitor:
         """Stamp subsequent records with the running iteration."""
         self.iteration = iteration
 
-    def stamp(self, payload: np.ndarray) -> Optional[int]:
-        """The sender-side checksum stamp (``None`` with checksums off)."""
-        if not self.config.checksums:
-            return None
+    def stamp(self, payload: np.ndarray) -> int:
+        """The sender-side checksum stamp."""
         return payload_checksum(payload)
 
     def observe_delivery(
         self,
         link: str,
         chunk: int,
-        stamp: Optional[int],
+        stamp: int,
         wire: np.ndarray,
         *,
         tag: str = "",
@@ -205,8 +183,6 @@ class IntegrityMonitor:
             # out of the pipeline coverage and failure ledgers.
             return
         self.units_seen += 1
-        if stamp is None:
-            return
         self.units_verified += 1
         if payload_checksum(wire) == stamp:
             return
@@ -248,13 +224,13 @@ class IntegrityMonitor:
         reduction) and all outputs must agree with each other. Returns
         the mismatch records appended for this collective.
         """
-        if not self.config.digests or not outputs:
+        if not outputs:
             return []
         expected = float(sum(input_digests[rank] for rank in sorted(input_digests)))
         mismatches: List[Dict[str, Any]] = []
         for rank in sorted(outputs):
             observed = payload_digest(outputs[rank])
-            if digests_match(expected, observed, self.config.digest_rtol):
+            if digests_match(expected, observed):
                 continue
             record = {
                 "type": DIGEST_RECORD,
@@ -286,7 +262,7 @@ class IntegrityMonitor:
         """A fresh seeded probe payload (deterministic per probe index)."""
         self._probe_counter += 1
         rng = np.random.default_rng((self.seed, 0x1F, self._probe_counter))
-        return rng.integers(1, 64, self.config.probe_length).astype(np.float64)
+        return rng.integers(1, 64, PROBE_LENGTH).astype(np.float64)
 
     def run_localization(
         self, candidates: Sequence[str], plane: DataPlane
@@ -373,7 +349,7 @@ class IntegrityMonitor:
             telemetry.metrics.gauge(
                 "integrity_suspicion", "repeat-offender suspicion per link"
             ).set(count, link=link)
-        if link in self.convicted or count < self.config.conviction_threshold:
+        if link in self.convicted or count < CONVICTION_THRESHOLD:
             return False
         self.convicted.append(link)
         self.log.append(

@@ -20,6 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
+#: Seconds between two trace samples.
+SAMPLE_INTERVAL = 30.0
+#: The paper's Fig. 1 degradation from peak: 34 % bandwidth, 17 % latency.
+TARGET_BANDWIDTH_DROP = 0.34
+TARGET_LATENCY_RISE = 0.17
+
 
 @dataclass(frozen=True)
 class TracePoint:
@@ -92,23 +98,18 @@ class CloudTrace:
         }
 
 
-def generate_cloud_trace(
-    duration: float = 6 * 3600.0,
-    sample_interval: float = 30.0,
-    seed: int = 0,
-    target_bandwidth_drop: float = 0.34,
-    target_latency_rise: float = 0.17,
-) -> CloudTrace:
+def generate_cloud_trace(duration: float = 6 * 3600.0, seed: int = 0) -> CloudTrace:
     """Generate a Fig. 1-style trace.
 
-    The defaults reproduce the paper's measurement window (6 h) and
-    degradation magnitudes (34 % bandwidth, 17 % latency). The trace is
-    renormalized so the generated extremes match the targets exactly.
+    The default duration is the paper's measurement window (6 h). The
+    trace is renormalized so the generated extremes match the paper's
+    degradation magnitudes (:data:`TARGET_BANDWIDTH_DROP`,
+    :data:`TARGET_LATENCY_RISE`) exactly.
     """
-    if duration <= 0 or sample_interval <= 0:
-        raise ValueError("duration and sample_interval must be positive")
+    if duration <= 0:
+        raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
-    times = np.arange(0.0, duration + sample_interval, sample_interval)
+    times = np.arange(0.0, duration + SAMPLE_INTERVAL, SAMPLE_INTERVAL)
     n = len(times)
 
     # Diurnal-ish drift: one slow sinusoid with random phase.
@@ -138,8 +139,8 @@ def generate_cloud_trace(
     # Normalize to [0, 1]: 0 = best observed moment, 1 = worst.
     badness = (badness - badness.min()) / max(1e-9, badness.max() - badness.min())
 
-    bw = 1.0 - target_bandwidth_drop * badness
-    lat = 1.0 + target_latency_rise * badness
+    bw = 1.0 - TARGET_BANDWIDTH_DROP * badness
+    lat = 1.0 + TARGET_LATENCY_RISE * badness
     points = [
         TracePoint(time=float(t), bandwidth_fraction=float(b), latency_factor=float(l))
         for t, b, l in zip(times, bw, lat)

@@ -18,6 +18,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.observe.verdicts import link_endpoints
 
+#: How far past its window a label still credits a verdict: a sustained
+#: shift is necessarily flagged *after* its onset, so the slack covers
+#: detector latency (sim seconds for time windows, iterations for
+#: iteration sets).
+TIME_SLACK_SECONDS = 5.0
+ITERATION_SLACK = 8
+
 
 @dataclass
 class LabelMatch:
@@ -95,17 +102,12 @@ def _verdict_nodes(verdict: Dict[str, Any]) -> List[str]:
     return nodes
 
 
-def _matches_label(
-    verdict: Dict[str, Any],
-    label: Dict[str, Any],
-    time_slack_seconds: float,
-    iteration_slack: int,
-) -> bool:
+def _matches_label(verdict: Dict[str, Any], label: Dict[str, Any]) -> bool:
     if verdict.get("kind") not in label.get("kinds", ()):
         return False
     if "start_seconds" in label:
         start = float(label["start_seconds"])
-        end = float(label.get("end_seconds", start)) + time_slack_seconds
+        end = float(label.get("end_seconds", start)) + TIME_SLACK_SECONDS
         if not start <= float(verdict["time"]) <= end:
             return False
         node = label.get("node")
@@ -120,7 +122,7 @@ def _matches_label(
         iterations = sorted(int(i) for i in label["iterations"])
         if not iterations:
             return False
-        lo, hi = iterations[0], iterations[-1] + iteration_slack
+        lo, hi = iterations[0], iterations[-1] + ITERATION_SLACK
         if not lo <= int(verdict.get("iteration", -1)) <= hi:
             return False
         subject = label.get("subject")
@@ -131,25 +133,20 @@ def _matches_label(
 def evaluate_detection(
     verdicts: Sequence[Dict[str, Any]],
     labels: Sequence[Dict[str, Any]],
-    time_slack_seconds: float = 5.0,
-    iteration_slack: int = 8,
 ) -> DetectionReport:
     """Score verdict records against ground-truth labels.
 
     A verdict is credited to every label it matches (kind, timing, and —
     where the label names a node or subject — location); verdicts that
-    match no label are false positives. ``time_slack_seconds`` and
-    ``iteration_slack`` extend each label's window to cover detector
-    latency: a sustained shift is necessarily flagged *after* its onset.
+    match no label are false positives. :data:`TIME_SLACK_SECONDS` and
+    :data:`ITERATION_SLACK` extend each label's window.
     """
     matches = [LabelMatch(label=dict(label)) for label in labels]
     false_positives: List[Dict[str, Any]] = []
     for verdict in verdicts:
         hit = False
         for match in matches:
-            if _matches_label(
-                verdict, match.label, time_slack_seconds, iteration_slack
-            ):
+            if _matches_label(verdict, match.label):
                 match.verdicts.append(dict(verdict))
                 hit = True
         if not hit:

@@ -51,6 +51,15 @@ from repro.telemetry.core import Span, TelemetryConsumer, TelemetryHub
 from repro.topology.graph import LogicalTopology, NodeId, parse_node
 
 
+#: CUSUM firing threshold, in relative deviations.
+CUSUM_THRESHOLD = 1.0
+#: Warm-up for the α–β residual signals (fits are rare — one per edge per
+#: profiling pass — so they must arm faster than the EWMA signals).
+FIT_WARMUP = 2
+#: Iterations a subject stays muted after raising a verdict.
+COOLDOWN_ITERATIONS = 2
+
+
 @dataclass
 class ObserveConfig:
     """Tunables of the watchdog's detectors and its adaptation policy."""
@@ -61,25 +70,18 @@ class ObserveConfig:
     #: EWMA smoothing / warm-up for link-throughput and iteration signals.
     smoothing: float = 0.3
     warmup: int = 3
-    #: CUSUM firing threshold and per-sample drift allowance (relative
-    #: deviations, so 0.25 tolerates 25 % per-sample noise).
-    cusum_threshold: float = 1.0
+    #: CUSUM per-sample drift allowance (a relative deviation, so 0.25
+    #: tolerates 25 % per-sample noise); the threshold is
+    #: :data:`CUSUM_THRESHOLD`.
     cusum_drift: float = 0.25
     #: Evidence-window length attached to verdicts.
     window: int = 8
-    #: Warm-up for the α–β residual signals (fits are rare — one per edge
-    #: per profiling pass — so they must arm faster).
-    fit_warmup: int = 2
-    #: Iterations a subject stays muted after raising a verdict.
-    cooldown_iterations: int = 2
     #: Fractional eq.-4 finish-time change that justifies re-synthesis.
     hysteresis: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.hysteresis:
             raise ObserveError("hysteresis must be positive")
-        if self.cooldown_iterations < 0:
-            raise ObserveError("cooldown must be non-negative")
 
     def header(self) -> Dict:
         """The observe-log config header record."""
@@ -88,11 +90,11 @@ class ObserveConfig:
             "enabled": self.enabled,
             "smoothing": self.smoothing,
             "warmup": self.warmup,
-            "cusum_threshold": self.cusum_threshold,
+            "cusum_threshold": CUSUM_THRESHOLD,
             "cusum_drift": self.cusum_drift,
             "window": self.window,
-            "fit_warmup": self.fit_warmup,
-            "cooldown_iterations": self.cooldown_iterations,
+            "fit_warmup": FIT_WARMUP,
+            "cooldown_iterations": COOLDOWN_ITERATIONS,
             "hysteresis": self.hysteresis,
         }
 
@@ -210,7 +212,7 @@ class Watchdog(TelemetryConsumer):
                 warmup=warmup if warmup is not None else cfg.warmup,
                 relative=relative,
             ),
-            cusum=CusumDetector(threshold=cfg.cusum_threshold, drift=cfg.cusum_drift),
+            cusum=CusumDetector(threshold=CUSUM_THRESHOLD, drift=cfg.cusum_drift),
             window=cfg.window,
         )
 
@@ -238,7 +240,7 @@ class Watchdog(TelemetryConsumer):
             tracker = self._fit_signals.get(subject)
             if tracker is None:
                 tracker = self._fit_signals[subject] = self._make_tracker(
-                    relative=False, warmup=self.config.fit_warmup
+                    relative=False, warmup=FIT_WARMUP
                 )
             tracker.observe(event.start, float(event.args.get("residual", 0.0)))
         elif event.name == "ski-rental-decision":
@@ -321,7 +323,7 @@ class Watchdog(TelemetryConsumer):
         return iteration < self._cooldown.get(subject, -1)
 
     def _mute(self, subject: str, iteration: int) -> None:
-        self._cooldown[subject] = iteration + 1 + self.config.cooldown_iterations
+        self._cooldown[subject] = iteration + 1 + COOLDOWN_ITERATIONS
 
     def _verdict(
         self,
@@ -402,8 +404,7 @@ class Watchdog(TelemetryConsumer):
             elevated = tuple(
                 link
                 for link in sorted(self._link_signals)
-                if self._link_signals[link].cusum.statistic
-                > self.config.cusum_threshold / 2
+                if self._link_signals[link].cusum.statistic > CUSUM_THRESHOLD / 2
             )
             if elevated and self._iteration_signal.cusum.direction == "up":
                 verdicts.append(

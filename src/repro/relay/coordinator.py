@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import CoordinationError
 from repro.relay.faults import FaultDetector, FaultReport
 from repro.relay.ski_rental import (
+    DEFAULT_CYCLE_SECONDS,
     BreakEvenPolicy,
     estimate_collective_seconds,
 )
@@ -101,7 +102,7 @@ class Coordinator:
         if not known:
             raise CoordinationError("no worker will ever be ready")
         fastest = min(known)  # waiting cost accrues from the first ready worker
-        cycle = self.policy.cycle_seconds
+        cycle = DEFAULT_CYCLE_SECONDS
 
         for k in range(1, _MAX_CYCLES + 1):
             now = k * cycle
@@ -438,7 +439,7 @@ class AdaptiveAllReduce:
             trigger_time=decision.trigger_time,
             waited_seconds=decision.waited_seconds,
             buy_cost_seconds=decision.buy_cost_seconds,
-            break_even_cycle_seconds=self.coordinator.policy.cycle_seconds,
+            break_even_cycle_seconds=DEFAULT_CYCLE_SECONDS,
             active_ranks=decision.active_ranks,
             relays=decision.relays,
             ready_delays={str(r): d for r, d in sorted(ready_delays.items())},

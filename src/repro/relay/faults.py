@@ -79,10 +79,7 @@ class FaultDetector:
     death — and leaves the window armed for the eventual real rejoin.
     """
 
-    def __init__(self, multiplier: float = FAULT_THRESHOLD_MULTIPLIER):
-        if multiplier <= 0:
-            raise CoordinationError("fault multiplier must be positive")
-        self.multiplier = multiplier
+    def __init__(self) -> None:
         self._graced: set = set()
 
     def arm_grace(self, ranks: Sequence[int]) -> None:
@@ -94,7 +91,7 @@ class FaultDetector:
         counted from phase-1 completion."""
         if phase1_end < fastest_ready:
             raise CoordinationError("phase 1 cannot end before the fastest worker is ready")
-        return self.multiplier * (phase1_end - fastest_ready)
+        return FAULT_THRESHOLD_MULTIPLIER * (phase1_end - fastest_ready)
 
     def detect(
         self,

@@ -11,8 +11,6 @@ policy achieves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import CoordinationError
 from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import LogicalTopology
@@ -89,15 +87,9 @@ def estimate_collective_seconds(
     return volume / aggregate_bandwidth(topology, strategy)
 
 
-@dataclass
 class BreakEvenPolicy:
-    """The deterministic 2-competitive wait/proceed rule."""
-
-    cycle_seconds: float = DEFAULT_CYCLE_SECONDS
-
-    def __post_init__(self) -> None:
-        if self.cycle_seconds <= 0:
-            raise CoordinationError("cycle must be positive")
+    """The deterministic 2-competitive wait/proceed rule, decided once per
+    :data:`DEFAULT_CYCLE_SECONDS` cycle."""
 
     def should_proceed(self, waited_seconds: float, buy_cost_seconds: float) -> bool:
         """True once accumulated waiting reaches the buying cost."""

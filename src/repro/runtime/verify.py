@@ -402,7 +402,7 @@ def _check_aggregation(
         return violations
     raw: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
     for flow in sc.flows:
-        for edge in dict.fromkeys(flow.edges):
+        for edge in set(flow.edges):
             raw[edge] += 1
     for edge, unit_set in units.items():
         if len(unit_set) > raw[edge]:

@@ -16,29 +16,23 @@ from typing import List
 from repro.errors import SynthesisError
 from repro.hardware.links import KB, MB
 
-#: Default geometric grid bounds.
+#: Geometric grid bounds.
 MIN_CHUNK = 256 * KB
 MAX_CHUNK = 32 * MB
 
 
-def chunk_candidates(
-    partition_size: float,
-    min_chunk: float = MIN_CHUNK,
-    max_chunk: float = MAX_CHUNK,
-) -> List[float]:
+def chunk_candidates(partition_size: float) -> List[float]:
     """Candidate chunk sizes for a partition of ``partition_size`` bytes.
 
-    Powers of two between the bounds, capped by the partition itself, plus
+    Powers of two from :data:`MIN_CHUNK` to :data:`MAX_CHUNK`, capped by the partition itself, plus
     the unchunked option (one chunk = the whole partition). Always returns
     at least one candidate.
     """
     if partition_size <= 0:
         raise SynthesisError("partition size must be positive")
-    if min_chunk <= 0 or max_chunk < min_chunk:
-        raise SynthesisError("invalid chunk bounds")
     candidates: List[float] = []
-    size = min_chunk
-    while size <= min(max_chunk, partition_size):
+    size = MIN_CHUNK
+    while size <= min(MAX_CHUNK, partition_size):
         candidates.append(float(size))
         size *= 2
     if not candidates or candidates[-1] < partition_size:

@@ -9,7 +9,8 @@ heterogeneous SKUs differ systematically. The model:
 * the lognormal captures the ordinary per-iteration jitter (Fig. 3b's
   homogeneous tail),
 * occasional *straggle spikes* (probability ``straggle_prob``, magnitude
-  uniform in ``straggle_range``) capture page faults / dataloader stalls,
+  uniform in [:data:`STRAGGLE_LOW`, :data:`STRAGGLE_HIGH`]) capture page
+  faults / dataloader stalls,
 * an external interference multiplier (see
   :mod:`repro.training.interference`) captures co-located workloads.
 """
@@ -25,6 +26,10 @@ from repro.errors import TrainingError
 from repro.hardware.cluster import Cluster
 from repro.training.models import ModelSpec
 
+#: Range of a straggle spike's compute-time multiplier (uniform).
+STRAGGLE_LOW = 1.3
+STRAGGLE_HIGH = 2.2
+
 
 @dataclass
 class ComputeModel:
@@ -35,8 +40,6 @@ class ComputeModel:
     batch: int
     jitter_sigma: float = 0.06
     straggle_prob: float = 0.04
-    straggle_low: float = 1.3
-    straggle_high: float = 2.2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,7 +69,7 @@ class ComputeModel:
             if self.jitter_sigma > 0:
                 t *= float(self._rng.lognormal(mean=0.0, sigma=self.jitter_sigma))
             if self._rng.random() < self.straggle_prob:
-                t *= float(self._rng.uniform(self.straggle_low, self.straggle_high))
+                t *= float(self._rng.uniform(STRAGGLE_LOW, STRAGGLE_HIGH))
             if interference:
                 factor = interference.get(gpu.rank, 1.0)
                 if factor < 1.0:

@@ -25,6 +25,17 @@ import numpy as np
 
 from repro.errors import TrainingError
 
+#: The synthetic task: Gaussian class clusters in FEATURES dimensions,
+#: learned by a FEATURES→HIDDEN→CLASSES MLP with plain SGD.
+FEATURES = 32
+HIDDEN = 64
+CLASSES = 10
+DATASET_SIZE = 8000
+BATCH_PER_WORKER = 32
+LR = 0.08
+#: Steps between two held-out accuracy evaluations.
+EVAL_EVERY = 10
+
 
 class AggregationMode(enum.Enum):
     """Which gradients each training step aggregates, and in what order."""
@@ -49,9 +60,7 @@ class ConvergenceRun:
         return self.accuracies[-1]
 
 
-def _make_dataset(
-    rng: np.random.Generator, samples: int, features: int, classes: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _make_dataset(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """Gaussian class clusters, *sorted by class*.
 
     Class-sorted order makes contiguous worker shards non-iid (each worker
@@ -59,12 +68,12 @@ def _make_dataset(
     dropping a straggler's gradients ('Relay Async') visibly hurt
     accuracy — the bias the paper's Fig. 19b shows.
     """
-    centers = rng.normal(0.0, 1.1, size=(classes, features))
-    per_class = samples // classes
+    centers = rng.normal(0.0, 1.1, size=(CLASSES, FEATURES))
+    per_class = DATASET_SIZE // CLASSES
     X_parts = []
     y_parts = []
-    for c in range(classes):
-        X_parts.append(centers[c] + rng.normal(0.0, 1.5, size=(per_class, features)))
+    for c in range(CLASSES):
+        X_parts.append(centers[c] + rng.normal(0.0, 1.5, size=(per_class, FEATURES)))
         y_parts.append(np.full(per_class, c, dtype=np.int64))
     return np.concatenate(X_parts), np.concatenate(y_parts)
 
@@ -72,12 +81,12 @@ def _make_dataset(
 class _Mlp:
     """Two-layer MLP with explicit gradients (float32, like real training)."""
 
-    def __init__(self, rng: np.random.Generator, features: int, hidden: int, classes: int):
-        scale = 1.0 / np.sqrt(features)
-        self.w1 = rng.normal(0, scale, size=(features, hidden)).astype(np.float32)
-        self.b1 = np.zeros(hidden, dtype=np.float32)
-        self.w2 = rng.normal(0, 1.0 / np.sqrt(hidden), size=(hidden, classes)).astype(np.float32)
-        self.b2 = np.zeros(classes, dtype=np.float32)
+    def __init__(self, rng: np.random.Generator):
+        scale = 1.0 / np.sqrt(FEATURES)
+        self.w1 = rng.normal(0, scale, size=(FEATURES, HIDDEN)).astype(np.float32)
+        self.b1 = np.zeros(HIDDEN, dtype=np.float32)
+        self.w2 = rng.normal(0, 1.0 / np.sqrt(HIDDEN), size=(HIDDEN, CLASSES)).astype(np.float32)
+        self.b2 = np.zeros(CLASSES, dtype=np.float32)
 
     def forward(self, X: np.ndarray):
         """Forward pass; returns (pre-activation, activation, logits)."""
@@ -105,13 +114,13 @@ class _Mlp:
         db1 = da1.sum(axis=0)
         return (dw1, db1, dw2, db2), loss
 
-    def apply(self, grads, lr: float) -> None:
+    def apply(self, grads) -> None:
         """SGD step with the given gradients."""
         dw1, db1, dw2, db2 = grads
-        self.w1 -= lr * dw1
-        self.b1 -= lr * db1
-        self.w2 -= lr * dw2
-        self.b2 -= lr * db2
+        self.w1 -= LR * dw1
+        self.b1 -= LR * db1
+        self.w2 -= LR * dw2
+        self.b2 -= LR * db2
 
     def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
         """Top-1 accuracy on a labelled set."""
@@ -123,14 +132,7 @@ def train_convergence(
     mode: AggregationMode,
     workers: int = 8,
     steps: int = 150,
-    batch_per_worker: int = 32,
     straggler_prob: float = 0.3,
-    lr: float = 0.08,
-    features: int = 32,
-    hidden: int = 64,
-    classes: int = 10,
-    dataset_size: int = 8000,
-    eval_every: int = 10,
     seed: int = 0,
 ) -> ConvergenceRun:
     """Train one configuration and record its accuracy curve.
@@ -143,13 +145,13 @@ def train_convergence(
     if workers < 2:
         raise TrainingError("need at least two workers")
     rng = np.random.default_rng(seed)
-    X, y = _make_dataset(rng, dataset_size, features, classes)
+    X, y = _make_dataset(rng)
     # Stratified holdout: every 5th sample of the class-sorted stream.
     test_mask = np.zeros(len(X), dtype=bool)
     test_mask[::5] = True
     X_test, y_test = X[test_mask], y[test_mask]
     X_train, y_train = X[~test_mask], y[~test_mask]
-    model = _Mlp(np.random.default_rng(seed + 1), features, hidden, classes)
+    model = _Mlp(np.random.default_rng(seed + 1))
 
     slow_prone = set(range(workers - max(1, workers // 2), workers))
     shard = len(X_train) // workers
@@ -160,13 +162,13 @@ def train_convergence(
         grads_per_worker = []
         step_loss = 0.0
         for w in range(workers):
-            lo = w * shard + cursor % max(1, shard - batch_per_worker)
-            batch_X = X_train[lo : lo + batch_per_worker]
-            batch_y = y_train[lo : lo + batch_per_worker]
+            lo = w * shard + cursor % max(1, shard - BATCH_PER_WORKER)
+            batch_X = X_train[lo : lo + BATCH_PER_WORKER]
+            batch_y = y_train[lo : lo + BATCH_PER_WORKER]
             grads, loss = model.gradients(batch_X, batch_y)
             grads_per_worker.append(grads)
             step_loss += loss / workers
-        cursor += batch_per_worker
+        cursor += BATCH_PER_WORKER
 
         late = [
             w
@@ -199,8 +201,8 @@ def train_convergence(
                 for acc, part in zip(summed, g):
                     acc += part
         averaged = [part / len(used) for part in summed]
-        model.apply(averaged, lr)
+        model.apply(averaged)
         losses.append(step_loss)
-        if step % eval_every == 0 or step == steps - 1:
+        if step % EVAL_EVERY == 0 or step == steps - 1:
             accuracies.append(model.accuracy(X_test, y_test))
     return ConvergenceRun(mode=mode, accuracies=accuracies, losses=losses)

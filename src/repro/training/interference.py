@@ -6,7 +6,7 @@ inference tasks on the affinity CPU socket of 0–2 randomly chosen GPUs per
 server every 5 minutes, with a *CPU interference level* from 0 % to 400 %.
 
 The model maps an interference level L to a compute slowdown
-``1 + slowdown_per_100 × L/100`` on the victim GPUs and re-rolls victims
+``1 + SLOWDOWN_PER_100 × L/100`` on the victim GPUs and re-rolls victims
 every ``reroll_seconds``.
 
 .. deprecated:: use :mod:`repro.fleet` for network contention.
@@ -29,6 +29,11 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.hardware.cluster import Cluster
 
+#: GPUs per server disturbed at a time (paper: 0-2, chosen randomly).
+MAX_VICTIMS_PER_SERVER = 2
+#: Slowdown per 100% CPU interference.
+SLOWDOWN_PER_100 = 0.14
+
 
 @dataclass
 class InterferenceModel:
@@ -37,19 +42,13 @@ class InterferenceModel:
     cluster: Cluster
     #: CPU utilization of each online task, in percent (0-400 in the paper).
     level_percent: float
-    #: GPUs per server disturbed at a time (paper: 0-2, chosen randomly).
-    max_victims_per_server: int = 2
     #: How often victims are re-chosen (paper: every 5 minutes).
     reroll_seconds: float = 300.0
-    #: Slowdown per 100% CPU interference.
-    slowdown_per_100: float = 0.14
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.level_percent < 0:
             raise TrainingError("interference level must be non-negative")
-        if self.max_victims_per_server < 0:
-            raise TrainingError("victim count must be non-negative")
         self._rng = np.random.default_rng(self.seed)
         self._current: Dict[int, float] = {}
         self._next_reroll = 0.0
@@ -57,7 +56,7 @@ class InterferenceModel:
     @property
     def slowdown_factor(self) -> float:
         """Multiplier applied to a victim GPU's compute time."""
-        return 1.0 + self.slowdown_per_100 * self.level_percent / 100.0
+        return 1.0 + SLOWDOWN_PER_100 * self.level_percent / 100.0
 
     def at(self, now: float) -> Dict[int, float]:
         """Current rank → slowdown map, re-rolling victims when due."""
@@ -71,7 +70,7 @@ class InterferenceModel:
         if self.level_percent == 0:
             return
         for instance in self.cluster.instances:
-            count = int(self._rng.integers(0, self.max_victims_per_server + 1))
+            count = int(self._rng.integers(0, MAX_VICTIMS_PER_SERVER + 1))
             if count == 0:
                 continue
             chosen = self._rng.choice(

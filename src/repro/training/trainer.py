@@ -36,6 +36,10 @@ from repro.training.data import ShardedDataLoader
 from repro.training.interference import InterferenceModel
 from repro.training.models import ModelSpec
 
+#: Elements per payload array; simulated traffic is scaled up to the
+#: model's gradient size via byte_scale.
+PAYLOAD_ELEMENTS = 4096
+
 
 @dataclass
 class TrainerConfig:
@@ -50,9 +54,6 @@ class TrainerConfig:
     #: Re-profile (and re-synthesize) every this many iterations; None
     #: disables periodic profiling. The paper uses 500.
     profile_period: Optional[int] = None
-    #: Elements per payload array; simulated traffic is scaled up to the
-    #: model's gradient size via byte_scale.
-    payload_elements: int = 4096
     #: Cap on simulated chunks per sub-collective per iteration (pipelining
     #: effects saturate past a few tens of chunks; capping keeps multi-
     #: iteration runs fast).
@@ -164,12 +165,10 @@ class Trainer:
         if self.config.adaptive_relay and self._supports_relay():
             self.adaptive = AdaptiveAllReduce(self.topology, seed=self.config.seed)
         self._payload: Dict[int, np.ndarray] = {
-            rank: np.full(self.config.payload_elements, float(rank + 1))
+            rank: np.full(PAYLOAD_ELEMENTS, float(rank + 1))
             for rank in self.participants
         }
-        self.byte_scale = self.model.tensor_bytes / (
-            self.config.payload_elements * 8.0
-        )
+        self.byte_scale = self.model.tensor_bytes / (PAYLOAD_ELEMENTS * 8.0)
         self.reconstructions = 0
 
     def _supports_relay(self) -> bool:

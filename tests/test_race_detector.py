@@ -63,6 +63,25 @@ class TestStaticHazards:
         for f in lint_determinism_hazards(root=FIXTURES):
             assert f.severity == "warning"
 
+    def test_int_counter_is_not_a_float_accumulation(self, tmp_path):
+        # Integer steps are exact in any order; a float fold after one in
+        # the same loop body is still reported, its subscript named as
+        # written.
+        pkg = tmp_path / "runtime"
+        pkg.mkdir()
+        (pkg / "tally.py").write_text(
+            "def tally(items, weights, counts, totals):\n"
+            "    for item in set(items):\n"
+            "        counts[item] += 1\n"
+            "    for item in set(items):\n"
+            "        counts[item] += 1\n"
+            "        totals[item] += weights[item]\n"
+        )
+        (finding,) = lint_determinism_hazards(root=tmp_path)
+        assert finding.code == "race-float-accumulation"
+        assert (finding.file, finding.line) == ("runtime/tally.py", 6)
+        assert "`totals[item]`" in finding.message
+
     def test_syntax_error_reported_as_error(self, tmp_path):
         pkg = tmp_path / "simulation"
         pkg.mkdir()
