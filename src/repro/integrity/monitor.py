@@ -141,9 +141,9 @@ class IntegrityMonitor:
         self.log = IntegrityLog()
         self.log.append(self.config.header())
         self.iteration = 0
-        #: Pipeline chunks routed through the tap / verified against a stamp.
+        #: Pipeline chunks routed through the tap, each verified against its
+        #: stamp (the summary record reports it as seen and as verified).
         self.units_seen = 0
-        self.units_verified = 0
         #: Hop-checksum failures, in detection order (probe traffic excluded).
         self.hop_failures: List[Dict[str, Any]] = []
         #: Digest-exchange failures, in detection order.
@@ -183,7 +183,6 @@ class IntegrityMonitor:
             # out of the pipeline coverage and failure ledgers.
             return
         self.units_seen += 1
-        self.units_verified += 1
         if payload_checksum(wire) == stamp:
             return
         failure = {
@@ -427,7 +426,7 @@ class IntegrityMonitor:
                 "type": SUMMARY_RECORD,
                 "time": now,
                 "units_seen": self.units_seen,
-                "units_verified": self.units_verified,
+                "units_verified": self.units_seen,
                 "hop_failures": len(self.hop_failures),
                 "digest_failures": len(self.digest_failures),
                 "probe_rounds": self.probe_rounds_total,

@@ -76,10 +76,13 @@ def fit_alpha_beta(measurements: Sequence[Measurement]) -> AlphaBeta:
         times.append(float(t))
     if len(rows) < 2:
         raise ProfilingError("need at least two probe measurements to fit alpha-beta")
-    design = np.array(rows)
-    if np.linalg.matrix_rank(design) < 2:
+    # lstsq's rank uses matrix_rank's default cut-off (eps·max(M, N) of the
+    # largest singular value), so one SVD both fits and checks the rows.
+    solution, _residuals, rank, _singular = np.linalg.lstsq(
+        np.array(rows), np.array(times), rcond=None
+    )
+    if rank < 2:
         raise ProfilingError("probe measurements are degenerate; vary n and s")
-    solution, *_ = np.linalg.lstsq(design, np.array(times), rcond=None)
     alpha, beta = float(solution[0]), float(solution[1])
     # Numerical noise can push a tiny negative; clamp rather than reject.
     return AlphaBeta(alpha=max(0.0, alpha), beta=max(0.0, beta))

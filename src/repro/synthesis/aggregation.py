@@ -35,7 +35,9 @@ def improve_aggregation(scored, chunk: float) -> Strategy:
     aggregation there; keep the flip when the evaluated completion time
     improves. The root always aggregates (it must produce the final
     tensor). A flip recompiles only its own sub-collective and re-times only
-    those crossing a link whose rate it moved.
+    those crossing a link whose rate it moved, and only until one of them
+    reaches the current objective (``score_below``): a rejected flip is
+    rolled back unread.
     """
     strategy = scored.strategy
     best = scored.score(chunk)
@@ -47,8 +49,8 @@ def improve_aggregation(scored, chunk: float) -> Strategy:
                 continue
             sc.aggregation[node] = False
             unflipped = scored.refresh_subcollective(position)
-            candidate = scored.score(chunk)
-            if candidate < best:
+            candidate = scored.score_below(chunk, best)
+            if candidate is not None:
                 best = candidate
             else:
                 sc.aggregation[node] = True

@@ -335,7 +335,8 @@ class StructureCache:
 
 class _Bound:
     """A sub-collective's shape bound to its edges' ``(α, rate)``, with its
-    worst finish time memoised per chunk size."""
+    worst finish time memoised per chunk size in ``worst`` (which bounds of
+    one route, shape, size and costs may share)."""
 
     __slots__ = ("sc", "route", "shape", "costs", "worst")
 
@@ -372,8 +373,9 @@ class _Bound:
 class CompiledStrategy:
     """The structure pass's output for one routed strategy, ready to time.
 
-    It snapshots the topology's estimates at compile time; time it before
-    they change. ``objective(chunk)`` prices the strategy as if every
+    It reads the estimate snapshot of the epoch it was compiled in (one per
+    epoch, shared by every structure compiled in it); time it before the
+    estimates change. ``objective(chunk)`` prices the strategy as if every
     sub-collective used chunk size ``chunk`` (its own ``chunk_size`` when
     omitted) and is bit-for-bit what a fresh ``evaluate`` of that strategy
     would return.
@@ -414,10 +416,17 @@ class CompiledStrategy:
         self._egress = {nic: sum(map(load, keys)) for nic, keys in self._net_out.items()}
         self._ingress = {nic: sum(map(load, keys)) for nic, keys in self._net_in.items()}
         self._costs = {key: self._cost(key) for key in self.total_loads}
-        self._subs = [
-            _Bound(sc, route, shape, self._costs)
-            for sc, route, shape in zip(subcollectives, routes, shapes)
-        ]
+        # Sub-collectives of one route, shape and size (AlltoAll's M, or a
+        # rotation-free family's) read the same costs: one memo prices them.
+        worsts: Dict[Tuple[Route, _Shape, float], Dict[float, float]] = {}
+        self._subs = []
+        for sc, route, shape in zip(subcollectives, routes, shapes):
+            bound = _Bound(sc, route, shape, self._costs)
+            bound.worst = worsts.setdefault((route, shape, sc.size), bound.worst)
+            self._subs.append(bound)
+        #: The position of the sub-collective that set (or crossed the bound
+        #: of) the last bounded objective: timed first by the next.
+        self._lead = 0
 
     # -- the structure pass ----------------------------------------------------------
 
@@ -499,29 +508,26 @@ class CompiledStrategy:
         )
 
     def _read_estimates(self) -> None:
-        """Read each loaded edge's estimates and its NICs' line rates once."""
+        """Take this epoch's estimate snapshot (:func:`_snapshot`) and list
+        the loaded network edges at each NIC; an edge the topology lacks
+        raises ``TopologyError``."""
         topology = self.topology
-
-        def line_rate(edges) -> float:
-            rates = [e.effective_parallel.bandwidth for e in edges if e.kind is EdgeKind.NETWORK]
-            return max(rates) if rates and max(rates) > 0 else float("inf")
-
-        #: edge -> (is network, α, single-stream rate, parallel aggregate)
-        self._estimates: Dict[EdgeKey, Tuple[bool, float, float, float]] = {}
+        #: edge -> (is network, α, single-stream rate, parallel aggregate);
+        #: NIC -> line rate out / in
+        self._estimates, self._line_out, self._line_in = topology.derived(
+            "estimates", lambda: _snapshot(topology)
+        )
         #: NIC -> the loaded network edges leaving / entering it
         self._net_out: Dict[NodeId, List[EdgeKey]] = defaultdict(list)
         self._net_in: Dict[NodeId, List[EdgeKey]] = defaultdict(list)
+        estimates = self._estimates
         for key in self.total_loads:
-            edge = topology.edge(*key)
-            network = edge.kind is EdgeKind.NETWORK
-            effective = edge.effective
-            self._estimates[key] = (network, effective.alpha, effective.bandwidth,
-                                    edge.effective_parallel.bandwidth)
-            if network:
+            estimate = estimates.get(key)
+            if estimate is None:
+                topology.edge(*key)  # raises, naming the edge
+            if estimate[0]:
                 self._net_out[key[0]].append(key)
                 self._net_in[key[1]].append(key)
-        self._line_out = {nic: line_rate(topology.out_edges(nic)) for nic in self._net_out}
-        self._line_in = {nic: line_rate(topology.in_edges(nic)) for nic in self._net_in}
 
     def _cost(self, key: EdgeKey) -> EdgeCost:
         """(α, per-stream rate) on one loaded edge (refines eq. 3).
@@ -643,6 +649,33 @@ class CompiledStrategy:
         """Predicted completion time (eq. 4)."""
         return max(map(_Bound.worst_at, self._subs, self._chunks(chunk)), default=0.0)
 
+    def objective_below(self, chunk: float, bound: float) -> Optional[float]:
+        """``objective(chunk)`` if it is below ``bound``, else None.
+
+        The max over sub-collectives starts at the one that led last time
+        and stops at the first that reaches ``bound``, leaving the rest
+        untimed: a search that only needs values under its bound never
+        times a candidate past the point that rules it out. Below the
+        bound, the value is the same max over the same floats (a float max
+        does not depend on order), so the bits equal ``objective``'s.
+        """
+        subs = self._subs
+        if not subs:
+            return 0.0 if 0.0 < bound else None
+        lead = self._lead
+        worst = subs[lead].worst_at(chunk)
+        if worst >= bound:
+            return None
+        for position, sub in enumerate(subs):
+            if position != lead:
+                finish = sub.worst_at(chunk)
+                if finish > worst:
+                    self._lead = position
+                    if finish >= bound:
+                        return None
+                    worst = finish
+        return worst
+
     def evaluate(self, chunk: Optional[float] = None) -> EvaluationResult:
         """The objective with its per-flow and per-edge detail."""
         return EvaluationResult(self, chunk)
@@ -725,6 +758,35 @@ def _independent_times(shape: _Shape, steps: List[float], chunks: int) -> List[f
                 bottleneck = rise
         times.append(walked[-1] + chunks * bottleneck)
     return times
+
+
+def _snapshot(
+    topology: LogicalTopology,
+) -> Tuple[
+    Dict[EdgeKey, Tuple[bool, float, float, float]], Dict[NodeId, float], Dict[NodeId, float]
+]:
+    """Every edge's (is network, α, single-stream rate, parallel aggregate)
+    and every NIC's line rate out and in (the largest parallel aggregate of
+    its network edges; ∞ when there is none or it is 0) under the current
+    estimates. Each
+    :class:`CompiledStrategy` of an estimate epoch reads the one snapshot
+    ``LogicalTopology.derived`` keeps."""
+
+    def line_rate(edges) -> float:
+        rates = [e.effective_parallel.bandwidth for e in edges if e.kind is EdgeKind.NETWORK]
+        return max(rates) if rates and max(rates) > 0 else float("inf")
+
+    estimates = {}
+    for key, edge in topology.edges.items():
+        effective = edge.effective
+        estimates[key] = (edge.kind is EdgeKind.NETWORK, effective.alpha, effective.bandwidth,
+                          edge.effective_parallel.bandwidth)
+    nics = topology.nic_nodes
+    return (
+        estimates,
+        {nic: line_rate(topology.out_edges(nic)) for nic in nics},
+        {nic: line_rate(topology.in_edges(nic)) for nic in nics},
+    )
 
 
 class StrategyEvaluator:

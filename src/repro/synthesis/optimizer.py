@@ -22,7 +22,8 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SynthesisError
 from repro.synthesis.aggregation import default_aggregation, improve_aggregation
@@ -34,8 +35,8 @@ from repro.synthesis.evaluator import (
     StructureCache,
 )
 from repro.synthesis.routing import (
+    ROTATION_FREE,
     TREE_FAMILIES,
-    Tree,
     alltoall_walks,
     flows_along,
     instance_network_bandwidth,
@@ -143,11 +144,21 @@ class CompiledScore:
                 self.backward.strategy.subcollectives, self.strategy.subcollectives
             ):
                 mirrored.chunk_size = sc.chunk_size
-        broadcast_time = self.backward.objective(chunk)
-        # The executor pipelines the two stages; the steady-state pace is
-        # set by the slower stage, with the faster stage's first-chunk
-        # latency as fill time.
-        return max(reduce_time, broadcast_time) + 0.25 * min(reduce_time, broadcast_time)
+        return _pipelined(reduce_time, self.backward.objective(chunk))
+
+    def score_below(self, chunk: float, bound: float) -> Optional[float]:
+        """``score(chunk)`` if it is below ``bound``, else None, timing no
+        more sub-collectives than that answer needs. AllReduce's score is
+        non-decreasing in each half, so a half at or above ``bound`` puts
+        the score there too."""
+        reduce_time = self.forward.objective_below(chunk, bound)
+        if reduce_time is None or self.backward is None:
+            return reduce_time
+        broadcast_time = self.backward.objective_below(chunk, bound)
+        if broadcast_time is None:
+            return None
+        predicted = _pipelined(reduce_time, broadcast_time)
+        return predicted if predicted < bound else None
 
     def refresh_subcollective(self, position: int) -> Tuple:
         """Re-derive after sub-collective ``position`` changed aggregation
@@ -158,6 +169,13 @@ class CompiledScore:
     def restore(self, state: Tuple) -> None:
         """Roll back one :meth:`refresh_subcollective`."""
         self.forward.restore(state)
+
+
+def _pipelined(reduce_time: float, broadcast_time: float) -> float:
+    """AllReduce's objective from its two halves. The executor pipelines the
+    two stages; the steady-state pace is set by the slower stage, with the
+    faster stage's first-chunk latency as fill time."""
+    return max(reduce_time, broadcast_time) + 0.25 * min(reduce_time, broadcast_time)
 
 
 class Synthesizer:
@@ -373,9 +391,8 @@ class Synthesizer:
         # candidate below is then one timing pass over that structure.
         scored: Dict[str, CompiledScore] = {}
         for family_name in self.config.families:
-            family = TREE_FAMILIES[family_name]
             trees = [
-                family(self.topology, participants, sc_root, rotation=index)
+                self._tree(family_name, participants, sc_root, index)
                 for index, sc_root in enumerate(roots)
             ]
             scored[family_name] = self._routed(
@@ -401,9 +418,16 @@ class Synthesizer:
         best: Optional[Tuple[float, float, str]] = None
         for family_name in finalists:
             for chunk in all_chunks:
-                predicted = scored[family_name].score(chunk)
                 report.candidates_evaluated += 1
                 current = report.family_objectives.get(family_name)
+                if current is None or best is None:
+                    predicted = scored[family_name].score(chunk)
+                else:
+                    # Only a value below the family's minimum or the best so
+                    # far moves either, so the larger of them bounds it.
+                    predicted = scored[family_name].score_below(chunk, max(current, best[0]))
+                    if predicted is None:
+                        continue
                 if current is None or predicted < current:
                     report.family_objectives[family_name] = predicted
                 if best is None or predicted < best[0]:
@@ -465,7 +489,24 @@ class Synthesizer:
             ]
         return CompiledScore(self.evaluator, strategy, routed, mirrored)
 
-    def _tree_route(self, tree: Tree, root: int, toward_root: bool) -> Route:
+    def _tree(
+        self, family_name: str, participants: List[int], root: int, rotation: int
+    ) -> Mapping[int, int]:
+        """``family_name``'s tree, read-only, built once per estimate epoch
+        and (participants, root, rotation where the family uses it): every
+        search until the next estimate write shares it, so ReduceScatter
+        reuses AllGather's trees and Broadcast reuses Reduce's."""
+        if family_name in ROTATION_FREE:
+            rotation = 0
+        topology = self.topology
+        return topology.derived(
+            ("tree", family_name, tuple(participants), root, rotation),
+            lambda: MappingProxyType(
+                TREE_FAMILIES[family_name](topology, participants, root, rotation=rotation)
+            ),
+        )
+
+    def _tree_route(self, tree: Mapping[int, int], root: int, toward_root: bool) -> Route:
         """The cached route of ``tree``'s walks to (or from) ``root``: keyed
         by the direction, the root and the parent pointers, in rank order."""
         direction = _TO_ROOT if toward_root else _FROM_ROOT

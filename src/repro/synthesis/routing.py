@@ -24,8 +24,10 @@ so re-profiling changes the produced trees — this is the adaptivity loop.
 Which NICs a GPU pair's hop crosses is fixed with the topology (the
 Detector's part, Sec. IV-A); only link costs change between rounds. So each
 pair's one-hop walk, as the edges along it, is kept in the topology's own
-``hops`` table, filled on first use and dropped with the topology, while
-every bandwidth is read from those edges' current estimates on each call.
+``hops`` table, filled on first use and dropped with the topology. A pair's
+bandwidth is read from those edges' estimates once per estimate epoch (see
+``LogicalTopology.derived``), so every family, root and search between two
+estimate writes shares one reading.
 """
 
 from __future__ import annotations
@@ -110,21 +112,29 @@ def tree_interior_ranks(tree: Tree, root: int) -> List[int]:
 
 def gpu_pair_bandwidth(topology: LogicalTopology, a: int, b: int) -> float:
     """Effective bandwidth of the one-hop route a→b (bottleneck over edges),
-    under the edges' current estimates."""
-    return min(edge.effective.bandwidth for edge in _hop(topology, a, b))
+    under the edges' current estimates: read once per estimate epoch into
+    the topology's pair-bandwidth table."""
+    table: Dict[Tuple[int, int], float] = topology.derived("pair-bandwidths", dict)
+    bandwidth = table.get((a, b))
+    if bandwidth is None:
+        bandwidth = table[(a, b)] = min(edge.effective.bandwidth for edge in _hop(topology, a, b))
+    return bandwidth
 
 
 def instance_network_bandwidth(topology: LogicalTopology, instance_id: int) -> float:
     """Representative network bandwidth of an instance (max over its
-    outgoing NIC edges' effective estimates)."""
-    bandwidths = [
-        edge.effective.bandwidth
-        for edge in topology.out_edges(nic_node(instance_id))
-        if edge.kind is EdgeKind.NETWORK
-    ]
-    if not bandwidths:
-        return float("inf")  # single instance: no network constraint
-    return max(bandwidths)
+    outgoing NIC edges' effective estimates), read once per estimate epoch."""
+    table: Dict[int, float] = topology.derived("instance-bandwidths", dict)
+    bandwidth = table.get(instance_id)
+    if bandwidth is None:
+        bandwidths = [
+            edge.effective.bandwidth
+            for edge in topology.out_edges(nic_node(instance_id))
+            if edge.kind is EdgeKind.NETWORK
+        ]
+        # A single instance has no network constraint.
+        bandwidth = table[instance_id] = max(bandwidths) if bandwidths else float("inf")
+    return bandwidth
 
 
 # -- tree families -----------------------------------------------------------------
@@ -291,6 +301,8 @@ TREE_FAMILIES: Dict[str, Callable[..., Tree]] = {
     "flat-star": flat_star,
     "widest-tree": widest_tree,
 }
+#: Families whose tree does not depend on ``rotation``.
+ROTATION_FREE = frozenset({"flat-star", "widest-tree"})
 
 
 # -- flow construction -----------------------------------------------------------------

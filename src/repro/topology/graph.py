@@ -22,7 +22,17 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.errors import TopologyError
 from repro.hardware.cluster import Cluster
@@ -31,6 +41,8 @@ from repro.simulation.fluid import FluidLink
 
 if TYPE_CHECKING:
     import networkx as nx
+
+T = TypeVar("T")
 
 
 class NodeKind(enum.Enum):
@@ -240,6 +252,12 @@ class LogicalTopology:
         #: Each GPU pair's one-hop walk as the edges along it, by ``(src rank,
         #: dst rank)``: ``repro.synthesis.routing`` fills it on first use.
         self.hops: Dict[Tuple[int, int], Tuple[Edge, ...]] = {}
+        #: The estimate epoch: bumped by every write of an estimate or a
+        #: quarantine flag (the four methods below are the only writers).
+        self.epoch = 0
+        #: What :meth:`derived` built in ``_derived_epoch``, by key.
+        self._derived: Dict[Hashable, object] = {}
+        self._derived_epoch = 0
 
     # -- construction -----------------------------------------------------------
 
@@ -379,6 +397,23 @@ class LogicalTopology:
         edges = self.edges
         return [edges[(src, node)] for src in self._in.get(node, ())]
 
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``'s value for ``key``, built once per estimate epoch.
+
+        For values that follow from the current estimates (pair bandwidths,
+        trees, an estimate snapshot; never None): the first read after a
+        write builds anew, and every value of an older epoch is dropped
+        then. Every reader shares a value, so none may change it, except
+        to fill a table with entries read in this epoch.
+        """
+        if self._derived_epoch != self.epoch:
+            self._derived = {}
+            self._derived_epoch = self.epoch
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value  # type: ignore[return-value]
+
     def profiled_edges(self) -> List[Edge]:
         """Edges the profiler measures (NVLink + network)."""
         return [e for e in self.edges.values() if e.kind.profiled]
@@ -402,6 +437,7 @@ class LogicalTopology:
         for given in (estimate, parallel):
             if given is not None:
                 given.check(f"edge {src}->{dst}")
+        self.epoch += 1
         edge.estimate = estimate
         if parallel is not None:
             edge.estimate_parallel = parallel
@@ -416,6 +452,7 @@ class LogicalTopology:
 
     def clear_estimates(self) -> None:
         """Drop all profiled estimates (fall back to nominal everywhere)."""
+        self.epoch += 1
         for edge in self.edges.values():
             edge.estimate = None
             edge.estimate_parallel = None
@@ -435,6 +472,7 @@ class LogicalTopology:
         if both_directions and (dst, src) in self.edges:
             pairs.append((dst, src))
         flagged = []
+        self.epoch += 1
         for a, b in pairs:
             edge = self.edge(a, b)
             edge.quarantined = True
@@ -451,6 +489,7 @@ class LogicalTopology:
 
     def clear_quarantine(self) -> None:
         """Lift every quarantine (test/reset helper)."""
+        self.epoch += 1
         for edge in self.edges.values():
             edge.quarantined = False
 

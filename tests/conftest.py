@@ -1,8 +1,13 @@
-"""Shared test configuration, and a wall-time report at the end of a run.
+"""Shared test configuration, a wall-time ceiling and a wall-time report.
+
+A test whose setup and call together take longer than
+:data:`TEST_CEILING_SECONDS` fails, unless it carries the ``slow`` marker
+(registered in ``pyproject.toml``) with a stated reason:
+``@pytest.mark.slow(reason="...")``. The ceiling is about 3x the slowest
+test's time, so a slower machine changes the report, not the verdict.
 
 The report lists the session's wall time and every test whose setup,
 call and teardown together took longer than :data:`SLOW_TEST_SECONDS`.
-It only reports: a slower machine changes the numbers, never the verdict.
 """
 
 import importlib.util
@@ -14,6 +19,8 @@ import pytest
 
 #: A test over this many seconds is named in the end-of-run report.
 SLOW_TEST_SECONDS = 5.0
+#: A test over this many seconds (setup and call) fails unless exempted.
+TEST_CEILING_SECONDS = 20.0
 
 _started = time.perf_counter()
 _durations = defaultdict(float)
@@ -28,6 +35,32 @@ def synthesis_golden():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def ceiling_failure(item, seconds: float):
+    """Why a test that took ``seconds`` fails the ceiling, or None when it
+    is under it or exempted by a ``slow`` marker that states a reason."""
+    if seconds <= TEST_CEILING_SECONDS:
+        return None
+    marker = item.get_closest_marker("slow")
+    reason = marker.kwargs.get("reason") if marker is not None else None
+    if isinstance(reason, str) and reason.strip():
+        return None
+    return (
+        f"{item.nodeid} took {seconds:.1f} s, over the {TEST_CEILING_SECONDS:g} s ceiling; "
+        'make it cheaper or mark it @pytest.mark.slow(reason="...")'
+    )
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = yield
+    if report.when == "call" and report.passed:
+        failure = ceiling_failure(item, _durations[item.nodeid] + report.duration)
+        if failure is not None:
+            report.outcome = "failed"
+            report.longrepr = failure
+    return report
 
 
 def pytest_runtest_logreport(report):

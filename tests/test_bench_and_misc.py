@@ -324,3 +324,35 @@ class TestQuickClobberGuard:
             bench_main(["--quick", "--figures", "fig11", "--output", str(output)])
             == 0
         )
+
+
+class TestWallTimeCeiling:
+    """``tests/conftest.py`` fails a test over the ceiling unless a ``slow``
+    marker states why it needs longer."""
+
+    class Item:
+        nodeid = "tests/test_x.py::test_y"
+
+        def __init__(self, marker=None):
+            self.marker = marker
+
+        def get_closest_marker(self, name):
+            return self.marker if name == "slow" else None
+
+    def test_under_the_ceiling_passes(self):
+        from .conftest import TEST_CEILING_SECONDS, ceiling_failure
+
+        assert ceiling_failure(self.Item(), TEST_CEILING_SECONDS) is None
+
+    def test_over_the_ceiling_fails_without_a_reasoned_marker(self):
+        from .conftest import TEST_CEILING_SECONDS, ceiling_failure
+
+        over = TEST_CEILING_SECONDS + 0.5
+        for marker in (None, pytest.mark.slow.mark, pytest.mark.slow(reason=" ").mark):
+            failure = ceiling_failure(self.Item(marker), over)
+            assert failure is not None and "test_y" in failure and "ceiling" in failure
+        exempt = pytest.mark.slow(reason="replays a 64-rank fleet").mark
+        assert ceiling_failure(self.Item(exempt), over) is None
+
+    def test_the_marker_is_registered(self, pytestconfig):
+        assert any(line.startswith("slow(reason)") for line in pytestconfig.getini("markers"))

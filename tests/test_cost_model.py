@@ -82,6 +82,24 @@ class TestFit:
         with pytest.raises(ProfilingError):
             fit_alpha_beta([(1, 100.0, 1.0), (2, 100.0, 2.0)])
 
+    @pytest.mark.parametrize(
+        "measurements",
+        [
+            # Every row one message of one size: a single direction, repeated.
+            [(1, 4096.0, 1e-5), (1, 4096.0, 1.1e-5), (1, 4096.0, 0.9e-5)],
+            # Proportional rows at several repeat counts.
+            [(1, 512.0, 1.0), (2, 512.0, 2.0), (4, 512.0, 4.1), (8, 512.0, 7.9)],
+        ],
+        ids=["one-size-n1", "proportional"],
+    )
+    def test_rejects_rank_deficient_sets(self, measurements):
+        import numpy as np
+
+        rows = np.array([(n, n * s) for n, s, _t in measurements], dtype=float)
+        assert np.linalg.matrix_rank(rows) == 1  # what the fit's rank check must see
+        with pytest.raises(ProfilingError, match="degenerate"):
+            fit_alpha_beta(measurements)
+
     def test_rejects_invalid_measurement(self):
         with pytest.raises(ProfilingError):
             fit_alpha_beta([(0, 100.0, 1.0), (1, 100.0, 1.0)])

@@ -235,7 +235,7 @@ class TestDataPlaneTap:
         sent, delivered = self.deliver(SITE_KERNEL, monitor)
         assert not np.array_equal(sent, delivered)
         assert monitor.hop_failures == []
-        assert monitor.units_verified == 1
+        assert monitor.units_seen == 1
 
     def test_payload_is_never_mutated_in_place(self):
         sent, delivered = self.deliver(SITE_WIRE)
