@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TelemetryError
@@ -94,83 +93,143 @@ class _ValueText(dict):
 _TEXT_TYPES = frozenset((str, float, type(None)))
 
 
-def _line_template(fields: Any, event: bool, labels_part: str) -> Tuple[List[Any], Any]:
-    """One site's line template and the getter that picks a row's slot
-    values from ``arg values + (end, parent, start)``.
+def _fixed(value: Any) -> str:
+    """JSON text of a site field or arg key, as a ``%`` format's literal."""
+    text = _quote(value) if type(value) is str else canonical_json(value)
+    return text.replace("%", "%%")
 
-    The template is the line's fixed text — the sorted, quoted arg keys,
-    ``cat``, the labels, ``name``, ``track`` and ``type``, rendered once —
-    as a list with a slot at every odd index: the arg values in key
-    order, ``end``, ``id``, ``parent`` and ``start``. A row fills the
-    slots and joins the list.
-    """
-    name, category, track, keys = fields
 
-    def fixed(value: Any) -> str:
-        return _quote(value) if type(value) is str else canonical_json(value)
+def _value_text(value: Any, texts: _ValueText) -> str:
+    """JSON text of one arg value (see :func:`render_lines`)."""
+    if type(value) in _TEXT_TYPES:
+        return texts[value]
+    return _int_repr(value) if type(value) is int else canonical_json(value)
 
-    slot = None
-    parts: List[Any] = ['{"args":{']
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for position, at in enumerate(order):
-        parts += ["," if position else "", fixed(keys[at]), ":", slot]
-    parts += [
-        '},"cat":', fixed(category), ',"end":', slot, ',"id":"', slot, '",', labels_part,
-        '"name":', fixed(name), ',"parent":', slot, ',"start":', slot,
-        ',"track":', fixed(track), ',"type":"', "event" if event else "span", '"}',
-    ]
-    template = [""]
-    for part in parts:
-        if part is slot:
-            template += [slot, ""]
+
+def _column_text(values: List[Any], texts: _ValueText) -> List[str]:
+    """JSON text of each value of one typed arg column: all exact ints,
+    all exact floats or all exact strs."""
+    if values and type(values[0]) is int:
+        return list(map(_int_repr, values))
+    return list(map(texts.__getitem__, values))
+
+
+def _arg_prefixes(
+    sites: Tuple[Any, ...],
+    args: List[Optional[List[list]]],
+    side: Dict[Tuple[int, int], tuple],
+    texts: _ValueText,
+) -> List[Optional[List[str]]]:
+    """Per site, each position's line text up to ``"end":`` — the sorted
+    args and ``cat`` — rendered a column at a time (see
+    :meth:`~repro.telemetry.core.Tracer.export_table`)."""
+    prefixes: List[Optional[List[str]]] = []
+    formats: Dict[int, Tuple[str, List[int]]] = {}
+    for site, columns in enumerate(args):
+        if columns is None:
+            prefixes.append(None)
+            continue
+        _, category, _, keys = sites[site]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        pattern = (
+            '{"args":{'
+            + ",".join(f"{_fixed(keys[at])}:%s" for at in order)
+            + '},"cat":'
+            + _fixed(category)
+            + ',"end":'
+        )
+        formats[site] = pattern, order
+        if keys:
+            text_columns = [_column_text(columns[at], texts) for at in order]
+            prefixes.append(list(map(pattern.__mod__, zip(*text_columns))))
         else:
-            template[-1] += part
-    count = len(keys)
-    return template, itemgetter(*order, count, count + 1, count + 2)
+            prefixes.append([pattern % ()])
+    for (site, position), values in side.items():
+        pattern, order = formats[site]
+        prefixes[site][position] = pattern % tuple(  # type: ignore[index]
+            _value_text(values[at], texts) for at in order
+        )
+    return prefixes
+
+
+def _line_format(fields: Any, event: bool, labels_part: str) -> str:
+    """One ``(site, is_event)``'s line as a ``%`` format whose slots are
+    the arg prefix, ``end``, ``id``, ``parent`` and ``start``."""
+    name, _, track, _ = fields
+    return (
+        '%s%s,"id":"%s",'
+        + labels_part.replace("%", "%%")
+        + '"name":'
+        + _fixed(name)
+        + ',"parent":%s,"start":%s,"track":'
+        + _fixed(track)
+        + ',"type":"'
+        + ("event" if event else "span")
+        + '"}'
+    )
 
 
 def render_lines(hub: TelemetryHub) -> Tuple[List[Any], List[str]]:
     """The start and the JSONL line of each span/event of ``hub``, in
     export order, as two parallel lists ``(starts, lines)``.
 
-    Each line is its site's template (:func:`_line_template`, built the
-    first time a ``(site, is_event)`` pair is seen) filled with the row's
-    own values — no record dict, no encoder call per field. Ids are digits
-    and dots. Exact ``str``, ``float`` and ``None`` values take their text
-    from one :class:`_ValueText` per call — the encoder's escaper and
+    Lines are built from the tracer's export table, no record dict and no
+    encoder call per field: the args and ``cat`` of every record of a
+    site are rendered a column at a time (:func:`_arg_prefixes`), and
+    each row fills its ``(site, is_event)`` format
+    (:func:`_line_format`) with that prefix, its ``end``, ``id``,
+    ``parent`` and ``start``. Ids are digits and dots. Exact ``str``,
+    ``float`` and ``None`` values take their text from one
+    :class:`_ValueText` per call — the encoder's escaper and
     ``float.__repr__``, once per distinct value — exact ints take
     ``int.__repr__`` (most are distinct flow numbers), and anything else
     (``bool``, ``numpy.float64``, containers, …) goes through
     :data:`canonical_json`, so the text is the encoder's by construction.
     """
+    starts: List[Any] = []
+    lines: List[str] = []
+    _render(hub, lines, starts)
+    return starts, lines
+
+
+def _render(hub: TelemetryHub, lines: List[str], starts: Optional[List[Any]]) -> None:
+    """Append the line of each span/event of ``hub`` to ``lines`` and,
+    unless it is ``None``, its start to ``starts`` (see :func:`render_lines`)."""
     tracer = hub.tracer
     sites = tracer.sites
     labels = getattr(hub, "labels", None) or None
     labels_part = f'"labels":{canonical_json(labels)},' if labels else ""
     texts = _ValueText({None: "null"})
     text_types, encode = _TEXT_TYPES, canonical_json
-    templates: Dict[int, Tuple[List[Any], Any]] = {}
-    starts: List[Any] = []
-    lines: List[str] = []
-    add_start, add_line = starts.append, lines.append
-    for start, end, event, span_id, parent_id, site, values in tracer.export_rows():
-        found = templates.get(site + site + event)
-        if found is None:
-            found = templates[site + site + event] = _line_template(
+    rows, args, side = tracer.export_table()
+    prefixes = _arg_prefixes(sites, args, side, texts)
+    formats: Dict[int, str] = {}
+    add_line = lines.append
+    add_start = None if starts is None else starts.append
+    # ``end`` and ``start`` take :func:`_value_text`'s dispatch inline: one
+    # call fewer per field of every row.
+    for start, end, event, span_id, parent_id, site, position in rows:
+        line_format = formats.get(site + site + event)
+        if line_format is None:
+            line_format = formats[site + site + event] = _line_format(
                 sites[site], event, labels_part
             )
-        template, pick = found
-        row = [
-            texts[value]
-            if type(value) in text_types
-            else _int_repr(value) if type(value) is int else encode(value)
-            for value in pick(values + (end, parent_id, start))
-        ]
-        row.insert(len(values) + 1, span_id)
-        template[1::2] = row
-        add_start(start)
-        add_line("".join(template))
-    return starts, lines
+        add_line(
+            line_format
+            % (
+                prefixes[site][position],  # type: ignore[index]
+                texts[end]
+                if type(end) in text_types
+                else _int_repr(end) if type(end) is int else encode(end),
+                span_id,
+                "null" if parent_id is None else f'"{parent_id}"',
+                texts[start]
+                if type(start) in text_types
+                else _int_repr(start) if type(start) is int else encode(start),
+            )
+        )
+        if add_start is not None:
+            add_start(start)
 
 
 def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
@@ -186,12 +245,13 @@ def to_jsonl(hub: TelemetryHub, clock: str = "sim") -> str:
     if labels:
         meta["labels"] = labels
     lines = [canonical_json(meta)]
-    lines.extend(render_lines(hub)[1])
+    _render(hub, lines, None)
     tail: Dict[str, Any] = {"type": "metrics", "metrics": hub.metrics.snapshot()}
     if labels:
         tail["labels"] = labels
     lines.append(canonical_json(tail))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the text ends with a newline
+    return "\n".join(lines)
 
 
 def write_jsonl(hub: TelemetryHub, path: str, clock: str = "sim") -> str:
