@@ -9,7 +9,7 @@ a chaos failure reproducible from nothing but its seed.
 
 Run:  python examples/chaos_straggler.py
 
-With ``REPRO_TELEMETRY=1`` the run also exports its structured trace to
+Both replays record into one telemetry hub, exported to
 ``chaos_straggler.jsonl`` (lint it with
 ``python -m repro.analysis --telemetry chaos_straggler.jsonl``).
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.chaos import ChaosRunner, CrashFault, FaultPlan, LinkFault, StragglerFault
 from repro.hardware import make_homo_cluster
-from repro.telemetry import hub, write_jsonl
+from repro.telemetry import TelemetryHub, write_jsonl
 
 
 def main() -> None:
@@ -48,7 +48,8 @@ def main() -> None:
         f"{len(plan.crashes)} transient crash, {len(plan.link_faults)} flapping link\n"
     )
 
-    report = ChaosRunner(specs, plan, length=2048).run()
+    telemetry = TelemetryHub(enabled=True)
+    report = ChaosRunner(specs, plan, length=2048, hub=telemetry).run()
     for outcome in report.iterations:
         note = []
         if outcome.rejoined:
@@ -69,7 +70,7 @@ def main() -> None:
         f"all iterations bitwise exact: {report.all_exact}"
     )
 
-    replay = ChaosRunner(specs, plan, length=2048).run()
+    replay = ChaosRunner(specs, plan, length=2048, hub=telemetry).run()
     traces_equal = report.event_trace == replay.event_trace
     outputs_equal = all(
         np.array_equal(replay.final_outputs()[rank], tensor)
@@ -85,14 +86,12 @@ def main() -> None:
         time, kind, subject = event[0], event[1], event[2]
         print(f"  t={time:8.4f}s  {kind:18s} {subject}")
 
-    telemetry = hub()
-    if telemetry.enabled:
-        write_jsonl(telemetry, "chaos_straggler.jsonl")
-        print(
-            f"\ntelemetry: wrote chaos_straggler.jsonl "
-            f"({telemetry.tracer.span_count} spans, "
-            f"{telemetry.tracer.event_count} events)"
-        )
+    write_jsonl(telemetry, "chaos_straggler.jsonl")
+    print(
+        f"\ntelemetry: wrote chaos_straggler.jsonl "
+        f"({telemetry.tracer.span_count} spans, "
+        f"{telemetry.tracer.event_count} events)"
+    )
 
 
 if __name__ == "__main__":

@@ -62,9 +62,9 @@ class AdapCCSession:
         self.sim = Simulator()
         self.cluster = Cluster(self.sim, instance_specs, hub=telemetry)
         #: The hub this session's cluster records into: the process default
-        #: (``REPRO_TELEMETRY``) for ``None``, a fresh hub of the session's
-        #: own for ``True``/``False``, the given :class:`TelemetryHub`
-        #: (enabled) otherwise. Nothing is installed process-wide.
+        #: for ``None``, a fresh hub of the session's own for
+        #: ``True``/``False``, the given :class:`TelemetryHub` (enabled)
+        #: otherwise. Nothing is installed process-wide.
         self.telemetry = self.cluster.hub
         self.config = config
         self.seed = seed

@@ -26,12 +26,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
-from repro.baselines.common import Backend, register_backend
+from repro.baselines.common import Backend, instance_groups, register_backend
 from repro.errors import SynthesisError
 from repro.hardware.links import MB
-from repro.synthesis.aggregation import default_aggregation
-from repro.synthesis.routing import Tree, broadcast_flows, reduce_flows
-from repro.synthesis.strategy import Primitive, Strategy, SubCollective
+from repro.synthesis.decomposition import Decomposition
+from repro.synthesis.routing import Tree, binary_tree_over, local_leaders
+from repro.synthesis.strategy import Primitive, Strategy
 from repro.topology.graph import EdgeKind, gpu_node
 
 #: Blink's empirically-set chunk size (Sec. VI-B).
@@ -72,24 +72,15 @@ class BlinkBackend(Backend):
         return parent
 
     def _tree(self, participants: List[int], root: int) -> Tree:
-        groups: Dict[int, List[int]] = {}
-        for rank in participants:
-            groups.setdefault(self.topology.cluster.gpu(rank).instance_id, []).append(rank)
-        groups = {iid: sorted(r) for iid, r in sorted(groups.items())}
-        root_instance = self.topology.cluster.gpu(root).instance_id
-
-        tree: Tree = {root: root}
-        leaders: Dict[int, int] = {}
+        groups = instance_groups(self.topology, participants)
+        leaders = local_leaders(self.topology, groups, root)
+        tree: Tree = {}
         for instance_id, ranks in groups.items():
-            leader = root if instance_id == root_instance else ranks[0]
-            leaders[instance_id] = leader
-            tree.update(self._local_spanning_tree(ranks, leader))
-        tree[root] = root
+            tree.update(self._local_spanning_tree(ranks, leaders[instance_id]))
         # NCCL-style rank-ordered binary tree over leaders.
-        ordered = [root_instance] + [iid for iid in groups if iid != root_instance]
-        for position, instance_id in enumerate(ordered[1:], start=1):
-            parent_instance = ordered[(position - 1) // 2]
-            tree[leaders[instance_id]] = leaders[parent_instance]
+        root_instance = self.topology.cluster.gpu(root).instance_id
+        order = [root_instance, *(i for i in groups if i != root_instance)]
+        binary_tree_over(tree, order, leaders)
         return tree
 
     # -- Backend interface --------------------------------------------------------------
@@ -101,35 +92,16 @@ class BlinkBackend(Backend):
         participants: Iterable[int],
         root: Optional[int] = None,
     ) -> Strategy:
-        participants = sorted(set(participants))
-        if not participants:
-            raise SynthesisError("no participants")
-        instances = {self.topology.cluster.gpu(r).instance_id for r in participants}
+        request = Decomposition(primitive, tensor_size, participants, root)
+        instances = {self.topology.cluster.gpu(r).instance_id for r in request.participants}
         if primitive is Primitive.ALLTOALL and len(instances) > 1:
             raise SynthesisError("Blink does not support AlltoAll across servers")
         if primitive in (Primitive.ALLGATHER, Primitive.REDUCE_SCATTER, Primitive.ALLTOALL):
             raise SynthesisError(f"Blink model does not implement {primitive.value}")
-        root = participants[0] if root is None else root
-        tree = self._tree(participants, root)
-        chunk = min(BLINK_CHUNK_BYTES, max(1.0, tensor_size))
-        if primitive is Primitive.BROADCAST:
-            flows = broadcast_flows(self.topology, tree, root)
-            aggregation: Dict = {}
-        else:
-            flows = reduce_flows(self.topology, tree, root)
-            aggregation = default_aggregation(tree, root)
-        sc = SubCollective(
-            index=0,
-            size=tensor_size,
-            chunk_size=chunk,
-            flows=flows,
-            aggregation=aggregation,
-            root=gpu_node(root),
-        )
-        return Strategy(
-            primitive=primitive,
-            tensor_size=tensor_size,
-            participants=participants,
-            subcollectives=[sc],
-            routing_family="blink",
+        return request.assemble(
+            self.topology,
+            [request.root],
+            lambda root, _index: self._tree(request.participants, root),
+            BLINK_CHUNK_BYTES,
+            "blink",
         )

@@ -108,6 +108,17 @@ class Backend(abc.ABC):
         return self.run(strategy, inputs, ready_times=ready_times)
 
 
+def instance_groups(
+    topology: LogicalTopology, participants: Iterable[int]
+) -> Dict[int, List[int]]:
+    """``participants`` by instance, instances and ranks ascending: the rank
+    order the baseline models lay their graphs out in."""
+    groups: Dict[int, List[int]] = {}
+    for rank in sorted(participants):
+        groups.setdefault(topology.cluster.gpu(rank).instance_id, []).append(rank)
+    return dict(sorted(groups.items()))
+
+
 _REGISTRY: Dict[str, type] = {}
 
 

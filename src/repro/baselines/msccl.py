@@ -24,15 +24,13 @@ tradeoffs" (Sec. VI-B). The model encodes the observed behaviour:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.baselines.common import Backend, register_backend
-from repro.errors import SynthesisError
+from repro.baselines.common import Backend, instance_groups, register_backend
 from repro.hardware.links import MB
-from repro.synthesis.aggregation import default_aggregation
-from repro.synthesis.routing import Tree, alltoall_flows, broadcast_flows, reduce_flows
-from repro.synthesis.strategy import Primitive, Strategy, SubCollective
-from repro.topology.graph import gpu_node
+from repro.synthesis.decomposition import Decomposition
+from repro.synthesis.routing import Tree, attach_locals, hierarchical_star, local_leaders
+from repro.synthesis.strategy import Primitive, Strategy
 
 #: The sketch's fixed instance (chunk) size.
 MSCCL_CHUNK_BYTES = 1 * MB
@@ -48,12 +46,6 @@ class MscclBackend(Backend):
 
     name = "msccl"
 
-    def _groups(self, participants: List[int]) -> Dict[int, List[int]]:
-        groups: Dict[int, List[int]] = {}
-        for rank in participants:
-            groups.setdefault(self.topology.cluster.gpu(rank).instance_id, []).append(rank)
-        return {iid: sorted(ranks) for iid, ranks in sorted(groups.items())}
-
     def _tree(self, participants: List[int], root: int, channel: int, shallow: bool) -> Tree:
         """Rank-ordered hierarchical tree; channel rotates local leaders.
 
@@ -61,26 +53,16 @@ class MscclBackend(Backend):
         root (depth 2). Otherwise the bandwidth-optimal point chains
         instances in rank order (maximal pipelining, homogeneity assumed).
         """
-        groups = self._groups(participants)
-        root_instance = self.topology.cluster.gpu(root).instance_id
-        tree: Tree = {root: root}
-        leaders: Dict[int, int] = {}
-        for instance_id, ranks in groups.items():
-            if instance_id == root_instance:
-                leaders[instance_id] = root
-            else:
-                leaders[instance_id] = ranks[channel % len(ranks)]
-            for rank in ranks:
-                if rank != leaders[instance_id]:
-                    tree[rank] = leaders[instance_id]
-        other = [iid for iid in groups if iid != root_instance]
         if shallow:
-            for instance_id in other:
-                tree[leaders[instance_id]] = leaders[root_instance]
-        else:
-            chain = other + [root_instance]  # rank order, not bandwidth order
-            for a, b in zip(chain, chain[1:]):
-                tree[leaders[a]] = leaders[b]
+            return hierarchical_star(self.topology, participants, root, channel)
+        groups = instance_groups(self.topology, participants)
+        leaders = local_leaders(self.topology, groups, root, channel)
+        tree: Tree = {root: root}
+        attach_locals(tree, groups, leaders)
+        root_instance = self.topology.cluster.gpu(root).instance_id
+        chain = [*(i for i in groups if i != root_instance), root_instance]  # not by bandwidth
+        for a, b in zip(chain, chain[1:]):
+            tree[leaders[a]] = leaders[b]
         return tree
 
     def _plan(
@@ -90,100 +72,24 @@ class MscclBackend(Backend):
         participants: Iterable[int],
         root: Optional[int] = None,
     ) -> Strategy:
-        participants = sorted(set(participants))
-        if not participants:
-            raise SynthesisError("no participants")
-        root = participants[0] if root is None else root
+        """MSCCL_CHANNELS channels on the pareto point the size selects.
+        AllReduce's sketches rotate roots over the first instances only
+        (DGX-style symmetric assumption)."""
+        request = Decomposition(primitive, tensor_size, participants, root)
         shallow = tensor_size < LATENCY_OPTIMAL_THRESHOLD
-        point = "latency" if shallow else "bandwidth"
-
+        family = f"msccl-{'latency' if shallow else 'bandwidth'}"
         if primitive is Primitive.ALLTOALL:
-            world = len(participants)
-            share = tensor_size / world
-            flows = alltoall_flows(self.topology, participants)
-            subcollectives = [
-                SubCollective(
-                    index=index,
-                    size=share / MSCCL_CHANNELS,
-                    chunk_size=min(MSCCL_CHUNK_BYTES, max(1.0, share / MSCCL_CHANNELS)),
-                    flows=[f for f in flows],
-                )
-                for index in range(MSCCL_CHANNELS)
-            ]
-            return Strategy(
-                primitive=primitive,
-                tensor_size=tensor_size,
-                participants=participants,
-                subcollectives=subcollectives,
-                routing_family="msccl-a2a",
-            )
-
-        if primitive in (Primitive.ALLGATHER, Primitive.REDUCE_SCATTER):
-            per_root = (
-                tensor_size
-                if primitive is Primitive.ALLGATHER
-                else tensor_size / len(participants)
-            )
-            subcollectives = []
-            for index, rank in enumerate(participants):
-                tree = self._tree(participants, rank, channel=index, shallow=shallow)
-                if primitive is Primitive.ALLGATHER:
-                    flows = broadcast_flows(self.topology, tree, rank)
-                    aggregation: Dict = {}
-                else:
-                    flows = reduce_flows(self.topology, tree, rank)
-                    aggregation = default_aggregation(tree, rank)
-                subcollectives.append(
-                    SubCollective(
-                        index=index,
-                        size=per_root,
-                        chunk_size=min(MSCCL_CHUNK_BYTES, max(1.0, per_root)),
-                        flows=flows,
-                        aggregation=aggregation,
-                        root=gpu_node(rank),
-                    )
-                )
-            return Strategy(
-                primitive=primitive,
-                tensor_size=tensor_size,
-                participants=participants,
-                subcollectives=subcollectives,
-                routing_family=f"msccl-{point}",
-            )
-
-        # Reduce / Broadcast / AllReduce on MSCCL_CHANNELS channels. The
-        # sketches rotate roots over the first instances only (DGX-style
-        # symmetric assumption).
-        groups = self._groups(participants)
-        instance_ids = sorted(groups)
-        share = tensor_size / MSCCL_CHANNELS
-        subcollectives = []
-        for index in range(MSCCL_CHANNELS):
-            if primitive is Primitive.ALLREDUCE:
-                sc_root = groups[instance_ids[index % len(instance_ids)]][0]
-            else:
-                sc_root = root
-            tree = self._tree(participants, sc_root, channel=index, shallow=shallow)
-            if primitive is Primitive.BROADCAST:
-                flows = broadcast_flows(self.topology, tree, sc_root)
-                aggregation = {}
-            else:
-                flows = reduce_flows(self.topology, tree, sc_root)
-                aggregation = default_aggregation(tree, sc_root)
-            subcollectives.append(
-                SubCollective(
-                    index=index,
-                    size=share,
-                    chunk_size=min(MSCCL_CHUNK_BYTES, max(1.0, share)),
-                    flows=flows,
-                    aggregation=aggregation,
-                    root=gpu_node(sc_root),
-                )
-            )
-        return Strategy(
-            primitive=primitive,
-            tensor_size=tensor_size,
-            participants=participants,
-            subcollectives=subcollectives,
-            routing_family=f"msccl-{point}",
+            channels, family = MSCCL_CHANNELS, "msccl-a2a"
+        elif primitive is Primitive.ALLREDUCE:
+            groups = instance_groups(self.topology, request.participants)
+            leads = [ranks[0] for ranks in groups.values()]
+            channels = [leads[index % len(leads)] for index in range(MSCCL_CHANNELS)]
+        else:
+            channels = [request.root] * MSCCL_CHANNELS
+        return request.assemble(
+            self.topology,
+            channels,
+            lambda root, index: self._tree(request.participants, root, index, shallow),
+            MSCCL_CHUNK_BYTES,
+            family,
         )

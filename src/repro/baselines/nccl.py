@@ -26,18 +26,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.common import Backend, register_backend
-from repro.errors import SynthesisError
+from repro.baselines.common import Backend, instance_groups, register_backend
 from repro.hardware.links import KB, MB, GBps, gbps
 from repro.runtime.collectives import CollectiveResult, launch
-from repro.synthesis.aggregation import default_aggregation
-from repro.synthesis.routing import (
-    Tree,
-    alltoall_flows,
-    broadcast_flows,
-    hop_path,
-    reduce_flows,
-)
+from repro.synthesis.decomposition import Decomposition
+from repro.synthesis.routing import Tree, binary_tree_over, hop_path, local_leaders
 from repro.synthesis.strategy import Flow, Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology, gpu_node
 
@@ -73,35 +66,22 @@ class NcclBackend(Backend):
 
     # -- graph construction ------------------------------------------------------
 
-    def _local_order(self, participants: List[int]) -> Dict[int, List[int]]:
-        """Participants grouped by instance, in local rank order."""
-        groups: Dict[int, List[int]] = {}
-        for rank in participants:
-            groups.setdefault(self.topology.cluster.gpu(rank).instance_id, []).append(rank)
-        return {iid: sorted(ranks) for iid, ranks in sorted(groups.items())}
-
     def tree_graph(self, participants: List[int], root: int) -> Tree:
         """Single channel: intra-server chain onto the leader (the GPU
         closest to the NIC = lowest local rank), rank-ordered binary tree
         across servers."""
-        groups = self._local_order(participants)
-        root_instance = self.topology.cluster.gpu(root).instance_id
+        groups = instance_groups(self.topology, participants)
+        leaders = local_leaders(self.topology, groups, root)
         tree: Tree = {root: root}
-        leaders: Dict[int, int] = {}
         for instance_id, ranks in groups.items():
-            leader = root if instance_id == root_instance else ranks[0]
-            leaders[instance_id] = leader
             # Chain: each GPU forwards to the next toward the leader.
-            chain = [r for r in ranks if r != leader]
-            previous = leader
-            for rank in chain:
-                tree[rank] = previous
-                previous = rank
+            leader = leaders[instance_id]
+            chain = [leader, *(rank for rank in ranks if rank != leader)]
+            tree.update(zip(chain[1:], chain))
         # Rank-ordered binary tree over instances: ignores NIC speeds.
-        ordered = [root_instance] + [iid for iid in groups if iid != root_instance]
-        for position, instance_id in enumerate(ordered[1:], start=1):
-            parent_instance = ordered[(position - 1) // 2]
-            tree[leaders[instance_id]] = leaders[parent_instance]
+        root_instance = self.topology.cluster.gpu(root).instance_id
+        order = [root_instance, *(i for i in groups if i != root_instance)]
+        binary_tree_over(tree, order, leaders)
         return tree
 
     def ring_graph(self, participants: List[int], root: int) -> Tree:
@@ -111,18 +91,12 @@ class NcclBackend(Backend):
         ring; at flow granularity each link carries ~2S, which a chain
         reduce followed by a reversed chain broadcast reproduces.
         """
-        groups = self._local_order(participants)
+        groups = instance_groups(self.topology, participants)
         root_instance = self.topology.cluster.gpu(root).instance_id
-        ordered_instances = [root_instance] + [
-            iid for iid in groups if iid != root_instance
-        ]
         # Visit instances in rank order, GPUs within an instance in order,
         # ending at the root: a single chain through every rank.
-        sequence: List[int] = []
-        for instance_id in reversed(ordered_instances):
-            ranks = [r for r in groups[instance_id] if r != root]
-            sequence.extend(ranks)
-        sequence.append(root)
+        instances = [*(i for i in reversed(groups) if i != root_instance), root_instance]
+        sequence = [rank for i in instances for rank in groups[i] if rank != root] + [root]
         tree: Tree = {root: root}
         for current, nxt in zip(sequence, sequence[1:]):
             tree[current] = nxt
@@ -244,96 +218,18 @@ class NcclBackend(Backend):
         participants: Iterable[int],
         root: Optional[int] = None,
     ) -> Strategy:
-        participants = sorted(set(participants))
-        if not participants:
-            raise SynthesisError("no participants")
-        root = participants[0] if root is None else root
-        chunk = min(NCCL_CHUNK_BYTES, max(1.0, tensor_size))
-
+        """ONE channel (M = 1) on a fixed root; AlltoAll as direct pairs."""
+        request = Decomposition(primitive, tensor_size, participants, root)
+        ring = tensor_size >= RING_THRESHOLD_BYTES
+        graph = self.ring_graph if ring else self.tree_graph
         if primitive is Primitive.ALLTOALL:
-            flows = alltoall_flows(self.topology, participants)
-            world = len(participants)
-            sc = SubCollective(
-                index=0,
-                size=tensor_size / world,
-                chunk_size=min(chunk, max(1.0, tensor_size / world)),
-                flows=flows,
-            )
-            return Strategy(
-                primitive=primitive,
-                tensor_size=tensor_size,
-                participants=participants,
-                subcollectives=[sc],
-                routing_family="nccl-p2p",
-            )
-
-        graph_kind = "ring" if tensor_size >= RING_THRESHOLD_BYTES else "tree"
-        builder = self.ring_graph if graph_kind == "ring" else self.tree_graph
-
-        if primitive is Primitive.ALLGATHER:
-            subcollectives = []
-            for index, rank in enumerate(participants):
-                tree = builder(participants, rank)
-                subcollectives.append(
-                    SubCollective(
-                        index=index,
-                        size=tensor_size,
-                        chunk_size=chunk,
-                        flows=broadcast_flows(self.topology, tree, rank),
-                        root=gpu_node(rank),
-                    )
-                )
-            return Strategy(
-                primitive=primitive,
-                tensor_size=tensor_size,
-                participants=participants,
-                subcollectives=subcollectives,
-                routing_family=f"nccl-{graph_kind}",
-            )
-
-        if primitive is Primitive.REDUCE_SCATTER:
-            share = tensor_size / len(participants)
-            subcollectives = []
-            for index, rank in enumerate(participants):
-                tree = builder(participants, rank)
-                subcollectives.append(
-                    SubCollective(
-                        index=index,
-                        size=share,
-                        chunk_size=min(chunk, max(1.0, share)),
-                        flows=reduce_flows(self.topology, tree, rank),
-                        aggregation=default_aggregation(tree, rank),
-                        root=gpu_node(rank),
-                    )
-                )
-            return Strategy(
-                primitive=primitive,
-                tensor_size=tensor_size,
-                participants=participants,
-                subcollectives=subcollectives,
-                routing_family=f"nccl-{graph_kind}",
-            )
-
-        # Reduce / Broadcast / AllReduce: ONE channel (M = 1), fixed root.
-        tree = builder(participants, root)
-        if primitive is Primitive.BROADCAST:
-            flows = broadcast_flows(self.topology, tree, root)
-            aggregation: Dict = {}
+            channels, family = 1, "nccl-p2p"
         else:
-            flows = reduce_flows(self.topology, tree, root)
-            aggregation = default_aggregation(tree, root)
-        sc = SubCollective(
-            index=0,
-            size=tensor_size,
-            chunk_size=chunk,
-            flows=flows,
-            aggregation=aggregation,
-            root=gpu_node(root),
-        )
-        return Strategy(
-            primitive=primitive,
-            tensor_size=tensor_size,
-            participants=participants,
-            subcollectives=[sc],
-            routing_family=f"nccl-{graph_kind}",
+            channels, family = [request.root], "nccl-ring" if ring else "nccl-tree"
+        return request.assemble(
+            self.topology,
+            channels,
+            lambda root, _index: graph(request.participants, root),
+            NCCL_CHUNK_BYTES,
+            family,
         )

@@ -28,7 +28,10 @@ class CritpathConsumer(TelemetryConsumer):
         self._readiness: List[Dict[int, float]] = []
 
     def on_span(self, span: Span) -> None:
-        """Keep chunk sends (:func:`~repro.critpath.engine.chunk_send`)."""
+        """Keep chunk sends (:func:`~repro.critpath.engine.chunk_send`).
+        Other categories are dropped before their args are read."""
+        if span.category != "chunk":
+            return
         node = chunk_send(
             span.category, span.name, span.track, span.start, span.end,
             span.args, len(self._spans), span.seq,

@@ -110,6 +110,8 @@ class LinkOccupancy(TelemetryConsumer):
         self.intervals: Dict[str, List[Tuple[float, float]]] = {}
 
     def on_span(self, span: Span) -> None:
+        if span.category != "chunk":
+            return
         send = chunk_send(
             span.category, span.name, span.track, span.start, span.end, span.args, 0, span.seq
         )

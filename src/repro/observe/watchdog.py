@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.critpath.engine import chunk_send
+from repro.critpath.engine import chunk_send, ready_delays
 from repro.errors import ObserveError, TopologyError
 from repro.observe.detectors import CusumDetector, EwmaBaseline, SignalTracker
 from repro.observe.verdicts import (
@@ -190,7 +190,7 @@ class Watchdog(TelemetryConsumer):
         if not hub.enabled:
             raise ObserveError(
                 "the observe watchdog needs an enabled telemetry hub "
-                "(set REPRO_TELEMETRY=1 or AdapCCSession(telemetry=True))"
+                "(pass one to the cluster, or AdapCCSession(telemetry=True))"
             )
         hub.subscribe(self)
         self._hub = hub
@@ -220,7 +220,7 @@ class Watchdog(TelemetryConsumer):
 
     def on_span(self, span: Span) -> None:
         """Accumulate chunk-pipeline link spans into per-iteration sums."""
-        if not self.config.enabled:
+        if not self.config.enabled or span.category != "chunk":
             return
         send = chunk_send(
             span.category, span.name, span.track, span.start, span.end, span.args, 0, span.seq
@@ -244,16 +244,13 @@ class Watchdog(TelemetryConsumer):
                 )
             tracker.observe(event.start, float(event.args.get("residual", 0.0)))
         elif event.name == "ski-rental-decision":
-            delays = {
-                int(rank): float(delay)
-                for rank, delay in (event.args.get("ready_delays") or {}).items()
-                if delay is not None
-            }
+            args = event.args
+            delays = ready_delays(event.name, args)
             if not delays:
                 return
             ordered = sorted(delays.values())
             median = ordered[len(ordered) // 2]
-            scale = max(float(event.args.get("buy_cost_seconds", 0.0)), 1e-9)
+            scale = max(float(args.get("buy_cost_seconds", 0.0)), 1e-9)
             for rank, delay in delays.items():
                 excess = max(0.0, delay - median) / scale
                 self._pending_delays[rank] = max(

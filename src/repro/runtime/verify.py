@@ -40,14 +40,15 @@ from repro.errors import CoordinationError, StrategyVerificationError
 from repro.findings import Finding, RuleSpec
 from repro.runtime.behavior import behavior_tuples
 from repro.runtime.stages import FlowPath, lower, wire
-from repro.synthesis.evaluator import (
+from repro.synthesis.evaluator import agg_unit, edge_units
+from repro.synthesis.strategy import (
     MODE_GROUPED,
     MODE_INDEPENDENT,
     MODE_MERGE,
-    agg_unit,
-    edge_units,
+    Primitive,
+    Strategy,
+    SubCollective,
 )
-from repro.synthesis.strategy import Primitive, Strategy, SubCollective
 from repro.topology.graph import LogicalTopology, NodeId, NodeKind, gpu_node
 
 #: Relative tolerance for floating-point size comparisons.
@@ -55,9 +56,6 @@ _REL_TOL = 1e-6
 
 #: How a deadlock finding names a stage, by mode.
 _STAGE_KIND = {MODE_MERGE: "reduce", MODE_GROUPED: "broadcast", MODE_INDEPENDENT: "alltoall"}
-
-#: Primitives whose flows all terminate at the sub-collective root.
-_REDUCE_FAMILY = (Primitive.REDUCE, Primitive.ALLREDUCE, Primitive.REDUCE_SCATTER)
 
 
 #: Every code :func:`verify_strategy` can emit.
@@ -302,7 +300,7 @@ def _check_root(
         )
     if not sc.flows:
         return violations
-    if primitive in _REDUCE_FAMILY:
+    if primitive.mode == MODE_MERGE:
         for flow_idx, flow in enumerate(sc.flows):
             if flow.dst != sc.root:
                 violations.append(
@@ -323,7 +321,7 @@ def _check_root(
                     "the merged unit there",
                 )
             )
-    elif primitive in (Primitive.BROADCAST, Primitive.ALLGATHER):
+    elif primitive.mode == MODE_GROUPED:
         for flow_idx, flow in enumerate(sc.flows):
             if flow.src != sc.root:
                 violations.append(

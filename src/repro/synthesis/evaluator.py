@@ -57,7 +57,14 @@ from typing import (
 
 from repro.errors import SynthesisError
 from repro.hardware.gpu import GpuSpec
-from repro.synthesis.strategy import Primitive, Strategy, SubCollective, chunk_count
+from repro.synthesis.strategy import (
+    MODE_GROUPED,
+    MODE_INDEPENDENT,
+    Primitive,
+    Strategy,
+    SubCollective,
+    chunk_count,
+)
 from repro.topology.graph import EdgeKind, LogicalTopology, NodeId, NodeKind
 
 EdgeKey = Tuple[NodeId, NodeId]
@@ -70,22 +77,6 @@ EdgeCost = Tuple[float, float]
 #: Edge crossings departing together: (feeder stage, edge indices) — see
 #: :class:`_Shape`.
 Run = Tuple[int, Tuple[int, ...]]
-
-#: Traffic-unit modes, one per bandwidth-sharing rule.
-MODE_MERGE = "merge"  # reduce-family: units merge at aggregation points
-MODE_GROUPED = "grouped"  # broadcast: replicas share one unit per source
-MODE_INDEPENDENT = "independent"  # alltoall: every flow is its own unit
-#: The mode of each primitive's flows as a strategy stores them (for
-#: AllReduce, its reduce half; the executor replays them reversed, grouped).
-UNIT_MODES = {
-    Primitive.REDUCE: MODE_MERGE,
-    Primitive.REDUCE_SCATTER: MODE_MERGE,
-    Primitive.ALLREDUCE: MODE_MERGE,
-    Primitive.BROADCAST: MODE_GROUPED,
-    Primitive.ALLGATHER: MODE_GROUPED,
-    Primitive.ALLTOALL: MODE_INDEPENDENT,
-}
-
 
 def agg_unit(node: NodeId) -> Unit:
     """The unit an aggregating node publishes its merged chunks under."""
@@ -148,7 +139,7 @@ def _edge_units(
 ) -> Dict[EdgeKey, set]:
     """:func:`edge_units` of flows walking ``paths``, summed at ``aggregating``:
     each edge gets the :func:`path_units` unit leaving its tail."""
-    mode = UNIT_MODES[primitive]
+    mode = primitive.mode
     units: Dict[EdgeKey, set] = defaultdict(set)
     for flow_idx, path in enumerate(paths):
         for edge, unit in zip(
@@ -435,7 +426,7 @@ class CompiledStrategy:
         route, built on first use."""
         primitive = self.strategy.primitive
         aggregating = _aggregating_nodes(primitive, sc)
-        key = (primitive.needs_aggregation, UNIT_MODES[primitive], aggregating)
+        key = (primitive.mode, aggregating)
         shape = route.shapes.get(key)
         if shape is None:
             if len(route.shapes) >= _SHAPES_PER_ROUTE:

@@ -26,8 +26,9 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SynthesisError
-from repro.synthesis.aggregation import default_aggregation, improve_aggregation
+from repro.synthesis.aggregation import improve_aggregation
 from repro.synthesis.chunking import chunk_candidates
+from repro.synthesis.decomposition import Decomposition, Part
 from repro.synthesis.evaluator import (
     CompiledStrategy,
     Route,
@@ -42,8 +43,8 @@ from repro.synthesis.routing import (
     instance_network_bandwidth,
     tree_walks,
 )
-from repro.synthesis.strategy import Flow, Primitive, Strategy, SubCollective
-from repro.topology.graph import LogicalTopology, gpu_node
+from repro.synthesis.strategy import MODE_MERGE, Flow, Primitive, Strategy, SubCollective
+from repro.topology.graph import LogicalTopology
 
 
 #: Route directions, the first field of a :class:`StructureCache` key.
@@ -210,32 +211,26 @@ class Synthesizer:
         ``root`` applies to Reduce/Broadcast (defaults to the lowest rank).
         ``tensor_size`` is the per-rank tensor size S in bytes.
         """
-        participants = sorted(set(participants))
-        if not participants:
-            raise SynthesisError("no participants")
+        request = Decomposition(primitive, tensor_size, participants, root)
         if tensor_size <= 0:
             raise SynthesisError("tensor size must be positive")
-        if root is not None and root not in participants:
-            raise SynthesisError(f"root {root} is not a participant")
         started = time.perf_counter()
         self.last_report = SynthesisReport()
-
+        participants = request.participants
+        m = self.config.parallelism
         if len(participants) == 1:
-            strategy = self._trivial(primitive, tensor_size, participants)
-        elif primitive in (Primitive.REDUCE, Primitive.BROADCAST):
-            strategy = self._synthesize_rooted(
-                primitive, tensor_size, participants, root if root is not None else participants[0]
-            )
-        elif primitive is Primitive.ALLREDUCE:
-            strategy = self._synthesize_allreduce(tensor_size, participants)
-        elif primitive is Primitive.ALLGATHER:
-            strategy = self._synthesize_allgather(tensor_size, participants)
-        elif primitive is Primitive.REDUCE_SCATTER:
-            strategy = self._synthesize_reduce_scatter(tensor_size, participants)
+            strategy = request.trivial()
         elif primitive is Primitive.ALLTOALL:
-            strategy = self._synthesize_alltoall(tensor_size, participants)
-        else:  # pragma: no cover - exhaustive over enum
-            raise SynthesisError(f"unsupported primitive {primitive}")
+            strategy = self._search_direct(request, request.parts(m))
+        else:
+            # AllReduce spreads its M roots over instances; the executor
+            # replays its stored reduce flows reversed as the broadcast half,
+            # pipelined (Sec. V-B multi-stage parallelism).
+            if primitive is Primitive.ALLREDUCE:
+                channels = self._spread_roots(participants, m)
+            else:
+                channels = [request.root] * m
+            strategy = self._search(request, request.parts(channels))
 
         self.structures.release_intern_table()
         self.last_report.solve_seconds = time.perf_counter() - started
@@ -268,99 +263,25 @@ class Synthesizer:
             ).inc(primitive=primitive.value)
         return strategy
 
-    # -- per-primitive synthesis ---------------------------------------------------
+    # -- the search core ---------------------------------------------------------------
 
-    def _trivial(
-        self, primitive: Primitive, tensor_size: float, participants: List[int]
-    ) -> Strategy:
-        """Single participant: nothing to communicate, but keep the shape."""
-        rank = participants[0]
-        node = gpu_node(rank)
-        sc = SubCollective(
-            index=0,
-            size=Strategy.expected_total_size(primitive, tensor_size, 1),
-            chunk_size=tensor_size,
-            flows=[],
-            root=node if primitive.has_root else None,
-        )
-        return Strategy(
-            primitive=primitive,
-            tensor_size=tensor_size,
-            participants=participants,
-            subcollectives=[sc],
-            predicted_time=0.0,
-            routing_family="trivial",
-        )
-
-    def _synthesize_rooted(
-        self,
-        primitive: Primitive,
-        tensor_size: float,
-        participants: List[int],
-        root: int,
-    ) -> Strategy:
-        """Reduce or Broadcast with a fixed designated root."""
-        roots = [root] * self.config.parallelism
-        return self._search(primitive, tensor_size, participants, roots)
-
-    def _synthesize_allreduce(self, tensor_size: float, participants: List[int]) -> Strategy:
-        """AllReduce: reduce strategies with roots spread over instances.
-
-        The stored flows are the *reduce* half; the executor replays them
-        reversed for the broadcast half, pipelined (Sec. V-B multi-stage
-        parallelism).
-        """
-        roots = self._spread_roots(participants, self.config.parallelism)
-        return self._search(Primitive.ALLREDUCE, tensor_size, participants, roots)
-
-    def _synthesize_allgather(self, tensor_size: float, participants: List[int]) -> Strategy:
-        """AllGather: one Broadcast of each rank's shard (Sec. IV-D)."""
-        return self._search(
-            Primitive.ALLGATHER,
-            tensor_size,
-            participants,
-            roots=list(participants),
-            partition_size=tensor_size,
-        )
-
-    def _synthesize_reduce_scatter(
-        self, tensor_size: float, participants: List[int]
-    ) -> Strategy:
-        """ReduceScatter: one per-partition Reduce rooted at each rank."""
-        return self._search(
-            Primitive.REDUCE_SCATTER,
-            tensor_size,
-            participants,
-            roots=list(participants),
-            partition_size=tensor_size / len(participants),
-        )
-
-    def _synthesize_alltoall(self, tensor_size: float, participants: List[int]) -> Strategy:
-        """AlltoAll: direct pairwise flows, M parallel partitions."""
-        world = len(participants)
-        per_pair = tensor_size / world
-        m = self.config.parallelism
+    def _search_direct(self, request: Decomposition, parts: List[Part]) -> Strategy:
+        """AlltoAll: direct pairwise flows in every part; only the chunk
+        size is searched."""
+        participants = request.participants
         route = self.structures.route(
             array("i", [_DIRECT, *participants]).tobytes(),
             lambda: alltoall_walks(self.topology, participants),
         )
-        chunks = self._chunks(per_pair / m)
-        strategy = Strategy(
-            primitive=Primitive.ALLTOALL,
-            tensor_size=tensor_size,
-            participants=participants,
-            subcollectives=[
-                SubCollective(
-                    index=index,
-                    size=per_pair / m,
-                    chunk_size=chunks[0],
-                    flows=flows_along(route.paths),
-                )
-                for index in range(m)
+        chunks = self._chunks(parts[0].size)
+        strategy = request.strategy(
+            [
+                request.subcollective(part, chunks[0], None, flows_along(route.paths))
+                for part in parts
             ],
-            routing_family="direct",
+            "direct",
         )
-        scored = CompiledScore(self.evaluator, strategy, [route] * m)
+        scored = CompiledScore(self.evaluator, strategy, [route] * len(parts))
         best: Optional[Tuple[float, float]] = None
         for chunk in chunks:
             predicted = scored.score(chunk)
@@ -370,34 +291,20 @@ class Synthesizer:
         assert best is not None
         return self._settle(strategy, *best)
 
-    # -- the search core ---------------------------------------------------------------
-
-    def _search(
-        self,
-        primitive: Primitive,
-        tensor_size: float,
-        participants: List[int],
-        roots: List[int],
-        partition_size: Optional[float] = None,
-    ) -> Strategy:
-        """Enumerate families × chunk sizes for a rooted (tree) primitive.
-
-        ``roots`` gives the root of each sub-collective (its length is the
-        number of sub-collectives). ``partition_size`` overrides the
-        per-sub-collective size (default: S / len(roots))."""
-        size_each = partition_size if partition_size is not None else tensor_size / len(roots)
-        all_chunks = self._chunks(size_each)
+    def _search(self, request: Decomposition, parts: List[Part]) -> Strategy:
+        """Enumerate families × chunk sizes for a rooted (tree) primitive
+        split into ``parts``."""
+        all_chunks = self._chunks(parts[0].size)
         # Route and compile each family once; every (family, chunk)
         # candidate below is then one timing pass over that structure.
         scored: Dict[str, CompiledScore] = {}
         for family_name in self.config.families:
             trees = [
-                self._tree(family_name, participants, sc_root, index)
-                for index, sc_root in enumerate(roots)
+                self._tree(family_name, request.participants, part.root, part.index)
+                for part in parts
             ]
             scored[family_name] = self._routed(
-                primitive, tensor_size, participants, roots, trees, all_chunks[0],
-                size_each, family_name,
+                request, parts, trees, all_chunks[0], family_name
             )
 
         report = self.last_report
@@ -440,52 +347,34 @@ class Synthesizer:
         for sc, route in zip(winner.strategy.subcollectives, winner.routes):
             sc.flows = flows_along(route.paths)
         strategy = self._settle(winner.strategy, predicted, chunk)
-        if primitive.needs_aggregation:
+        if request.primitive.needs_aggregation:
             improve_aggregation(winner, chunk)
         return strategy
 
     def _routed(
         self,
-        primitive: Primitive,
-        tensor_size: float,
-        participants: List[int],
-        roots: List[int],
+        request: Decomposition,
+        parts: List[Part],
         trees: List,
         chunk: float,
-        size_each: float,
         family_name: str,
     ) -> CompiledScore:
         """Build and compile one family's strategy from its trees. Its
         sub-collectives carry no flows yet: the score reads their routes."""
-        broadcast = primitive is Primitive.BROADCAST or primitive is Primitive.ALLGATHER
-        subcollectives = []
-        routed = []
-        for index, (sc_root, tree) in enumerate(zip(roots, trees)):
-            route = self._tree_route(tree, sc_root, toward_root=not broadcast)
-            routed.append(route)
-            subcollectives.append(
-                SubCollective(
-                    index=index,
-                    size=size_each,
-                    chunk_size=chunk,
-                    flows=[],
-                    aggregation={} if broadcast else default_aggregation(tree, sc_root),
-                    root=gpu_node(sc_root),
-                )
-            )
-        strategy = Strategy(
-            primitive=primitive,
-            tensor_size=tensor_size,
-            participants=participants,
-            subcollectives=subcollectives,
-            routing_family=family_name,
+        toward_root = request.primitive.mode == MODE_MERGE
+        routed = [
+            self._tree_route(tree, part.root, toward_root) for part, tree in zip(parts, trees)
+        ]
+        strategy = request.strategy(
+            [request.subcollective(part, chunk, tree, []) for part, tree in zip(parts, trees)],
+            family_name,
         )
         mirrored = None
-        if primitive is Primitive.ALLREDUCE:
+        if request.primitive is Primitive.ALLREDUCE:
             # The broadcast half walks the same trees from their roots.
             mirrored = [
-                self._tree_route(tree, sc_root, toward_root=False)
-                for sc_root, tree in zip(roots, trees)
+                self._tree_route(tree, part.root, toward_root=False)
+                for part, tree in zip(parts, trees)
             ]
         return CompiledScore(self.evaluator, strategy, routed, mirrored)
 

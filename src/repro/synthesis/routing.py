@@ -149,7 +149,7 @@ def _group_by_instance(
     return dict(groups)
 
 
-def _local_leaders(
+def local_leaders(
     topology: LogicalTopology,
     groups: Dict[int, List[int]],
     root: int,
@@ -172,7 +172,7 @@ def _local_leaders(
     return leaders
 
 
-def _attach_locals(tree: Tree, groups: Dict[int, List[int]], leaders: Dict[int, int]) -> None:
+def attach_locals(tree: Tree, groups: Dict[int, List[int]], leaders: Dict[int, int]) -> None:
     """Star every non-leader GPU onto its instance leader."""
     for instance_id, ranks in groups.items():
         leader = leaders[instance_id]
@@ -189,22 +189,24 @@ def hierarchical_tree(
 ) -> Tree:
     """Local leaders + bandwidth-sorted binary tree over leaders."""
     groups = _group_by_instance(topology, participants)
-    leaders = _local_leaders(topology, groups, root, rotation)
+    leaders = local_leaders(topology, groups, root, rotation)
     tree: Tree = {root: root}
-    _attach_locals(tree, groups, leaders)
+    attach_locals(tree, groups, leaders)
 
     root_instance = topology.cluster.gpu(root).instance_id
     other = [iid for iid in groups if iid != root_instance]
     # High-bandwidth instances become interior nodes; weak NICs end up as
     # leaves so they never forward other instances' aggregated traffic.
     other.sort(key=lambda iid: instance_network_bandwidth(topology, iid), reverse=True)
-    ordered_instances = [root_instance] + other
-    for position, instance_id in enumerate(ordered_instances):
-        if position == 0:
-            continue
-        parent_instance = ordered_instances[(position - 1) // 2]
-        tree[leaders[instance_id]] = leaders[parent_instance]
+    binary_tree_over(tree, [root_instance] + other, leaders)
     return tree
+
+
+def binary_tree_over(tree: Tree, instances: Sequence[int], leaders: Dict[int, int]) -> None:
+    """Link the leaders of ``instances`` (the root's first) into a binary
+    tree in that order: position p's parent is position (p − 1) // 2."""
+    for position in range(1, len(instances)):
+        tree[leaders[instances[position]]] = leaders[instances[(position - 1) // 2]]
 
 
 def hierarchical_star(
@@ -215,9 +217,9 @@ def hierarchical_star(
 ) -> Tree:
     """Local leaders all sending directly to the root."""
     groups = _group_by_instance(topology, participants)
-    leaders = _local_leaders(topology, groups, root, rotation)
+    leaders = local_leaders(topology, groups, root, rotation)
     tree: Tree = {root: root}
-    _attach_locals(tree, groups, leaders)
+    attach_locals(tree, groups, leaders)
     root_instance = topology.cluster.gpu(root).instance_id
     for instance_id, leader in leaders.items():
         if instance_id != root_instance:
@@ -238,9 +240,9 @@ def hierarchical_chain(
     for zero fan-in contention.
     """
     groups = _group_by_instance(topology, participants)
-    leaders = _local_leaders(topology, groups, root, rotation)
+    leaders = local_leaders(topology, groups, root, rotation)
     tree: Tree = {root: root}
-    _attach_locals(tree, groups, leaders)
+    attach_locals(tree, groups, leaders)
     root_instance = topology.cluster.gpu(root).instance_id
     other = [iid for iid in groups if iid != root_instance]
     other.sort(key=lambda iid: instance_network_bandwidth(topology, iid))

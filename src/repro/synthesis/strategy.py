@@ -19,6 +19,13 @@ from repro.errors import StrategyFormatError, SynthesisError, TopologyError
 from repro.topology.graph import NodeId, NodeKind, gpu_node, parse_node
 
 
+#: The direction of a primitive's stored flows, named by the traffic-unit
+#: mode it implies (see :attr:`Primitive.mode`).
+MODE_MERGE = "merge"  # toward each root: flows merge where they aggregate
+MODE_GROUPED = "grouped"  # from each root: replicas share one unit per source
+MODE_INDEPENDENT = "independent"  # pairwise: every flow is its own unit
+
+
 class Primitive(enum.Enum):
     """Collective primitives AdapCC synthesizes strategies for.
 
@@ -36,9 +43,22 @@ class Primitive(enum.Enum):
     ALLTOALL = "alltoall"
 
     @property
+    def mode(self) -> str:
+        """The direction of the flows a strategy stores, as the traffic-unit
+        mode it implies: toward each root (:data:`MODE_MERGE`; for
+        AllReduce its reduce half, which the executor replays reversed),
+        from each root (:data:`MODE_GROUPED`) or pairwise
+        (:data:`MODE_INDEPENDENT`)."""
+        if self is Primitive.ALLTOALL:
+            return MODE_INDEPENDENT
+        if self is Primitive.BROADCAST or self is Primitive.ALLGATHER:
+            return MODE_GROUPED
+        return MODE_MERGE
+
+    @property
     def needs_aggregation(self) -> bool:
         """Whether the primitive sums tensors (sets hasKernel on ranks)."""
-        return self in (Primitive.REDUCE, Primitive.ALLREDUCE, Primitive.REDUCE_SCATTER)
+        return self.mode == MODE_MERGE
 
     @property
     def has_root(self) -> bool:

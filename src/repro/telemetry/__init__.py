@@ -5,7 +5,7 @@ Three pieces (see DESIGN.md §7):
 * a zero-dependency tracing core — :class:`Span`/:class:`Tracer` with
   explicit (simulator or wall) timestamps, hierarchical span ids, and a
   per-cluster :class:`TelemetryHub` that is a no-op unless enabled
-  (``REPRO_TELEMETRY=1`` or ``AdapCCSession(telemetry=True)``);
+  (``AdapCCSession(telemetry=True)`` or a hub passed in);
 * a metrics registry — :class:`Counter`, :class:`Gauge`, and
   :class:`Histogram` with fixed bucket edges, exportable as Prometheus
   text or JSON;
@@ -23,14 +23,12 @@ synthesizer, chunk pipeline, relay coordinator, chaos injector);
 
 from repro.telemetry.bridge import TelemetryRecorder
 from repro.telemetry.core import (
-    ENV_TELEMETRY,
     Span,
     TelemetryConsumer,
     TelemetryHub,
     Tracer,
     hub,
     set_hub,
-    telemetry_enabled,
 )
 from repro.telemetry.export import (
     SCHEMA_VERSION,
@@ -49,7 +47,6 @@ from repro.telemetry.metrics import (
 )
 
 __all__ = [
-    "ENV_TELEMETRY",
     "SCHEMA_VERSION",
     "DEFAULT_TIME_BUCKETS",
     "Counter",
@@ -66,7 +63,6 @@ __all__ = [
     "parse_jsonl",
     "read_jsonl",
     "set_hub",
-    "telemetry_enabled",
     "to_jsonl",
     "write_jsonl",
 ]

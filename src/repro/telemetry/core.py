@@ -24,16 +24,15 @@ this module knows the column layout. A hot call site binds its name,
 category, track and argument keys once with :meth:`TelemetryHub.site` and
 then passes only a start and a value tuple per span.
 
-Enable telemetry with the ``REPRO_TELEMETRY=1`` environment variable or
-``AdapCCSession(telemetry=True)``; capture programmatically by passing your
-own hub (``Cluster(..., hub=mine)``, ``AdapCCSession(telemetry=mine)``).
-:func:`hub` / :func:`set_hub` are the process default a ``Cluster`` built
-without one captures (DESIGN.md "State ownership").
+Enable telemetry per session (``AdapCCSession(telemetry=True)``) or
+capture programmatically by passing your own hub (``Cluster(..., hub=mine)``,
+``AdapCCSession(telemetry=mine)``). :func:`hub` / :func:`set_hub` are the
+process default a ``Cluster`` built without one captures, disabled until
+replaced (DESIGN.md "State ownership").
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
@@ -43,11 +42,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.errors import TelemetryError
 from repro.telemetry.metrics import MetricsRegistry
 
-#: Environment variable that switches the default hub on.
-ENV_TELEMETRY = "REPRO_TELEMETRY"
-
-_FALSEY = {"", "0", "false", "no", "off"}
-
 #: One export row (see :meth:`Tracer.export_rows`).
 Row = Tuple[Any, Any, bool, str, Optional[str], int, tuple]
 #: One row of :meth:`Tracer.export_table`: an export row with the
@@ -56,12 +50,6 @@ TableRow = Tuple[Any, Any, bool, str, Optional[str], int, int]
 #: What a record shares with every record of its call site:
 #: ``(name, category, track, arg keys)``.
 Site = Tuple[Any, Any, Any, Tuple[str, ...]]
-
-
-def telemetry_enabled() -> bool:
-    """Whether the environment asks for telemetry (``REPRO_TELEMETRY``)."""
-    env = os.environ.get(ENV_TELEMETRY)
-    return env is not None and env.strip().lower() not in _FALSEY
 
 
 class Span:
@@ -879,21 +867,20 @@ class TelemetryHub:
         return event
 
 
-#: The process-default hub (created lazily so the env var is read on first use).
+#: The process-default hub, created on first use.
 _HUB: Optional[TelemetryHub] = None
 
 
 def hub() -> TelemetryHub:
     """The process-default hub, created on first use.
 
-    What a ``Cluster`` built without ``hub=`` captures. The initial enabled
-    state comes from ``REPRO_TELEMETRY``; callers that build their world
-    afterwards flip it with :meth:`TelemetryHub.enable` or replace it with
-    :func:`set_hub`.
+    What a ``Cluster`` built without ``hub=`` captures. It starts
+    disabled; callers that build their world afterwards flip it with
+    :meth:`TelemetryHub.enable` or replace it with :func:`set_hub`.
     """
     global _HUB
     if _HUB is None:
-        _HUB = TelemetryHub(enabled=telemetry_enabled())
+        _HUB = TelemetryHub(enabled=False)
     return _HUB
 
 

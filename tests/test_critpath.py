@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from repro.critpath import (
 )
 from repro.critpath.__main__ import main as critpath_cli
 from repro.hardware.presets import make_config, make_homo_cluster
-from repro.observe import ObserveConfig
+from repro.fleet.runner import LinkOccupancy
+from repro.observe import ObserveConfig, Watchdog
 from repro.synthesis.strategy import Primitive
-from repro.telemetry.core import TelemetryHub
+from repro.telemetry.core import Span, TelemetryHub
 from repro.telemetry.export import parse_jsonl, to_jsonl
 
 SPECS = make_homo_cluster(num_servers=2, gpus_per_server=4)
@@ -182,6 +184,28 @@ class TestConsumer:
         offline = analyze_run(parse_jsonl(to_jsonl(fresh)))
         assert consumer.span_count == offline["span_count"]
         assert consumer.top_link() == offline["top_link"]["name"]
+
+    def test_span_consumers_read_args_of_chunk_spans_only(self, monkeypatch):
+        """The critpath consumer, the watchdog and the fleet's link
+        occupancy drop a closed span by its category before they build its
+        args; only ``chunk`` spans are read."""
+        hub = TelemetryHub(enabled=True)
+        env = BenchEnvironment(make_config([2, 2]), "adapcc", hub=hub)
+        env.backend.verify = False
+        Watchdog(env.topology).attach(hub)
+        hub.subscribe(CritpathConsumer())
+        hub.subscribe(LinkOccupancy())
+        strategy = env.backend.plan(Primitive.ALLREDUCE, 4 * 1024 * 1024, env.ranks)
+        reads = Counter()
+        args = Span.args.fget
+        monkeypatch.setattr(
+            Span, "args", property(lambda span: reads.update([span.category]) or args(span))
+        )
+        inputs = {rank: np.full(1024, float(rank + 1)) for rank in env.ranks}
+        env.backend.run(strategy, inputs, byte_scale=4 * 1024 * 1024 / (1024 * 8.0))
+        categories = Counter(span.category for span in hub.tracer.spans)
+        assert categories["chunk"] and len(categories) > 1  # other spans were closed
+        assert set(reads) == {"chunk"}
 
     def test_reset_clears_the_window(self):
         consumer = CritpathConsumer()

@@ -604,7 +604,7 @@ class TestOneUnitRule:
                     continue
                 for _flip in range(4):
                     stage = lower(primitive, sc)[0]
-                    assert stage.mode == evaluator_module.UNIT_MODES[primitive]
+                    assert stage.mode == primitive.mode
                     wiring = wire(stage.flows, stage.mode, stage.aggregates_at)
                     sent = {((tail, head), unit) for tail, head, unit in wiring.senders}
                     priced = evaluator_module.edge_units(primitive, sc)

@@ -35,10 +35,9 @@ from repro.telemetry import TelemetryHub, hub, to_jsonl
 from repro.topology.graph import LogicalTopology
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-#: The only modules that may read the environment: ``REPRO_TELEMETRY``
-#: fills the process-default hub, and ``REPRO_BENCH_POISON`` is the sweep
-#: failure test's one channel into a ``spawn`` worker.
-ENV_READERS = {"telemetry/core.py", "bench/sweep.py"}
+#: The only module that may read the environment: ``REPRO_BENCH_POISON``
+#: is the sweep failure test's one channel into a ``spawn`` worker.
+ENV_READERS = {"bench/sweep.py"}
 
 #: Two different jobs: cluster shape and tensor length differ, so a record
 #: landing on the wrong stream cannot go unnoticed.
