@@ -20,24 +20,13 @@ DEFAULT_CYCLE_SECONDS = 0.005
 
 
 def collective_volume(primitive: Primitive, tensor_size: float, world: int) -> float:
-    """Total communicated volume S for the buy-cost estimate (Sec. IV-C.1).
-
-    AllReduce moves 2(N−1)× the tensor, AlltoAll N×, Broadcast 1× — the
-    paper's exact accounting.
-    """
+    """Total communicated volume S for the buy-cost estimate (Sec. IV-C.1):
+    the contract's, e.g. 2(N−1)× the tensor for AllReduce, N× for AlltoAll
+    and 1× for Broadcast — the paper's exact accounting."""
     if world <= 0:
         raise CoordinationError("world size must be positive")
-    if primitive is Primitive.ALLREDUCE:
-        return 2 * max(0, world - 1) * tensor_size
-    if primitive is Primitive.ALLTOALL:
-        return world * tensor_size
-    if primitive is Primitive.BROADCAST:
-        return tensor_size
-    if primitive in (Primitive.REDUCE, Primitive.REDUCE_SCATTER):
-        return max(0, world - 1) * tensor_size
-    if primitive is Primitive.ALLGATHER:
-        return max(0, world - 1) * tensor_size
-    raise CoordinationError(f"no volume rule for {primitive}")
+    a, b = primitive.contract.volume
+    return (a * (world - 1) + b) * tensor_size
 
 
 def aggregate_bandwidth(topology: LogicalTopology, strategy: Strategy) -> float:

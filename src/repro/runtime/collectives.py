@@ -18,8 +18,11 @@ keeps the plan until the strategy is dropped (:func:`compiled`). A
 launch then only allocates per-call state — ready events, one
 :class:`~repro.runtime.executor.ChunkPipeline` per stage, the completion
 event — and the outputs: one uninitialised block (:meth:`_Run.block`)
-whose rows are the ranks' outputs. One builder per primitive zeroes the
-bytes that nothing will write, starts the pipelines and, once they
+whose rows are the ranks' outputs. The primitive's
+:class:`~repro.synthesis.strategy.Contract` picks one of three builders
+by its output layout — the reduce family (Reduce, ReduceScatter),
+delivery (Broadcast, AllGather, AlltoAll) and AllReduce — which zeroes
+the bytes that nothing will write, starts the pipelines and, once they
 finish, writes each delivered chunk once, straight into its output slice
 (:func:`~repro.runtime.executor.assemble`). A root's aggregate lands in
 its own output slice (the pipeline's ``sink``), so the root's add and an
@@ -63,7 +66,19 @@ from repro.runtime.partition import (
     partition_ranges,
 )
 from repro.runtime.stages import MODE_MERGE, FlowPath, agg_unit, lower
-from repro.synthesis.strategy import Primitive, Strategy, SubCollective
+from repro.synthesis.strategy import (
+    OUT_CONCAT,
+    OUT_COPY,
+    OUT_EXCHANGE,
+    OUT_ROOTS,
+    OUT_SUM,
+    ROOT_CHANNEL,
+    ROOT_NONE,
+    SHARE_WHOLE,
+    Primitive,
+    Strategy,
+    SubCollective,
+)
 from repro.topology.graph import LogicalTopology
 
 
@@ -206,7 +221,8 @@ class CollectivePlan:
         return tuple(plans)
 
     def layout(self, length: int, itemsize: float, max_chunks: Optional[int]) -> List[Part]:
-        """The :class:`Part` of every sub-collective that carries data."""
+        """The :class:`Part` of every sub-collective (that of an empty
+        partition has no chunks)."""
         key = (length, itemsize, max_chunks)
         parts = self._layouts.get(key)
         if parts is None:
@@ -214,15 +230,15 @@ class CollectivePlan:
         return parts
 
     def _partition(self, length: int, itemsize: float, max_chunks: Optional[int]) -> List[Part]:
+        contract = self.primitive.contract
         sizes = [sc.size for sc in self.subcollectives]
-        if self.primitive is Primitive.ALLGATHER:
-            # One broadcast of the whole shard per rank.
-            ranges = [(0, length)] * len(sizes)
-        elif self.primitive is Primitive.ALLTOALL:
-            # Each per-pair block is partitioned across sub-collectives.
-            ranges = partition_ranges(length // self.world, sizes)
+        block = contract.block(length, self.world)
+        if contract.partition == SHARE_WHOLE:
+            # Each sub-collective carries one source's whole block.
+            ranges = [(0, block)] * len(sizes)
         else:
-            ranges = partition_ranges(length, sizes)
+            # The sub-collectives split each block by their sizes.
+            ranges = partition_ranges(block, sizes)
         parts = []
         for position, (sc, (start, end)) in enumerate(zip(self.subcollectives, ranges)):
             chunk_elems = elements_for_bytes(sc.chunk_size, itemsize)
@@ -231,18 +247,17 @@ class CollectivePlan:
                 floor_elems = -(-span // max_chunks) if span else 1
                 chunk_elems = max(chunk_elems, floor_elems)
             chunks = chunk_ranges(start, end, chunk_elems)
-            if chunks:
-                parts.append(
-                    Part(
-                        position,
-                        sc,
-                        start,
-                        end,
-                        chunks,
-                        [(lo - start, hi - start) for lo, hi in chunks],
-                        [(hi - lo) * itemsize for lo, hi in chunks],
-                    )
+            parts.append(
+                Part(
+                    position,
+                    sc,
+                    start,
+                    end,
+                    chunks,
+                    [(lo - start, hi - start) for lo, hi in chunks],
+                    [(hi - lo) * itemsize for lo, hi in chunks],
                 )
+            )
         return parts
 
 
@@ -377,7 +392,7 @@ class _Run:
         with data."""
         stages = self.plan.stages(self.active, self.late)
         layout = self.plan.layout(self.length, self.itemsize, self.max_chunks)
-        return [(part, stages[part.position]) for part in layout]
+        return [(part, stages[part.position]) for part in layout if part.chunks]
 
     def input_source(self, part: Part, offsets=None):
         """Chunk source reading a flow's source rank's input tensor once it
@@ -433,63 +448,44 @@ class _Run:
         )
 
 
-def _root_sum(run: _Run, part: Part, plan: StagePlan, pipeline, out: np.ndarray) -> None:
-    """Complete ``part``'s reduce at its root in ``out``: the aggregate
-    that landed there plus, if the root is active, its own tensor (the
-    root has no flow of its own). An inactive root sums the active ranks
-    only: zeros when no active flow reaches it."""
-    root = part.sc.root
-    own = run.inputs[root.index][part.start : part.end] if root.index in run.active else None
-    if plan.stage.flows:
-        assemble(pipeline.row(agg_unit(root), root), out, part.bounds, own)
-    elif own is not None:
-        out[:] = own
-    else:
-        out[:] = 0
-
-
-def _reduce(run: _Run):
-    """Reduce: the root rank receives the elementwise sum of all active
-    ranks' tensors."""
-    root = run.strategy.subcollectives[0].root.index
-    if root not in run.active:
-        raise CommunicatorError("the reduce root must be an active rank")
-    # The partitions tile the tensor, so every byte is written.
-    (output,) = run.block(1, run.length)
-    launched = []
-    for part, (plan,) in run.parts():
-        out = output[part.start : part.end]
-        pipeline = run.start(plan, part, run.input_source(part), out)
-        launched.append((part, plan, pipeline, out))
-    # The final aggregation also needs the root's own tensor.
-    run.events.append(run.ready_event(root))
-
-    def collect():
-        for part, plan, pipeline, out in launched:
-            _root_sum(run, part, plan, pipeline, out)
-        return run.result({root: output})
-
-    return collect
-
-
-def _reduce_scatter(run: _Run):
-    """ReduceScatter: rank r receives the sum of partition r over all
-    active ranks. One per-partition Reduce rooted at each rank."""
-    # Rank r's output is partition r's slice of one row; the partitions
-    # tile it, so every byte is written.
+def _reduce_family(run: _Run):
+    """Reduce and ReduceScatter: each partition's sum over the active ranks
+    lands at its sub-collective's root, and a root's output spans its
+    partitions — Reduce's root holds the whole tensor, ReduceScatter's rank
+    r partition r, an empty one included. The partitions tile one row, so
+    every byte is written."""
     (row,) = run.block(1, run.length)
-    outputs = {}
+    spans: Dict[int, Tuple[int, int]] = {}
+    for part in run.plan.layout(run.length, run.itemsize, run.max_chunks):
+        lo, hi = spans.get(part.sc.root.index, (part.start, part.end))
+        spans[part.sc.root.index] = (min(lo, part.start), max(hi, part.end))
+    if run.strategy.primitive.contract.root == ROOT_CHANNEL and not spans.keys() <= run.active:
+        raise CommunicatorError("the reduce root must be an active rank")
+    outputs = {rank: row[lo:hi] for rank, (lo, hi) in spans.items()}
     launched = []
     for part, (plan,) in run.parts():
-        out = outputs[part.sc.root.index] = row[part.start : part.end]
-        pipeline = run.start(plan, part, run.input_source(part), out)
-        launched.append((part, plan, pipeline, out))
-        if part.sc.root.index in run.active:  # the root adds its own tensor
-            run.events.append(run.ready_event(part.sc.root.index))
+        out = row[part.start : part.end]
+        launched.append((part, plan, run.start(plan, part, run.input_source(part), out), out))
+    # An active root's own tensor completes its sum.
+    run.events.extend(
+        run.ready_event(rank)
+        for rank in dict.fromkeys(part.sc.root.index for part, *_ in launched)
+        if rank in run.active
+    )
 
     def collect():
         for part, plan, pipeline, out in launched:
-            _root_sum(run, part, plan, pipeline, out)
+            # The aggregate that landed at the root plus, if the root is
+            # active, its own tensor (it has no flow of its own). An
+            # inactive root sums the active ranks only: zeros when no
+            # active flow reaches it.
+            root = part.sc.root
+            active = root.index in run.active
+            own = run.inputs[root.index][part.start : part.end] if active else None
+            if plan.stage.flows:
+                assemble(pipeline.row(agg_unit(root), root), out, part.bounds, own)
+            else:
+                out[:] = own if active else 0
         return run.result(outputs)
 
     return collect
@@ -503,28 +499,6 @@ def _zero_unreached(
     for rank in ranks:
         if rank != src and rank not in reached:
             outputs[rank][lo:hi] = 0
-
-
-def _broadcast(run: _Run):
-    """Broadcast: every participant receives the root's tensor."""
-    ranks = run.strategy.participants
-    root = run.strategy.subcollectives[0].root.index
-    outputs = dict(zip(ranks, run.block(len(ranks), run.length)))
-    launched = []
-    for part, (plan,) in run.parts():
-        reached = {flow.dst.index for flow in part.sc.flows}
-        _zero_unreached(outputs, ranks, root, reached, part.start, part.end)
-        launched.append((part, run.start(plan, part, run.input_source(part))))
-
-    def collect():
-        outputs[root][:] = run.inputs[root]
-        for part, pipeline in launched:
-            for idx, flow in enumerate(part.sc.flows):
-                out = outputs[flow.dst.index][part.start : part.end]
-                assemble(pipeline.terminal(idx), out, part.bounds)
-        return run.result(outputs)
-
-    return collect
 
 
 def _allreduce(run: _Run):
@@ -625,73 +599,58 @@ def _allreduce(run: _Run):
     return collect
 
 
-def _allgather(run: _Run):
-    """AllGather: every rank ends with the concatenation of all ranks'
-    shards, in rank order. One broadcast sub-collective per rank, each
-    carrying its shard in full (Sec. IV-D)."""
-    ranks = sorted(run.strategy.participants)
-    offsets = {rank: pos * run.length for pos, rank in enumerate(ranks)}
-    outputs = dict(zip(ranks, run.block(len(ranks), run.length * len(ranks))))
-    unsent = set(ranks)
-    launched = []
-    for part, (plan,) in run.parts():
-        root = part.sc.root.index
-        unsent.discard(root)
-        reached = {flow.dst.index for flow in part.sc.flows}
-        _zero_unreached(outputs, ranks, root, reached, offsets[root], offsets[root] + run.length)
-        launched.append((part, run.start(plan, part, run.input_source(part))))
-    for root in unsent:  # a shard no sub-collective carries
-        _zero_unreached(outputs, ranks, root, (), offsets[root], offsets[root] + run.length)
+def _deliver(run: _Run):
+    """Broadcast, AllGather and AlltoAll: each source's block reaches every
+    other participant, at the place the contract's output layout names.
 
-    def collect():
-        for rank in ranks:
-            outputs[rank][offsets[rank] : offsets[rank] + run.length] = run.inputs[rank]
-        for part, pipeline in launched:
-            base = offsets[part.sc.root.index]
-            for idx, flow in enumerate(part.sc.flows):
-                out = outputs[flow.dst.index][base : base + run.length]
-                assemble(pipeline.terminal(idx), out, part.bounds)
-        return run.result(outputs)
-
-    return collect
-
-
-def _alltoall(run: _Run):
-    """AlltoAll: rank d's output block s is rank s's input block d.
-
-    Tensor lengths must be divisible by the world size (standard
-    equal-split AlltoAll semantics); each per-pair block is partitioned
-    across sub-collectives.
+    The sources are Broadcast's root, or every rank: AllGather roots one
+    sub-collective at each, and AlltoAll's flows are pairwise. AlltoAll's
+    block is the source's L/N elements meant for the destination, so the
+    length must divide by the world size (equal-split semantics).
     """
+    contract = run.strategy.primitive.contract
     ranks = sorted(run.strategy.participants)
     world = len(ranks)
-    if run.length % world != 0:
+    exchange = contract.output == OUT_EXCHANGE
+    if exchange and run.length % world != 0:
         raise CommunicatorError(
             f"AlltoAll needs tensor length divisible by world size ({run.length} % {world})"
         )
-    block = run.length // world
-    position = {rank: pos for pos, rank in enumerate(ranks)}
-    outputs = dict(zip(ranks, run.block(world, run.length)))
+    block = contract.block(run.length, world)
+    width = run.length * world if contract.output == OUT_CONCAT else run.length
+    # Where a source's block sits in every output; under exchange, also
+    # where a destination's block sits in every input.
+    spread = 0 if contract.output == OUT_COPY else block
+    place = {rank: pos * spread for pos, rank in enumerate(ranks)}
+    outputs = dict(zip(ranks, run.block(world, width)))
+    sources = ranks
+    if contract.root == ROOT_CHANNEL:  # Broadcast's root, which roots every channel
+        sources = [run.strategy.subcollectives[0].root.index]
+    carried = set()
     launched = []
     for part, (plan,) in run.parts():
         flows = part.sc.flows
-        reached: Dict[int, set] = {src: set() for src in ranks}
+        carriers = ranks if contract.root == ROOT_NONE else (part.sc.root.index,)
+        reached: Dict[int, set] = {src: set() for src in carriers}
         for flow in flows:
             reached[flow.src.index].add(flow.dst.index)
         for src, dsts in reached.items():
-            base = position[src] * block
+            base = place[src]
             _zero_unreached(outputs, ranks, src, dsts, base + part.start, base + part.end)
-        # A flow reads the block of its source's tensor meant for its dst.
-        offsets = [position[flow.dst.index] * block for flow in flows]
+        carried.update(reached)
+        offsets = [place[flow.dst.index] for flow in flows] if exchange else None
         launched.append((part, run.start(plan, part, run.input_source(part, offsets))))
+    for src in sources:
+        if src not in carried:  # a trimmed strategy may carry none of it
+            _zero_unreached(outputs, ranks, src, (), place[src], place[src] + block)
 
     def collect():
-        for rank in ranks:
-            base = position[rank] * block
-            outputs[rank][base : base + block] = run.inputs[rank][base : base + block]
+        for src in sources:  # a source keeps its own block
+            base, read = place[src], place[src] if exchange else 0
+            outputs[src][base : base + block] = run.inputs[src][read : read + block]
         for part, pipeline in launched:
             for idx, flow in enumerate(part.sc.flows):
-                base = position[flow.src.index] * block
+                base = place[flow.src.index]
                 out = outputs[flow.dst.index][base + part.start : base + part.end]
                 assemble(pipeline.terminal(idx), out, part.bounds)
         return run.result(outputs)
@@ -699,13 +658,13 @@ def _alltoall(run: _Run):
     return collect
 
 
+#: The builder of each output layout.
 _BUILDERS = {
-    Primitive.REDUCE: _reduce,
-    Primitive.BROADCAST: _broadcast,
-    Primitive.ALLREDUCE: _allreduce,
-    Primitive.ALLGATHER: _allgather,
-    Primitive.REDUCE_SCATTER: _reduce_scatter,
-    Primitive.ALLTOALL: _alltoall,
+    OUT_ROOTS: _reduce_family,
+    OUT_SUM: _allreduce,
+    OUT_COPY: _deliver,
+    OUT_CONCAT: _deliver,
+    OUT_EXCHANGE: _deliver,
 }
 
 
@@ -736,7 +695,7 @@ def launch(
         pipeline_stages,
         late_ranks,
     )
-    collect = _BUILDERS[strategy.primitive](run)
+    collect = _BUILDERS[strategy.primitive.contract.output](run)
     run.begin_trace()
     done = run.sim.all_of(run.events)
     done.add_callback(run.end_trace)

@@ -44,19 +44,6 @@ UnitKey = Tuple
 FlowPath = Tuple[int, Sequence[NodeId]]
 Predicate = Callable[[NodeId], bool]
 
-#: Each primitive's stage tag prefixes per sub-collective. The first stage
-#: runs the stored flows in the primitive's mode; AllReduce's second replays
-#: them reversed, grouped, fed by the first at the sub-collective root.
-_PREFIXES = {
-    Primitive.REDUCE: ("reduce",),
-    Primitive.REDUCE_SCATTER: ("rs",),
-    Primitive.ALLREDUCE: ("allreduce-red", "allreduce-bc"),
-    Primitive.BROADCAST: ("bcast",),
-    Primitive.ALLGATHER: ("allgather",),
-    Primitive.ALLTOALL: ("a2a",),
-}
-
-
 def unit_label(unit: UnitKey) -> str:
     """Canonical string form of a traffic unit (the chunk spans' ``unit``)."""
     kind, value = unit
@@ -92,7 +79,7 @@ def lower(
     but contribute no data.
     """
     stages: List[Stage] = []
-    for position, prefix in enumerate(_PREFIXES[primitive]):
+    for position, prefix in enumerate(primitive.contract.stages):
         reverse = position > 0
         mode = MODE_GROUPED if reverse else primitive.mode
         merge = mode == MODE_MERGE

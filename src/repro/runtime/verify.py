@@ -11,9 +11,11 @@ invariant it enforces:
 * **partitioning** — sub-collective sizes S_m sum to the primitive's total
   traffic and chunk tiling covers each partition (C_m > 0,
   ⌈S_m/C_m⌉·C_m ≥ S_m);
-* **root placement** — reduce-family flows all terminate at the root, which
-  must aggregate (the executor gathers the ``("agg", root)`` unit there);
-  broadcast-family flows all originate at the root;
+* **root placement** — every sub-collective of a rooted primitive has a
+  root, and the per-rank roots (AllGather, ReduceScatter) are the
+  participants, each once; reduce-family flows all terminate at the root,
+  which must aggregate (the executor gathers the ``("agg", root)`` unit
+  there); broadcast-family flows all originate at the root;
 * **aggregation (eq. 2–3)** — a_{m,g} flags sit on GPU nodes lying on a
   flow path, form acyclic merge dependencies, and never increase any
   edge's traffic-unit load beyond the unaggregated flow count;
@@ -45,6 +47,7 @@ from repro.synthesis.strategy import (
     MODE_GROUPED,
     MODE_INDEPENDENT,
     MODE_MERGE,
+    ROOT_RANK,
     Primitive,
     Strategy,
     SubCollective,
@@ -114,9 +117,7 @@ def verify_strategy(strategy: Strategy, topology: LogicalTopology) -> List[Findi
             )
 
     total = sum(sc.size for sc in strategy.subcollectives)
-    expected = Strategy.expected_total_size(
-        strategy.primitive, strategy.tensor_size, len(pset)
-    )
+    expected = strategy.primitive.contract.total(strategy.tensor_size, len(pset))
     if abs(total - expected) > _REL_TOL * max(1.0, abs(expected)):
         violations.append(
             Finding(
@@ -132,6 +133,12 @@ def verify_strategy(strategy: Strategy, topology: LogicalTopology) -> List[Findi
         violations.append(
             Finding("subcollective-index", "strategy", "duplicate sub-collective indices")
         )
+    # One sub-collective rooted at each participant (AllGather, ReduceScatter).
+    roots = sorted(sc.root.index for sc in strategy.subcollectives if sc.root and sc.root.is_gpu)
+    ranked = strategy.primitive.contract.root == ROOT_RANK
+    if ranked and len(roots) == len(indices) and roots != sorted(participants):
+        message = f"per-rank roots {roots} are not the participants, each once"
+        violations.append(Finding("root-participant", "strategy", message))
 
     for sc in strategy.subcollectives:
         violations.extend(
@@ -206,9 +213,9 @@ def _check_flows(
     subject: str,
 ) -> List[Finding]:
     violations: List[Finding] = []
-    # AllReduce replays the reduce flows reversed for the broadcast stage,
-    # so the reverse of every edge must exist too.
-    check_reverse = primitive is Primitive.ALLREDUCE
+    # A second stage (AllReduce's broadcast) replays the flows reversed, so
+    # the reverse of every edge must exist too.
+    check_reverse = len(primitive.contract.stages) > 1
     covered_ranks: Set[int] = set()
     for flow_idx, flow in enumerate(sc.flows):
         fsubject = f"{subject}.flow{flow_idx}"

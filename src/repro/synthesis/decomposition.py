@@ -20,6 +20,8 @@ from repro.synthesis.routing import Tree, alltoall_flows, broadcast_flows, reduc
 from repro.synthesis.strategy import (
     MODE_INDEPENDENT,
     MODE_MERGE,
+    ROOT_NONE,
+    ROOT_RANK,
     Flow,
     Primitive,
     Strategy,
@@ -65,23 +67,18 @@ class Decomposition:
         self.root = root
 
     def parts(self, channels: Union[Sequence[int], int]) -> List[Part]:
-        """The sub-collectives: one per rank for AllGather (size S) and
-        ReduceScatter (S/N); one per channel root in ``channels`` for
-        Reduce, Broadcast and AllReduce (S/M); and ``channels`` of S/(N·M)
-        each for AlltoAll."""
-        primitive, size, world = self.primitive, self.tensor_size, len(self.participants)
-        if primitive is Primitive.ALLTOALL:
-            return [Part(index, None, size / world / channels) for index in range(channels)]
-        if primitive is Primitive.ALLGATHER:
+        """The sub-collectives, as the contract roots and sizes them: one
+        per rank (AllGather, ReduceScatter), one per channel root in
+        ``channels`` (Reduce, Broadcast, AllReduce), or ``channels``
+        rootless ones (AlltoAll)."""
+        contract = self.primitive.contract
+        if contract.root == ROOT_RANK:
             roots = self.participants
-        elif primitive is Primitive.REDUCE_SCATTER:
-            roots, size = self.participants, size / world
-        elif len(channels) > 1:
-            roots, size = channels, size / len(channels)
+        elif contract.root == ROOT_NONE:
+            roots = [None] * channels
         else:
-            # A lone channel carries S as given: an int S is not made the
-            # float S/1, so its XML (and fingerprint) is the planner's own.
             roots = channels
+        size = contract.share(self.tensor_size, len(self.participants), len(roots))
         return [Part(index, root, size) for index, root in enumerate(roots)]
 
     def subcollective(
@@ -114,7 +111,7 @@ class Decomposition:
         primitive, size = self.primitive, self.tensor_size
         sc = SubCollective(
             index=0,
-            size=Strategy.expected_total_size(primitive, size, 1),
+            size=primitive.contract.total(size, 1),
             chunk_size=size,
             flows=[],
             root=gpu_node(self.root) if primitive.has_root else None,

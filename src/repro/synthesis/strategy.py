@@ -13,17 +13,77 @@ import enum
 import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import StrategyFormatError, SynthesisError, TopologyError
 from repro.topology.graph import NodeId, NodeKind, gpu_node, parse_node
 
 
 #: The direction of a primitive's stored flows, named by the traffic-unit
-#: mode it implies (see :attr:`Primitive.mode`).
+#: mode it implies (see :attr:`Contract.mode`).
 MODE_MERGE = "merge"  # toward each root: flows merge where they aggregate
 MODE_GROUPED = "grouped"  # from each root: replicas share one unit per source
 MODE_INDEPENDENT = "independent"  # pairwise: every flow is its own unit
+
+#: Root kinds (:attr:`Contract.root`): what roots each sub-collective.
+ROOT_CHANNEL = "channel"  # the planner's channel root: the request's, or spread (AllReduce)
+ROOT_RANK = "rank"  # one sub-collective per participant, rooted there
+ROOT_NONE = "none"  # pairwise flows: no root
+
+#: Partition rules (:attr:`Contract.partition`): S_m, each sub-collective's
+#: share of the per-rank tensor S, over N ranks and M channels.
+SHARE_WHOLE = "S"
+SHARE_RANK = "S/N"
+SHARE_CHANNEL = "S/M"
+SHARE_PAIR = "S/(N·M)"
+
+#: Output layouts (:attr:`Contract.output`) of an L-element call. A
+#: source's *block* is its whole tensor, except L/N under ``OUT_EXCHANGE``.
+OUT_ROOTS = "roots"  # each root: the active ranks' sum over its partitions
+OUT_SUM = "sum"  # every rank: the active ranks' sum, L elements
+OUT_COPY = "copy"  # every rank: L elements, the source's block at 0
+OUT_CONCAT = "concat"  # every rank: N·L elements, src's block at pos(src)·L
+OUT_EXCHANGE = "exchange"  # src's block read at pos(dst)·L/N lands at pos(src)·L/N
+
+
+class Contract(NamedTuple):
+    """What one primitive is, said once (Sec. IV-D; SCCL's shape: which
+    ranks hold which blocks before and after). The planners' split, the
+    verifier, the stage lowering, the executor's builders and the relay's
+    buy cost all read it."""
+
+    root: str
+    partition: str
+    mode: str
+    output: str
+    #: (a, b): the collective moves (a·(N−1) + b)·S bytes (Sec. IV-C.1).
+    volume: Tuple[int, int]
+    #: Stage tag prefixes per sub-collective. The first stage runs the
+    #: stored flows in ``mode``; a second replays them reversed, grouped,
+    #: fed by the first at the root (AllReduce).
+    stages: Tuple[str, ...]
+
+    def share(self, size: float, world: int, channels: int) -> float:
+        """S_m for ``channels`` sub-collectives among ``world`` ranks. A
+        lone channel carries S as given: an int S is not made the float
+        S/1, so its XML (and fingerprint) is the planner's own."""
+        if self.partition in (SHARE_RANK, SHARE_PAIR):
+            size = size / world
+        if self.partition in (SHARE_CHANNEL, SHARE_PAIR) and channels > 1:
+            size = size / channels
+        return size
+
+    def total(self, size: float, world: int) -> float:
+        """Σ S_m: S, but S·N for one whole share per rank (AllGather) and
+        S/N for the per-pair shares of the channels (AlltoAll)."""
+        per_rank = self.root == ROOT_RANK
+        if per_rank == (self.partition in (SHARE_RANK, SHARE_PAIR)):
+            return size
+        return size * world if per_rank else size / max(1, world)
+
+    def block(self, length: int, world: int) -> int:
+        """Elements of one source's block in an ``length``-element call."""
+        return length // world if self.output == OUT_EXCHANGE else length
 
 
 class Primitive(enum.Enum):
@@ -32,43 +92,54 @@ class Primitive(enum.Enum):
     Reduce, Broadcast and AlltoAll are the base many-to-one, one-to-many
     and many-to-many cases; AllReduce = Reduce + reversed Broadcast,
     AllGather = one Broadcast per GPU, ReduceScatter = per-partition Reduce
-    (Sec. IV-D).
+    (Sec. IV-D). Each member carries its :class:`Contract` as ``contract``.
     """
 
-    REDUCE = "reduce"
-    BROADCAST = "broadcast"
-    ALLREDUCE = "allreduce"
-    ALLGATHER = "allgather"
-    REDUCE_SCATTER = "reduce_scatter"
-    ALLTOALL = "alltoall"
+    def __new__(cls, value: str, contract: Contract) -> "Primitive":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.contract = contract
+        return member
+
+    REDUCE = "reduce", Contract(
+        ROOT_CHANNEL, SHARE_CHANNEL, MODE_MERGE, OUT_ROOTS, (1, 0), ("reduce",)
+    )
+    BROADCAST = "broadcast", Contract(
+        ROOT_CHANNEL, SHARE_CHANNEL, MODE_GROUPED, OUT_COPY, (0, 1), ("bcast",)
+    )
+    ALLREDUCE = "allreduce", Contract(
+        ROOT_CHANNEL,
+        SHARE_CHANNEL,
+        MODE_MERGE,
+        OUT_SUM,
+        (2, 0),
+        ("allreduce-red", "allreduce-bc"),
+    )
+    ALLGATHER = "allgather", Contract(
+        ROOT_RANK, SHARE_WHOLE, MODE_GROUPED, OUT_CONCAT, (1, 0), ("allgather",)
+    )
+    REDUCE_SCATTER = "reduce_scatter", Contract(
+        ROOT_RANK, SHARE_RANK, MODE_MERGE, OUT_ROOTS, (1, 0), ("rs",)
+    )
+    ALLTOALL = "alltoall", Contract(
+        ROOT_NONE, SHARE_PAIR, MODE_INDEPENDENT, OUT_EXCHANGE, (1, 1), ("a2a",)
+    )
 
     @property
     def mode(self) -> str:
-        """The direction of the flows a strategy stores, as the traffic-unit
-        mode it implies: toward each root (:data:`MODE_MERGE`; for
-        AllReduce its reduce half, which the executor replays reversed),
-        from each root (:data:`MODE_GROUPED`) or pairwise
-        (:data:`MODE_INDEPENDENT`)."""
-        if self is Primitive.ALLTOALL:
-            return MODE_INDEPENDENT
-        if self is Primitive.BROADCAST or self is Primitive.ALLGATHER:
-            return MODE_GROUPED
-        return MODE_MERGE
+        """The traffic-unit mode of the flows a strategy stores (for
+        AllReduce, of its reduce half, which the executor replays reversed)."""
+        return self.contract.mode
 
     @property
     def needs_aggregation(self) -> bool:
         """Whether the primitive sums tensors (sets hasKernel on ranks)."""
-        return self.mode == MODE_MERGE
+        return self.contract.mode == MODE_MERGE
 
     @property
     def has_root(self) -> bool:
         """Whether each sub-collective designates a root GPU."""
-        return self in (
-            Primitive.REDUCE,
-            Primitive.BROADCAST,
-            Primitive.ALLREDUCE,
-            Primitive.REDUCE_SCATTER,
-        )
+        return self.contract.root != ROOT_NONE
 
 
 @dataclass
@@ -184,29 +255,12 @@ class Strategy:
         if not self.subcollectives:
             raise SynthesisError("strategy needs at least one sub-collective")
         total = sum(sc.size for sc in self.subcollectives)
-        expected = self.expected_total_size(
-            self.primitive, self.tensor_size, len(self.participants)
-        )
+        expected = self.primitive.contract.total(self.tensor_size, len(self.participants))
         if abs(total - expected) > 1e-6 * max(1.0, expected):
             raise SynthesisError(
                 f"sub-collective sizes sum to {total}, expected {expected} "
                 f"for {self.primitive.value}"
             )
-
-    @staticmethod
-    def expected_total_size(primitive: Primitive, tensor_size: float, world: int) -> float:
-        """Sum of sub-collective sizes implied by the primitive's semantics.
-
-        ``tensor_size`` is the per-rank tensor size S. Reduce-family
-        partitions sum to S; AlltoAll flows each carry the per-pair share
-        S/N (partitioned across sub-collectives); AllGather runs one
-        Broadcast of the full S-byte shard per rank.
-        """
-        if primitive is Primitive.ALLTOALL:
-            return tensor_size / max(1, world)
-        if primitive is Primitive.ALLGATHER:
-            return tensor_size * world
-        return tensor_size
 
     @property
     def parallelism(self) -> int:

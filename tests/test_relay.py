@@ -71,6 +71,8 @@ class TestSkiRental:
         assert collective_volume(Primitive.ALLREDUCE, 100.0, 8) == 1400.0  # 2(N-1)S
         assert collective_volume(Primitive.ALLTOALL, 100.0, 8) == 800.0  # N*S
         assert collective_volume(Primitive.BROADCAST, 100.0, 8) == 100.0  # S
+        for primitive in (Primitive.REDUCE, Primitive.REDUCE_SCATTER, Primitive.ALLGATHER):
+            assert collective_volume(primitive, 100.0, 8) == 700.0  # (N-1)S
 
     def test_estimate_uses_graph_bandwidth(self):
         topo, synth = make_env()

@@ -133,10 +133,10 @@ class TestStrategyValidation:
             )
 
     def test_alltoall_expected_is_per_pair_share(self):
-        assert Strategy.expected_total_size(Primitive.ALLTOALL, 800.0, 4) == 200.0
+        assert Primitive.ALLTOALL.contract.total(800.0, 4) == 200.0
 
     def test_allgather_expected_scales_with_world(self):
-        assert Strategy.expected_total_size(Primitive.ALLGATHER, 100.0, 4) == 400.0
+        assert Primitive.ALLGATHER.contract.total(100.0, 4) == 400.0
 
     def test_needs_participants(self):
         with pytest.raises(SynthesisError):
@@ -163,6 +163,10 @@ class TestPrimitive:
     def test_rooted_primitives(self):
         assert Primitive.REDUCE.has_root
         assert Primitive.BROADCAST.has_root
+        assert Primitive.ALLREDUCE.has_root
+        # One root per rank: each sub-collective is rooted at its rank.
+        assert Primitive.ALLGATHER.has_root
+        assert Primitive.REDUCE_SCATTER.has_root
         assert not Primitive.ALLTOALL.has_root
 
 
