@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import bisect
 import json
+from array import array
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TelemetryError
 from repro.runtime.stages import derive_chunk_dag
@@ -54,23 +55,31 @@ REPORT_KIND = "critpath_report"
 TIME_TOL = 1e-9
 
 
+def track_endpoints(track: str) -> Tuple[str, str, str]:
+    """A track's ``(link, src, dst)``: the ``"g0->n1"``-style link name
+    (the track less its ``link:`` prefix) and its endpoint node names
+    (``""`` for a track without an arrow)."""
+    link = track[5:] if track.startswith("link:") else track
+    src, arrow, dst = link.partition("->")
+    return link, src if arrow else "", dst
+
+
 class ChunkSpan:
     """One chunk-pipeline ``…:send`` span: a node of the execution DAG.
 
     Eight fields, ``tag`` … ``bytes``, given positionally or by keyword;
     equality and hash cover exactly those. The derived ``link`` / ``src``
-    / ``dst`` are parsed once, at construction: the join and the
-    attribution read them per probe; ``stage``, which no bulk reader
-    needs, is parsed on read. ``order`` is the span's position among
-    extracted spans, in file order — the deterministic tiebreak for every
-    choice the engine makes. A slot class, so constructing a span stores
-    eleven attributes and nothing else; treat it as immutable.
+    / ``dst`` (:func:`track_endpoints`) are set at construction — from
+    ``endpoints`` when the caller already derived them for this track:
+    the join and the attribution read them per probe; ``stage``, which no
+    bulk reader needs, is parsed on read. ``order`` is the span's position
+    among extracted spans, in file order — the deterministic tiebreak for
+    every choice the engine makes. A slot class, so constructing a span
+    stores eleven attributes and nothing else; treat it as immutable.
     """
 
     __slots__ = (
         "tag", "track", "unit", "chunk", "start", "end", "order", "bytes",
-        # The ``"g0->n1"``-style link name (track minus the prefix) and
-        # the endpoint node names (``""`` for non-link tracks).
         "link", "src", "dst",
     )
 
@@ -84,6 +93,8 @@ class ChunkSpan:
         end: float,
         order: int,
         bytes: float = 0.0,
+        *,
+        endpoints: Optional[Tuple[str, str, str]] = None,
     ) -> None:
         self.tag = tag
         self.track = track
@@ -93,9 +104,9 @@ class ChunkSpan:
         self.end = end
         self.order = order
         self.bytes = bytes
-        link = self.link = track[5:] if track.startswith("link:") else track
-        src, arrow, self.dst = link.partition("->")  # dst is "" without an arrow
-        self.src = src if arrow else ""
+        self.link, self.src, self.dst = (
+            track_endpoints(track) if endpoints is None else endpoints
+        )
 
     def _fields(self) -> tuple:
         return (
@@ -128,6 +139,19 @@ class ChunkSpan:
         return self.end - self.start
 
 
+class SendNames:
+    """What :func:`chunk_send` derives from a span's name and track — the
+    tag, the :func:`track_endpoints` — derived once per distinct value, so
+    the spans of one extraction share those strings. It grows with the
+    distinct names and tracks it meets: scope one to one extraction."""
+
+    __slots__ = ("tags", "endpoints")
+
+    def __init__(self) -> None:
+        self.tags: Dict[str, str] = {}
+        self.endpoints: Dict[str, Tuple[str, str, str]] = {}
+
+
 def chunk_send(
     category: Any,
     name: Any,
@@ -137,6 +161,7 @@ def chunk_send(
     args: Any,
     order: int,
     number: int,
+    names: Optional[SendNames] = None,
 ) -> Optional[ChunkSpan]:
     """The one chunk-send predicate and :class:`ChunkSpan` constructor.
 
@@ -146,7 +171,8 @@ def chunk_send(
     so the track is parsed, never tested. The fields are a JSONL record's
     or a live :class:`~repro.telemetry.core.Span`'s, passed as they come;
     ``number`` is the record's 1-based position in its stream, named when
-    a chunk send is well-formed JSON but not a well-formed span.
+    a chunk send is well-formed JSON but not a well-formed span. A bulk
+    reader passes its :class:`SendNames`.
     """
     if category != "chunk" or end is None:
         return None
@@ -156,8 +182,19 @@ def chunk_send(
         chunk = int(args.get("chunk", -1))
         if chunk < 0:
             return None
+        endpoints = None
+        if names is None:
+            tag = name[: -len(":send")]
+        else:
+            tag = names.tags.get(name)
+            if tag is None:
+                tag = names.tags[name] = name[: -len(":send")]
+            if track.__class__ is str:
+                endpoints = names.endpoints.get(track)
+                if endpoints is None:
+                    endpoints = names.endpoints[track] = track_endpoints(track)
         return ChunkSpan(
-            name[: -len(":send")],
+            tag,
             track,
             str(args.get("unit", "")),
             chunk,
@@ -165,6 +202,7 @@ def chunk_send(
             float(end),
             order,
             float(args.get("bytes", 0.0)),
+            endpoints=endpoints,
         )
     except (TypeError, ValueError, AttributeError) as exc:
         raise TelemetryError(
@@ -175,6 +213,7 @@ def chunk_send(
 def extract_chunk_spans(records: Sequence[Dict[str, Any]]) -> List[ChunkSpan]:
     """The chunk ``…:send`` spans of a record stream, in file order."""
     spans: List[ChunkSpan] = []
+    names = SendNames()
     for number, record in enumerate(records, start=1):
         # chunk_send's first test, before the type test and the field reads.
         category = record.get("cat")
@@ -189,6 +228,7 @@ def extract_chunk_spans(records: Sequence[Dict[str, Any]]) -> List[ChunkSpan]:
             record.get("args", {}),
             len(spans),
             number,
+            names,
         )
         if span is not None:
             spans.append(span)
@@ -196,12 +236,96 @@ def extract_chunk_spans(records: Sequence[Dict[str, Any]]) -> List[ChunkSpan]:
 
 
 # -- DAG construction -----------------------------------------------------------------
+#
+# The working set is flat. Per-span values sit in flat lists — of span
+# indices (the inferred join draws every one from :func:`_by_end`'s int
+# objects), of slot and bucket ids, of the spans' own floats — or, where a
+# value is computed per span, in ``array``s. The DAG is one CSR pair (node
+# ``n``'s predecessors at ``flat[first[n]:first[n + 1]]``) and a grouping
+# of spans is a counting-sorted CSR pair: no per-span tuple, no per-span
+# list.
 
 
-def _end_keys(spans: Sequence[ChunkSpan]) -> List[Tuple[float, float, int]]:
-    """Per span, its ``(end, start, order)``: the key every latest-ending
-    and first-ending choice of the engine sorts and compares on."""
-    return [(span.end, span.start, span.order) for span in spans]
+def _by_end(spans: Sequence[ChunkSpan]) -> List[int]:
+    """The span indices sorted by ``(end, start, order)``, equal keys in
+    index order: the order of every latest-ending and first-ending choice
+    of the engine. Three stable sorts on one field each, least
+    significant first, hold no per-span key tuple."""
+    order = sorted(range(len(spans)), key=[span.order for span in spans].__getitem__)
+    order.sort(key=[span.start for span in spans].__getitem__)
+    order.sort(key=[span.end for span in spans].__getitem__)
+    return order
+
+
+def _end_key(spans: Sequence[ChunkSpan]):
+    """The span index → ``(end, start, order)`` key function, for the few
+    comparisons made outside :func:`_by_end` (the walk, the AND-groups)."""
+
+    def key(index: int) -> Tuple[float, float, int]:
+        span = spans[index]
+        return span.end, span.start, span.order
+
+    return key
+
+
+def _grouped(
+    group: List[int], groups: int, indices: Iterable[int]
+) -> Tuple[List[int], List[int]]:
+    """A counting sort of ``indices`` by ``group[index]`` into a CSR pair
+    ``(first, members)``: group ``g``'s members at
+    ``members[first[g]:first[g + 1]]``, in the order ``indices`` lists
+    them."""
+    sizes = [0] * groups
+    for g in group:
+        sizes[g] += 1
+    first = [0, *accumulate(sizes)]
+    cursor = first[:groups]
+    members = [0] * len(group)
+    for index in indices:
+        g = group[index]
+        members[cursor[g]] = index
+        cursor[g] += 1
+    return first, members
+
+
+def _dag_join(
+    spans: Sequence[ChunkSpan], graph
+) -> Tuple[Dict[Any, Dict[int, List[int]]], Iterator[List[int]]]:
+    """:func:`dag_join` with its predecessor lists one node at a time, in
+    index order."""
+    wanted = {(s.tag, s.track, s.unit): s for s in graph.senders}
+    slots: Dict[Any, Dict[int, List[int]]] = {}
+    senders: List[Any] = []
+    occurrences = [0] * len(spans)
+    for index, span in enumerate(spans):
+        sender = wanted.get((span.tag, span.track, span.unit))
+        senders.append(sender)
+        if sender is None:
+            continue
+        slot = slots.setdefault(sender, {}).setdefault(span.chunk, [])
+        occurrences[index] = len(slot)
+        slot.append(index)
+
+    def node_preds() -> Iterator[List[int]]:
+        end_key = _end_key(spans)
+        for span, sender, occurrence in zip(spans, senders, occurrences):
+            node: List[int] = []
+            if sender is not None:
+                chunk = span.chunk
+                prior = slots[sender].get(chunk - 1, ())
+                if occurrence < len(prior):
+                    node.append(prior[occurrence])
+                for group in graph.preds[sender]:
+                    candidates = [
+                        slots[p][chunk][occurrence]
+                        for p in group
+                        if occurrence < len(slots.get(p, {}).get(chunk, ()))
+                    ]
+                    if candidates:
+                        node.append(min(candidates, key=end_key))
+            yield node
+
+    return slots, node_preds()
 
 
 def dag_join(
@@ -219,31 +343,26 @@ def dag_join(
     member that ended first — whichever copy of a unit lands first
     releases the slot. Returns ``(slots, preds)``.
     """
-    wanted = {(s.tag, s.track, s.unit): s for s in graph.senders}
-    slots: Dict[Any, Dict[int, List[int]]] = {}
-    for index, span in enumerate(spans):
-        sender = wanted.get((span.tag, span.track, span.unit))
-        if sender is None:
-            continue
-        slots.setdefault(sender, {}).setdefault(span.chunk, []).append(index)
+    slots, node_preds = _dag_join(spans, graph)
+    return slots, list(node_preds)
 
-    end_key = _end_keys(spans).__getitem__
-    preds: List[List[int]] = [[] for _ in spans]
-    for sender, chunks in slots.items():
-        for chunk, occurrences in chunks.items():
-            prior = chunks.get(chunk - 1, [])
-            for occurrence, index in enumerate(occurrences):
-                if occurrence < len(prior):
-                    preds[index].append(prior[occurrence])
-                for group in graph.preds[sender]:
-                    candidates = [
-                        slots[p][chunk][occurrence]
-                        for p in group
-                        if occurrence < len(slots.get(p, {}).get(chunk, []))
-                    ]
-                    if candidates:
-                        preds[index].append(min(candidates, key=end_key))
-    return slots, preds
+
+def _slots(spans: Sequence[ChunkSpan]) -> Tuple[Dict[Any, int], List[int], List[ChunkSpan]]:
+    """The spans' slots: one per ``(tag, track, unit, chunk)``, numbered
+    in order of first appearance. Returns the key → slot map, each span's
+    slot and each slot's first span — what every per-slot fact is read
+    from, once per slot rather than once per span."""
+    ids: Dict[Tuple[str, str, str, int], int] = {}
+    slot: List[int] = []
+    heads: List[ChunkSpan] = []
+    for span in spans:
+        key = (span.tag, span.track, span.unit, span.chunk)
+        own = ids.get(key)
+        if own is None:
+            own = ids[key] = len(heads)
+            heads.append(span)
+        slot.append(own)
+    return ids, slot, heads
 
 
 def handoff_producers(
@@ -254,127 +373,133 @@ def handoff_producers(
     The producer of a send is the latest — by ``(end, start, order)`` —
     *other* send of the same ``(tag, unit, chunk)`` whose link destination
     is this send's source endpoint and which ended by ``start + tol``.
-    Producers are bucketed by ``(tag, unit, chunk, dst)`` and each bucket
-    sorted by that key once, so the latest qualifying one is the entry
-    just left of ``bisect_right(ends, start + tol)`` — the same ``end <=
+    Producers are bucketed by ``(tag, unit, chunk, dst)``, each bucket
+    latest-last, so the latest qualifying one is the entry just left of
+    ``bisect_right(ends, start + tol)`` in its bucket — the same ``end <=
     start + tol`` comparison and the same tie-break as scanning the
     bucket, in O(n log n). Also what draws the Chrome trace's flow arrows.
     """
-    return _handoffs(spans, _end_keys(spans), tol)
+    _ids, slot, heads = _slots(spans)
+    return _handoffs(spans, _by_end(spans), slot, heads, tol)
 
 
 def _handoffs(
-    spans: Sequence[ChunkSpan], keys: List[Tuple[float, float, int]], tol: float
+    spans: Sequence[ChunkSpan],
+    by_end: List[int],
+    slot: List[int],
+    heads: List[ChunkSpan],
+    tol: float,
 ) -> List[Optional[int]]:
-    """:func:`handoff_producers`, given the spans' :func:`_end_keys`."""
-    buckets: Dict[Tuple[str, str, int, str], List[int]] = {}
-    for index, span in enumerate(spans):
-        buckets.setdefault((span.tag, span.unit, span.chunk, span.dst), []).append(index)
-    # Per bucket: its members latest-last, and their ends to bisect.
-    sorted_buckets = {}
-    for key, members in buckets.items():
-        members.sort(key=keys.__getitem__)
-        sorted_buckets[key] = (members, [keys[i][0] for i in members])
-
+    """:func:`handoff_producers` given the spans' :func:`_by_end` and
+    :func:`_slots`. A slot's link, hence its bucket and the bucket its
+    sends draw from, is one per slot; the buckets are one counting sort
+    of ``by_end``."""
+    ids: Dict[Tuple[str, str, int, str], int] = {}
+    bucket_of = [ids.setdefault((h.tag, h.unit, h.chunk, h.dst), len(ids)) for h in heads]
+    source_of = [ids.get((h.tag, h.unit, h.chunk, h.src)) for h in heads]
+    first, members = _grouped(list(map(bucket_of.__getitem__, slot)), len(ids), by_end)
+    ends = [spans[index].end for index in members]
     producers: List[Optional[int]] = [None] * len(spans)
-    for index, span in enumerate(spans):
-        bucket = sorted_buckets.get((span.tag, span.unit, span.chunk, span.src))
-        if bucket is None:
+    for index, (span, at) in enumerate(zip(spans, map(source_of.__getitem__, slot))):
+        if at is None:
             continue
-        members, ends = bucket
-        position = bisect.bisect_right(ends, span.start + tol) - 1
+        low = first[at]
+        position = bisect.bisect_right(ends, span.start + tol, low, first[at + 1]) - 1
         # A self-loop (or endpoint-less) send sits in its own bucket.
-        if position >= 0 and members[position] == index:
+        if position >= low and members[position] == index:
             position -= 1
-        if position >= 0:
+        if position >= low:
             producers[index] = members[position]
     return producers
 
 
 def _inferred_predecessors(
-    spans: Sequence[ChunkSpan], keys: List[Tuple[float, float, int]], tol: float
-) -> List[List[int]]:
-    """Edges inferred from the spans alone (no strategy available);
-    ``keys`` are the spans' :func:`_end_keys`."""
-    # Per sender, one dict keyed by (tag, track, unit): its chunks' span
-    # indices in file order; a span's occurrence is its position there,
-    # counted as it is indexed.
-    senders: Dict[Tuple[str, str, str], Dict[int, List[int]]] = {}
-    sender_of: List[Dict[int, List[int]]] = []
-    occurrences: List[int] = []
-    for index, span in enumerate(spans):
-        key = (span.tag, span.track, span.unit)
-        chunks = senders.get(key)
-        if chunks is None:
-            chunks = senders[key] = {}
-        slot = chunks.get(span.chunk)
-        if slot is None:
-            slot = chunks[span.chunk] = []
-        sender_of.append(chunks)
-        occurrences.append(len(slot))
-        slot.append(index)
-
-    preds: List[List[int]] = []
-    producers = _handoffs(spans, keys, tol)
-    for span, chunks, occurrence, producer in zip(spans, sender_of, occurrences, producers):
+    spans: Sequence[ChunkSpan], by_end: List[int], tol: float
+) -> Iterator[List[int]]:
+    """Edges inferred from the spans alone (no strategy available), one
+    node at a time in index order; ``by_end`` is :func:`_by_end`."""
+    ids, slot, heads = _slots(spans)
+    # A slot's members in file order; a span's occurrence is its position
+    # among them, counted as it is indexed.
+    first, members = _grouped(slot, len(heads), sorted(by_end))
+    prior_of = [ids.get((h.tag, h.track, h.unit, h.chunk - 1)) for h in heads]
+    seen = [0] * len(heads)
+    producers = _handoffs(spans, by_end, slot, heads, tol)
+    for own, producer in zip(slot, producers):
+        occurrence = seen[own]
+        seen[own] = occurrence + 1
         node: List[int] = []
         # The same sender's chunk k-1 -> k serializes, per occurrence.
-        prior = chunks.get(span.chunk - 1)
-        if prior is not None and occurrence < len(prior):
-            node.append(prior[occurrence])
+        prior = prior_of[own]
+        if prior is not None:
+            at = first[prior] + occurrence
+            if at < first[prior + 1]:
+                node.append(members[at])
         # The binding handoff: the latest producer that could have
         # released this send.
         if producer is not None:
             node.append(producer)
-        preds.append(node)
-    return preds
+        yield node
 
 
-def _stitch_orphans(
-    spans: Sequence[ChunkSpan], preds: List[List[int]], by_end: List[int], tol: float
-) -> int:
-    """Give every predecessor-less node the latest span ending by its start.
+def _stitched(
+    spans: Sequence[ChunkSpan],
+    node_preds: Iterable[List[int]],
+    by_end: List[int],
+    tol: float,
+) -> Tuple[array, List[int], int]:
+    """The DAG as a CSR pair ``(first, flat)``, plus its stitch count.
 
-    ``by_end`` is the span indices sorted by :func:`_end_keys` (equal keys
-    in index order). Returns the number of stitched edges. Stitches are
-    what carry the path across stage boundaries, iteration boundaries,
-    and straggler readiness waits — see the module docstring.
+    ``node_preds`` gives each node's joined predecessors in index order;
+    a node left without any gets the latest span (by :func:`_by_end`)
+    ending by its start. Stitches are what carry the path across stage
+    boundaries, iteration boundaries, and straggler readiness waits — see
+    the module docstring.
     """
-    ends = [spans[i].end for i in by_end]
+    ends = [spans[index].end for index in by_end]
+    first = array("q", [0])
+    flat: List[int] = []
     stitched = 0
-    for index, span in enumerate(spans):
-        if preds[index]:
-            continue
-        limit = span.start + tol
-        for k in range(bisect.bisect_right(ends, limit) - 1, -1, -1):
-            j = by_end[k]
-            if j != index and ends[k] <= limit:
-                preds[index].append(j)
+    for index, (span, node) in enumerate(zip(spans, node_preds)):
+        if node:
+            flat += node
+        else:
+            position = bisect.bisect_right(ends, span.start + tol) - 1
+            if position >= 0 and by_end[position] == index:
+                position -= 1
+            if position >= 0:
+                flat.append(by_end[position])
                 stitched += 1
-                break
-    return stitched
+        first.append(len(flat))
+    return first, flat, stitched
 
 
 # -- critical path, waits, slack ------------------------------------------------------
 
 
 def _walk_critical_path(
-    keys: List[Tuple[float, float, int]], preds: Sequence[Sequence[int]]
+    spans: Sequence[ChunkSpan], first: array, flat: List[int], by_end: List[int]
 ) -> List[int]:
     """Backward walk from the latest-ending span along binding edges.
 
-    ``keys`` are :func:`_end_keys` of the spans. The binding predecessor
-    of a node is the one that *ends last* — the constraint that actually
-    held the node's start back. Returns indices in chronological order.
+    The DAG is the CSR pair ``(first, flat)``; ``by_end`` is
+    :func:`_by_end`. The walk starts at the lowest-indexed span of the
+    latest ``(end, start, order)``; the binding predecessor of a node is
+    the one that *ends last* — the constraint that actually held the
+    node's start back. Returns indices in chronological order.
     """
-    if not keys:
+    if not by_end:
         return []
-    end_key = keys.__getitem__
-    current = max(range(len(keys)), key=end_key)
+    end_key = _end_key(spans)
+    position = len(by_end) - 1
+    latest = end_key(by_end[position])
+    while position and end_key(by_end[position - 1]) == latest:
+        position -= 1
+    current = by_end[position]
     path = [current]
     visited = {current}
-    while preds[current]:
-        binding = max(preds[current], key=end_key)
+    while first[current] < first[current + 1]:
+        binding = max(flat[first[current] : first[current + 1]], key=end_key)
         if binding in visited:  # paranoia: zero-duration tie cycles
             break
         path.append(binding)
@@ -387,53 +512,42 @@ def _walk_critical_path(
 def _slack_seconds(
     starts: List[float],
     ends: List[float],
-    preds: Sequence[Sequence[int]],
+    first: array,
+    flat: List[int],
     makespan_end: float,
-) -> List[float]:
+) -> array:
     """Per-node slack: how late each span could end without moving the
     makespan, via the reverse DP ``latest_allowed_end(n) = min over
     successors s of (latest_allowed_end(s) - duration(s))``.
 
-    The successors sit in one flat array, node ``n``'s at
-    ``succs[first[n]:first[n + 1]]`` in ascending order — the order the
-    ``min`` runs in.
+    Each node resolves once all its successors have; it then pushes its
+    ``latest_allowed_end - duration`` into its predecessors' running
+    minimum, so no successor lists are built. Nodes left pending would
+    sit on a (degenerate) cycle: they keep a slack of 0 — critical rather
+    than a crash.
     """
     count = len(ends)
     pending = [0] * count  # successors not yet resolved
-    for node_preds in preds:
-        for pred in node_preds:
-            pending[pred] += 1
-    first = [0, *accumulate(pending)]
-    cursor = first[:count]
-    succs = [0] * first[count]
-    for index, node_preds in enumerate(preds):
-        for pred in node_preds:
-            succs[cursor[pred]] = index
-            cursor[pred] += 1
-
-    # room[s] = latest_allowed_end(s) - duration(s), set once s resolves.
-    durations = [end - start for start, end in zip(starts, ends)]
-    latest = [makespan_end] * count
-    room = [0.0] * count
-    ready = [i for i in range(count) if pending[i] == 0]
+    for pred in flat:
+        pending[pred] += 1
+    latest = array("d", [makespan_end]) * count
+    slack = array("d", bytes(8 * count))
+    ready = [index for index in range(count) if not pending[index]]
+    pop, push = ready.pop, ready.append
     while ready:
-        index = ready.pop()
-        allowed = makespan_end
-        for succ in succs[first[index] : first[index + 1]]:
-            if room[succ] < allowed:
-                allowed = room[succ]
-        latest[index] = allowed
-        room[index] = allowed - durations[index]
-        for pred in preds[index]:
+        index = pop()
+        allowed = latest[index]
+        end = ends[index]
+        if allowed > end:
+            slack[index] = allowed - end
+        room = allowed - (end - starts[index])
+        for pred in flat[first[index] : first[index + 1]]:
+            if room < latest[pred]:
+                latest[pred] = room
             pending[pred] -= 1
-            if pending[pred] == 0:
-                ready.append(pred)
-    # Nodes left pending would sit on a (degenerate) cycle: call them
-    # critical rather than crash.
-    return [
-        max(0.0, late - end) if left == 0 else 0.0
-        for late, end, left in zip(latest, ends, pending)
-    ]
+            if not pending[pred]:
+                push(pred)
+    return slack
 
 
 def _rank_of(node_name: str) -> Optional[int]:
@@ -491,6 +605,24 @@ def _readiness_excess(readiness: Sequence[Dict[int, float]]) -> Dict[int, float]
     return excess
 
 
+def _path_and_slack(
+    spans: List[ChunkSpan], strategy, tol: float
+) -> Tuple[List[int], array, int]:
+    """The critical path, the per-node slack and the stitch count of
+    ``spans``, over the DAG of ``strategy`` or, without one, the inferred
+    DAG."""
+    by_end = _by_end(spans)
+    if strategy is not None:
+        node_preds = _dag_join(spans, derive_chunk_dag(strategy))[1]
+    else:
+        node_preds = _inferred_predecessors(spans, by_end, tol)
+    first, flat, stitched = _stitched(spans, node_preds, by_end, tol)
+    path = _walk_critical_path(spans, first, flat, by_end)
+    ends = [span.end for span in spans]
+    slack = _slack_seconds([span.start for span in spans], ends, first, flat, max(ends))
+    return path, slack, stitched
+
+
 # -- the report -----------------------------------------------------------------------
 
 
@@ -531,21 +663,10 @@ def analyze_spans(
         )
         return report
 
-    keys = _end_keys(spans)
-    if strategy is not None:
-        _slots, preds = dag_join(spans, derive_chunk_dag(strategy))
-    else:
-        preds = _inferred_predecessors(spans, keys, tol)
-    by_end = sorted(range(len(spans)), key=keys.__getitem__)
-    report["inferred_edges"] = _stitch_orphans(spans, preds, by_end, tol)
-
-    starts = [span.start for span in spans]
-    ends = [span.end for span in spans]
-    start_seconds = min(starts)
-    end_seconds = max(ends)
+    path, slack, report["inferred_edges"] = _path_and_slack(spans, strategy, tol)
+    start_seconds = min(span.start for span in spans)
+    end_seconds = max(span.end for span in spans)
     total = end_seconds - start_seconds
-    path = _walk_critical_path(keys, preds)
-    slack = _slack_seconds(starts, ends, preds, end_seconds)
 
     # Tile [start_seconds, end_seconds] with wait/busy segments along the
     # path. Overlaps (a span starting before its binding predecessor
@@ -751,6 +872,7 @@ def analyze_hub(hub, strategy=None, tol: float = TIME_TOL) -> Dict[str, Any]:
     """
     spans: List[ChunkSpan] = []
     readiness: List[Dict[int, float]] = []
+    names = SendNames()
     sites = hub.tracer.sites
     number = 0
     for start, end, event, _, _, site, values in hub.tracer.export_rows():
@@ -764,7 +886,7 @@ def analyze_hub(hub, strategy=None, tol: float = TIME_TOL) -> Dict[str, Any]:
         if category == "chunk":  # chunk_send's first test, before the dict
             node = chunk_send(
                 category, name, track, start, end,
-                dict(zip(keys, values)), len(spans), number,
+                dict(zip(keys, values)), len(spans), number, names,
             )
             if node is not None:
                 spans.append(node)

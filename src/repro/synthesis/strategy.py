@@ -327,6 +327,16 @@ def fingerprint_strategy(strategy: Strategy) -> str:
     return hashlib.sha256(strategy_to_xml(strategy).encode("utf-8")).hexdigest()
 
 
+def _number(text: Optional[str]) -> float:
+    """A numeric attribute: an integer literal — ``repr`` of an ``int`` —
+    parses as ``int``, anything else as ``float``, so a parsed strategy
+    serialises, and fingerprints, as the one it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def strategy_from_xml(document: str) -> Strategy:
     """Parse a strategy document produced by :func:`strategy_to_xml`."""
     try:
@@ -340,9 +350,9 @@ def strategy_from_xml(document: str) -> Strategy:
     except ValueError:
         raise StrategyFormatError(f"unknown primitive {root.get('primitive')!r}")
     try:
-        tensor_size = float(root.get("tensor_size"))
+        tensor_size = _number(root.get("tensor_size"))
         participants = [int(r) for r in root.get("participants", "").split(",") if r]
-        predicted_time = float(root.get("predicted_time", "0.0"))
+        predicted_time = _number(root.get("predicted_time", "0.0"))
     except (TypeError, ValueError) as exc:
         raise StrategyFormatError(f"bad strategy attributes: {exc}")
 
@@ -350,8 +360,8 @@ def strategy_from_xml(document: str) -> Strategy:
     for sc_el in root.findall("subcollective"):
         try:
             index = int(sc_el.get("index"))
-            size = float(sc_el.get("size"))
-            chunk_size = float(sc_el.get("chunk_size"))
+            size = _number(sc_el.get("size"))
+            chunk_size = _number(sc_el.get("chunk_size"))
         except (TypeError, ValueError) as exc:
             raise StrategyFormatError(f"bad sub-collective attributes: {exc}")
         sc_root = sc_el.get("root")

@@ -276,6 +276,10 @@ class TelemetryRun:
 #: Non-blank lines decoded per ``json.loads`` call in :func:`parse_jsonl`.
 PARSE_BLOCK = 4096
 
+#: Record fields whose few distinct values repeat on every line: a parse
+#: keeps one ``str`` per distinct value of these and of ``args["unit"]``.
+_SHARED_FIELDS = ("type", "cat", "name", "track")
+
 
 def _decode_line(line_no: int, line: str) -> Dict[str, Any]:
     try:
@@ -287,6 +291,64 @@ def _decode_line(line_no: int, line: str) -> Dict[str, Any]:
     return record
 
 
+def _decode_array(block: str, count: int) -> Optional[List[Any]]:
+    """The ``count`` records of ``block`` — lines joined on ``"\\n"`` —
+    decoded as one JSON array, or ``None`` unless that is ``count``
+    objects."""
+    try:
+        records = json.loads("[" + block.replace("\n", ",\n") + "]")
+    except json.JSONDecodeError:
+        return None
+    if len(records) != count or set(map(type, records)) != {dict}:
+        return None
+    return records
+
+
+def _next_block(text: str, at: int, line_no: int) -> Tuple[List[Any], int, int]:
+    """The records of the next :data:`PARSE_BLOCK` non-blank lines of
+    ``text`` from offset ``at`` (``line_no`` lines lie before it), and the
+    offset and line count after them.
+
+    The next :data:`PARSE_BLOCK` lines are found with ``str.find`` and
+    their slice of the text is decoded as it stands: a blank line there
+    leaves two separators with nothing between them, which no JSON array
+    decodes, and a trailing ``"\\r"`` is JSON whitespace. So a slice of
+    lines that are one object each, as every line an exporter writes is,
+    decodes as it stands. A slice that does not decode to as many objects
+    as it has lines is gathered again line by line, blank lines skipped
+    and one trailing ``"\\r"`` dropped, and decoded per line if it still
+    is not one object per line — which names the offending line.
+    """
+    size = len(text)
+    cut, taken = at - 1, 0
+    while taken < PARSE_BLOCK and cut + 1 < size:
+        cut = text.find("\n", cut + 1)
+        if cut < 0:
+            cut = size
+        taken += 1
+    records = _decode_array(text[at:cut], taken)
+    if records is not None:
+        return records, cut + 1, line_no + taken
+    lines: List[str] = []
+    numbers: List[int] = []
+    while at < size and len(lines) < PARSE_BLOCK:
+        cut = text.find("\n", at)
+        if cut < 0:
+            cut = size
+        line = text[at:cut]
+        at = cut + 1
+        line_no += 1
+        if line.endswith("\r"):
+            line = line[:-1]
+        if line.strip():
+            lines.append(line)
+            numbers.append(line_no)
+    records = _decode_array("\n".join(lines), len(lines))
+    if records is None:
+        records = [_decode_line(number, line) for number, line in zip(numbers, lines)]
+    return records, at, line_no
+
+
 def parse_jsonl(text: str) -> TelemetryRun:
     """Parse JSONL text into a :class:`TelemetryRun`.
 
@@ -296,28 +358,35 @@ def parse_jsonl(text: str) -> TelemetryRun:
 
     Lines end at ``"\\n"`` only, less one trailing ``"\\r"``: U+2028,
     U+2029 and U+0085, which ``str.splitlines`` would also split at, may
-    sit unescaped inside a JSON string. Non-blank lines are decoded
+    sit unescaped inside a JSON string. The text is walked by offset
+    (:func:`_next_block`), and its non-blank lines are decoded
     :data:`PARSE_BLOCK` at a time, as one JSON array (joined on
     ``",\\n"``: a raw newline may not sit inside a JSON string, so no
-    string runs from one line into the next). A block is taken only if it
+    string runs from one line into the next): only one block's lines are
+    ever held, never a list of every line. A block is taken only if it
     decodes to as many objects as it has lines; any other block — a
     malformed line, a non-object, two values on one line — is decoded
     again line by line, which names the offending line.
+
+    Every record of a run repeats a few distinct values of ``type``,
+    ``cat``, ``name``, ``track`` and ``args["unit"]``: one parse keeps a
+    single shared ``str`` per distinct value, not one per record.
     """
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    live = [index for index, line in enumerate(lines) if line.strip()]
     run = TelemetryRun()
-    for at in range(0, len(live), PARSE_BLOCK):
-        block = live[at : at + PARSE_BLOCK]
-        try:
-            records = json.loads("[" + ",\n".join([lines[index] for index in block]) + "]")
-        except json.JSONDecodeError:
-            records = ()
-        if len(records) != len(block) or set(map(type, records)) != {dict}:
-            records = [_decode_line(index + 1, lines[index]) for index in block]
+    share = {}.setdefault
+    at = line_no = 0
+    while at < len(text):
+        records, at, line_no = _next_block(text, at, line_no)
         for record in records:
+            for key in _SHARED_FIELDS:
+                value = record.get(key)
+                if value.__class__ is str:
+                    record[key] = share(value, value)
+            args = record.get("args")
+            if args.__class__ is dict:
+                unit = args.get("unit")
+                if unit.__class__ is str:
+                    args["unit"] = share(unit, unit)
             kind = record.get("type")
             if kind == "meta" and not run.meta:
                 run.meta = record

@@ -24,7 +24,12 @@ from repro.hardware.links import MB
 from repro.hardware.presets import make_config, make_homo_cluster
 from repro.runtime.verify import verify_strategy
 from repro.simulation import Simulator
-from repro.synthesis.strategy import Primitive, strategy_from_xml, strategy_to_xml
+from repro.synthesis.strategy import (
+    Primitive,
+    fingerprint_strategy,
+    strategy_from_xml,
+    strategy_to_xml,
+)
 from repro.topology import LogicalTopology
 
 #: What the Blink model refuses to plan.
@@ -125,6 +130,29 @@ def test_trivial_allgather_keeps_its_root_through_xml():
     parsed = strategy_from_xml(strategy_to_xml(strategy))
     assert strategy_to_xml(parsed) == strategy_to_xml(strategy)
     assert parsed.subcollectives[0].root == strategy.subcollectives[0].root
+
+
+@pytest.mark.parametrize(
+    "backend, primitive, size, ranks",
+    [
+        ("nccl", Primitive.ALLGATHER, 56, [5]),
+        ("adapcc", Primitive.ALLREDUCE, 64.0 * MB, list(range(8))),
+    ],
+    ids=["int-size", "float-size"],
+)
+def test_xml_round_trip_keeps_the_sizes_and_the_fingerprint(backend, primitive, size, ranks):
+    planner = make_backend(backend, topology_of(make_homo_cluster(num_servers=2)))
+    strategy = planner.plan(primitive, size, ranks)
+    parsed = strategy_from_xml(strategy_to_xml(strategy))
+    assert fingerprint_strategy(parsed) == fingerprint_strategy(strategy)
+    assert _typed_sizes(parsed) == _typed_sizes(strategy)
+
+
+def _typed_sizes(strategy):
+    sizes = [strategy.tensor_size]
+    for sc in strategy.subcollectives:
+        sizes += [sc.size, sc.chunk_size]
+    return [(type(size), size) for size in sizes]
 
 
 def codes(strategy, topology):

@@ -6,7 +6,8 @@ keeps a slow, obviously-right form here to be held equal to:
 * the indexed handoff join vs. the quadratic producer scan (verbatim from
   the engine it replaced), on random span sets;
 * the JSONL line renderer vs. ``json.dumps`` of ``ordered_records``;
-* the block parser vs. one ``json.loads`` per line, error text included;
+* the block parser vs. one ``json.loads`` per line, error text included,
+  at block edges and over blank, ``\\r`` and unterminated lines;
 * ``analyze_hub`` vs. analysing the hub's parsed export;
 
 plus the run-file CLIs on well-formed JSON that is not a well-formed span.
@@ -128,11 +129,13 @@ class TestHandoffJoin:
     @settings(max_examples=300, deadline=None)
     @given(spans=_span_sets(), tol=st.sampled_from([0.0, 1e-9, 0.25]))
     def test_indexed_join_equals_the_scan(self, spans, tol):
-        keys = engine._end_keys(spans)
-        assert engine._inferred_predecessors(spans, keys, tol) == _scan_predecessors(spans, tol)
+        by_end = engine._by_end(spans)
+        assert list(engine._inferred_predecessors(spans, by_end, tol)) == _scan_predecessors(
+            spans, tol
+        )
         indexed = report_to_json(analyze_spans(spans, tol=tol))
 
-        def scan(spans, keys, tol):
+        def scan(spans, by_end, tol):
             return _scan_predecessors(spans, tol)
 
         with mock.patch.object(engine, "_inferred_predecessors", scan):
@@ -383,6 +386,41 @@ class TestBlockParser:
         crlf = "\r\n".join(lines)
         assert _block_outcome(crlf) == _per_line_outcome(crlf)
         assert _block_outcome(crlf).startswith("line 4: invalid JSON")
+
+    def test_last_line_without_a_newline(self):
+        lines = self._good(PARSE_BLOCK + 1)
+        for text in ("\n".join(lines), "\r\n".join(lines)):
+            assert _block_outcome(text) == _per_line_outcome(text)
+            assert parse_jsonl(text).records == [json.loads(line) for line in lines]
+
+    def test_a_lone_carriage_return_is_a_blank_line(self):
+        lines = self._good(PARSE_BLOCK + 2)
+        lines.insert(PARSE_BLOCK - 1, "\r")
+        lines.insert(3, "\r")
+        text = "\n".join(lines) + "\n"
+        assert _block_outcome(text) == _per_line_outcome(text)
+        assert parse_jsonl(text).records == [json.loads(line) for line in lines if line != "\r"]
+        lines[6] = "nope"  # line numbers count the "\r" lines
+        text = "\n".join(lines) + "\n"
+        assert _block_outcome(text) == _per_line_outcome(text)
+        assert _block_outcome(text).startswith("line 7: invalid JSON")
+
+    def test_a_block_made_only_of_blank_lines(self):
+        blank = ["", "  ", "\t", "\r"] * (PARSE_BLOCK // 2)
+        lines = self._good(PARSE_BLOCK) + blank + self._good(3)
+        text = "\n".join(lines) + "\n"
+        assert _block_outcome(text) == _per_line_outcome(text)
+        assert parse_jsonl(text).records == [json.loads(line) for line in lines if line.strip()]
+        assert parse_jsonl("\n".join(blank)).records == []
+
+    @pytest.mark.parametrize("bad", ['{"type":"span","id":', "nope", "[1,2]"])
+    @pytest.mark.parametrize("blanks", [0, 3])
+    def test_malformed_line_right_after_a_block_boundary_names_its_line(self, bad, blanks):
+        lines = self._good(PARSE_BLOCK) + [""] * blanks + [bad] + self._good(2)
+        text = "\n".join(lines) + "\n"
+        outcome = _block_outcome(text)
+        assert outcome == _per_line_outcome(text)
+        assert outcome.startswith(f"line {PARSE_BLOCK + blanks + 1}: ")
 
     def test_unknown_and_schemaless_records_are_kept(self):
         text = '{"type":"meta","schema":1}\n{"type":"span","args":null}\n{"weird":7}\n{}\n'
