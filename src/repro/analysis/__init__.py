@@ -5,7 +5,7 @@ registers a :class:`~repro.analysis.registry.PassSpec` (name, rules, the
 scenario it runs and — optionally — a file lint) and every check returns
 structured :class:`~repro.findings.Finding` records, which the CLI
 renders as text, JSON, or SARIF 2.1.0 (see :mod:`repro.analysis.runner`
-and ``python -m repro.analysis --list``, which names all eleven passes).
+and ``python -m repro.analysis --help``, which names all eleven passes).
 
 The checks behind them guard the reproduction's correctness (DESIGN.md §5):
 

@@ -3,7 +3,7 @@
 ``python -m repro.analysis`` runs every registered pass; one ``--<name>``
 flag per registered pass selects a subset, and a pass with a file lint
 also takes ``--<name> FILE`` to lint an exported artifact instead of
-running its scenario (``--list`` shows which). Results render as a text
+running its scenario (``--help`` shows which). Results render as a text
 report (default), a structured JSON report, or a SARIF 2.1.0 document
 (``--format``), with stable exit codes:
 
@@ -28,22 +28,10 @@ from repro.analysis.sarif import render_text, to_json_report, to_sarif
 from repro.findings import SEVERITIES, severity_rank
 
 
-def _list_passes() -> int:
-    for spec in iter_passes():
-        suffix = "  [accepts FILE]" if spec.lint_file is not None else ""
-        print(f"{spec.name:<12} {spec.description}{suffix}")
-        codes = ", ".join(f"{r.code}({r.severity[0]})" for r in spec.rules)
-        print(f"{'':<12} codes: {codes}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Analysis pass framework for the AdapCC reproduction.",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list registered passes and exit"
     )
     parser.add_argument(
         "--format",
@@ -78,9 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.list:
-        return _list_passes()
-
     chosen = {spec.name: getattr(args, spec.name) for spec in iter_passes()}
     results = run_passes(
         names=[name for name, value in chosen.items() if value is not None] or None,

@@ -3,8 +3,8 @@
 Each analysis pass registers one :class:`PassSpec`: its name, a one-line
 description, the rules it can emit (each declared beside the check that
 raises it), the scenario it runs, and — when it can also lint an exported
-artifact — the file lint. The CLI's flags, ``--list`` and the SARIF rule
-table are all derived from these records.
+artifact — the file lint. The CLI's flags and the SARIF rule table are
+derived from these records.
 
 Passes run through :mod:`repro.analysis.runner`; results export through
 :mod:`repro.analysis.sarif`. Registration order is the canonical pass
@@ -75,11 +75,6 @@ def iter_passes() -> List[PassSpec]:
     """All registered passes, in registration (= canonical report) order."""
     _ensure_loaded()
     return list(_REGISTRY.values())
-
-
-def pass_names() -> List[str]:
-    """Registered pass names, in canonical order."""
-    return [spec.name for spec in iter_passes()]
 
 
 def _ensure_loaded() -> None:

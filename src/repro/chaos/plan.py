@@ -268,10 +268,6 @@ class FaultPlan:
                 delays[crash.rank] = None
         return delays
 
-    def crashed_at(self, iteration: int) -> List[int]:
-        """Ranks down during ``iteration``."""
-        return sorted(c.rank for c in self.crashes if c.down_at(iteration))
-
     def rejoining_at(self, iteration: int) -> List[int]:
         """Ranks whose transient crash ends exactly at ``iteration``."""
         return sorted(

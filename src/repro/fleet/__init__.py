@@ -45,11 +45,7 @@ from repro.fleet.workload import (
     JobTrace,
     Workload,
     canonical_overlap_workload,
-    dump_workload,
     generate_workload,
-    load_workload,
-    read_workload,
-    three_job_workload,
 )
 
 __all__ = [
@@ -67,14 +63,10 @@ __all__ = [
     "ScoringWindow",
     "Workload",
     "canonical_overlap_workload",
-    "dump_workload",
     "fleet_observe_config",
     "generate_workload",
     "jain_index",
-    "load_workload",
     "overlap_seconds",
-    "read_workload",
     "replay",
     "score_attributions",
-    "three_job_workload",
 ]

@@ -5,8 +5,7 @@ Scenarios:
 * ``--scenario canonical`` (default) — the pinned two-job interference
   scenario with planted ground truth (attribution accuracy is scored);
 * ``--scenario generated`` — a seeded bursty workload over ``--jobs``
-  rank subsets of a homogeneous cluster (no planted truth);
-* ``--trace FILE`` — a profile-shaped JSON workload trace.
+  rank subsets of a homogeneous cluster (no planted truth).
 
 Output is a text fleet report (per-job table, fairness, contention,
 attributions) or, with ``--json``, the raw deterministic report object.
@@ -27,7 +26,6 @@ from repro.fleet.workload import (
     Workload,
     canonical_overlap_workload,
     generate_workload,
-    read_workload,
 )
 
 #: Rank subsets offered to ``--scenario generated`` (server-straddling,
@@ -41,8 +39,6 @@ _GENERATED_RANK_SETS = [
 
 
 def _build_workload(args) -> Workload:
-    if args.trace:
-        return read_workload(args.trace)
     if args.scenario == "generated":
         if not 2 <= args.jobs <= len(_GENERATED_RANK_SETS):
             raise ReproError(
@@ -134,7 +130,6 @@ def main(argv=None) -> int:
         default="canonical",
         help="canonical two-job overlap (scored) or a seeded generated fleet",
     )
-    parser.add_argument("--trace", default=None, help="JSON workload trace file")
     parser.add_argument("--seed", type=int, default=11, help="workload seed")
     parser.add_argument(
         "--jobs", type=int, default=3, help="job count for --scenario generated"

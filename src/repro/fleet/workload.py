@@ -2,16 +2,12 @@
 
 A :class:`Workload` is a set of concurrent jobs, each a rank subset of
 one shared cluster plus a schedule of collective operations (kind,
-earliest-start time, payload bytes). Two sources:
-
-* :func:`generate_workload` — a seeded generator shaped like production
-  traces from the profiling literature: training jobs issue collectives
-  in *bursts* (geometric burst lengths, exponential inter-burst gaps)
-  with heavy-tailed (clipped-lognormal) payload sizes and an
-  AllReduce-dominated primitive mix with an AlltoAll minority (MoE-style
-  expert exchange);
-* :func:`load_workload` / :func:`read_workload` — profile-shaped JSON
-  traces captured elsewhere.
+earliest-start time, payload bytes). :func:`generate_workload` draws one
+shaped like production traces from the profiling literature: training
+jobs issue collectives in *bursts* (geometric burst lengths, exponential
+inter-burst gaps) with heavy-tailed (clipped-lognormal) payload sizes and
+an AllReduce-dominated primitive mix with an AlltoAll minority (MoE-style
+expert exchange).
 
 :func:`canonical_overlap_workload` is the pinned two-job interference
 scenario the ``--fleet`` analysis pass and ``tests/test_fleet.py`` score
@@ -27,7 +23,6 @@ byte-identical fleet replays).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -126,13 +121,6 @@ class Workload:
     def job_names(self) -> List[str]:
         """Job names in replay (lexicographic) order."""
         return sorted(job.name for job in self.jobs)
-
-    def job(self, name: str) -> JobTrace:
-        """The trace of one job by name."""
-        for trace in self.jobs:
-            if trace.name == name:
-                return trace
-        raise FleetError(f"no job named {name!r}")
 
 
 # -- the seeded generator --------------------------------------------------------------
@@ -271,100 +259,3 @@ def canonical_overlap_workload(
             ),
         ),
     )
-
-
-def three_job_workload(seed: int = 11) -> Workload:
-    """Three generated jobs on a 3×4 A100 cluster, pairwise sharing NICs.
-
-    Rank subsets straddle server pairs (s0+s1, s0+s2, s1+s2) so every
-    job contends with both others somewhere on the fabric. Used by the
-    determinism tests and the bench fleet cell; no planted ground truth.
-    """
-    return generate_workload(
-        rank_sets=[(0, 1, 4, 5), (2, 3, 8, 9), (6, 7, 10, 11)],
-        seed=seed,
-    )
-
-
-# -- profile-shaped JSON traces --------------------------------------------------------
-
-
-def load_workload(payload: Dict) -> Workload:
-    """Build a :class:`Workload` from profile-shaped JSON.
-
-    Expected shape (ground truth optional)::
-
-        {"seed": 11,
-         "jobs": [{"name": "alpha", "ranks": [0, 1],
-                   "ops": [{"kind": "allreduce", "start": 0.0,
-                            "size_bytes": 4.0e8}, ...]}, ...],
-         "ground_truth": [{"victim": "alpha", "aggressor": "beta",
-                           "start": 10.0, "end": 14.0}, ...]}
-    """
-    if not isinstance(payload, dict):
-        raise FleetError(f"workload JSON must be an object, got {type(payload).__name__}")
-    try:
-        jobs = tuple(
-            JobTrace(
-                name=str(job["name"]),
-                ranks=tuple(int(rank) for rank in job["ranks"]),
-                ops=tuple(
-                    CollectiveOp(
-                        kind=str(op["kind"]),
-                        start=float(op["start"]),
-                        size_bytes=float(op["size_bytes"]),
-                    )
-                    for op in job["ops"]
-                ),
-            )
-            for job in payload["jobs"]
-        )
-        truth = tuple(
-            InterferenceWindow(
-                victim=str(window["victim"]),
-                aggressor=str(window["aggressor"]),
-                start=float(window["start"]),
-                end=float(window["end"]),
-            )
-            for window in payload.get("ground_truth", ())
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FleetError(f"malformed workload JSON: {exc!r}") from exc
-    return Workload(jobs=jobs, seed=int(payload.get("seed", 0)), ground_truth=truth)
-
-
-def read_workload(path: str) -> Workload:
-    """Load a workload from a JSON trace file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise FleetError(f"unreadable workload trace {path!r}: {exc}") from exc
-    return load_workload(payload)
-
-
-def dump_workload(workload: Workload) -> Dict:
-    """The JSON-ready dict form of a workload (inverse of ``load_workload``)."""
-    return {
-        "seed": workload.seed,
-        "jobs": [
-            {
-                "name": job.name,
-                "ranks": list(job.ranks),
-                "ops": [
-                    {"kind": op.kind, "start": op.start, "size_bytes": op.size_bytes}
-                    for op in job.ops
-                ],
-            }
-            for job in workload.jobs
-        ],
-        "ground_truth": [
-            {
-                "victim": window.victim,
-                "aggressor": window.aggressor,
-                "start": window.start,
-                "end": window.end,
-            }
-            for window in workload.ground_truth
-        ],
-    }

@@ -17,7 +17,6 @@ from repro.hardware.links import (
     gbps,
     GBps,
     us,
-    ms,
 )
 from repro.hardware.gpu import GPU, GpuSpec
 from repro.hardware.instance import Instance, InstanceSpec
@@ -53,7 +52,6 @@ __all__ = [
     "make_hetero_cluster",
     "make_homo_cluster",
     "make_paper_testbed",
-    "ms",
     "us",
     "v100_server",
 ]

@@ -151,11 +151,6 @@ class Cluster:
 
     # -- lookups ---------------------------------------------------------------
 
-    @property
-    def world_size(self) -> int:
-        """Total number of GPUs (= workers = ranks) in the job."""
-        return len(self.gpus)
-
     def gpu(self, rank: int) -> GPU:
         """The GPU holding global ``rank``."""
         if not 0 <= rank < len(self.gpus):

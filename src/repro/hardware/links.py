@@ -36,11 +36,6 @@ def us(value: float) -> float:
     return value * 1e-6
 
 
-def ms(value: float) -> float:
-    """Milliseconds → seconds."""
-    return value * 1e-3
-
-
 class LinkType(enum.Enum):
     """Physical interconnect classes the paper distinguishes."""
 
@@ -86,15 +81,6 @@ class LinkSpec:
             raise TopologyError(f"{self.type.value} link: per-stream cap must be positive")
         if self.duplex_factor < 1.0:
             raise TopologyError(f"{self.type.value} link: duplex factor must be >= 1")
-
-    def scaled(self, factor: float) -> "LinkSpec":
-        """A copy with bandwidth multiplied by ``factor`` (for shaping tests)."""
-        return LinkSpec(
-            type=self.type,
-            bandwidth=self.bandwidth * factor,
-            latency=self.latency,
-            per_stream_cap=self.per_stream_cap,
-        )
 
 
 @dataclass(frozen=True)

@@ -40,20 +40,6 @@ class AlphaBeta:
         """1/β in bytes/second (``inf`` for an ideal zero-β link)."""
         return float("inf") if self.beta == 0 else 1.0 / self.beta
 
-    def transfer_time(self, nbytes: float) -> float:
-        """α + β·nbytes — the model's cost of a single message."""
-        if nbytes < 0:
-            raise ProfilingError("transfer_time: negative size")
-        return self.alpha + self.beta * nbytes
-
-    def chunked_time(self, total_bytes: float, chunk_bytes: float) -> float:
-        """Cost of sending ``total_bytes`` as back-to-back chunks (no pipeline
-        overlap): ``ceil(total/chunk)·α + β·total``."""
-        if chunk_bytes <= 0:
-            raise ProfilingError("chunked_time: chunk size must be positive")
-        num_chunks = int(np.ceil(total_bytes / chunk_bytes)) if total_bytes > 0 else 0
-        return num_chunks * self.alpha + self.beta * total_bytes
-
 
 #: One probe observation: (number of messages n, bytes per message s,
 #: measured total time).
@@ -86,12 +72,3 @@ def fit_alpha_beta(measurements: Sequence[Measurement]) -> AlphaBeta:
     alpha, beta = float(solution[0]), float(solution[1])
     # Numerical noise can push a tiny negative; clamp rather than reject.
     return AlphaBeta(alpha=max(0.0, alpha), beta=max(0.0, beta))
-
-
-def relative_error(estimate: AlphaBeta, truth: AlphaBeta) -> Tuple[float, float]:
-    """(α, β) relative errors, guarding zero denominators."""
-
-    def rel(a: float, b: float) -> float:
-        return abs(a - b) / b if b else abs(a - b)
-
-    return rel(estimate.alpha, truth.alpha), rel(estimate.beta, truth.beta)

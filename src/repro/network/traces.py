@@ -64,12 +64,6 @@ class CloudTrace:
         index = max(0, min(index, len(self.points) - 1))
         return float(self._bw[index])
 
-    def latency_factor(self, t: float) -> float:
-        """Piecewise-constant latency factor at time t."""
-        index = int(np.searchsorted(self._times, t, side="right") - 1)
-        index = max(0, min(index, len(self.points) - 1))
-        return float(self._lat[index])
-
     def amplified(self, x: float) -> "CloudTrace":
         """The paper's volatility amplification (Sec. VI-D).
 

@@ -596,14 +596,3 @@ class Watchdog(TelemetryConsumer):
     def resyntheses_triggered(self) -> int:
         """Total re-syntheses triggered so far."""
         return self._resynthesis_count
-
-    def detector_state_size(self) -> int:
-        """Number of live signal trackers (0 for a disabled watchdog)."""
-        if not self.config.enabled:
-            return 0
-        return (
-            len(self._link_signals)
-            + len(self._fit_signals)
-            + len(self._rank_signals)
-            + 1  # the iteration signal
-        )

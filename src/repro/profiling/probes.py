@@ -33,11 +33,6 @@ class ProbePlan:
         if all(n == 1 for n, _ in self.settings):
             raise ProfilingError("probe plan needs a setting with n >= 2 to separate alpha")
 
-    @property
-    def total_probe_bytes(self) -> float:
-        """Bytes moved per profiled link (piecewise + grouped passes)."""
-        return sum(2 * n * s for n, s in self.settings)
-
 
 #: Default plan: small pieces expose α, the grouped megabyte sends expose β.
 DEFAULT_PROBE_PLAN = ProbePlan(settings=((8, 64 * KB), (4, 512 * KB), (2, 2 * MB)))

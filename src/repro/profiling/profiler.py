@@ -50,10 +50,6 @@ class ProfileResult:
         """Simulated seconds the pass took (training is blocked for these)."""
         return self.finished_at - self.started_at
 
-    def bandwidth(self, src: NodeId, dst: NodeId) -> float:
-        """Convenience: fitted bandwidth of one edge."""
-        return self.estimates[(src, dst)].bandwidth
-
 
 class Profiler:
     """Profiles the logical topology's NVLink and network edges."""

@@ -430,8 +430,3 @@ class RecoveringControlPlane(ControlPlane):
         self.transition.prepare(
             self.epoch, self.coordinator, self.sim.now, proposed, ack_epochs
         )
-
-    @property
-    def committed_members(self) -> Optional[Tuple[int, ...]]:
-        """Membership of the last committed strategy (``None`` before any)."""
-        return self._committed_members

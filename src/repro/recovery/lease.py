@@ -41,10 +41,6 @@ class Lease:
     epoch: int
     expires_at: float
 
-    def expired(self, now: float) -> bool:
-        """Whether the grant has lapsed at simulated time ``now``."""
-        return now > self.expires_at
-
 
 class CoordinatorLease:
     """Tracks the current grant and runs elections when it lapses."""

@@ -45,13 +45,6 @@ class GpuBuffers:
             )
         self._sizes[name] = nbytes
 
-    def size_of(self, name: str) -> float:
-        """Size of a registered buffer; raises if unknown."""
-        try:
-            return self._sizes[name]
-        except KeyError:
-            raise BufferError_(f"rank {self.rank}: no buffer {name!r}")
-
     def release(self, name: str) -> None:
         """Reclaim one buffer; missing names are ignored (idempotent)."""
         self._sizes.pop(name, None)

@@ -100,12 +100,6 @@ class CollectiveResult:
         """Wall completion time including any straggler waiting."""
         return self.finished - self.started
 
-    def algorithm_bandwidth(self, tensor_bytes: float) -> float:
-        """The paper's Algo.bw: data size / completion time."""
-        if self.duration <= 0:
-            return float("inf")
-        return tensor_bytes / self.duration
-
 
 class PendingCollective:
     """A launched collective.

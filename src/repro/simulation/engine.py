@@ -277,10 +277,6 @@ class Simulator:
 
     # -- event creation -----------------------------------------------------
 
-    def event(self) -> Event:
-        """Create a fresh pending event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)

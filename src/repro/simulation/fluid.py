@@ -201,11 +201,6 @@ class Transfer:
         """The links crossed, in path order."""
         return list(self._path.links)
 
-    @property
-    def link_multiplicity(self) -> Dict[FluidLink, int]:
-        """Times each distinct link is crossed (shared per path: read-only)."""
-        return self._path.multiplicity
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Transfer #{self.id} {self.tag or 'untagged'} "

@@ -8,7 +8,7 @@ care about; records are plain tuples so post-processing stays trivial
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -62,22 +62,3 @@ class TraceRecorder:
             tag=transfer.tag,
             remaining=transfer.remaining,
         )
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All records with the given kind, in time order."""
-        return [r for r in self.records if r.kind == kind]
-
-    def series(self, kind: str, key: str) -> Tuple[List[float], List[Any]]:
-        """(times, values) for ``payload[key]`` across records of ``kind``."""
-        times: List[float] = []
-        values: List[Any] = []
-        for r in self.of_kind(kind):
-            times.append(r.time)
-            values.append(r.payload[key])
-        return times, values
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)

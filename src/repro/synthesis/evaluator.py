@@ -558,11 +558,14 @@ class CompiledStrategy:
         node v before u makes u depend on v.
         """
         deps: Dict[NodeId, set] = defaultdict(set)
-        nodes: set = set()
         for path, visited in zip(paths, positions):
             for earlier, later in zip(visited, visited[1:]):
                 deps[path[later]].add(path[earlier])
-            nodes.update(path[idx] for idx in visited)
+        # Path order, not a set: ``NodeId`` hashes by identity, so a set's
+        # order, and the sort's comparison count, would follow addresses.
+        nodes = dict.fromkeys(
+            path[idx] for path, visited in zip(paths, positions) for idx in visited
+        )
         order: List[NodeId] = []
         resolved: set = set()
         pending = sorted(nodes)
@@ -800,7 +803,3 @@ class StrategyEvaluator:
         return CompiledStrategy(
             self.topology, self.include_kernel_time, strategy, routes
         ).evaluate()
-
-    def objective(self, strategy: Strategy) -> float:
-        """Shortcut: just the predicted completion time (eq. 4)."""
-        return self.evaluate(strategy).objective

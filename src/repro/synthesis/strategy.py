@@ -228,14 +228,6 @@ class SubCollective:
         """a_{m,g} looked up by global rank."""
         return self.aggregates_at(gpu_node(rank))
 
-    def nodes(self) -> List[NodeId]:
-        """All nodes touched by this sub-collective's flows, deduplicated."""
-        seen: Dict[NodeId, None] = {}
-        for flow in self.flows:
-            for node in flow.path:
-                seen.setdefault(node)
-        return list(seen)
-
 
 @dataclass
 class Strategy:

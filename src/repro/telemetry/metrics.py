@@ -141,11 +141,6 @@ class Gauge(Metric):
         """Replace the labelled series' value."""
         self._values[_label_key(labels)] = float(value)
 
-    def add(self, amount: float, **labels: Any) -> None:
-        """Adjust the labelled series by ``amount`` (may be negative)."""
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
     def value(self, **labels: Any) -> float:
         """Current value of one labelled series (0 if never set)."""
         return self._values.get(_label_key(labels), 0.0)

@@ -23,7 +23,6 @@ import enum
 import functools
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
@@ -38,9 +37,6 @@ from repro.errors import TopologyError
 from repro.hardware.cluster import Cluster
 from repro.network.cost_model import AlphaBeta
 from repro.simulation.fluid import FluidLink
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 T = TypeVar("T")
 
@@ -379,14 +375,6 @@ class LogicalTopology:
         """Whether the directed edge exists."""
         return (src, dst) in self.edges
 
-    def successors(self, node: NodeId) -> List[NodeId]:
-        """Nodes reachable over one outgoing edge."""
-        return list(self._out[node])
-
-    def predecessors(self, node: NodeId) -> List[NodeId]:
-        """Nodes with an edge into ``node``."""
-        return list(self._in[node])
-
     def out_edges(self, node: NodeId) -> List[Edge]:
         """Edges leaving ``node`` (none for a node the topology lacks)."""
         edges = self.edges
@@ -450,13 +438,6 @@ class LogicalTopology:
                 beta = 0.0 if aggregate == float("inf") else 1.0 / aggregate
             edge.estimate_parallel = AlphaBeta(estimate.alpha, beta)
 
-    def clear_estimates(self) -> None:
-        """Drop all profiled estimates (fall back to nominal everywhere)."""
-        self.epoch += 1
-        for edge in self.edges.values():
-            edge.estimate = None
-            edge.estimate_parallel = None
-
     # -- quarantine ----------------------------------------------------------------
 
     def quarantine_link(self, link: str, both_directions: bool = True) -> List[Edge]:
@@ -487,33 +468,6 @@ class LogicalTopology:
             if edge.quarantined
         )
 
-    def clear_quarantine(self) -> None:
-        """Lift every quarantine (test/reset helper)."""
-        self.epoch += 1
-        for edge in self.edges.values():
-            edge.quarantined = False
-
     def path_edges(self, path: List[NodeId]) -> List[Edge]:
         """Edges along a node path; validates adjacency."""
         return [self.edge(a, b) for a, b in zip(path, path[1:])]
-
-    def to_networkx(self, use_estimates: bool = True) -> "nx.DiGraph":
-        """Export to networkx with ``alpha``/``beta``/``bandwidth`` attributes."""
-        # Imported here: nothing on the run path needs networkx, and loading
-        # it costs ~0.2 s / 20 MB of every process that imports repro.
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for node in self.nodes:
-            graph.add_node(node, kind=node.kind.value)
-        for (src, dst), edge in self.edges.items():
-            ab = edge.effective if use_estimates else edge.nominal
-            graph.add_edge(
-                src,
-                dst,
-                kind=edge.kind.value,
-                alpha=ab.alpha,
-                beta=ab.beta,
-                bandwidth=ab.bandwidth,
-            )
-        return graph

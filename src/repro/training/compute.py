@@ -77,9 +77,3 @@ class ComputeModel:
                 t *= factor
             times[gpu.rank] = t
         return times
-
-    def skew_ratio(self, times: Dict[int, float]) -> float:
-        """(slowest - fastest) / fastest, a per-iteration skew summary."""
-        values = list(times.values())
-        fastest = min(values)
-        return (max(values) - fastest) / fastest if fastest > 0 else 0.0

@@ -51,10 +51,6 @@ class ShardedDataLoader:
 
     # -- invariants ------------------------------------------------------------
 
-    def shard_sizes(self) -> Dict[int, int]:
-        """Samples held by each worker's shard."""
-        return {w: end - start for w, (start, end) in self.shards.items()}
-
     def verify_partition(self) -> bool:
         """Shards tile [0, dataset_size) exactly with no overlap."""
         intervals = sorted(self.shards.values())

@@ -22,7 +22,7 @@ every ``reroll_seconds``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -78,7 +78,3 @@ class InterferenceModel:
             )
             for local_index in chosen:
                 self._current[instance.gpus[int(local_index)].rank] = self.slowdown_factor
-
-    def victims(self) -> List[int]:
-        """Ranks currently slowed down."""
-        return sorted(self._current)

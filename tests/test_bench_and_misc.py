@@ -128,22 +128,7 @@ class TestTraceRecorder:
         recorder.record(0.0, "event", "a", value=1)
         recorder.record(1.0, "other", "b", value=2)
         recorder.record(2.0, "event", "a", value=3)
-        assert len(recorder) == 3
-        events = recorder.of_kind("event")
-        assert [r.payload["value"] for r in events] == [1, 3]
-
-    def test_series_extraction(self):
-        recorder = TraceRecorder()
-        for t in range(5):
-            recorder.record(float(t), "sample", "s", level=t * 10)
-        times, values = recorder.series("sample", "level")
-        assert times == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert values == [0, 10, 20, 30, 40]
-
-    def test_iteration(self):
-        recorder = TraceRecorder()
-        recorder.record(0.0, "k", "s")
-        assert [r.kind for r in recorder] == ["k"]
+        assert [r.payload["value"] for r in recorder.records if r.kind == "event"] == [1, 3]
 
 
 class TestRepeatsAveraging:

@@ -121,7 +121,6 @@ class TestFaultPlan:
         assert plan.ready_delays(0, [0, 1, 2]) == {0: 0.0, 1: 0.0, 2: 0.0}
         assert plan.ready_delays(1, [0, 1, 2]) == {0: 0.0, 1: 0.02, 2: None}
         assert plan.ready_delays(2, [0, 1, 2]) == {0: 0.0, 1: 0.0, 2: 0.0}
-        assert plan.crashed_at(1) == [2]
         assert plan.rejoining_at(2) == [2]
 
     @pytest.mark.parametrize(

@@ -159,7 +159,7 @@ class TestAllReduce:
         inputs = make_inputs(ranks, length)
         strategy = synth.synthesize(Primitive.ALLREDUCE, length * 8, ranks)
         result = run(topo, strategy, inputs)
-        assert result.algorithm_bandwidth(length * 8) > 1e9  # > 1 GB/s
+        assert length * 8 / result.duration > 1e9  # > 1 GB/s
 
     def test_single_rank_identity(self):
         topo, synth = make_env()

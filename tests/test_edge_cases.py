@@ -6,12 +6,11 @@ from repro.errors import SimulationError, SynthesisError
 from repro.hardware import Cluster, GPU, make_homo_cluster
 from repro.hardware.presets import A100_GPU
 from repro.simulation import Simulator
-from repro.simulation.engine import LATE, NORMAL, URGENT
+from repro.simulation.engine import LATE, NORMAL, URGENT, Event
 from repro.synthesis import Primitive, Synthesizer, SynthesizerConfig
 from repro.hardware.links import KB, MB
 from repro.synthesis.chunking import MAX_CHUNK, MIN_CHUNK, chunk_candidates
 from repro.topology import LogicalTopology
-from repro.topology.graph import nic_node
 
 
 class TestSimulationEdges:
@@ -34,21 +33,21 @@ class TestSimulationEdges:
         assert Simulator().peek() == float("inf")
 
     def test_value_and_ok_before_trigger_rejected(self):
-        event = Simulator().event()
+        event = Event(Simulator())
         with pytest.raises(SimulationError):
             event.value
         with pytest.raises(SimulationError):
             event.ok
 
     def test_fail_requires_exception_instance(self):
-        event = Simulator().event()
+        event = Event(Simulator())
         with pytest.raises(TypeError):
             event.fail("boom")
         assert not event.triggered
 
     def test_callback_on_processed_event_runs_at_once(self):
         sim = Simulator()
-        event = sim.event().succeed("done")
+        event = Event(sim).succeed("done")
         sim.run()
         seen = []
         event.add_callback(lambda e: seen.append(e.value))
@@ -113,7 +112,7 @@ class TestSimulationEdges:
 
     def test_long_chain_of_processed_events_does_not_recurse(self):
         sim = Simulator()
-        done = sim.event().succeed(1)
+        done = Event(sim).succeed(1)
         sim.run()
         total = []
 
@@ -139,7 +138,7 @@ class TestSimulationEdges:
 
     def test_run_until_complete_reraises_failure(self):
         sim = Simulator()
-        event = sim.event().fail(KeyError("lost"))
+        event = Event(sim).fail(KeyError("lost"))
         with pytest.raises(KeyError):
             sim.run_until_complete(event)
 
@@ -160,7 +159,7 @@ class TestAllOf:
 
     def test_fails_with_the_first_failing_child(self):
         sim = Simulator()
-        bad = sim.event()
+        bad = Event(sim)
         slow = sim.timeout(9.0)
         caught = []
 
@@ -181,7 +180,7 @@ class TestAllOf:
 
     def test_later_child_failure_after_failing_is_ignored(self):
         sim = Simulator()
-        first, second = sim.event(), sim.event()
+        first, second = Event(sim), Event(sim)
         group = sim.all_of([first, second])
         group.add_callback(lambda e: None)  # someone waits on the group
         first.fail(ValueError("first"))
@@ -234,20 +233,6 @@ class TestChunkCandidates:
         grid = [float(MIN_CHUNK * 2**k) for k in range(7)]
         assert grid[-1] <= MAX_CHUNK < 2 * grid[-1]
         assert chunk_candidates(100e6) == grid + [100e6]
-
-
-class TestNetworkxExport:
-    def test_nominal_vs_estimate_export(self):
-        from repro.network.cost_model import AlphaBeta
-
-        sim = Simulator()
-        cluster = Cluster(sim, make_homo_cluster(num_servers=2))
-        topo = LogicalTopology.from_cluster(cluster)
-        topo.set_estimate(nic_node(0), nic_node(1), AlphaBeta(1e-5, 1e-9))
-        with_est = topo.to_networkx(use_estimates=True)
-        without = topo.to_networkx(use_estimates=False)
-        assert with_est.get_edge_data(nic_node(0), nic_node(1))["bandwidth"] == pytest.approx(1e9)
-        assert without.get_edge_data(nic_node(0), nic_node(1))["bandwidth"] > 1e9
 
 
 class TestSynthesizerScreeningEquivalence:

@@ -13,7 +13,7 @@ class TestClusterAddInstance:
         sim = Simulator()
         cluster = Cluster(sim, make_homo_cluster(num_servers=2))
         cluster.add_instance(a100_server(name="late"))
-        assert cluster.world_size == 12
+        assert len(cluster.gpus) == 12
         assert cluster.ranks_on_instance(2) == [8, 9, 10, 11]
 
     def test_new_instance_links_exist(self):

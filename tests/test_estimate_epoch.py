@@ -57,8 +57,6 @@ def test_each_writer_bumps_the_epoch_and_no_memo_outlives_it():
     writers = {
         "set_estimate": lambda: topology.set_estimate(src, dst, AlphaBeta(2e-5, 1e-8)),
         "quarantine_link": lambda: topology.quarantine_link(f"{network[-1][0]}->{network[-1][1]}"),
-        "clear_quarantine": topology.clear_quarantine,
-        "clear_estimates": topology.clear_estimates,
     }
     allreduce = synthesizer.synthesize(Primitive.ALLREDUCE, 64 * MB, ranks)
     evaluator = StrategyEvaluator(topology)

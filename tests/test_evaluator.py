@@ -1,6 +1,10 @@
 """Tests for the strategy evaluator (paper eqs. 2-6), incl. hand-computed cases."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,13 +54,14 @@ class TestSingleFlow:
         strategy = reduce_strategy([flow], {gpu_node(0): True}, size=1000.0, chunk=100.0)
         ab = topo.edge(gpu_node(1), gpu_node(0)).effective
         t = ab.alpha + ab.beta * 100.0
-        assert evaluator.objective(strategy) == pytest.approx(t + 10 * t)
+        assert evaluator.evaluate(strategy).objective == pytest.approx(t + 10 * t)
 
     def test_kernel_time_added_at_aggregator(self, topo):
         flow = Flow(gpu_node(1), gpu_node(0), [gpu_node(1), gpu_node(0)])
         strategy = reduce_strategy([flow], {gpu_node(0): True}, size=1000.0, chunk=100.0)
-        without = StrategyEvaluator(topo, include_kernel_time=False).objective(strategy)
-        with_kernel = StrategyEvaluator(topo, include_kernel_time=True).objective(strategy)
+        without = StrategyEvaluator(topo, include_kernel_time=False).evaluate(strategy)
+        with_kernel = StrategyEvaluator(topo, include_kernel_time=True).evaluate(strategy)
+        without, with_kernel = without.objective, with_kernel.objective
         kernel = topo.cluster.gpu(0).spec.reduce_kernel_time(100.0)
         ab = topo.edge(gpu_node(1), gpu_node(0)).effective
         t = ab.alpha + ab.beta * 100.0
@@ -76,7 +81,7 @@ class TestSingleFlow:
         bottleneck = max(
             e.effective.alpha + e.effective.beta * 1000.0 for e in topo.path_edges(path)
         )
-        assert evaluator.objective(strategy) == pytest.approx(expected + bottleneck)
+        assert evaluator.evaluate(strategy).objective == pytest.approx(expected + bottleneck)
 
 
 class TestLinkLoads:
@@ -151,7 +156,7 @@ class TestLinkLoads:
             [Flow(gpu_node(2), gpu_node(0), path2), Flow(gpu_node(3), gpu_node(0), path3)],
             {gpu_node(0): True},
         )
-        assert evaluator.objective(contended) > 1.5 * evaluator.objective(lone)
+        assert evaluator.evaluate(contended).objective > 1.5 * evaluator.evaluate(lone).objective
 
     def test_loads_shared_across_subcollectives(self, topo):
         """eq. 3 sums loads over all M sub-collectives."""
@@ -241,14 +246,14 @@ class TestChunking:
         path = [gpu_node(2), nic_node(1), nic_node(0), gpu_node(0)]
 
         def with_chunk(chunk):
-            return evaluator.objective(
+            return evaluator.evaluate(
                 reduce_strategy(
                     [Flow(gpu_node(2), gpu_node(0), path)],
                     {gpu_node(0): True},
                     size=1_000_000.0,
                     chunk=chunk,
                 )
-            )
+            ).objective
 
         assert with_chunk(1000.0) > with_chunk(100_000.0)
 
@@ -260,14 +265,14 @@ class TestChunking:
         size = 100_000_000.0
 
         def with_chunk(chunk):
-            return evaluator.objective(
+            return evaluator.evaluate(
                 reduce_strategy(
                     [Flow(gpu_node(2), gpu_node(0), path)],
                     {gpu_node(0): True},
                     size=size,
                     chunk=chunk,
                 )
-            )
+            ).objective
 
         assert with_chunk(4_000_000.0) < with_chunk(size)
 
@@ -280,12 +285,12 @@ class TestChunking:
         strategy = reduce_strategy(
             [Flow(gpu_node(2), gpu_node(0), path)], {gpu_node(0): True}
         )
-        before = evaluator.objective(strategy)
+        before = evaluator.evaluate(strategy).objective
         edge = topo.edge(nic_node(1), nic_node(0))
         topo.set_estimate(
             nic_node(1), nic_node(0), AlphaBeta(edge.nominal.alpha, edge.nominal.beta * 4)
         )
-        after = evaluator.objective(strategy)
+        after = evaluator.evaluate(strategy).objective
         assert after > before
 
 
@@ -609,6 +614,50 @@ class TestOneUnitRule:
                     sent = {((tail, head), unit) for tail, head, unit in wiring.senders}
                     priced = evaluator_module.edge_units(primitive, sc)
                     assert sent == {(edge, u) for edge, units in priced.items() for u in units}
-                    gpus = [node for node in sc.nodes() if node.is_gpu and node != sc.root]
+                    nodes = dict.fromkeys(node for flow in sc.flows for node in flow.path)
+                    gpus = [node for node in nodes if node.is_gpu and node != sc.root]
                     node = gpus[rng.integers(len(gpus))]
                     sc.aggregation[node] = not sc.aggregates_at(node)
+
+
+#: One cold AllReduce synthesis on the hetero16 perfbench recipe, counting
+#: ``NodeId.__lt__`` calls; the count is printed.
+_COUNT_COMPARISONS = """
+from repro.hardware import MB, Cluster
+from repro.hardware.presets import make_config
+from repro.profiling.profiler import Profiler
+from repro.simulation import Simulator
+from repro.synthesis import Primitive, Synthesizer
+from repro.topology import LogicalTopology
+from repro.topology.detector import Detector
+from repro.topology.graph import NodeId
+
+cluster = Cluster(Simulator(), make_config((4, 4), (4, 4)))
+detection = Detector(cluster).detect()
+topology = LogicalTopology.from_cluster(
+    cluster, nvlink_pairs=detection.nvlink_pairs_by_instance()
+)
+Profiler(topology).profile()
+calls, compare = [], NodeId.__lt__
+NodeId.__lt__ = lambda self, other: calls.append(None) or compare(self, other)
+Synthesizer(topology).synthesize(
+    Primitive.ALLREDUCE, 64 * MB, [gpu.rank for gpu in cluster.gpus]
+)
+print(len(calls))
+"""
+
+
+def test_synthesis_work_count_is_the_same_in_every_process():
+    """A sort fed from an identity-hashed set compares a different number of
+    times in each process; exact work counts need its input in path order."""
+    src = str(Path(evaluator_module.__file__).resolve().parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    counts = {
+        subprocess.run(
+            [sys.executable, "-c", _COUNT_COMPARISONS],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        for _ in range(3)
+    }
+    assert len(counts) == 1, counts

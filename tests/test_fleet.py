@@ -35,14 +35,11 @@ from repro.fleet import (
     ScoringWindow,
     Workload,
     canonical_overlap_workload,
-    dump_workload,
     generate_workload,
     jain_index,
-    load_workload,
     overlap_seconds,
     replay,
     score_attributions,
-    three_job_workload,
 )
 from repro.fleet.__main__ import main as fleet_main
 from repro.hardware import make_homo_cluster
@@ -103,18 +100,15 @@ def test_workload_validation():
         InterferenceWindow(victim="alpha", aggressor="beta", start=1.0, end=1.0)
     workload = Workload(jobs=(beta, alpha))
     assert workload.job_names == ["alpha", "beta"]
-    assert workload.job("beta") is beta
-    with pytest.raises(FleetError):
-        workload.job("ghost")
 
 
 def test_generate_workload_is_seed_deterministic():
     rank_sets = [(0, 1, 4, 5), (2, 3, 6, 7)]
     first = generate_workload(rank_sets, seed=FLEET_SEED)
     second = generate_workload(rank_sets, seed=FLEET_SEED)
-    assert dump_workload(first) == dump_workload(second)
+    assert first == second
     other = generate_workload(rank_sets, seed=FLEET_SEED + 1)
-    assert dump_workload(first) != dump_workload(other)
+    assert first != other
 
 
 def test_generate_workload_shape():
@@ -129,32 +123,14 @@ def test_generate_workload_shape():
             assert op.size_bytes > 0
 
 
-def test_workload_json_round_trip(tmp_path):
-    workload = canonical_overlap_workload(seed=FLEET_SEED)
-    payload = dump_workload(workload)
-    assert load_workload(payload) == workload
-    # And through an actual file, the way ``--trace`` consumes it.
-    path = tmp_path / "trace.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    from repro.fleet import read_workload
-
-    assert read_workload(str(path)) == workload
-
-
-def test_load_workload_rejects_malformed():
-    with pytest.raises(FleetError):
-        load_workload(["not", "an", "object"])
-    with pytest.raises(FleetError):
-        load_workload({"jobs": [{"name": "a"}]})
-
-
 def test_canonical_overlap_workload_plants_truth():
     workload = canonical_overlap_workload(seed=FLEET_SEED)
     assert workload.job_names == ["alpha", "beta"]
-    assert set(workload.job("alpha").ranks).isdisjoint(workload.job("beta").ranks)
+    alpha, beta = workload.jobs
+    assert set(alpha.ranks).isdisjoint(beta.ranks)
     (truth,) = workload.ground_truth
     assert truth.victim == "alpha" and truth.aggressor == "beta"
-    alpha_ops = workload.job("alpha").ops
+    alpha_ops = alpha.ops
     assert alpha_ops[0].start <= truth.start <= alpha_ops[-1].start
     with pytest.raises(FleetError):
         canonical_overlap_workload(burst_start_iteration=2)
@@ -416,9 +392,10 @@ def test_fleet_lint_io_error(tmp_path):
 @pytest.fixture(scope="module")
 def three_job_pair():
     """A three-job generated workload replayed twice on one seed."""
+    rank_sets = [(0, 1, 4, 5), (2, 3, 8, 9), (6, 7, 10, 11)]
     return (
-        replay(three_job_workload(seed=FLEET_SEED)),
-        replay(three_job_workload(seed=FLEET_SEED)),
+        replay(generate_workload(rank_sets, seed=FLEET_SEED)),
+        replay(generate_workload(rank_sets, seed=FLEET_SEED)),
     )
 
 
@@ -468,7 +445,6 @@ def test_fleet_cli_json_report(capsys, tmp_path):
     assert lint_fleet_file(str(export)) == []
 
 
-def test_fleet_cli_rejects_bad_input(capsys, tmp_path):
-    assert fleet_main(["--trace", str(tmp_path / "nope.json")]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_fleet_cli_rejects_bad_input(capsys):
     assert fleet_main(["--scenario", "generated", "--jobs", "9"]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -261,7 +261,6 @@ def test_transfer_path_stays_readable_for_recorders():
     done = net.transfer([bus, nic, bus], size=90.0)
     (t,) = net.active_transfers
     assert t.links == [bus, nic, bus]
-    assert t.link_multiplicity == {bus: 2, nic: 1}
     sim.run_until_complete(done)
     snapshots = [r for r in recorder.records if r.kind == "net-rates"]
     flow = snapshots[0].payload["flows"][0]

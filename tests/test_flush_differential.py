@@ -386,7 +386,7 @@ def test_k_same_instant_activations_solve_once(k):
         net.transfer([link], size=100.0)
     sim.run()
     assert net.flushes[1.0] == 1
-    snapshots = [r for r in recorder.of_kind("net-rates") if r.time == 1.0]
+    snapshots = [r for r in recorder.records if r.kind == "net-rates" and r.time == 1.0]
     assert len(snapshots) == 1
     assert [flow[2] for flow in snapshots[0].payload["flows"]] == [100.0 / k] * k
 

@@ -44,13 +44,6 @@ class TestLinkSpec:
         with pytest.raises(TopologyError):
             LinkSpec(LinkType.RDMA, bandwidth=1e9, latency=-1)
 
-    def test_scaled(self):
-        spec = LinkSpec(LinkType.TCP, bandwidth=1e9, latency=1e-5, per_stream_cap=2e8)
-        half = spec.scaled(0.5)
-        assert half.bandwidth == pytest.approx(5e8)
-        assert half.latency == spec.latency
-        assert half.per_stream_cap == spec.per_stream_cap
-
     def test_network_types(self):
         assert LinkType.RDMA.is_network
         assert LinkType.TCP.is_network
@@ -111,7 +104,7 @@ class TestCluster:
 
     def test_world_size(self):
         _, cluster = self.make()
-        assert cluster.world_size == 8
+        assert len(cluster.gpus) == 8
 
     def test_ranks_sequential_across_instances(self):
         _, cluster = self.make()
@@ -235,7 +228,7 @@ class TestCluster:
     def test_paper_testbed_composition(self):
         sim = Simulator()
         cluster = Cluster(sim, make_paper_testbed())
-        assert cluster.world_size == 24
+        assert len(cluster.gpus) == 24
         assert cluster.instances[0].spec.gpu.name == "A100"
         assert cluster.instances[5].spec.gpu.name == "V100"
 

@@ -52,8 +52,9 @@ def _f401_exempt():
 
 def test_no_unread_imports():
     exempt = _f401_exempt()
+    folders = ("src", "tests", "benchmarks", "tools")
     files = {p.relative_to(ROOT).as_posix(): p
-             for folder in ("src", "tests", "benchmarks") for p in (ROOT / folder).rglob("*.py")}
+             for folder in folders for p in (ROOT / folder).rglob("*.py")}
     unread = {name: _unread_imports(path.read_text())
               for name, path in sorted(files.items()) if name not in exempt}
     assert {name: found for name, found in unread.items() if found} == {}

@@ -334,12 +334,6 @@ class TestQuarantineMasking:
         topo.quarantine_link(LINK, both_directions=False)
         assert topo.quarantined_links() == ["n0->n1"]
 
-    def test_clear_quarantine(self):
-        topo = self.make_topology()
-        topo.quarantine_link(LINK)
-        topo.clear_quarantine()
-        assert topo.quarantined_links() == []
-
     def test_unknown_link_rejected(self):
         topo = self.make_topology()
         with pytest.raises(Exception):

@@ -410,7 +410,6 @@ class TestWiring:
         watchdog = Watchdog(
             make_topology(), config=ObserveConfig(enabled=False)
         ).attach(live_hub)
-        assert watchdog.detector_state_size() == 0
         assert live_hub.consumers == []
         assert watchdog.end_iteration(0, 1.0) == []
         records = watchdog.log.records

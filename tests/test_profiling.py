@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProfilingError
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
-from repro.profiling import DEFAULT_PROBE_PLAN, ProbePlan, Profiler, inter_instance_rounds
+from repro.profiling import ProbePlan, Profiler, inter_instance_rounds
 from repro.profiling.rounds import validate_round
 from repro.simulation import Simulator
 from repro.topology import LogicalTopology
@@ -12,9 +12,6 @@ from repro.topology.graph import nic_node
 
 
 class TestProbePlan:
-    def test_default_plan_valid(self):
-        assert DEFAULT_PROBE_PLAN.total_probe_bytes > 0
-
     def test_needs_settings(self):
         with pytest.raises(ProfilingError):
             ProbePlan(settings=())
@@ -27,9 +24,6 @@ class TestProbePlan:
         with pytest.raises(ProfilingError):
             ProbePlan(settings=((0, 1024.0),))
 
-    def test_total_bytes(self):
-        plan = ProbePlan(settings=((2, 100.0),))
-        assert plan.total_probe_bytes == pytest.approx(400.0)
 
 
 class TestRounds:
@@ -120,16 +114,13 @@ class TestProfiler:
         assert all(src.is_gpu and dst.is_gpu for src, dst in result.estimates)
         assert len(result.estimates) == 12  # 4 GPUs, 6 pairs, both directions
 
-    def test_result_bandwidth_accessor(self):
-        _, _, _, profiler = self.make(make_homo_cluster(num_servers=2))
-        result = profiler.profile()
-        assert result.bandwidth(nic_node(0), nic_node(1)) == pytest.approx(7.5e9, rel=0.05)
-
     def test_second_pass_tracks_bandwidth_change(self):
         """The adaptivity hook: re-profiling reflects mid-training shaping."""
         sim, cluster, topo, profiler = self.make(make_homo_cluster(num_servers=2))
         first = profiler.profile()
-        assert first.bandwidth(nic_node(0), nic_node(1)) == pytest.approx(7.5e9, rel=0.05)
+        link = first.estimates[nic_node(0), nic_node(1)]
+        assert link.bandwidth == pytest.approx(7.5e9, rel=0.05)
         cluster.set_nic_bandwidth(0, 5e9, direction="egress")
         second = profiler.profile()
-        assert second.bandwidth(nic_node(0), nic_node(1)) == pytest.approx(5e9, rel=0.05)
+        link = second.estimates[nic_node(0), nic_node(1)]
+        assert link.bandwidth == pytest.approx(5e9, rel=0.05)

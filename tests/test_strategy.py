@@ -117,7 +117,7 @@ class TestSubCollective:
 
     def test_nodes_deduplicated(self):
         sc = SubCollective(index=0, size=10.0, chunk_size=10.0, flows=[simple_flow()])
-        assert len(sc.nodes()) == 4
+        assert len({node for flow in sc.flows for node in flow.path}) == 4
 
 
 class TestStrategyValidation:

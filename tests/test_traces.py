@@ -46,7 +46,6 @@ class TestCloudTrace:
         assert trace.bandwidth_fraction(10.0) == 0.5
         assert trace.bandwidth_fraction(15.0) == 0.5
         assert trace.bandwidth_fraction(999.0) == 0.8
-        assert trace.latency_factor(12.0) == pytest.approx(1.1)
 
     def test_amplification_deepens_dips(self):
         trace = CloudTrace([TracePoint(0.0, 0.8, 1.1)])
@@ -91,7 +90,7 @@ class TestTraceShaper:
         shaper.start()
         sim.run(until=0.5)
         assert cluster.nic_egress(0).capacity == pytest.approx(0.5 * nominal)
-        assert len(recorder) > 0
+        assert recorder.records
         shaper.stop()
         sim.run(until=2.5)
         assert cluster.nic_egress(0).capacity == pytest.approx(nominal)

@@ -100,15 +100,15 @@ class TestComputeModel:
         with pytest.raises(TrainingError):
             model.draw(interference={0: 0.5})
 
-    def test_skew_ratio(self):
-        model = self.make()
-        assert model.skew_ratio({0: 1.0, 1: 1.5}) == pytest.approx(0.5)
-
     def test_hetero_skew_larger_than_homo(self):
         homo = self.make(seed=3)
         hetero = self.make(make_hetero_cluster(), seed=3)
-        homo_skews = [homo.skew_ratio(homo.draw()) for _ in range(20)]
-        hetero_skews = [hetero.skew_ratio(hetero.draw()) for _ in range(20)]
+
+        def skew(times):
+            return (max(times.values()) - min(times.values())) / min(times.values())
+
+        homo_skews = [skew(homo.draw()) for _ in range(20)]
+        hetero_skews = [skew(hetero.draw()) for _ in range(20)]
         assert np.mean(hetero_skews) > np.mean(homo_skews)
 
 
@@ -147,13 +147,12 @@ class TestInterference:
 
     def test_same_seed_reroll_sequences_reproducible(self):
         # Satellite: _reroll draws only from the seeded generator, so two
-        # same-seed models replay identical at()/victims() sequences.
+        # same-seed models replay identical at() sequences.
         first = self.make(level=400.0, reroll_seconds=10.0)
         second = self.make(level=400.0, reroll_seconds=10.0)
         times = [0.0, 3.0, 10.0, 20.0, 35.0, 60.0]
         for now in times:
             assert first.at(now) == second.at(now)
-            assert first.victims() == second.victims()
 
     def test_different_seeds_diverge(self):
         times = [0.0, 10.0, 20.0, 30.0, 40.0]
@@ -174,7 +173,6 @@ class TestDataLoader:
     def test_partition_exact(self):
         loader = ShardedDataLoader(dataset_size=1000, global_batch=64, workers=list(range(8)))
         assert loader.verify_partition()
-        assert sum(loader.shard_sizes().values()) == 1000
 
     def test_batches_sum_to_global(self):
         loader = ShardedDataLoader(dataset_size=1000, global_batch=100, workers=list(range(7)))
