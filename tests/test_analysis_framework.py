@@ -229,6 +229,16 @@ class TestSarifExport:
 
 
 class TestCliContract:
+    def test_help_names_every_pass_and_which_take_a_file(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            analysis_main(["--help"])
+        assert done.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for spec in iter_passes():
+            usage = f"--{spec.name} [FILE]" if spec.lint_file else f"--{spec.name} "
+            assert usage in out, spec.name
+        assert [spec.name for spec in iter_passes()] == CANONICAL
+
     def test_clean_source_pass_exit_zero(self, capsys):
         assert analysis_main(["--source"]) == 0
         assert "ok   source lint" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Tests for the bench harness, report formatting, reconstruction model,
 and the simulation trace recorder."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench import (
@@ -129,6 +131,26 @@ class TestTraceRecorder:
         recorder.record(1.0, "other", "b", value=2)
         recorder.record(2.0, "event", "a", value=3)
         assert [r.payload["value"] for r in recorder.records if r.kind == "event"] == [1, 3]
+
+    def test_records_keep_call_order_and_fields(self):
+        recorder = TraceRecorder()
+        recorder.record(2.0, "late", "s", level=1)
+        recorder.record(1.0, "early", "t")
+        assert [(r.time, r.kind, r.subject, r.payload) for r in recorder.records] == [
+            (2.0, "late", "s", {"level": 1}),
+            (1.0, "early", "t", {}),
+        ]
+
+    def test_flow_calls_become_net_flow_records(self):
+        recorder = TraceRecorder()
+        transfer = SimpleNamespace(id=7, tag="ar", size=1024.0)
+        recorder.flow_started(transfer, 0.5)
+        recorder.flow_ended(transfer, 1.5)
+        assert [(r.time, r.kind, r.subject) for r in recorder.records] == [
+            (0.5, "net-flow-start", "flow7"),
+            (1.5, "net-flow-end", "flow7"),
+        ]
+        assert all(r.payload == {"flow": 7, "tag": "ar", "size": 1024.0} for r in recorder.records)
 
 
 class TestRepeatsAveraging:

@@ -34,6 +34,13 @@ class TestAlphaBeta:
         ab = AlphaBeta(1e-5, float("inf"))
         assert ab.bandwidth == 0.0
 
+    def test_check_names_where_the_estimate_came_from(self):
+        ab = AlphaBeta(1e-5, 1e-9)
+        ab.check("edge n0->n1")  # a valid estimate passes silently
+        object.__setattr__(ab, "beta", float("nan"))
+        with pytest.raises(ProfilingError, match="^edge n0->n1: "):
+            ab.check("edge n0->n1")
+
 
 class TestFit:
     def synthesize(self, alpha, beta, plan):
@@ -95,6 +102,12 @@ class TestFit:
         fit = fit_alpha_beta(measurements)
         assert fit.alpha == pytest.approx(truth.alpha, rel=0.25)  # small, noise-sensitive
         assert fit.beta == pytest.approx(truth.beta, rel=0.05)
+
+    def test_fit_ignores_measurement_order(self):
+        rows = self.synthesize(2e-6, 1e-10, [(8, 65536), (4, 2**19), (2, 2**21)])
+        forward, backward = fit_alpha_beta(rows), fit_alpha_beta(rows[::-1])
+        assert forward.alpha == pytest.approx(backward.alpha, rel=1e-9)
+        assert forward.beta == pytest.approx(backward.beta, rel=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(

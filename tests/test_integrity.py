@@ -334,6 +334,16 @@ class TestQuarantineMasking:
         topo.quarantine_link(LINK, both_directions=False)
         assert topo.quarantined_links() == ["n0->n1"]
 
+    def test_one_direction_leaves_the_reverse_capacity(self):
+        topo = self.make_topology()
+        src, dst = parse_link(LINK)
+        reverse = topo.edge(dst, src)
+        before = reverse.effective
+        topo.quarantine_link(LINK, both_directions=False)
+        assert not reverse.quarantined
+        assert reverse.effective is before
+        assert topo.edge(src, dst).effective.beta == QUARANTINE_BETA
+
     def test_unknown_link_rejected(self):
         topo = self.make_topology()
         with pytest.raises(Exception):

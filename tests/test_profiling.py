@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProfilingError
 from repro.hardware import Cluster, make_hetero_cluster, make_homo_cluster
-from repro.profiling import ProbePlan, Profiler, inter_instance_rounds
+from repro.profiling import DEFAULT_PROBE_PLAN, ProbePlan, Profiler, inter_instance_rounds
 from repro.profiling.rounds import validate_round
 from repro.simulation import Simulator
 from repro.topology import LogicalTopology
@@ -12,6 +12,12 @@ from repro.topology.graph import nic_node
 
 
 class TestProbePlan:
+    def test_default_plan_valid(self):
+        settings = DEFAULT_PROBE_PLAN.settings
+        assert ProbePlan(settings=settings) == DEFAULT_PROBE_PLAN
+        assert len(settings) >= 2
+        assert all(n > 1 and s > 0 for n, s in settings)
+
     def test_needs_settings(self):
         with pytest.raises(ProfilingError):
             ProbePlan(settings=())
@@ -23,7 +29,6 @@ class TestProbePlan:
     def test_rejects_bad_setting(self):
         with pytest.raises(ProfilingError):
             ProbePlan(settings=((0, 1024.0),))
-
 
 
 class TestRounds:

@@ -8,8 +8,13 @@ from the fixed set.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
@@ -103,3 +108,68 @@ def test_every_committed_entry_carries_a_reason_from_the_fixed_set():
         assert (ROOT / module).is_file() and module.startswith("src/repro/"), key
         assert qualname and " " not in qualname, key
         assert reach.REASON.fullmatch(reason), key
+
+
+def test_a_class_inside_a_function_is_named_under_its_locals():
+    source = "def make():\n    class Local:\n        def run(self):\n            pass\n"
+    tree = reach.ast.parse(source)
+    assert [(name, first, outer) for name, _node, first, outer in reach.functions(tree)] == [
+        ("make", 1, ""),
+        ("make.<locals>.Local.run", 3, "make"),
+    ]
+
+
+def test_the_probe_records_what_a_process_calls(tmp_path):
+    package, module = _tree(tmp_path)
+    probe, hits = tmp_path / "probe", tmp_path / "hits"
+    for folder in (probe, hits):
+        folder.mkdir()
+    (probe / "sitecustomize.py").write_text(reach.PROBE, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(probe), str(package)]),
+               REACH_HITS=str(hits), REACH_PACKAGE=os.path.realpath(package) + os.sep)
+    subprocess.run([sys.executable, "-c", "import mod; mod.decorated(); mod.Outer().method()()"],
+                   cwd=tmp_path, env=env, check=True, timeout=60)
+    seen = {(path, int(first)) for part in hits.iterdir()
+            for path, first in (line.split("\t") for line in part.read_text().splitlines())}
+    # The module and class bodies run too (lines 1, 10, 17); they match no function.
+    assert seen == {(module, line) for line in (1, 4, 10, 11, 12, 17)}
+    assert _names(reach.unreached(package, seen)) == {"Outer.Inner.run": 2, "unused": 5}
+
+
+def test_read_reasons_keeps_each_reason_whole(tmp_path):
+    assert reach.read_reasons(tmp_path / "absent.txt") == {}
+    listed = tmp_path / "unreached.txt"
+    listed.write_text("src/repro/a.py:f paper §IV-C.2 fault exclusion\n"
+                      "src/repro/b.py:C.g repr\n", encoding="utf-8")
+    assert reach.read_reasons(listed) == {
+        "src/repro/a.py:f": "paper §IV-C.2 fault exclusion",
+        "src/repro/b.py:C.g": "repr",
+    }
+
+
+@pytest.mark.parametrize("reason", ["UNTRIAGED", "unused", "paper", "paper IV-A", "reprs",
+                                    "oracle:tests/x.py", ""])
+def test_the_reason_set_refuses_anything_else(reason):
+    assert reach.REASON.fullmatch(reason) is None
+
+
+def test_entry_points_run_the_examples_first_and_every_perfbench_workload_twice():
+    runs = reach.entry_points()
+    examples = sorted(str(path) for path in (ROOT / "examples").glob("*.py"))
+    assert [run[0] for run in runs[:len(examples)]] == examples
+    assert all(run[0] == "-m" or run[0].endswith(".py") for run in runs)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    perf = [(run[run.index("--workload") + 1], run[run.index("--trace") + 1])
+            for run in runs if "--workload" in run]
+    assert sorted(perf) == sorted((w["name"], t) for w in spec["workloads"] for t in "01")
+
+
+def test_every_committed_entry_names_a_function_of_its_file():
+    by_file = {}
+    for key in reach.read_reasons(ROOT / "tools" / "unreached.txt"):
+        module, _, qualname = key.partition(":")
+        by_file.setdefault(module, set()).add(qualname)
+    for module, names in by_file.items():
+        tree = reach.ast.parse((ROOT / module).read_text(encoding="utf-8"))
+        defined = {name for name, _node, _first, _outer in reach.functions(tree)}
+        assert names <= defined, (module, sorted(names - defined))

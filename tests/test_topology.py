@@ -186,6 +186,21 @@ class TestLogicalTopology:
         # Bottleneck is the V100 server's 50 Gbps NIC (40 Gbps per stream).
         assert fast_to_slow.nominal.bandwidth == pytest.approx(5e9)
 
+    def test_successors_and_predecessors(self):
+        _, _, topo = build(make_homo_cluster(num_servers=2))
+        succ = {edge.dst for edge in topo.out_edges(gpu_node(0))}
+        assert gpu_node(1) in succ and nic_node(0) in succ
+        assert gpu_node(0) in {edge.src for edge in topo.in_edges(gpu_node(1))}
+
+    def test_out_and_in_edges_are_the_same_edges_seen_from_both_ends(self):
+        _, _, topo = build(make_hetero_cluster())
+        nodes = topo.gpu_nodes + topo.nic_nodes
+        out = {(e.src, e.dst): e for n in nodes for e in topo.out_edges(n)}
+        into = {(e.src, e.dst): e for n in nodes for e in topo.in_edges(n)}
+        assert out.keys() == into.keys() == topo.edges.keys()
+        assert all(out[key] is into[key] is topo.edges[key] for key in out)
+        assert topo.out_edges(nic_node(99)) == [] and topo.in_edges(nic_node(99)) == []
+
     def test_path_edges_validates_adjacency(self):
         _, _, topo = build(make_homo_cluster(num_servers=2))
         path = [gpu_node(0), nic_node(0), nic_node(1), gpu_node(4)]
